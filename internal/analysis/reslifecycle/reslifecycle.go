@@ -175,11 +175,11 @@ type tracker struct {
 }
 
 func (t *tracker) fork(pre map[string]*obligation, drop map[string]bool) *tracker {
-	live := cloneLive(pre)
+	sub := &tracker{pass: t.pass, fi: t.fi, live: cloneLive(pre), sink: t.sink}
 	for name := range drop {
-		delete(live, name)
+		sub.discharge(name)
 	}
-	return &tracker{pass: t.pass, fi: t.fi, live: live, sink: t.sink}
+	return sub
 }
 
 // exit flags every live obligation not escaping via ret (a return
@@ -196,9 +196,30 @@ func (t *tracker) exit(at token.Pos, ret *ast.ReturnStmt) {
 			})
 		}
 	}
+	// An obligation escapes when any name bound to it does.
+	escaped := map[*obligation]bool{}
 	for name, o := range t.live {
-		if !escaping[name] {
+		if escaping[name] {
+			escaped[o] = true
+		}
+	}
+	for _, o := range t.live {
+		if !escaped[o] {
 			t.sink.leak(o, at)
+		}
+	}
+}
+
+// discharge settles the obligation held under name: a release or a
+// hand-off through one name settles every alias of the same value.
+func (t *tracker) discharge(name string) {
+	o, ok := t.live[name]
+	if !ok {
+		return
+	}
+	for alias, other := range t.live {
+		if other == o {
+			delete(t.live, alias)
 		}
 	}
 }
@@ -445,7 +466,7 @@ func (t *tracker) assign(a *ast.AssignStmt) {
 		if sel, ok := stripParens(rhs).(*ast.SelectorExpr); ok && releaseNames[sel.Sel.Name] {
 			if id, ok := sel.X.(*ast.Ident); ok {
 				if _, live := t.live[id.Name]; live {
-					delete(t.live, id.Name)
+					t.discharge(id.Name)
 					continue
 				}
 			}
@@ -461,8 +482,8 @@ func (t *tracker) assign(a *ast.AssignStmt) {
 			if i < len(a.Rhs) {
 				if id, ok := stripParens(a.Rhs[i]).(*ast.Ident); ok {
 					if o, live := t.live[id.Name]; live {
-						// Alias: both names reach the value; releasing either
-						// suffices, so track under the new name too.
+						// Alias: both names reach the value; track it under the
+						// new name too (discharge settles them together).
 						t.live[l.Name] = o
 						continue
 					}
@@ -620,7 +641,7 @@ func (t *tracker) scanExpr(e ast.Expr, escapes bool) {
 		ast.Inspect(e.Body, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if o, live := t.live[id.Name]; live && o.kind != kindScratch {
-					delete(t.live, id.Name)
+					t.discharge(id.Name)
 				}
 			}
 			return true
@@ -672,13 +693,13 @@ func (t *tracker) releaseIn(call *ast.CallExpr) bool {
 		switch x := sel.X.(type) {
 		case *ast.Ident:
 			if _, live := t.live[x.Name]; live {
-				delete(t.live, x.Name)
+				t.discharge(x.Name)
 				return true
 			}
 		case *ast.SelectorExpr: // resp.Body.Close()
 			if id, ok := x.X.(*ast.Ident); ok && x.Sel.Name == "Body" {
 				if o, live := t.live[id.Name]; live && o.kind == kindBody {
-					delete(t.live, id.Name)
+					t.discharge(id.Name)
 					return true
 				}
 			}
@@ -689,7 +710,7 @@ func (t *tracker) releaseIn(call *ast.CallExpr) bool {
 		for _, arg := range call.Args {
 			if id, ok := stripParens(arg).(*ast.Ident); ok {
 				if o, live := t.live[id.Name]; live && o.kind == kindScratch {
-					delete(t.live, id.Name)
+					t.discharge(id.Name)
 					return true
 				}
 			}
@@ -704,7 +725,7 @@ func (t *tracker) escapeArgs(arg ast.Expr) {
 	ast.Inspect(arg, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
 			if o, live := t.live[id.Name]; live && o.kind != kindScratch {
-				delete(t.live, id.Name)
+				t.discharge(id.Name)
 			}
 		}
 		return true
@@ -719,7 +740,7 @@ func (t *tracker) escapeIdents(e ast.Expr) {
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			delete(t.live, id.Name)
+			t.discharge(id.Name)
 		}
 		return true
 	})

@@ -77,3 +77,15 @@ func inGoroutine(ctx context.Context) {
 		_ = s
 	}()
 }
+
+// Taking an alias releases nothing: two names, one obligation, still
+// leaked — and reported once, at the creation.
+func aliasLeak(url string) error {
+	resp, err := http.Get(url) // want "not released on every path"
+	if err != nil {
+		return err
+	}
+	r2 := resp
+	_ = r2.StatusCode
+	return nil
+}

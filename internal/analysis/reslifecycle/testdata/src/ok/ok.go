@@ -137,3 +137,26 @@ func fetchOK(url string) error {
 	defer resp.Body.Close()
 	return nil
 }
+
+// An alias is a second name for the same value: closing through either
+// name settles the obligation for both.
+func aliasClose(url string) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	r2 := resp
+	r2.Body.Close()
+	return nil
+}
+
+// Handing the value off through the alias settles the original name too.
+func aliasHandOff(ctx context.Context) error {
+	s, err := open(ctx)
+	if err != nil {
+		return err
+	}
+	s2 := s
+	register(s2)
+	return nil
+}
