@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check fuzz experiments ablations chaos telemetry clean
+.PHONY: all build vet lint analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
 
 all: build vet lint test
 
@@ -70,6 +70,12 @@ bench-check:
 	$(GO) run ./cmd/llmdm-bench -bench-json -bench-dir /tmp/llmdm-bench-check
 	$(GO) run ./cmd/llmdm-bench -bench-compare BENCH_serving.json /tmp/llmdm-bench-check/BENCH_serving.json
 	$(GO) run ./cmd/llmdm-bench -bench-compare BENCH_kernels.json /tmp/llmdm-bench-check/BENCH_kernels.json
+
+# The end-to-end benchmark harness is its own module (bench/go.mod), so
+# the root ./... patterns above never reach it: vet it and run its tests,
+# including the ~6 s smoke run of every workload, here.
+bench-e2e-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short live-fuzz pass over every fuzz target (seed corpora always run
 # under plain `make test`).

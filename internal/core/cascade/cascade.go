@@ -123,20 +123,20 @@ type Submitter interface {
 type Cascade struct {
 	Models []llm.Model
 	Decide Decision
-	// Breakers, when non-nil, holds one circuit breaker per model tier;
-	// Complete consults it before each tier and skips tripped ones, so a
-	// dying model stops failing whole cascades after its breaker opens.
+	// Breakers, when non-nil, holds one circuit breaker per model tier; a
+	// run consults it before each tier and skips tripped ones, so a dying
+	// model stops failing whole cascades after its breaker opens.
 	Breakers *resilience.BreakerSet
 	// Sched, when non-nil, receives each tier's call for models it
 	// manages, so concurrent cascades share micro-batches instead of
 	// calling tiers one request at a time. Tiers unknown to the
 	// scheduler still go direct.
 	Sched Submitter
-	// ExitThreshold arms mid-generation early exit for streamed runs
-	// (CompleteStream): once a non-final tier has emitted ExitMinChunks
-	// chunks, a chunk confidence below this threshold aborts the tier and
-	// escalates immediately, billing only the chunks already emitted.
-	// Zero disables early exit. Choose a value below the accept
+	// ExitThreshold arms mid-generation early exit on token-streamed
+	// tiers (sched.Streaming requests): once a non-final tier has emitted
+	// ExitMinChunks chunks, a chunk confidence below this threshold aborts
+	// the tier and escalates immediately, billing only the chunks already
+	// emitted. Zero disables early exit. Choose a value below the accept
 	// threshold: collapse, not mere mediocrity, should trigger an abort.
 	ExitThreshold float64
 	// ExitMinChunks is the minimum chunks a tier streams before the exit
@@ -193,86 +193,25 @@ func New(decide Decision, models ...llm.Model) *Cascade {
 	return &Cascade{Models: models, Decide: decide}
 }
 
-// Complete runs the request through the cascade. The final model's answer
-// is always accepted (there is nothing larger to escalate to). Tiers whose
-// circuit breaker is open are skipped; when a skipped final tier leaves
+// Complete runs the request through the cascade and returns the accepted
+// response. It is a drain of the tier machine CompleteStream hands out, so
+// both read modes share one loop: the final model's answer is always
+// accepted (there is nothing larger to escalate to), tiers whose circuit
+// breaker is open are skipped, and when a skipped escalation target leaves
 // only a rejected answer, that answer is served best-effort rather than
 // failing the request.
 func (c *Cascade) Complete(ctx context.Context, req llm.Request) (llm.Response, Trace, error) {
-	if len(c.Models) == 0 {
-		return llm.Response{}, Trace{}, ErrNoModels
+	rs, err := c.CompleteStream(ctx, req)
+	if err != nil {
+		return llm.Response{}, Trace{}, err
 	}
-	reg := c.reg()
-	lg := c.logger()
-	var tr Trace
-	var last llm.Response
-	served := false
-	for i, m := range c.Models {
-		stepCtx, sp := obs.StartSpan(ctx, "cascade.step")
-		sp.SetAttr("model", m.Name())
-		sp.SetAttr("tier", i)
-		if c.Breakers != nil && !c.Breakers.Allow(m.Name()) {
-			sp.SetAttr("outcome", "skipped")
-			sp.End()
-			reg.Counter("cascade_tier_skipped_total", "model", m.Name()).Inc()
-			lg.Event(ctx, obs.Warn, "cascade_tier_skip", "model", m.Name(), "tier", i)
-			continue
+	defer rs.Close()
+	for {
+		if _, err := rs.Recv(); err != nil {
+			// io.EOF or the terminal error — Result reports which.
+			return rs.Result()
 		}
-		lg.Event(ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", i)
-		resp, err := c.step(stepCtx, m, req)
-		if c.Breakers != nil && !errors.Is(err, context.Canceled) {
-			// Client cancellations say nothing about the tier's health.
-			c.Breakers.Record(m.Name(), err == nil)
-		}
-		if err != nil {
-			sp.SetAttr("outcome", "error")
-			sp.End()
-			reg.Counter("cascade_errors_total", "model", m.Name()).Inc()
-			reg.Counter("cascade_escalations_total").Add(int64(tr.Escalations()))
-			lg.Event(ctx, obs.Warn, "cascade_tier_error", "model", m.Name(), "tier", i, "error", err.Error())
-			return llm.Response{}, tr, err
-		}
-		last = resp
-		tr.TotalCost += resp.Cost
-		final := i == len(c.Models)-1
-		accepted := final || c.Decide.Accept(resp)
-		outcome := "reject"
-		if accepted {
-			outcome = "accept"
-		}
-		reg.Counter("cascade_steps_total", "model", m.Name(), "outcome", outcome).Inc()
-		sp.SetAttr("confidence", resp.Confidence)
-		sp.SetAttr("outcome", outcome)
-		sp.SetAttr("tokens_in", resp.InputTokens)
-		sp.SetAttr("tokens_out", resp.OutputTokens)
-		sp.SetAttr("cost_microusd", int64(resp.Cost))
-		sp.End()
-		tr.Steps = append(tr.Steps, Step{
-			Model:      m.Name(),
-			Confidence: resp.Confidence,
-			Accepted:   accepted,
-			Cost:       resp.Cost,
-		})
-		if accepted {
-			served = true
-			break
-		}
-		lg.Event(ctx, obs.Info, "cascade_escalate", "from", m.Name(), "tier", i, "confidence", resp.Confidence)
 	}
-	if len(tr.Steps) == 0 {
-		reg.Counter("cascade_errors_total", "model", "none").Inc()
-		return llm.Response{}, tr, ErrAllTiersOpen
-	}
-	if !served {
-		// The escalation target was skipped (breaker open): serve the last
-		// rejected answer instead of failing a request we already paid for.
-		tr.Steps[len(tr.Steps)-1].Accepted = true
-		reg.Counter("cascade_forced_accept_total").Inc()
-	}
-	reg.Counter("cascade_requests_total").Inc()
-	reg.Counter("cascade_escalations_total").Add(int64(tr.Escalations()))
-	reg.Counter("cascade_final_model_total", "model", last.Model).Inc()
-	return last, tr, nil
 }
 
 // Escalations reports how many models beyond the first were consulted.

@@ -1,10 +1,18 @@
-// Streamed cascade runs: the cascade consumes model token streams,
-// watches per-chunk confidence, and aborts a cheap tier mid-generation
-// the moment its confidence collapses — escalating to the next tier
-// while having billed only the chunks actually emitted. The unstreamed
-// remainder of the aborted tier is never charged (the "refund" relative
-// to a request/response cascade, which always pays failed tiers in
-// full).
+// The cascade's one tier loop. Every run — request/response or streamed —
+// is a RunStream: a pull state machine that opens tiers cheapest first,
+// consumes each tier as a chunk stream and decides accept / escalate.
+// How a tier is opened is the only difference between the read modes:
+//
+//   - a request in the sched.Streaming class opens a model that supports
+//     it with GenerateStream, watches per-chunk confidence, and aborts the
+//     tier mid-generation the moment confidence collapses — escalating
+//     while having billed only the chunks actually emitted (the "refund"
+//     relative to a tier that always pays in full);
+//   - every other tier is one regular call — through the batching
+//     scheduler when it manages the model — wrapped as a single pre-billed
+//     chunk.
+//
+// Complete drains the machine; CompleteStream returns it.
 package cascade
 
 import (
@@ -14,6 +22,7 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/token"
 )
 
@@ -46,9 +55,10 @@ type StreamChunk struct {
 // delivered chunks, so an early-exited tier bills exactly what it
 // emitted. The chunk marked Final belongs to the accepted tier; a
 // rejected tier's last chunk arrives with Final false, followed by the
-// next tier's Restart chunk. Tiers whose model does not implement
-// llm.StreamModel degrade to a single-chunk stream around the regular
-// call (billed in full, as before).
+// next tier's Restart chunk. Only requests in the sched.Streaming class
+// token-stream (and only from tiers implementing llm.StreamModel); any
+// other tier arrives as a single chunk around the regular call, billed
+// in full.
 func (c *Cascade) CompleteStream(ctx context.Context, req llm.Request) (*RunStream, error) {
 	if len(c.Models) == 0 {
 		return nil, ErrNoModels
@@ -57,34 +67,37 @@ func (c *Cascade) CompleteStream(ctx context.Context, req llm.Request) (*RunStre
 	if minChunks <= 0 {
 		minChunks = DefaultExitMinChunks
 	}
-	_, sp := obs.StartSpan(ctx, "cascade.complete_stream")
-	return &RunStream{c: c, ctx: ctx, req: req, sp: sp, minChunks: minChunks, tier: -1}, nil
+	return &RunStream{
+		c: c, ctx: ctx, req: req, minChunks: minChunks,
+		streaming: sched.ClassFrom(ctx) == sched.Streaming,
+		tier:      -1, next: -1,
+	}, nil
 }
 
-// RunStream is one in-flight streamed cascade run. It is a synchronous
-// pull state machine: Recv advances tiers, applies the early-exit rule
-// and the accept decision, and surfaces exactly the chunks that were
-// billed. Not safe for concurrent Recv.
+// RunStream is one in-flight cascade run. It is a synchronous pull state
+// machine: Recv advances tiers, applies the early-exit rule and the
+// accept decision, and surfaces exactly the chunks that were billed. Not
+// safe for concurrent Recv.
 type RunStream struct {
 	c         *Cascade
 	ctx       context.Context
 	req       llm.Request
-	sp        *obs.Span
 	minChunks int
+	streaming bool // sched.Streaming request: token-stream the tiers that can
 
-	// tier iteration state.
-	tier        int
-	cur         llm.Stream
-	curModel    llm.Model
-	tierChunks  int
-	tierCost    token.Cost
-	tierRestart bool
+	// The open tier: its index, stream and cascade.step span, and what it
+	// has emitted so far. cur is nil between tiers.
+	tier       int
+	cur        llm.Stream
+	sp         *obs.Span
+	tierChunks int
+	tierCost   token.Cost
+	tierConf   float64
+	// next is the tier to open after this one, once pickNext chose it
+	// (next > tier); len(Models) means none is left.
+	next int
 
 	tr     Trace
-	last   llm.Response
-	hasAns bool
-	forced bool
-
 	done   bool
 	result llm.Response
 	err    error
@@ -98,157 +111,126 @@ func (r *RunStream) Recv() (StreamChunk, error) {
 	if r.closed {
 		return StreamChunk{}, llm.ErrStreamClosed
 	}
-	if r.done {
-		if r.err != nil {
-			return StreamChunk{}, r.err
-		}
-		return StreamChunk{}, io.EOF
-	}
-	for {
+	for !r.done {
 		if r.cur == nil {
-			if err := r.openNextTier(); err != nil {
+			if r.pickNext() == len(r.c.Models) {
+				// Only reachable before the first attempt: a rejected tier
+				// with nowhere to go is force-accepted where it ends.
+				r.c.reg().Counter("cascade_errors_total", "model", "none").Inc()
+				r.finish(llm.Response{}, ErrAllTiersOpen)
+				break
+			}
+			if err := r.openTier(); err != nil {
 				return StreamChunk{}, err
 			}
 		}
 		ch, err := r.cur.Recv()
-		if errors.Is(err, io.EOF) {
-			// Defensive: sim streams end on a Final chunk, which we
-			// finalize below; a bare EOF means the tier produced nothing
-			// more — move on.
-			r.cur = nil
-			continue
-		}
 		if err != nil {
 			return StreamChunk{}, r.tierError(err)
 		}
+		// Billing accrues per delivered chunk, so the trace total equals
+		// the sum of chunk costs whatever state the run ends in.
 		r.tierChunks++
 		r.tierCost += ch.Cost
-		out := StreamChunk{Chunk: ch, Model: r.curModel.Name(), Tier: r.tier, Restart: r.tierRestart}
-		r.tierRestart = false
-		if ch.Final {
+		r.tierConf = ch.Confidence
+		r.tr.TotalCost += ch.Cost
+		out := StreamChunk{Chunk: ch, Model: r.c.Models[r.tier].Name(), Tier: r.tier,
+			Restart: r.tierChunks == 1 && len(r.tr.Steps) > 0}
+		switch {
+		case ch.Final:
 			out.Final = r.finalizeTier()
-			return out, nil
-		}
-		if r.shouldExit(ch) {
-			r.earlyExit(ch)
+		case r.shouldExit():
+			r.earlyExit()
 		}
 		return out, nil
 	}
+	if r.err != nil {
+		return StreamChunk{}, r.err
+	}
+	return StreamChunk{}, io.EOF
 }
 
-// openNextTier advances past open breakers to the next usable tier and
-// starts its stream. When every remaining tier is skipped it terminates
-// the run: forced-accept of the last completed answer if one exists,
-// ErrAllTiersOpen otherwise.
-func (r *RunStream) openNextTier() error {
+// pickNext chooses the tier to open after the current one: the first
+// whose breaker admits the request, recording the refused ones as
+// skipped. Each breaker is asked once per run — Allow may hand out the
+// half-open probe slot, so asking again would refuse it — and the choice
+// sticks until that tier is opened. len(Models) means none is left.
+func (r *RunStream) pickNext() int {
 	c := r.c
-	reg := c.reg()
-	lg := c.logger()
-	for i := r.tier + 1; i < len(c.Models); i++ {
-		m := c.Models[i]
-		if c.Breakers != nil && !c.Breakers.Allow(m.Name()) {
-			reg.Counter("cascade_tier_skipped_total", "model", m.Name()).Inc()
-			lg.Event(r.ctx, obs.Warn, "cascade_tier_skip", "model", m.Name(), "tier", i)
-			continue
+	if r.next > r.tier {
+		return r.next
+	}
+	for r.next = r.tier + 1; r.next < len(c.Models); r.next++ {
+		name := c.Models[r.next].Name()
+		if c.Breakers == nil || c.Breakers.Allow(name) {
+			break
 		}
-		lg.Event(r.ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", i)
-		stream, err := r.openStream(m)
-		if err != nil {
-			r.tier, r.curModel = i, m
-			return r.tierError(err)
-		}
-		r.tier, r.curModel, r.cur = i, m, stream
-		r.tierChunks, r.tierCost = 0, 0
-		r.tierRestart = len(r.tr.Steps) > 0
-		return nil
+		_, sp := obs.StartSpan(r.ctx, "cascade.step")
+		sp.SetAttr("model", name)
+		sp.SetAttr("tier", r.next)
+		sp.SetAttr("outcome", "skipped")
+		sp.End()
+		c.reg().Counter("cascade_tier_skipped_total", "model", name).Inc()
+		c.logger().Event(r.ctx, obs.Warn, "cascade_tier_skip", "model", name, "tier", r.next)
 	}
-	// No usable tier left.
-	if r.hasAns {
-		// The escalation target was skipped: serve the answer we already
-		// paid for (mirrors Complete's forced accept). The consumer saw
-		// its chunks already; finish() leaves the result readable.
-		r.tr.Steps[len(r.tr.Steps)-1].Accepted = true
-		reg.Counter("cascade_forced_accept_total").Inc()
-		r.forced = true
-		r.finish(r.last, nil)
-		return io.EOF
-	}
-	if len(r.tr.Steps) == 0 {
-		reg.Counter("cascade_errors_total", "model", "none").Inc()
-	}
-	r.finish(llm.Response{}, ErrAllTiersOpen)
-	return ErrAllTiersOpen
+	return r.next
 }
 
-// openStream starts a tier's token stream, degrading tiers without
-// stream support to a single pre-billed chunk around the regular
-// (possibly scheduler-batched) call path.
-func (r *RunStream) openStream(m llm.Model) (llm.Stream, error) {
-	if sm, ok := m.(llm.StreamModel); ok {
-		return sm.GenerateStream(r.ctx, r.req)
+// openTier starts the picked tier under its own cascade.step span. A
+// streaming-class request token-streams a model that can; everything
+// else is one regular (possibly scheduler-batched) call wrapped as a
+// single pre-billed chunk.
+func (r *RunStream) openTier() error {
+	c := r.c
+	r.tier, r.tierChunks, r.tierCost, r.tierConf = r.next, 0, 0, 0
+	m := c.Models[r.tier]
+	ctx, sp := obs.StartSpan(r.ctx, "cascade.step")
+	sp.SetAttr("model", m.Name())
+	sp.SetAttr("tier", r.tier)
+	r.sp = sp
+	c.logger().Event(r.ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", r.tier)
+	var err error
+	if sm, ok := m.(llm.StreamModel); ok && r.streaming {
+		r.cur, err = sm.GenerateStream(ctx, r.req)
+	} else {
+		var resp llm.Response
+		if resp, err = c.step(ctx, m, r.req); err == nil {
+			r.cur = llm.StaticStream(resp)
+		}
 	}
-	resp, err := r.c.step(r.ctx, m, r.req)
 	if err != nil {
-		return nil, err
+		return r.tierError(err)
 	}
-	return llm.StaticStream(resp), nil
+	return nil
 }
 
-// shouldExit applies the early-exit rule to a non-final chunk:
-// confidence collapsed below the exit threshold, the tier has emitted
-// enough chunks to trust the signal, and a later tier is actually
+// shouldExit applies the early-exit rule to the chunk just delivered:
+// the tier has emitted enough chunks to trust the signal, confidence
+// collapsed below the exit threshold, and a later tier is actually
 // available to escalate to.
-func (r *RunStream) shouldExit(ch llm.Chunk) bool {
-	if r.c.ExitThreshold <= 0 || r.tier >= len(r.c.Models)-1 {
-		return false
-	}
-	if r.tierChunks < r.minChunks || ch.Confidence >= r.c.ExitThreshold {
-		return false
-	}
-	return r.escalationAvailable()
-}
-
-// escalationAvailable reports whether any tier after the current one
-// would be admitted by its breaker right now.
-func (r *RunStream) escalationAvailable() bool {
-	if r.c.Breakers == nil {
-		return r.tier < len(r.c.Models)-1
-	}
-	for i := r.tier + 1; i < len(r.c.Models); i++ {
-		if r.c.Breakers.Allow(r.c.Models[i].Name()) {
-			return true
-		}
-	}
-	return false
-}
-
-// earlyExit aborts the current tier mid-generation: the stream is
-// closed (unstreamed remainder never billed), the tier is recorded as a
-// rejected step costing only its emitted chunks, and the next Recv
-// opens the escalation target.
-func (r *RunStream) earlyExit(ch llm.Chunk) {
+func (r *RunStream) shouldExit() bool {
 	c := r.c
-	r.cur.Close()
+	return c.ExitThreshold > 0 && r.tierChunks >= r.minChunks &&
+		r.tierConf < c.ExitThreshold && r.pickNext() < len(c.Models)
+}
+
+// earlyExit aborts the current tier mid-generation: its stream is closed
+// (the unstreamed remainder is never billed), it is recorded as a
+// rejected step costing only its emitted chunks, and the next Recv opens
+// the escalation target.
+func (r *RunStream) earlyExit() {
+	c := r.c
+	name := c.Models[r.tier].Name()
 	if c.Breakers != nil {
 		// An abort for quality is not a tier failure.
-		c.Breakers.Record(r.curModel.Name(), true)
+		c.Breakers.Record(name, true)
 	}
-	r.tr.Steps = append(r.tr.Steps, Step{
-		Model:      r.curModel.Name(),
-		Confidence: ch.Confidence,
-		Accepted:   false,
-		Cost:       r.tierCost,
-	})
-	r.tr.TotalCost += r.tierCost
-	reg := c.reg()
-	reg.Counter("cascade_steps_total", "model", r.curModel.Name(), "outcome", "early_exit").Inc()
-	reg.Counter("cascade_early_exit_total", "model", r.curModel.Name()).Inc()
+	c.reg().Counter("cascade_steps_total", "model", name, "outcome", "early_exit").Inc()
+	c.reg().Counter("cascade_early_exit_total", "model", name).Inc()
 	c.logger().Event(r.ctx, obs.Info, "stream_early_exit",
-		"model", r.curModel.Name(), "tier", r.tier,
-		"confidence", ch.Confidence, "chunks", r.tierChunks,
-		"billed_microusd", int64(r.tierCost))
-	r.cur = nil
-	r.hasAns = false
+		"model", name, "tier", r.tier, "confidence", r.tierConf,
+		"chunks", r.tierChunks, "billed_microusd", int64(r.tierCost))
+	r.endTier("early_exit", r.tierConf, false)
 }
 
 // finalizeTier runs the accept decision once a tier's stream completed,
@@ -256,108 +238,97 @@ func (r *RunStream) earlyExit(ch llm.Chunk) {
 // the consumer (i.e. the run is over).
 func (r *RunStream) finalizeTier() bool {
 	c := r.c
-	reg := c.reg()
-	resp, ok := r.cur.Final()
-	if !ok {
-		// A stream that ended without a final response degrades to what
-		// we observed; should not happen with sim streams.
-		resp = llm.Response{Model: r.curModel.Name(), Cost: r.tierCost}
-	}
+	name := c.Models[r.tier].Name()
+	resp, _ := r.cur.Final()
 	if c.Breakers != nil {
-		c.Breakers.Record(r.curModel.Name(), true)
+		c.Breakers.Record(name, true)
 	}
-	r.cur = nil
-	r.last, r.hasAns = resp, true
-	r.tr.TotalCost += resp.Cost
-
-	final := r.tier == len(c.Models)-1
-	accepted := final || c.Decide.Accept(resp)
-	if !accepted && !r.escalationAvailable() {
-		// Nowhere to escalate: forced accept of the answer we just paid
-		// for, decided now so the consumer still gets a Final chunk.
+	accepted := r.tier == len(c.Models)-1 || c.Decide.Accept(resp)
+	if !accepted && r.pickNext() == len(c.Models) {
+		// The escalation target was skipped (breaker open): serve the
+		// answer we just paid for instead of failing the request.
 		accepted = true
-		r.forced = true
-		reg.Counter("cascade_forced_accept_total").Inc()
+		c.reg().Counter("cascade_forced_accept_total").Inc()
 	}
 	outcome := "reject"
 	if accepted {
 		outcome = "accept"
 	}
-	reg.Counter("cascade_steps_total", "model", r.curModel.Name(), "outcome", outcome).Inc()
-	r.tr.Steps = append(r.tr.Steps, Step{
-		Model:      r.curModel.Name(),
-		Confidence: resp.Confidence,
-		Accepted:   accepted,
-		Cost:       resp.Cost,
-	})
+	c.reg().Counter("cascade_steps_total", "model", name, "outcome", outcome).Inc()
+	r.sp.SetAttr("tokens_in", resp.InputTokens)
+	r.sp.SetAttr("tokens_out", resp.OutputTokens)
+	r.endTier(outcome, resp.Confidence, accepted)
 	if accepted {
 		r.finish(resp, nil)
 		return true
 	}
-	c.logger().Event(r.ctx, obs.Info, "cascade_escalate",
-		"from", r.curModel.Name(), "tier", r.tier, "confidence", resp.Confidence)
+	c.logger().Event(r.ctx, obs.Info, "cascade_escalate", "from", name, "tier", r.tier, "confidence", resp.Confidence)
 	return false
 }
 
-// tierError terminates the run on a tier failure, mirroring Complete's
-// error accounting.
+// tierError terminates the run on a tier failure.
 func (r *RunStream) tierError(err error) error {
 	c := r.c
+	name := c.Models[r.tier].Name()
 	if c.Breakers != nil && !errors.Is(err, context.Canceled) {
-		c.Breakers.Record(r.curModel.Name(), false)
+		// Client cancellations say nothing about the tier's health.
+		c.Breakers.Record(name, false)
 	}
-	c.reg().Counter("cascade_errors_total", "model", r.curModel.Name()).Inc()
-	c.reg().Counter("cascade_escalations_total").Add(int64(r.tr.Escalations()))
-	c.logger().Event(r.ctx, obs.Warn, "cascade_tier_error",
-		"model", r.curModel.Name(), "tier", r.tier, "error", err.Error())
-	// Close, don't just drop: a mid-stream tier error leaves the
-	// underlying stream open, and its remainder would keep billing.
-	if r.cur != nil {
-		r.cur.Close()
-		r.cur = nil
-	}
+	c.reg().Counter("cascade_errors_total", "model", name).Inc()
+	c.logger().Event(r.ctx, obs.Warn, "cascade_tier_error", "model", name, "tier", r.tier, "error", err.Error())
+	r.endTier("error", r.tierConf, false)
 	r.finish(llm.Response{}, err)
 	return err
 }
 
-// finish seals the run and settles the success counters.
-func (r *RunStream) finish(resp llm.Response, err error) {
-	if r.done {
-		return
+// endTier closes the open tier — its stream, so an unfinished remainder
+// never bills, and its span — and records it as a step when it billed
+// anything: an errored or abandoned tier is a rejected step costing what
+// it emitted, which keeps Trace.TotalCost equal to the steps' costs (and
+// to the model meters) at every terminal state.
+func (r *RunStream) endTier(outcome string, confidence float64, accepted bool) {
+	if r.cur != nil {
+		r.cur.Close()
+		r.cur = nil
 	}
-	r.done = true
-	r.result, r.err = resp, err
-	if err == nil {
-		reg := r.c.reg()
-		reg.Counter("cascade_requests_total").Inc()
-		reg.Counter("cascade_escalations_total").Add(int64(r.tr.Escalations()))
-		reg.Counter("cascade_final_model_total", "model", resp.Model).Inc()
-	}
-	r.sp.SetAttr("tiers", len(r.tr.Steps))
-	r.sp.SetAttr("cost_microusd", int64(r.tr.TotalCost))
-	r.sp.SetAttr("forced", r.forced)
-	if err != nil {
-		r.sp.SetAttr("error", err.Error())
+	r.sp.SetAttr("outcome", outcome)
+	if r.tierChunks > 0 {
+		r.sp.SetAttr("confidence", confidence)
+		r.sp.SetAttr("cost_microusd", int64(r.tierCost))
+		r.tr.Steps = append(r.tr.Steps, Step{
+			Model:      r.c.Models[r.tier].Name(),
+			Confidence: confidence,
+			Accepted:   accepted,
+			Cost:       r.tierCost,
+		})
 	}
 	r.sp.End()
 }
 
-// Close aborts the run. Chunks already delivered stay billed; an open
-// tier stream is closed so its remainder never bills. Idempotent.
+// finish seals the run and settles the run-level counters.
+func (r *RunStream) finish(resp llm.Response, err error) {
+	r.done, r.result, r.err = true, resp, err
+	reg := r.c.reg()
+	reg.Counter("cascade_escalations_total").Add(int64(r.tr.Escalations()))
+	if err == nil {
+		reg.Counter("cascade_requests_total").Inc()
+		reg.Counter("cascade_final_model_total", "model", resp.Model).Inc()
+	}
+}
+
+// Close aborts the run. Chunks already delivered stay billed (the open
+// tier is recorded as a rejected step costing them); its stream is
+// closed so the remainder never bills. Idempotent.
 func (r *RunStream) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	if r.cur != nil {
-		r.cur.Close()
-		r.cur = nil
-	}
 	if !r.done {
-		r.done = true
-		r.err = llm.ErrStreamClosed
-		r.sp.SetAttr("aborted", true)
-		r.sp.End()
+		if r.cur != nil {
+			r.endTier("aborted", r.tierConf, false)
+		}
+		r.finish(llm.Response{}, llm.ErrStreamClosed)
 	}
 	return nil
 }

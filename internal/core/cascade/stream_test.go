@@ -9,8 +9,15 @@ import (
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/sched"
 	"repro/internal/token"
 )
+
+// streamCtx is a request in the streaming class: the one whose tiers
+// token-stream instead of arriving as a single pre-billed chunk.
+func streamCtx() context.Context {
+	return sched.WithClass(context.Background(), sched.Streaming)
+}
 
 // streamTier builds one tier with a private metrics registry so tests
 // can compare meters across independent model instances.
@@ -51,9 +58,24 @@ func hardReq() llm.Request {
 	}
 }
 
-// Without early exit, a streamed run bills exactly what Complete bills
-// for the same request, tier for tier.
+// Without early exit, a run read as a stream bills exactly what Complete
+// bills for the same request, tier for tier — whichever way its tiers
+// are opened: one pre-billed chunk per tier for an interactive request,
+// token chunks for a streaming-class one.
 func TestCascadeStreamMatchesComplete(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		ctx        context.Context
+		multiChunk bool
+	}{
+		{"interactive", context.Background(), false},
+		{"streaming", streamCtx(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testCascadeStreamMatchesComplete(t, tc.ctx, tc.multiChunk) })
+	}
+}
+
+func testCascadeStreamMatchesComplete(t *testing.T, ctx context.Context, multiChunk bool) {
 	req := hardReq()
 
 	mkCascade := func() (*Cascade, *llm.SimModel, *llm.SimModel) {
@@ -72,7 +94,7 @@ func TestCascadeStreamMatchesComplete(t *testing.T) {
 	}
 
 	cStr, cheapStr, strongStr := mkCascade()
-	rs, err := cStr.CompleteStream(context.Background(), req)
+	rs, err := cStr.CompleteStream(ctx, req)
 	if err != nil {
 		t.Fatalf("CompleteStream: %v", err)
 	}
@@ -129,6 +151,9 @@ func TestCascadeStreamMatchesComplete(t *testing.T) {
 	if !sawRestart {
 		t.Fatal("expected a Restart chunk when the cascade escalated")
 	}
+	if got := len(chunks) > len(tr.Steps); got != multiChunk {
+		t.Fatalf("%d chunks over %d tiers, want token-streamed tiers = %v", len(chunks), len(tr.Steps), multiChunk)
+	}
 }
 
 // The tentpole invariant: early exit aborts the cheap tier
@@ -151,7 +176,7 @@ func TestCascadeStreamEarlyExitRefundMeterExact(t *testing.T) {
 	c.Log = obs.NewLogger(obs.NewEventLog(16), obs.Debug, obs.NewRegistry())
 	c.ExitThreshold = 0.35
 
-	rs, err := c.CompleteStream(context.Background(), req)
+	rs, err := c.CompleteStream(streamCtx(), req)
 	if err != nil {
 		t.Fatalf("CompleteStream: %v", err)
 	}
@@ -215,7 +240,7 @@ func TestCascadeStreamCloseMidStream(t *testing.T) {
 	c.Obs = obs.NewRegistry()
 	c.Log = obs.NewLogger(obs.NewEventLog(16), obs.Debug, obs.NewRegistry())
 
-	rs, err := c.CompleteStream(context.Background(), hardReq())
+	rs, err := c.CompleteStream(streamCtx(), hardReq())
 	if err != nil {
 		t.Fatalf("CompleteStream: %v", err)
 	}
@@ -234,6 +259,66 @@ func TestCascadeStreamCloseMidStream(t *testing.T) {
 	}
 	if spent := cheap.Meter().Spend + strong.Meter().Spend; spent != ch.Cost {
 		t.Fatalf("billed %d after aborting at one chunk costing %d", spent, ch.Cost)
+	}
+}
+
+// The spend invariant holds at every terminal state, not only on accept:
+// a tier that errors or is closed after its first billed chunk is a
+// rejected step costing what it emitted, so Trace.TotalCost still equals
+// the delivered chunk costs and the model meters.
+func TestCascadeStreamAbortedTierSpend(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		abort func(cancel context.CancelFunc, rs *RunStream) error
+		want  error
+	}{
+		{"context canceled after one chunk", func(cancel context.CancelFunc, rs *RunStream) error {
+			cancel()
+			_, err := rs.Recv()
+			return err
+		}, context.Canceled},
+		{"closed after one chunk", func(_ context.CancelFunc, rs *RunStream) error {
+			rs.Close()
+			_, _, err := rs.Result()
+			return err
+		}, llm.ErrStreamClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cheap := streamTier("cheap", 0.2, 400, 400)
+			strong := streamTier("strong", 0.95, 30000, 60000)
+			c := New(Threshold{Tau: 0.62}, cheap, strong)
+			c.Obs = obs.NewRegistry()
+			c.Log = obs.NewLogger(obs.NewEventLog(16), obs.Debug, obs.NewRegistry())
+
+			ctx, cancel := context.WithCancel(streamCtx())
+			defer cancel()
+			rs, err := c.CompleteStream(ctx, hardReq())
+			if err != nil {
+				t.Fatalf("CompleteStream: %v", err)
+			}
+			defer rs.Close()
+			ch, err := rs.Recv()
+			if err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+			if ch.Cost == 0 || ch.Final {
+				t.Fatalf("first chunk %+v: want a billed, non-final chunk", ch)
+			}
+			if err := tc.abort(cancel, rs); !errors.Is(err, tc.want) {
+				t.Fatalf("abort: %v, want %v", err, tc.want)
+			}
+			_, tr, err := rs.Result()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Result: %v, want %v", err, tc.want)
+			}
+			meters := cheap.Meter().Spend + strong.Meter().Spend
+			if tr.TotalCost != ch.Cost || meters != ch.Cost {
+				t.Fatalf("trace total %d, meters %d, delivered chunk cost %d", tr.TotalCost, meters, ch.Cost)
+			}
+			if len(tr.Steps) != 1 || tr.Steps[0].Accepted || tr.Steps[0].Model != "cheap" || tr.Steps[0].Cost != ch.Cost {
+				t.Fatalf("steps = %+v, want the aborted cheap tier as one rejected step costing %d", tr.Steps, ch.Cost)
+			}
+		})
 	}
 }
 

@@ -67,18 +67,28 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryable b
 	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg, Retryable: retryable}})
 }
 
-// completionError maps a serving-path error to its envelope.
-func completionError(w http.ResponseWriter, err error) {
+// errorBodyFor maps a serving-path error to its typed error detail and
+// HTTP status — the one mapping behind both the JSON envelope and the SSE
+// "error" event, so the two surfaces cannot disagree.
+func errorBodyFor(err error) (int, ErrorBody) {
 	switch {
 	case errors.Is(err, resilience.ErrOverloaded):
+		return http.StatusServiceUnavailable, ErrorBody{Code: "overloaded", Message: err.Error(), Retryable: true}
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, ErrorBody{Code: "upstream_timeout", Message: err.Error(), Retryable: true}
+	default:
+		return http.StatusBadGateway, ErrorBody{Code: "upstream_error", Message: err.Error(), Retryable: false}
+	}
+}
+
+// completionError writes a serving-path error as its envelope.
+func completionError(w http.ResponseWriter, err error) {
+	status, body := errorBodyFor(err)
+	if status == http.StatusServiceUnavailable {
 		// Shed by the limiter: tell well-behaved clients to retry.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error(), true)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "upstream_timeout", err.Error(), true)
-	default:
-		writeError(w, http.StatusBadGateway, "upstream_error", err.Error(), false)
 	}
+	writeError(w, status, body.Code, body.Message, body.Retryable)
 }
 
 // CompletionResponse is the JSON reply of POST /v1/complete. TraceID
@@ -202,11 +212,9 @@ func (p *Proxy) Handler() http.Handler {
 		// is the exemplar nearest that quantile — the key into
 		// /debug/traces for "what does a slow one look like".
 		latency := make(map[string]map[string]interface{})
-		for source, h := range map[string]*obs.Histogram{
-			"cache": p.hLatCache, "coalesced": p.hLatCoalesced,
-			"cascade": p.hLatCascade, "stale": p.hLatStale,
-		} {
-			if h.Count() == 0 {
+		for source, m := range p.series {
+			h := m.latency
+			if h == nil || h.Count() == 0 {
 				continue
 			}
 			entry := map[string]interface{}{

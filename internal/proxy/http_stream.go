@@ -3,13 +3,11 @@ package proxy
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/llm"
-	"repro/internal/resilience"
 )
 
 // StreamDone is the payload of the terminal "done" SSE event: the fully
@@ -25,20 +23,6 @@ type StreamDone struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	TraceID    string  `json:"trace_id,omitempty"`
 	Chunks     int     `json:"chunks"`
-}
-
-// streamErrorBody maps a streaming-path error to the same ErrorBody the
-// non-streamed surface would have put in its envelope, so SSE "error"
-// events and HTTP error responses share one vocabulary.
-func streamErrorBody(err error) ErrorBody {
-	switch {
-	case errors.Is(err, resilience.ErrOverloaded):
-		return ErrorBody{Code: "overloaded", Message: err.Error(), Retryable: true}
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrorBody{Code: "upstream_timeout", Message: err.Error(), Retryable: true}
-	default:
-		return ErrorBody{Code: "upstream_error", Message: err.Error(), Retryable: false}
-	}
 }
 
 // serveStream handles POST /v1/complete with "stream": true. Events:
@@ -97,12 +81,14 @@ func (p *Proxy) serveStream(w http.ResponseWriter, r *http.Request, ctx context.
 		if rerr == io.EOF {
 			break
 		}
-		writeEvent("error", streamErrorBody(rerr))
+		_, body := errorBodyFor(rerr)
+		writeEvent("error", body)
 		return
 	}
 	ans, aerr := s.Answer()
 	if aerr != nil {
-		writeEvent("error", streamErrorBody(aerr))
+		_, body := errorBodyFor(aerr)
+		writeEvent("error", body)
 		return
 	}
 	writeEvent("done", StreamDone{

@@ -25,15 +25,22 @@
 //     below-threshold semantic-cache entry, marked Source "stale", instead
 //     of erroring.
 //
+// All of it is one pipeline with two read modes. Every request runs the
+// same front half — admission, cache lookup, join or lead the in-flight
+// call for its prompt — and every in-flight call is one detached upstream
+// cascade run pumping chunks into a replay log that its clients (the
+// leader included) read. CompleteStream hands the caller that reader;
+// Complete drains it and returns the settled Answer. See stream.go.
+//
 // Every request is traced (a root span with cache-lookup and per-cascade-
 // step children, kept in a bounded ring) and metered into an obs.Registry;
 // the HTTP layer exposes both at GET /metrics and GET /debug/traces.
 //
-// Concurrency design: the only lock is the in-flight table's. The semantic
-// cache lookup — which computes a query embedding and is the most expensive
-// non-model step — runs outside any proxy lock, and the lifetime counters
-// are atomics, so concurrent requests never serialize behind each other's
-// embeddings.
+// Concurrency design: the proxy's only lock is the in-flight table's, and
+// it is never held across the semantic cache lookup — which computes a
+// query embedding and is the most expensive non-model step — nor across an
+// upstream call; the lifetime counters are atomics. (The cache serializes
+// lookups on its own mutex; that is semcache's lock, not the proxy's.)
 //
 // It is exposed over HTTP by cmd/llmdm-proxy and exercised with httptest in
 // the package tests.
@@ -204,25 +211,30 @@ type Proxy struct {
 	requests, cacheHits, coalesced, modelCalls, staleServes, shed, spend, streams atomic.Int64
 
 	// Metric handles, resolved once at construction.
-	mReqCache, mReqCoalesced, mReqCascade, mReqStale, mReqShed, mReqError *obs.Counter
-	mSpend                                                                *obs.Counter
-	gInflight                                                             *obs.Gauge
-	hLatCache, hLatCoalesced, hLatCascade, hLatStale                      *obs.Histogram
+	series    map[string]sourceSeries
+	mSpend    *obs.Counter
+	gInflight *obs.Gauge
 }
 
-// call is one in-flight upstream request being awaited by >= 1 clients.
-// The upstream run is detached from every awaiting client, so the fields
-// are written exactly once (before done closes) no matter which clients
-// are still listening.
-type call struct {
-	done  chan struct{}
-	ans   Answer
-	err   error
-	steps int
-	// log is the call's chunk replay log: streamed leaders pump cascade
-	// chunks into it live; request/response leaders append one final
-	// chunk on completion. Streamed followers replay it either way.
-	log *chunkLog
+// sources is the closed set of terminal outcomes a request can have; it
+// labels the per-source series below.
+var sources = []string{"cache", "coalesced", "cascade", "stale", "error", "canceled", "shed"}
+
+// sourceSeries are the per-outcome metric handles.
+type sourceSeries struct {
+	// label is the outcome boxed once, so the span attribute and the
+	// terminal event of every request do not each allocate it.
+	label interface{}
+	// requests is proxy_requests_total{source} ("canceled" shares the
+	// "error" counter).
+	requests *obs.Counter
+	// latency is proxy_latency_seconds{source}, nil for outcomes that
+	// serve no answer.
+	latency *obs.Histogram
+	// The proxy_stream_* series, fed only by clients that asked for a
+	// stream.
+	streams        *obs.Counter
+	duration, ttft *obs.Histogram
 }
 
 // New builds a Proxy.
@@ -351,18 +363,29 @@ func New(cfg Config) *Proxy {
 		staleFloor:      cfg.StaleFloor,
 		disableStale:    cfg.DisableStale,
 
-		mReqCache:     reg.Counter("proxy_requests_total", "source", "cache"),
-		mReqCoalesced: reg.Counter("proxy_requests_total", "source", "coalesced"),
-		mReqCascade:   reg.Counter("proxy_requests_total", "source", "cascade"),
-		mReqStale:     reg.Counter("proxy_requests_total", "source", "stale"),
-		mReqShed:      reg.Counter("proxy_requests_total", "source", "shed"),
-		mReqError:     reg.Counter("proxy_requests_total", "source", "error"),
-		mSpend:        reg.Counter("proxy_spend_microusd_total"),
-		gInflight:     reg.Gauge("proxy_inflight"),
-		hLatCache:     reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", "cache"),
-		hLatCoalesced: reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", "coalesced"),
-		hLatCascade:   reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", "cascade"),
-		hLatStale:     reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", "stale"),
+		series:    make(map[string]sourceSeries, len(sources)),
+		mSpend:    reg.Counter("proxy_spend_microusd_total"),
+		gInflight: reg.Gauge("proxy_inflight"),
+	}
+	for _, src := range sources {
+		requestsSrc := src
+		if src == "canceled" {
+			// proxy_requests_total has no such label value: a client that
+			// stopped listening counts as an error there.
+			requestsSrc = "error"
+		}
+		m := sourceSeries{
+			label:    src,
+			requests: reg.Counter("proxy_requests_total", "source", requestsSrc),
+			streams:  reg.Counter("proxy_stream_requests_total", "source", src),
+			duration: reg.Histogram("proxy_stream_duration_seconds", obs.LatencyBuckets, "source", src),
+			ttft:     reg.Histogram("proxy_stream_ttft_seconds", obs.LatencyBuckets, "source", src),
+		}
+		switch src {
+		case "cache", "coalesced", "cascade", "stale":
+			m.latency = reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", src)
+		}
+		p.series[src] = m
 	}
 	if cfg.MaxConcurrent > 0 {
 		p.limiter = resilience.NewLimiter(resilience.LimiterConfig{
@@ -455,65 +478,94 @@ func (p *Proxy) BreakerStates() map[string]resilience.State {
 }
 
 // Complete serves one request through limiter → cache → coalescing →
-// cascade, degrading to a stale cache entry when the cascade fails. The
-// root span starts before admission so even shed requests leave a trace
-// and an event trail; the returned Answer carries the trace ID either
-// way.
+// cascade, degrading to a stale cache entry when the cascade fails: it
+// opens the request and drains its chunk stream. The returned Answer
+// carries the trace ID even on errors (shed requests leave a trace and an
+// event trail too). The request keeps the priority class its context
+// carries, so its upstream tiers go through the batching scheduler.
 func (p *Proxy) Complete(ctx context.Context, req llm.Request) (Answer, error) {
-	start := time.Now()
-	p.requests.Add(1)
-	ctx, root := p.tracer.Start(ctx, "proxy.complete")
-	defer root.End()
-	if tenant, ok := obs.ExplicitTenant(ctx); ok {
-		root.SetAttr("tenant", tenant)
+	s, ans, err := p.open(ctx, req, false)
+	if s == nil {
+		return ans, err
 	}
-
-	ans, err := p.serve(ctx, root, start, req)
-	ans.Trace = root.TraceID()
-
-	elapsed := time.Since(start)
-	if p.slo != nil {
-		p.slo.Record(sched.ClassFrom(ctx).String(), elapsed, err == nil)
+	for {
+		if _, err := s.Recv(); err != nil {
+			// io.EOF or the terminal error — Answer reports which.
+			return s.Answer()
+		}
 	}
-	p.tenants.Record(obs.TenantFrom(ctx), obs.TenantSample{
-		Latency:  elapsed,
-		CacheHit: ans.Source == "cache",
-		Shed:     errors.Is(err, resilience.ErrOverloaded),
-		Error:    err != nil,
-	})
-	if err == nil {
-		p.log.Event(ctx, obs.Info, "proxy_complete",
-			"source", ans.Source, "model", ans.Model, "cost_microusd", int64(ans.Cost), "elapsed", elapsed)
-	} else {
-		p.log.Event(ctx, obs.Error, "proxy_error", "error", err.Error(), "elapsed", elapsed)
-	}
-	return ans, err
 }
 
-// serve is Complete minus the bookkeeping that wraps every outcome
-// (trace ID, SLO accounting, terminal event).
-func (p *Proxy) serve(ctx context.Context, root *obs.Span, start time.Time, req llm.Request) (Answer, error) {
+// CompleteStream serves one request through the same pipeline as
+// Complete, handing the caller the chunk stream instead of draining it.
+// The caller must drain or Close the returned stream; the limiter slot is
+// held until it does. Streamed requests run in the sched.Streaming
+// priority class: their upstream calls bypass micro-batching and
+// token-stream (with mid-generation early exit when configured), and
+// their SLO/admission records carry the "streaming" class.
+func (p *Proxy) CompleteStream(ctx context.Context, req llm.Request) (Stream, error) {
+	s, _, err := p.open(sched.WithClass(ctx, sched.Streaming), req, true)
+	if s == nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// request is what every outcome's bookkeeping needs to know about one
+// client request.
+type request struct {
+	ctx   context.Context
+	root  *obs.Span
+	start time.Time
+	// streamed: the client asked for a stream, so its lifecycle speaks
+	// the stream_* event vocabulary and feeds the proxy_stream_* series.
+	streamed bool
+	// limited: the request holds a limiter slot until it finishes.
+	limited bool
+}
+
+// open is the pipeline's front half, shared by both read modes:
+// admission → cache lookup → join or lead the in-flight call for the
+// prompt. A shed request and a request/response cache hit are settled
+// right here, before any call, log or reader exists, and come back as a
+// finished (Answer, error) with a nil stream. Everything else comes back
+// as the client's reader — over the call's chunk log, or pre-settled
+// with the one cached chunk.
+func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clientStream, Answer, error) {
+	rq := request{start: time.Now(), streamed: streamed}
+	p.requests.Add(1)
+	span, admit := "proxy.complete", "proxy_admit"
+	if streamed {
+		p.streams.Add(1)
+		span, admit = "proxy.stream", "stream_start"
+	}
+	// The root span starts before admission so even shed requests leave a
+	// trace.
+	rq.ctx, rq.root = p.tracer.Start(ctx, span)
+	ctx = rq.ctx
+	if tenant, ok := obs.ExplicitTenant(ctx); ok {
+		rq.root.SetAttr("tenant", tenant)
+	}
+
 	// 0. Admission: shed rather than queue without bound.
 	if p.limiter != nil {
 		if err := p.limiter.Acquire(ctx); err != nil {
+			outcome := "error"
 			if errors.Is(err, resilience.ErrOverloaded) {
 				p.shed.Add(1)
-				p.mReqShed.Inc()
-				root.SetAttr("source", "shed")
-			} else {
-				p.mReqError.Inc()
+				outcome = "shed"
 			}
-			return Answer{Source: "error"}, err
+			return nil, p.finish(&rq, outcome, Answer{Source: "error"}, err, 0), err
 		}
-		defer p.limiter.Release()
+		rq.limited = true
 	}
-	p.log.Event(ctx, obs.Debug, "proxy_admit", "class", sched.ClassFrom(ctx).String())
+	p.log.Event(ctx, obs.Debug, admit, "class", sched.ClassFrom(ctx).String())
 
 	// 1. Cache. The lookup embeds the query — deliberately outside every
-	// proxy lock so concurrent requests don't serialize on the embedder.
+	// proxy lock.
 	if p.cache != nil {
 		_, csp := obs.StartSpan(ctx, "cache.lookup")
-		hit, ok := p.cache.LookupTraced(req.Prompt, root.TraceID())
+		hit, ok := p.cache.LookupTraced(req.Prompt, rq.root.TraceID())
 		csp.SetAttr("hit", ok)
 		if ok {
 			csp.SetAttr("similarity", hit.Similarity)
@@ -522,139 +574,186 @@ func (p *Proxy) serve(ctx context.Context, root *obs.Span, start time.Time, req 
 		csp.End()
 		if ok {
 			p.cacheHits.Add(1)
-			p.mReqCache.Inc()
-			p.hLatCache.ObserveWithExemplar(time.Since(start).Seconds(), root.TraceID())
-			root.SetAttr("source", "cache")
 			p.log.Event(ctx, obs.Info, "proxy_cache_hit", "similarity", hit.Similarity, "exact", hit.Exact)
-			return Answer{Text: hit.Entry.Response, Model: "cache", Confidence: 1, Source: "cache"}, nil
+			ans := Answer{Text: hit.Entry.Response, Model: "cache", Confidence: 1, Source: "cache"}
+			if !streamed {
+				return nil, p.finish(&rq, "cache", ans, nil, 0), nil
+			}
+			// A cache hit streams instantly: one pre-paid chunk, no log.
+			s := p.newClientStream(rq, req.Prompt, nil, "cache")
+			s.settled, s.ans = true, ans
+			s.pending = &Chunk{Text: ans.Text, Model: "cache", Confidence: 1, Final: true}
+			return s, Answer{}, nil
 		}
 		p.log.Event(ctx, obs.Debug, "proxy_cache_miss")
 	}
 
-	// 2. In-flight dedup: join an identical pending request.
+	// 2. In-flight dedup: join an identical pending call, or lead a new
+	// one. Either way the client becomes a reader of the call's log.
 	key := req.Prompt
 	p.mu.Lock()
-	if c, ok := p.inflight[key]; ok {
-		p.mu.Unlock()
-		p.coalesced.Add(1)
-		root.SetAttr("source", "coalesced")
-		p.log.Event(ctx, obs.Info, "proxy_coalesce_join")
-		_, wsp := obs.StartSpan(ctx, "coalesce.wait")
-		select {
-		case <-c.done:
-			wsp.End()
-			if c.err == nil {
-				ans := c.ans
-				ans.Source = "coalesced"
-				ans.Cost = 0 // the first caller paid
-				p.mReqCoalesced.Inc()
-				p.hLatCoalesced.ObserveWithExemplar(time.Since(start).Seconds(), root.TraceID())
-				return ans, nil
-			}
-			return p.degrade(ctx, root, start, req, c)
-		case <-ctx.Done():
-			wsp.SetAttr("outcome", "canceled")
-			wsp.End()
-			p.mReqError.Inc()
-			return Answer{}, ctx.Err()
-		}
+	c, joined := p.inflight[key]
+	if !joined {
+		c = new(call)
+		p.inflight[key] = c
+		p.gInflight.Add(1)
 	}
-	c := &call{done: make(chan struct{}), log: newChunkLog()}
-	p.inflight[key] = c
-	p.gInflight.Add(1)
 	p.mu.Unlock()
+	if joined {
+		p.coalesced.Add(1)
+		p.log.Event(ctx, obs.Info, "proxy_coalesce_join")
+		s := p.newClientStream(rq, req.Prompt, c, "coalesced")
+		_, s.wait = obs.StartSpan(ctx, "coalesce.wait")
+		return s, Answer{}, nil
+	}
+	p.pump(ctx, req, key, c)
+	return p.newClientStream(rq, req.Prompt, c, "cascade"), Answer{}, nil
+}
 
-	// 3. Cascade, detached from this caller's context: the leader merely
-	// awaits the result like any coalesced waiter, so a canceled leader
-	// never fails the cohort. The detached context still carries the root
-	// span (values survive WithoutCancel), so the cascade's per-step spans
-	// land under this request's trace; the upstream deadline is the proxy's
-	// own, not the client's.
+// pump starts a call's upstream: the cascade run, detached from the
+// leader's context — the leader merely reads the log like any coalesced
+// follower, so a canceled leader never fails the cohort — and bounded by
+// the proxy's own deadline instead. Values (trace, tenant, priority
+// class) survive WithoutCancel, so the cascade's per-step spans land
+// under the leader's trace and its tiers open the way the leader's class
+// asks. Every delivered chunk is appended to the call's log; spend is
+// accounted exactly once, when the run ends.
+func (p *Proxy) pump(ctx context.Context, req llm.Request, key string, c *call) {
 	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), p.upstreamTimeout)
 	obs.Go(p.reg, "proxy_upstream", func() {
 		defer cancelUp()
-		resp, trace, err := p.casc.Complete(upCtx, req)
-		// Accounting happens here — success or not — because the failed
-		// run already paid for every attempted tier; dropping that spend
-		// would understate cost under failure injection.
+		var (
+			resp  llm.Response
+			trace cascade.Trace
+		)
+		rs, err := p.casc.CompleteStream(upCtx, req)
+		if err == nil {
+			// Idempotent; the run normally settles via Result below, but a
+			// panic in the chunk loop must not leave the tier stream open.
+			defer rs.Close()
+			for {
+				sc, rerr := rs.Recv()
+				if rerr != nil {
+					// io.EOF or the terminal error — both are surfaced
+					// (with the trace) by Result below.
+					break
+				}
+				c.append(Chunk{
+					Text:       sc.Text,
+					Model:      sc.Model,
+					Tier:       sc.Tier,
+					Confidence: sc.Confidence,
+					Cost:       sc.Cost,
+					Restart:    sc.Restart,
+					Final:      sc.Final,
+				})
+			}
+			resp, trace, err = rs.Result()
+		}
+		// Accounting happens here — success or not — because a failed,
+		// timed-out or early-exited run already paid for every chunk it
+		// emitted; dropping that spend would understate cost under failure
+		// injection. Per-tenant attribution rides the same once-per-run
+		// spot, so the sum across tenants stays meter-exact with the spend
+		// counter: coalesced followers pay 0 and the leader's tenant pays
+		// the run.
 		p.modelCalls.Add(int64(len(trace.Steps)))
 		p.spend.Add(int64(trace.TotalCost))
 		p.mSpend.Add(int64(trace.TotalCost))
-		// Per-tenant attribution rides the same once-per-run spot, so the
-		// sum across tenants stays meter-exact with the spend counter:
-		// coalesced waiters pay 0 and the leader's tenant pays the run.
-		// upCtx still carries the tenant — values survive WithoutCancel.
 		p.tenants.AddSpend(obs.TenantFrom(upCtx), int64(trace.TotalCost), trace.Escalations())
+		// A failed run's answer is error-shaped, not success-shaped: no
+		// model, no text — just the money already burned.
+		ans := Answer{Source: "error", Cost: trace.TotalCost}
 		if err == nil {
+			ans = Answer{Text: resp.Text, Model: resp.Model, Confidence: resp.Confidence, Source: "cascade", Cost: trace.TotalCost}
 			if p.cache != nil {
 				p.cache.Put(req.Prompt, resp.Text, semcache.Original, semcache.Reuse)
 			}
-			c.ans = Answer{Text: resp.Text, Model: resp.Model, Confidence: resp.Confidence, Source: "cascade", Cost: trace.TotalCost}
 		} else {
-			// Error-shaped, not success-shaped: no model, no text — just
-			// the money already burned.
-			c.ans = Answer{Source: "error", Cost: trace.TotalCost}
-			c.err = err
 			p.log.Event(upCtx, obs.Warn, "proxy_upstream_error", "error", err.Error(), "steps", len(trace.Steps))
 		}
-		c.steps = len(trace.Steps)
 		p.mu.Lock()
 		delete(p.inflight, key)
 		p.gInflight.Add(-1)
 		p.mu.Unlock()
-		// Streamed followers coalesced onto this request/response call
-		// replay it as one final chunk (cost zeroed on their side).
-		if c.err == nil {
-			c.log.append(Chunk{Text: c.ans.Text, Model: c.ans.Model, Confidence: c.ans.Confidence, Cost: c.ans.Cost, Final: true})
-		}
-		c.log.finish(c.ans, c.err)
-		close(c.done)
+		c.finish(ans, err, len(trace.Steps))
 	})
-
-	select {
-	case <-c.done:
-		if c.err == nil {
-			p.mReqCascade.Inc()
-			p.hLatCascade.ObserveWithExemplar(time.Since(start).Seconds(), root.TraceID())
-			root.SetAttr("source", "cascade")
-			root.SetAttr("model", c.ans.Model)
-			root.SetAttr("steps", c.steps)
-			root.SetAttr("cost_microusd", int64(c.ans.Cost))
-			return c.ans, nil
-		}
-		root.SetAttr("error", c.err.Error())
-		return p.degrade(ctx, root, start, req, c)
-	case <-ctx.Done():
-		// The upstream keeps running for any coalesced waiters (and to
-		// populate the cache); only this caller gives up.
-		p.mReqError.Inc()
-		root.SetAttr("source", "canceled")
-		return Answer{}, ctx.Err()
-	}
 }
 
-// degrade handles a failed upstream call for one awaiting client: serve
-// the best below-threshold cache entry as a stale answer when allowed,
-// otherwise surface the error-shaped answer.
-func (p *Proxy) degrade(ctx context.Context, root *obs.Span, start time.Time, req llm.Request, c *call) (Answer, error) {
-	if p.cache != nil && !p.disableStale {
-		_, ssp := obs.StartSpan(ctx, "stale.lookup")
-		hit, ok := p.cache.LookupStale(req.Prompt, p.staleFloor)
-		ssp.SetAttr("hit", ok)
-		if ok {
-			ssp.SetAttr("similarity", hit.Similarity)
-		}
-		ssp.End()
-		if ok {
-			p.staleServes.Add(1)
-			p.mReqStale.Inc()
-			p.hLatStale.ObserveWithExemplar(time.Since(start).Seconds(), root.TraceID())
-			root.SetAttr("source", "stale")
-			p.log.Event(ctx, obs.Warn, "proxy_stale_serve", "similarity", hit.Similarity)
-			return Answer{Text: hit.Entry.Response, Model: "cache", Confidence: hit.Similarity, Source: "stale"}, nil
+// degrade looks for the best below-threshold cache entry to serve one
+// client of a failed call as a stale answer, when that is allowed.
+func (p *Proxy) degrade(ctx context.Context, prompt string) (Answer, bool) {
+	if p.cache == nil || p.disableStale {
+		return Answer{}, false
+	}
+	_, ssp := obs.StartSpan(ctx, "stale.lookup")
+	hit, ok := p.cache.LookupStale(prompt, p.staleFloor)
+	ssp.SetAttr("hit", ok)
+	if ok {
+		ssp.SetAttr("similarity", hit.Similarity)
+	}
+	ssp.End()
+	if !ok {
+		return Answer{}, false
+	}
+	p.staleServes.Add(1)
+	p.log.Event(ctx, obs.Warn, "proxy_stale_serve", "similarity", hit.Similarity)
+	return Answer{Text: hit.Entry.Response, Model: "cache", Confidence: hit.Similarity, Source: "stale"}, true
+}
+
+// finish is the once-per-request terminal bookkeeping, whatever the
+// outcome and whichever way the client read it: limiter release, the
+// per-source counters and histograms, SLO and tenant records, the
+// terminal event and the root span. It stamps the trace ID on the
+// answer — set even on errors so failures stay explainable — and
+// returns it. chunks is how many chunks the client was delivered.
+func (p *Proxy) finish(rq *request, outcome string, ans Answer, err error, chunks int) Answer {
+	ctx, traceID := rq.ctx, rq.root.TraceID()
+	ans.Trace = traceID
+	if rq.limited {
+		p.limiter.Release()
+	}
+	elapsed := time.Since(rq.start)
+	m := p.series[outcome]
+	m.requests.Inc()
+	if m.latency != nil {
+		m.latency.ObserveWithExemplar(elapsed.Seconds(), traceID)
+	}
+	if p.slo != nil {
+		p.slo.Record(sched.ClassFrom(ctx).String(), elapsed, err == nil)
+	}
+	p.tenants.Record(obs.TenantFrom(ctx), obs.TenantSample{
+		Latency:  elapsed,
+		CacheHit: outcome == "cache",
+		Shed:     outcome == "shed",
+		Error:    err != nil,
+	})
+	rq.root.SetAttr("source", m.label)
+	if err != nil {
+		rq.root.SetAttr("error", err.Error())
+	}
+	switch {
+	case !rq.streamed && err == nil:
+		p.log.Event(ctx, obs.Info, "proxy_complete",
+			"source", m.label, "model", ans.Model, "cost_microusd", int64(ans.Cost), "elapsed", elapsed)
+	case !rq.streamed:
+		p.log.Event(ctx, obs.Error, "proxy_error", "error", err.Error(), "elapsed", elapsed)
+	default:
+		m.streams.Inc()
+		m.duration.ObserveWithExemplar(elapsed.Seconds(), traceID)
+		rq.root.SetAttr("chunks", chunks)
+		switch {
+		case err == nil:
+			p.log.Event(ctx, obs.Info, "stream_done",
+				"source", m.label, "model", ans.Model, "cost_microusd", int64(ans.Cost),
+				"chunks", chunks, "elapsed", elapsed)
+		case outcome == "canceled":
+			p.log.Event(ctx, obs.Info, "stream_cancel", "source", m.label, "chunks", chunks, "elapsed", elapsed)
+		default:
+			p.log.Event(ctx, obs.Error, "stream_error",
+				"source", m.label, "error", err.Error(), "chunks", chunks, "elapsed", elapsed)
 		}
 	}
-	p.mReqError.Inc()
-	root.SetAttr("source", "error")
-	return c.ans, c.err
+	rq.root.End()
+	return ans
 }

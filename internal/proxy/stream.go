@@ -1,37 +1,31 @@
-// Token-streaming serving path. CompleteStream serves the same
-// limiter → cache → coalesce → cascade pipeline as Complete, but as an
-// incremental chunk stream:
+// The back half of the serving pipeline: every in-flight call is a chunk
+// replay log fed by one detached upstream cascade run, and every client —
+// the leader and each coalesced follower, streamed or request/response —
+// is a reader of that log:
 //
-//   - semantic-cache hits stream instantly as a single pre-paid chunk;
-//   - the upstream cascade runs detached and *streams* (with
-//     mid-generation early exit when configured), appending every chunk
-//     to a per-call chunk log;
-//   - coalesced followers replay the leader's chunk log live — they see
-//     the same chunks with costs zeroed, because the leader's tenant
-//     paid for the run — and a follower (or the leader) disconnecting
-//     mid-stream never disturbs the rest of the cohort, since every
-//     client is just a reader of the log;
-//   - a failed upstream degrades per client to a stale cache chunk,
-//     exactly like the request/response path.
+//   - the upstream pump (proxy.go) appends each cascade chunk as it is
+//     billed: token chunks with mid-generation early exit for a
+//     streaming-class leader, one pre-billed chunk per attempted tier
+//     for an interactive or batch one;
+//   - followers replay the same log live with costs zeroed, because the
+//     leader's tenant paid for the run — and a follower (or the leader)
+//     disconnecting mid-stream never disturbs the rest of the cohort;
+//   - a failed upstream degrades per client to a stale cache chunk;
+//   - semantic-cache hits stream instantly as a single pre-paid chunk.
 //
-// Billing stays meter-exact: the sum of a leader stream's chunk costs
-// equals the cascade trace's TotalCost, which is what the spend counter
-// and the tenant accountant record — once, on the leader's run.
+// Billing stays meter-exact: the sum of a leader's chunk costs equals
+// the cascade trace's TotalCost, which is what the spend counter and the
+// tenant accountant record — once, when the run ends, however it ends.
 package proxy
 
 import (
-	"context"
 	"errors"
 	"io"
 	"sync"
 	"time"
 
-	"repro/internal/core/cascade"
-	"repro/internal/core/semcache"
 	"repro/internal/llm"
 	"repro/internal/obs"
-	"repro/internal/resilience"
-	"repro/internal/sched"
 	"repro/internal/token"
 )
 
@@ -76,463 +70,219 @@ type Stream interface {
 // finished.
 var ErrStreamActive = errors.New("proxy: stream still active")
 
-// chunkLog is the shared replay log of one in-flight streamed call: the
-// leader's upstream pump appends, every client (leader included) reads.
-// notify is closed and replaced on every append so readers at the tail
-// can block without polling.
-type chunkLog struct {
+// call is one in-flight upstream request and its chunk replay log: the
+// upstream pump appends, every awaiting client reads. The run is detached
+// from all of them, so the outcome is written exactly once (by finish) no
+// matter which clients are still listening.
+type call struct {
 	mu     sync.Mutex
 	chunks []Chunk
+	// notify lets readers at the tail block without polling: it exists
+	// only while some reader waits, and the next append (or finish)
+	// closes and drops it.
+	notify chan struct{}
 	done   bool
 	ans    Answer
 	err    error
-	notify chan struct{}
+	steps  int
 }
 
-func newChunkLog() *chunkLog {
-	return &chunkLog{notify: make(chan struct{})}
-}
-
-// append adds one chunk, stamping its stream-order index, and wakes
-// blocked readers.
-func (l *chunkLog) append(ch Chunk) {
-	l.mu.Lock()
-	ch.Index = len(l.chunks)
-	l.chunks = append(l.chunks, ch)
-	close(l.notify)
-	l.notify = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// finish seals the log with the call's outcome and wakes blocked
-// readers for the last time.
-func (l *chunkLog) finish(ans Answer, err error) {
-	l.mu.Lock()
-	l.done = true
-	l.ans, l.err = ans, err
-	close(l.notify)
-	l.notify = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// CompleteStream serves one request as a chunk stream through the same
-// pipeline as Complete. The caller must drain or Close the returned
-// stream; the limiter slot is held until it does. Streamed requests run
-// in the sched.Streaming priority class: their upstream calls bypass
-// micro-batching, and their SLO/admission records carry the "streaming"
-// class.
-func (p *Proxy) CompleteStream(ctx context.Context, req llm.Request) (Stream, error) {
-	start := time.Now()
-	p.requests.Add(1)
-	p.streams.Add(1)
-	ctx = sched.WithClass(ctx, sched.Streaming)
-	ctx, root := p.tracer.Start(ctx, "proxy.stream")
-	if tenant, ok := obs.ExplicitTenant(ctx); ok {
-		root.SetAttr("tenant", tenant)
+// wake releases the readers blocked at the tail. Called with c.mu held.
+func (c *call) wake() {
+	if c.notify != nil {
+		close(c.notify)
+		c.notify = nil
 	}
-	s, err := p.openStream(ctx, root, start, req)
-	if err != nil {
-		elapsed := time.Since(start)
-		src := "error"
-		if errors.Is(err, resilience.ErrOverloaded) {
-			src = "shed"
-		}
-		p.reg.Counter("proxy_stream_requests_total", "source", src).Inc()
-		if p.slo != nil {
-			p.slo.Record(sched.ClassFrom(ctx).String(), elapsed, false)
-		}
-		p.tenants.Record(obs.TenantFrom(ctx), obs.TenantSample{
-			Latency: elapsed,
-			Shed:    errors.Is(err, resilience.ErrOverloaded),
-			Error:   true,
-		})
-		p.log.Event(ctx, obs.Error, "proxy_error", "error", err.Error(), "elapsed", elapsed)
-		root.End()
-		return nil, err
-	}
-	return s, nil
 }
 
-// openStream is the admission + routing half of CompleteStream: it
-// either returns a live client stream or the error that shed the
-// request.
-func (p *Proxy) openStream(ctx context.Context, root *obs.Span, start time.Time, req llm.Request) (*clientStream, error) {
-	var release func()
-	if p.limiter != nil {
-		if err := p.limiter.Acquire(ctx); err != nil {
-			if errors.Is(err, resilience.ErrOverloaded) {
-				p.shed.Add(1)
-				p.mReqShed.Inc()
-				root.SetAttr("source", "shed")
-			} else {
-				p.mReqError.Inc()
-			}
-			return nil, err
-		}
-		release = p.limiter.Release
-	}
-	p.log.Event(ctx, obs.Debug, "stream_start", "class", sched.ClassFrom(ctx).String())
-
-	// Cache hits stream instantly: one pre-paid chunk, cost 0.
-	if p.cache != nil {
-		_, csp := obs.StartSpan(ctx, "cache.lookup")
-		hit, ok := p.cache.LookupTraced(req.Prompt, root.TraceID())
-		csp.SetAttr("hit", ok)
-		if ok {
-			csp.SetAttr("similarity", hit.Similarity)
-			csp.SetAttr("exact", hit.Exact)
-		}
-		csp.End()
-		if ok {
-			p.cacheHits.Add(1)
-			p.mReqCache.Inc()
-			p.hLatCache.ObserveWithExemplar(time.Since(start).Seconds(), root.TraceID())
-			root.SetAttr("source", "cache")
-			p.log.Event(ctx, obs.Info, "proxy_cache_hit", "similarity", hit.Similarity, "exact", hit.Exact)
-			log := newChunkLog()
-			log.append(Chunk{Text: hit.Entry.Response, Model: "cache", Confidence: 1, Final: true})
-			log.finish(Answer{Text: hit.Entry.Response, Model: "cache", Confidence: 1, Source: "cache"}, nil)
-			return p.newClientStream(ctx, root, start, req, nil, log, "cache", false, release), nil
-		}
-		p.log.Event(ctx, obs.Debug, "proxy_cache_miss")
-	}
-
-	// In-flight dedup: join an identical pending call as a follower —
-	// streamed or not, every call carries a chunk log to replay.
-	key := req.Prompt
-	p.mu.Lock()
-	if c, ok := p.inflight[key]; ok {
-		p.mu.Unlock()
-		p.coalesced.Add(1)
-		root.SetAttr("source", "coalesced")
-		p.log.Event(ctx, obs.Info, "proxy_coalesce_join")
-		return p.newClientStream(ctx, root, start, req, c, c.log, "coalesced", true, release), nil
-	}
-	c := &call{done: make(chan struct{}), log: newChunkLog()}
-	p.inflight[key] = c
-	p.gInflight.Add(1)
-	p.mu.Unlock()
-
-	p.pumpStreamUpstream(ctx, req, key, c)
-	return p.newClientStream(ctx, root, start, req, c, c.log, "cascade", false, release), nil
+// append adds one chunk, stamping its stream-order index.
+func (c *call) append(ch Chunk) {
+	c.mu.Lock()
+	ch.Index = len(c.chunks)
+	c.chunks = append(c.chunks, ch)
+	c.wake()
+	c.mu.Unlock()
 }
 
-// pumpStreamUpstream starts the detached upstream run for a streamed
-// leader: the cascade streams (early-exiting when configured) into the
-// call's chunk log, and spend is accounted exactly once, mirroring the
-// request/response upstream.
-func (p *Proxy) pumpStreamUpstream(ctx context.Context, req llm.Request, key string, c *call) {
-	// Detached like the Complete upstream: a canceled leader must not
-	// starve its coalesced cohort, and the run is bounded by the proxy's
-	// own deadline. Values (trace, tenant, streaming class) survive
-	// WithoutCancel.
-	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), p.upstreamTimeout)
-	obs.Go(p.reg, "proxy_stream_upstream", func() {
-		defer cancelUp()
-		var (
-			resp  llm.Response
-			trace cascade.Trace
-		)
-		rs, err := p.casc.CompleteStream(upCtx, req)
-		if err == nil {
-			// Idempotent; the run normally settles via Result below, but a
-			// panic in the chunk loop must not leave the tier stream open.
-			defer rs.Close()
-			for {
-				sc, rerr := rs.Recv()
-				if rerr != nil {
-					// io.EOF or the terminal error — both are surfaced
-					// (with the trace) by Result below.
-					break
-				}
-				c.log.append(Chunk{
-					Text:       sc.Text,
-					Model:      sc.Model,
-					Tier:       sc.Tier,
-					Confidence: sc.Confidence,
-					Cost:       sc.Cost,
-					Restart:    sc.Restart,
-					Final:      sc.Final,
-				})
-			}
-			resp, trace, err = rs.Result()
-		}
-		// Spend accounting happens here — success or not — because a
-		// failed or early-exited run already paid for every emitted
-		// chunk; per-tenant attribution rides the same once-per-run spot.
-		p.modelCalls.Add(int64(len(trace.Steps)))
-		p.spend.Add(int64(trace.TotalCost))
-		p.mSpend.Add(int64(trace.TotalCost))
-		p.tenants.AddSpend(obs.TenantFrom(upCtx), int64(trace.TotalCost), trace.Escalations())
-		if err == nil {
-			if p.cache != nil {
-				p.cache.Put(req.Prompt, resp.Text, semcache.Original, semcache.Reuse)
-			}
-			c.ans = Answer{Text: resp.Text, Model: resp.Model, Confidence: resp.Confidence, Source: "cascade", Cost: trace.TotalCost}
-		} else {
-			c.ans = Answer{Source: "error", Cost: trace.TotalCost}
-			c.err = err
-			p.log.Event(upCtx, obs.Warn, "proxy_upstream_error", "error", err.Error(), "steps", len(trace.Steps))
-		}
-		c.steps = len(trace.Steps)
-		p.mu.Lock()
-		delete(p.inflight, key)
-		p.gInflight.Add(-1)
-		p.mu.Unlock()
-		c.log.finish(c.ans, c.err)
-		close(c.done)
-	})
+// finish seals the log with the call's outcome.
+func (c *call) finish(ans Answer, err error, steps int) {
+	c.mu.Lock()
+	c.done = true
+	c.ans, c.err, c.steps = ans, err, steps
+	c.wake()
+	c.mu.Unlock()
 }
 
 // clientStream is one client's reader over a call's chunk log. All
-// clients — the leader and every coalesced follower — read the same
-// log; a follower's chunks are delivered with cost zeroed. The mutex
-// makes Close safe to race with Recv (the HTTP layer closes from a
-// defer while the pump loop reads).
+// clients — the leader and every coalesced follower — read the same log;
+// a follower's chunks are delivered with cost zeroed. The mutex makes
+// Close safe to race with Recv (the HTTP layer closes from a defer while
+// the pump loop reads).
 type clientStream struct {
-	p       *Proxy
-	ctx     context.Context
-	root    *obs.Span
-	start   time.Time
-	req     llm.Request
-	c       *call // nil for cache-hit streams
-	log     *chunkLog
-	source  string // provisional: "cache", "cascade" (leader), "coalesced"
-	follow  bool
-	release func()
+	request
+	p      *Proxy
+	prompt string
+	c      *call     // nil for a pre-settled cache-hit stream
+	source string    // how the client is being served: "cache", "cascade" (leader), "coalesced"
+	wait   *obs.Span // a follower's coalesce.wait span; nil for everyone else
 
 	mu        sync.Mutex
 	closeCh   chan struct{}
 	next      int // read position in the log
 	delivered int
-	gotFirst  bool
-	pending   *Chunk // stale-degrade chunk awaiting delivery
-	done      bool
-	finished  bool // terminal bookkeeping ran
-	closed    bool
-	ans       Answer
-	err       error
+	pending   *Chunk // cache-hit or stale-degrade chunk awaiting delivery
+	// settled: nothing more will be read from the log; outcome, ans and
+	// err hold the result, reported once pending is delivered.
+	settled bool
+	outcome string
+	ans     Answer
+	err     error
+	done    bool // terminal bookkeeping ran
+	closed  bool
 }
 
-func (p *Proxy) newClientStream(ctx context.Context, root *obs.Span, start time.Time, req llm.Request, c *call, log *chunkLog, source string, follow bool, release func()) *clientStream {
-	return &clientStream{
-		p: p, ctx: ctx, root: root, start: start, req: req,
-		c: c, log: log, source: source, follow: follow, release: release,
-		closeCh: make(chan struct{}),
-	}
+func (p *Proxy) newClientStream(rq request, prompt string, c *call, source string) *clientStream {
+	return &clientStream{request: rq, p: p, prompt: prompt, c: c, source: source, outcome: source, closeCh: make(chan struct{})}
 }
 
 // Recv implements Stream.
 func (s *clientStream) Recv() (Chunk, error) {
 	for {
 		s.mu.Lock()
-		if s.closed {
+		switch {
+		case s.closed:
 			s.mu.Unlock()
 			return Chunk{}, llm.ErrStreamClosed
-		}
-		if s.pending != nil {
+		case s.pending != nil:
 			ch := *s.pending
 			s.pending = nil
-			s.deliverLocked(&ch)
+			s.deliver(&ch)
 			s.mu.Unlock()
 			return ch, nil
-		}
-		if s.done {
+		case s.settled:
+			s.end()
 			err := s.err
 			s.mu.Unlock()
-			if err != nil {
-				return Chunk{}, err
+			if err == nil {
+				err = io.EOF
 			}
-			return Chunk{}, io.EOF
+			return Chunk{}, err
 		}
-		l := s.log
-		l.mu.Lock()
-		if s.next < len(l.chunks) {
-			ch := l.chunks[s.next]
+		c := s.c
+		c.mu.Lock()
+		if s.next < len(c.chunks) {
+			ch := c.chunks[s.next]
+			c.mu.Unlock()
 			s.next++
-			l.mu.Unlock()
-			s.deliverLocked(&ch)
+			s.deliver(&ch)
 			s.mu.Unlock()
 			return ch, nil
 		}
-		if l.done {
-			ans, lerr := l.ans, l.err
-			l.mu.Unlock()
-			s.settleLocked(ans, lerr)
+		if c.done {
+			ans, err := c.ans, c.err
+			c.mu.Unlock()
+			s.settle(ans, err)
 			s.mu.Unlock()
 			continue
 		}
-		wait := l.notify
-		l.mu.Unlock()
+		if c.notify == nil {
+			c.notify = make(chan struct{})
+		}
+		wait := c.notify
+		c.mu.Unlock()
 		s.mu.Unlock()
 		select {
 		case <-wait:
 		case <-s.closeCh:
 			return Chunk{}, llm.ErrStreamClosed
 		case <-s.ctx.Done():
+			// The upstream keeps running for any coalesced cohort (and to
+			// populate the cache); only this client gives up.
 			err := s.ctx.Err()
 			s.mu.Lock()
-			s.cancelLocked(err)
+			s.abandon(err)
 			s.mu.Unlock()
 			return Chunk{}, err
 		}
 	}
 }
 
-// deliverLocked adjusts one chunk for this client and records
-// time-to-first-token on the first one. Called with s.mu held.
-func (s *clientStream) deliverLocked(ch *Chunk) {
-	if s.follow {
+// deliver adjusts one chunk for this client and, for a client that asked
+// for a stream, records time-to-first-token on the first one. Called
+// with s.mu held.
+func (s *clientStream) deliver(ch *Chunk) {
+	if s.source == "coalesced" {
 		ch.Cost = 0 // the leader's tenant paid
 	}
 	s.delivered++
-	if !s.gotFirst {
-		s.gotFirst = true
+	if s.delivered == 1 && s.streamed {
 		ttft := time.Since(s.start)
-		s.p.reg.Histogram("proxy_stream_ttft_seconds", obs.LatencyBuckets, "source", s.source).
-			ObserveWithExemplar(ttft.Seconds(), s.root.TraceID())
-		s.p.log.Event(s.ctx, obs.Debug, "stream_first_chunk", "source", s.source, "ttft", ttft)
+		m := s.p.series[s.source]
+		m.ttft.ObserveWithExemplar(ttft.Seconds(), s.root.TraceID())
+		s.p.log.Event(s.ctx, obs.Debug, "stream_first_chunk", "source", m.label, "ttft", ttft)
 	}
 }
 
-// settleLocked resolves the stream once the shared log finished: the
-// client's answer on success, a per-client stale degrade (or the error)
-// on failure. Called with s.mu held.
-func (s *clientStream) settleLocked(ans Answer, err error) {
-	p := s.p
-	if err == nil {
-		if s.follow {
-			ans.Source = "coalesced"
-			ans.Cost = 0 // the first caller paid
+// settle resolves the stream once the shared log finished: the client's
+// answer on success, a per-client stale degrade (or the error) on
+// failure. Called with s.mu held.
+func (s *clientStream) settle(ans Answer, err error) {
+	s.settled = true
+	s.wait.End()
+	switch {
+	case err != nil:
+		s.outcome = "error"
+		if stale, ok := s.p.degrade(s.ctx, s.prompt); ok {
+			// One replacement chunk, marked Restart when this client
+			// already saw partial output from the failed run.
+			s.pending = &Chunk{Text: stale.Text, Model: stale.Model, Confidence: stale.Confidence,
+				Restart: s.delivered > 0, Final: true, Index: s.next}
+			ans, err, s.outcome = stale, nil, "stale"
 		}
-		ans.Trace = s.root.TraceID()
-		s.ans = ans
-		s.done = true
-		switch s.source {
-		case "cache":
-			// Counted at lookup time, like the request/response path.
-		case "coalesced":
-			p.mReqCoalesced.Inc()
-			p.hLatCoalesced.ObserveWithExemplar(time.Since(s.start).Seconds(), s.root.TraceID())
-		default:
-			p.mReqCascade.Inc()
-			p.hLatCascade.ObserveWithExemplar(time.Since(s.start).Seconds(), s.root.TraceID())
-			root := s.root
-			root.SetAttr("model", ans.Model)
-			root.SetAttr("steps", stepsOf(s.c))
-			root.SetAttr("cost_microusd", int64(ans.Cost))
-		}
-		s.finishLocked(ans.Source, nil)
-		return
+	case s.source == "coalesced":
+		ans.Source = "coalesced"
+		ans.Cost = 0 // the first caller paid
+	default:
+		s.root.SetAttr("model", ans.Model)
+		s.root.SetAttr("steps", s.c.steps)
+		s.root.SetAttr("cost_microusd", int64(ans.Cost))
 	}
-	s.root.SetAttr("error", err.Error())
-	dans, derr := p.degrade(s.ctx, s.root, s.start, s.req, s.c)
-	if derr == nil {
-		// Stale degrade: one replacement chunk, marked Restart when this
-		// client already saw partial output from the failed run.
-		ch := Chunk{
-			Text:       dans.Text,
-			Model:      dans.Model,
-			Confidence: dans.Confidence,
-			Restart:    s.delivered > 0,
-			Final:      true,
-			Index:      s.next,
-		}
-		s.pending = &ch
-		dans.Trace = s.root.TraceID()
-		s.ans = dans
-		s.done = true
-		s.finishLocked("stale", nil)
-		return
-	}
-	dans.Trace = s.root.TraceID()
-	s.ans = dans
-	s.err = derr
-	s.done = true
-	s.finishLocked("error", derr)
+	s.ans, s.err = ans, err
 }
 
-func stepsOf(c *call) int {
-	if c == nil {
-		return 0
-	}
-	return c.steps
-}
-
-// cancelLocked terminates the stream for a dead client context. Called
+// abandon settles the stream for a client that stopped listening — a
+// dead context or Close — and accounts it as canceled. The shared
+// upstream (if any) keeps running for the rest of the cohort. Called
 // with s.mu held.
-func (s *clientStream) cancelLocked(err error) {
+func (s *clientStream) abandon(err error) {
 	if s.done {
 		return
 	}
-	s.p.mReqError.Inc()
-	s.root.SetAttr("source", "canceled")
-	s.done = true
-	s.err = err
-	s.finishLocked("canceled", err)
+	s.settled, s.pending, s.outcome = true, nil, "canceled"
+	s.ans, s.err = Answer{}, err
+	s.wait.SetAttr("outcome", "canceled")
+	s.wait.End()
+	s.end()
 }
 
-// finishLocked runs the once-per-stream terminal bookkeeping: limiter
-// release, stream counters/histograms, SLO and tenant records, the
-// terminal event, and the root span. Called with s.mu held.
-func (s *clientStream) finishLocked(outcome string, err error) {
-	if s.finished {
+// end runs the request's terminal bookkeeping once. Called with s.mu
+// held.
+func (s *clientStream) end() {
+	if s.done {
 		return
 	}
-	s.finished = true
-	p := s.p
-	if s.release != nil {
-		s.release()
-		s.release = nil
-	}
-	elapsed := time.Since(s.start)
-	p.reg.Counter("proxy_stream_requests_total", "source", outcome).Inc()
-	p.reg.Histogram("proxy_stream_duration_seconds", obs.LatencyBuckets, "source", outcome).
-		ObserveWithExemplar(elapsed.Seconds(), s.root.TraceID())
-	if p.slo != nil {
-		p.slo.Record(sched.ClassFrom(s.ctx).String(), elapsed, err == nil)
-	}
-	p.tenants.Record(obs.TenantFrom(s.ctx), obs.TenantSample{
-		Latency:  elapsed,
-		CacheHit: outcome == "cache",
-		Error:    err != nil,
-	})
-	if err == nil {
-		p.log.Event(s.ctx, obs.Info, "stream_done",
-			"source", outcome, "model", s.ans.Model, "cost_microusd", int64(s.ans.Cost),
-			"chunks", s.delivered, "elapsed", elapsed)
-	} else if errors.Is(err, llm.ErrStreamClosed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		p.log.Event(s.ctx, obs.Info, "stream_cancel",
-			"source", outcome, "chunks", s.delivered, "elapsed", elapsed)
-	} else {
-		p.log.Event(s.ctx, obs.Error, "stream_error",
-			"source", outcome, "error", err.Error(), "chunks", s.delivered, "elapsed", elapsed)
-	}
-	s.root.SetAttr("chunks", s.delivered)
-	if outcome != "canceled" {
-		s.root.SetAttr("source", outcome)
-	}
-	s.root.End()
+	s.done = true
+	s.ans = s.p.finish(&s.request, s.outcome, s.ans, s.err, s.delivered)
 }
 
 // Close implements Stream.
 func (s *clientStream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	close(s.closeCh)
-	if !s.finished {
-		// Abandoned before the stream settled: account it like a client
-		// cancellation. The shared upstream (if any) keeps running for
-		// the rest of the cohort.
-		s.p.mReqError.Inc()
-		s.root.SetAttr("source", "canceled")
-		s.done = true
-		s.err = llm.ErrStreamClosed
-		s.finishLocked("canceled", llm.ErrStreamClosed)
+	if !s.closed {
+		s.closed = true
+		close(s.closeCh)
+		s.abandon(llm.ErrStreamClosed)
 	}
 	return nil
 }

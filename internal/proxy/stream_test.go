@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/token"
 )
 
@@ -103,6 +106,160 @@ func TestStreamMatchesComplete(t *testing.T) {
 	if st.Spend != ans.Cost {
 		t.Fatalf("proxy spend %v != answer cost %v", st.Spend, ans.Cost)
 	}
+
+	// The same equivalence across a coalesced cohort, in every pairing
+	// of read modes: leader and follower share one upstream run, the
+	// follower pays nothing for a byte-identical answer, and a leader
+	// that walks away does not take the follower with it.
+	for _, leaderStreams := range []bool{false, true} {
+		for _, followerStreams := range []bool{false, true} {
+			for _, leaderCancels := range []bool{false, true} {
+				name := fmt.Sprintf("leader=%s/follower=%s/leaderCancels=%v",
+					readMode(leaderStreams), readMode(followerStreams), leaderCancels)
+				t.Run(name, func(t *testing.T) {
+					testMixedCohort(t, req, want.Text, leaderStreams, followerStreams, leaderCancels)
+				})
+			}
+		}
+	}
+}
+
+func readMode(streams bool) string {
+	if streams {
+		return "stream"
+	}
+	return "complete"
+}
+
+// gatedSim holds every upstream call — plain or streamed — at a gate,
+// so a test can assemble a cohort on one in-flight call before it runs.
+type gatedSim struct {
+	*llm.SimModel
+	gate chan struct{}
+}
+
+func (g gatedSim) hold(ctx context.Context) error {
+	select {
+	case <-g.gate:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (g gatedSim) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if err := g.hold(ctx); err != nil {
+		return llm.Response{}, err
+	}
+	return g.SimModel.Complete(ctx, req)
+}
+
+func (g gatedSim) GenerateStream(ctx context.Context, req llm.Request) (llm.Stream, error) {
+	if err := g.hold(ctx); err != nil {
+		return nil, err
+	}
+	return g.SimModel.GenerateStream(ctx, req)
+}
+
+// served is what one client of a cohort ended up with, whichever way it
+// read the answer.
+type served struct {
+	text   string
+	source string
+	cost   token.Cost // what the client was charged: answer cost, and for streams also the chunk sum
+	err    error
+}
+
+// serveAsync runs one client in the background: Complete, or
+// CompleteStream drained and reassembled.
+func serveAsync(p *Proxy, ctx context.Context, req llm.Request, streams bool) <-chan served {
+	out := make(chan served, 1)
+	go func() {
+		if !streams {
+			ans, err := p.Complete(ctx, req)
+			out <- served{ans.Text, ans.Source, ans.Cost, err}
+			return
+		}
+		s, err := p.CompleteStream(ctx, req)
+		if err != nil {
+			out <- served{err: err}
+			return
+		}
+		defer s.Close()
+		var chunks []Chunk
+		var sum token.Cost
+		for {
+			ch, err := s.Recv()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				out <- served{err: err}
+				return
+			}
+			chunks = append(chunks, ch)
+			sum += ch.Cost
+		}
+		ans, err := s.Answer()
+		if err == nil && (assembleText(chunks) != ans.Text || sum != ans.Cost) {
+			err = fmt.Errorf("chunks assemble to %q costing %v, answer %q costing %v", assembleText(chunks), sum, ans.Text, ans.Cost)
+		}
+		out <- served{ans.Text, ans.Source, ans.Cost, err}
+	}()
+	return out
+}
+
+func testMixedCohort(t *testing.T, req llm.Request, wantText string, leaderStreams, followerStreams, leaderCancels bool) {
+	reg := obs.NewRegistry()
+	sim := llm.NewSim(llm.SimConfig{Name: "small", Capability: 0.3, Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
+	gate := make(chan struct{})
+	p := New(Config{Models: []llm.Model{gatedSim{sim, gate}}, DisableCache: true, MaxConcurrent: 4,
+		Obs: reg, Tracer: obs.NewTracer(8)})
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader := serveAsync(p, leaderCtx, req, leaderStreams)
+	waitFor(t, func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.inflight) == 1
+	})
+	follower := serveAsync(p, context.Background(), req, followerStreams)
+	waitFor(t, func() bool { return p.Stats().Coalesced == 1 })
+
+	if leaderCancels {
+		cancelLeader()
+		if l := <-leader; l.err != context.Canceled {
+			t.Fatalf("canceled leader returned %+v, want context.Canceled", l)
+		}
+	}
+	close(gate)
+
+	f := <-follower
+	if f.err != nil {
+		t.Fatalf("follower failed: %v", f.err)
+	}
+	if f.text != wantText || f.source != "coalesced" || f.cost != 0 {
+		t.Fatalf("follower = %+v, want %q coalesced at cost 0", f, wantText)
+	}
+	if !leaderCancels {
+		l := <-leader
+		if l.err != nil {
+			t.Fatalf("leader failed: %v", l.err)
+		}
+		if l.text != f.text || l.source != "cascade" || l.cost != sim.Meter().Spend {
+			t.Fatalf("leader = %+v, want the follower's text from the cascade at the metered cost %v", l, sim.Meter().Spend)
+		}
+	}
+	if calls := sim.Meter().Calls; calls != 1 {
+		t.Fatalf("upstream ran %d times for one cohort, want 1", calls)
+	}
+	if spend := p.Stats().Spend; spend != sim.Meter().Spend {
+		t.Fatalf("proxy spend %v != model meter %v", spend, sim.Meter().Spend)
+	}
+	waitFor(t, func() bool {
+		return p.limiter.Running() == 0 && reg.Snapshot()["proxy_inflight"] == 0
+	})
 }
 
 // End to end through the proxy: a hard request early-exits the cheap
@@ -161,6 +318,86 @@ func TestStreamEarlyExitBillsLessE2E(t *testing.T) {
 	spent := cheap.Meter().Spend
 	if spent == 0 || spent >= fullResp.Cost {
 		t.Fatalf("aborted cheap tier billed %v, full run costs %v", spent, fullResp.Cost)
+	}
+}
+
+// stallAfter is a stream tier that bills its first k chunks and then
+// hangs until its context dies — an upstream that stops mid-generation.
+type stallAfter struct {
+	*llm.SimModel
+	k int
+}
+
+func (m stallAfter) GenerateStream(ctx context.Context, req llm.Request) (llm.Stream, error) {
+	s, err := m.SimModel.GenerateStream(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return &stalledStream{Stream: s, ctx: ctx, left: m.k}, nil
+}
+
+type stalledStream struct {
+	llm.Stream
+	ctx  context.Context
+	left int
+}
+
+func (s *stalledStream) Recv() (llm.Chunk, error) {
+	if s.left == 0 {
+		<-s.ctx.Done()
+		return llm.Chunk{}, s.ctx.Err()
+	}
+	s.left--
+	return s.Stream.Recv()
+}
+
+// The spend invariant under an upstream timeout mid-stream: the chunks
+// the aborted tier billed before the deadline fired are still on the
+// proxy's books, so Stats().Spend == Σ model meters == Σ tenants.
+func TestStreamUpstreamTimeoutKeepsSpendExact(t *testing.T) {
+	reg := obs.NewRegistry()
+	sim := llm.NewSim(llm.SimConfig{Name: "cheap", Capability: 0.9, Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
+	p := New(Config{Models: []llm.Model{stallAfter{sim, 2}}, DisableCache: true,
+		UpstreamTimeout: 50 * time.Millisecond, Obs: reg, Tracer: obs.NewTracer(4)})
+
+	s, err := p.CompleteStream(obs.WithTenant(context.Background(), "acme"), llm.Request{
+		Prompt: "a question whose answer stalls", Gold: "a long enough answer to stream as several separate chunks", Difficulty: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var sum token.Cost
+	delivered := 0
+	for {
+		ch, err := s.Recv()
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Recv after %d chunks: %v, want the upstream deadline", delivered, err)
+			}
+			break
+		}
+		delivered++
+		sum += ch.Cost
+	}
+	meter := sim.Meter().Spend
+	if delivered != 2 || sum == 0 || sum != meter {
+		t.Fatalf("delivered %d chunks costing %v, model meter %v: want exactly the 2 billed chunks", delivered, sum, meter)
+	}
+	ans, err := s.Answer()
+	if !errors.Is(err, context.DeadlineExceeded) || ans.Source != "error" || ans.Cost != meter {
+		t.Fatalf("answer = %+v (%v), want error-shaped at cost %v", ans, err, meter)
+	}
+	st := p.Stats()
+	if st.Spend != meter || st.ModelCalls != 1 {
+		t.Fatalf("stats = %+v, want spend %v for one attempted step", st, meter)
+	}
+	var tenants int64
+	for _, ts := range p.Tenants().Snapshot(0).Tenants {
+		tenants += ts.SpendMicroUSD
+	}
+	if tenants != int64(meter) {
+		t.Fatalf("tenants were attributed %d µ$, model meter %d µ$", tenants, meter)
 	}
 }
 
