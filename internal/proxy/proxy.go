@@ -506,6 +506,8 @@ func (p *Proxy) Complete(ctx context.Context, req llm.Request) (Answer, error) {
 func (p *Proxy) CompleteStream(ctx context.Context, req llm.Request) (Stream, error) {
 	s, _, err := p.open(sched.WithClass(ctx, sched.Streaming), req, true)
 	if s == nil {
+		// Shed at admission; a nil *clientStream must not become a non-nil
+		// Stream.
 		return nil, err
 	}
 	return s, nil
