@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzExec -fuzztime=30s ./internal/sqlkit/
 	$(GO) test -fuzz=FuzzParseQuestion -fuzztime=20s ./internal/core/transform/
 	$(GO) test -fuzz=FuzzMinePattern -fuzztime=20s ./internal/core/transform/
+	$(GO) test -fuzz=FuzzDotInt8Rows -fuzztime=20s ./internal/embed/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

@@ -7,6 +7,15 @@
 // two hit classes "should have different weights when considering
 // eviction". Sub-query entries are first-class, enabling the Cache(A)
 // configuration of Table III.
+//
+// One mutex guards the cache, and what runs under it is kept to one pass
+// over the index. Queries are embedded before the lock is taken (a lookup
+// first checks for an exact entry, which needs no embedding); the nearest
+// entry comes from vector.Flat's blocked int8 scan; and the eviction victim
+// is the root of an index-tracked min-heap ordered by (policy key,
+// lastUsed), which every hit, re-put and removal keeps in order in
+// O(log n) — the same victim a walk over all entries picks, because the
+// logical clock makes lastUsed unique (see evictHeap).
 package semcache
 
 import (
@@ -72,6 +81,9 @@ type Entry struct {
 	Hits int
 	// lastUsed is a logical clock value for recency.
 	lastUsed int64
+	// id and pos locate the entry in the index and in the eviction heap.
+	id  vector.ID
+	pos int
 }
 
 // Hit is a successful lookup.
@@ -107,9 +119,11 @@ type Cache struct {
 	nextID    vector.ID
 	capacity  int
 	threshold float64
-	policy    Policy
 	clock     int64
 	stats     Stats
+	// evict orders the entries by eviction preference, next victim at the
+	// root; see evictHeap.
+	evict evictHeap
 	// admission gates what gets cached (nil = admit everything).
 	admission Admission
 	// ttl expires entries older than this many logical ticks (0 = never).
@@ -165,9 +179,9 @@ func New(cfg Config) *Cache {
 		idx:       vector.NewFlat(cfg.Embedder.Dim(), vector.Cosine),
 		entries:   make(map[vector.ID]*Entry),
 		byExact:   make(map[string]vector.ID),
+		evict:     evictHeap{policy: cfg.Policy},
 		capacity:  cfg.Capacity,
 		threshold: cfg.Threshold,
-		policy:    cfg.Policy,
 
 		mLookups:      reg.Counter("semcache_lookups_total"),
 		mHitExact:     reg.Counter("semcache_hits_total", "kind", "exact"),
@@ -207,20 +221,33 @@ func (c *Cache) Lookup(query string) (Hit, bool) {
 // as the hit-similarity histogram's exemplar so a borderline-similarity
 // bucket resolves to a concrete request in /debug/traces.
 func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
+	// The query is embedded before the lock is taken for good, not under
+	// it — but only when no exact entry makes the embedding unnecessary,
+	// which takes a first look under the lock. Scratch embedding: the
+	// vector is only needed for this one search, so it is drawn from (and
+	// returned to) the embedder's pool instead of allocated per lookup.
+	var qv *embed.Vector
 	c.mu.Lock()
+	id, exact := c.byExact[query]
+	if !exact {
+		c.mu.Unlock()
+		qv = c.emb.TextScratch(query)
+		defer c.emb.ReleaseScratch(qv)
+		c.mu.Lock()
+		id, exact = c.byExact[query] // put by another caller meanwhile
+	}
 	defer c.mu.Unlock()
 	c.clock++
 	c.stats.Lookups++
 	c.mLookups.Inc()
 
-	if id, ok := c.byExact[query]; ok {
+	if exact {
 		e := c.entries[id]
 		if c.expiredLocked(e) {
-			c.removeLocked(id)
+			c.removeLocked(e)
 			c.mExpired.Inc()
 		} else {
-			e.Hits++
-			e.lastUsed = c.clock
+			c.touchLocked(e)
 			c.stats.Hits++
 			c.stats.ExactHits++
 			c.mHitExact.Inc()
@@ -229,25 +256,25 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 		}
 	}
 
-	// Scratch embedding: the query vector is only needed for this one
-	// search, so it is drawn from (and returned to) the embedder's pool
-	// instead of allocating per lookup.
-	qv := c.emb.TextScratch(query)
+	if qv == nil {
+		// The exact entry seen above had expired: the one lookup that
+		// still embeds under the lock.
+		qv = c.emb.TextScratch(query)
+		defer c.emb.ReleaseScratch(qv)
+	}
 	hits := c.idx.Search(*qv, 1)
-	c.emb.ReleaseScratch(qv)
 	if len(hits) == 0 || hits[0].Score < c.threshold {
 		c.mMisses.Inc()
 		return Hit{}, false
 	}
 	e := c.entries[hits[0].ID]
 	if c.expiredLocked(e) {
-		c.removeLocked(hits[0].ID)
+		c.removeLocked(e)
 		c.mExpired.Inc()
 		c.mMisses.Inc()
 		return Hit{}, false
 	}
-	e.Hits++
-	e.lastUsed = c.clock
+	c.touchLocked(e)
 	c.stats.Hits++
 	c.mHitSemantic.Inc()
 	c.hSimilarity.ObserveWithExemplar(hits[0].Score, trace)
@@ -261,19 +288,18 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 // counters (semcache_stale_*) so the headline hit rate stays a measure of
 // normal operation.
 func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
+	qv := c.emb.TextScratch(query)
+	defer c.emb.ReleaseScratch(qv)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
 	c.mStaleLookups.Inc()
-	qv := c.emb.TextScratch(query)
 	hits := c.idx.Search(*qv, 1)
-	c.emb.ReleaseScratch(qv)
 	if len(hits) == 0 || hits[0].Score < floor {
 		return Hit{}, false
 	}
 	e := c.entries[hits[0].ID]
-	e.Hits++
-	e.lastUsed = c.clock
+	c.touchLocked(e)
 	c.mStaleHits.Inc()
 	return Hit{Entry: *e, Similarity: hits[0].Score, Exact: e.Query == query}, true
 }
@@ -283,20 +309,31 @@ func (c *Cache) expiredLocked(e *Entry) bool {
 	return c.ttl > 0 && c.clock-e.lastUsed > c.ttl
 }
 
-// removeLocked deletes an entry by id.
-func (c *Cache) removeLocked(id vector.ID) {
-	e, ok := c.entries[id]
-	if !ok {
-		return
-	}
+// touchLocked records a hit on e at the current tick and restores e's
+// place in the eviction order.
+func (c *Cache) touchLocked(e *Entry) {
+	e.Hits++
+	e.lastUsed = c.clock
+	c.evict.down(e.pos) // both keys only grow
+}
+
+// removeLocked deletes e from the maps, the index and the eviction heap —
+// the one way out of the cache, for expiry and eviction alike.
+func (c *Cache) removeLocked(e *Entry) {
 	delete(c.byExact, e.Query)
-	delete(c.entries, id)
-	c.idx.Remove(id)
+	delete(c.entries, e.id)
+	c.idx.Remove(e.id)
+	c.evict.remove(e.pos)
 }
 
 // Put inserts a (query, response) pair. Re-putting an existing query
 // refreshes its response.
 func (c *Cache) Put(query, response string, kind Kind, class Class) {
+	// Embedded before the lock, like a lookup's query; a re-put or a
+	// rejected admission wastes the microsecond. The index copies the
+	// vector into its own store, so pooled scratch serves here too.
+	qv := c.emb.TextScratch(query)
+	defer c.emb.ReleaseScratch(qv)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
@@ -304,6 +341,7 @@ func (c *Cache) Put(query, response string, kind Kind, class Class) {
 		e := c.entries[id]
 		e.Response = response
 		e.lastUsed = c.clock
+		c.evict.down(e.pos)
 		return
 	}
 	if c.admission != nil && !c.admission.Admit(query) {
@@ -311,65 +349,130 @@ func (c *Cache) Put(query, response string, kind Kind, class Class) {
 		return
 	}
 	c.mPuts.Inc()
-	id := c.nextID
+	e := &Entry{Query: query, Response: response, Kind: kind, Class: class, lastUsed: c.clock, id: c.nextID}
 	c.nextID++
-	c.entries[id] = &Entry{Query: query, Response: response, Kind: kind, Class: class, lastUsed: c.clock}
-	c.byExact[query] = id
-	if err := c.idx.Add(vector.Item{ID: id, Vec: c.emb.Text(query)}); err != nil {
+	c.entries[e.id] = e
+	c.byExact[query] = e.id
+	if err := c.idx.Add(vector.Item{ID: e.id, Vec: *qv}); err != nil {
 		panic(err) // IDs are unique by construction
 	}
+	// The newcomer joins the eviction heap only after the eviction it
+	// causes, which is what exempts it: a cold newcomer is not evicted
+	// before it can prove useful.
 	if c.capacity > 0 && len(c.entries) > c.capacity {
-		c.evictLocked(id)
+		c.evictLocked()
 	}
+	c.evict.push(e)
 }
 
-// evictLocked removes one entry per the configured policy. The entry just
-// inserted (keep) is exempt, so cold newcomers are not evicted before they
-// can prove useful.
-func (c *Cache) evictLocked(keep vector.ID) {
-	var victim vector.ID
-	first := true
-	better := func(a, b *Entry) bool { // is a a better victim than b?
-		switch c.policy {
-		case LRU:
-			return a.lastUsed < b.lastUsed
-		case LFU:
-			if a.Hits != b.Hits {
-				return a.Hits < b.Hits
-			}
-			return a.lastUsed < b.lastUsed
-		default: // Weighted
-			wa, wb := c.weight(a), c.weight(b)
-			if wa != wb {
-				return wa < wb
-			}
-			return a.lastUsed < b.lastUsed
-		}
-	}
-	for id, e := range c.entries {
-		if id == keep {
-			continue
-		}
-		if first || better(e, c.entries[victim]) {
-			victim = id
-			first = false
-		}
-	}
-	e := c.entries[victim]
-	delete(c.byExact, e.Query)
-	delete(c.entries, victim)
-	c.idx.Remove(victim)
+// evictLocked removes the entry the configured policy values least: the
+// root of the eviction heap.
+func (c *Cache) evictLocked() {
+	e := c.evict.es[0]
+	c.removeLocked(e)
 	c.stats.Evictions++
 	c.mEvictions.Inc()
 	// Evictions happen under the put-caller's lock but are cheap to log
 	// (ring write, no I/O); they have no single owning request.
-	c.log.Emit(obs.Debug, "semcache_evict", "policy", c.policy.String(), "hits", e.Hits)
+	c.log.Emit(obs.Debug, "semcache_evict", "policy", c.evict.policy.String(), "hits", e.Hits)
+}
+
+// evictHeap is an index-tracked min-heap of the cached entries under the
+// policy's eviction order: the policy key (nothing for LRU, Hits for LFU,
+// the class-weighted hit score for Weighted), then lastUsed. Every write
+// to lastUsed takes a fresh clock tick, so no two entries share one and
+// the order is total: the root is exactly the entry a walk over all
+// entries would pick, whatever order the heap was built in. Each entry
+// carries its position (Entry.pos), so a hit or a re-put restores the
+// order with one O(log n) sift and a removal needs no search. Hits and
+// lastUsed only ever grow, so those sifts only go down. The sifts are
+// written out rather than handed to container/heap because they run under
+// the cache lock on every hit, where its interface calls would double
+// their cost.
+type evictHeap struct {
+	policy Policy
+	es     []*Entry
+}
+
+// before reports whether a is evicted before b.
+func (h *evictHeap) before(a, b *Entry) bool {
+	switch h.policy {
+	case LRU:
+	case LFU:
+		if a.Hits != b.Hits {
+			return a.Hits < b.Hits
+		}
+	default: // Weighted
+		if wa, wb := weight(a), weight(b); wa != wb {
+			return wa < wb
+		}
+	}
+	return a.lastUsed < b.lastUsed
+}
+
+func (h *evictHeap) set(i int, e *Entry) {
+	h.es[i] = e
+	e.pos = i
+}
+
+func (h *evictHeap) push(e *Entry) {
+	h.es = append(h.es, e)
+	h.up(len(h.es)-1, e)
+}
+
+// remove deletes the entry at position i.
+func (h *evictHeap) remove(i int) {
+	last := len(h.es) - 1
+	moved := h.es[last]
+	h.es[last] = nil
+	h.es = h.es[:last]
+	if i == last {
+		return
+	}
+	h.set(i, moved)
+	h.up(i, moved)
+	h.down(moved.pos)
+}
+
+// up moves e, at position i, toward the root until its parent is evicted
+// before it.
+func (h *evictHeap) up(i int, e *Entry) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(e, h.es[parent]) {
+			break
+		}
+		h.set(i, h.es[parent])
+		i = parent
+	}
+	h.set(i, e)
+}
+
+// down moves the entry at position i toward the leaves until it is
+// evicted before both of its children.
+func (h *evictHeap) down(i int) {
+	e := h.es[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h.es) {
+			break
+		}
+		if right := child + 1; right < len(h.es) && h.before(h.es[right], h.es[child]) {
+			child = right
+		}
+		if !h.before(h.es[child], e) {
+			break
+		}
+		h.set(i, h.es[child])
+		i = child
+	}
+	h.set(i, e)
 }
 
 // weight scores an entry's retention value: hit count scaled by the class
 // weight (Reuse hits save a whole LLM call; Augment hits only improve a
 // prompt).
-func (c *Cache) weight(e *Entry) float64 {
+func weight(e *Entry) float64 {
 	w := 1.0
 	if e.Class == Augment {
 		w = 0.4

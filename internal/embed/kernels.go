@@ -4,8 +4,8 @@
 //
 // Three layers:
 //
-//   - exported helpers (Dot, SqL2, DotInt8, QuantizeInto) with the package's
-//     length-guard semantics;
+//   - exported helpers (Dot, SqL2, DotInt8, DotInt8Rows, QuantizeInto) with
+//     the package's length-guard semantics;
 //   - portable 4-wide unrolled implementations (dotGeneric & co) that break
 //     the floating-point dependency chain so the scalar path pipelines;
 //   - an amd64 AVX2+FMA fast path (kernels_amd64.s), selected at startup by
@@ -133,6 +133,31 @@ func dotInt8Generic(a, b []int8) int32 {
 		s0 += int32(a[i]) * int32(b[i])
 	}
 	return s0 + s1 + s2 + s3
+}
+
+// DotInt8Rows writes out[r] = q · rows[r*len(q):(r+1)*len(q)] for every r:
+// one call scores a block of contiguous row-major int8 codes against one
+// query code, so a scan pays the call, the query loads and the horizontal
+// reduction once per block (amd64: once per four rows) instead of once per
+// row. rows must not contain -128 — QuantizeInto never emits it — because
+// the AVX2 path multiplies |q| by sign-adjusted rows in int16 pairs, which
+// stay within 2*128*127 and so never saturate only under that bound.
+// Accumulation is exact in int32, as in DotInt8.
+func DotInt8Rows(out []int32, q, rows []int8) {
+	if len(rows) != len(out)*len(q) {
+		panic("embed: kernel length mismatch")
+	}
+	if dotInt8RowsArch(out, q, rows) {
+		return
+	}
+	dotInt8RowsGeneric(out, q, rows)
+}
+
+func dotInt8RowsGeneric(out []int32, q, rows []int8) {
+	dim := len(q)
+	for r := range out {
+		out[r] = dotInt8Generic(q, rows[r*dim:(r+1)*dim])
+	}
 }
 
 // QuantizeInto symmetrically int8-quantizes v into code (len(v) entries),

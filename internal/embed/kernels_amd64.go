@@ -20,6 +20,9 @@ func sqL2AVX2(a, b *float32, n int) float32
 //go:noescape
 func dotInt8AVX2(a, b *int8, n int) int32
 
+//go:noescape
+func dotInt8RowsAVX2(out *int32, q, rows *int8, n, stride, nrows int)
+
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -85,4 +88,23 @@ func dotInt8Arch(a, b []int8) (int32, bool) {
 		s += int32(a[i]) * int32(b[i])
 	}
 	return s, true
+}
+
+// rowsMinLen is the row length below which the rows kernel has no full
+// 32-byte chunk to work on.
+const rowsMinLen = 32
+
+func dotInt8RowsArch(out []int32, q, rows []int8) bool {
+	if !useAVX2 || len(q) < rowsMinLen || len(out) == 0 {
+		return false
+	}
+	dim := len(q)
+	n := dim &^ 31
+	dotInt8RowsAVX2(&out[0], &q[0], &rows[0], n, dim, len(out))
+	if n < dim {
+		for r := range out {
+			out[r] += dotInt8Generic(q[n:], rows[r*dim+n:(r+1)*dim])
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 // AVX2+FMA distance kernels. Callers (kernels_amd64.go) guarantee:
 //   - dotAVX2 / sqL2AVX2: n is a multiple of 8, n >= 8
 //   - dotInt8AVX2:        n is a multiple of 16, n >= 16
+//   - dotInt8RowsAVX2:    n is a multiple of 32, 32 <= n <= stride, and no
+//                         row byte is -128
 // and that AVX2+FMA were detected before any kernel is invoked.
 // Four independent accumulators per kernel keep the FMA pipeline full;
 // the remainder under one unrolled stride runs in a narrow loop.
@@ -177,4 +179,106 @@ i8_reduce:
 	VMOVD X0, AX
 	VZEROUPPER
 	MOVL AX, ret+24(FP)
+	RET
+
+// func dotInt8RowsAVX2(out *int32, q, rows *int8, n, stride, nrows int)
+// out[r] = q[:n] · rows[r*stride : r*stride+n], four rows per pass so one
+// load and one VPABSB of a 32-byte query chunk serve four rows. Per chunk
+// and row: VPSIGNB moves the query's sign onto the row, VPMADDUBSW
+// multiplies |q| (unsigned) by the signed row into int16 pairs — at most
+// 2*128*127 = 32512, so it never saturates as long as no row byte is -128
+// (the one value VPSIGNB cannot negate) — and VPMADDWD against ones widens
+// the pairs into the row's int32 accumulator. Three VPHADDDs then reduce
+// the four accumulators together into four adjacent int32 results. A scan
+// of more codes than the cache holds runs at memory speed, so each row is
+// prefetched 2 KB ahead (a prefetch past the last row cannot fault); the
+// 16384x128 scan measured about a tenth faster with it than without.
+TEXT ·dotInt8RowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), R8
+	MOVQ q+8(FP), SI
+	MOVQ rows+16(FP), DI
+	MOVQ n+24(FP), CX
+	MOVQ stride+32(FP), R9
+	MOVQ nrows+40(FP), R10
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW $15, Y15, Y15 // sixteen int16 ones
+rows4:
+	CMPQ R10, $4
+	JL   rows1
+	LEAQ (DI)(R9*1), R11
+	LEAQ (DI)(R9*2), R12
+	LEAQ (R11)(R9*2), R13
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ AX, AX
+rows4_chunk:
+	VMOVDQU (SI)(AX*1), Y4
+	VPABSB Y4, Y5
+	PREFETCHT0 2048(DI)(AX*1)
+	PREFETCHT0 2048(R11)(AX*1)
+	PREFETCHT0 2048(R12)(AX*1)
+	PREFETCHT0 2048(R13)(AX*1)
+	VMOVDQU (DI)(AX*1), Y6
+	VMOVDQU (R11)(AX*1), Y7
+	VMOVDQU (R12)(AX*1), Y8
+	VMOVDQU (R13)(AX*1), Y9
+	VPSIGNB Y4, Y6, Y6
+	VPSIGNB Y4, Y7, Y7
+	VPSIGNB Y4, Y8, Y8
+	VPSIGNB Y4, Y9, Y9
+	VPMADDUBSW Y6, Y5, Y6
+	VPMADDUBSW Y7, Y5, Y7
+	VPMADDUBSW Y8, Y5, Y8
+	VPMADDUBSW Y9, Y5, Y9
+	VPMADDWD Y15, Y6, Y6
+	VPMADDWD Y15, Y7, Y7
+	VPMADDWD Y15, Y8, Y8
+	VPMADDWD Y15, Y9, Y9
+	VPADDD Y6, Y0, Y0
+	VPADDD Y7, Y1, Y1
+	VPADDD Y8, Y2, Y2
+	VPADDD Y9, Y3, Y3
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JL   rows4_chunk
+	VPHADDD Y1, Y0, Y0
+	VPHADDD Y3, Y2, Y2
+	VPHADDD Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD X1, X0, X0
+	VMOVDQU X0, (R8)
+	ADDQ $16, R8
+	LEAQ (DI)(R9*4), DI
+	SUBQ $4, R10
+	JMP  rows4
+rows1:
+	CMPQ R10, $0
+	JLE  rows_done
+	VPXOR Y0, Y0, Y0
+	XORQ AX, AX
+rows1_chunk:
+	VMOVDQU (SI)(AX*1), Y4
+	VPABSB Y4, Y5
+	VMOVDQU (DI)(AX*1), Y6
+	VPSIGNB Y4, Y6, Y6
+	VPMADDUBSW Y6, Y5, Y6
+	VPMADDWD Y15, Y6, Y6
+	VPADDD Y6, Y0, Y0
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JL   rows1_chunk
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD X1, X0, X0
+	VPHADDD X0, X0, X0
+	VPHADDD X0, X0, X0
+	VMOVD X0, AX
+	MOVL AX, (R8)
+	ADDQ $4, R8
+	ADDQ R9, DI
+	DECQ R10
+	JMP  rows1
+rows_done:
+	VZEROUPPER
 	RET

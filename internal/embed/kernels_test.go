@@ -244,3 +244,129 @@ var (
 	sinkF64 float64
 	sinkI32 int32
 )
+
+// rowsFromBytes maps fuzz bytes onto the kernel's domain: every int8 value
+// except -128, which DotInt8Rows excludes from rows.
+func rowsFromBytes(b []byte) []int8 {
+	out := make([]int8, len(b))
+	for i, x := range b {
+		if out[i] = int8(x); out[i] == -128 {
+			out[i] = -127
+		}
+	}
+	return out
+}
+
+// checkDotInt8Rows compares DotInt8Rows (the AVX2 kernel where the CPU has
+// it) with the per-row generic reference, exactly.
+func checkDotInt8Rows(t *testing.T, q, rows []int8) {
+	t.Helper()
+	dim := len(q)
+	got := make([]int32, len(rows)/dim)
+	DotInt8Rows(got, q, rows)
+	for r := range got {
+		if want := dotInt8Generic(q, rows[r*dim:(r+1)*dim]); got[r] != want {
+			t.Fatalf("dim %d, row %d of %d: got %d, want %d", dim, r, len(got), got[r], want)
+		}
+	}
+}
+
+func TestDotInt8RowsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, dim := range []int{1, 16, 31, 32, 33, 64, 100, 128, 160, 300} {
+		for _, nrows := range []int{0, 1, 3, 4, 5, 8, 255, 256, 257} {
+			raw := make([]byte, (nrows+1)*dim)
+			r.Read(raw)
+			codes := rowsFromBytes(raw)
+			checkDotInt8Rows(t, codes[:dim], codes[dim:])
+		}
+	}
+	// The int16 pair bound: every product at its extreme, both signs.
+	for _, qv := range []int8{-128, -127, 127} {
+		for _, rv := range []int8{-127, 127} {
+			q, rows := make([]int8, 128), make([]int8, 5*128)
+			for i := range q {
+				q[i] = qv
+			}
+			for i := range rows {
+				rows[i] = rv
+			}
+			checkDotInt8Rows(t, q, rows)
+		}
+	}
+}
+
+func TestDotInt8RowsLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("DotInt8Rows did not panic on a rows length that is not len(out)*len(q)")
+		}
+	}()
+	DotInt8Rows(make([]int32, 2), make([]int8, 4), make([]int8, 7))
+}
+
+// FuzzDotInt8Rows is the differential test of the rows kernel: whatever
+// path DotInt8Rows dispatches to must agree with dotInt8Generic on every
+// row. The first byte picks the dimension, so the fuzzer reaches dims
+// that are and are not multiples of 32 and row counts that do not fill a
+// four-row pass or a scan block.
+func FuzzDotInt8Rows(f *testing.F) {
+	fill := func(dim, nrows int, v byte) []byte {
+		b := make([]byte, 1+(nrows+1)*dim)
+		b[0] = byte(dim)
+		for i := 1; i < len(b); i++ {
+			b[i] = v
+		}
+		return b
+	}
+	mixed := func(dim, nrows int) []byte {
+		b := fill(dim, nrows, 0)
+		for i := 1; i < len(b); i++ {
+			b[i] = byte(i * 37)
+		}
+		return b
+	}
+	f.Add(mixed(128, 1))               // one row
+	f.Add(mixed(128, 7))               // a four-row pass and a remainder
+	f.Add(mixed(32, 9))                // exactly one chunk per row
+	f.Add(mixed(100, 6))               // dim not a multiple of 32: Go tail
+	f.Add(mixed(33, 5))                // one chunk plus a one-byte tail
+	f.Add(mixed(16, 4))                // below the kernel's minimum length
+	f.Add(mixed(64, 70))               // rows that do not fill a block
+	f.Add(fill(128, 3, 0))             // zero query, zero rows
+	f.Add(fill(96, 5, 127))            // all +127
+	f.Add(fill(96, 5, 0x81))           // all -127
+	f.Add(append([]byte{64}, 0x80, 1)) // fewer bytes than one query
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			return
+		}
+		dim := int(b[0])
+		if dim == 0 || len(b)-1 < dim {
+			return
+		}
+		codes := rowsFromBytes(b[1:])
+		q, rows := codes[:dim], codes[dim:]
+		rows = rows[:len(rows)/dim*dim]
+		checkDotInt8Rows(t, q, rows)
+	})
+}
+
+func BenchmarkDotInt8Rows(b *testing.B) {
+	const nrows = 256
+	q := make([]int8, DefaultDim)
+	rows := make([]int8, nrows*DefaultDim)
+	for i := range q {
+		q[i] = int8(i)
+	}
+	for i := range rows {
+		rows[i] = int8(i % 127)
+	}
+	out := make([]int32, nrows)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DotInt8Rows(out, q, rows)
+	}
+	sinkI32 = out[nrows-1]
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
+}

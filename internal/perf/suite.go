@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,14 +28,63 @@ func perfText(i int) string {
 	return fmt.Sprintf("document %d about caching and cascades for serving workload %d", i, i%7)
 }
 
+// armedSize is the population at which the serving benchmark's
+// semantic_read and churn_write workloads run the cache: the size the
+// quantized prefilter and the eviction heap have to pay off at.
+// shardedSize is the smallest population at which the sharded scan is
+// armed by default.
+const (
+	armedSize   = 16384
+	shardedSize = 131072
+)
+
 // buildCorpus embeds corpusSize documents once for the search benches.
-func buildCorpus(e *embed.Embedder) []vector.Item {
-	items := make([]vector.Item, corpusSize)
+func buildCorpus(e *embed.Embedder) []vector.Item { return buildCorpusN(e, corpusSize) }
+
+func buildCorpusN(e *embed.Embedder, n int) []vector.Item {
+	items := make([]vector.Item, n)
 	for i := range items {
 		items[i] = vector.Item{ID: vector.ID(i), Vec: e.Text(perfText(i))}
 	}
 	return items
 }
+
+// flatSearch is the body of the vector_flat_search* cases: top-10 over n
+// documents in a flat index built with opts.
+func flatSearch(n int, opts ...vector.FlatOption) func(b *testing.B) {
+	return func(b *testing.B) {
+		e := embed.New(embed.DefaultDim)
+		idx := vector.NewFlat(e.Dim(), vector.Cosine, opts...)
+		if err := idx.Add(buildCorpusN(e, n)...); err != nil {
+			b.Fatal(err)
+		}
+		q := e.Text("query about caching for serving")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx.Search(q, 10)
+		}
+	}
+}
+
+// fullCache returns a Weighted cache holding armedSize entries at
+// capacity, so every further put evicts.
+func fullCache() *semcache.Cache {
+	c := semcache.New(semcache.Config{
+		Embedder: embed.New(embed.DefaultDim),
+		Capacity: armedSize,
+		Policy:   semcache.Weighted,
+		Obs:      obs.NewRegistry(),
+		Log:      obs.NewLogger(obs.NewEventLog(64), obs.Debug, obs.NewRegistry()),
+	})
+	for i := 0; i < armedSize; i++ {
+		c.Put(perfText(i), "cached answer", semcache.Original, semcache.Reuse)
+	}
+	return c
+}
+
+// perfParaphrase is a query that hits perfText(i) semantically, not
+// exactly.
+func perfParaphrase(i int) string { return "please find " + perfText(i) }
 
 // Kernels is the compute-kernel suite: embedding, tokenizing and vector
 // search, the non-model work on the serving path's critical path.
@@ -63,32 +113,17 @@ func Kernels() []Spec {
 				e.ReleaseScratch(e.TextScratch(perfText(i % 256)))
 			}
 		}},
-		{Name: "vector_flat_search", Bench: func(b *testing.B) {
-			// Default configuration: exact SIMD scan at this scale (the
-			// int8 prefilter auto-enables only on memory-bound stores).
-			e := embed.New(embed.DefaultDim)
-			idx := vector.NewFlat(e.Dim(), vector.Cosine)
-			if err := idx.Add(buildCorpus(e)...); err != nil {
-				b.Fatal(err)
-			}
-			q := e.Text("query about caching for serving")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.Search(q, 10)
-			}
-		}},
-		{Name: "vector_flat_search_quantized", Bench: func(b *testing.B) {
-			e := embed.New(embed.DefaultDim)
-			idx := vector.NewFlat(e.Dim(), vector.Cosine, vector.Quantized())
-			if err := idx.Add(buildCorpus(e)...); err != nil {
-				b.Fatal(err)
-			}
-			q := e.Text("query about caching for serving")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.Search(q, 10)
-			}
-		}},
+		// The exact/quantized pairs at 2048 and 16384 rows are where
+		// vector.quantAutoMin comes from, the serial/sharded pairs at 16384
+		// and 131072 where vector.flatParallelMin does; every case pins its
+		// mode so a change of those defaults cannot change what it measures.
+		{Name: "vector_flat_search", Bench: flatSearch(corpusSize, vector.Exact())},
+		{Name: "vector_flat_search_quantized", Bench: flatSearch(corpusSize, vector.Quantized())},
+		{Name: "vector_flat_search_16k", Bench: flatSearch(armedSize, vector.Exact(), vector.ParallelMin(0))},
+		{Name: "vector_flat_search_quantized_16k_serial", Bench: flatSearch(armedSize, vector.Quantized(), vector.ParallelMin(0))},
+		{Name: "vector_flat_search_quantized_16k_sharded", Bench: flatSearch(armedSize, vector.Quantized(), vector.ParallelMin(armedSize))},
+		{Name: "vector_flat_search_quantized_128k_serial", Bench: flatSearch(shardedSize, vector.Quantized(), vector.ParallelMin(0))},
+		{Name: "vector_flat_search_quantized_128k_sharded", Bench: flatSearch(shardedSize, vector.Quantized(), vector.ParallelMin(shardedSize))},
 		{Name: "vector_hnsw_search", Bench: func(b *testing.B) {
 			e := embed.New(embed.DefaultDim)
 			idx := vector.NewHNSW(vector.HNSWConfig{Dim: e.Dim(), Metric: vector.Cosine, Seed: 42})
@@ -175,6 +210,44 @@ func Serving(ctx context.Context) []Spec {
 			for i := 0; i < b.N; i++ {
 				c.Lookup(fmt.Sprintf("completely different probe %d", i))
 			}
+		}},
+		{Name: "semcache_put_evict_16k", Bench: func(b *testing.B) {
+			// Every put is of a new query into a full cache: embed, index
+			// add, eviction, index remove.
+			c := fullCache()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Put(perfText(armedSize+i), "cached answer", semcache.Original, semcache.Reuse)
+			}
+			b.StopTimer()
+			if got := c.Stats().Evictions; got != b.N {
+				b.Fatalf("%d puts evicted %d entries", b.N, got)
+			}
+		}},
+		{Name: "semcache_lookup_semantic_16k", Bench: func(b *testing.B) {
+			c := fullCache()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if h, ok := c.Lookup(perfParaphrase(i % armedSize)); !ok || h.Exact {
+					b.Fatal("expected a semantic cache hit")
+				}
+			}
+		}},
+		{Name: "semcache_lookup_semantic_16k_parallel", Bench: func(b *testing.B) {
+			// The same lookups from GOMAXPROCS goroutines: what the cache's
+			// one mutex costs callers that arrive together.
+			c := fullCache()
+			var next atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := int(next.Add(1))
+					if h, ok := c.Lookup(perfParaphrase(i % armedSize)); !ok || h.Exact {
+						b.Error("expected a semantic cache hit")
+						return
+					}
+				}
+			})
 		}},
 		{Name: "proxy_complete_cache_hit", Bench: func(b *testing.B) {
 			var spend token.Cost

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/embed"
@@ -22,9 +23,16 @@ type Flat struct {
 	metric      Metric
 	dim         int
 	store       *colStore
-	items       []Item // aligned with store rows
+	rows        []flatRow // aligned with store rows
 	byID        map[ID]int
 	parallelMin int
+}
+
+// flatRow is what Flat keeps per row beside the column store, which holds
+// the only copy of the vector.
+type flatRow struct {
+	id    ID
+	attrs map[string]string
 }
 
 // FlatOption configures a Flat index at construction.
@@ -76,8 +84,8 @@ func (f *Flat) Add(items ...Item) error {
 		if _, ok := f.byID[it.ID]; ok {
 			return fmt.Errorf("%w: %d", ErrDuplicateID, it.ID)
 		}
-		f.byID[it.ID] = len(f.items)
-		f.items = append(f.items, it)
+		f.byID[it.ID] = len(f.rows)
+		f.rows = append(f.rows, flatRow{id: it.ID, attrs: it.Attrs})
 		f.store.appendRow(it.Vec)
 	}
 	return nil
@@ -91,16 +99,17 @@ func (f *Flat) Remove(id ID) bool {
 	if !ok {
 		return false
 	}
-	last := len(f.items) - 1
-	f.items[i] = f.items[last]
-	f.byID[f.items[i].ID] = i
-	f.items = f.items[:last]
+	last := len(f.rows) - 1
+	f.rows[i] = f.rows[last]
+	f.byID[f.rows[i].id] = i
+	f.rows[last] = flatRow{} // drop the attrs reference
+	f.rows = f.rows[:last]
 	f.store.swapRemove(i)
 	delete(f.byID, id)
 	return true
 }
 
-// Get returns the stored item for id.
+// Get returns the stored item for id. Its Vec is a copy of the store row.
 func (f *Flat) Get(id ID) (Item, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -108,7 +117,29 @@ func (f *Flat) Get(id ID) (Item, bool) {
 	if !ok {
 		return Item{}, false
 	}
-	return f.items[i], true
+	return Item{ID: id, Vec: cloneVec(f.store.row(i)), Attrs: f.rows[i].attrs}, true
+}
+
+// attrs returns the attributes stored for id, without copying its vector.
+func (f *Flat) attrs(id ID) (map[string]string, bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	i, ok := f.byID[id]
+	if !ok {
+		return nil, false
+	}
+	return f.rows[i].attrs, true
+}
+
+// each calls fn for every stored row, in row order, under the read lock.
+// vec aliases the store and is valid only during the call; fn must not
+// call back into f.
+func (f *Flat) each(fn func(i int, id ID, attrs map[string]string, vec embed.Vector)) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for i, r := range f.rows {
+		fn(i, r.id, r.attrs, f.store.row(i))
+	}
 }
 
 // Search implements Index.
@@ -127,37 +158,41 @@ func (f *Flat) SearchFiltered(q embed.Vector, k int, keep func(attrs map[string]
 		// semantics (Cosine scores 0, Dot/L2 use the common prefix)
 		// instead of feeding the column kernels an undefined layout.
 		t := newTopK(k)
-		for _, it := range f.items {
-			if keep != nil && !keep(it.Attrs) {
+		for i, r := range f.rows {
+			if keep != nil && !keep(r.attrs) {
 				continue
 			}
-			t.offer(Result{ID: it.ID, Score: f.metric.Score(q, it.Vec)})
+			t.offer(Result{ID: r.id, Score: f.metric.Score(q, f.store.row(i))})
 		}
 		return t.results()
 	}
 	var keepRow func(int) bool
 	if keep != nil {
-		keepRow = func(i int) bool { return keep(f.items[i].Attrs) }
+		keepRow = func(i int) bool { return keep(f.rows[i].attrs) }
 	}
 	return f.store.search(f.metric, q, k, f.rowID, keepRow, f.parallelMin)
 }
 
 // rowID maps a store row index to its item ID.
-func (f *Flat) rowID(i int) ID { return f.items[i].ID }
+func (f *Flat) rowID(i int) ID { return f.rows[i].id }
 
 // Len implements Index.
 func (f *Flat) Len() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return len(f.items)
+	return len(f.rows)
 }
 
-// Items returns a copy of the stored items in insertion-ish order. Intended
-// for tests and for building derived indexes.
+// Items returns a copy of the stored items in insertion-ish order, their
+// vectors cut from one copy of the store. Intended for tests and for
+// building derived indexes.
 func (f *Flat) Items() []Item {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]Item, len(f.items))
-	copy(out, f.items)
+	vecs := slices.Clone(f.store.vecs)
+	out := make([]Item, len(f.rows))
+	for i, r := range f.rows {
+		out[i] = Item{ID: r.id, Vec: vecs[i*f.dim : (i+1)*f.dim : (i+1)*f.dim], Attrs: r.attrs}
+	}
 	return out
 }

@@ -183,3 +183,32 @@ func BenchmarkFlatSearch1k(b *testing.B) {
 		f.Search(q, 10)
 	}
 }
+
+// Flat keeps each vector only in its column store, so Get and Items hand
+// out copies: writing to one must not reach the index.
+func TestFlatGetAndItemsReturnCopies(t *testing.T) {
+	f := NewFlat(4, Cosine)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(f.Add(Item{ID: 1, Vec: embed.Vector{1, 0, 0, 0}, Attrs: map[string]string{"a": "x"}}))
+	must(f.Add(Item{ID: 2, Vec: embed.Vector{0, 1, 0, 0}}))
+
+	it, ok := f.Get(1)
+	if !ok || it.ID != 1 || it.Attrs["a"] != "x" || it.Vec[0] != 1 {
+		t.Fatalf("Get(1) = %+v, %v", it, ok)
+	}
+	it.Vec[0], it.Vec[1] = 0, 1
+	items := f.Items()
+	if len(items) != 2 || items[0].ID != 1 || items[0].Vec[0] != 1 || items[1].Vec[1] != 1 {
+		t.Fatalf("Items() = %+v after writing to Get's vector", items)
+	}
+	items[1].Vec[1], items[1].Vec[2] = 0, 1
+	items[0].Vec = append(items[0].Vec, 9) // must not run into item 1's vector
+	if got := f.Search(embed.Vector{0, 1, 0, 0}, 1); len(got) != 1 || got[0].ID != 2 || got[0].Score != 1 {
+		t.Errorf("Search after writing to Items' vectors = %v, want ID 2 at score 1", got)
+	}
+}

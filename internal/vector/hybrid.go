@@ -127,16 +127,15 @@ func (h *Hybrid) Search(q embed.Vector, k int, pred Predicate, order FilterOrder
 }
 
 func (h *Hybrid) attributeFirst(q embed.Vector, k int, pred Predicate) ([]Result, HybridStats) {
-	items := h.store.Items()
 	t := newTopK(k)
 	scanned := 0
-	for _, it := range items {
-		if !pred(it.Attrs) {
-			continue
+	h.store.each(func(_ int, id ID, attrs map[string]string, vec embed.Vector) {
+		if !pred(attrs) {
+			return
 		}
 		scanned++
-		t.offer(Result{ID: it.ID, Score: h.store.metric.Score(q, it.Vec)})
-	}
+		t.offer(Result{ID: id, Score: h.store.metric.Score(q, vec)})
+	})
 	res := t.results()
 	return res, HybridStats{Order: AttributeFirst, Scanned: scanned, Survivors: len(res)}
 }
@@ -156,8 +155,7 @@ func (h *Hybrid) vectorFirst(q embed.Vector, k int, pred Predicate) ([]Result, H
 		hits := h.store.Search(q, kk)
 		out = out[:0]
 		for _, r := range hits {
-			it, _ := h.store.Get(r.ID)
-			if pred(it.Attrs) {
+			if attrs, _ := h.store.attrs(r.ID); pred(attrs) {
 				out = append(out, r)
 				if len(out) == k {
 					break
@@ -204,20 +202,26 @@ func (h *Hybrid) adapt(fetched, survived, want int) {
 // estimateSelectivity samples stored items and returns the fraction passing
 // pred.
 func (h *Hybrid) estimateSelectivity(pred Predicate) float64 {
-	items := h.store.Items()
-	if len(items) == 0 {
+	n := h.store.Len()
+	if n == 0 {
 		return 1
 	}
 	step := 1
-	if len(items) > h.sampleSize {
-		step = len(items) / h.sampleSize
+	if n > h.sampleSize {
+		step = n / h.sampleSize
 	}
 	seen, pass := 0, 0
-	for i := 0; i < len(items); i += step {
+	h.store.each(func(i int, _ ID, attrs map[string]string, _ embed.Vector) {
+		if i%step != 0 {
+			return
+		}
 		seen++
-		if pred(items[i].Attrs) {
+		if pred(attrs) {
 			pass++
 		}
+	})
+	if seen == 0 { // emptied between Len and each
+		return 1
 	}
 	return float64(pass) / float64(seen)
 }

@@ -8,10 +8,9 @@
 package vector
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/embed"
 )
@@ -89,40 +88,55 @@ var ErrDuplicateID = errors.New("vector: duplicate item ID")
 // ErrDimMismatch is returned when a vector's length does not match the index.
 var ErrDimMismatch = errors.New("vector: dimension mismatch")
 
-// resultHeap is a min-heap on Score used to keep the best k results.
-type resultHeap []Result
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return h[i].Score < h[j].Score }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// worse reports whether a ranks below b: a lower score, or the same score
+// and a higher ID. Over distinct IDs it is a total order, so the k results
+// a topK ends up holding depend only on the set offered, never on the
+// order of the offers — which is what lets a sharded, blocked or
+// pre-rejecting scan return exactly what the row-at-a-time scan returns.
+func worse(a, b Result) bool {
+	return a.Score < b.Score || (a.Score == b.Score && a.ID > b.ID)
 }
 
-// topK maintains the best k results seen so far.
+// topK maintains the best k results seen so far in a min-heap under worse
+// (the worst kept result at the root). The sift loops are written out
+// rather than going through container/heap, whose Push boxes every Result.
 type topK struct {
 	k int
-	h resultHeap
+	h []Result
 }
 
 func newTopK(k int) *topK { return &topK{k: k} }
 
 func (t *topK) offer(r Result) {
-	if t.k <= 0 {
-		return
-	}
 	if len(t.h) < t.k {
-		heap.Push(&t.h, r)
+		t.h = append(t.h, r)
+		for i := len(t.h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !worse(t.h[i], t.h[parent]) {
+				break
+			}
+			t.h[i], t.h[parent] = t.h[parent], t.h[i]
+			i = parent
+		}
 		return
 	}
-	if r.Score > t.h[0].Score || (r.Score == t.h[0].Score && r.ID < t.h[0].ID) {
-		t.h[0] = r
-		heap.Fix(&t.h, 0)
+	if t.k <= 0 || !worse(t.h[0], r) {
+		return
+	}
+	t.h[0] = r
+	for i, n := 0, len(t.h); ; {
+		least := i
+		if l := 2*i + 1; l < n && worse(t.h[l], t.h[least]) {
+			least = l
+		}
+		if rt := 2*i + 2; rt < n && worse(t.h[rt], t.h[least]) {
+			least = rt
+		}
+		if least == i {
+			return
+		}
+		t.h[i], t.h[least] = t.h[least], t.h[i]
+		i = least
 	}
 }
 
@@ -131,11 +145,14 @@ func (t *topK) offer(r Result) {
 func (t *topK) results() []Result {
 	out := make([]Result, len(t.h))
 	copy(out, t.h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Result) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
 		}
-		return out[i].ID < out[j].ID
+		return 0
 	})
 	return out
 }

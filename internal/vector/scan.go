@@ -18,25 +18,29 @@ import (
 // optional int8 code array a parallel column rather than a second index.
 // See DESIGN.md "Kernel architecture".
 
+// Both thresholds below sit where internal/perf's cases record a crossover
+// (BENCH_kernels.json: 128 dims, top-10, 2 vCPUs); the times in the
+// comments are those cases'.
 const (
 	// quantAutoMin is the collection size at which a store in auto mode
-	// starts maintaining int8 codes. The int8 kernel's arithmetic rate is
-	// close to the AVX2 float kernel's, so the prefilter only wins once
-	// the float rows outgrow the last-level cache and the scan turns
-	// memory-bound — there the 4x-smaller codes are a 4x bandwidth cut.
-	// 16k rows at the default 128 dims is 8 MB of float32, around where
-	// that transition starts; smaller stores (and every exact-accuracy
-	// test) scan exactly. Quantized() forces codes on regardless of size.
-	quantAutoMin = 16384
+	// starts maintaining int8 codes. With the rows kernel the quantized
+	// prefilter is ahead of the exact scan at every recorded size:
+	// vector_flat_search_quantized takes 20 µs against vector_flat_search's
+	// 41 µs at 2048 rows, and the _16k pair 126 µs against 457 µs. 2048 is
+	// the smallest recorded size, and below it a whole exact scan is a few
+	// tens of microseconds, so smaller stores (and every exact-accuracy
+	// test) keep exact ranking and do without the extra quarter of memory.
+	// Quantized() forces codes on regardless of size.
+	quantAutoMin = 2048
 
 	// flatParallelMin is the default collection size at which an
-	// unfiltered flat scan shards across goroutines. Sharding a scan that
-	// takes tens of microseconds costs more in handoff than it saves, so
-	// the default is deliberately high; ParallelMin tunes it per index.
-	flatParallelMin = 4096
-
-	// minShard is the smallest number of rows worth giving one worker.
-	minShard = 512
+	// unfiltered flat scan shards across goroutines, each worker getting
+	// at least half that many rows. Two workers are behind the serial scan
+	// at 16384 rows (vector_flat_search_quantized_16k_sharded 186 µs,
+	// _serial 126 µs) and still at 65536; at 131072 they are ahead (the
+	// _128k pair: 760 µs against 1107 µs), so that is where sharding is
+	// armed by default. ParallelMin tunes it per index.
+	flatParallelMin = 131072
 
 	// maxScanWorkers bounds scan fan-out regardless of GOMAXPROCS so one
 	// search cannot monopolize a large machine.
@@ -144,22 +148,22 @@ type preparedQuery struct {
 	qsq    float64 // q·q
 	qnorm  float64 // sqrt(qsq)
 	qinv   float64 // 1/qnorm (0 for the zero query)
-	qcode  []int8
+	qcode  []int8  // set only for a quantized scan
 	qscale float32
 }
 
-func (s *colStore) prepare(m Metric, q embed.Vector) preparedQuery {
+func prepare(m Metric, q embed.Vector) preparedQuery {
 	p := preparedQuery{metric: m, q: q, qsq: embed.Dot(q, q)}
 	p.qnorm = math.Sqrt(p.qsq)
 	if p.qnorm != 0 {
 		p.qinv = 1 / p.qnorm
 	}
-	if s.quant {
-		p.qcode = make([]int8, s.dim)
-		p.qscale = embed.QuantizeInto(p.qcode, q)
-	}
 	return p
 }
+
+// codePool recycles query-code buffers so a quantized search allocates
+// nothing for its query.
+var codePool = sync.Pool{New: func() any { return new([]int8) }}
 
 // scoreExact scores row i exactly under p's metric (higher is closer),
 // using the cached reciprocal norm so cosine is one dot product and two
@@ -175,11 +179,12 @@ func (s *colStore) scoreExact(p *preparedQuery, i int) float64 {
 	}
 }
 
-// scoreApprox ranks row i from its int8 code. The value is monotone in the
-// exact score per metric but carries quantization error, so it is only
-// ever used to build a shortlist that is rescored exactly.
-func (s *colStore) scoreApprox(p *preparedQuery, i int) float64 {
-	d := float64(embed.DotInt8(p.qcode, s.code(i))) * float64(p.qscale) * float64(s.scales[i])
+// scoreApprox ranks row i from dot, the int8 inner product of its code
+// with p.qcode. The value is monotone in the exact score per metric but
+// carries quantization error, so it is only ever used to build a shortlist
+// that is rescored exactly.
+func (s *colStore) scoreApprox(p *preparedQuery, i int, dot int32) float64 {
+	d := float64(dot) * float64(p.qscale) * float64(s.scales[i])
 	switch p.metric {
 	case Cosine:
 		return d * float64(s.invNorms[i]) * p.qinv
@@ -197,78 +202,107 @@ func (s *colStore) scoreApprox(p *preparedQuery, i int) float64 {
 // sharding. Returned results carry exact scores even when the quantized
 // prefilter ran.
 func (s *colStore) search(m Metric, q embed.Vector, k int, id func(int) ID, keep func(int) bool, parallelMin int) []Result {
-	t := newTopK(k)
 	if k <= 0 || s.n == 0 {
+		return []Result{}
+	}
+	p := prepare(m, q)
+	t := topK{k: k, h: make([]Result, 0, min(k, s.n))}
+	if !s.quant || k >= s.n || s.n <= 4*shortlistFor(k) {
+		s.scan(&t, &p, id, keep, parallelMin)
 		return t.results()
 	}
-	p := s.prepare(m, q)
-	if s.quant && s.n > 4*shortlistFor(k) {
-		// Quantized prefilter: rank every row by int8 score, keep a
-		// generous shortlist (tie-broken by row index), then rescore the
-		// shortlist exactly so callers only ever observe exact scores.
-		short := newTopK(shortlistFor(k))
-		s.scan(short, &p, s.scoreApprox, rowAsID, keep, parallelMin)
-		for _, r := range short.h {
-			i := int(r.ID)
-			t.offer(Result{ID: id(i), Score: s.scoreExact(&p, i)})
-		}
-		return t.results()
+	// Quantized prefilter: rank every row by int8 score, keep a generous
+	// shortlist (tie-broken by row index), then rescore the shortlist
+	// exactly so callers only ever observe exact scores.
+	code := codePool.Get().(*[]int8)
+	if cap(*code) < s.dim {
+		*code = make([]int8, s.dim)
 	}
-	s.scan(t, &p, s.scoreExact, id, keep, parallelMin)
+	p.qcode = (*code)[:s.dim]
+	p.qscale = embed.QuantizeInto(p.qcode, q)
+	short := topK{k: shortlistFor(k), h: make([]Result, 0, shortlistFor(k))}
+	s.scan(&short, &p, rowAsID, keep, parallelMin)
+	codePool.Put(code)
+	for _, r := range short.h {
+		i := int(r.ID)
+		t.offer(Result{ID: id(i), Score: s.scoreExact(&p, i)})
+	}
 	return t.results()
 }
 
 // rowAsID is the identity row-index-to-ID mapping used by prefilter scans.
 func rowAsID(i int) ID { return ID(i) }
 
-// scan runs score over every row, offering hits into t. Unfiltered scans
+// scan scores every row — from the int8 codes when p carries a query code,
+// exactly otherwise — offering hits into the empty t. Unfiltered scans
 // over at least parallelMin rows shard across up to maxScanWorkers
-// goroutines; each worker fills a private topK and the shards are merged
-// in deterministic shard order, so results match the serial scan exactly
-// (topK tie-breaking is order-insensitive).
-func (s *colStore) scan(t *topK, p *preparedQuery, score func(*preparedQuery, int) float64, id func(int) ID, keep func(int) bool, parallelMin int) {
+// goroutines: the caller scans the first shard into t itself, each other
+// worker fills a private topK, and the shards are merged into t. What a
+// topK keeps does not depend on offer order, so the result is exactly the
+// serial scan's.
+func (s *colStore) scan(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, parallelMin int) {
 	workers := 1
 	if keep == nil && parallelMin > 0 && s.n >= parallelMin {
-		workers = runtime.GOMAXPROCS(0)
-		if m := s.n / minShard; workers > m {
-			workers = m
-		}
-		if workers > maxScanWorkers {
-			workers = maxScanWorkers
-		}
+		workers = min(runtime.GOMAXPROCS(0), 2*s.n/parallelMin, maxScanWorkers)
 	}
 	if workers <= 1 {
-		for i := 0; i < s.n; i++ {
-			if keep != nil && !keep(i) {
-				continue
-			}
-			t.offer(Result{ID: id(i), Score: score(p, i)})
-		}
+		s.scanRows(t, p, id, keep, 0, s.n)
 		return
 	}
-	parts := make([]*topK, workers)
-	chunk := (s.n + workers - 1) / workers
+	parts := make([]topK, workers-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, s.n)
-		part := newTopK(t.k)
-		parts[w] = part
+	for w := range parts {
+		lo, hi := (w+1)*s.n/workers, (w+2)*s.n/workers
+		part := &parts[w]
+		part.k, part.h = t.k, make([]Result, 0, min(t.k, hi-lo))
 		wg.Add(1)
 		obs.Go(nil, "vector.scan_shard", func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				part.offer(Result{ID: id(i), Score: score(p, i)})
-			}
+			s.scanRows(part, p, id, nil, lo, hi)
 		})
 	}
+	s.scanRows(t, p, id, nil, 0, s.n/workers)
 	// Shard workers read immutable rows and private heaps only; they can
 	// never take index locks, so joining them while the caller holds the
 	// index read lock cannot deadlock.
 	wg.Wait()
-	for _, part := range parts {
-		for _, r := range part.h {
+	for i := range parts {
+		for _, r := range parts[i].h {
 			t.offer(r)
+		}
+	}
+}
+
+// scanBlock is how many rows one DotInt8Rows call scores: enough that the
+// call is amortized to nothing, few enough that the dot products (1 KB)
+// sit on the scanning goroutine's stack.
+const scanBlock = 256
+
+// scanRows offers rows [lo, hi) into t. A quantized scan gets a block's
+// int8 dot products from one kernel call; either way a row that scores
+// below the worst kept result is dropped before it costs an id lookup and
+// a heap offer (a row that ties falls through to offer's ID tie-break).
+func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) {
+	var dots [scanBlock]int32
+	for b := lo; b < hi; b += scanBlock {
+		e := min(b+scanBlock, hi)
+		if p.qcode != nil {
+			embed.DotInt8Rows(dots[:e-b], p.qcode, s.codes[b*s.dim:e*s.dim])
+		}
+		for i := b; i < e; i++ {
+			if keep != nil && !keep(i) {
+				continue
+			}
+			var score float64
+			if p.qcode != nil {
+				score = s.scoreApprox(p, i, dots[i-b])
+			} else {
+				score = s.scoreExact(p, i)
+			}
+			if len(t.h) == t.k && score < t.h[0].Score {
+				continue
+			}
+			t.offer(Result{ID: id(i), Score: score})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package vector
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -360,5 +361,120 @@ func TestColStoreSwapRemoveQuantized(t *testing.T) {
 	s.swapRemove(0)
 	if s.n != 0 || len(s.vecs) != 0 || len(s.codes) != 0 {
 		t.Errorf("store not empty after removing all rows: n=%d", s.n)
+	}
+}
+
+// perRowQuantSearch is the row-at-a-time quantized search the blocked
+// kernel replaced — one DotInt8 and one heap offer per row, no early
+// reject, no shards — kept here as the oracle for the scan that runs.
+func perRowQuantSearch(s *colStore, m Metric, q embed.Vector, k int, id func(int) ID) []Result {
+	p := prepare(m, q)
+	p.qcode = make([]int8, s.dim)
+	p.qscale = embed.QuantizeInto(p.qcode, q)
+	short := newTopK(shortlistFor(k))
+	for i := 0; i < s.n; i++ {
+		short.offer(Result{ID: ID(i), Score: s.scoreApprox(&p, i, embed.DotInt8(p.qcode, s.code(i)))})
+	}
+	t := newTopK(k)
+	for _, r := range short.h {
+		t.offer(Result{ID: id(int(r.ID)), Score: s.scoreExact(&p, int(r.ID))})
+	}
+	return t.results()
+}
+
+// The blocked quantized scan must return the per-row scan's []Result —
+// IDs, scores and order — for every metric and k, serial and sharded,
+// at a dimension the kernel covers whole and one it leaves a tail of,
+// and still after swapRemove has shrunk and reshuffled the store.
+func TestBlockedQuantScanMatchesPerRow(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	for _, dim := range []int{128, 40} {
+		const n = 1500 // five full scan blocks and a partial one
+		items := randItems(int64(31+dim), n, dim)
+		s := newColStore(dim, quantOn)
+		ids := make([]ID, n)
+		for i, it := range items {
+			s.appendRow(it.Vec)
+			ids[i] = it.ID + 1000 // ID space distinct from row space
+		}
+		id := func(i int) ID { return ids[i] }
+		check := func(stage string) {
+			t.Helper()
+			for _, m := range []Metric{Cosine, Dot, L2} {
+				for _, k := range []int{1, 10} {
+					for qi := 0; qi < 6; qi++ {
+						q := items[qi*131%n].Vec
+						want := perRowQuantSearch(s, m, q, k, id)
+						for _, parallelMin := range []int{0, 256} { // 1 shard, 4 shards
+							got := s.search(m, q, k, id, nil, parallelMin)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("dim %d %s: metric %v k=%d query %d parallelMin %d:\n got %v\nwant %v",
+									dim, stage, m, k, qi, parallelMin, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		check("full")
+		for r := 0; r < 300; r++ { // shrink from the middle: rows move, blocks no longer align
+			i := (r * 7) % s.n
+			ids[i] = ids[s.n-1]
+			s.swapRemove(i)
+		}
+		check("after swapRemove")
+	}
+}
+
+// Equal scores must not make the result depend on scan shape: copies of
+// one vector tie exactly, the exact scan keeps the lowest IDs, and the
+// sharded scan returns what the serial one does in both modes (the
+// quantized shortlist breaks its ties by row, so its answer is its own).
+func TestScanTieBreakIsShapeIndependent(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const n, dim, k = 1200, 32, 5
+	base := randItems(37, 1, dim)[0].Vec
+	search := func(opts ...FlatOption) []Result {
+		f := NewFlat(dim, Cosine, opts...)
+		for i := n - 1; i >= 0; i-- { // descending IDs: the best ties arrive last
+			if err := f.Add(Item{ID: ID(i), Vec: base}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f.Search(base, k)
+	}
+	exact := search(Exact(), ParallelMin(0))
+	for i, r := range exact {
+		if r.ID != ID(i) {
+			t.Fatalf("tied exact scan returned IDs %v, want 0..%d", resultIDs(exact), k-1)
+		}
+	}
+	if got := search(Exact(), ParallelMin(256)); !reflect.DeepEqual(got, exact) {
+		t.Errorf("tied exact scan: sharded %v, serial %v", got, exact)
+	}
+	if got, want := search(Quantized(), ParallelMin(256)), search(Quantized(), ParallelMin(0)); !reflect.DeepEqual(got, want) {
+		t.Errorf("tied quantized scan: sharded %v, serial %v", got, want)
+	}
+}
+
+// A sharded scan of fewer rows than it has workers for must still cover
+// every row exactly once.
+func TestShardedScanOfTinyStore(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	for n := 1; n <= 9; n++ {
+		items := randItems(41, n, 8)
+		f := NewFlat(8, Dot, Exact(), ParallelMin(1))
+		if err := f.Add(items...); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Search(items[0].Vec, n+1); len(got) != n {
+			t.Errorf("n=%d: sharded search returned %d results: %v", n, len(got), resultIDs(got))
+		}
 	}
 }
