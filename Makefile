@@ -17,12 +17,19 @@ vet:
 # metricname) plus three interprocedural ones (lockorder, reslifecycle,
 # goleak) over the shared call-graph/summary program — run by the
 # llmdm-lint driver, followed by the waiver audit (every //llmdm:
-# annotation must carry a reason). Also usable as a vettool:
+# annotation must carry a reason). Each run type-checks the module
+# (go/types, stdlib from source), which is where the time goes, so the
+# target prints its wall time: a number to watch, recorded per PR in
+# CHANGES.md. Also usable as a vettool:
 # go vet -vettool=bin/llmdm-lint ./...
 lint:
-	$(GO) build -o bin/llmdm-lint ./cmd/llmdm-lint
-	./bin/llmdm-lint ./...
-	./bin/llmdm-lint -waivers ./...
+	@start=$$(date +%s); \
+	set -ex; \
+	$(GO) build -o bin/llmdm-lint ./cmd/llmdm-lint; \
+	./bin/llmdm-lint ./...; \
+	./bin/llmdm-lint -waivers ./...; \
+	set +x; \
+	echo "lint: $$(( $$(date +%s) - start )) s wall"
 
 # The analyzers' own tests: fixture suites plus the in-tree enforcement
 # tests that pin the annotated waiver sites.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -131,6 +132,67 @@ func TestLoadErrorExitCode(t *testing.T) {
 	var buf bytes.Buffer
 	if code := runStandalone(&buf, []string{"./no-such-subtree"}, suite.All(), false); code != 2 {
 		t.Errorf("exit code for bad pattern = %d, want 2", code)
+	}
+
+	// A tree that does not type-check is a load error too, never a clean
+	// report: the analyzers' facts come from the checker.
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module tmpmod\n\ngo 1.22\n",
+		"bad.go": "package tmpmod\n\nfunc f() int {\n\treturn \"not an int\"\n}\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if code := runStandalone(&buf, []string{"./..."}, suite.All(), false); code != 2 {
+		t.Errorf("exit code for a type error = %d, want 2", code)
+	}
+	if _, _, err := loadProgram([]string{"./..."}); err == nil || !strings.Contains(err.Error(), "bad.go:4:") {
+		t.Errorf("load error = %v, want the type error at bad.go:4", err)
+	}
+}
+
+// TestVettoolSmoke runs the binary the way `go vet -vettool` does: each
+// unit type-checks against the export data its .cfg names, the clean
+// package exits 0, and the facts file the driver demands is written.
+func TestVettoolSmoke(t *testing.T) {
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := filepath.Join(t.TempDir(), "llmdm-lint")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building the tool: %v\n%s", err, out)
+	}
+	vet := exec.Command("go", "vet", "-work", "-vettool="+tool, "./internal/token")
+	vet.Dir = root
+	out, err := vet.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go vet -vettool exited with %v, want 0\n%s", err, out)
+	}
+	_, rest, ok := strings.Cut(string(out), "WORK=")
+	if !ok {
+		t.Fatalf("go vet -work did not print its work dir:\n%s", out)
+	}
+	work := strings.TrimSpace(strings.SplitN(rest, "\n", 2)[0])
+	defer os.RemoveAll(work)
+	vetx, _ := filepath.Glob(filepath.Join(work, "*", "vet.out"))
+	if len(vetx) == 0 {
+		t.Fatalf("no vetx file under %s", work)
+	}
+	for _, f := range vetx {
+		if data, err := os.ReadFile(f); err != nil || len(data) == 0 {
+			t.Errorf("vetx file %s: %d bytes, err %v; want the tool's non-empty facts file", f, len(data), err)
+		}
 	}
 }
 

@@ -25,16 +25,20 @@
 // Both should carry a reason; they are grep-able audit points, not
 // blanket waivers.
 //
-// The framework is analysis over syntax only (go/ast, no go/types): the
-// container pins no golang.org/x/tools, so the analyzers are written
-// against names and shapes that are project conventions — which is
-// exactly what they are meant to enforce.
+// The framework is the standard library's own: go/parser for syntax,
+// go/types for meaning. Every loaded package is type-checked (load.go),
+// so an analyzer identifies a function, a lock or a tracked value by its
+// types.Object and never by how the source happens to spell it; what
+// stays name-based is vocabulary that is itself a project convention
+// (a method called Complete moves money, a channel called stop is an
+// exit signal). golang.org/x/tools is not required.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -62,16 +66,20 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Package is one loaded (parsed, not type-checked) Go package.
+// Package is one loaded Go package: parsed and type-checked.
 type Package struct {
 	// Path is the import path ("repro/internal/sched").
 	Path string
 	// Name is the package name ("sched", "main").
 	Name string
+	// Fset is the FileSet every package of the process shares.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, parallel to Filenames.
 	Files     []*ast.File
 	Filenames []string
+	// Types and Info are the checker's results for Files.
+	Types *types.Package
+	Info  *types.Info
 }
 
 // Pass carries one analyzer's run over one package.
@@ -139,14 +147,6 @@ func directiveReason(fields []string) string {
 		break
 	}
 	return strings.Join(fields, " ")
-}
-
-// Witness pairs a token.Pos with its resolved Position. Program-wide
-// analyses need it because each Package carries its own FileSet, so raw
-// Pos values from different packages cannot be compared or sorted.
-type Witness struct {
-	Pos      token.Pos
-	Position token.Position
 }
 
 // Waiver is one //llmdm: annotation site, for the -waivers audit.

@@ -103,17 +103,7 @@ package p
 }
 
 func TestLoadSkipsTestFilesAndTestdata(t *testing.T) {
-	root, err := analysis.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := analysis.Load(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
+	pkgs, _ := loadTree(t)
 	for _, pkg := range pkgs {
 		for _, fn := range pkg.Filenames {
 			if filepath.Base(fn) == "f.go" && pkg.Path == "fixture" {
@@ -126,5 +116,25 @@ func TestLoadSkipsTestFilesAndTestdata(t *testing.T) {
 				t.Errorf("testdata dir leaked into the load: %s", fn)
 			}
 		}
+	}
+
+	// Build constraints select files the way the go tool does: of a
+	// tagged pair declaring the same function only the one that builds
+	// here is loaded — both would not even type-check.
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"impl_fast.go":  "//go:build llmdm_never_set\n\npackage p\n\nfunc impl() int { return 1 }\n",
+		"impl_plain.go": "//go:build !llmdm_never_set\n\npackage p\n\nfunc impl() int { return 2 }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkg, err := analysis.LoadDir(dir, "example.test/p")
+	if err != nil {
+		t.Fatalf("tagged pair: %v", err)
+	}
+	if len(pkg.Filenames) != 1 || filepath.Base(pkg.Filenames[0]) != "impl_plain.go" {
+		t.Errorf("tagged pair loaded %v, want only impl_plain.go", pkg.Filenames)
 	}
 }

@@ -2,8 +2,9 @@
 // its diagnostics against `// want "regexp"` comments, mirroring
 // x/tools' analysistest on the project's stdlib-only framework.
 //
-// A fixture is a directory of plain .go files (under the analyzer's
-// testdata/src/<case>/). Every line expected to produce a diagnostic
+// A fixture is a directory of .go files (under the analyzer's
+// testdata/src/<case>/) that type-checks: it declares or imports what it
+// uses, and a type error fails the test like any load error. Every line expected to produce a diagnostic
 // carries a trailing `// want "re"` comment whose regexp must match the
 // diagnostic message; unexpected diagnostics and unmatched wants both
 // fail the test. A fixture can pin the import path the analyzers see
@@ -20,10 +21,9 @@
 package analysistest
 
 import (
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,7 +36,13 @@ var wantRE = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 // diagnostics against the fixture's want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkgs := loadFixture(t, dir)
+	pkgs, err := analysis.LoadTree(dir, "fixture")
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("analysistest: no fixture files in %s", dir)
+	}
 	prog := analysis.BuildProgram(pkgs)
 
 	var diags []analysis.Diagnostic
@@ -69,7 +75,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 						t.Fatalf("analysistest: %s: bad want regexp %q: %v", fn, unq, err)
 					}
 					line := pkg.Fset.Position(c.Pos()).Line
-					key := fn + ":" + itoa(line)
+					key := fn + ":" + strconv.Itoa(line)
 					wants[key] = append(wants[key], &want{re: re, raw: unq})
 				}
 			}
@@ -77,7 +83,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	}
 
 	for _, d := range diags {
-		key := d.Pos.Filename + ":" + itoa(d.Pos.Line)
+		key := d.Pos.Filename + ":" + strconv.Itoa(d.Pos.Line)
 		matched := false
 		for _, w := range wants[key] {
 			if !w.matched && w.re.MatchString(d.Message) {
@@ -104,60 +110,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	}
 }
 
-// loadFixture loads a fixture directory: flat .go files as one package,
-// or one package per subdirectory (multi-package mode).
-func loadFixture(t *testing.T, dir string) []*analysis.Package {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	var files []string
-	var subdirs []string
-	for _, e := range entries {
-		switch {
-		case e.IsDir():
-			subdirs = append(subdirs, e.Name())
-		case strings.HasSuffix(e.Name(), ".go"):
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(subdirs)
-
-	var pkgs []*analysis.Package
-	if len(files) > 0 {
-		pkg, err := analysis.LoadFiles(files, "fixture")
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	for _, sub := range subdirs {
-		subEntries, err := os.ReadDir(filepath.Join(dir, sub))
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		var subFiles []string
-		for _, e := range subEntries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				subFiles = append(subFiles, filepath.Join(dir, sub, e.Name()))
-			}
-		}
-		if len(subFiles) == 0 {
-			continue
-		}
-		pkg, err := analysis.LoadFiles(subFiles, "fixture/"+sub)
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("analysistest: no fixture files in %s", dir)
-	}
-	return pkgs
-}
-
 // RunClean asserts the analyzer produces zero diagnostics on the fixture
 // directory — the accepted-annotation half of each analyzer's suite.
 func RunClean(t *testing.T, dir string, a *analysis.Analyzer) {
@@ -174,18 +126,4 @@ func Findings(t *testing.T, pkg *analysis.Package, a *analysis.Analyzer, ignoreA
 		t.Fatalf("analysistest: %v", err)
 	}
 	return diags
-}
-
-func itoa(n int) string {
-	var b [12]byte
-	i := len(b)
-	if n == 0 {
-		return "0"
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

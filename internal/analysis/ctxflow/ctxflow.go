@@ -41,41 +41,29 @@ func run(pass *analysis.Pass) error {
 	if pass.IsMain() {
 		return nil
 	}
+	background, todo := pass.Prog.Object("context", "Background"), pass.Prog.Object("context", "TODO")
+	if background == nil {
+		return nil // nothing in the program imports context
+	}
 	pass.EachFile(func(name string, f *ast.File) {
-		ctxNames := contextImportNames(f)
-		if len(ctxNames) == 0 {
-			return
-		}
 		analysis.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkgIdent, ok := sel.X.(*ast.Ident)
-			if !ok || !ctxNames[pkgIdent.Name] {
-				return true
-			}
-			if sel.Sel.Name != "Background" && sel.Sel.Name != "TODO" {
-				return true
-			}
-			if pass.Detached(call.Pos()) {
+			fn := analysis.Callee(pass.Pkg.Info, call)
+			if fn == nil || (fn != background && fn != todo) || pass.Detached(call.Pos()) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
 				"context.%s() in library code: thread ctx from the caller, or annotate a deliberate detached root with //llmdm:detached",
-				sel.Sel.Name)
+				fn.Name())
 			return true
 		})
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkDroppedCtx(pass, fd)
 			}
-			checkDroppedCtx(pass, f, ctxNames, fd)
 		}
 	})
 	return nil
@@ -84,77 +72,16 @@ func run(pass *analysis.Pass) error {
 // checkDroppedCtx reports a function that takes a named ctx parameter,
 // never references it, and whose summary proves the body blocks: the
 // caller's cancellation dies at the signature.
-func checkDroppedCtx(pass *analysis.Pass, f *ast.File, ctxNames map[string]bool, fd *ast.FuncDecl) {
-	var ctxParams []string
-	for _, p := range fd.Type.Params.List {
-		if !isCtxType(ctxNames, p.Type) {
-			continue
-		}
-		for _, name := range p.Names {
-			if name.Name != "_" {
-				ctxParams = append(ctxParams, name.Name)
-			}
-		}
-	}
-	if len(ctxParams) == 0 {
-		return
-	}
-	for _, name := range ctxParams {
-		if identUsed(fd.Body, name) {
-			return
-		}
-	}
+func checkDroppedCtx(pass *analysis.Pass, fd *ast.FuncDecl) {
 	fi := pass.Prog.FuncOf(pass.Pkg, fd)
 	if fi == nil {
 		return
 	}
 	sum := pass.Prog.Summary(fi)
-	if sum == nil || len(sum.Blocking) == 0 {
+	if sum.CtxParam == nil || sum.CtxUsed || len(sum.Blocking) == 0 {
 		return
 	}
 	pass.Reportf(fd.Pos(),
 		"%s accepts %s but never threads it past its blocking work (%s): the caller's cancellation and deadline stop dead here — pass the ctx down or annotate //llmdm:allow ctxflow",
-		fd.Name.Name, ctxParams[0], sum.Blocking[0].What)
-}
-
-// isCtxType matches context.Context under any file-local import name.
-func isCtxType(ctxNames map[string]bool, t ast.Expr) bool {
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Context" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && ctxNames[id.Name]
-}
-
-// identUsed reports whether name is referenced anywhere in body other
-// than as a declaration name.
-func identUsed(body *ast.BlockStmt, name string) bool {
-	used := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			used = true
-		}
-		return !used
-	})
-	return used
-}
-
-// contextImportNames returns the local names under which f imports the
-// context package (usually just "context", but aliases count too).
-func contextImportNames(f *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for _, imp := range f.Imports {
-		if imp.Path.Value != `"context"` {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name != "_" && imp.Name.Name != "." {
-				names[imp.Name.Name] = true
-			}
-			continue
-		}
-		names["context"] = true
-	}
-	return names
+		fd.Name.Name, sum.CtxParam.Name(), sum.Blocking[0].What)
 }

@@ -12,9 +12,12 @@
 //     channel, or from a timer/ticker .C;
 //   - it is a receive from a stop-family channel or a timer .C (the
 //     op *is* the exit wait);
-//   - it is a send on a channel name observed being made with a buffer
-//     anywhere in its package (`make(chan T, n>0)`) — the slot
-//     guarantees the send completes;
+//   - it is a send on a channel variable or field observed being made
+//     with a buffer anywhere in the program (`make(chan T, n>0)`) — the
+//     slot guarantees the send completes;
+//   - it is a receive from such a buffered channel whose elements are
+//     empty structs — a counting semaphore, where the receive is the
+//     release of a token the goroutine's own earlier send put in;
 //   - close(ch), which never blocks.
 //
 // The check is interprocedural: a goroutine body that *calls* a
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 
 	"repro/internal/analysis"
 )
@@ -68,6 +72,7 @@ func run(pass *analysis.Pass) error {
 	if !governed {
 		return nil
 	}
+	obsGo := pass.Prog.Object("repro/internal/obs", "Go")
 	pass.EachFile(func(name string, f *ast.File) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -83,8 +88,8 @@ func run(pass *analysis.Pass) error {
 				case *ast.GoStmt:
 					checkSpawn(pass, fi, n.Call, n.Pos())
 				case *ast.CallExpr:
-					// Managed spawns: obs.Go(reg, name, fn) / reg.Go(name, fn).
-					if isObsGo(n) && len(n.Args) >= 2 {
+					// Managed spawns: obs.Go(reg, name, fn).
+					if fn := analysis.Callee(pass.Pkg.Info, n); fn != nil && fn == obsGo {
 						if lit, ok := n.Args[len(n.Args)-1].(*ast.FuncLit); ok {
 							checkBody(pass, fi, lit.Body)
 						}
@@ -97,12 +102,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isObsGo matches obs.Go(...) / reg.Go(...) spawn helpers.
-func isObsGo(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Go"
-}
-
 // checkSpawn handles a `go` statement: literals are walked directly,
 // named targets are judged by their summaries.
 func checkSpawn(pass *analysis.Pass, encl *analysis.FuncInfo, call *ast.CallExpr, pos token.Pos) {
@@ -110,15 +109,16 @@ func checkSpawn(pass *analysis.Pass, encl *analysis.FuncInfo, call *ast.CallExpr
 		checkBody(pass, encl, lit.Body)
 		return
 	}
-	callee := pass.Prog.Resolve(encl, call)
-	if callee == nil {
-		return // gospawn already demands managed spawns; stay quiet here
-	}
-	if witness := leakWitness(pass.Prog, callee, pass.IgnoreAnnotations); witness != "" {
-		pass.Reportf(pos,
-			"goroutine runs %s, which %s with no guaranteed counterpart and no ctx.Done/stop arm — "+
-				"add an exit arm or annotate //llmdm:allow goleak",
-			callee, witness)
+	// An unresolved target stays quiet here: gospawn already demands
+	// managed spawns.
+	for _, callee := range pass.Prog.Resolve(encl, call) {
+		if witness := leakWitness(pass.Prog, callee, pass.IgnoreAnnotations); witness != "" {
+			pass.Reportf(pos,
+				"goroutine runs %s, which %s with no guaranteed counterpart and no ctx.Done/stop arm — "+
+					"add an exit arm or annotate //llmdm:allow goleak",
+				callee, witness)
+			return
+		}
 	}
 }
 
@@ -128,7 +128,7 @@ func checkSpawn(pass *analysis.Pass, encl *analysis.FuncInfo, call *ast.CallExpr
 func checkBody(pass *analysis.Pass, encl *analysis.FuncInfo, body *ast.BlockStmt) {
 	sum := pass.Prog.SummarizeBlock(encl, body)
 	for _, op := range sum.ChanOps {
-		if opAccepted(pass.Prog, encl.Pkg.Path, op, pass.IgnoreAnnotations) {
+		if opAccepted(pass.Prog, op, pass.IgnoreAnnotations) {
 			continue
 		}
 		verb := "receive from"
@@ -141,31 +141,38 @@ func checkBody(pass *analysis.Pass, encl *analysis.FuncInfo, body *ast.BlockStmt
 			verb, op.Name)
 	}
 	for _, c := range sum.Calls {
-		if c.Callee == nil {
-			continue
-		}
-		if witness := leakWitness(pass.Prog, c.Callee, pass.IgnoreAnnotations); witness != "" {
-			pass.Reportf(c.Pos,
-				"goroutine calls %s, which %s with no guaranteed counterpart and no ctx.Done/stop arm — "+
-					"add an exit arm or annotate //llmdm:allow goleak",
-				c.Callee, witness)
+		for _, callee := range c.Callees {
+			if witness := leakWitness(pass.Prog, callee, pass.IgnoreAnnotations); witness != "" {
+				pass.Reportf(c.Pos,
+					"goroutine calls %s, which %s with no guaranteed counterpart and no ctx.Done/stop arm — "+
+						"add an exit arm or annotate //llmdm:allow goleak",
+					callee, witness)
+				break
+			}
 		}
 	}
 }
 
 // opAccepted applies the non-blocking escape hatches to one channel op.
-func opAccepted(prog *analysis.Program, pkgPath string, op analysis.ChanOp, ignoreAnnots bool) bool {
+func opAccepted(prog *analysis.Program, op analysis.ChanOp, ignoreAnnots bool) bool {
 	if op.Waived && !ignoreAnnots {
 		return true
 	}
 	if op.Send {
-		return prog.BufferedChanName(pkgPath, op.Name)
+		return prog.BufferedChan(op.Chan)
 	}
 	// Receives: waiting on a stop/done channel or a timer IS the exit.
-	if op.Name == "C" || op.Name == "Done" || op.Name == "Err" {
+	if op.Name == "C" || op.Name == "Done" || op.Name == "Err" || analysis.IsStopChanName(op.Name) {
 		return true
 	}
-	return analysis.IsStopChanName(op.Name)
+	// Releasing a semaphore slot.
+	if prog.BufferedChan(op.Chan) {
+		if ch, ok := op.Chan.Type().Underlying().(*types.Chan); ok {
+			elem, ok := ch.Elem().Underlying().(*types.Struct)
+			return ok && elem.NumFields() == 0
+		}
+	}
+	return false
 }
 
 // leakWitness reports a human description of the first unguarded channel
@@ -192,7 +199,7 @@ func leakWitness(prog *analysis.Program, f *analysis.FuncInfo, ignoreAnnots bool
 	witness := ""
 	sum := prog.Summary(f)
 	for _, op := range sum.ChanOps {
-		if opAccepted(prog, f.Pkg.Path, op, ignoreAnnots) {
+		if opAccepted(prog, op, ignoreAnnots) {
 			continue
 		}
 		verb := "receives from"
@@ -203,13 +210,13 @@ func leakWitness(prog *analysis.Program, f *analysis.FuncInfo, ignoreAnnots bool
 		break
 	}
 	if witness == "" {
+	calls:
 		for _, c := range sum.Calls {
-			if c.Callee == nil || c.Callee == f {
-				continue
-			}
-			if sub := leakWitness(prog, c.Callee, ignoreAnnots); sub != "" {
-				witness = fmt.Sprintf("calls %s, which %s", c.Callee, sub)
-				break
+			for _, callee := range c.Callees {
+				if sub := leakWitness(prog, callee, ignoreAnnots); sub != "" {
+					witness = fmt.Sprintf("calls %s, which %s", callee, sub)
+					break calls
+				}
 			}
 		}
 	}

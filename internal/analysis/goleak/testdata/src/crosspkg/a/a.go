@@ -17,3 +17,15 @@ func spawnLeaky(ch chan int) {
 func spawnClean(ctx context.Context, ch chan int) {
 	go fixb.PumpGuarded(ctx, ch)
 }
+
+// A loop variable named like the import is not the import: this
+// PumpForever is quiet's method, which parks nowhere.
+type quiet struct{}
+
+func (quiet) PumpForever(ch chan int) {}
+
+func spawnShadowed(ch chan int) {
+	for _, fixb := range []quiet{{}} {
+		go fixb.PumpForever(ch)
+	}
+}

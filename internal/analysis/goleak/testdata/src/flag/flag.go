@@ -5,11 +5,7 @@
 //llmdm:pkgpath repro/internal/proxy
 package fixture
 
-type spawner struct{}
-
-func (spawner) Go(name string, fn func()) { fn() }
-
-var reg spawner
+import "repro/internal/obs"
 
 func directSend(ch chan int) {
 	go func() {
@@ -25,7 +21,7 @@ func directRecv(data chan int) {
 }
 
 func managedSpawnLeaks(ch chan int) {
-	reg.Go("pump", func() {
+	obs.Go(nil, "pump", func() {
 		ch <- 2 // want "park forever"
 	})
 }

@@ -71,6 +71,21 @@ func timerRecv(tk *ticker) {
 	}()
 }
 
+// A buffered channel of empty structs is a counting semaphore: the
+// receive gives back the slot this goroutine's own send took.
+type limiter struct{ slots chan struct{} }
+
+func newLimiter() *limiter { return &limiter{slots: make(chan struct{}, 4)} }
+
+func (l *limiter) release() { <-l.slots }
+
+func semaphoreRelease(l *limiter) {
+	go func() {
+		l.slots <- struct{}{}
+		l.release()
+	}()
+}
+
 func closeNeverBlocks(ch chan int) {
 	go func() {
 		close(ch)

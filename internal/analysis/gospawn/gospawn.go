@@ -19,13 +19,13 @@
 // `go someFunc()` spawns (no literal) resolve through the program's
 // call graph: if the spawned function's summary proves both properties —
 // it installs a deferred recover() AND references a ctx/stop signal —
-// the spawn is accepted. Unresolvable or unproven named spawns are
+// the spawn is accepted (through an interface: when every implementation
+// in the program proves both). Unresolvable or unproven named spawns are
 // flagged as before: the site must go through obs.Go or be annotated.
 package gospawn
 
 import (
 	"go/ast"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -77,11 +77,12 @@ func run(pass *analysis.Pass) error {
 					checkNamedSpawn(pass, fi, g)
 					return true
 				}
-				if !hasDeferredRecover(lit.Body) {
+				if !analysis.HasDeferredRecover(pass.Pkg.Info, lit.Body) {
 					pass.Reportf(g.Pos(),
 						"goroutine without panic recovery: install `defer func() { recover() ... }()` or spawn through obs.Go")
 				}
-				if !referencesCtxOrStop(lit) {
+				// The literal's parameters count: a ctx handed in is a signal.
+				if !analysis.RefsStopSignal(lit) {
 					pass.Reportf(g.Pos(),
 						"goroutine carries no context or stop/done signal: it can neither be cancelled nor drained on shutdown")
 				}
@@ -97,74 +98,19 @@ func run(pass *analysis.Pass) error {
 // both recovers panics and references a ctx/stop signal, the spawn
 // carries its own containment and is accepted.
 func checkNamedSpawn(pass *analysis.Pass, fi *analysis.FuncInfo, g *ast.GoStmt) {
+	var callees []*analysis.FuncInfo
 	if fi != nil {
-		if callee := pass.Prog.Resolve(fi, g.Call); callee != nil {
-			sum := pass.Prog.Summary(callee)
-			if sum != nil && sum.Recovers && sum.RefsStop {
-				return
-			}
-		}
+		callees = pass.Prog.Resolve(fi, g.Call)
+	}
+	proven := len(callees) > 0
+	for _, callee := range callees {
+		sum := pass.Prog.Summary(callee)
+		proven = proven && sum.Recovers && sum.RefsStop
+	}
+	if proven {
+		return
 	}
 	pass.Reportf(g.Pos(),
 		"bare `go %s(...)` without provable panic recovery and stop signal: spawn through the managed helper obs.Go (panic containment) or annotate //llmdm:allow gospawn",
 		analysis.ExprString(g.Call.Fun))
-}
-
-// hasDeferredRecover reports whether body contains a defer whose
-// function (literal or named) mentions recover().
-func hasDeferredRecover(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
-		}
-		if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "recover" {
-						found = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return found
-}
-
-// referencesCtxOrStop reports whether the goroutine body (or the values
-// it closes over in the call) mentions a context or a stop/done/quit
-// channel — the signals that make it cancellable/drainable.
-func referencesCtxOrStop(lit *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(lit, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if isCtxOrStopName(n.Name) {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if isCtxOrStopName(n.Sel.Name) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-func isCtxOrStopName(name string) bool {
-	switch name {
-	case "ctx", "context", "stop", "done", "quit", "closing", "closed":
-		return true
-	}
-	// upCtx, reqCtx, batchCtx, stopCh, doneCh ...
-	for _, frag := range []string{"Ctx", "ctx", "Stop", "stop", "Done", "done", "Quit", "quit"} {
-		if len(name) > len(frag) && strings.Contains(name, frag) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,0 +1,8 @@
+package fixture
+
+type server struct{}
+
+func (*server) run()    {}
+func (*server) warmup() {}
+
+func use(any) {}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -11,24 +12,33 @@ import (
 	"repro/internal/analysis/suite"
 )
 
-// loadTree loads every package in the module and builds the shared
+// tree loads every package in the module and builds the shared
 // interprocedural program over them — the same shape cmd/llmdm-lint
 // runs, so cross-package summaries (lockorder edges, goleak witnesses,
-// reslifecycle creators) are in scope.
-func loadTree(t *testing.T) ([]*analysis.Package, *analysis.Program) {
-	t.Helper()
+// reslifecycle creators) are in scope. Type-checking the module is the
+// expensive part of this binary, so the tests share one typed Program.
+var tree = sync.OnceValues(func() (*analysis.Program, error) {
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	pkgs, err := analysis.Load(root, []string{"./..."})
 	if err != nil {
+		return nil, err
+	}
+	return analysis.BuildProgram(pkgs), nil
+})
+
+func loadTree(t *testing.T) ([]*analysis.Package, *analysis.Program) {
+	t.Helper()
+	prog, err := tree()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
+	if len(prog.Pkgs) < 10 {
+		t.Fatalf("suspiciously few packages loaded: %d", len(prog.Pkgs))
 	}
-	return pkgs, analysis.BuildProgram(pkgs)
+	return prog.Pkgs, prog
 }
 
 // TestTreeHoldsItsInvariants is the in-tree enforcement test: the full

@@ -3,12 +3,28 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+)
+
+// The process shares one FileSet and one standard-library importer. The
+// source importer type-checks a stdlib package the first time something
+// imports it and caches the result, so every load after the first — the
+// fixtures of one test binary, the lint driver's second pass — pays only
+// for the module's own packages. One FileSet makes a token.Pos from any
+// package (a types.Object declared elsewhere) resolvable and comparable.
+var (
+	fset  = token.NewFileSet()
+	stdMu sync.Mutex // the source importer's cache is not concurrency-safe
+	std   = importer.ForCompiler(fset, "source", nil)
 )
 
 // ModuleRoot walks up from dir to the directory containing go.mod.
@@ -29,21 +45,6 @@ func ModuleRoot(dir string) (string, error) {
 	}
 }
 
-// modulePath reads the module path from root's go.mod.
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("analysis: no module directive in %s/go.mod", root)
-}
-
 // skipDir names directories the loader never descends into: the go tool
 // ignores testdata and _-/.-prefixed dirs, and the rest are not Go
 // source trees.
@@ -52,74 +53,209 @@ func skipDir(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// Load parses the packages under root selected by patterns. Patterns
-// follow the go tool's shape: "./..." (everything under root), "./dir"
-// or "./dir/..." (one subtree), "dir/file.go" is not supported. Test
-// files (_test.go) are excluded: the analyzers govern production code.
+// loader type-checks one group of parsed packages. An import resolves,
+// in order, to a package of the group (checked on demand, so load order
+// does not matter), to a package of the module read from its directory
+// (declarations only: it is a dependency, not an analysis subject), and
+// to the standard library.
+type loader struct {
+	root, mod string // module root and path; both "" outside any module
+	conf      types.Config
+	group     map[string]*Package
+	deps      map[string]*types.Package
+}
+
+// newLoader reads root's go.mod for the module path and language
+// version; root "" gives a loader that resolves only the group and the
+// standard library.
+func newLoader(root string) (*loader, error) {
+	l := &loader{root: root, group: map[string]*Package{}, deps: map[string]*types.Package{}}
+	l.conf.Importer = l
+	if root == "" {
+		return l, nil
+	}
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			continue
+		}
+		switch fields[0] {
+		case "module":
+			l.mod = fields[1]
+		case "go":
+			l.conf.GoVersion = "go" + fields[1]
+		}
+	}
+	if l.mod == "" {
+		return nil, fmt.Errorf("analysis: no module directive in %s/go.mod", root)
+	}
+	return l, nil
+}
+
+// cwdLoader resolves module imports against the module enclosing the
+// working directory — where llmdm-lint and the tests run — for loads
+// that are handed files rather than a module root.
+func cwdLoader() (*loader, error) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		root = ""
+	}
+	return newLoader(root)
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if pkg := l.group[path]; pkg != nil {
+		return pkg.Types, l.check(pkg)
+	}
+	if tp := l.deps[path]; tp != nil {
+		return tp, nil
+	}
+	if l.mod == "" || (path != l.mod && !strings.HasPrefix(path, l.mod+"/")) {
+		stdMu.Lock()
+		defer stdMu.Unlock()
+		return std.Import(path)
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.mod)))
+	pkg, err := parseDir(dir, path)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("analysis: no Go files for %s in %s", path, dir)
+	}
+	conf := l.conf
+	conf.IgnoreFuncBodies = true
+	tp, err := conf.Check(path, fset, pkg.Files, nil)
+	if err != nil {
+		return nil, err
+	}
+	l.deps[path] = tp
+	return tp, nil
+}
+
+// check type-checks a group package once. A type error is returned as
+// the checker words it, file:line:col first.
+func (l *loader) check(pkg *Package) error {
+	switch {
+	case pkg.Types != nil:
+		return nil
+	case pkg.Info != nil:
+		return fmt.Errorf("analysis: import cycle through %s", pkg.Path)
+	}
+	pkg.Info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	tp, err := l.conf.Check(pkg.Path, fset, pkg.Files, pkg.Info)
+	if err != nil {
+		return err
+	}
+	pkg.Types = tp
+	return nil
+}
+
+// checkGroup registers pkgs as the loader's group and type-checks them.
+func (l *loader) checkGroup(pkgs []*Package) ([]*Package, error) {
+	for _, pkg := range pkgs {
+		l.group[pkg.Path] = pkg
+	}
+	for _, pkg := range pkgs {
+		if err := l.check(pkg); err != nil {
+			return nil, err
+		}
+	}
+	return pkgs, nil
+}
+
+// Load parses and type-checks the packages under root selected by
+// patterns. Patterns follow the go tool's shape: "./..." (everything
+// under root), "./dir" or "./dir/..." (one subtree); "dir/file.go" is
+// not supported. Test files (_test.go) and files excluded by build
+// constraints for the host platform are left out: the analyzers govern
+// the production code that builds here. A package that does not
+// type-check is an error.
 func Load(root string, patterns []string) ([]*Package, error) {
-	mod, err := modulePath(root)
+	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	type sel struct {
-		dir       string // relative, cleaned ("." for root)
-		recursive bool
-	}
-	var sels []sel
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = "."
-			}
-		}
-		pat = filepath.Clean(strings.TrimPrefix(pat, "./"))
-		if pat == "..." {
-			pat, recursive = ".", true
-		}
-		sels = append(sels, sel{dir: pat, recursive: recursive})
-	}
-
 	dirs := map[string]bool{}
-	for _, s := range sels {
-		base := filepath.Join(root, s.dir)
-		if !s.recursive {
+	for _, pat := range patterns {
+		rest, recursive := strings.CutSuffix(pat, "/...")
+		if pat == "..." {
+			rest, recursive = ".", true
+		}
+		base := filepath.Join(root, filepath.Clean(strings.TrimPrefix(rest, "./")))
+		if !recursive {
 			dirs[base] = true
 			continue
 		}
-		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			if path != base && skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			dirs[path] = true
-			return nil
-		})
-		if err != nil {
+		if err := walkDirs(base, dirs); err != nil {
 			return nil, err
 		}
 	}
+	return l.loadDirs(root, l.mod, dirs)
+}
 
+// LoadTree loads every package directory under dir as one group whose
+// import paths are rooted at prefix: dir itself is prefix, dir/sub is
+// prefix/sub (a //llmdm:pkgpath pin overrides either). Imports of the
+// enclosing module resolve as for LoadFiles.
+func LoadTree(dir, prefix string) ([]*Package, error) {
+	l, err := cwdLoader()
+	if err != nil {
+		return nil, err
+	}
+	dirs := map[string]bool{}
+	if err := walkDirs(dir, dirs); err != nil {
+		return nil, err
+	}
+	return l.loadDirs(dir, prefix, dirs)
+}
+
+// walkDirs adds base and every directory under it the loader descends
+// into.
+func walkDirs(base string, dirs map[string]bool) error {
+	return filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		if path != base && skipDir(d.Name()) {
+			return filepath.SkipDir
+		}
+		dirs[path] = true
+		return nil
+	})
+}
+
+// loadDirs parses each directory (import path: prefix plus its path
+// below base) and type-checks the lot as one group, in directory order.
+func (l *loader) loadDirs(base, prefix string, dirs map[string]bool) ([]*Package, error) {
 	sorted := make([]string, 0, len(dirs))
 	for d := range dirs {
 		sorted = append(sorted, d)
 	}
 	sort.Strings(sorted)
-
 	var pkgs []*Package
 	for _, dir := range sorted {
-		pkg, err := LoadDir(dir, importPathFor(mod, root, dir))
+		path := prefix
+		if rel, err := filepath.Rel(base, dir); err == nil && rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := parseDir(dir, path)
 		if err != nil {
 			return nil, err
 		}
@@ -127,21 +263,60 @@ func Load(root string, patterns []string) ([]*Package, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
-	return pkgs, nil
+	return l.checkGroup(pkgs)
 }
 
-func importPathFor(mod, root, dir string) string {
-	rel, err := filepath.Rel(root, dir)
-	if err != nil || rel == "." {
-		return mod
-	}
-	return mod + "/" + filepath.ToSlash(rel)
-}
-
-// LoadDir parses one directory's non-test Go files as a Package with the
-// given import path. It returns (nil, nil) when the directory holds no
-// non-test Go files.
+// LoadDir loads one directory's buildable non-test Go files as a Package
+// with the given import path. It returns (nil, nil) when the directory
+// holds none.
 func LoadDir(dir, importPath string) (*Package, error) {
+	pkg, err := parseDir(dir, importPath)
+	if pkg == nil || err != nil {
+		return nil, err
+	}
+	return checkAlone(pkg)
+}
+
+// LoadFiles parses and type-checks the given files as one Package. The
+// package name is taken from the first file; files from a different
+// package (e.g. an external test package) are rejected. Imports of the
+// module enclosing the working directory resolve to its source.
+func LoadFiles(filenames []string, importPath string) (*Package, error) {
+	pkg, err := parseFiles(filenames, importPath)
+	if err != nil {
+		return nil, err
+	}
+	return checkAlone(pkg)
+}
+
+func checkAlone(pkg *Package) (*Package, error) {
+	l, err := cwdLoader()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := l.checkGroup([]*Package{pkg}); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// LoadUnit is LoadFiles for one unit of a build system that has already
+// compiled the dependencies (go vet's .cfg): lookup opens the compiler
+// export data of an import path.
+func LoadUnit(filenames []string, importPath, goVersion string, lookup importer.Lookup) (*Package, error) {
+	pkg, err := parseFiles(filenames, importPath)
+	if err != nil {
+		return nil, err
+	}
+	var l loader
+	l.conf.GoVersion = goVersion
+	l.conf.Importer = importer.ForCompiler(fset, "gc", lookup)
+	return pkg, l.check(pkg)
+}
+
+// parseDir parses the files of dir that build on the host platform,
+// test files aside; (nil, nil) when there are none.
+func parseDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -149,8 +324,12 @@ func LoadDir(dir, importPath string) (*Package, error) {
 	var files []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))
@@ -158,17 +337,13 @@ func LoadDir(dir, importPath string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
-	return LoadFiles(files, importPath)
+	return parseFiles(files, importPath)
 }
 
-// LoadFiles parses the given files as one Package. The package name is
-// taken from the first file; files from a different package (e.g. an
-// external test package) are rejected.
-func LoadFiles(filenames []string, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
+func parseFiles(filenames []string, importPath string) (*Package, error) {
 	pkg := &Package{Path: importPath, Fset: fset}
 	for _, fn := range filenames {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

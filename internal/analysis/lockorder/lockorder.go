@@ -24,17 +24,17 @@
 //
 // Plain edges are *not* findings — layered registries legitimately
 // acquire inner locks under outer ones. Only edges that close a loop
-// are reported. Locks are identified by canonical key
-// ("import/path.Type.field" for struct mutexes, "import/path.name" for
-// package-level ones); locks on locals never enter the global graph.
+// are reported. A lock is the *types.Var of its mutex field or
+// package-level variable; locks on locals never enter the global graph.
 //
 // Escape hatch: //llmdm:allow lockorder <reason> on the witness line.
 package lockorder
 
 import (
 	"fmt"
+	"go/token"
+	"go/types"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -50,140 +50,132 @@ var Analyzer = &analysis.Analyzer{
 
 // edge is one lock-order edge with its witness site.
 type edge struct {
-	from, to string
+	from, to *types.Var
 	pkg      *analysis.Package
-	pos      analysis.Witness
+	pos      token.Pos
 	desc     string
 }
 
-// graph is the program-wide result, memoized in Prog.Stash so the
-// per-package passes share one computation.
-type graph struct {
-	findings []finding
-}
-
+// finding is one diagnostic of the program-wide graph, memoized in
+// Prog.Stash so the per-package passes share one computation.
 type finding struct {
-	pkgPath string
-	pos     analysis.Witness
-	msg     string
+	pkg *analysis.Package
+	pos token.Pos
+	msg string
 }
 
 func run(pass *analysis.Pass) error {
-	g := buildGraph(pass.Prog)
-	for _, f := range g.findings {
-		if f.pkgPath != pass.Pkg.Path {
-			continue
+	for _, f := range findings(pass.Prog) {
+		if f.pkg == pass.Pkg {
+			pass.Reportf(f.pos, "%s", f.msg)
 		}
-		pass.Reportf(f.pos.Pos, "%s", f.msg)
 	}
 	return nil
 }
 
-const stashKey = "lockorder.graph"
+const stashKey = "lockorder.findings"
 
-func buildGraph(prog *analysis.Program) *graph {
-	if g, ok := prog.Stash[stashKey].(*graph); ok {
-		return g
+func findings(prog *analysis.Program) []finding {
+	if fs, ok := prog.Stash[stashKey].([]finding); ok {
+		return fs
 	}
+	name := prog.LockName
 	var edges []edge
 	prog.EachFunc(func(f *analysis.FuncInfo) {
 		sum := prog.Summary(f)
 		for _, a := range sum.Acquires {
-			if a.Key == "" {
+			if a.Lock == nil {
 				continue
 			}
 			for _, h := range a.Held {
-				if h == a.Key {
+				if h == a.Lock {
 					continue // RLock→RLock etc. handled as call self-edges only
 				}
 				edges = append(edges, edge{
-					from: h, to: a.Key, pkg: f.Pkg,
-					pos:  analysis.Witness{Pos: a.Pos, Position: f.Pkg.Fset.Position(a.Pos)},
-					desc: fmt.Sprintf("%s acquires %s while holding %s", f, short(a.Key), short(h)),
+					from: h, to: a.Lock, pkg: f.Pkg, pos: a.Pos,
+					desc: fmt.Sprintf("%s acquires %s while holding %s", f, name(a.Lock), name(h)),
 				})
 			}
 		}
 		for _, c := range sum.Calls {
-			if c.Callee == nil || len(c.Held) == 0 {
+			if len(c.Held) == 0 {
 				continue
 			}
-			for k := range prog.TransitiveAcquires(c.Callee) {
+			acquired := map[*types.Var]bool{}
+			for _, callee := range c.Callees {
+				for k := range prog.TransitiveAcquires(callee) {
+					acquired[k] = true
+				}
+			}
+			for k := range acquired {
 				for _, h := range c.Held {
 					edges = append(edges, edge{
-						from: h, to: k, pkg: f.Pkg,
-						pos: analysis.Witness{Pos: c.Pos, Position: f.Pkg.Fset.Position(c.Pos)},
+						from: h, to: k, pkg: f.Pkg, pos: c.Pos,
 						desc: fmt.Sprintf("%s calls %s while holding %s; the callee's call graph acquires %s",
-							f, c.Expr, short(h), short(k)),
+							f, c.Expr, name(h), name(k)),
 					})
 				}
 			}
 		}
 	})
-	// Deterministic order: witness position, then edge identity.
+	// Deterministic order: witness position, then edge identity (one
+	// FileSet, so positions order across packages).
 	sort.Slice(edges, func(i, j int) bool {
 		a, b := edges[i], edges[j]
-		if a.pos.Position.Filename != b.pos.Position.Filename {
-			return a.pos.Position.Filename < b.pos.Position.Filename
+		if a.pos != b.pos {
+			return a.pos < b.pos
 		}
-		if a.pos.Position.Line != b.pos.Position.Line {
-			return a.pos.Position.Line < b.pos.Position.Line
+		if a.from != b.from {
+			return a.from.Pos() < b.from.Pos()
 		}
-		return a.from+"→"+a.to < b.from+"→"+b.to
+		return a.to.Pos() < b.to.Pos()
 	})
 
-	adj := map[string]map[string]bool{}
+	adj := map[*types.Var]map[*types.Var]bool{}
 	for _, e := range edges {
 		if e.from == e.to {
 			continue // self-edges diagnosed directly below
 		}
 		if adj[e.from] == nil {
-			adj[e.from] = map[string]bool{}
+			adj[e.from] = map[*types.Var]bool{}
 		}
 		adj[e.from][e.to] = true
 	}
 
-	g := &graph{}
-	seen := map[string]bool{} // one report per unordered lock pair / self lock
+	var out []finding
+	seen := map[[2]*types.Var]bool{} // one report per unordered lock pair / self lock
 	for _, e := range edges {
-		if e.from == e.to {
-			key := "self:" + e.from
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			g.findings = append(g.findings, finding{
-				pkgPath: e.pkg.Path,
-				pos:     e.pos,
-				msg: fmt.Sprintf("lock self-cycle on %s: %s — sync mutexes are not reentrant, "+
-					"so this call chain can self-deadlock; restructure or annotate //llmdm:allow lockorder",
-					short(e.from), e.desc),
-			})
+		pair := [2]*types.Var{e.from, e.to}
+		if e.to.Pos() < e.from.Pos() {
+			pair = [2]*types.Var{e.to, e.from}
+		}
+		if seen[pair] {
 			continue
 		}
-		if reachable(adj, e.to, e.from) {
-			key := cycleKey(e.from, e.to)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			g.findings = append(g.findings, finding{
-				pkgPath: e.pkg.Path,
-				pos:     e.pos,
-				msg: fmt.Sprintf("lock-order cycle between %s and %s: %s, and another call path "+
+		switch {
+		case e.from == e.to:
+			seen[pair] = true
+			out = append(out, finding{e.pkg, e.pos,
+				fmt.Sprintf("lock self-cycle on %s: %s — sync mutexes are not reentrant, "+
+					"so this call chain can self-deadlock; restructure or annotate //llmdm:allow lockorder",
+					name(e.from), e.desc)})
+		case reachable(adj, e.to, e.from):
+			seen[pair] = true
+			out = append(out, finding{e.pkg, e.pos,
+				fmt.Sprintf("lock-order cycle between %s and %s: %s, and another call path "+
 					"acquires them in the opposite order — two goroutines can deadlock; pick one "+
 					"global order or annotate //llmdm:allow lockorder",
-					short(e.from), short(e.to), e.desc),
-			})
+					name(e.from), name(e.to), e.desc)})
 		}
 	}
-	prog.Stash[stashKey] = g
-	return g
+	prog.Stash[stashKey] = out
+	return out
 }
 
 // reachable reports whether from reaches to in the edge adjacency.
-func reachable(adj map[string]map[string]bool, from, to string) bool {
-	seen := map[string]bool{}
-	stack := []string{from}
+func reachable(adj map[*types.Var]map[*types.Var]bool, from, to *types.Var) bool {
+	seen := map[*types.Var]bool{}
+	stack := []*types.Var{from}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -199,20 +191,4 @@ func reachable(adj map[string]map[string]bool, from, to string) bool {
 		}
 	}
 	return false
-}
-
-// cycleKey identifies the unordered pair so each two-lock cycle reports
-// once even when witnessed from both directions.
-func cycleKey(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return "cycle:" + a + "|" + b
-}
-
-// short trims the module prefix off a canonical lock key for messages.
-func short(key string) string {
-	key = strings.TrimPrefix(key, "repro/internal/")
-	key = strings.TrimPrefix(key, "repro/")
-	return key
 }

@@ -39,3 +39,30 @@ func reacquire(a *A) {
 	defer a.mu.Unlock()
 	lockA(a) // want "lock self-cycle"
 }
+
+// The second lock is behind an interface: D.mu is held across a call
+// that only C's implementation shows to take C.mu, and cThenD takes
+// them the other way round.
+type C struct{ mu sync.Mutex }
+
+type D struct{ mu sync.Mutex }
+
+type cLocker interface{ lockC() }
+
+func (c *C) lockC() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+}
+
+func dThenC(d *D, l cLocker) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l.lockC() // want "lock-order cycle"
+}
+
+func cThenD(c *C, d *D) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d.mu.Lock()
+	d.mu.Unlock()
+}

@@ -13,10 +13,13 @@
 //   - channel sends and receives (except under a select with a default
 //     clause, which cannot block);
 //   - model-call methods: Complete, Generate, GenerateBatch, Submit;
-//   - time.Sleep, sync.WaitGroup-style .Wait(), and net/http calls;
+//   - time.Sleep, sync.WaitGroup-style .Wait(), and net/http calls
+//     (analysis.Program.BlockingCall is the one vocabulary, shared with
+//     the summaries);
 //   - calls into functions whose summaries carry a direct, unwaived
 //     blocking op (one call-graph level: the blocking op hidden one
-//     frame down is the same serialization bug).
+//     frame down is the same serialization bug) — through an interface,
+//     into any implementation in the program that does.
 //
 // Tracking is a branch-sensitive may-hold approximation (no full CFG):
 // if/select/switch arms are analyzed with cloned lock state, an arm
@@ -31,6 +34,7 @@ package lockscope
 import (
 	"go/ast"
 	"go/token"
+	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
@@ -186,11 +190,11 @@ func (s *scanner) stmt(st ast.Stmt) {
 		if st.Tag != nil {
 			s.expr(st.Tag)
 		}
-		s.mergeArms(caseArms(st.Body), !hasDefaultCase(st.Body))
+		s.mergeArms(analysis.CaseArms(st.Body), !analysis.HasDefault(st.Body))
 	case *ast.TypeSwitchStmt:
 		s.stmt(st.Init)
 		s.stmt(st.Assign)
-		s.mergeArms(caseArms(st.Body), !hasDefaultCase(st.Body))
+		s.mergeArms(analysis.CaseArms(st.Body), !analysis.HasDefault(st.Body))
 	case *ast.SelectStmt:
 		// A select with a default clause cannot block on its comm ops.
 		hasDefault := false
@@ -233,7 +237,7 @@ func (s *scanner) mergeArms(arms [][]ast.Stmt, includePre bool) {
 	for _, arm := range arms {
 		sub := &scanner{pass: s.pass, fi: s.fi, held: cloneState(pre)}
 		sub.stmts(arm)
-		if !terminates(arm) {
+		if !analysis.Terminates(arm) {
 			states = append(states, sub.held)
 		}
 	}
@@ -248,52 +252,12 @@ func (s *scanner) mergeArms(arms [][]ast.Stmt, includePre bool) {
 	s.held = merged
 }
 
-// terminates reports whether a statement list visibly diverges: its last
-// statement is a return, panic, or branch (break/continue/goto).
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.LabeledStmt:
-		return terminates([]ast.Stmt{last.Stmt})
-	case *ast.BlockStmt:
-		return terminates(last.List)
-	}
-	return false
-}
-
 func cloneState(m map[string]token.Position) map[string]token.Position {
 	c := make(map[string]token.Position, len(m))
 	for k, v := range m {
 		c[k] = v
 	}
 	return c
-}
-
-func caseArms(body *ast.BlockStmt) [][]ast.Stmt {
-	var arms [][]ast.Stmt
-	for _, c := range body.List {
-		arms = append(arms, c.(*ast.CaseClause).Body)
-	}
-	return arms
-}
-
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if c.(*ast.CaseClause).List == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // expr scans an expression subtree for blocking operations.
@@ -310,7 +274,7 @@ func (s *scanner) expr(e ast.Expr) {
 				s.blocking(n.Pos(), "channel receive")
 			}
 		case *ast.CallExpr:
-			if verb := blockingCall(n); verb != "" {
+			if verb := s.pass.Prog.BlockingCall(s.pass.Pkg.Info, n); verb != "" {
 				s.blocking(n.Pos(), verb)
 			} else {
 				s.calleeBlocking(n)
@@ -330,44 +294,15 @@ func (s *scanner) calleeBlocking(call *ast.CallExpr) {
 	if len(s.held) == 0 || s.fi == nil {
 		return
 	}
-	callee := s.pass.Prog.Resolve(s.fi, call)
-	if callee == nil {
-		return
-	}
-	sum := s.pass.Prog.Summary(callee)
-	if sum == nil {
-		return
-	}
-	for _, op := range sum.Blocking {
-		if op.Waived && !s.pass.IgnoreAnnotations {
-			continue
+	for _, callee := range s.pass.Prog.Resolve(s.fi, call) {
+		for _, op := range s.pass.Prog.Summary(callee).Blocking {
+			if op.Waived && !s.pass.IgnoreAnnotations {
+				continue
+			}
+			s.blocking(call.Pos(), "call into "+callee.String()+" (which does "+op.What+")")
+			return
 		}
-		s.blocking(call.Pos(), "call into "+callee.String()+" (which does "+op.What+")")
-		return
 	}
-}
-
-// blockingCall classifies a call as one of the forbidden-under-lock
-// operations, returning a description or "".
-func blockingCall(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	switch sel.Sel.Name {
-	case "Complete", "Generate", "GenerateBatch", "Submit":
-		return "model call ." + sel.Sel.Name
-	case "Sleep":
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" {
-			return "time.Sleep"
-		}
-	case "Wait":
-		return analysis.ExprString(sel.X) + ".Wait()"
-	}
-	if id, ok := sel.X.(*ast.Ident); ok && id.Name == "http" {
-		return "net/http call http." + sel.Sel.Name
-	}
-	return ""
 }
 
 func (s *scanner) blocking(pos token.Pos, what string) {
@@ -376,22 +311,8 @@ func (s *scanner) blocking(pos token.Pos, what string) {
 	}
 	var locks []string
 	for recv, at := range s.held {
-		locks = append(locks, recv+" (locked at line "+itoa(at.Line)+")")
+		locks = append(locks, recv+" (locked at line "+strconv.Itoa(at.Line)+")")
 	}
 	s.pass.Reportf(pos, "blocking %s while %s held: move it outside the critical section or annotate //llmdm:allow lockscope",
 		what, strings.Join(locks, ", "))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -5,6 +5,8 @@ package fixture
 import (
 	"sync"
 	"time"
+
+	clock "time"
 )
 
 type store struct {
@@ -30,4 +32,41 @@ func callsSenderUnderLock(st *store, v int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.publish(v) // want "blocking call into fixture\.store\.publish \(which does channel send\)"
+}
+
+// The blocking op is behind an interface: only the implementation's
+// summary shows it.
+type flusher interface{ flush() }
+
+func (st *store) flush() {
+	time.Sleep(time.Millisecond)
+}
+
+func callsThroughInterfaceUnderLock(st *store, f flusher) {
+	st.mu.Lock()
+	f.flush() // want "blocking call into fixture\.store\.flush \(which does time\.Sleep\)"
+	st.mu.Unlock()
+}
+
+// A promoted method is the embedded type's declaration.
+type base struct{ out chan int }
+
+func (b *base) emit(v int) { b.out <- v }
+
+type derived struct {
+	base
+	mu sync.Mutex
+}
+
+func callsPromotedUnderLock(d *derived) {
+	d.mu.Lock()
+	d.emit(1) // want "blocking call into fixture\.base\.emit \(which does channel send\)"
+	d.mu.Unlock()
+}
+
+// time.Sleep is time.Sleep under any import name.
+func sleepsUnderRenamedImport(st *store) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	clock.Sleep(clock.Millisecond) // want "blocking time\.Sleep while st\.mu"
 }

@@ -3,7 +3,10 @@
 // releases, and the //llmdm:allow waiver.
 package fixture
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 type server struct {
 	mu     sync.Mutex
@@ -58,5 +61,18 @@ func armsRelease(s *server, done chan struct{}) {
 func annotatedSend(s *server) {
 	s.mu.Lock()
 	s.ch <- 1 //llmdm:allow lockscope bounded enqueue under the close gate is the design
+	s.mu.Unlock()
+}
+
+// A local that shadows an imported package is not the package: this
+// Sleep is a method of pacer and returns at once.
+type pacer struct{ tick time.Duration }
+
+func (pacer) Sleep(n int) {}
+
+func shadowedPackageName(s *server) {
+	time := pacer{}
+	s.mu.Lock()
+	time.Sleep(1)
 	s.mu.Unlock()
 }

@@ -7,23 +7,18 @@
 // dimensions expressed as label VALUES, which the registry bounds per
 // family.
 //
-// The analyzer inspects every call to a method named Counter, Gauge or
-// Histogram (the obs.Registry handle constructors) and requires the name
-// argument to be:
+// The analyzer inspects every call of (*obs.Registry).Counter, Gauge or
+// Histogram (the handle constructors, matched by method object, so a
+// Counter method on some other type is not its business) and requires
+// the name argument to be a constant expression — a literal, a named
+// constant from any package, or constants folded together — whose value
+// matches ^[a-z][a-z0-9_]*$. The checker decides constness: a name held
+// in a variable, or built by fmt.Sprintf, + on a non-constant, or any
+// call, is reported as dynamic. The obs registry enforces the same
+// grammar at runtime (obs.CheckMetricName).
 //
-//   - a string literal matching ^[a-z][a-z0-9_]*$, or
-//   - an identifier or pkg.Name selector that resolves — through the
-//     program-wide constant index, so constants declared in any loaded
-//     package count — to such a constant; names from packages outside
-//     the program are accepted as presumed constants.
-//
-// Any computed expression — fmt.Sprintf, +, a function call — is
-// reported. The obs registry enforces the same grammar at runtime
-// (obs.CheckMetricName), so a name that sneaks past the presumption
-// still fails fast.
-//
-// The same grammar governs lifecycle event names: calls to a method
-// named Event (the obs.Logger ctx-correlated emitter; name at argument
+// The same grammar governs lifecycle event names: calls of
+// (*obs.Logger).Event (the ctx-correlated emitter; name at argument
 // index 2, after ctx and level) or Emit (the uncorrelated variant; name
 // at index 1, after level) get the identical check, since event names
 // feed the log_events_total counter's level label and the /debug/events
@@ -31,8 +26,8 @@
 // one hop later. This also covers the slo_* families, whose names are
 // plain Counter/Gauge registrations inside the obs SLO tracker.
 //
-// Alert rule names get the same treatment: calls to a method named
-// AddRule (the obs.AlertEngine registration; name at argument index 0)
+// Alert rule names get the same treatment: calls of
+// (*obs.AlertEngine).AddRule (name at argument index 0)
 // must pass a lowercase_snake constant, because rule names become
 // alert_transition event attributes and /v1/alerts vocabulary — and the
 // alert_* / tenant_* metric families registered by the alert engine and
@@ -41,9 +36,9 @@ package metricname
 
 import (
 	"go/ast"
-	"go/token"
+	"go/constant"
+	"go/types"
 	"regexp"
-	"strconv"
 
 	"repro/internal/analysis"
 )
@@ -60,36 +55,60 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
+// nameArg says which argument of an obs method is a name, and of what.
+type nameArg struct {
+	kind string
+	arg  int
+}
+
+// nameMethods are the name-taking methods of repro/internal/obs.
+var nameMethods = []struct {
+	typ, method string
+	nameArg
+}{
+	{"Registry", "Counter", nameArg{"metric", 0}},
+	{"Registry", "Gauge", nameArg{"metric", 0}},
+	{"Registry", "Histogram", nameArg{"metric", 0}},
+	// Logger.Event(ctx, level, name, kv...), Logger.Emit(level, name, kv...).
+	{"Logger", "Event", nameArg{"event", 2}},
+	{"Logger", "Emit", nameArg{"event", 1}},
+	// AlertEngine.AddRule(name, cond, opts...): rule names land in
+	// alert_transition event attributes, the alert_state vocabulary and
+	// /v1/alerts — same charter.
+	{"AlertEngine", "AddRule", nameArg{"alert-rule", 0}},
+}
+
+const stashKey = "metricname.methods"
+
+// methodsOf resolves nameMethods to the program's method objects, once.
+func methodsOf(prog *analysis.Program) map[types.Object]nameArg {
+	if m, ok := prog.Stash[stashKey].(map[types.Object]nameArg); ok {
+		return m
+	}
+	m := map[types.Object]nameArg{}
+	for _, nm := range nameMethods {
+		if obj := prog.Object("repro/internal/obs", nm.typ, nm.method); obj != nil {
+			m[obj] = nm.nameArg
+		}
+	}
+	prog.Stash[stashKey] = m
+	return m
+}
+
 func run(pass *analysis.Pass) error {
-	consts := packageStringConsts(pass)
+	methods := methodsOf(pass.Prog)
 	pass.EachFile(func(name string, f *ast.File) {
 		analysis.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			switch sel.Sel.Name {
-			case "Counter", "Gauge", "Histogram":
-				checkNameArg(pass, f, consts, sel.Sel.Name, "metric", call.Args[0])
-			case "Event":
-				// Logger.Event(ctx, level, name, kv...): name at index 2.
-				if len(call.Args) >= 3 {
-					checkNameArg(pass, f, consts, sel.Sel.Name, "event", call.Args[2])
-				}
-			case "Emit":
-				// Logger.Emit(level, name, kv...): name at index 1.
-				if len(call.Args) >= 2 {
-					checkNameArg(pass, f, consts, sel.Sel.Name, "event", call.Args[1])
-				}
-			case "AddRule":
-				// AlertEngine.AddRule(name, cond, opts...): rule names land
-				// in alert_transition event attributes, the alert_state
-				// vocabulary and /v1/alerts — same charter, name at index 0.
-				checkNameArg(pass, f, consts, sel.Sel.Name, "alert-rule", call.Args[0])
+			fn := analysis.Callee(pass.Pkg.Info, call)
+			if fn == nil {
+				return true
+			}
+			if na, ok := methods[fn]; ok && na.arg < len(call.Args) {
+				checkNameArg(pass, fn.Name(), na.kind, call.Args[na.arg])
 			}
 			return true
 		})
@@ -97,72 +116,24 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkNameArg(pass *analysis.Pass, f *ast.File, consts map[string]string, method, kind string, arg ast.Expr) {
-	switch a := arg.(type) {
-	case *ast.BasicLit:
-		if a.Kind != token.STRING {
-			return // not a registry call shape
-		}
-		name, err := strconv.Unquote(a.Value)
-		if err != nil {
-			return
-		}
-		if !NameRE.MatchString(name) {
-			pass.Reportf(arg.Pos(),
-				"%s %s name %q is not lowercase_snake (want %s)", method, kind, name, NameRE.String())
-		}
-	case *ast.Ident:
-		if lit, ok := consts[a.Name]; ok && !NameRE.MatchString(lit) {
-			pass.Reportf(arg.Pos(),
-				"%s %s name constant %s = %q is not lowercase_snake (want %s)",
-				method, kind, a.Name, lit, NameRE.String())
-		}
-		// Unresolvable identifiers are presumed constants from another
-		// package; the obs runtime guard backstops them.
-	case *ast.SelectorExpr:
-		// pkg.Const: resolve through the program-wide constant index.
-		// Constants from packages outside the program remain presumed
-		// good — the obs runtime guard backstops them.
-		if lit, ok := pass.Prog.ConstStringIn(pass.Pkg.Path, f, a); ok && !NameRE.MatchString(lit) {
-			pass.Reportf(arg.Pos(),
-				"%s %s name constant %s = %q is not lowercase_snake (want %s)",
-				method, kind, analysis.ExprString(a), lit, NameRE.String())
-		}
-	default:
+func checkNameArg(pass *analysis.Pass, method, kind string, arg ast.Expr) {
+	val := pass.Pkg.Info.Types[arg].Value
+	if val == nil {
 		pass.Reportf(arg.Pos(),
 			"%s %s name is built dynamically: use a lowercase_snake string constant and put dynamic dimensions in label values", method, kind)
+		return
 	}
-}
-
-// packageStringConsts collects top-level `const name = "literal"`
-// declarations across the package's files.
-func packageStringConsts(pass *analysis.Pass) map[string]string {
-	consts := map[string]string{}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i >= len(vs.Values) {
-						break
-					}
-					lit, ok := vs.Values[i].(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						continue
-					}
-					if s, err := strconv.Unquote(lit.Value); err == nil {
-						consts[name.Name] = s
-					}
-				}
-			}
-		}
+	name := constant.StringVal(val)
+	if NameRE.MatchString(name) {
+		return
 	}
-	return consts
+	switch arg.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		pass.Reportf(arg.Pos(),
+			"%s %s name constant %s = %q is not lowercase_snake (want %s)",
+			method, kind, analysis.ExprString(arg), name, NameRE.String())
+	default:
+		pass.Reportf(arg.Pos(),
+			"%s %s name %q is not lowercase_snake (want %s)", method, kind, name, NameRE.String())
+	}
 }

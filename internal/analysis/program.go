@@ -1,59 +1,70 @@
 // Program: the interprocedural layer. A Program indexes a group of
-// loaded packages — every function and method declaration, struct field
-// types, package string constants, import graphs — and resolves call
-// sites to their target FuncInfo so analyzers can reason across
-// function and package boundaries.
+// type-checked packages — every function and method declaration by its
+// *types.Func, the named types that can stand behind an interface, the
+// variables observed holding a buffered channel — and resolves call
+// sites to their target FuncInfo so analyzers can reason across function
+// and package boundaries.
 //
-// The framework is syntax-only (no go/types; see the package doc), so
-// resolution is name- and shape-based:
-//
-//   - free functions resolve within their package by identifier, and
-//     across packages through the file's imports (`pkg.Fn` → the import
-//     path's Fn);
-//   - methods resolve through a lightweight local type environment:
-//     receiver and parameter declarations, `var x T`, `x := T{...}`,
-//     `x := f(...)` (using f's declared result type), and field
-//     selectors through the struct index;
-//   - anything else is *unresolved* (Resolve returns nil). Analyzers
-//     must treat unresolved calls conservatively in whatever direction
-//     keeps them quiet: the engine's charter is high-confidence
-//     interprocedural findings, not completeness.
-//
-// Types are canonicalized to "import/path.Name" strings (pointers and
-// parens stripped), so a `*cascade.RunStream` result and a
-// `RunStream` receiver in package cascade meet at the same key.
+// Identity is the checker's: a call resolves through Info.Uses to the
+// object the callee identifier denotes, whatever the import is renamed
+// to and whatever a local shadows; a promoted method resolves to the
+// embedded type's declaration; a lock is the *types.Var of the mutex
+// field or variable. A call through an interface the program declares
+// resolves to every method in the program whose receiver type
+// implements that interface (class-hierarchy resolution: sound for the
+// group, blind to implementers outside it). An interface declared
+// elsewhere (io.Writer, error, types.Importer) is not resolved: most of
+// what it stands for lives outside the program, so the in-program
+// implementers would be a guess, not a call graph. What does not name a
+// declaration of the program — a func value, a builtin, a conversion, a
+// dependency that was not loaded for analysis — is unresolved, and
+// analyzers treat unresolved calls as opaque.
 package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
-	"strconv"
-	"strings"
+	"go/types"
+	"path"
 )
 
 // Program is an indexed group of packages analyzed together.
 type Program struct {
 	Pkgs []*Package
 
-	// funcs: canonical key → declaration. Free functions key as
-	// "pkgpath.Name", methods as "pkgpath.Recv.Name".
-	funcs map[string]*FuncInfo
-	// structs: "pkgpath.Type" → field name → canonical field type.
-	structs map[string]map[string]string
-	// consts: "pkgpath" → const name → string value (for metricname's
-	// cross-package resolution).
-	consts map[string]map[string]string
-	// bufferedChans: "pkgpath" → names (vars or fields) observed being
-	// assigned a buffered `make(chan ..., n>0)` anywhere in the package.
-	bufferedChans map[string]map[string]bool
+	funcs map[*types.Func]*FuncInfo
+	// group are the type-checked packages of Pkgs.
+	group map[*types.Package]bool
+	// imports: every package the group can see, by path (the group
+	// itself and its transitive imports) — where Object looks names up.
+	imports map[string]*types.Package
+	// concrete are the group's package-level non-interface named types,
+	// in package then name order: the candidates behind an interface call.
+	concrete []*types.TypeName
+	impls    map[implKey][]*FuncInfo
+	// buffered: variables and fields observed being assigned a buffered
+	// `make(chan ..., n>0)` anywhere in the group.
+	buffered map[*types.Var]bool
+	// lockNames renders each lock seen by a summary for diagnostics.
+	lockNames map[*types.Var]string
+	// The standard-library objects the summaries are about, looked up
+	// once; nil when the program does not import their package.
+	ctxType, sleep types.Object
+	netHTTP        *types.Package
 
 	summaries map[*FuncInfo]*Summary
-	transAcq  map[*FuncInfo]map[string]bool
+	transAcq  map[*FuncInfo]map[*types.Var]bool
 	annots    map[*ast.File]lineDirectives
-	// Stash lets analyzers memoize program-wide computations (e.g.
-	// reslifecycle's obligation-creator closure) across per-package
-	// passes. Keys are namespaced by analyzer name.
+	// Stash lets analyzers memoize program-wide computations (their seed
+	// objects, lockorder's graph) across per-package passes. Keys are
+	// namespaced by analyzer name.
 	Stash map[string]interface{}
+}
+
+type implKey struct {
+	iface  types.Type
+	method string
 }
 
 // FuncInfo is one function or method declaration in the program.
@@ -61,219 +72,185 @@ type FuncInfo struct {
 	Pkg  *Package
 	File *ast.File
 	Decl *ast.FuncDecl
-	// Name is the bare identifier; Recv the receiver's base type name
-	// ("" for free functions).
-	Name string
-	Recv string
-	// Key is the canonical identity: pkgpath.Name or pkgpath.Recv.Name.
-	Key string
-	// Results are the canonical types of the declared results ("" for
-	// untracked shapes like funcs and maps).
-	Results []string
-
-	env map[string]string // lazily built local type environment
+	Obj  *types.Func
 }
 
 // String returns the human form used in diagnostics: Recv.Name or Name,
 // qualified by the package path's last element.
 func (f *FuncInfo) String() string {
-	short := f.Pkg.Path
-	if i := strings.LastIndex(short, "/"); i >= 0 {
-		short = short[i+1:]
+	name := f.Obj.Name()
+	if recv := f.Obj.Type().(*types.Signature).Recv(); recv != nil {
+		if tn := NamedObj(recv.Type()); tn != nil {
+			name = tn.Name() + "." + name
+		}
 	}
-	if f.Recv != "" {
-		return short + "." + f.Recv + "." + f.Name
-	}
-	return short + "." + f.Name
+	return path.Base(f.Pkg.Path) + "." + name
 }
 
 // BuildProgram indexes the packages as one analysis unit.
 func BuildProgram(pkgs []*Package) *Program {
 	pr := &Program{
-		Pkgs:          pkgs,
-		funcs:         map[string]*FuncInfo{},
-		structs:       map[string]map[string]string{},
-		consts:        map[string]map[string]string{},
-		bufferedChans: map[string]map[string]bool{},
-		summaries:     map[*FuncInfo]*Summary{},
-		transAcq:      map[*FuncInfo]map[string]bool{},
-		annots:        map[*ast.File]lineDirectives{},
-		Stash:         map[string]interface{}{},
+		Pkgs:      pkgs,
+		funcs:     map[*types.Func]*FuncInfo{},
+		group:     map[*types.Package]bool{},
+		imports:   map[string]*types.Package{},
+		impls:     map[implKey][]*FuncInfo{},
+		buffered:  map[*types.Var]bool{},
+		lockNames: map[*types.Var]string{},
+		summaries: map[*FuncInfo]*Summary{},
+		transAcq:  map[*FuncInfo]map[*types.Var]bool{},
+		annots:    map[*ast.File]lineDirectives{},
+		Stash:     map[string]interface{}{},
 	}
 	for _, pkg := range pkgs {
 		pr.indexPackage(pkg)
 	}
+	pr.ctxType, pr.sleep = pr.Object("context", "Context"), pr.Object("time", "Sleep")
+	pr.netHTTP = pr.imports["net/http"]
 	return pr
 }
 
 func (pr *Program) indexPackage(pkg *Package) {
-	consts := map[string]string{}
-	buffered := map[string]bool{}
+	pr.group[pkg.Types] = true
+	pr.addImports(pkg.Types)
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+			pr.concrete = append(pr.concrete, tn)
+		}
+	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				fi := &FuncInfo{Pkg: pkg, File: f, Decl: d, Name: d.Name.Name}
-				if d.Recv != nil && len(d.Recv.List) == 1 {
-					fi.Recv = baseTypeName(d.Recv.List[0].Type)
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				if obj, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+					pr.funcs[obj] = &FuncInfo{Pkg: pkg, File: f, Decl: d, Obj: obj}
 				}
-				fi.Key = funcKey(pkg.Path, fi.Recv, fi.Name)
-				if d.Type.Results != nil {
-					for _, r := range d.Type.Results.List {
-						ct := pr.canonicalType(pkg, f, r.Type)
-						n := len(r.Names)
-						if n == 0 {
-							n = 1
-						}
-						for i := 0; i < n; i++ {
-							fi.Results = append(fi.Results, ct)
-						}
-					}
-				}
-				pr.funcs[fi.Key] = fi
-			case *ast.GenDecl:
-				pr.indexGenDecl(pkg, f, d, consts)
 			}
 		}
-		// Buffered-channel names: any assignment or composite field of a
-		// buffered make(chan ..., n) marks that name as a safe-send slot
-		// package-wide (goleak's "guaranteed counterpart" heuristic).
+		// Buffered channels: an assignment or composite-literal field of a
+		// buffered make(chan ..., n) marks that variable as a safe-send
+		// slot (goleak's "guaranteed counterpart" heuristic).
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, rhs := range n.Rhs {
-					if i < len(n.Lhs) && isBufferedMake(rhs) {
-						buffered[lastName(n.Lhs[i])] = true
+					if i < len(n.Lhs) && isBufferedMake(pkg.Info, rhs) {
+						if v := chanVar(pkg.Info, n.Lhs[i]); v != nil {
+							pr.buffered[v] = true
+						}
 					}
 				}
 			case *ast.KeyValueExpr:
-				if k, ok := n.Key.(*ast.Ident); ok && isBufferedMake(n.Value) {
-					buffered[k.Name] = true
+				if isBufferedMake(pkg.Info, n.Value) {
+					if v := VarOf(pkg.Info, n.Key); v != nil {
+						pr.buffered[v] = true
+					}
 				}
 			}
 			return true
 		})
 	}
-	pr.consts[pkg.Path] = consts
-	pr.bufferedChans[pkg.Path] = buffered
 }
 
-func (pr *Program) indexGenDecl(pkg *Package, f *ast.File, d *ast.GenDecl, consts map[string]string) {
-	for _, spec := range d.Specs {
-		switch s := spec.(type) {
-		case *ast.TypeSpec:
-			st, ok := s.Type.(*ast.StructType)
-			if !ok {
-				continue
-			}
-			fields := map[string]string{}
-			for _, fl := range st.Fields.List {
-				ct := pr.canonicalType(pkg, f, fl.Type)
-				for _, name := range fl.Names {
-					fields[name.Name] = ct
-				}
-			}
-			pr.structs[pkg.Path+"."+s.Name.Name] = fields
-		case *ast.ValueSpec:
-			if d.Tok.String() != "const" {
-				continue
-			}
-			for i, name := range s.Names {
-				if i >= len(s.Values) {
-					break
-				}
-				if lit, ok := s.Values[i].(*ast.BasicLit); ok && lit.Kind.String() == "STRING" {
-					if v, err := strconv.Unquote(lit.Value); err == nil {
-						consts[name.Name] = v
-					}
-				}
-			}
-		}
+func (pr *Program) addImports(tp *types.Package) {
+	if pr.imports[tp.Path()] != nil {
+		return
+	}
+	pr.imports[tp.Path()] = tp
+	for _, imp := range tp.Imports() {
+		pr.addImports(imp)
 	}
 }
 
-func funcKey(pkgPath, recv, name string) string {
-	if recv != "" {
-		return pkgPath + "." + recv + "." + name
+// Object looks up the package-level object name in the package at
+// pkgPath, or — given a member — that named type's method or field. It
+// returns nil when no package of the program imports pkgPath, directly
+// or not: then nothing of that package can occur in the program either.
+// This is how an analyzer's seed table names the objects it is about,
+// once per Program, instead of matching spellings at every site.
+func (pr *Program) Object(pkgPath, name string, member ...string) types.Object {
+	tp := pr.imports[pkgPath]
+	if tp == nil {
+		return nil
 	}
-	return pkgPath + "." + name
+	obj := tp.Scope().Lookup(name)
+	if obj == nil || len(member) == 0 {
+		return obj
+	}
+	m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, tp, member[0])
+	return m
 }
 
-// baseTypeName strips pointers/parens off a receiver or value type and
-// returns the bare identifier ("" for untracked shapes).
-func baseTypeName(e ast.Expr) string {
-	switch e := e.(type) {
+// NamedObj returns the declaring object of t's named type, seeing
+// through pointers and aliases; nil for unnamed types.
+func NamedObj(t types.Type) *types.TypeName {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// VarOf returns the variable an expression denotes — a local, a
+// parameter, a package-level variable, or the struct field a selector
+// ends in — seeing through parens and derefs; nil for anything else.
+func VarOf(info *types.Info, e ast.Expr) *types.Var {
+	var obj types.Object
+	switch e := unwrap(e).(type) {
 	case *ast.Ident:
-		return e.Name
-	case *ast.StarExpr:
-		return baseTypeName(e.X)
-	case *ast.ParenExpr:
-		return baseTypeName(e.X)
+		obj = info.ObjectOf(e)
 	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.IndexExpr: // generic instantiation
-		return baseTypeName(e.X)
+		obj = info.Uses[e.Sel]
 	}
-	return ""
+	if v, ok := obj.(*types.Var); ok {
+		return v.Origin()
+	}
+	return nil
 }
 
-// canonicalType renders a type expression as "import/path.Name".
-// Builtins and untracked shapes (maps, funcs, channels) return "".
-func (pr *Program) canonicalType(pkg *Package, f *ast.File, e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return pr.canonicalType(pkg, f, e.X)
-	case *ast.ParenExpr:
-		return pr.canonicalType(pkg, f, e.X)
-	case *ast.Ident:
-		if isBuiltinType(e.Name) {
-			return ""
-		}
-		return pkg.Path + "." + e.Name
-	case *ast.SelectorExpr:
-		id, ok := e.X.(*ast.Ident)
+// chanVar is the variable holding the channel e denotes; an element of
+// a slice or map of channels goes by its container.
+func chanVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		ix, ok := unwrap(e).(*ast.IndexExpr)
 		if !ok {
-			return ""
+			return VarOf(info, e)
 		}
-		if path, ok := importPath(f, id.Name); ok {
-			return path + "." + e.Sel.Name
-		}
-		return ""
+		e = ix.X
 	}
-	return ""
 }
 
-func isBuiltinType(name string) bool {
-	switch name {
-	case "bool", "string", "error", "byte", "rune", "any",
-		"int", "int8", "int16", "int32", "int64",
-		"uint", "uint8", "uint16", "uint32", "uint64", "uintptr",
-		"float32", "float64", "complex64", "complex128":
-		return true
+// unwrap strips parens and derefs.
+func unwrap(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return e
+		}
 	}
-	return false
 }
 
-// importPath resolves a file-local package identifier to its import
-// path ("llm" → "repro/internal/llm").
-func importPath(f *ast.File, name string) (string, bool) {
-	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		local := path
-		if i := strings.LastIndex(local, "/"); i >= 0 {
-			local = local[i+1:]
-		}
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		if local == name {
-			return path, true
-		}
+// Callee returns the function or method a call statically names, nil
+// for calls of func values, builtins and conversions.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
 	}
-	return "", false
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }
 
 // directivesFor parses (and caches) a file's //llmdm: directives.
@@ -315,70 +292,28 @@ func (pr *Program) Waived(pkg *Package, pos token.Pos, analyzer string) bool {
 
 // FuncOf returns the FuncInfo for a declaration in pkg, or nil.
 func (pr *Program) FuncOf(pkg *Package, decl *ast.FuncDecl) *FuncInfo {
-	recv := ""
-	if decl.Recv != nil && len(decl.Recv.List) == 1 {
-		recv = baseTypeName(decv(decl))
-	}
-	return pr.funcs[funcKey(pkg.Path, recv, decl.Name.Name)]
+	obj, _ := pkg.Info.Defs[decl.Name].(*types.Func)
+	return pr.funcs[obj]
 }
 
-func decv(decl *ast.FuncDecl) ast.Expr { return decl.Recv.List[0].Type }
+// BufferedChan reports whether v was observed being assigned a buffered
+// channel anywhere in the program.
+func (pr *Program) BufferedChan(v *types.Var) bool { return v != nil && pr.buffered[v] }
 
-// Lookup finds a function by canonical key parts.
-func (pr *Program) Lookup(pkgPath, recv, name string) *FuncInfo {
-	return pr.funcs[funcKey(pkgPath, recv, name)]
-}
-
-// ConstString resolves pkg.Name or a bare Name to a string constant
-// declared anywhere in the program.
-func (pr *Program) ConstString(f *FuncInfo, e ast.Expr) (string, bool) {
-	return pr.ConstStringIn(f.Pkg.Path, f.File, e)
-}
-
-// ConstStringIn is ConstString for sites outside any indexed function:
-// it resolves a bare Name against pkgPath's constants and pkg.Name
-// through file's imports into the program-wide constant index.
-func (pr *Program) ConstStringIn(pkgPath string, file *ast.File, e ast.Expr) (string, bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		v, ok := pr.consts[pkgPath][e.Name]
-		return v, ok
-	case *ast.SelectorExpr:
-		id, ok := e.X.(*ast.Ident)
-		if !ok {
-			return "", false
-		}
-		path, ok := importPath(file, id.Name)
-		if !ok {
-			return "", false
-		}
-		v, ok := pr.consts[path][e.Sel.Name]
-		return v, ok
-	}
-	return "", false
-}
-
-// BufferedChanName reports whether name was observed being assigned a
-// buffered channel anywhere in the package.
-func (pr *Program) BufferedChanName(pkgPath, name string) bool {
-	return pr.bufferedChans[pkgPath][name]
-}
-
-func isBufferedMake(e ast.Expr) bool {
+func isBufferedMake(info *types.Info, e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 2 {
 		return false
 	}
-	if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "make" {
+	if id, ok := call.Fun.(*ast.Ident); !ok || info.Uses[id] != types.Universe.Lookup("make") {
 		return false
 	}
-	if _, ok := call.Args[0].(*ast.ChanType); !ok {
+	if _, ok := info.TypeOf(call.Args[0]).Underlying().(*types.Chan); !ok {
 		return false
 	}
-	if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Value == "0" {
-		return false
-	}
-	return true // non-literal sizes presumed intentional buffering
+	// A non-constant size is presumed intentional buffering.
+	size := info.Types[call.Args[1]].Value
+	return size == nil || constant.Sign(size) != 0
 }
 
 func lastName(e ast.Expr) string {
@@ -397,189 +332,56 @@ func lastName(e ast.Expr) string {
 	return ""
 }
 
-// typeEnv builds (and caches) the function's flow-insensitive local
-// type environment: variable name → canonical type.
-func (pr *Program) typeEnv(f *FuncInfo) map[string]string {
-	if f.env != nil {
-		return f.env
-	}
-	env := map[string]string{}
-	d := f.Decl
-	if d.Recv != nil && len(d.Recv.List) == 1 && len(d.Recv.List[0].Names) == 1 {
-		env[d.Recv.List[0].Names[0].Name] = f.Pkg.Path + "." + f.Recv
-	}
-	for _, p := range d.Type.Params.List {
-		ct := pr.canonicalType(f.Pkg, f.File, p.Type)
-		for _, name := range p.Names {
-			env[name.Name] = ct
-		}
-	}
-	if d.Type.Results != nil {
-		for _, r := range d.Type.Results.List {
-			ct := pr.canonicalType(f.Pkg, f.File, r.Type)
-			for _, name := range r.Names {
-				env[name.Name] = ct
-			}
-		}
-	}
-	if d.Body != nil {
-		// Two passes so `x := f(...)` can see types established after it
-		// in source order (rare, but cheap to cover).
-		for i := 0; i < 2; i++ {
-			ast.Inspect(d.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.DeclStmt:
-					gd, ok := n.Decl.(*ast.GenDecl)
-					if !ok {
-						return true
-					}
-					for _, spec := range gd.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok || vs.Type == nil {
-							continue
-						}
-						ct := pr.canonicalType(f.Pkg, f.File, vs.Type)
-						for _, name := range vs.Names {
-							env[name.Name] = ct
-						}
-					}
-				case *ast.AssignStmt:
-					pr.inferAssign(f, env, n)
-				case *ast.RangeStmt:
-					// Untyped; skip.
-				case *ast.TypeSwitchStmt:
-					return false // per-arm types are beyond this env
-				}
-				return true
-			})
-		}
-	}
-	f.env = env
-	return env
-}
-
-func (pr *Program) inferAssign(f *FuncInfo, env map[string]string, a *ast.AssignStmt) {
-	// x, err := call() — single multi-result RHS.
-	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
-		if results := pr.callResults(f, env, a.Rhs[0]); results != nil {
-			for i, lhs := range a.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				if i < len(results) && results[i] != "" {
-					if _, exists := env[id.Name]; !exists {
-						env[id.Name] = results[i]
-					}
-				}
-			}
-		}
-		return
-	}
-	for i, lhs := range a.Lhs {
-		if i >= len(a.Rhs) {
-			break
-		}
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		if _, exists := env[id.Name]; exists {
-			continue
-		}
-		if t := pr.exprType(f, env, a.Rhs[i]); t != "" {
-			env[id.Name] = t
-		}
-	}
-}
-
-// callResults returns the canonical result types of a resolvable call.
-func (pr *Program) callResults(f *FuncInfo, env map[string]string, e ast.Expr) []string {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
+// Resolve maps a call expression inside f to the declarations it can
+// reach: the function or method the callee identifier denotes, or, for
+// a call through an interface declared in the program, every method of
+// the program whose receiver type implements the interface. Nil when
+// the target is not a declaration of the program.
+func (pr *Program) Resolve(f *FuncInfo, call *ast.CallExpr) []*FuncInfo {
+	fn := Callee(f.Pkg.Info, call)
+	if fn == nil {
 		return nil
 	}
-	if callee := pr.resolveWithEnv(f, env, call); callee != nil {
-		return callee.Results
+	if fi := pr.funcs[fn.Origin()]; fi != nil {
+		return []*FuncInfo{fi}
 	}
-	return nil
-}
-
-// exprType infers the canonical type of an expression from the local
-// environment ("" when unknown).
-func (pr *Program) exprType(f *FuncInfo, env map[string]string, e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return env[e.Name]
-	case *ast.UnaryExpr:
-		return pr.exprType(f, env, e.X) // &T{...}
-	case *ast.StarExpr:
-		return pr.exprType(f, env, e.X)
-	case *ast.ParenExpr:
-		return pr.exprType(f, env, e.X)
-	case *ast.CompositeLit:
-		if e.Type != nil {
-			return pr.canonicalType(f.Pkg, f.File, e.Type)
-		}
-	case *ast.TypeAssertExpr:
-		if e.Type != nil {
-			return pr.canonicalType(f.Pkg, f.File, e.Type)
-		}
-	case *ast.SelectorExpr:
-		// x.field through the struct index; or pkg.Var (untracked).
-		base := pr.exprType(f, env, e.X)
-		if base == "" {
-			return ""
-		}
-		return pr.structs[base][e.Sel.Name]
-	case *ast.CallExpr:
-		if results := pr.callResults(f, env, e); len(results) > 0 {
-			return results[0]
-		}
-	case *ast.IndexExpr:
-		return "" // element types untracked
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !pr.group[fn.Pkg()] {
+		return nil
 	}
-	return ""
+	selection := f.Pkg.Info.Selections[sel]
+	if selection == nil || !types.IsInterface(selection.Recv()) {
+		return nil
+	}
+	return pr.implementers(selection.Recv(), fn)
 }
 
-// Resolve maps a call expression inside f to its target declaration, or
-// nil when the target cannot be confidently identified.
-func (pr *Program) Resolve(f *FuncInfo, call *ast.CallExpr) *FuncInfo {
-	return pr.resolveWithEnv(f, pr.typeEnv(f), call)
-}
-
-func (pr *Program) resolveWithEnv(f *FuncInfo, env map[string]string, call *ast.CallExpr) *FuncInfo {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		// Same-package free function — unless shadowed by a local.
-		if _, shadowed := env[fun.Name]; shadowed {
-			return nil
-		}
-		return pr.funcs[funcKey(f.Pkg.Path, "", fun.Name)]
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if _, local := env[id.Name]; !local {
-				if path, ok := importPath(f.File, id.Name); ok {
-					return pr.funcs[funcKey(path, "", fun.Sel.Name)]
-				}
+// implementers lists, memoized, the program's declarations of method
+// for the concrete types that implement iface.
+func (pr *Program) implementers(iface types.Type, method *types.Func) []*FuncInfo {
+	key := implKey{iface, method.Name()}
+	if got, ok := pr.impls[key]; ok {
+		return got
+	}
+	it := iface.Underlying().(*types.Interface)
+	var out []*FuncInfo
+	for _, tn := range pr.concrete {
+		t := tn.Type()
+		if !types.Implements(t, it) {
+			t = types.NewPointer(t)
+			if !types.Implements(t, it) {
+				continue
 			}
 		}
-		recvType := pr.exprType(f, env, fun.X)
-		if recvType == "" {
-			return nil
+		m, _, _ := types.LookupFieldOrMethod(t, false, method.Pkg(), method.Name())
+		if fn, ok := m.(*types.Func); ok {
+			if fi := pr.funcs[fn.Origin()]; fi != nil {
+				out = append(out, fi)
+			}
 		}
-		dot := strings.LastIndex(recvType, ".")
-		if dot < 0 {
-			return nil
-		}
-		return pr.funcs[funcKey(recvType[:dot], recvType[dot+1:], fun.Sel.Name)]
 	}
-	return nil
-}
-
-// TypeOf exposes expression typing to analyzers.
-func (pr *Program) TypeOf(f *FuncInfo, e ast.Expr) string {
-	return pr.exprType(f, pr.typeEnv(f), e)
+	pr.impls[key] = out
+	return out
 }
 
 // EachFunc invokes fn for every function declaration in the program, in
@@ -598,29 +400,25 @@ func (pr *Program) EachFunc(fn func(*FuncInfo)) {
 	}
 }
 
-// TransitiveAcquires returns every canonical lock key f may acquire,
-// directly or through resolvable callees. Memoized and cycle-safe.
-func (pr *Program) TransitiveAcquires(f *FuncInfo) map[string]bool {
+// TransitiveAcquires returns every lock f may acquire, directly or
+// through resolvable callees. Memoized and cycle-safe.
+func (pr *Program) TransitiveAcquires(f *FuncInfo) map[*types.Var]bool {
 	if got, ok := pr.transAcq[f]; ok {
-		if got == nil {
-			return map[string]bool{} // cycle in progress: fixed point below
-		}
-		return got
+		return got // nil while f is in progress: a cycle adds nothing new
 	}
-	pr.transAcq[f] = nil // in-progress marker
-	out := map[string]bool{}
+	pr.transAcq[f] = nil
+	out := map[*types.Var]bool{}
 	sum := pr.Summary(f)
 	for _, a := range sum.Acquires {
-		if a.Key != "" {
-			out[a.Key] = true
+		if a.Lock != nil {
+			out[a.Lock] = true
 		}
 	}
 	for _, c := range sum.Calls {
-		if c.Callee == nil || c.Callee == f {
-			continue
-		}
-		for k := range pr.TransitiveAcquires(c.Callee) {
-			out[k] = true
+		for _, callee := range c.Callees {
+			for k := range pr.TransitiveAcquires(callee) {
+				out[k] = true
+			}
 		}
 	}
 	pr.transAcq[f] = out

@@ -11,10 +11,14 @@
 // it tracks obligations branch-sensitively the same way lockscope
 // tracks held locks.
 //
-// An obligation is born when a call's result carries a tracked type or
-// name (the seed tables below — resolution through the Program layer's
-// call graph, so a wrapper whose declared result is llm.Stream is a
-// creator too). It dies when the value is:
+// An obligation is born when a call's first result has a tracked type
+// (the type seeds below, so a wrapper, an interface method or a creator
+// in another package whose result is llm.Stream all count) or the call
+// is of a tracked creator function (the pooled-scratch accessor, whose
+// result type says nothing). It is bound to the variable that receives
+// it — the *types.Var, so an alias `r2 := resp` is a second binding of
+// the same obligation and shadowing cannot confuse two values. It dies
+// when the value is:
 //
 //   - released: x.Close() / x.Stop() (directly, deferred, or via a
 //     bound method value f := x.Close; defer f()); scratch vectors via
@@ -38,6 +42,9 @@ package reslifecycle
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
@@ -60,56 +67,69 @@ const (
 	kindBody    = "body"    // http response: x.Body.Close()
 )
 
-// typeSeeds: canonical result type → obligation kind + the release the
-// diagnostic names.
-var typeSeeds = map[string]struct{ kind, release string }{
-	"repro/internal/llm.Stream":             {kindStream, "Close"},
-	"repro/internal/core/cascade.RunStream": {kindStream, "Close"},
-	"repro/internal/proxy.Stream":           {kindStream, "Close"},
-	"repro/internal/sched.Scheduler":        {kindCloser, "Close"},
-	"net/http.Response":                     {kindBody, "Body.Close"},
+// seed is what a tracked type or creator puts on the value: the kind
+// and the release the diagnostic names.
+type seed struct{ kind, release string }
+
+// seedNames name the tracked objects: a result type (two names) or a
+// creator method (three). Resolved to types.Objects once per Program.
+var seedNames = []struct {
+	path []string
+	seed
+}{
+	{[]string{"repro/internal/llm", "Stream"}, seed{kindStream, "Close"}},
+	{[]string{"repro/internal/core/cascade", "RunStream"}, seed{kindStream, "Close"}},
+	{[]string{"repro/internal/proxy", "Stream"}, seed{kindStream, "Close"}},
+	{[]string{"repro/internal/sched", "Scheduler"}, seed{kindCloser, "Close"}},
+	{[]string{"net/http", "Response"}, seed{kindBody, "Body.Close"}},
+	{[]string{"repro/internal/embed", "Embedder", "TextScratch"}, seed{kindScratch, "ReleaseScratch"}},
 }
 
-// nameSeeds: callee method/function name → obligation, for creators
-// whose result types the syntactic layer cannot see (interface-typed
-// locals, pooled buffers).
-var nameSeeds = map[string]struct{ kind, release string }{
-	"TextScratch": {kindScratch, "ReleaseScratch"},
-}
+const stashKey = "reslifecycle.seeds"
 
-// httpOpenNames: net/http functions returning *http.Response.
-var httpOpenNames = map[string]bool{
-	"Get": true, "Post": true, "Head": true, "PostForm": true, "Do": true,
+func seedsOf(prog *analysis.Program) map[types.Object]seed {
+	if m, ok := prog.Stash[stashKey].(map[types.Object]seed); ok {
+		return m
+	}
+	m := map[types.Object]seed{}
+	for _, sn := range seedNames {
+		if obj := prog.Object(sn.path[0], sn.path[1], sn.path[2:]...); obj != nil {
+			m[obj] = sn.seed
+		}
+	}
+	prog.Stash[stashKey] = m
+	return m
 }
 
 // releaseNames: method names that satisfy a Close-style obligation.
 var releaseNames = map[string]bool{"Close": true, "Stop": true}
 
 func run(pass *analysis.Pass) error {
+	seeds := seedsOf(pass.Prog)
+	if len(seeds) == 0 {
+		return nil
+	}
 	pass.EachFile(func(name string, f *ast.File) {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				t := &tracker{
+					info: pass.Pkg.Info, seeds: seeds,
+					sink: &sink{pass: pass, reported: map[*obligation]bool{}},
+				}
+				t.scope(fd.Body)
 			}
-			fi := pass.Prog.FuncOf(pass.Pkg, fd)
-			if fi == nil {
-				continue
-			}
-			checkFunc(pass, fi)
 		}
 	})
 	return nil
 }
 
-// obligation is one live release duty bound to a local variable.
+// obligation is one live release duty.
 type obligation struct {
-	name    string // variable holding the value
-	kind    string
-	release string
-	pos     token.Pos // creation site (diagnostic anchor)
-	errVar  string    // paired error result name ("" when none)
-	what    string    // creator description for the message
+	seed
+	holder *types.Var // the variable the creation assigned it to
+	errVar *types.Var // paired error result (nil when none)
+	pos    token.Pos  // creation site (diagnostic anchor)
+	what   string     // creator description for the message
 }
 
 // sink collects leaks across forked branch trackers, deduped per
@@ -124,102 +144,111 @@ func (s *sink) leak(o *obligation, at token.Pos) {
 		return
 	}
 	s.reported[o] = true
-	site := positionString(s.pass.Pkg.Fset.Position(at))
+	p := s.pass.Pkg.Fset.Position(at)
 	s.pass.Reportf(o.pos,
 		"%s carries a %s obligation that is not released on every path "+
-			"(leaks at %s) — release it, hand it off, or annotate //llmdm:allow reslifecycle",
-		o.what, o.release, site)
-}
-
-func positionString(p token.Position) string {
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-func checkFunc(pass *analysis.Pass, fi *analysis.FuncInfo) {
-	t := &tracker{
-		pass: pass, fi: fi,
-		live: map[string]*obligation{},
-		sink: &sink{pass: pass, reported: map[*obligation]bool{}},
-	}
-	t.stmts(fi.Decl.Body.List)
-	t.exit(fi.Decl.Body.End(), nil)
+			"(leaks at %s:%s) — release it, hand it off, or annotate //llmdm:allow reslifecycle",
+		o.what, o.release, filepath.Base(p.Filename), strconv.Itoa(p.Line))
 }
 
 // tracker is the branch-sensitive obligation scanner. It mirrors
 // lockscope's may-hold discipline: clone per arm, drop diverging arms,
 // union survivors — so "live" means live on SOME path, which is exactly
-// leak semantics.
+// leak semantics. bound says which obligation each variable holds;
+// settling an obligation through any of its variables settles it.
 type tracker struct {
-	pass *analysis.Pass
-	fi   *analysis.FuncInfo
-	live map[string]*obligation
-	sink *sink
+	info  *types.Info
+	seeds map[types.Object]seed
+	bound map[*types.Var]*obligation
+	live  map[*obligation]bool
+	sink  *sink
 }
 
-func (t *tracker) fork(pre map[string]*obligation, drop map[string]bool) *tracker {
-	sub := &tracker{pass: t.pass, fi: t.fi, live: cloneLive(pre), sink: t.sink}
-	for name := range drop {
-		sub.discharge(name)
+// scope analyzes one function or literal body as its own obligation
+// scope: fresh state, shared sink.
+func (t *tracker) scope(body *ast.BlockStmt) {
+	sub := &tracker{
+		info: t.info, seeds: t.seeds, sink: t.sink,
+		bound: map[*types.Var]*obligation{}, live: map[*obligation]bool{},
 	}
-	return sub
+	sub.stmts(body.List)
+	sub.exit(body.End(), nil)
+}
+
+func (t *tracker) fork(drop map[*obligation]bool) *tracker {
+	sub := *t
+	sub.bound, sub.live = clone(t.bound), clone(t.live)
+	for o := range drop {
+		delete(sub.live, o)
+	}
+	return &sub
+}
+
+// join replaces the state with the union of the surviving arms'.
+func (t *tracker) join(arms []*tracker) {
+	t.bound, t.live = map[*types.Var]*obligation{}, map[*obligation]bool{}
+	for _, arm := range arms {
+		for v, o := range arm.bound {
+			if _, ok := t.bound[v]; !ok {
+				t.bound[v] = o
+			}
+		}
+		for o := range arm.live {
+			t.live[o] = true
+		}
+	}
+}
+
+// varOf is the variable an identifier expression names, else nil.
+func (t *tracker) varOf(e ast.Expr) *types.Var {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		v, _ := t.info.ObjectOf(id).(*types.Var)
+		return v
+	}
+	return nil
+}
+
+// holds is the live obligation held by the variable e names, else nil.
+func (t *tracker) holds(e ast.Expr) *obligation {
+	if o := t.bound[t.varOf(e)]; o != nil && t.live[o] {
+		return o
+	}
+	return nil
+}
+
+// settleIdents settles every live obligation a variable mentioned in n
+// holds, scratch vectors included only when scratch is set.
+func (t *tracker) settleIdents(n ast.Node, scratch bool) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if o := t.holds(id); o != nil && (scratch || o.kind != kindScratch) {
+				delete(t.live, o)
+			}
+		}
+		return true
+	})
 }
 
 // exit flags every live obligation not escaping via ret (a return
 // statement's results, or nil for fall-off-the-end).
 func (t *tracker) exit(at token.Pos, ret *ast.ReturnStmt) {
-	escaping := map[string]bool{}
+	escaped := map[*obligation]bool{}
 	if ret != nil {
 		for _, res := range ret.Results {
 			ast.Inspect(res, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
-					escaping[id.Name] = true
+					escaped[t.holds(id)] = true
 				}
 				return true
 			})
 		}
 	}
-	// An obligation escapes when any name bound to it does.
-	escaped := map[*obligation]bool{}
-	for name, o := range t.live {
-		if escaping[name] {
-			escaped[o] = true
-		}
-	}
-	for _, o := range t.live {
+	for o := range t.live {
 		if !escaped[o] {
 			t.sink.leak(o, at)
-		}
-	}
-}
-
-// discharge settles the obligation held under name: a release or a
-// hand-off through one name settles every alias of the same value.
-func (t *tracker) discharge(name string) {
-	o, ok := t.live[name]
-	if !ok {
-		return
-	}
-	for alias, other := range t.live {
-		if other == o {
-			delete(t.live, alias)
 		}
 	}
 }
@@ -245,19 +274,19 @@ func (t *tracker) stmt(st ast.Stmt) {
 		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
 			t.scanExpr(lit, false)
 			for _, arg := range st.Call.Args {
-				t.escapeIdents(arg)
+				t.settleIdents(arg, true)
 			}
 		} else {
-			t.escapeIdents(st.Call)
+			t.settleIdents(st.Call, true)
 		}
 	case *ast.SendStmt:
-		t.escapeIdents(st.Value)
+		t.settleIdents(st.Value, true)
 	case *ast.ReturnStmt:
 		for _, res := range st.Results {
 			t.returnExpr(res)
 		}
 		t.exit(st.Pos(), st)
-		t.live = map[string]*obligation{} // path ends here
+		t.live = map[*obligation]bool{} // path ends here
 	case *ast.IfStmt:
 		t.stmt(st.Init)
 		t.exprNoEscape(st.Cond)
@@ -276,10 +305,10 @@ func (t *tracker) stmt(st ast.Stmt) {
 		t.stmts(st.List)
 	case *ast.SwitchStmt:
 		t.stmt(st.Init)
-		t.arms(caseArms(st.Body), !hasDefault(st.Body))
+		t.arms(analysis.CaseArms(st.Body), !analysis.HasDefault(st.Body))
 	case *ast.TypeSwitchStmt:
 		t.stmt(st.Init)
-		t.arms(caseArms(st.Body), !hasDefault(st.Body))
+		t.arms(analysis.CaseArms(st.Body), !analysis.HasDefault(st.Body))
 	case *ast.SelectStmt:
 		var arms [][]ast.Stmt
 		for _, c := range st.Body.List {
@@ -307,8 +336,8 @@ func (t *tracker) stmt(st ast.Stmt) {
 // returnExpr scans one return result: a creator call returned directly
 // is propagation to the caller, not a leak.
 func (t *tracker) returnExpr(e ast.Expr) {
-	if call, ok := stripParens(e).(*ast.CallExpr); ok {
-		if _, _, _, created := t.creates(call); created {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		if _, _, created := t.creates(call); created {
 			for _, arg := range call.Args {
 				t.exprNoEscape(arg)
 			}
@@ -322,7 +351,7 @@ func (t *tracker) returnExpr(e ast.Expr) {
 func (t *tracker) commStmt(st ast.Stmt) {
 	switch st := st.(type) {
 	case *ast.SendStmt:
-		t.escapeIdents(st.Value)
+		t.settleIdents(st.Value, true)
 	case *ast.AssignStmt:
 		t.assign(st)
 	case *ast.ExprStmt:
@@ -333,116 +362,69 @@ func (t *tracker) commStmt(st ast.Stmt) {
 // branchIf runs the two arms with error-guard awareness.
 func (t *tracker) branchIf(st *ast.IfStmt) {
 	thenDrop, elseDrop := t.guardDrops(st.Cond)
-	pre := cloneLive(t.live)
-
-	thenT := t.fork(pre, thenDrop)
+	var survivors []*tracker
+	thenT := t.fork(thenDrop)
 	thenT.stmts(st.Body.List)
-	thenTerm := terminates(st.Body.List)
-
-	merged := map[string]*obligation{}
-	if !thenTerm {
-		for k, v := range thenT.live {
-			merged[k] = v
-		}
+	if !terminates(st.Body.List) {
+		survivors = append(survivors, thenT)
 	}
-	if st.Else == nil {
-		for k, v := range pre {
-			if !elseDrop[k] {
-				if _, ok := merged[k]; !ok {
-					merged[k] = v
-				}
-			}
-		}
-	} else {
-		elseT := t.fork(pre, elseDrop)
-		elseT.stmts([]ast.Stmt{st.Else})
-		if !terminatesStmt(st.Else) {
-			for k, v := range elseT.live {
-				if _, ok := merged[k]; !ok {
-					merged[k] = v
-				}
-			}
-		}
+	elseT := t.fork(elseDrop)
+	if st.Else != nil {
+		elseT.stmt(st.Else)
 	}
-	t.live = merged
+	if st.Else == nil || !terminatesStmt(st.Else) {
+		survivors = append(survivors, elseT)
+	}
+	t.join(survivors)
 }
 
 // guardDrops classifies an if condition: `err != nil` invalidates
 // err-paired obligations in the then arm (that IS the error path, the
 // value is nil there), `err == nil` in the fall-through/else, and
 // likewise nil tests on the obligation variable itself.
-func (t *tracker) guardDrops(cond ast.Expr) (thenDrop, elseDrop map[string]bool) {
-	thenDrop, elseDrop = map[string]bool{}, map[string]bool{}
+func (t *tracker) guardDrops(cond ast.Expr) (thenDrop, elseDrop map[*obligation]bool) {
+	thenDrop, elseDrop = map[*obligation]bool{}, map[*obligation]bool{}
 	bin, ok := cond.(*ast.BinaryExpr)
-	if !ok {
+	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
 		return
 	}
-	id, ok := nilComparand(bin)
-	if !ok {
+	var v *types.Var
+	switch {
+	case t.info.Types[bin.Y].IsNil():
+		v = t.varOf(bin.X)
+	case t.info.Types[bin.X].IsNil():
+		v = t.varOf(bin.Y)
+	}
+	if v == nil {
 		return
 	}
-	for name, o := range t.live {
-		pairedErr := o.errVar != "" && o.errVar == id
-		self := name == id
-		if !pairedErr && !self {
-			continue
-		}
+	for o := range t.live {
+		paired, self := o.errVar == v, t.bound[v] == o
 		switch {
-		case bin.Op == token.NEQ && pairedErr: // if err != nil: value dead in then
-			thenDrop[name] = true
-		case bin.Op == token.EQL && pairedErr: // if err == nil: value dead in else
-			elseDrop[name] = true
-		case bin.Op == token.NEQ && self: // if x != nil: nothing to release in else
-			elseDrop[name] = true
-		case bin.Op == token.EQL && self: // if x == nil: nothing to release in then
-			thenDrop[name] = true
+		case paired && bin.Op == token.NEQ, self && bin.Op == token.EQL:
+			thenDrop[o] = true // if err != nil / if x == nil: no value in then
+		case paired || self:
+			elseDrop[o] = true // if err == nil / if x != nil: no value in else
 		}
 	}
 	return
 }
 
-// nilComparand extracts the ident name from `id OP nil` / `nil OP id`.
-func nilComparand(bin *ast.BinaryExpr) (string, bool) {
-	if isNil(bin.Y) {
-		if id, ok := bin.X.(*ast.Ident); ok {
-			return id.Name, true
-		}
-	}
-	if isNil(bin.X) {
-		if id, ok := bin.Y.(*ast.Ident); ok {
-			return id.Name, true
-		}
-	}
-	return "", false
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
 // arms runs generic branch arms (for/switch/select) and unions
 // surviving states; includePre keeps the not-taken path live.
 func (t *tracker) arms(arms [][]ast.Stmt, includePre bool) {
-	pre := cloneLive(t.live)
-	merged := map[string]*obligation{}
+	var survivors []*tracker
 	if includePre {
-		for k, v := range pre {
-			merged[k] = v
-		}
+		survivors = append(survivors, t.fork(nil))
 	}
 	for _, arm := range arms {
-		sub := t.fork(pre, nil)
+		sub := t.fork(nil)
 		sub.stmts(arm)
 		if !terminates(arm) {
-			for k, v := range sub.live {
-				if _, ok := merged[k]; !ok {
-					merged[k] = v
-				}
-			}
+			survivors = append(survivors, sub)
 		}
 	}
-	t.live = merged
+	t.join(survivors)
 }
 
 // assign handles creations, releases via bound methods, aliases and
@@ -450,12 +432,12 @@ func (t *tracker) arms(arms [][]ast.Stmt, includePre bool) {
 func (t *tracker) assign(a *ast.AssignStmt) {
 	// Creation: one call RHS whose result carries an obligation.
 	if len(a.Rhs) == 1 {
-		if call, ok := stripParens(a.Rhs[0]).(*ast.CallExpr); ok {
-			if kind, release, what, ok := t.creates(call); ok {
+		if call, ok := ast.Unparen(a.Rhs[0]).(*ast.CallExpr); ok {
+			if sd, what, ok := t.creates(call); ok {
 				for _, arg := range call.Args {
 					t.exprNoEscape(arg)
 				}
-				t.bind(a, call, kind, release, what)
+				t.bind(a, call, sd, what)
 				return
 			}
 		}
@@ -463,112 +445,97 @@ func (t *tracker) assign(a *ast.AssignStmt) {
 	for _, rhs := range a.Rhs {
 		// f := x.Close — binding a release method discharges x (the
 		// binding exists to be called; analysistest keeps this honest).
-		if sel, ok := stripParens(rhs).(*ast.SelectorExpr); ok && releaseNames[sel.Sel.Name] {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if _, live := t.live[id.Name]; live {
-					t.discharge(id.Name)
-					continue
-				}
+		if sel, ok := ast.Unparen(rhs).(*ast.SelectorExpr); ok && releaseNames[sel.Sel.Name] {
+			if o := t.holds(sel.X); o != nil {
+				delete(t.live, o)
+				continue
 			}
 		}
 		t.expr(rhs)
 	}
 	for i, lhs := range a.Lhs {
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if l.Name == "_" {
+		v := t.varOf(lhs)
+		if _, ok := lhs.(*ast.Ident); !ok || (v != nil && v.Parent() == v.Pkg().Scope()) {
+			// Store into a field/map/slice/pointer/global: ownership escapes.
+			if i < len(a.Rhs) {
+				t.settleIdents(a.Rhs[i], true)
+			}
+			continue
+		}
+		if v == nil {
+			continue // the blank identifier
+		}
+		if i < len(a.Rhs) {
+			if o := t.holds(a.Rhs[i]); o != nil {
+				t.bound[v] = o // alias: a second variable holding the value
 				continue
 			}
-			if i < len(a.Rhs) {
-				if id, ok := stripParens(a.Rhs[i]).(*ast.Ident); ok {
-					if o, live := t.live[id.Name]; live {
-						// Alias: both names reach the value; track it under the
-						// new name too (discharge settles them together).
-						t.live[l.Name] = o
-						continue
-					}
-				}
-			}
-			// Rebinding a name forgets its old obligation only when it was
-			// the same value being nil-ed out after an explicit release —
-			// otherwise keep the duty alive under its obligation identity.
-			if o, live := t.live[l.Name]; live && o.name == l.Name {
-				// Overwritten while live: the old value is unreachable now.
-				t.sink.leak(o, a.Pos())
-			}
-			delete(t.live, l.Name)
-		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			// Store into a field/map/slice/pointer: ownership escapes.
-			if i < len(a.Rhs) {
-				t.escapeIdents(a.Rhs[i])
-			}
-			_ = l
 		}
+		// Overwriting the variable an obligation was created into while
+		// it is live makes the old value unreachable.
+		if o := t.holds(lhs); o != nil && o.holder == v {
+			t.sink.leak(o, a.Pos())
+			delete(t.live, o)
+		}
+		delete(t.bound, v)
 	}
 }
 
-// bind attaches a new obligation to the assignment's value LHS.
-func (t *tracker) bind(a *ast.AssignStmt, call *ast.CallExpr, kind, release, what string) {
-	errVar := ""
-	var valueIdent *ast.Ident
-	allFields := true
-	for _, lhs := range a.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			continue // field/index target: escaped at birth
-		}
-		allFields = false
-		if strings.HasPrefix(id.Name, "err") {
-			errVar = id.Name
-			continue
-		}
-		if id.Name != "_" && valueIdent == nil {
-			valueIdent = id
+// bind attaches the new obligation to what receives the call's first
+// result — the tracked one; an error-typed variable among the rest is
+// its paired error.
+func (t *tracker) bind(a *ast.AssignStmt, call *ast.CallExpr, sd seed, what string) {
+	o := &obligation{seed: sd, pos: call.Pos(), what: what}
+	for _, lhs := range a.Lhs[1:] {
+		if v := t.varOf(lhs); v != nil && types.Identical(v.Type(), types.Universe.Lookup("error").Type()) {
+			o.errVar = v
 		}
 	}
-	if allFields {
-		return // s.stream, s.err = open(): stored, not ours to track
+	if _, ok := a.Lhs[0].(*ast.Ident); !ok {
+		return // s.stream, err = open(): stored at birth, not ours to track
 	}
-	if valueIdent == nil {
+	if o.holder = t.varOf(a.Lhs[0]); o.holder == nil {
 		// `_, err := open()` — deliberate discard still leaks the value
 		// for kinds with no finalizer to save them.
-		if kind == kindStream || kind == kindScratch {
-			o := &obligation{kind: kind, release: release, pos: call.Pos(), what: what}
+		if sd.kind == kindStream || sd.kind == kindScratch {
 			t.sink.leak(o, call.Pos())
 		}
 		return
 	}
-	t.live[valueIdent.Name] = &obligation{
-		name: valueIdent.Name, kind: kind, release: release,
-		pos: call.Pos(), errVar: errVar, what: what,
+	// Re-creating into the same variable (`s, err = open()` in a retry)
+	// takes the variable over from the value it held.
+	if old := t.bound[o.holder]; old != nil && old.holder == o.holder {
+		delete(t.live, old)
 	}
+	t.bound[o.holder], t.live[o] = o, true
 }
 
-// creates classifies a call as an obligation creator.
-func (t *tracker) creates(call *ast.CallExpr) (kind, release, what string, ok bool) {
-	if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-		if s, hit := nameSeeds[sel.Sel.Name]; hit {
-			return s.kind, s.release, "scratch vector from ." + sel.Sel.Name, true
+// creates classifies a call as an obligation creator: a seeded creator
+// function, or any function or method whose first result has a seeded
+// type.
+func (t *tracker) creates(call *ast.CallExpr) (sd seed, what string, ok bool) {
+	if tv := t.info.Types[call.Fun]; tv.IsType() || tv.IsBuiltin() {
+		return sd, "", false
+	}
+	from := " from " + analysis.ExprString(call.Fun) + "()"
+	if fn := analysis.Callee(t.info, call); fn != nil {
+		if sd, ok = t.seeds[fn.Origin()]; ok {
+			return sd, "scratch vector" + from, true
 		}
-		if id, isID := sel.X.(*ast.Ident); isID && id.Name == "http" && httpOpenNames[sel.Sel.Name] {
-			return kindBody, "Body.Close", "http response from http." + sel.Sel.Name, true
+	}
+	typ := t.info.TypeOf(call)
+	if tuple, isTuple := typ.(*types.Tuple); isTuple {
+		if tuple.Len() == 0 {
+			return sd, "", false
+		}
+		typ = tuple.At(0).Type()
+	}
+	if tn := analysis.NamedObj(typ); tn != nil {
+		if sd, ok = t.seeds[tn]; ok {
+			return sd, tn.Pkg().Name() + "." + tn.Name() + from, true
 		}
 	}
-	callee := t.pass.Prog.Resolve(t.fi, call)
-	if callee == nil || len(callee.Results) == 0 {
-		return "", "", "", false
-	}
-	if s, hit := typeSeeds[callee.Results[0]]; hit {
-		return s.kind, s.release, shortType(callee.Results[0]) + " from " + callee.String(), true
-	}
-	return "", "", "", false
-}
-
-func shortType(key string) string {
-	if i := strings.LastIndexByte(key, '/'); i >= 0 {
-		key = key[i+1:]
-	}
-	return key
+	return sd, "", false
 }
 
 // deferred applies a deferred call: releases discharge for the whole
@@ -584,13 +551,11 @@ func (t *tracker) deferred(call *ast.CallExpr) {
 			}
 			return true
 		})
-		t.litScope(lit)
+		t.scope(lit.Body)
 		return
 	}
-	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) == 0 {
-		// defer f() where f was a bound release: discharged at binding.
-		_ = id
-		return
+	if _, ok := call.Fun.(*ast.Ident); ok && len(call.Args) == 0 {
+		return // defer f() where f was a bound release: discharged at binding
 	}
 	t.expr(call)
 }
@@ -617,38 +582,32 @@ func (t *tracker) scanExpr(e ast.Expr, escapes bool) {
 		if t.releaseIn(e) {
 			return
 		}
-		if kind, release, what, ok := t.creates(e); ok {
-			if kind == kindStream || kind == kindScratch {
-				o := &obligation{kind: kind, release: release, pos: e.Pos(), what: what}
-				t.sink.leak(o, e.Pos())
+		if sd, what, ok := t.creates(e); ok {
+			if sd.kind == kindStream || sd.kind == kindScratch {
+				t.sink.leak(&obligation{seed: sd, pos: e.Pos(), what: what}, e.Pos())
 			}
 			return
 		}
 		for _, arg := range e.Args {
-			if lit, ok := stripParens(arg).(*ast.FuncLit); ok {
+			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 				t.scanExpr(lit, false) // captures escape + own scope
 				continue
 			}
 			if escapes {
-				t.escapeArgs(arg)
+				// The callee took custody (a scratch passed down is use,
+				// not release).
+				t.settleIdents(arg, false)
 			} else {
 				t.scanExpr(arg, false)
 			}
 		}
 		t.scanExpr(e.Fun, false)
 	case *ast.FuncLit:
-		// Captured obligations escape into the literal...
-		ast.Inspect(e.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if o, live := t.live[id.Name]; live && o.kind != kindScratch {
-					t.discharge(id.Name)
-				}
-			}
-			return true
-		})
-		// ...and the literal body is its own obligation scope: a stream
-		// opened inside a goroutine must be closed inside it (or escape).
-		t.litScope(e)
+		// Captured obligations escape into the literal, and the literal
+		// body is its own obligation scope: a stream opened inside a
+		// goroutine must be closed inside it (or escape).
+		t.settleIdents(e.Body, false)
+		t.scope(e.Body)
 	case *ast.UnaryExpr:
 		t.scanExpr(e.X, escapes)
 	case *ast.BinaryExpr:
@@ -663,23 +622,15 @@ func (t *tracker) scanExpr(e ast.Expr, escapes bool) {
 		t.scanExpr(e.Index, false)
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
-			t.escapeIdents(el)
+			t.settleIdents(el, true)
 		}
 	case *ast.TypeAssertExpr:
 		t.scanExpr(e.X, false)
 	case *ast.StarExpr:
 		t.scanExpr(e.X, escapes)
 	case *ast.KeyValueExpr:
-		t.escapeIdents(e.Value)
+		t.settleIdents(e.Value, true)
 	}
-}
-
-// litScope analyzes a function literal's body as its own obligation
-// scope (fresh live set, shared sink).
-func (t *tracker) litScope(lit *ast.FuncLit) {
-	sub := &tracker{pass: t.pass, fi: t.fi, live: map[string]*obligation{}, sink: t.sink}
-	sub.stmts(lit.Body.List)
-	sub.exit(lit.Body.End(), nil)
 }
 
 // releaseIn discharges obligations satisfied by this call; reports
@@ -689,96 +640,36 @@ func (t *tracker) releaseIn(call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	if releaseNames[sel.Sel.Name] {
-		switch x := sel.X.(type) {
-		case *ast.Ident:
-			if _, live := t.live[x.Name]; live {
-				t.discharge(x.Name)
-				return true
-			}
-		case *ast.SelectorExpr: // resp.Body.Close()
-			if id, ok := x.X.(*ast.Ident); ok && x.Sel.Name == "Body" {
-				if o, live := t.live[id.Name]; live && o.kind == kindBody {
-					t.discharge(id.Name)
-					return true
-				}
+	var o *obligation
+	switch {
+	case releaseNames[sel.Sel.Name]:
+		o = t.holds(sel.X)
+		if body, ok := sel.X.(*ast.SelectorExpr); ok && body.Sel.Name == "Body" { // resp.Body.Close()
+			if o = t.holds(body.X); o != nil && o.kind != kindBody {
+				o = nil
 			}
 		}
+	case strings.HasPrefix(sel.Sel.Name, "Release"):
+		for _, arg := range call.Args {
+			if h := t.holds(arg); h != nil && h.kind == kindScratch {
+				o = h
+				break
+			}
+		}
+	}
+	if o == nil {
 		return false
 	}
-	if strings.HasPrefix(sel.Sel.Name, "Release") {
-		for _, arg := range call.Args {
-			if id, ok := stripParens(arg).(*ast.Ident); ok {
-				if o, live := t.live[id.Name]; live && o.kind == kindScratch {
-					t.discharge(id.Name)
-					return true
-				}
-			}
-		}
-	}
-	return false
+	delete(t.live, o)
+	return true
 }
 
-// escapeArgs discharges non-scratch tracked values passed as arguments:
-// the callee took custody (a scratch passed down is use, not release).
-func (t *tracker) escapeArgs(arg ast.Expr) {
-	ast.Inspect(arg, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if o, live := t.live[id.Name]; live && o.kind != kindScratch {
-				t.discharge(id.Name)
-			}
-		}
-		return true
-	})
-}
-
-// escapeIdents discharges every tracked value referenced in e (stores,
-// sends, goroutine captures — the value left this function's custody).
-func (t *tracker) escapeIdents(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			t.discharge(id.Name)
-		}
-		return true
-	})
-}
-
-func cloneLive(m map[string]*obligation) map[string]*obligation {
-	c := make(map[string]*obligation, len(m))
+func clone[K comparable, V any](m map[K]V) map[K]V {
+	c := make(map[K]V, len(m))
 	for k, v := range m {
 		c[k] = v
 	}
 	return c
-}
-
-func stripParens(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-func caseArms(body *ast.BlockStmt) [][]ast.Stmt {
-	var arms [][]ast.Stmt
-	for _, c := range body.List {
-		arms = append(arms, c.(*ast.CaseClause).Body)
-	}
-	return arms
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if c.(*ast.CaseClause).List == nil {
-			return true
-		}
-	}
-	return false
 }
 
 func terminates(list []ast.Stmt) bool {

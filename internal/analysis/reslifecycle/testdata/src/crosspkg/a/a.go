@@ -26,3 +26,14 @@ func clean(ctx context.Context) error {
 	defer s.Close()
 	return nil
 }
+
+// The creator is reached through an interface value whose concrete type
+// lives in package b; the result type alone carries the obligation.
+func leaksThroughInterface(ctx context.Context, o fixb.Opener) error {
+	s, err := o.Open(ctx) // want "not released on every path"
+	if err != nil {
+		return err
+	}
+	_ = s
+	return nil
+}

@@ -9,20 +9,17 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/internal/embed"
 	llm "repro/internal/llm"
 )
 
 var errBusy = errors.New("busy")
 
-type vecPool struct{}
-
-func (vecPool) TextScratch(text string) []float32 { return nil }
-
 func open(ctx context.Context) (llm.Stream, error) { return nil, nil }
 
 func tooBusy() bool { return false }
 
-func consume(v []float32) {}
+func consume(v *embed.Vector) {}
 
 // The happy path closes, but the admission-control early return leaks.
 func earlyReturn(ctx context.Context) error {
@@ -44,7 +41,7 @@ func discard(ctx context.Context) error {
 }
 
 // Passing a scratch vector to a consumer is use, not release.
-func scratchLeak(p *vecPool, text string) {
+func scratchLeak(p *embed.Embedder, text string) {
 	v := p.TextScratch(text) // want "not released on every path"
 	consume(v)
 }

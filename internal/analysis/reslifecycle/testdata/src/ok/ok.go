@@ -7,15 +7,12 @@ import (
 	"context"
 	"net/http"
 
+	"repro/internal/embed"
 	llm "repro/internal/llm"
 	sched "repro/internal/sched"
 )
 
-type vecPool struct{}
-
-func (vecPool) TextScratch(text string) []float32  { return nil }
-func (vecPool) ReleaseScratch(v []float32)         {}
-func score(v []float32) float32                    { return 0 }
+func score(v *embed.Vector) float32                { return 0 }
 func open(ctx context.Context) (llm.Stream, error) { return nil, nil }
 func newSched() (*sched.Scheduler, error)          { return nil, nil }
 func register(s llm.Stream)                        {}
@@ -54,6 +51,13 @@ func (h *holder) init(ctx context.Context) {
 	h.s, h.err = open(ctx)
 }
 
+// The stream goes straight into a field; only the error is a local.
+func (h *holder) reopen(ctx context.Context) error {
+	var err error
+	h.s, err = open(ctx)
+	return err
+}
+
 // Store after creation transfers ownership to the holder.
 func stash(ctx context.Context, h *holder) error {
 	s, err := open(ctx)
@@ -61,6 +65,18 @@ func stash(ctx context.Context, h *holder) error {
 		return err
 	}
 	h.s = s
+	return nil
+}
+
+var current llm.Stream
+
+// A package-level variable is a store too, not an alias.
+func stashGlobal(ctx context.Context) error {
+	s, err := open(ctx)
+	if err != nil {
+		return err
+	}
+	current = s
 	return nil
 }
 
@@ -86,14 +102,14 @@ func boundRelease(ctx context.Context) error {
 }
 
 // Scratch vectors die only through a Release*-named call.
-func scratchReleased(p *vecPool, text string) float32 {
+func scratchReleased(p *embed.Embedder, text string) float32 {
 	v := p.TextScratch(text)
 	defer p.ReleaseScratch(v)
 	return score(v)
 }
 
 // Non-deferred release works too.
-func scratchInline(p *vecPool, text string) float32 {
+func scratchInline(p *embed.Embedder, text string) float32 {
 	v := p.TextScratch(text)
 	r := score(v)
 	p.ReleaseScratch(v)

@@ -4,12 +4,14 @@
 //
 // A summary records, for one declaration body:
 //
-//   - Acquires: every mutex acquire with the canonical keys already
-//     held at that point (branch-sensitive may-hold, the same model as
-//     lockscope: cloned arm states, diverging arms discard releases,
+//   - Acquires: every mutex acquire with the locks already held at that
+//     point, each lock being the *types.Var of the mutex field or
+//     package-level variable (branch-sensitive may-hold, the same model
+//     as lockscope: cloned arm states, diverging arms discard releases,
 //     deferred unlocks hold to function end);
-//   - Calls: every call site with its may-held lock set and, when the
-//     target resolves, the callee's FuncInfo — the call-graph edges;
+//   - Calls: every call site with its may-held lock set and the
+//     declarations it resolves to (several, through an interface) — the
+//     call-graph edges;
 //   - Blocking: direct blocking operations in lockscope's vocabulary
 //     (chan ops, Sleep, Wait, model calls, net/http), minus sites
 //     waived with //llmdm:allow lockscope — a waiver's justification
@@ -17,10 +19,9 @@
 //   - ChanOps: channel sends/receives that are *not* guarded by a
 //     select with a default or a ctx.Done()/stop-family arm, minus
 //     //llmdm:allow goleak waivers — goroutine-leak raw material;
-//   - context threading (has a ctx parameter / actually uses it),
-//     deferred recover(), stop-signal references (gospawn's facts);
-//   - Selectors / ReturnsIdents: name-level facts cheap enough to keep
-//     for every function (billmeter's spend-flow sharpening).
+//   - context threading (the first named context.Context parameter and
+//     whether any such parameter is used: ctxflow's facts), deferred
+//     recover(), stop-signal references (gospawn's facts).
 //
 // Function literals are separate execution units and are skipped here;
 // goleak walks goroutine literals directly.
@@ -29,32 +30,36 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"sort"
 	"strings"
 )
 
 // AcquireSite is one mutex acquire.
 type AcquireSite struct {
-	// Key is the canonical lock identity ("pkg/path.Type.field" or
-	// "pkg/path.var"); "" for locks on untracked locals.
-	Key string
+	// Lock is the mutex field or package-level variable acquired; nil
+	// for a lock held in a local, which never enters the global graph.
+	Lock *types.Var
 	// Expr is the source form ("s.mu") for diagnostics.
 	Expr string
 	Pos  token.Pos
 	// Read marks RLock.
 	Read bool
-	// Held are the canonical keys already held at this acquire.
-	Held []string
+	// Held are the locks already held at this acquire, in declaration
+	// order.
+	Held []*types.Var
 }
 
 // CallSite is one call expression with its lock context.
 type CallSite struct {
-	// Callee is the resolved target, nil when unresolved.
-	Callee *FuncInfo
+	// Callees are the resolved targets (see Program.Resolve), nil when
+	// unresolved.
+	Callees []*FuncInfo
 	// Expr renders the call target for diagnostics.
 	Expr string
 	Pos  token.Pos
-	// Held are the canonical lock keys that may be held at the call.
-	Held []string
+	// Held are the locks that may be held at the call.
+	Held []*types.Var
 }
 
 // BlockOp is one direct blocking operation (lockscope vocabulary).
@@ -71,8 +76,11 @@ type BlockOp struct {
 type ChanOp struct {
 	Pos  token.Pos
 	Send bool
-	// Name is the channel's last path element ("out" for it.out).
+	// Name is the channel's last path element ("out" for it.out); Chan
+	// the variable or field holding it (the container, for an element of
+	// a slice or map of channels), nil for a computed channel.
 	Name string
+	Chan *types.Var
 	// Waived: the op carries //llmdm:allow goleak (see BlockOp.Waived).
 	Waived bool
 }
@@ -85,19 +93,15 @@ type Summary struct {
 	Blocking []BlockOp
 	ChanOps  []ChanOp
 
-	// HasCtxParam: declares a context.Context parameter; CtxUsed: that
-	// parameter's name appears in the body.
-	HasCtxParam bool
-	CtxUsed     bool
+	// CtxParam is the first named (non-underscore) context.Context
+	// parameter, nil without one; CtxUsed: the body refers to such a
+	// parameter.
+	CtxParam *types.Var
+	CtxUsed  bool
 	// Recovers: body installs a deferred recover(). RefsStop: body
 	// references a ctx/stop/done-style identifier.
 	Recovers bool
 	RefsStop bool
-
-	// Selectors are all selector names used in the body; ReturnsIdents
-	// the identifiers appearing inside return statements.
-	Selectors     map[string]bool
-	ReturnsIdents map[string]bool
 }
 
 // Summary computes (and caches) f's summary.
@@ -105,49 +109,31 @@ func (pr *Program) Summary(f *FuncInfo) *Summary {
 	if s, ok := pr.summaries[f]; ok {
 		return s
 	}
-	s := &Summary{
-		Func:          f,
-		Selectors:     map[string]bool{},
-		ReturnsIdents: map[string]bool{},
-	}
+	s := &Summary{Func: f}
 	pr.summaries[f] = s
 	d := f.Decl
-	if d.Type.Params != nil {
-		for _, p := range d.Type.Params.List {
-			if pr.canonicalType(f.Pkg, f.File, p.Type) == "context.Context" {
-				s.HasCtxParam = true
-				for _, name := range p.Names {
-					if name.Name != "_" && identUsed(d.Body, name.Name) {
-						s.CtxUsed = true
-					}
-				}
-			}
-		}
-	}
 	if d.Body == nil {
 		return s
 	}
-	s.Recovers = hasDeferredRecoverBody(d.Body)
-	s.RefsStop = refsStopSignal(d.Body)
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectorExpr:
-			s.Selectors[n.Sel.Name] = true
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				ast.Inspect(res, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						s.ReturnsIdents[id.Name] = true
-					}
-					return true
-				})
-			}
+	params := f.Obj.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		p := params.At(i)
+		if p.Name() == "" || p.Name() == "_" || pr.ctxType == nil || NamedObj(p.Type()) != pr.ctxType {
+			continue
 		}
-		return true
-	})
-	w := &sumWalker{pr: pr, f: f, sum: s, held: map[string]token.Pos{}}
+		if s.CtxParam == nil {
+			s.CtxParam = p
+		}
+		ast.Inspect(d.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && f.Pkg.Info.Uses[id] == p {
+				s.CtxUsed = true
+			}
+			return !s.CtxUsed
+		})
+	}
+	s.Recovers = HasDeferredRecover(f.Pkg.Info, d.Body)
+	s.RefsStop = RefsStopSignal(d.Body)
+	w := &sumWalker{pr: pr, f: f, sum: s, held: map[*types.Var]token.Pos{}}
 	w.stmts(d.Body.List)
 	return s
 }
@@ -156,79 +142,37 @@ func (pr *Program) Summary(f *FuncInfo) *Summary {
 // a goroutine literal's body) in f's resolution scope. The result is
 // not cached: literal bodies are not declarations.
 func (pr *Program) SummarizeBlock(f *FuncInfo, body *ast.BlockStmt) *Summary {
-	s := &Summary{
-		Func:          f,
-		Selectors:     map[string]bool{},
-		ReturnsIdents: map[string]bool{},
-	}
-	w := &sumWalker{pr: pr, f: f, sum: s, held: map[string]token.Pos{}}
+	s := &Summary{Func: f}
+	w := &sumWalker{pr: pr, f: f, sum: s, held: map[*types.Var]token.Pos{}}
 	w.stmts(body.List)
 	return s
 }
 
-// LockKeyOf canonicalizes the receiver expression of a Lock/Unlock
-// call: "s.mu" with s typed → "pkg/path.Type.mu"; a bare package-level
-// "mu" → "pkg/path.mu"; locks on untracked locals → "".
-func (pr *Program) LockKeyOf(f *FuncInfo, e ast.Expr) string {
-	env := pr.typeEnv(f)
-	switch e := e.(type) {
-	case *ast.Ident:
-		if _, local := env[e.Name]; local {
-			return ""
-		}
-		if declaredLocally(f, e.Name) {
-			return ""
-		}
-		return f.Pkg.Path + "." + e.Name
-	case *ast.SelectorExpr:
-		if id, ok := e.X.(*ast.Ident); ok {
-			if _, local := env[id.Name]; !local {
-				if path, ok := importPath(f.File, id.Name); ok {
-					return path + "." + e.Sel.Name
-				}
+// lockOf identifies the receiver expression of a Lock/Unlock call: the
+// mutex field ("s.mu") or package-level variable ("mu") it denotes. A
+// mutex in a local or a parameter, or one reached through an index or a
+// call, is nil.
+func (pr *Program) lockOf(info *types.Info, e ast.Expr) *types.Var {
+	v := VarOf(info, e)
+	if v == nil || !(v.IsField() || v.Parent() == v.Pkg().Scope()) {
+		return nil
+	}
+	if _, named := pr.lockNames[v]; !named {
+		name := v.Name()
+		if sel, ok := unwrap(e).(*ast.SelectorExpr); ok && v.IsField() {
+			if tn := NamedObj(info.TypeOf(sel.X)); tn != nil {
+				name = tn.Name() + "." + name
 			}
 		}
-		base := pr.exprType(f, env, e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return pr.LockKeyOf(f, e.X)
-	case *ast.StarExpr:
-		return pr.LockKeyOf(f, e.X)
+		pr.lockNames[v] = v.Pkg().Name() + "." + name
 	}
-	return ""
+	return v
 }
 
-// declaredLocally reports whether name is := or var-declared somewhere
-// in the body (the type env only holds names whose type was inferred).
-func declaredLocally(f *FuncInfo, name string) bool {
-	if f.Decl.Body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				for _, lhs := range n.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name == name {
-						found = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				if id.Name == name {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
+// LockName renders a lock a summary recorded for diagnostics:
+// "pkg.Type.field" for a struct's mutex (the type it was first seen
+// locked through), "pkg.var" for a package-level one.
+func (pr *Program) LockName(v *types.Var) string { return pr.lockNames[v] }
 
 // sumWalker is the branch-sensitive body walk behind Summary. It mirrors
 // lockscope's scanner (same arm-cloning and divergence rules) while
@@ -237,17 +181,18 @@ type sumWalker struct {
 	pr   *Program
 	f    *FuncInfo
 	sum  *Summary
-	held map[string]token.Pos
+	held map[*types.Var]token.Pos
 }
 
-func (w *sumWalker) heldKeys() []string {
+func (w *sumWalker) heldKeys() []*types.Var {
 	if len(w.held) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(w.held))
+	keys := make([]*types.Var, 0, len(w.held))
 	for k := range w.held {
 		keys = append(keys, k)
 	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Pos() < keys[j].Pos() })
 	return keys
 }
 
@@ -321,11 +266,11 @@ func (w *sumWalker) stmt(st ast.Stmt) {
 		if st.Tag != nil {
 			w.expr(st.Tag, false)
 		}
-		w.mergeArms(sumCaseArms(st.Body), !sumHasDefault(st.Body))
+		w.mergeArms(CaseArms(st.Body), !HasDefault(st.Body))
 	case *ast.TypeSwitchStmt:
 		w.stmt(st.Init)
 		w.stmt(st.Assign)
-		w.mergeArms(sumCaseArms(st.Body), !sumHasDefault(st.Body))
+		w.mergeArms(CaseArms(st.Body), !HasDefault(st.Body))
 	case *ast.SelectStmt:
 		guarded := selectIsGuarded(st)
 		var arms [][]ast.Stmt
@@ -357,21 +302,21 @@ func (w *sumWalker) lockStmt(e ast.Expr) bool {
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
-		key := w.pr.LockKeyOf(w.f, sel.X)
+		lock := w.pr.lockOf(w.f.Pkg.Info, sel.X)
 		w.sum.Acquires = append(w.sum.Acquires, AcquireSite{
-			Key:  key,
+			Lock: lock,
 			Expr: ExprString(sel.X),
 			Pos:  call.Pos(),
 			Read: sel.Sel.Name == "RLock",
 			Held: w.heldKeys(),
 		})
-		if key != "" {
-			w.held[key] = call.Pos()
+		if lock != nil {
+			w.held[lock] = call.Pos()
 		}
 		return true
 	case "Unlock", "RUnlock":
-		if key := w.pr.LockKeyOf(w.f, sel.X); key != "" {
-			delete(w.held, key)
+		if lock := w.pr.lockOf(w.f.Pkg.Info, sel.X); lock != nil {
+			delete(w.held, lock)
 		}
 		return true
 	}
@@ -403,7 +348,8 @@ func (w *sumWalker) chanOp(pos token.Pos, send bool, ch ast.Expr, guarded bool) 
 		return
 	}
 	w.sum.ChanOps = append(w.sum.ChanOps, ChanOp{
-		Pos: pos, Send: send, Name: lastName(ch), Waived: w.waived(pos, "goleak"),
+		Pos: pos, Send: send, Name: lastName(ch), Chan: chanVar(w.f.Pkg.Info, ch),
+		Waived: w.waived(pos, "goleak"),
 	})
 	what := "channel receive"
 	if send {
@@ -415,18 +361,18 @@ func (w *sumWalker) chanOp(pos token.Pos, send bool, ch ast.Expr, guarded bool) 
 // mergeArms mirrors lockscope's may-hold union over branch arms.
 func (w *sumWalker) mergeArms(arms [][]ast.Stmt, includePre bool) {
 	pre := cloneHeld(w.held)
-	var states []map[string]token.Pos
+	var states []map[*types.Var]token.Pos
 	if includePre {
 		states = append(states, pre)
 	}
 	for _, arm := range arms {
 		sub := &sumWalker{pr: w.pr, f: w.f, sum: w.sum, held: cloneHeld(pre)}
 		sub.stmts(arm)
-		if !sumTerminates(arm) {
+		if !Terminates(arm) {
 			states = append(states, sub.held)
 		}
 	}
-	merged := map[string]token.Pos{}
+	merged := map[*types.Var]token.Pos{}
 	for _, st := range states {
 		for k, v := range st {
 			if _, ok := merged[k]; !ok {
@@ -455,7 +401,7 @@ func (w *sumWalker) expr(e ast.Expr, lhs bool) {
 			}
 		case *ast.CallExpr:
 			w.recordCall(n)
-			if verb := classifyBlocking(n); verb != "" {
+			if verb := w.pr.BlockingCall(w.f.Pkg.Info, n); verb != "" {
 				w.blocking(n.Pos(), verb)
 			}
 		}
@@ -464,25 +410,21 @@ func (w *sumWalker) expr(e ast.Expr, lhs bool) {
 }
 
 func (w *sumWalker) recordCall(call *ast.CallExpr) {
-	// Lock ops and builtins are not call-graph edges.
+	// Lock ops, builtins and conversions are not call-graph edges.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) == 0 {
 		switch sel.Sel.Name {
 		case "Lock", "RLock", "Unlock", "RUnlock":
 			return
 		}
 	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		switch id.Name {
-		case "make", "len", "cap", "append", "new", "panic", "close", "copy", "delete", "recover",
-			"print", "println", "min", "max", "string", "int", "int64", "float64", "byte":
-			return
-		}
+	if tv := w.f.Pkg.Info.Types[call.Fun]; tv.IsBuiltin() || tv.IsType() {
+		return
 	}
 	w.sum.Calls = append(w.sum.Calls, CallSite{
-		Callee: w.pr.Resolve(w.f, call),
-		Expr:   ExprString(call.Fun),
-		Pos:    call.Pos(),
-		Held:   w.heldKeys(),
+		Callees: w.pr.Resolve(w.f, call),
+		Expr:    ExprString(call.Fun),
+		Pos:     call.Pos(),
+		Held:    w.heldKeys(),
 	})
 }
 
@@ -499,8 +441,13 @@ func (w *sumWalker) waived(pos token.Pos, analyzer string) bool {
 	return w.pr.Waived(w.f.Pkg, pos, analyzer)
 }
 
-// classifyBlocking mirrors lockscope's blocking-call vocabulary.
-func classifyBlocking(call *ast.CallExpr) string {
+// BlockingCall classifies a call as one of the operations that must
+// not run under a lock, returning a description or "": a model call (by
+// method name: Complete, Generate, GenerateBatch, Submit — the
+// project's vocabulary across llm, cascade, sched and proxy), a .Wait(),
+// time.Sleep and the package-level functions of net/http (by object, so
+// under any import name).
+func (pr *Program) BlockingCall(info *types.Info, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
@@ -508,15 +455,18 @@ func classifyBlocking(call *ast.CallExpr) string {
 	switch sel.Sel.Name {
 	case "Complete", "Generate", "GenerateBatch", "Submit":
 		return "model call ." + sel.Sel.Name
-	case "Sleep":
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" {
-			return "time.Sleep"
-		}
 	case "Wait":
 		return ExprString(sel.X) + ".Wait()"
 	}
-	if id, ok := sel.X.(*ast.Ident); ok && id.Name == "http" {
-		return "net/http call http." + sel.Sel.Name
+	fn := Callee(info, call)
+	if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return ""
+	}
+	switch {
+	case fn == pr.sleep:
+		return "time.Sleep"
+	case fn.Pkg() == pr.netHTTP:
+		return "net/http call http." + fn.Name()
 	}
 	return ""
 }
@@ -586,15 +536,16 @@ func IsStopChanName(name string) bool {
 	return false
 }
 
-func cloneHeld(m map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(m))
+func cloneHeld(m map[*types.Var]token.Pos) map[*types.Var]token.Pos {
+	c := make(map[*types.Var]token.Pos, len(m))
 	for k, v := range m {
 		c[k] = v
 	}
 	return c
 }
 
-func sumCaseArms(body *ast.BlockStmt) [][]ast.Stmt {
+// CaseArms lists the clause bodies of a switch or type-switch body.
+func CaseArms(body *ast.BlockStmt) [][]ast.Stmt {
 	var arms [][]ast.Stmt
 	for _, c := range body.List {
 		arms = append(arms, c.(*ast.CaseClause).Body)
@@ -602,7 +553,9 @@ func sumCaseArms(body *ast.BlockStmt) [][]ast.Stmt {
 	return arms
 }
 
-func sumHasDefault(body *ast.BlockStmt) bool {
+// HasDefault reports whether a switch or type-switch body has a default
+// clause.
+func HasDefault(body *ast.BlockStmt) bool {
 	for _, c := range body.List {
 		if c.(*ast.CaseClause).List == nil {
 			return true
@@ -611,7 +564,9 @@ func sumHasDefault(body *ast.BlockStmt) bool {
 	return false
 }
 
-func sumTerminates(list []ast.Stmt) bool {
+// Terminates reports whether a statement list visibly diverges: its
+// last statement is a return, panic, or branch (break/continue/goto).
+func Terminates(list []ast.Stmt) bool {
 	if len(list) == 0 {
 		return false
 	}
@@ -625,31 +580,16 @@ func sumTerminates(list []ast.Stmt) bool {
 			}
 		}
 	case *ast.LabeledStmt:
-		return sumTerminates([]ast.Stmt{last.Stmt})
+		return Terminates([]ast.Stmt{last.Stmt})
 	case *ast.BlockStmt:
-		return sumTerminates(last.List)
+		return Terminates(last.List)
 	}
 	return false
 }
 
-// identUsed reports whether name appears as an identifier in body.
-func identUsed(body *ast.BlockStmt, name string) bool {
-	if body == nil {
-		return false
-	}
-	used := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			used = true
-		}
-		return !used
-	})
-	return used
-}
-
-// hasDeferredRecoverBody reports whether body installs a deferred
+// HasDeferredRecover reports whether body installs a deferred
 // recover() (directly or via a deferred literal).
-func hasDeferredRecoverBody(body *ast.BlockStmt) bool {
+func HasDeferredRecover(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		d, ok := n.(*ast.DeferStmt)
@@ -658,7 +598,7 @@ func hasDeferredRecoverBody(body *ast.BlockStmt) bool {
 		}
 		ast.Inspect(d.Call, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "recover" {
+				if id, ok := call.Fun.(*ast.Ident); ok && info.Uses[id] == types.Universe.Lookup("recover") {
 					found = true
 				}
 			}
@@ -669,20 +609,14 @@ func hasDeferredRecoverBody(body *ast.BlockStmt) bool {
 	return found
 }
 
-// refsStopSignal reports whether body references a ctx/stop/done-family
-// identifier (gospawn's cancellability heuristic).
-func refsStopSignal(body *ast.BlockStmt) bool {
+// RefsStopSignal reports whether n references a ctx/stop/done-family
+// identifier (gospawn's cancellability heuristic: the family is a
+// naming convention, so this one is about spelling on purpose).
+func RefsStopSignal(n ast.Node) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if isCtxOrStopIdent(n.Name) {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if isCtxOrStopIdent(n.Sel.Name) {
-				found = true
-			}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && isCtxOrStopIdent(id.Name) {
+			found = true
 		}
 		return !found
 	})

@@ -536,10 +536,10 @@ type request struct {
 func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clientStream, Answer, error) {
 	rq := request{start: time.Now(), streamed: streamed}
 	p.requests.Add(1)
-	span, admit := "proxy.complete", "proxy_admit"
+	span := "proxy.complete"
 	if streamed {
 		p.streams.Add(1)
-		span, admit = "proxy.stream", "stream_start"
+		span = "proxy.stream"
 	}
 	// The root span starts before admission so even shed requests leave a
 	// trace.
@@ -561,7 +561,12 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 		}
 		rq.limited = true
 	}
-	p.log.Event(ctx, obs.Debug, admit, "class", sched.ClassFrom(ctx).String())
+	// Event names are constants at the call (metricname): one call each.
+	if class := sched.ClassFrom(ctx).String(); streamed {
+		p.log.Event(ctx, obs.Debug, "stream_start", "class", class)
+	} else {
+		p.log.Event(ctx, obs.Debug, "proxy_admit", "class", class)
+	}
 
 	// 1. Cache. The lookup embeds the query — deliberately outside every
 	// proxy lock.

@@ -57,18 +57,24 @@ func assembleText(chunks []Chunk) string {
 func TestStreamMatchesComplete(t *testing.T) {
 	req := llm.Request{Prompt: "an easy streaming question about the catalog", Gold: "the catalog holds twelve tables", Difficulty: 0.05}
 
-	nonStream := newTestProxy(Config{})
+	nonStream := newTestProxy(Config{Events: obs.NewEventLog(64)})
 	want, err := nonStream.Complete(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	p := newTestProxy(Config{})
+	p := newTestProxy(Config{Events: obs.NewEventLog(64)})
 	s, err := p.CompleteStream(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Each read mode announces admission under its own event name.
+	for name, px := range map[string]*Proxy{"proxy_admit": nonStream, "stream_start": p} {
+		if got := px.Events().Events(obs.EventFilter{})[0].Name; got != name {
+			t.Errorf("first event = %q, want %q", got, name)
+		}
+	}
 	chunks := drainStream(t, s)
 	if len(chunks) < 2 {
 		t.Fatalf("expected a multi-chunk stream, got %d chunks", len(chunks))
