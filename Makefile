@@ -22,7 +22,14 @@ vet:
 # target prints its wall time: a number to watch, recorded per PR in
 # CHANGES.md. Also usable as a vettool:
 # go vet -vettool=bin/llmdm-lint ./...
+#
+# The grep ahead of it keeps the telemetry fallbacks from growing back: what
+# an unset sink means is decided inside internal/obs (a nil *obs.Registry is
+# obs.Default), so no other non-test file under internal/ names the global.
 lint:
+	@if grep -rnE 'obs\.Default\b' --include='*.go' internal | grep -v '_test\.go:' | grep -v '^internal/obs/'; then \
+		echo "lint: obs.Default named outside internal/obs: pass the registry down, nil already means it"; exit 1; \
+	fi
 	@start=$$(date +%s); \
 	set -ex; \
 	$(GO) build -o bin/llmdm-lint ./cmd/llmdm-lint; \

@@ -35,8 +35,13 @@ import (
 )
 
 // listenAndServe is swapped out by tests so run can be exercised end to
-// end without binding a socket.
-var listenAndServe = http.ListenAndServe
+// end without binding a socket. The server bounds how long a client may
+// take over its request headers; it sets no WriteTimeout, which would cut
+// SSE streams short.
+var listenAndServe = func(addr string, h http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	return srv.ListenAndServe()
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stderr); err != nil {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -119,7 +120,10 @@ type Submitter interface {
 	Submit(ctx context.Context, model string, req llm.Request) (llm.Response, error)
 }
 
-// Cascade is an ordered model chain with a decision model.
+// Cascade is an ordered model chain with a decision model. It is built as
+// a struct literal; Models and Obs are read on the first run, which
+// resolves the metric handles, so set them before it and use the Cascade
+// through a pointer.
 type Cascade struct {
 	Models []llm.Model
 	Decide Decision
@@ -142,12 +146,59 @@ type Cascade struct {
 	// ExitMinChunks is the minimum chunks a tier streams before the exit
 	// rule applies. Zero means DefaultExitMinChunks.
 	ExitMinChunks int
-	// Obs receives the cascade's step/escalation/error counters. Nil means
-	// obs.Default.
+	// Obs receives the cascade's step/escalation/error counters.
 	Obs *obs.Registry
-	// Log receives tier-attempt/skip/escalation lifecycle events. Nil
-	// means obs.DefaultLogger.
+	// Log receives tier-attempt/skip/escalation lifecycle events.
 	Log *obs.Logger
+
+	// Metric handles, resolved by the first run.
+	resolve sync.Once
+	tiers   []tierSeries // by tier index
+	// noTier is cascade_errors_total{model="none"}: every breaker refused.
+	noTier, forcedAccept, escalations, requests *obs.Counter
+}
+
+// tierSeries are one tier's handles, labelled with its model name.
+type tierSeries struct {
+	// cascade_steps_total{model,outcome}
+	accept, reject, earlyExit *obs.Counter
+	// cascade_early_exit_total, cascade_errors_total,
+	// cascade_tier_skipped_total, cascade_final_model_total {model}
+	earlyExits, errors, skipped, final *obs.Counter
+}
+
+// resolveSeries names every cascade_* series, once — there is no
+// constructor to do it in — so that a run only does atomic adds.
+func (c *Cascade) resolveSeries() {
+	reg := c.Obs
+	c.noTier = reg.Counter("cascade_errors_total", "model", "none")
+	c.forcedAccept = reg.Counter("cascade_forced_accept_total")
+	c.escalations = reg.Counter("cascade_escalations_total")
+	c.requests = reg.Counter("cascade_requests_total")
+	c.tiers = make([]tierSeries, len(c.Models))
+	for i, m := range c.Models {
+		name := m.Name()
+		c.tiers[i] = tierSeries{
+			accept:     reg.Counter("cascade_steps_total", "model", name, "outcome", "accept"),
+			reject:     reg.Counter("cascade_steps_total", "model", name, "outcome", "reject"),
+			earlyExit:  reg.Counter("cascade_steps_total", "model", name, "outcome", "early_exit"),
+			earlyExits: reg.Counter("cascade_early_exit_total", "model", name),
+			errors:     reg.Counter("cascade_errors_total", "model", name),
+			skipped:    reg.Counter("cascade_tier_skipped_total", "model", name),
+			final:      reg.Counter("cascade_final_model_total", "model", name),
+		}
+	}
+}
+
+// finalModel is cascade_final_model_total{model}, labelled with the name
+// the accepted response carries. Every model in the tree answers under
+// its own name and gets its tier's handle; only a test double that wraps
+// another model's response falls through to the lookup by name.
+func (c *Cascade) finalModel(tier int, model string) *obs.Counter {
+	if c.Models[tier].Name() == model {
+		return c.tiers[tier].final
+	}
+	return c.Obs.Counter("cascade_final_model_total", "model", model)
 }
 
 // step invokes one tier, through the scheduler when it manages the
@@ -162,22 +213,6 @@ func (c *Cascade) step(ctx context.Context, m llm.Model, req llm.Request) (llm.R
 		}
 	}
 	return m.Complete(ctx, req)
-}
-
-// reg returns the effective metrics registry.
-func (c *Cascade) reg() *obs.Registry {
-	if c.Obs != nil {
-		return c.Obs
-	}
-	return obs.Default
-}
-
-// logger returns the effective event logger.
-func (c *Cascade) logger() *obs.Logger {
-	if c.Log != nil {
-		return c.Log
-	}
-	return obs.DefaultLogger
 }
 
 // ErrNoModels is returned when a cascade has no models.

@@ -3,6 +3,8 @@ package cascade
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,6 +26,11 @@ func (m errModel) Price() token.Price  { return token.Price{} }
 func (m errModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return llm.Response{}, m.err
 }
+
+// frontModel serves another model's responses under its own tier name.
+type frontModel struct{ llm.Model }
+
+func (frontModel) Name() string { return "front" }
 
 // TestEscalationCounterCountsEscalationsNotSteps pins the metric fix: both
 // the success and the error path feed cascade_escalations_total from
@@ -64,6 +71,53 @@ func TestEscalationCounterCountsEscalationsNotSteps(t *testing.T) {
 	}
 	if got := reg.Snapshot()["cascade_escalations_total"]; got != 1 {
 		t.Errorf("after error path: escalations counter = %v, want still 1", got)
+	}
+
+	// The whole vocabulary, pinned. Above: a reject→escalate, an accept and
+	// a tier error. Add a breaker skip and a mid-generation early exit; then
+	// every cascade_* series must hold exactly these values under exactly
+	// these labels — the run path increments handles resolved once, and
+	// that must not rename, merge or drop a series.
+	c3 := &Cascade{Models: []llm.Model{small, large}, Decide: Threshold{Tau: 0.62},
+		Breakers: trippedSet(t, reg, "s"), Obs: reg}
+	if resp, _, err := c3.Complete(context.Background(), hard); err != nil || resp.Model != "l" {
+		t.Fatalf("skip path: served by %q, err %v", resp.Model, err)
+	}
+	c4 := &Cascade{Models: []llm.Model{streamTier("cheap", 0.2, 400, 400), streamTier("strong", 0.95, 30000, 60000)},
+		Decide: Threshold{Tau: 0.62}, ExitThreshold: 0.35, Obs: reg}
+	rs, err := c4.CompleteStream(streamCtx(), hardReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainRun(t, rs)
+	// cascade_final_model_total carries the name in the response, which a
+	// wrapping double need not share with its tier.
+	c5 := &Cascade{Models: []llm.Model{frontModel{large}}, Decide: Threshold{Tau: 0.62}, Obs: reg}
+	if _, _, err := c5.Complete(context.Background(), hard); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for k, v := range reg.Snapshot() {
+		if strings.HasPrefix(k, "cascade_") && v != 0 {
+			got[k] = v
+		}
+	}
+	want := map[string]float64{
+		`cascade_requests_total`:                                  4,
+		`cascade_escalations_total`:                               2,
+		`cascade_steps_total{model="s",outcome="reject"}`:         2,
+		`cascade_steps_total{model="l",outcome="accept"}`:         2,
+		`cascade_steps_total{model="cheap",outcome="early_exit"}`: 1,
+		`cascade_steps_total{model="strong",outcome="accept"}`:    1,
+		`cascade_steps_total{model="front",outcome="accept"}`:     1,
+		`cascade_early_exit_total{model="cheap"}`:                 1,
+		`cascade_errors_total{model="dead"}`:                      1,
+		`cascade_tier_skipped_total{model="s"}`:                   1,
+		`cascade_final_model_total{model="l"}`:                    3,
+		`cascade_final_model_total{model="strong"}`:               1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cascade series after accept, escalate, error, skip and early exit:\n got %v\nwant %v", got, want)
 	}
 }
 

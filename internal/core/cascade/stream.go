@@ -63,6 +63,7 @@ func (c *Cascade) CompleteStream(ctx context.Context, req llm.Request) (*RunStre
 	if len(c.Models) == 0 {
 		return nil, ErrNoModels
 	}
+	c.resolve.Do(c.resolveSeries)
 	minChunks := c.ExitMinChunks
 	if minChunks <= 0 {
 		minChunks = DefaultExitMinChunks
@@ -116,7 +117,7 @@ func (r *RunStream) Recv() (StreamChunk, error) {
 			if r.pickNext() == len(r.c.Models) {
 				// Only reachable before the first attempt: a rejected tier
 				// with nowhere to go is force-accepted where it ends.
-				r.c.reg().Counter("cascade_errors_total", "model", "none").Inc()
+				r.c.noTier.Inc()
 				r.finish(llm.Response{}, ErrAllTiersOpen)
 				break
 			}
@@ -170,8 +171,8 @@ func (r *RunStream) pickNext() int {
 		sp.SetAttr("tier", r.next)
 		sp.SetAttr("outcome", "skipped")
 		sp.End()
-		c.reg().Counter("cascade_tier_skipped_total", "model", name).Inc()
-		c.logger().Event(r.ctx, obs.Warn, "cascade_tier_skip", "model", name, "tier", r.next)
+		c.tiers[r.next].skipped.Inc()
+		c.Log.Event(r.ctx, obs.Warn, "cascade_tier_skip", "model", name, "tier", r.next)
 	}
 	return r.next
 }
@@ -188,7 +189,7 @@ func (r *RunStream) openTier() error {
 	sp.SetAttr("model", m.Name())
 	sp.SetAttr("tier", r.tier)
 	r.sp = sp
-	c.logger().Event(r.ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", r.tier)
+	c.Log.Event(r.ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", r.tier)
 	var err error
 	if sm, ok := m.(llm.StreamModel); ok && r.streaming {
 		r.cur, err = sm.GenerateStream(ctx, r.req)
@@ -225,9 +226,9 @@ func (r *RunStream) earlyExit() {
 		// An abort for quality is not a tier failure.
 		c.Breakers.Record(name, true)
 	}
-	c.reg().Counter("cascade_steps_total", "model", name, "outcome", "early_exit").Inc()
-	c.reg().Counter("cascade_early_exit_total", "model", name).Inc()
-	c.logger().Event(r.ctx, obs.Info, "stream_early_exit",
+	c.tiers[r.tier].earlyExit.Inc()
+	c.tiers[r.tier].earlyExits.Inc()
+	c.Log.Event(r.ctx, obs.Info, "stream_early_exit",
 		"model", name, "tier", r.tier, "confidence", r.tierConf,
 		"chunks", r.tierChunks, "billed_microusd", int64(r.tierCost))
 	r.endTier("early_exit", r.tierConf, false)
@@ -248,13 +249,13 @@ func (r *RunStream) finalizeTier() bool {
 		// The escalation target was skipped (breaker open): serve the
 		// answer we just paid for instead of failing the request.
 		accepted = true
-		c.reg().Counter("cascade_forced_accept_total").Inc()
+		c.forcedAccept.Inc()
 	}
-	outcome := "reject"
+	outcome, steps := "reject", c.tiers[r.tier].reject
 	if accepted {
-		outcome = "accept"
+		outcome, steps = "accept", c.tiers[r.tier].accept
 	}
-	c.reg().Counter("cascade_steps_total", "model", name, "outcome", outcome).Inc()
+	steps.Inc()
 	r.sp.SetAttr("tokens_in", resp.InputTokens)
 	r.sp.SetAttr("tokens_out", resp.OutputTokens)
 	r.endTier(outcome, resp.Confidence, accepted)
@@ -262,7 +263,7 @@ func (r *RunStream) finalizeTier() bool {
 		r.finish(resp, nil)
 		return true
 	}
-	c.logger().Event(r.ctx, obs.Info, "cascade_escalate", "from", name, "tier", r.tier, "confidence", resp.Confidence)
+	c.Log.Event(r.ctx, obs.Info, "cascade_escalate", "from", name, "tier", r.tier, "confidence", resp.Confidence)
 	return false
 }
 
@@ -274,8 +275,8 @@ func (r *RunStream) tierError(err error) error {
 		// Client cancellations say nothing about the tier's health.
 		c.Breakers.Record(name, false)
 	}
-	c.reg().Counter("cascade_errors_total", "model", name).Inc()
-	c.logger().Event(r.ctx, obs.Warn, "cascade_tier_error", "model", name, "tier", r.tier, "error", err.Error())
+	c.tiers[r.tier].errors.Inc()
+	c.Log.Event(r.ctx, obs.Warn, "cascade_tier_error", "model", name, "tier", r.tier, "error", err.Error())
 	r.endTier("error", r.tierConf, false)
 	r.finish(llm.Response{}, err)
 	return err
@@ -308,11 +309,10 @@ func (r *RunStream) endTier(outcome string, confidence float64, accepted bool) {
 // finish seals the run and settles the run-level counters.
 func (r *RunStream) finish(resp llm.Response, err error) {
 	r.done, r.result, r.err = true, resp, err
-	reg := r.c.reg()
-	reg.Counter("cascade_escalations_total").Add(int64(r.tr.Escalations()))
+	r.c.escalations.Add(int64(r.tr.Escalations()))
 	if err == nil {
-		reg.Counter("cascade_requests_total").Inc()
-		reg.Counter("cascade_final_model_total", "model", resp.Model).Inc()
+		r.c.requests.Inc()
+		r.c.finalModel(r.tier, resp.Model).Inc()
 	}
 }
 

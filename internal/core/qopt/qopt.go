@@ -90,8 +90,7 @@ func (s BatchStats) CallsSaved() int { return s.TotalSubQueries - s.UniqueSubQue
 // strategies Table II compares.
 type Planner struct {
 	Translator *transform.Translator
-	// Obs receives per-strategy call/token/cost/savings counters. Nil means
-	// obs.Default.
+	// Obs receives per-strategy call/token/cost/savings counters.
 	Obs *obs.Registry
 }
 
@@ -109,16 +108,12 @@ func addResp(st *BatchStats, resp llm.Response) {
 // the strategy label and closes its span. Called via defer so partial
 // spend on an errored batch is still accounted.
 func (p *Planner) observe(strategy string, st *BatchStats, sp *obs.Span) {
-	reg := p.Obs
-	if reg == nil {
-		reg = obs.Default
-	}
-	reg.Counter("qopt_batches_total", "strategy", strategy).Inc()
-	reg.Counter("qopt_llm_calls_total", "strategy", strategy).Add(int64(st.LLMCalls))
-	reg.Counter("qopt_tokens_total", "strategy", strategy, "direction", "input").Add(int64(st.InputTokens))
-	reg.Counter("qopt_tokens_total", "strategy", strategy, "direction", "output").Add(int64(st.OutputTokens))
-	reg.Counter("qopt_cost_microusd_total", "strategy", strategy).Add(int64(st.Cost))
-	reg.Counter("qopt_calls_saved_total", "strategy", strategy).Add(int64(st.CallsSaved()))
+	p.Obs.Counter("qopt_batches_total", "strategy", strategy).Inc()
+	p.Obs.Counter("qopt_llm_calls_total", "strategy", strategy).Add(int64(st.LLMCalls))
+	p.Obs.Counter("qopt_tokens_total", "strategy", strategy, "direction", "input").Add(int64(st.InputTokens))
+	p.Obs.Counter("qopt_tokens_total", "strategy", strategy, "direction", "output").Add(int64(st.OutputTokens))
+	p.Obs.Counter("qopt_cost_microusd_total", "strategy", strategy).Add(int64(st.Cost))
+	p.Obs.Counter("qopt_calls_saved_total", "strategy", strategy).Add(int64(st.CallsSaved()))
 	sp.SetAttr("llm_calls", st.LLMCalls)
 	sp.SetAttr("cost_microusd", int64(st.Cost))
 	sp.SetAttr("calls_saved", st.CallsSaved())

@@ -150,10 +150,9 @@ type Config struct {
 	// Policy selects eviction. Defaults to Weighted.
 	Policy Policy
 	// Obs receives the cache's hit/miss/evict/admission counters and the
-	// hit-similarity histogram. Nil means obs.Default.
+	// hit-similarity histogram.
 	Obs *obs.Registry
-	// Log receives semcache_evict lifecycle events. Nil means
-	// obs.DefaultLogger.
+	// Log receives semcache_evict lifecycle events.
 	Log *obs.Logger
 }
 
@@ -165,17 +164,9 @@ func New(cfg Config) *Cache {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.85
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.Default
-	}
-	log := cfg.Log
-	if log == nil {
-		log = obs.DefaultLogger
-	}
 	return &Cache{
 		emb:       cfg.Embedder,
-		log:       log,
+		log:       cfg.Log,
 		idx:       vector.NewFlat(cfg.Embedder.Dim(), vector.Cosine),
 		entries:   make(map[vector.ID]*Entry),
 		byExact:   make(map[string]vector.ID),
@@ -183,17 +174,17 @@ func New(cfg Config) *Cache {
 		capacity:  cfg.Capacity,
 		threshold: cfg.Threshold,
 
-		mLookups:      reg.Counter("semcache_lookups_total"),
-		mHitExact:     reg.Counter("semcache_hits_total", "kind", "exact"),
-		mHitSemantic:  reg.Counter("semcache_hits_total", "kind", "semantic"),
-		mMisses:       reg.Counter("semcache_misses_total"),
-		mEvictions:    reg.Counter("semcache_evictions_total"),
-		mExpired:      reg.Counter("semcache_expired_total"),
-		mAdmitRejects: reg.Counter("semcache_admission_rejects_total"),
-		mPuts:         reg.Counter("semcache_puts_total"),
-		mStaleLookups: reg.Counter("semcache_stale_lookups_total"),
-		mStaleHits:    reg.Counter("semcache_stale_hits_total"),
-		hSimilarity:   reg.Histogram("semcache_hit_similarity", obs.SimilarityBuckets),
+		mLookups:      cfg.Obs.Counter("semcache_lookups_total"),
+		mHitExact:     cfg.Obs.Counter("semcache_hits_total", "kind", "exact"),
+		mHitSemantic:  cfg.Obs.Counter("semcache_hits_total", "kind", "semantic"),
+		mMisses:       cfg.Obs.Counter("semcache_misses_total"),
+		mEvictions:    cfg.Obs.Counter("semcache_evictions_total"),
+		mExpired:      cfg.Obs.Counter("semcache_expired_total"),
+		mAdmitRejects: cfg.Obs.Counter("semcache_admission_rejects_total"),
+		mPuts:         cfg.Obs.Counter("semcache_puts_total"),
+		mStaleLookups: cfg.Obs.Counter("semcache_stale_lookups_total"),
+		mStaleHits:    cfg.Obs.Counter("semcache_stale_hits_total"),
+		hSimilarity:   cfg.Obs.Histogram("semcache_hit_similarity", obs.SimilarityBuckets),
 	}
 }
 

@@ -23,8 +23,7 @@ type Family []*SimModel
 // DefaultFamily returns the paper's three-tier model family.
 func DefaultFamily() Family { return DefaultFamilyObs(nil) }
 
-// DefaultFamilyObs returns the default family metering into reg (nil
-// means obs.Default).
+// DefaultFamilyObs returns the default family metering into reg.
 func DefaultFamilyObs(reg *obs.Registry) Family {
 	return Family{
 		NewSim(SimConfig{

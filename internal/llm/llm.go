@@ -145,7 +145,6 @@ type SimConfig struct {
 	// DefaultBatchOverhead; see BatchLatency.
 	BatchOverhead float64
 	// Obs receives the model's call/token/cost/latency/error metrics.
-	// Nil means obs.Default.
 	Obs *obs.Registry
 }
 
@@ -160,10 +159,6 @@ func NewSim(cfg SimConfig) *SimModel {
 	if cfg.BatchOverhead <= 0 {
 		cfg.BatchOverhead = DefaultBatchOverhead
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.Default
-	}
 	return &SimModel{
 		name:          cfg.Name,
 		capability:    cfg.Capability,
@@ -171,13 +166,13 @@ func NewSim(cfg SimConfig) *SimModel {
 		tokensPerSec:  cfg.TokensPerSec,
 		noiseAmp:      cfg.NoiseAmp,
 		batchOverhead: cfg.BatchOverhead,
-		mCalls:        reg.Counter("llm_calls_total", "model", cfg.Name),
-		mErrors:       reg.Counter("llm_errors_total", "model", cfg.Name),
-		mTokensIn:     reg.Counter("llm_tokens_total", "model", cfg.Name, "direction", "input"),
-		mTokensOut:    reg.Counter("llm_tokens_total", "model", cfg.Name, "direction", "output"),
-		mCost:         reg.Counter("llm_cost_microusd_total", "model", cfg.Name),
-		mLatency:      reg.Histogram("llm_latency_seconds", obs.LatencyBuckets, "model", cfg.Name),
-		mCallCost:     reg.Histogram("llm_call_cost_microusd", obs.CostBuckets, "model", cfg.Name),
+		mCalls:        cfg.Obs.Counter("llm_calls_total", "model", cfg.Name),
+		mErrors:       cfg.Obs.Counter("llm_errors_total", "model", cfg.Name),
+		mTokensIn:     cfg.Obs.Counter("llm_tokens_total", "model", cfg.Name, "direction", "input"),
+		mTokensOut:    cfg.Obs.Counter("llm_tokens_total", "model", cfg.Name, "direction", "output"),
+		mCost:         cfg.Obs.Counter("llm_cost_microusd_total", "model", cfg.Name),
+		mLatency:      cfg.Obs.Histogram("llm_latency_seconds", obs.LatencyBuckets, "model", cfg.Name),
+		mCallCost:     cfg.Obs.Histogram("llm_call_cost_microusd", obs.CostBuckets, "model", cfg.Name),
 	}
 }
 

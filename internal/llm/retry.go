@@ -80,8 +80,7 @@ type Retry struct {
 	// AttemptTimeout bounds each individual attempt. 0 means no per-call
 	// deadline beyond the caller's context.
 	AttemptTimeout time.Duration
-	// Obs receives llm_retries_total / llm_retry_exhausted_total. Nil
-	// means obs.Default.
+	// Obs receives llm_retries_total / llm_retry_exhausted_total.
 	Obs *obs.Registry
 }
 
@@ -108,14 +107,6 @@ func (r *Retry) Capability() float64 { return r.Inner.Capability() }
 // Price implements Model.
 func (r *Retry) Price() token.Price { return r.Inner.Price() }
 
-// reg returns the effective metrics registry.
-func (r *Retry) reg() *obs.Registry {
-	if r.Obs != nil {
-		return r.Obs
-	}
-	return obs.Default
-}
-
 // backoff returns the jittered pause before retry i (0-based): the
 // exponential schedule scaled by a deterministic factor in [0.5, 1.5).
 func (r *Retry) backoff(prompt string, i int) time.Duration {
@@ -136,7 +127,6 @@ func (r *Retry) Complete(ctx context.Context, req Request) (Response, error) {
 	if attempts <= 0 {
 		attempts = 3
 	}
-	reg := r.reg()
 	var last error
 	for i := 0; i < attempts; i++ {
 		if err := ctx.Err(); err != nil {
@@ -157,7 +147,7 @@ func (r *Retry) Complete(ctx context.Context, req Request) (Response, error) {
 		if !errors.Is(err, ErrTransient) && !attemptTimedOut {
 			return Response{}, err
 		}
-		reg.Counter("llm_retries_total", "model", r.Inner.Name()).Inc()
+		r.Obs.Counter("llm_retries_total", "model", r.Inner.Name()).Inc()
 		last = err
 		if i == attempts-1 || r.BaseDelay <= 0 {
 			continue
@@ -170,6 +160,6 @@ func (r *Retry) Complete(ctx context.Context, req Request) (Response, error) {
 			return Response{}, ctx.Err()
 		}
 	}
-	reg.Counter("llm_retry_exhausted_total", "model", r.Inner.Name()).Inc()
+	r.Obs.Counter("llm_retry_exhausted_total", "model", r.Inner.Name()).Inc()
 	return Response{}, fmt.Errorf("llm: %d attempts exhausted: %w", attempts, last)
 }

@@ -250,8 +250,7 @@ func WithDescription(s string) RuleOption {
 
 // AlertConfig parameterizes an AlertEngine.
 type AlertConfig struct {
-	// Source is the registry the conditions evaluate over. Nil means
-	// Default.
+	// Source is the registry the conditions evaluate over.
 	Source *Registry
 	// SLO, when non-nil, feeds SLOBurn conditions (its Snapshot is taken
 	// each evaluation, which also refreshes the slo_* gauges).
@@ -261,8 +260,7 @@ type AlertConfig struct {
 	// Obs receives alert_transitions_total{state} and the alert_firing /
 	// alert_pending gauges. Nil means Source.
 	Obs *Registry
-	// Log receives alert_transition lifecycle events. Nil means
-	// DefaultLogger.
+	// Log receives alert_transition lifecycle events.
 	Log *Logger
 	// Now is the clock; nil means time.Now. Injectable for tests.
 	Now func() time.Time
@@ -297,27 +295,19 @@ type AlertEngine struct {
 // NewAlertEngine builds an engine from cfg (no rules yet — see AddRule
 // and AddDefaultRules).
 func NewAlertEngine(cfg AlertConfig) *AlertEngine {
-	src := cfg.Source
-	if src == nil {
-		src = Default
-	}
 	reg := cfg.Obs
 	if reg == nil {
-		reg = src
-	}
-	lg := cfg.Log
-	if lg == nil {
-		lg = DefaultLogger
+		reg = cfg.Source
 	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
 	return &AlertEngine{
-		src:         src,
+		src:         cfg.Source,
 		slo:         cfg.SLO,
 		tenants:     cfg.Tenants,
-		log:         lg,
+		log:         cfg.Log,
 		now:         now,
 		mToPending:  reg.Counter("alert_transitions_total", "state", "pending"),
 		mToFiring:   reg.Counter("alert_transitions_total", "state", "firing"),

@@ -78,8 +78,8 @@ type eventRecord struct {
 	attrs []Label
 }
 
-// DefaultEventCapacity is the ring size of DefaultEvents and of logs
-// built with NewEventLog(0).
+// DefaultEventCapacity is the ring size of logs built with
+// NewEventLog(0).
 const DefaultEventCapacity = 4096
 
 // EventLog is a bounded ring of recent events. Writes overwrite the
@@ -94,10 +94,6 @@ type EventLog struct {
 	seq         uint64
 	overwritten uint64
 }
-
-// DefaultEvents is the process-wide event ring, the fallback for
-// components not given an explicit log.
-var DefaultEvents = NewEventLog(DefaultEventCapacity)
 
 // NewEventLog returns a ring retaining the last capacity events
 // (DefaultEventCapacity when capacity <= 0).
@@ -248,20 +244,12 @@ type Logger struct {
 	byLevel [numLevels]*Counter
 }
 
-// DefaultLogger writes every level into DefaultEvents and counts into
-// the Default registry — the fallback for components not given an
-// explicit logger.
-var DefaultLogger = NewLogger(DefaultEvents, Debug, Default)
-
-// NewLogger builds a logger writing events at or above min into events
-// (DefaultEvents when nil), counting log_events_total{level} into reg
-// (Default when nil).
+// NewLogger builds a logger writing events at or above min into events,
+// counting log_events_total{level} into reg. With no ring to write into
+// it returns the nil logger, which drops.
 func NewLogger(events *EventLog, min Level, reg *Registry) *Logger {
 	if events == nil {
-		events = DefaultEvents
-	}
-	if reg == nil {
-		reg = Default
+		return nil
 	}
 	lg := &Logger{events: events, min: min}
 	for l := Debug; l < numLevels; l++ {

@@ -123,6 +123,23 @@ func TestLoggerNilSafe(t *testing.T) {
 	if lg.Sink() != nil {
 		t.Error("nil logger Sink() != nil")
 	}
+	// The rest of the nil contract: a logger with no ring is the nil
+	// logger, a nil registry is Default, a nil tracer's spans are detached.
+	if NewLogger(nil, Debug, NewRegistry()) != nil {
+		t.Error("NewLogger with no ring did not return the nil logger")
+	}
+	var reg *Registry
+	reg.Counter("nil_registry_probe_total").Inc()
+	if got := Default.Counter("nil_registry_probe_total").Value(); got != 1 {
+		t.Errorf("nil registry counted %d into Default, want 1", got)
+	}
+	if reg.Snapshot()["nil_registry_probe_total"] != 1 {
+		t.Error("nil registry's Snapshot is not Default's")
+	}
+	var tr *Tracer
+	if _, sp := tr.Start(context.Background(), "detached"); sp.TraceID() != "" {
+		t.Errorf("nil tracer minted trace ID %q", sp.TraceID())
+	}
 }
 
 func TestLoggerRejectsBadEventName(t *testing.T) {

@@ -9,6 +9,20 @@
 //
 // Hot-path cost is one atomic add per counter update; registries hand out
 // metric handles that instrumented code resolves once and keeps.
+//
+// What an unset sink means is decided here and nowhere else, so the Obs,
+// Log and Tracer fields of every instrumented package are used as given:
+//
+//   - a nil *Registry is Default, the process-wide registry — every method
+//     works on a nil receiver, so a stack built with no wiring is still
+//     metered;
+//   - a nil *Logger drops every event (NewLogger returns it when given no
+//     ring to write into);
+//   - a nil *Tracer starts detached spans: usable, recorded nowhere.
+//
+// There is no process-wide event or trace ring; whoever serves them
+// (the proxy) owns them. make lint rejects obs.Default named by a
+// non-test file under internal/ outside this package.
 package obs
 
 import (

@@ -20,9 +20,10 @@ type Registry struct {
 	families map[string]*family
 }
 
-// Default is the process-wide registry. Instrumented packages fall back to
-// it when not given an explicit registry, so a default-configured stack
-// (proxy, bench harness) observes everything with zero wiring.
+// Default is the process-wide registry, and what a nil *Registry means:
+// every method resolves a nil receiver to it, so a component built without
+// an explicit registry (the bench harness's experiments) is still observed,
+// and no constructor outside this package spells the fallback.
 var Default = NewRegistry()
 
 type family struct {
@@ -96,6 +97,9 @@ func CheckMetricName(name string) error {
 }
 
 func (r *Registry) familyFor(name, typ string, buckets []float64) *family {
+	if r == nil {
+		r = Default
+	}
 	r.mu.RLock()
 	f := r.families[name]
 	r.mu.RUnlock()
@@ -198,6 +202,9 @@ type familyExport struct {
 
 // export walks the registry into a deterministic (sorted) snapshot.
 func (r *Registry) export() []familyExport {
+	if r == nil {
+		r = Default
+	}
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {

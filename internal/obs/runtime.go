@@ -33,9 +33,6 @@ type runtimeCollector struct {
 // sample is taken synchronously so metrics exist before the first tick.
 // The returned stop function halts the sampler and is idempotent.
 func StartRuntimeCollector(reg *Registry, interval time.Duration) (stop func()) {
-	if reg == nil {
-		reg = Default
-	}
 	if interval <= 0 {
 		interval = DefaultRuntimeInterval
 	}

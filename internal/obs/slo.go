@@ -59,7 +59,6 @@ type SLOConfig struct {
 	Now func() time.Time
 	// Obs receives slo_requests_total / slo_errors_total /
 	// slo_slow_total counters and slo_burn_rate / slo_attainment gauges.
-	// Nil means obs.Default.
 	Obs *Registry
 }
 
@@ -89,7 +88,6 @@ type sloClass struct {
 // concurrent use.
 type SLOTracker struct {
 	cfg SLOConfig
-	reg *Registry
 	now func() time.Time
 
 	mu      sync.Mutex
@@ -98,15 +96,11 @@ type SLOTracker struct {
 
 // NewSLOTracker builds a tracker from cfg.
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	reg := cfg.Obs
-	if reg == nil {
-		reg = Default
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	return &SLOTracker{cfg: cfg, reg: reg, now: now, classes: make(map[string]*sloClass)}
+	return &SLOTracker{cfg: cfg, now: now, classes: make(map[string]*sloClass)}
 }
 
 // class returns (creating on first use) the state for a class. Caller
@@ -117,9 +111,9 @@ func (t *SLOTracker) classLocked(name string) *sloClass {
 		obj := t.cfg.Objectives[name].withDefaults(name)
 		c = &sloClass{
 			obj:     obj,
-			mTotal:  t.reg.Counter("slo_requests_total", "class", name),
-			mErrors: t.reg.Counter("slo_errors_total", "class", name),
-			mSlow:   t.reg.Counter("slo_slow_total", "class", name),
+			mTotal:  t.cfg.Obs.Counter("slo_requests_total", "class", name),
+			mErrors: t.cfg.Obs.Counter("slo_errors_total", "class", name),
+			mSlow:   t.cfg.Obs.Counter("slo_slow_total", "class", name),
 		}
 		t.classes[name] = c
 	}
@@ -242,10 +236,10 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	t.mu.Unlock()
 
 	for _, s := range sets {
-		t.reg.Gauge("slo_burn_rate", "class", s.class, "slo", "availability", "window", s.window).Set(s.w.AvailabilityBurnRate)
-		t.reg.Gauge("slo_burn_rate", "class", s.class, "slo", "latency", "window", s.window).Set(s.w.LatencyBurnRate)
-		t.reg.Gauge("slo_attainment", "class", s.class, "slo", "availability", "window", s.window).Set(s.w.Availability)
-		t.reg.Gauge("slo_attainment", "class", s.class, "slo", "latency", "window", s.window).Set(s.w.LatencyAttainment)
+		t.cfg.Obs.Gauge("slo_burn_rate", "class", s.class, "slo", "availability", "window", s.window).Set(s.w.AvailabilityBurnRate)
+		t.cfg.Obs.Gauge("slo_burn_rate", "class", s.class, "slo", "latency", "window", s.window).Set(s.w.LatencyBurnRate)
+		t.cfg.Obs.Gauge("slo_attainment", "class", s.class, "slo", "availability", "window", s.window).Set(s.w.Availability)
+		t.cfg.Obs.Gauge("slo_attainment", "class", s.class, "slo", "latency", "window", s.window).Set(s.w.LatencyAttainment)
 	}
 	return snap
 }

@@ -11,9 +11,6 @@ package obs
 // goroutines to either use this helper or carry their own recovery; the
 // one bare spawn below is the helper's own body.
 func Go(reg *Registry, task string, fn func()) {
-	if reg == nil {
-		reg = Default
-	}
 	mPanics := reg.Counter("goroutine_panics_total", "task", task)
 	//llmdm:allow gospawn — this IS the managed spawn helper; recovery is installed below
 	go func() {

@@ -108,8 +108,7 @@ type TenantConfig struct {
 	// Obs receives the aggregate tenant_requests_total /
 	// tenant_evictions_total counters and the tenant_tracked gauge.
 	// Per-tenant numbers deliberately never become metric labels — the
-	// accountant, not the registry, bounds that cardinality. Nil means
-	// Default.
+	// accountant, not the registry, bounds that cardinality.
 	Obs *Registry
 }
 
@@ -136,16 +135,12 @@ func NewTenantAccountant(cfg TenantConfig) *TenantAccountant {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultTenantCapacity
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = Default
-	}
 	return &TenantAccountant{
 		capacity:   cfg.Capacity,
 		tenants:    make(map[string]*tenantEntry, cfg.Capacity),
-		mRequests:  reg.Counter("tenant_requests_total"),
-		mEvictions: reg.Counter("tenant_evictions_total"),
-		gTracked:   reg.Gauge("tenant_tracked"),
+		mRequests:  cfg.Obs.Counter("tenant_requests_total"),
+		mEvictions: cfg.Obs.Counter("tenant_evictions_total"),
+		gTracked:   cfg.Obs.Gauge("tenant_tracked"),
 	}
 }
 

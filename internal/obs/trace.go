@@ -177,13 +177,9 @@ type Tracer struct {
 	n    int
 }
 
-// DefaultTraceCapacity is the ring size of DefaultTracer and of tracers
-// built with NewTracer(0).
+// DefaultTraceCapacity is the ring size of tracers built with
+// NewTracer(0).
 const DefaultTraceCapacity = 64
-
-// DefaultTracer is the process-wide trace ring, the fallback for
-// components not given an explicit tracer.
-var DefaultTracer = NewTracer(DefaultTraceCapacity)
 
 // NewTracer returns a tracer retaining the last capacity root spans
 // (DefaultTraceCapacity when capacity <= 0).

@@ -60,11 +60,16 @@ type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// writeError emits the uniform error envelope.
-func writeError(w http.ResponseWriter, status int, code, msg string, retryable bool) {
+// writeJSON emits v as the JSON body of a response with the given status.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg, Retryable: retryable}})
+	json.NewEncoder(w).Encode(v)
+}
+
+// writeError emits the uniform error envelope.
+func writeError(w http.ResponseWriter, status int, code, msg string, retryable bool) {
+	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg, Retryable: retryable}})
 }
 
 // errorBodyFor maps a serving-path error to its typed error detail and
@@ -79,6 +84,33 @@ func errorBodyFor(err error) (int, ErrorBody) {
 	default:
 		return http.StatusBadGateway, ErrorBody{Code: "upstream_error", Message: err.Error(), Retryable: false}
 	}
+}
+
+// get mounts a handler that answers anything but GET with the 405
+// envelope.
+func get(mux *http.ServeMux, path string, h http.HandlerFunc) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
+			return
+		}
+		h(w, r)
+	})
+}
+
+// queryCount parses the optional ?n= result cap (0, the default, means
+// all). When it is malformed the 400 envelope is written and ok is false.
+func queryCount(w http.ResponseWriter, r *http.Request) (n int, ok bool) {
+	s := r.URL.Query().Get("n")
+	if s == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		writeError(w, http.StatusBadRequest, "bad_request", "n must be a non-negative integer", false)
+		return 0, false
+	}
+	return n, true
 }
 
 // completionError writes a serving-path error as its envelope.
@@ -103,6 +135,10 @@ type CompletionResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 	TraceID    string  `json:"trace_id,omitempty"`
 }
+
+// maxRequestBytes bounds a POST /v1/complete body; a larger one is
+// answered 413 without being read to the end.
+const maxRequestBytes = 1 << 20
 
 // TenantHeader is the HTTP header carrying the caller's tenant
 // identity. Absent or empty, the request is attributed to
@@ -137,8 +173,13 @@ func (p *Proxy) Handler() http.Handler {
 			return
 		}
 		var req CompletionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad JSON: "+err.Error(), false)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, "bad_request", "bad JSON: "+err.Error(), false)
 			return
 		}
 		if req.Prompt == "" {
@@ -173,8 +214,7 @@ func (p *Proxy) Handler() http.Handler {
 			completionError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(CompletionResponse{
+		writeJSON(w, http.StatusOK, CompletionResponse{
 			Text:       ans.Text,
 			Model:      ans.Model,
 			Source:     ans.Source,
@@ -184,11 +224,7 @@ func (p *Proxy) Handler() http.Handler {
 			TraceID:    ans.Trace,
 		})
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
-			return
-		}
+	get(mux, "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		st := p.Stats()
 		out := map[string]interface{}{
 			"requests":        st.Requests,
@@ -261,59 +297,34 @@ func (p *Proxy) Handler() http.Handler {
 				"window_ms":     windows,
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		writeJSON(w, http.StatusOK, out)
 	})
-	mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
-			return
-		}
+	get(mux, "/v1/slo", func(w http.ResponseWriter, r *http.Request) {
 		if p.slo == nil {
 			writeError(w, http.StatusNotFound, "disabled", "SLO tracking disabled", false)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(p.slo.Snapshot())
+		writeJSON(w, http.StatusOK, p.slo.Snapshot())
 	})
-	mux.HandleFunc("/v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
-			return
-		}
+	get(mux, "/v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		if p.tenants == nil {
 			writeError(w, http.StatusNotFound, "disabled", "tenant attribution disabled", false)
 			return
 		}
-		n := 0
-		if s := r.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, "bad_request", "n must be a non-negative integer", false)
-				return
-			}
-			n = v
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(p.tenants.Snapshot(n))
-	})
-	mux.HandleFunc("/v1/alerts", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
+		n, ok := queryCount(w, r)
+		if !ok {
 			return
 		}
+		writeJSON(w, http.StatusOK, p.tenants.Snapshot(n))
+	})
+	get(mux, "/v1/alerts", func(w http.ResponseWriter, r *http.Request) {
 		if p.alerts == nil {
 			writeError(w, http.StatusNotFound, "disabled", "alerting disabled", false)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(p.alerts.Evaluate())
+		writeJSON(w, http.StatusOK, p.alerts.Evaluate())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
-			return
-		}
+	get(mux, "/metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Refresh the slo_* gauges so every scrape sees current burn rates.
 		if p.slo != nil {
 			p.slo.Snapshot()
@@ -328,39 +339,22 @@ func (p *Proxy) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		p.reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
-			return
-		}
+	get(mux, "/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		traces := []obs.SpanData{}
 		if id := r.URL.Query().Get("trace"); id != "" {
-			w.Header().Set("Content-Type", "application/json")
 			if td, ok := p.tracer.ByID(id); ok {
-				json.NewEncoder(w).Encode(map[string]interface{}{"traces": []obs.SpanData{td}})
-			} else {
-				json.NewEncoder(w).Encode(map[string]interface{}{"traces": []obs.SpanData{}})
+				traces = append(traces, td)
 			}
-			return
-		}
-		n := 0
-		if s := r.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, "bad_request", "n must be a non-negative integer", false)
+		} else {
+			n, ok := queryCount(w, r)
+			if !ok {
 				return
 			}
-			n = v
+			traces = p.tracer.Recent(n)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]interface{}{
-			"traces": p.tracer.Recent(n),
-		})
+		writeJSON(w, http.StatusOK, map[string]interface{}{"traces": traces})
 	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", false)
-			return
-		}
+	get(mux, "/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		f := obs.EventFilter{Trace: q.Get("trace"), Name: q.Get("name"), Tenant: q.Get("tenant")}
 		if s := q.Get("level"); s != "" {
@@ -371,13 +365,9 @@ func (p *Proxy) Handler() http.Handler {
 			}
 			f.Min = min
 		}
-		if s := q.Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, "bad_request", "n must be a non-negative integer", false)
-				return
-			}
-			f.Max = v
+		var ok bool
+		if f.Max, ok = queryCount(w, r); !ok {
+			return
 		}
 		// ?since=<seq> resumes from a cursor: only events with a higher
 		// seq return, "next" is the cursor for the following call, and
@@ -391,15 +381,15 @@ func (p *Proxy) Handler() http.Handler {
 			}
 			since = v
 		}
-		events, missing, next := p.events.EventsSince(since, f)
+		ring := p.Events()
+		events, missing, next := ring.EventsSince(since, f)
 		if events == nil {
 			events = []obs.Event{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]interface{}{
+		writeJSON(w, http.StatusOK, map[string]interface{}{
 			"events":      events,
-			"capacity":    p.events.Cap(),
-			"overwritten": p.events.Overwritten(),
+			"capacity":    ring.Cap(),
+			"overwritten": ring.Overwritten(),
 			"next":        next,
 			"missing":     missing,
 		})
@@ -424,9 +414,7 @@ func (p *Proxy) Handler() http.Handler {
 				status = "alerting"
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		json.NewEncoder(w).Encode(map[string]interface{}{
+		writeJSON(w, http.StatusOK, map[string]interface{}{
 			"status":  status,
 			"firing":  firing,
 			"pending": pending,

@@ -142,26 +142,30 @@ type Config struct {
 	// batched generation (llm.BatchModel): concurrent cascades then
 	// share batches per tier instead of calling models one request at a
 	// time. Models without batch support keep their direct path. The
-	// zero sched.Config value selects the scheduler's defaults; its Obs
-	// defaults to the proxy's registry. Call Close to drain it.
+	// zero sched.Config value selects the scheduler's defaults. Call
+	// Close to drain it.
 	Scheduler *sched.Config
 
-	// Obs receives the proxy's metrics (and is what GET /metrics serves).
-	// Nil means obs.Default.
+	// Obs, Tracer and Log are the proxy's telemetry sinks, and the ones
+	// it hands to every layer it builds: the Obs, Log, Source, SLO and
+	// Tenants fields inside the Breaker, Scheduler, SLO and Alerts
+	// sub-configs below are overwritten with them.
+	//
+	// Obs receives the metrics (and is what GET /metrics serves).
 	Obs *obs.Registry
 	// Tracer retains recent request traces (served by GET /debug/traces).
-	// Nil means obs.DefaultTracer.
+	// Nil builds a ring of the proxy's own.
 	Tracer *obs.Tracer
 	// Events retains recent structured lifecycle events (served by GET
-	// /debug/events). Nil means obs.DefaultEvents — unless Log is set, in
-	// which case the logger's own sink is served.
+	// /debug/events). Nil builds a ring of the proxy's own — unless Log is
+	// set, in which case the logger's own sink is served.
 	Events *obs.EventLog
 	// Log emits the serving stack's lifecycle events. Nil builds a logger
 	// over Events at Debug level, counting into Obs.
 	Log *obs.Logger
 	// SLO parameterizes per-class latency/availability objectives served
-	// at GET /v1/slo (its Obs and Now default from the proxy). The zero
-	// value selects defaults; DisableSLO turns tracking off.
+	// at GET /v1/slo. The zero value selects defaults; DisableSLO turns
+	// tracking off.
 	SLO        obs.SLOConfig
 	DisableSLO bool
 	// TenantCapacity bounds the per-tenant attribution table served at
@@ -170,9 +174,8 @@ type Config struct {
 	// DisableTenants turns attribution off.
 	TenantCapacity int
 	DisableTenants bool
-	// Alerts parameterizes the alert engine served at GET /v1/alerts.
-	// Its Source/Obs/Log/SLO/Tenants default from the proxy's own wiring;
-	// the engine starts with the default rule pack unless
+	// Alerts parameterizes the alert engine served at GET /v1/alerts. The
+	// engine starts with the default rule pack unless
 	// Alerts.DisableDefaultRules is set. DisableAlerts turns the engine
 	// off entirely.
 	Alerts        obs.AlertConfig
@@ -190,7 +193,6 @@ type Proxy struct {
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 	log      *obs.Logger
-	events   *obs.EventLog
 	slo      *obs.SLOTracker
 	tenants  *obs.TenantAccountant
 	alerts   *obs.AlertEngine
@@ -250,19 +252,18 @@ func New(cfg Config) *Proxy {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.62
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.Default
+	// The rings not given are the proxy's own: two proxies in one process
+	// do not share /debug/traces or /debug/events.
+	if cfg.Tracer == nil {
+		cfg.Tracer = obs.NewTracer(0)
 	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.DefaultTracer
+	if cfg.Log == nil {
+		if cfg.Events == nil {
+			cfg.Events = obs.NewEventLog(0)
+		}
+		cfg.Log = obs.NewLogger(cfg.Events, obs.Debug, cfg.Obs)
 	}
-	log := cfg.Log
-	if log == nil {
-		log = obs.NewLogger(cfg.Events, obs.Debug, reg)
-	}
-	events := log.Sink()
+	reg, log := cfg.Obs, cfg.Log
 	if cfg.UpstreamTimeout == 0 {
 		cfg.UpstreamTimeout = 30 * time.Second
 	}
@@ -271,24 +272,13 @@ func New(cfg Config) *Proxy {
 	}
 	var breakers *resilience.BreakerSet
 	if !cfg.DisableBreaker {
-		bcfg := cfg.Breaker
-		if bcfg.Obs == nil {
-			bcfg.Obs = reg
-		}
-		if bcfg.Log == nil {
-			bcfg.Log = log
-		}
-		breakers = resilience.NewBreakerSet(bcfg)
+		cfg.Breaker.Obs, cfg.Breaker.Log = reg, log
+		breakers = resilience.NewBreakerSet(cfg.Breaker)
 	}
 	var scheduler *sched.Scheduler
 	if cfg.Scheduler != nil {
 		scfg := *cfg.Scheduler
-		if scfg.Obs == nil {
-			scfg.Obs = reg
-		}
-		if scfg.Log == nil {
-			scfg.Log = log
-		}
+		scfg.Obs, scfg.Log = reg, log
 		var batchables []llm.BatchModel
 		for _, m := range models {
 			if bm, ok := m.(llm.BatchModel); ok {
@@ -312,11 +302,8 @@ func New(cfg Config) *Proxy {
 	}
 	var slo *obs.SLOTracker
 	if !cfg.DisableSLO {
-		scfg := cfg.SLO
-		if scfg.Obs == nil {
-			scfg.Obs = reg
-		}
-		slo = obs.NewSLOTracker(scfg)
+		cfg.SLO.Obs = reg
+		slo = obs.NewSLOTracker(cfg.SLO)
 	}
 	var tenants *obs.TenantAccountant
 	if !cfg.DisableTenants {
@@ -324,24 +311,9 @@ func New(cfg Config) *Proxy {
 	}
 	var alerts *obs.AlertEngine
 	if !cfg.DisableAlerts {
-		acfg := cfg.Alerts
-		if acfg.Source == nil {
-			acfg.Source = reg
-		}
-		if acfg.Obs == nil {
-			acfg.Obs = reg
-		}
-		if acfg.Log == nil {
-			acfg.Log = log
-		}
-		if acfg.SLO == nil {
-			acfg.SLO = slo
-		}
-		if acfg.Tenants == nil {
-			acfg.Tenants = tenants
-		}
-		alerts = obs.NewAlertEngine(acfg)
-		if !acfg.DisableDefaultRules {
+		cfg.Alerts.Source, cfg.Alerts.Obs, cfg.Alerts.Log, cfg.Alerts.SLO, cfg.Alerts.Tenants = reg, reg, log, slo, tenants
+		alerts = obs.NewAlertEngine(cfg.Alerts)
+		if !cfg.Alerts.DisableDefaultRules {
 			alerts.AddDefaultRules()
 		}
 	}
@@ -349,9 +321,8 @@ func New(cfg Config) *Proxy {
 		casc:     casc,
 		sched:    scheduler,
 		reg:      reg,
-		tracer:   tracer,
+		tracer:   cfg.Tracer,
 		log:      log,
-		events:   events,
 		slo:      slo,
 		tenants:  tenants,
 		alerts:   alerts,
@@ -426,14 +397,15 @@ func (p *Proxy) Stats() Stats {
 	}
 }
 
-// Metrics returns the proxy's metrics registry (what GET /metrics serves).
+// Metrics returns the proxy's metrics registry (what GET /metrics serves):
+// Config.Obs as given, so nil — the process-wide default — when none was.
 func (p *Proxy) Metrics() *obs.Registry { return p.reg }
 
 // Tracer returns the proxy's trace ring (what GET /debug/traces serves).
 func (p *Proxy) Tracer() *obs.Tracer { return p.tracer }
 
 // Events returns the proxy's event ring (what GET /debug/events serves).
-func (p *Proxy) Events() *obs.EventLog { return p.events }
+func (p *Proxy) Events() *obs.EventLog { return p.log.Sink() }
 
 // SLO returns the proxy's SLO tracker, or nil when disabled.
 func (p *Proxy) SLO() *obs.SLOTracker { return p.slo }

@@ -697,6 +697,10 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		{"bad_json", func() (*http.Response, error) {
 			return http.Post(srv.URL+"/v1/complete", "application/json", strings.NewReader("{"))
 		}, http.StatusBadRequest, "bad_request"},
+		{"oversize", func() (*http.Response, error) {
+			return http.Post(srv.URL+"/v1/complete", "application/json",
+				strings.NewReader(`{"prompt":"`+strings.Repeat("p", maxRequestBytes)+`"}`))
+		}, http.StatusRequestEntityTooLarge, "bad_request"},
 		{"empty_prompt", func() (*http.Response, error) {
 			return http.Post(srv.URL+"/v1/complete", "application/json", strings.NewReader("{}"))
 		}, http.StatusBadRequest, "bad_request"},

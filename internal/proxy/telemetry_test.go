@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/llm"
 	"repro/internal/obs"
 )
 
@@ -123,6 +125,26 @@ func TestLifecycleReconstructedFromEvents(t *testing.T) {
 	getJSON(t, srv, "/debug/events?trace="+second.TraceID+"&name=proxy_cache_hit", &ev)
 	if len(ev.Events) != 1 {
 		t.Errorf("cache hit trace: got %d proxy_cache_hit events, want 1", len(ev.Events))
+	}
+}
+
+// TestProxiesOwnTheirRings: a proxy given no Tracer, Log or Events builds
+// rings of its own, so two proxies in one process do not serve each
+// other's /debug/events and /debug/traces.
+func TestProxiesOwnTheirRings(t *testing.T) {
+	a := newTestProxy(Config{Obs: obs.NewRegistry()})
+	defer a.Close()
+	b := newTestProxy(Config{Obs: obs.NewRegistry()})
+	defer b.Close()
+
+	if _, err := a.Complete(context.Background(), llm.Request{Prompt: "only A serves this", Gold: "a", Difficulty: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Events().Len() == 0 || a.Tracer().Len() == 0 {
+		t.Errorf("A: events = %d, traces = %d, want both > 0", a.Events().Len(), a.Tracer().Len())
+	}
+	if b.Events().Len() != 0 || b.Tracer().Len() != 0 {
+		t.Errorf("B served nothing but holds events = %d, traces = %d", b.Events().Len(), b.Tracer().Len())
 	}
 }
 

@@ -64,10 +64,9 @@ type BreakerConfig struct {
 	// deterministically. Nil means time.Now.
 	Now func() time.Time
 	// Obs receives breaker_state / breaker_transitions_total /
-	// breaker_rejections_total. Nil means obs.Default.
+	// breaker_rejections_total.
 	Obs *obs.Registry
-	// Log receives breaker_transition lifecycle events. Nil means
-	// obs.DefaultLogger.
+	// Log receives breaker_transition lifecycle events.
 	Log *obs.Logger
 }
 
@@ -90,12 +89,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.Obs == nil {
-		c.Obs = obs.Default
-	}
-	if c.Log == nil {
-		c.Log = obs.DefaultLogger
 	}
 	return c
 }

@@ -22,11 +22,9 @@ type LimiterConfig struct {
 	// whenever every slot is busy.
 	MaxQueue int
 	// Obs receives limiter_inflight / limiter_queue_depth gauges and
-	// limiter_admitted_total / limiter_shed_total counters. Nil means
-	// obs.Default.
+	// limiter_admitted_total / limiter_shed_total counters.
 	Obs *obs.Registry
-	// Log receives limiter_shed lifecycle events. Nil means
-	// obs.DefaultLogger.
+	// Log receives limiter_shed lifecycle events.
 	Log *obs.Logger
 }
 
@@ -52,23 +50,15 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 0
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.Default
-	}
-	log := cfg.Log
-	if log == nil {
-		log = obs.DefaultLogger
-	}
 	return &Limiter{
 		slots:    make(chan struct{}, cfg.MaxConcurrent),
 		queue:    make(chan struct{}, cfg.MaxQueue),
-		gRunning: reg.Gauge("limiter_inflight"),
-		gQueued:  reg.Gauge("limiter_queue_depth"),
-		mAdmit:   reg.Counter("limiter_admitted_total"),
-		mShed:    reg.Counter("limiter_shed_total"),
-		hWait:    reg.Histogram("limiter_queue_wait_seconds", obs.LatencyBuckets),
-		log:      log,
+		gRunning: cfg.Obs.Gauge("limiter_inflight"),
+		gQueued:  cfg.Obs.Gauge("limiter_queue_depth"),
+		mAdmit:   cfg.Obs.Counter("limiter_admitted_total"),
+		mShed:    cfg.Obs.Counter("limiter_shed_total"),
+		hWait:    cfg.Obs.Histogram("limiter_queue_wait_seconds", obs.LatencyBuckets),
+		log:      cfg.Log,
 	}
 }
 

@@ -146,10 +146,9 @@ type Config struct {
 	// not fail its cohort), so this deadline is what reaps a hung batch.
 	// Defaults to 30s.
 	BatchTimeout time.Duration
-	// Obs receives the scheduler's metrics. Nil means obs.Default.
+	// Obs receives the scheduler's metrics.
 	Obs *obs.Registry
-	// Log receives sched_batch_flush lifecycle events. Nil means
-	// obs.DefaultLogger.
+	// Log receives sched_batch_flush lifecycle events.
 	Log *obs.Logger
 }
 
@@ -177,12 +176,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.BatchTimeout <= 0 {
 		cfg.BatchTimeout = 30 * time.Second
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = obs.Default
-	}
-	if cfg.Log == nil {
-		cfg.Log = obs.DefaultLogger
 	}
 	return cfg
 }
