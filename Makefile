@@ -16,8 +16,9 @@ vet:
 # per-function analyzers (ctxflow, lockscope, billmeter, gospawn,
 # metricname) plus three interprocedural ones (lockorder, reslifecycle,
 # goleak) over the shared call-graph/summary program — run by the
-# llmdm-lint driver, followed by the waiver audit (every //llmdm:
-# annotation must carry a reason). Each run type-checks the module
+# llmdm-lint driver in one process, which also reports a //llmdm:
+# annotation without a reason as a finding (`bin/llmdm-lint -waivers ./...`
+# lists every annotation with its reason). The run type-checks the module
 # (go/types, stdlib from source), which is where the time goes, so the
 # target prints its wall time: a number to watch, recorded per PR in
 # CHANGES.md. Also usable as a vettool:
@@ -34,7 +35,6 @@ lint:
 	set -ex; \
 	$(GO) build -o bin/llmdm-lint ./cmd/llmdm-lint; \
 	./bin/llmdm-lint ./...; \
-	./bin/llmdm-lint -waivers ./...; \
 	set +x; \
 	echo "lint: $$(( $$(date +%s) - start )) s wall"
 
@@ -50,7 +50,7 @@ race:
 	$(GO) test -race ./...
 
 # The serving-path packages that run concurrent under load; the CI race
-# gate covers exactly these. internal/vector and internal/embed are here
+# gate runs this target. internal/vector and internal/embed are here
 # because their kernels shard searches across goroutines and share pooled
 # scratch buffers. internal/analysis is here because the lint driver and
 # its enforcement tests walk one shared Program (summary/waiver caches)
@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseQuestion -fuzztime=20s ./internal/core/transform/
 	$(GO) test -fuzz=FuzzMinePattern -fuzztime=20s ./internal/core/transform/
 	$(GO) test -fuzz=FuzzDotInt8Rows -fuzztime=20s ./internal/embed/
+	$(GO) test -fuzz=FuzzFloatKernels -fuzztime=20s ./internal/embed/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

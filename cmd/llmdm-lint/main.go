@@ -13,10 +13,12 @@
 //	llmdm-lint -json ./...            # machine-readable findings
 //	llmdm-lint -waivers ./...         # audit every //llmdm: annotation
 //
-// Diagnostics print as file:line:col: [analyzer] message. Exit codes:
+// Diagnostics print as file:line:col: [analyzer] message. A //llmdm:
+// annotation without a reason is itself a finding ([waiver]), so one run
+// is the whole gate. Exit codes:
 //
-//	0  clean (no findings; for -waivers, no reasonless waivers)
-//	1  findings (or reasonless waivers under -waivers)
+//	0  clean (no findings, no reasonless waivers)
+//	1  findings (a reasonless waiver is one)
 //	2  load error (bad pattern, no go.mod, source that does not parse
 //	   or does not type-check — such a tree is never reported clean)
 //
@@ -25,9 +27,9 @@
 // where count is the number of NON-waived findings (the exit-1 set);
 // waived findings are included so CI can annotate accepted sites.
 //
-// -waivers lists every //llmdm:allow and //llmdm:detached site with its
-// reason and exits 1 if any waiver lacks one: annotations are grep-able
-// audit points, and a reasonless waiver is an unreviewable one.
+// -waivers is the listing mode: every //llmdm:allow and //llmdm:detached
+// site with its reason (exit 1 if any lacks one): annotations are
+// grep-able audit points, and a reasonless waiver is an unreviewable one.
 //
 // Vettool compatibility: the binary also speaks enough of the `go vet
 // -vettool` unit-checker protocol (-V=full, a single *.cfg argument) to
@@ -146,9 +148,18 @@ func runStandalone(w io.Writer, patterns []string, analyzers []*analysis.Analyze
 func runReport(w io.Writer, prog *analysis.Program, root string, analyzers []*analysis.Analyzer, jsonOut bool) int {
 	// Two passes over the shared program: the annotation-honoring run
 	// is the finding set; the ignoring run additionally surfaces waived
-	// sites so -json can report them as accepted.
+	// sites so -json can report them as accepted. The finding set opens
+	// with the waivers nobody can review: those without a reason.
 	active := map[string]bool{}
 	var activeDiags []analysis.Diagnostic
+	for _, wv := range prog.Waivers() {
+		if wv.Reason == "" {
+			d := analysis.Diagnostic{Pos: wv.Pos, Analyzer: "waiver", Message: "//llmdm:" + wv.Verb + " " + mustSayWhy}
+			active[diagKey(d)] = true
+			activeDiags = append(activeDiags, d)
+		}
+	}
+	reasonless := activeDiags
 	for _, pkg := range prog.Pkgs {
 		diags, err := analysis.RunAnalyzersProg(prog, pkg, analyzers, false)
 		if err != nil {
@@ -173,24 +184,30 @@ func runReport(w io.Writer, prog *analysis.Program, root string, analyzers []*an
 	}
 
 	report := jsonReport{Schema: "llmdm-lint/1", Findings: []jsonFinding{}}
+	add := func(d analysis.Diagnostic) {
+		waived := !active[diagKey(d)]
+		if !waived {
+			report.Count++
+		}
+		report.Findings = append(report.Findings, jsonFinding{
+			File:     relPath(root, d.Pos.Filename),
+			Line:     d.Pos.Line,
+			Col:      d.Pos.Column,
+			Analyzer: d.Analyzer,
+			Message:  d.Message,
+			Waived:   waived,
+		})
+	}
+	for _, d := range reasonless { // no analyzer run surfaces these
+		add(d)
+	}
 	for _, pkg := range prog.Pkgs {
 		diags, err := analysis.RunAnalyzersProg(prog, pkg, analyzers, true)
 		if err != nil {
 			return loadError(err)
 		}
 		for _, d := range diags {
-			waived := !active[diagKey(d)]
-			if !waived {
-				report.Count++
-			}
-			report.Findings = append(report.Findings, jsonFinding{
-				File:     relPath(root, d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-				Waived:   waived,
-			})
+			add(d)
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -204,7 +221,11 @@ func runReport(w io.Writer, prog *analysis.Program, root string, analyzers []*an
 	return 0
 }
 
-// runWaivers implements the -waivers audit.
+// mustSayWhy is what a reasonless waiver is told, by the [waiver] finding
+// and by the -waivers listing alike.
+const mustSayWhy = "without a reason — every //llmdm: annotation must say why"
+
+// runWaivers implements the -waivers listing.
 func runWaivers(w io.Writer, patterns []string) int {
 	prog, root, err := loadProgram(patterns)
 	if err != nil {
@@ -230,7 +251,7 @@ func runWaiverReport(w io.Writer, prog *analysis.Program, root string) int {
 		fmt.Fprintf(w, "%s:%d: [%s] %s\n", relPath(root, wv.Pos.Filename), wv.Pos.Line, name, reason)
 	}
 	if reasonless > 0 {
-		fmt.Fprintf(os.Stderr, "llmdm-lint: %d waiver(s) without a reason — every //llmdm: annotation must say why\n", reasonless)
+		fmt.Fprintf(os.Stderr, "llmdm-lint: %d waiver(s) %s\n", reasonless, mustSayWhy)
 		return 1
 	}
 	return 0

@@ -239,6 +239,45 @@ func locked(mu *sync.Mutex, ch chan int) {
 	}
 }
 
+// TestReasonlessWaiverIsAFinding: the standalone run is the whole gate —
+// a waiver without a reason fails it in both output modes, even though
+// the waiver silences the analyzer finding beneath it.
+func TestReasonlessWaiverIsAFinding(t *testing.T) {
+	prog, root := injectProgram(t, `package tmplib
+
+import "sync"
+
+func locked(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	defer mu.Unlock()
+	//llmdm:allow lockscope
+	ch <- 1
+}
+`)
+	var buf bytes.Buffer
+	if code := runReport(&buf, prog, root, suite.All(), false); code != 1 {
+		t.Fatalf("text exit code = %d, want 1 (reasonless waiver); output:\n%s", code, buf.String())
+	}
+	want := "lib.go:8:0: [waiver] //llmdm:allow without a reason — every //llmdm: annotation must say why\n"
+	if buf.String() != want {
+		t.Errorf("text output = %q, want %q", buf.String(), want)
+	}
+
+	buf.Reset()
+	if code := runReport(&buf, prog, root, suite.All(), true); code != 1 {
+		t.Fatalf("json exit code = %d, want 1 (reasonless waiver); output:\n%s", code, buf.String())
+	}
+	var report jsonReport
+	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Count != 1 || len(report.Findings) != 2 ||
+		report.Findings[0].Analyzer != "waiver" || report.Findings[0].Waived ||
+		report.Findings[1].Analyzer != "lockscope" || !report.Findings[1].Waived {
+		t.Errorf("json report = %+v, want the waiver counted and the lockscope site waived", report)
+	}
+}
+
 // TestModuleTreeIsCleanAndAudited runs the real CLI paths over the
 // whole module: the standalone run must be clean (exit 0, no output)
 // and the waiver audit must pass (every annotation carries a reason).

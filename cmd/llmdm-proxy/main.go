@@ -21,12 +21,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -34,13 +38,32 @@ import (
 	"repro/internal/sched"
 )
 
+// shutdownGrace bounds how long a SIGINT/SIGTERM waits for requests in
+// flight before the process exits anyway.
+const shutdownGrace = 10 * time.Second
+
 // listenAndServe is swapped out by tests so run can be exercised end to
 // end without binding a socket. The server bounds how long a client may
 // take over its request headers; it sets no WriteTimeout, which would cut
-// SSE streams short.
+// SSE streams short. On SIGINT/SIGTERM it stops accepting, gives requests
+// in flight shutdownGrace to finish and returns nil (Shutdown's error when
+// the grace runs out), so run unwinds through its defers: alert engine,
+// proxy and scheduler, runtime collector.
 var listenAndServe = func(addr string, h http.Handler) error {
 	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	return srv.ListenAndServe()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	drained := make(chan error, 1)
+	go func() {
+		<-ctx.Done() // a signal, or stop() after a failed listen
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		drained <- srv.Shutdown(grace)
+	}()
+	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-drained
 }
 
 func main() {

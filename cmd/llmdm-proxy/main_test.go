@@ -4,8 +4,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -107,6 +111,38 @@ func TestRunDisablesSubsystems(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404 when disabled", path, resp.StatusCode)
+		}
+	}
+}
+
+// The default listenAndServe returns nil on SIGTERM — which is what lets
+// run unwind through its defers — well inside the grace period.
+func TestListenAndServeDrainsOnSignal(t *testing.T) {
+	// While this channel is registered, a SIGTERM that lands before
+	// listenAndServe has installed its own handler does not kill the test
+	// binary; the signal is re-sent until the server has seen one.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	defer signal.Stop(guard)
+
+	done := make(chan error, 1)
+	go func() { done <- listenAndServe("127.0.0.1:0", http.NotFoundHandler()) }()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(shutdownGrace)
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("listenAndServe after SIGTERM: %v, want nil", err)
+			}
+			return
+		case <-tick.C:
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("listenAndServe still serving %v after SIGTERM", shutdownGrace)
 		}
 	}
 }

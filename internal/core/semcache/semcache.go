@@ -124,16 +124,12 @@ type Cache struct {
 	// evict orders the entries by eviction preference, next victim at the
 	// root; see evictHeap.
 	evict evictHeap
-	// admission gates what gets cached (nil = admit everything).
-	admission Admission
-	// ttl expires entries older than this many logical ticks (0 = never).
-	ttl int64
 
 	log *obs.Logger
 
 	// Metric handles, resolved once at construction.
 	mLookups, mHitExact, mHitSemantic, mMisses *obs.Counter
-	mEvictions, mExpired, mAdmitRejects, mPuts *obs.Counter
+	mEvictions, mPuts                          *obs.Counter
 	mStaleLookups, mStaleHits                  *obs.Counter
 	hSimilarity                                *obs.Histogram
 }
@@ -149,7 +145,7 @@ type Config struct {
 	Threshold float64
 	// Policy selects eviction. Defaults to Weighted.
 	Policy Policy
-	// Obs receives the cache's hit/miss/evict/admission counters and the
+	// Obs receives the cache's hit/miss/evict/put counters and the
 	// hit-similarity histogram.
 	Obs *obs.Registry
 	// Log receives semcache_evict lifecycle events.
@@ -179,8 +175,6 @@ func New(cfg Config) *Cache {
 		mHitSemantic:  cfg.Obs.Counter("semcache_hits_total", "kind", "semantic"),
 		mMisses:       cfg.Obs.Counter("semcache_misses_total"),
 		mEvictions:    cfg.Obs.Counter("semcache_evictions_total"),
-		mExpired:      cfg.Obs.Counter("semcache_expired_total"),
-		mAdmitRejects: cfg.Obs.Counter("semcache_admission_rejects_total"),
 		mPuts:         cfg.Obs.Counter("semcache_puts_total"),
 		mStaleLookups: cfg.Obs.Counter("semcache_stale_lookups_total"),
 		mStaleHits:    cfg.Obs.Counter("semcache_stale_hits_total"),
@@ -212,8 +206,8 @@ func (c *Cache) Lookup(query string) (Hit, bool) {
 // as the hit-similarity histogram's exemplar so a borderline-similarity
 // bucket resolves to a concrete request in /debug/traces.
 func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
-	// The query is embedded before the lock is taken for good, not under
-	// it — but only when no exact entry makes the embedding unnecessary,
+	// The query is embedded before the lock is taken for good, never under
+	// it — and only when no exact entry makes the embedding unnecessary,
 	// which takes a first look under the lock. Scratch embedding: the
 	// vector is only needed for this one search, so it is drawn from (and
 	// returned to) the embedder's pool instead of allocated per lookup.
@@ -234,37 +228,20 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 
 	if exact {
 		e := c.entries[id]
-		if c.expiredLocked(e) {
-			c.removeLocked(e)
-			c.mExpired.Inc()
-		} else {
-			c.touchLocked(e)
-			c.stats.Hits++
-			c.stats.ExactHits++
-			c.mHitExact.Inc()
-			c.hSimilarity.ObserveWithExemplar(1, trace)
-			return Hit{Entry: *e, Similarity: 1, Exact: true}, true
-		}
+		c.touchLocked(e)
+		c.stats.Hits++
+		c.stats.ExactHits++
+		c.mHitExact.Inc()
+		c.hSimilarity.ObserveWithExemplar(1, trace)
+		return Hit{Entry: *e, Similarity: 1, Exact: true}, true
 	}
 
-	if qv == nil {
-		// The exact entry seen above had expired: the one lookup that
-		// still embeds under the lock.
-		qv = c.emb.TextScratch(query)
-		defer c.emb.ReleaseScratch(qv)
-	}
 	hits := c.idx.Search(*qv, 1)
 	if len(hits) == 0 || hits[0].Score < c.threshold {
 		c.mMisses.Inc()
 		return Hit{}, false
 	}
 	e := c.entries[hits[0].ID]
-	if c.expiredLocked(e) {
-		c.removeLocked(e)
-		c.mExpired.Inc()
-		c.mMisses.Inc()
-		return Hit{}, false
-	}
 	c.touchLocked(e)
 	c.stats.Hits++
 	c.mHitSemantic.Inc()
@@ -273,11 +250,11 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 }
 
 // LookupStale finds the nearest cached entry at or above floor, ignoring
-// the configured hit threshold and the TTL — the degraded-mode lookup
-// behind the proxy's stale-serve: when the whole cascade is down, an
-// approximate old answer beats an error. Stale lookups keep their own
-// counters (semcache_stale_*) so the headline hit rate stays a measure of
-// normal operation.
+// the configured hit threshold — the degraded-mode lookup behind the
+// proxy's stale-serve: when the whole cascade is down, an approximate old
+// answer beats an error. Stale lookups keep their own counters
+// (semcache_stale_*) so the headline hit rate stays a measure of normal
+// operation.
 func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
 	qv := c.emb.TextScratch(query)
 	defer c.emb.ReleaseScratch(qv)
@@ -295,11 +272,6 @@ func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
 	return Hit{Entry: *e, Similarity: hits[0].Score, Exact: e.Query == query}, true
 }
 
-// expiredLocked reports whether e is past the TTL.
-func (c *Cache) expiredLocked(e *Entry) bool {
-	return c.ttl > 0 && c.clock-e.lastUsed > c.ttl
-}
-
 // touchLocked records a hit on e at the current tick and restores e's
 // place in the eviction order.
 func (c *Cache) touchLocked(e *Entry) {
@@ -308,21 +280,12 @@ func (c *Cache) touchLocked(e *Entry) {
 	c.evict.down(e.pos) // both keys only grow
 }
 
-// removeLocked deletes e from the maps, the index and the eviction heap —
-// the one way out of the cache, for expiry and eviction alike.
-func (c *Cache) removeLocked(e *Entry) {
-	delete(c.byExact, e.Query)
-	delete(c.entries, e.id)
-	c.idx.Remove(e.id)
-	c.evict.remove(e.pos)
-}
-
 // Put inserts a (query, response) pair. Re-putting an existing query
 // refreshes its response.
 func (c *Cache) Put(query, response string, kind Kind, class Class) {
-	// Embedded before the lock, like a lookup's query; a re-put or a
-	// rejected admission wastes the microsecond. The index copies the
-	// vector into its own store, so pooled scratch serves here too.
+	// Embedded before the lock, like a lookup's query; a re-put wastes the
+	// microsecond. The index copies the vector into its own store, so
+	// pooled scratch serves here too.
 	qv := c.emb.TextScratch(query)
 	defer c.emb.ReleaseScratch(qv)
 	c.mu.Lock()
@@ -333,10 +296,6 @@ func (c *Cache) Put(query, response string, kind Kind, class Class) {
 		e.Response = response
 		e.lastUsed = c.clock
 		c.evict.down(e.pos)
-		return
-	}
-	if c.admission != nil && !c.admission.Admit(query) {
-		c.mAdmitRejects.Inc()
 		return
 	}
 	c.mPuts.Inc()
@@ -356,11 +315,14 @@ func (c *Cache) Put(query, response string, kind Kind, class Class) {
 	c.evict.push(e)
 }
 
-// evictLocked removes the entry the configured policy values least: the
-// root of the eviction heap.
+// evictLocked removes the entry the configured policy values least, the
+// root of the eviction heap, from the heap, the maps and the index — the one
+// way out of the cache.
 func (c *Cache) evictLocked() {
-	e := c.evict.es[0]
-	c.removeLocked(e)
+	e := c.evict.popRoot()
+	delete(c.byExact, e.Query)
+	delete(c.entries, e.id)
+	c.idx.Remove(e.id)
 	c.stats.Evictions++
 	c.mEvictions.Inc()
 	// Evictions happen under the put-caller's lock but are cheap to log
@@ -375,11 +337,11 @@ func (c *Cache) evictLocked() {
 // the order is total: the root is exactly the entry a walk over all
 // entries would pick, whatever order the heap was built in. Each entry
 // carries its position (Entry.pos), so a hit or a re-put restores the
-// order with one O(log n) sift and a removal needs no search. Hits and
-// lastUsed only ever grow, so those sifts only go down. The sifts are
-// written out rather than handed to container/heap because they run under
-// the cache lock on every hit, where its interface calls would double
-// their cost.
+// order with one O(log n) sift. Hits and lastUsed only ever grow, so those
+// sifts only go down, and eviction — the only removal — pops the root. The
+// sifts are written out rather than handed to container/heap because they
+// run under the cache lock on every hit, where its interface calls would
+// double their cost.
 type evictHeap struct {
 	policy Policy
 	es     []*Entry
@@ -411,18 +373,17 @@ func (h *evictHeap) push(e *Entry) {
 	h.up(len(h.es)-1, e)
 }
 
-// remove deletes the entry at position i.
-func (h *evictHeap) remove(i int) {
-	last := len(h.es) - 1
+// popRoot removes and returns the next victim.
+func (h *evictHeap) popRoot() *Entry {
+	root, last := h.es[0], len(h.es)-1
 	moved := h.es[last]
 	h.es[last] = nil
 	h.es = h.es[:last]
-	if i == last {
-		return
+	if last > 0 {
+		h.es[0] = moved
+		h.down(0)
 	}
-	h.set(i, moved)
-	h.up(i, moved)
-	h.down(moved.pos)
+	return root
 }
 
 // up moves e, at position i, toward the root until its parent is evicted

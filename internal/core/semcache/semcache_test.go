@@ -253,7 +253,7 @@ func newModelCache(capacity int, policy Policy) *Cache {
 
 // modelOp runs one random cache operation over a pool of queries a few
 // times the capacity, so puts evict, re-puts and exact lookups find
-// entries, paraphrases hit semantically and TTLs expire.
+// entries and paraphrases hit semantically.
 func modelOp(c *Cache, r *rand.Rand, pool int) {
 	query, paraphrase := modelQuery(r.Intn(pool))
 	switch op := r.Intn(10); {
@@ -273,48 +273,45 @@ func modelOp(c *Cache, r *rand.Rand, pool int) {
 }
 
 // TestEvictionHeapMatchesWalk drives seeded random sequences of Put,
-// re-Put, Lookup, LookupStale and TTL expiry and asserts after every
-// operation that the heap agrees with the O(n) walk, and at every
-// eviction that the walk's victim — never the newcomer — is what left.
+// re-Put, Lookup and LookupStale and asserts after every operation that
+// the heap agrees with the O(n) walk, and at every eviction that the
+// walk's victim — never the newcomer — is what left.
 func TestEvictionHeapMatchesWalk(t *testing.T) {
 	for _, policy := range []Policy{LRU, LFU, Weighted} {
 		for _, capacity := range []int{1, 2, 64} {
-			for _, ttl := range []int64{0, 48} {
-				t.Run(fmt.Sprintf("%v/cap=%d/ttl=%d", policy, capacity, ttl), func(t *testing.T) {
-					c := newModelCache(capacity, policy)
-					c.SetTTL(ttl)
-					r := rand.New(rand.NewSource(int64(capacity)*7 + ttl))
-					pool := 3*capacity + 2
-					evictions := 0
-					for step := 0; step < 1500; step++ {
-						before := c.Stats().Evictions
-						victim, full := "", c.Len() == capacity
-						if full {
-							victim = c.entries[oracleVictim(c)].Query
-						}
-						if r.Intn(4) == 0 { // a put of a query not cached: evicts when full
-							query, _ := modelQuery(r.Intn(pool))
-							_, cached := c.byExact[query]
-							c.Put(query, "answer", Original, Class(r.Intn(2)))
-							if _, kept := c.byExact[query]; !kept {
-								t.Fatalf("step %d: the put of %q did not keep it", step, query)
-							}
-							if full && !cached {
-								if _, still := c.byExact[victim]; still || c.Stats().Evictions != before+1 {
-									t.Fatalf("step %d: put into a full cache kept the walk's victim %q", step, victim)
-								}
-								evictions++
-							}
-						} else {
-							modelOp(c, r, pool)
-						}
-						checkEvictionInvariants(t, c)
+			t.Run(fmt.Sprintf("%v/cap=%d", policy, capacity), func(t *testing.T) {
+				c := newModelCache(capacity, policy)
+				r := rand.New(rand.NewSource(int64(capacity) * 7))
+				pool := 3*capacity + 2
+				evictions := 0
+				for step := 0; step < 1500; step++ {
+					before := c.Stats().Evictions
+					victim, full := "", c.Len() == capacity
+					if full {
+						victim = c.entries[oracleVictim(c)].Query
 					}
-					if expired := c.mExpired.Value(); evictions == 0 || ttl > 0 && capacity == 64 && expired == 0 {
-						t.Errorf("sequence too tame to test anything: %d evictions, %d expiries", evictions, expired)
+					if r.Intn(4) == 0 { // a put of a query not cached: evicts when full
+						query, _ := modelQuery(r.Intn(pool))
+						_, cached := c.byExact[query]
+						c.Put(query, "answer", Original, Class(r.Intn(2)))
+						if _, kept := c.byExact[query]; !kept {
+							t.Fatalf("step %d: the put of %q did not keep it", step, query)
+						}
+						if full && !cached {
+							if _, still := c.byExact[victim]; still || c.Stats().Evictions != before+1 {
+								t.Fatalf("step %d: put into a full cache kept the walk's victim %q", step, victim)
+							}
+							evictions++
+						}
+					} else {
+						modelOp(c, r, pool)
 					}
-				})
-			}
+					checkEvictionInvariants(t, c)
+				}
+				if evictions == 0 {
+					t.Error("sequence too tame to test anything: no evictions")
+				}
+			})
 		}
 	}
 }
@@ -324,7 +321,6 @@ func TestEvictionHeapMatchesWalk(t *testing.T) {
 func TestEvictionHeapConcurrent(t *testing.T) {
 	for _, policy := range []Policy{LRU, LFU, Weighted} {
 		c := newModelCache(64, policy)
-		c.SetTTL(200)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)

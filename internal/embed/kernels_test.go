@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -349,6 +350,88 @@ func FuzzDotInt8Rows(f *testing.F) {
 		q, rows := codes[:dim], codes[dim:]
 		rows = rows[:len(rows)/dim*dim]
 		checkDotInt8Rows(t, q, rows)
+	})
+}
+
+// FuzzFloatKernels is the differential test of the float kernels: whatever
+// dotF32 and sqL2F32 dispatch to (the AVX2+FMA assembly where the CPU has
+// it) and the two-lane dotNormF32 must agree with the portable dotGeneric /
+// sqL2Generic. The first byte picks the length, 0-67, so the fuzzer reaches
+// the generic path below archMinLen, the 32-wide loop, the 8-wide loop and
+// every Go tail after them; the rest is the two vectors as raw float32
+// bits. FMA and the lane split round differently, so agreement is within a
+// tolerance relative to the sum of the terms' magnitudes (not to the
+// result, which cancellation can leave arbitrarily small), plus a floor
+// for terms that round in the denormal range.
+func FuzzFloatKernels(f *testing.F) {
+	seed := func(n int, a, b func(i int) float32) []byte {
+		out := make([]byte, 1, 1+8*n)
+		out[0] = byte(n)
+		for _, gen := range []func(int) float32{a, b} {
+			for i := 0; i < n; i++ {
+				out = binary.LittleEndian.AppendUint32(out, math.Float32bits(gen(i)))
+			}
+		}
+		return out
+	}
+	ramp := func(i int) float32 { return float32(i%13) - 5.5 }
+	wave := func(i int) float32 { return float32(math.Sin(float64(i))) * 3 }
+	for _, n := range []int{0, 1, 7, 8, 15, 16, 17, 23, 24, 31, 32, 33, 40, 47, 63, 64, 67} {
+		f.Add(seed(n, ramp, wave))
+	}
+	f.Add(seed(48, ramp, ramp))                                                             // a == b: sqL2 is 0
+	f.Add(seed(35, wave, func(i int) float32 { return -wave(i) }))                          // dot cancels to -|a|²
+	f.Add(seed(67, func(int) float32 { return 0 }, wave))                                   // a zero vector
+	f.Add(seed(41, func(int) float32 { return 1e14 }, func(int) float32 { return -1e-14 })) // wide exponent range
+	f.Add(seed(33, func(int) float32 { return 1e-21 }, func(int) float32 { return 2e-21 })) // products denormal
+	f.Add([]byte{20, 1, 2, 3})                                                              // fewer bytes than two vectors
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		n := int(in[0]) % 68
+		if len(in)-1 < 8*n {
+			return
+		}
+		vecs := make([]float32, 2*n)
+		for i := range vecs {
+			x := math.Float32frombits(binary.LittleEndian.Uint32(in[1+4*i:]))
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				return
+			}
+			vecs[i] = x
+		}
+		a, b := vecs[:n], vecs[n:]
+
+		// scale sums the magnitudes of the terms term(i) adds up.
+		scale := func(term func(i int) float64) float64 {
+			var s float64
+			for i := 0; i < n; i++ {
+				s += math.Abs(term(i))
+			}
+			return s
+		}
+		check := func(name string, got, want, scale float64) {
+			t.Helper()
+			if scale > 1e30 {
+				return // float32 partial sums may overflow, differently per lane split
+			}
+			if math.Abs(got-want) > 1e-4*scale+1e-40 {
+				t.Errorf("%s len=%d: kernel %v, generic %v (terms sum to %v)", name, n, got, want, scale)
+			}
+		}
+		ab := scale(func(i int) float64 { return float64(a[i]) * float64(b[i]) })
+		aa := scale(func(i int) float64 { return float64(a[i]) * float64(a[i]) })
+		bb := scale(func(i int) float64 { return float64(b[i]) * float64(b[i]) })
+		check("dotF32", dotF32(a, b), dotGeneric(a, b), ab)
+		check("sqL2F32", sqL2F32(a, b), sqL2Generic(a, b), scale(func(i int) float64 {
+			d := float64(a[i]) - float64(b[i])
+			return d * d
+		}))
+		dot, na, nb := dotNormF32(a, b)
+		check("dotNormF32 dot", dot, dotGeneric(a, b), ab)
+		check("dotNormF32 na", na, dotGeneric(a, a), aa)
+		check("dotNormF32 nb", nb, dotGeneric(b, b), bb)
 	})
 }
 

@@ -412,6 +412,66 @@ func TestSchemaText(t *testing.T) {
 	}
 }
 
+func TestInsertSelect(t *testing.T) {
+	db := stadiumDB(t)
+	if _, err := db.Exec("CREATE TABLE big_stadiums (name TEXT, capacity INT)"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.Exec("INSERT INTO big_stadiums (name, capacity) SELECT name, capacity FROM stadium WHERE capacity > 80000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Affected != 2 {
+		t.Errorf("affected = %d, want 2", r.Affected)
+	}
+	got, _ := db.Exec("SELECT name FROM big_stadiums ORDER BY name")
+	if len(got.Rows) != 2 || got.Rows[0][0].Display() != "Camp Nou" {
+		t.Errorf("rows = %v", got.Rows)
+	}
+}
+
+func TestInsertSelectArityMismatch(t *testing.T) {
+	db := stadiumDB(t)
+	db.Exec("CREATE TABLE narrow (name TEXT)")
+	if _, err := db.Exec("INSERT INTO narrow SELECT name, capacity FROM stadium"); err == nil {
+		t.Error("arity mismatch accepted")
+	}
+}
+
+func TestInsertSelectRoundTripSQL(t *testing.T) {
+	st := mustParse(t, "INSERT INTO t (a) SELECT x FROM u WHERE x > 1")
+	r1 := st.SQL()
+	st2, err := Parse(r1)
+	if err != nil {
+		t.Fatalf("re-parse %q: %v", r1, err)
+	}
+	if st2.SQL() != r1 {
+		t.Errorf("round trip unstable: %q vs %q", r1, st2.SQL())
+	}
+}
+
+func TestInsertSelectArchivePattern(t *testing.T) {
+	// The archival pattern: snapshot old rows into a history table, then
+	// delete them — all through the SQL surface, inside a transaction.
+	db := stadiumDB(t)
+	script := `CREATE TABLE concert_archive (concert_id INT, stadium_id INT, year INT, attendance INT);
+BEGIN;
+INSERT INTO concert_archive SELECT * FROM concert WHERE year < 2014;
+DELETE FROM concert WHERE year < 2014;
+COMMIT;`
+	if _, err := db.ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	live, _ := db.Exec("SELECT COUNT(*) FROM concert")
+	archived, _ := db.Exec("SELECT COUNT(*) FROM concert_archive")
+	if archived.Rows[0][0].Int != 1 { // one 2013 concert in the fixture
+		t.Errorf("archived = %v", archived.Rows[0][0])
+	}
+	if live.Rows[0][0].Int != 5 {
+		t.Errorf("live = %v", live.Rows[0][0])
+	}
+}
+
 func BenchmarkExecJoinGroup(b *testing.B) {
 	db := stadiumDB(b)
 	q := "SELECT s.name, COUNT(*) AS n FROM stadium AS s JOIN concert AS c ON s.stadium_id = c.stadium_id GROUP BY s.name ORDER BY n DESC"

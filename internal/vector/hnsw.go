@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"repro/internal/embed"
-	"repro/internal/obs"
 )
 
 // HNSW is a hierarchical navigable small world graph index, the structure
@@ -18,20 +16,17 @@ import (
 // top layer and then run a best-first beam search on the base layer.
 //
 // The beam search runs on pooled scratch state (an epoch-stamped visited
-// array and reusable heaps), node norms are cached at insert so cosine
-// distance is one dot product per edge, and on large graphs the layer-0
-// frontier is expanded in parallel batches (see searchLayerLocked).
-// HNSW is safe for concurrent use.
+// array and reusable heaps) and node norms are cached at insert so cosine
+// distance is one dot product per edge. HNSW is safe for concurrent use.
 type HNSW struct {
-	mu          sync.RWMutex
-	metric      Metric
-	dim         int
-	m           int // max neighbors per node per upper layer (2m at layer 0)
-	efCons      int
-	efSrch      int
-	parallelMin int
-	levelP      float64
-	rng         *rand.Rand
+	mu     sync.RWMutex
+	metric Metric
+	dim    int
+	m      int // max neighbors per node per upper layer (2m at layer 0)
+	efCons int
+	efSrch int
+	levelP float64
+	rng    *rand.Rand
 
 	nodes []hnswNode
 	norms []float32 // L2 norm per node, aligned with nodes
@@ -61,16 +56,7 @@ type HNSWConfig struct {
 	EfSearch int
 	// Seed drives random level assignment; fixed for reproducibility.
 	Seed int64
-	// ParallelThreshold is the graph size at which layer-0 frontier
-	// expansion parallelizes (when GOMAXPROCS > 1). 0 means the default
-	// (8192); negative disables parallel search entirely.
-	ParallelThreshold int
 }
-
-// hnswParallelMin is the default HNSWConfig.ParallelThreshold: below this
-// many nodes a beam search finishes in tens of microseconds and goroutine
-// handoff would dominate.
-const hnswParallelMin = 8192
 
 // NewHNSW returns an empty HNSW index.
 func NewHNSW(cfg HNSWConfig) *HNSW {
@@ -86,20 +72,16 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 	if cfg.EfSearch <= 0 {
 		cfg.EfSearch = 32
 	}
-	if cfg.ParallelThreshold == 0 {
-		cfg.ParallelThreshold = hnswParallelMin
-	}
 	h := &HNSW{
-		metric:      cfg.Metric,
-		dim:         cfg.Dim,
-		m:           cfg.M,
-		efCons:      cfg.EfConstruction,
-		efSrch:      cfg.EfSearch,
-		parallelMin: cfg.ParallelThreshold,
-		levelP:      1 / math.E,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		byID:        make(map[ID]int),
-		entry:       -1,
+		metric: cfg.Metric,
+		dim:    cfg.Dim,
+		m:      cfg.M,
+		efCons: cfg.EfConstruction,
+		efSrch: cfg.EfSearch,
+		levelP: 1 / math.E,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		byID:   make(map[ID]int),
+		entry:  -1,
 	}
 	h.scratch.New = func() any { return &hnswScratch{} }
 	return h
@@ -202,7 +184,7 @@ func (h *HNSW) insertLocked(it Item) {
 	}
 	sc := h.scratch.Get().(*hnswScratch)
 	for l := top; l >= 0; l-- {
-		cands := h.searchLayerLocked(sc, &p, cur, h.efCons, l, false)
+		cands := h.searchLayerLocked(sc, &p, cur, h.efCons, l)
 		max := h.m
 		if l == 0 {
 			max = 2 * h.m
@@ -325,9 +307,6 @@ type hnswScratch struct {
 	epoch   uint32
 	cands   candHeap
 	best    farHeap
-	batch   []int
-	nbrs    []int
-	dists   []float64
 }
 
 func (sc *hnswScratch) reset(n int) {
@@ -350,61 +329,23 @@ func (sc *hnswScratch) visit(n int)     { sc.visited[n] = sc.epoch }
 
 // searchLayerLocked runs the HNSW best-first beam search on layer l and
 // returns up to ef candidates sorted by ascending distance.
-//
-// With parallel set (layer 0 on large graphs), the frontier is expanded in
-// batches: up to GOMAXPROCS admissible candidates are popped, their
-// undiscovered neighbors deduplicated sequentially, the distance
-// computations — the only expensive part — fanned out across workers, and
-// the heap updates applied sequentially. Batch selection, visited marking
-// and heap mutation all stay single-threaded, so the result is
-// deterministic for a given graph; with one worker the batch is one
-// candidate and the traversal is exactly the classic sequential search.
-func (h *HNSW) searchLayerLocked(sc *hnswScratch, p *hnswQuery, start, ef, l int, parallel bool) []hnswCand {
+func (h *HNSW) searchLayerLocked(sc *hnswScratch, p *hnswQuery, start, ef, l int) []hnswCand {
 	sc.reset(len(h.nodes))
 	sc.visit(start)
 	d0 := h.distNode(p, start)
 	sc.cands = append(sc.cands, hnswCand{start, d0})
 	sc.best = append(sc.best, hnswCand{start, d0})
-	workers := 1
-	if parallel && l == 0 {
-		workers = min(runtime.GOMAXPROCS(0), maxScanWorkers)
-	}
 	for len(sc.cands) > 0 {
 		c := heap.Pop(&sc.cands).(hnswCand)
 		if len(sc.best) >= ef && c.d > sc.best[0].d {
 			break
 		}
-		sc.batch = append(sc.batch[:0], c.node)
-		for workers > 1 && len(sc.batch) < workers && len(sc.cands) > 0 {
-			if len(sc.best) >= ef && sc.cands[0].d > sc.best[0].d {
-				break
+		for _, nb := range h.nodes[c.node].neighbors[l] {
+			if sc.seen(nb) {
+				continue
 			}
-			c2 := heap.Pop(&sc.cands).(hnswCand)
-			sc.batch = append(sc.batch, c2.node)
-		}
-		sc.nbrs = sc.nbrs[:0]
-		for _, b := range sc.batch {
-			for _, nb := range h.nodes[b].neighbors[l] {
-				if sc.seen(nb) {
-					continue
-				}
-				sc.visit(nb)
-				sc.nbrs = append(sc.nbrs, nb)
-			}
-		}
-		if cap(sc.dists) < len(sc.nbrs) {
-			sc.dists = make([]float64, len(sc.nbrs))
-		}
-		sc.dists = sc.dists[:len(sc.nbrs)]
-		if workers > 1 && len(sc.nbrs) >= 2*workers {
-			h.distBatch(p, sc.nbrs, sc.dists, workers)
-		} else {
-			for i, nb := range sc.nbrs {
-				sc.dists[i] = h.distNode(p, nb)
-			}
-		}
-		for i, nb := range sc.nbrs {
-			d := sc.dists[i]
+			sc.visit(nb)
+			d := h.distNode(p, nb)
 			if len(sc.best) < ef || d < sc.best[0].d {
 				heap.Push(&sc.cands, hnswCand{nb, d})
 				heap.Push(&sc.best, hnswCand{nb, d})
@@ -425,30 +366,6 @@ func (h *HNSW) searchLayerLocked(sc *hnswScratch, p *hnswQuery, start, ef, l int
 	return out
 }
 
-// distBatch computes distances from p to each node in nbrs, sharding across
-// workers goroutines.
-func (h *HNSW) distBatch(p *hnswQuery, nbrs []int, dists []float64, workers int) {
-	chunk := (len(nbrs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(nbrs))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		obs.Go(nil, "vector.hnsw_dist", func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				dists[i] = h.distNode(p, nbrs[i])
-			}
-		})
-	}
-	// Distance workers are pure reads of immutable node data; they take no
-	// locks, so joining them under the index read lock cannot deadlock.
-	wg.Wait()
-}
-
 // Search implements Index.
 func (h *HNSW) Search(q embed.Vector, k int) []Result {
 	h.mu.RLock()
@@ -465,9 +382,8 @@ func (h *HNSW) Search(q embed.Vector, k int) []Result {
 	if ef < k {
 		ef = k
 	}
-	parallel := h.parallelMin > 0 && len(h.nodes) >= h.parallelMin && runtime.GOMAXPROCS(0) > 1
 	sc := h.scratch.Get().(*hnswScratch)
-	cands := h.searchLayerLocked(sc, &p, cur, ef, 0, parallel)
+	cands := h.searchLayerLocked(sc, &p, cur, ef, 0)
 	h.scratch.Put(sc)
 	if len(cands) > k {
 		cands = cands[:k]

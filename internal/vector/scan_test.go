@@ -277,39 +277,6 @@ func TestFlatFilteredOnColumnStore(t *testing.T) {
 	}
 }
 
-// HNSW parallel layer-0 must match the sequential traversal exactly: the
-// batched frontier only parallelizes pure distance computations.
-func TestHNSWParallelMatchesSequential(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const n, dim, k = 1500, 24, 10
-	items := randItems(23, n, dim)
-	seq := NewHNSW(HNSWConfig{Dim: dim, Metric: Cosine, Seed: 42, ParallelThreshold: -1})
-	par := NewHNSW(HNSWConfig{Dim: dim, Metric: Cosine, Seed: 42, ParallelThreshold: 500})
-	if err := seq.Add(items...); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Add(items...); err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < 10; qi++ {
-		q := items[qi*97%n].Vec
-		sr, pr := seq.Search(q, k), par.Search(q, k)
-		if len(pr) < len(sr) {
-			t.Fatalf("query %d: parallel returned %d results, sequential %d", qi, len(pr), len(sr))
-		}
-		// The parallel batch explores a superset of the sequential
-		// frontier, so its results must be at least as good rank-by-rank.
-		for i := range sr {
-			if pr[i].Score < sr[i].Score-1e-9 {
-				t.Errorf("query %d rank %d: parallel score %v worse than sequential %v",
-					qi, i, pr[i].Score, sr[i].Score)
-			}
-		}
-	}
-}
-
 // IVF with Quantized cells must track the exact-cell configuration closely.
 func TestIVFQuantizedRecall(t *testing.T) {
 	const n, dim, k = 2000, 32, 10
