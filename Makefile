@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build vet lint analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
+.PHONY: all build fmt-check vet lint analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
 
-all: build vet lint test
+all: build fmt-check vet lint test
 
 build:
 	$(GO) build ./...
+
+# gofmt prints the files it would rewrite, in the root module and in
+# bench/ (its own module, same tree): any name is a failure.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -92,7 +97,9 @@ bench-e2e-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short live-fuzz pass over every fuzz target (seed corpora always run
-# under plain `make test`).
+# under plain `make test`). One FuzzCompletionRequest seed is a 64 KiB
+# prompt: left the default minute per finding, minimizing its mutants
+# would be the whole run, hence -fuzzminimizetime.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlkit/
 	$(GO) test -fuzz=FuzzExec -fuzztime=30s ./internal/sqlkit/
@@ -100,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMinePattern -fuzztime=20s ./internal/core/transform/
 	$(GO) test -fuzz=FuzzDotInt8Rows -fuzztime=20s ./internal/embed/
 	$(GO) test -fuzz=FuzzFloatKernels -fuzztime=20s ./internal/embed/
+	$(GO) test -fuzz=FuzzCompletionRequest -fuzztime=20s -fuzzminimizetime=1s ./internal/proxy/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -78,6 +77,14 @@ type sloClass struct {
 	mTotal  *Counter
 	mErrors *Counter
 	mSlow   *Counter
+	// gauges are the class's slo_burn_rate / slo_attainment series, one
+	// set per entry of SLOWindows; Snapshot refreshes them.
+	gauges []sloGauges
+}
+
+// sloGauges are one class × window's scores as metric series.
+type sloGauges struct {
+	availabilityBurn, latencyBurn, availability, latency *Gauge
 }
 
 // SLOTracker scores per-class traffic against latency and availability
@@ -114,6 +121,14 @@ func (t *SLOTracker) classLocked(name string) *sloClass {
 			mTotal:  t.cfg.Obs.Counter("slo_requests_total", "class", name),
 			mErrors: t.cfg.Obs.Counter("slo_errors_total", "class", name),
 			mSlow:   t.cfg.Obs.Counter("slo_slow_total", "class", name),
+		}
+		for _, window := range SLOWindows {
+			c.gauges = append(c.gauges, sloGauges{
+				availabilityBurn: t.cfg.Obs.Gauge("slo_burn_rate", "class", name, "slo", "availability", "window", window),
+				latencyBurn:      t.cfg.Obs.Gauge("slo_burn_rate", "class", name, "slo", "latency", "window", window),
+				availability:     t.cfg.Obs.Gauge("slo_attainment", "class", name, "slo", "availability", "window", window),
+				latency:          t.cfg.Obs.Gauge("slo_attainment", "class", name, "slo", "latency", "window", window),
+			})
 		}
 		t.classes[name] = c
 	}
@@ -194,25 +209,13 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	}
 	epoch := t.now().Unix() / sloBucketSeconds
 
-	type gaugeSet struct {
-		class, window string
-		w             SLOWindow
-	}
-	var sets []gaugeSet
-
 	t.mu.Lock()
-	names := make([]string, 0, len(t.classes))
-	for name := range t.classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := t.classes[name]
+	for name, c := range t.classes {
 		cs := SLOClassSnapshot{Windows: make(map[string]SLOWindow, len(SLOWindows))}
 		cs.Objective.LatencyTargetMS = float64(c.obj.LatencyTarget.Microseconds()) / 1000
 		cs.Objective.LatencyGoal = c.obj.LatencyGoal
 		cs.Objective.AvailabilityGoal = c.obj.AvailabilityGoal
-		for _, window := range SLOWindows {
+		for wi, window := range SLOWindows {
 			span := int64(sloLongBuckets)
 			if window == "5m" {
 				span = sloShortBuckets
@@ -229,18 +232,15 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 			w.Availability, w.AvailabilityBurnRate = sloScore(w.Requests, w.Errors, c.obj.AvailabilityGoal)
 			w.LatencyAttainment, w.LatencyBurnRate = sloScore(w.Requests, w.Slow, c.obj.LatencyGoal)
 			cs.Windows[window] = w
-			sets = append(sets, gaugeSet{class: name, window: window, w: w})
+			g := c.gauges[wi]
+			g.availabilityBurn.Set(w.AvailabilityBurnRate)
+			g.latencyBurn.Set(w.LatencyBurnRate)
+			g.availability.Set(w.Availability)
+			g.latency.Set(w.LatencyAttainment)
 		}
 		snap.Classes[name] = cs
 	}
 	t.mu.Unlock()
-
-	for _, s := range sets {
-		t.cfg.Obs.Gauge("slo_burn_rate", "class", s.class, "slo", "availability", "window", s.window).Set(s.w.AvailabilityBurnRate)
-		t.cfg.Obs.Gauge("slo_burn_rate", "class", s.class, "slo", "latency", "window", s.window).Set(s.w.LatencyBurnRate)
-		t.cfg.Obs.Gauge("slo_attainment", "class", s.class, "slo", "availability", "window", s.window).Set(s.w.Availability)
-		t.cfg.Obs.Gauge("slo_attainment", "class", s.class, "slo", "latency", "window", s.window).Set(s.w.LatencyAttainment)
-	}
 	return snap
 }
 

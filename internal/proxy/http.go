@@ -8,7 +8,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -123,9 +122,9 @@ func completionError(w http.ResponseWriter, err error) {
 	writeError(w, status, body.Code, body.Message, body.Retryable)
 }
 
-// CompletionResponse is the JSON reply of POST /v1/complete. TraceID
-// keys into /debug/traces?trace= and /debug/events?trace= to replay the
-// request's lifecycle.
+// CompletionResponse is the JSON reply of POST /v1/complete: the settled
+// Answer on the wire. TraceID keys into /debug/traces?trace= and
+// /debug/events?trace= to replay the request's lifecycle.
 type CompletionResponse struct {
 	Text       string  `json:"text"`
 	Model      string  `json:"model"`
@@ -136,9 +135,15 @@ type CompletionResponse struct {
 	TraceID    string  `json:"trace_id,omitempty"`
 }
 
+// elapsedMS is the wire form of Answer.Elapsed, shared by the JSON reply
+// and the SSE done event.
+func elapsedMS(ans Answer) float64 { return float64(ans.Elapsed.Microseconds()) / 1000 }
+
 // maxRequestBytes bounds a POST /v1/complete body; a larger one is
-// answered 413 without being read to the end.
-const maxRequestBytes = 1 << 20
+// answered 413 without being read to the end. maxPromptBytes bounds the
+// prompt inside it — the part that is embedded, scanned for and cached —
+// and is answered the same way.
+const maxRequestBytes, maxPromptBytes = 1 << 20, 64 << 10
 
 // TenantHeader is the HTTP header carrying the caller's tenant
 // identity. Absent or empty, the request is attributed to
@@ -186,6 +191,10 @@ func (p *Proxy) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, "bad_request", "prompt is required", false)
 			return
 		}
+		if len(req.Prompt) > maxPromptBytes {
+			writeError(w, http.StatusRequestEntityTooLarge, "bad_request", "prompt exceeds "+strconv.Itoa(maxPromptBytes)+" bytes", false)
+			return
+		}
 		ctx := r.Context()
 		tenant := strings.TrimSpace(r.Header.Get(TenantHeader))
 		if len(tenant) > obs.MaxTenantLen {
@@ -204,9 +213,8 @@ func (p *Proxy) Handler() http.Handler {
 			}
 			ctx = sched.WithClass(ctx, class)
 		}
-		start := time.Now()
 		if req.Stream {
-			p.serveStream(w, r, ctx, start, toLLMRequest(req))
+			p.serveStream(w, ctx, toLLMRequest(req))
 			return
 		}
 		ans, err := p.Complete(ctx, toLLMRequest(req))
@@ -220,7 +228,7 @@ func (p *Proxy) Handler() http.Handler {
 			Source:     ans.Source,
 			Confidence: ans.Confidence,
 			CostMicro:  int64(ans.Cost),
-			ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
+			ElapsedMS:  elapsedMS(ans),
 			TraceID:    ans.Trace,
 		})
 	})

@@ -5,14 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/llm"
 )
 
-// StreamDone is the payload of the terminal "done" SSE event: the fully
-// assembled answer plus the accounting a non-streamed call would return,
-// so a streaming client needs no second request to learn what it paid.
+// StreamDone is the payload of the terminal "done" SSE event: the
+// settled Answer on the wire — the fully assembled text plus the
+// accounting a non-streamed call would return, so a streaming client
+// needs no second request to learn what it paid.
 type StreamDone struct {
 	Text       string  `json:"text"`
 	Model      string  `json:"model"`
@@ -34,7 +34,7 @@ type StreamDone struct {
 // Errors before the first chunk (shed, bad upstream) are still reported
 // as ordinary HTTP error envelopes; once the 200 + text/event-stream
 // header is out, failures become "error" events.
-func (p *Proxy) serveStream(w http.ResponseWriter, r *http.Request, ctx context.Context, start time.Time, req llm.Request) {
+func (p *Proxy) serveStream(w http.ResponseWriter, ctx context.Context, req llm.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "internal", "streaming unsupported: response writer cannot flush", false)
@@ -65,29 +65,21 @@ func (p *Proxy) serveStream(w http.ResponseWriter, r *http.Request, ctx context.
 		return true
 	}
 
-	chunks, lastTier := 0, 0
 	for {
 		ch, rerr := s.Recv()
-		if rerr == nil {
-			chunks++
-			lastTier = ch.Tier
-			if !writeEvent("chunk", ch) {
-				// Client went away mid-write; Close (deferred) accounts
-				// the cancel without touching the coalesced cohort.
-				return
-			}
-			continue
-		}
-		if rerr == io.EOF {
+		if rerr != nil {
+			// io.EOF or the terminal error — Answer reports which.
 			break
 		}
-		_, body := errorBodyFor(rerr)
-		writeEvent("error", body)
-		return
+		if !writeEvent("chunk", ch) {
+			// Client went away mid-write; Close (deferred) accounts
+			// the cancel without touching the coalesced cohort.
+			return
+		}
 	}
-	ans, aerr := s.Answer()
-	if aerr != nil {
-		_, body := errorBodyFor(aerr)
+	ans, err := s.Answer()
+	if err != nil {
+		_, body := errorBodyFor(err)
 		writeEvent("error", body)
 		return
 	}
@@ -95,11 +87,11 @@ func (p *Proxy) serveStream(w http.ResponseWriter, r *http.Request, ctx context.
 		Text:       ans.Text,
 		Model:      ans.Model,
 		Source:     ans.Source,
-		Tier:       lastTier,
+		Tier:       ans.Tier,
 		Confidence: ans.Confidence,
 		CostMicro:  int64(ans.Cost),
-		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
+		ElapsedMS:  elapsedMS(ans),
 		TraceID:    ans.Trace,
-		Chunks:     chunks,
+		Chunks:     ans.Chunks,
 	})
 }

@@ -63,7 +63,9 @@ import (
 	"repro/internal/token"
 )
 
-// Answer is the proxy's response to one query.
+// Answer is the proxy's response to one query: the settled half of the
+// request record, whichever way the client read it. The HTTP replies
+// (CompletionResponse, StreamDone) are projections of it.
 type Answer struct {
 	Text       string
 	Model      string  // "cache" when served from cache (fresh or stale)
@@ -76,6 +78,14 @@ type Answer struct {
 	// Trace is the request's trace ID — the key into /debug/traces and
 	// /debug/events, set even on errors so failures stay explainable.
 	Trace string
+	// Elapsed is the request's wall time as the proxy measured it, from
+	// arrival (any wait for a limiter slot included) to the terminal
+	// bookkeeping — the figure the latency histograms, the SLO record and
+	// the terminal event carry.
+	Elapsed time.Duration
+	// Chunks is how many chunks the client was delivered (a cache hit is
+	// one) and Tier the cascade tier of the last of them.
+	Chunks, Tier int
 }
 
 // Stats are the proxy's lifetime counters.
@@ -233,9 +243,8 @@ type sourceSeries struct {
 	// latency is proxy_latency_seconds{source}, nil for outcomes that
 	// serve no answer.
 	latency *obs.Histogram
-	// The proxy_stream_* series, fed only by clients that asked for a
-	// stream.
-	streams        *obs.Counter
+	// The proxy_stream_* histograms, fed only by clients that asked for
+	// a stream. How many streams ended each way is duration's count.
 	duration, ttft *obs.Histogram
 }
 
@@ -348,7 +357,6 @@ func New(cfg Config) *Proxy {
 		m := sourceSeries{
 			label:    src,
 			requests: reg.Counter("proxy_requests_total", "source", requestsSrc),
-			streams:  reg.Counter("proxy_stream_requests_total", "source", src),
 			duration: reg.Histogram("proxy_stream_duration_seconds", obs.LatencyBuckets, "source", src),
 			ttft:     reg.Histogram("proxy_stream_ttft_seconds", obs.LatencyBuckets, "source", src),
 		}
@@ -485,60 +493,86 @@ func (p *Proxy) CompleteStream(ctx context.Context, req llm.Request) (Stream, er
 	return s, nil
 }
 
-// request is what every outcome's bookkeeping needs to know about one
-// client request.
+// request is the one record of a client request. open resolves the first
+// group of fields once; the second group is written where each fact is
+// decided — by open for the requests it settles itself, by the client's
+// reader (stream.go) for the rest; finish turns the record into every
+// signal the request leaves behind. Read mode is a field of it, not a
+// second way of keeping it.
 type request struct {
 	ctx   context.Context
 	root  *obs.Span
 	start time.Time
-	// streamed: the client asked for a stream, so its lifecycle speaks
-	// the stream_* event vocabulary and feeds the proxy_stream_* series.
+	// streamed is the read mode: the client asked for the chunk stream
+	// instead of the drained answer.
 	streamed bool
+	// class is the scheduling class, which keys the SLO record; tenant is
+	// the one tagged on the context, "" when there is none (accounted to
+	// obs.DefaultTenant).
+	class, tenant string
 	// limited: the request holds a limiter slot until it finishes.
 	limited bool
+
+	// source is how the client is being served — "cache", "cascade" (it
+	// leads the in-flight call) or "coalesced" (it follows one) — and
+	// outcome how that ended, one of sources.
+	source, outcome string
+	// steps is how many tiers the run this client led attempted.
+	steps int
+	// chunks counts the chunks delivered to the client, tier is the last
+	// one's cascade tier, and ttft is when the first reached a client
+	// that asked for a stream.
+	chunks, tier int
+	ttft         time.Duration
+	ans          Answer
+	err          error
+}
+
+// mode names the read mode for events and spans (constants, so boxing
+// them allocates nothing).
+func (rq *request) mode() interface{} {
+	if rq.streamed {
+		return "stream"
+	}
+	return "complete"
 }
 
 // open is the pipeline's front half, shared by both read modes:
 // admission → cache lookup → join or lead the in-flight call for the
-// prompt. A shed request and a request/response cache hit are settled
-// right here, before any call, log or reader exists, and come back as a
-// finished (Answer, error) with a nil stream. Everything else comes back
-// as the client's reader — over the call's chunk log, or pre-settled
-// with the one cached chunk.
+// prompt. A request that never gets past admission and a
+// request/response cache hit are settled right here, on a record that
+// never leaves the stack, before any call, log or reader exists, and
+// come back as a finished (Answer, error) with a nil stream. Everything
+// else comes back as the client's reader — over the call's chunk log, or
+// pre-settled with the one cached chunk.
 func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clientStream, Answer, error) {
-	rq := request{start: time.Now(), streamed: streamed}
+	rq := request{start: time.Now(), streamed: streamed, class: sched.ClassFrom(ctx).String()}
+	rq.tenant, _ = obs.ExplicitTenant(ctx)
 	p.requests.Add(1)
-	span := "proxy.complete"
 	if streamed {
 		p.streams.Add(1)
-		span = "proxy.stream"
 	}
 	// The root span starts before admission so even shed requests leave a
 	// trace.
-	rq.ctx, rq.root = p.tracer.Start(ctx, span)
+	rq.ctx, rq.root = p.tracer.Start(ctx, "proxy.complete")
 	ctx = rq.ctx
-	if tenant, ok := obs.ExplicitTenant(ctx); ok {
-		rq.root.SetAttr("tenant", tenant)
-	}
 
 	// 0. Admission: shed rather than queue without bound.
 	if p.limiter != nil {
 		if err := p.limiter.Acquire(ctx); err != nil {
-			outcome := "error"
+			// The queue was full, or the caller's context died while it
+			// waited in it — the same outcome as one dying on the chunk log.
+			rq.outcome, rq.err = "canceled", err
 			if errors.Is(err, resilience.ErrOverloaded) {
 				p.shed.Add(1)
-				outcome = "shed"
+				rq.outcome, rq.ans.Source = "shed", "error"
 			}
-			return nil, p.finish(&rq, outcome, Answer{Source: "error"}, err, 0), err
+			p.finish(&rq)
+			return nil, rq.ans, err
 		}
 		rq.limited = true
 	}
-	// Event names are constants at the call (metricname): one call each.
-	if class := sched.ClassFrom(ctx).String(); streamed {
-		p.log.Event(ctx, obs.Debug, "stream_start", "class", class)
-	} else {
-		p.log.Event(ctx, obs.Debug, "proxy_admit", "class", class)
-	}
+	p.log.Event(ctx, obs.Debug, "proxy_admit", "class", rq.class, "mode", rq.mode())
 
 	// 1. Cache. The lookup embeds the query — deliberately outside every
 	// proxy lock.
@@ -556,7 +590,10 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 			p.log.Event(ctx, obs.Info, "proxy_cache_hit", "similarity", hit.Similarity, "exact", hit.Exact)
 			ans := Answer{Text: hit.Entry.Response, Model: "cache", Confidence: 1, Source: "cache"}
 			if !streamed {
-				return nil, p.finish(&rq, "cache", ans, nil, 0), nil
+				// The one cached chunk, handed over without building it.
+				rq.outcome, rq.ans, rq.chunks = "cache", ans, 1
+				p.finish(&rq)
+				return nil, rq.ans, nil
 			}
 			// A cache hit streams instantly: one pre-paid chunk, no log.
 			s := p.newClientStream(rq, req.Prompt, nil, "cache")
@@ -680,59 +717,68 @@ func (p *Proxy) degrade(ctx context.Context, prompt string) (Answer, bool) {
 	return Answer{Text: hit.Entry.Response, Model: "cache", Confidence: hit.Similarity, Source: "stale"}, true
 }
 
-// finish is the once-per-request terminal bookkeeping, whatever the
-// outcome and whichever way the client read it: limiter release, the
-// per-source counters and histograms, SLO and tenant records, the
-// terminal event and the root span. It stamps the trace ID on the
-// answer — set even on errors so failures stay explainable — and
-// returns it. chunks is how many chunks the client was delivered.
-func (p *Proxy) finish(rq *request, outcome string, ans Answer, err error, chunks int) Answer {
-	ctx, traceID := rq.ctx, rq.root.TraceID()
-	ans.Trace = traceID
+// finish is the once-per-request terminal bookkeeping, and the only
+// reader of the record: limiter release, the per-source counter and
+// histograms, the SLO and tenant samples, every root-span attribute and
+// the terminal event all derive from rq here, the same way for either
+// read mode — which only decides whether the proxy_stream_* histograms
+// are fed. The terminal event is named by how the request ended:
+// proxy_complete, proxy_cancel (the client stopped listening) or
+// proxy_error. finish also completes rq.ans with what only it measures:
+// the trace ID — set even on errors so failures stay explainable — the
+// elapsed time and the delivery counts.
+func (p *Proxy) finish(rq *request) {
+	ctx, root, traceID := rq.ctx, rq.root, rq.root.TraceID()
 	if rq.limited {
 		p.limiter.Release()
 	}
 	elapsed := time.Since(rq.start)
-	m := p.series[outcome]
+	rq.ans.Trace, rq.ans.Elapsed, rq.ans.Chunks, rq.ans.Tier = traceID, elapsed, rq.chunks, rq.tier
+	m := p.series[rq.outcome]
 	m.requests.Inc()
 	if m.latency != nil {
 		m.latency.ObserveWithExemplar(elapsed.Seconds(), traceID)
 	}
-	if p.slo != nil {
-		p.slo.Record(sched.ClassFrom(ctx).String(), elapsed, err == nil)
-	}
-	p.tenants.Record(obs.TenantFrom(ctx), obs.TenantSample{
-		Latency:  elapsed,
-		CacheHit: outcome == "cache",
-		Shed:     outcome == "shed",
-		Error:    err != nil,
-	})
-	rq.root.SetAttr("source", m.label)
-	if err != nil {
-		rq.root.SetAttr("error", err.Error())
-	}
-	switch {
-	case !rq.streamed && err == nil:
-		p.log.Event(ctx, obs.Info, "proxy_complete",
-			"source", m.label, "model", ans.Model, "cost_microusd", int64(ans.Cost), "elapsed", elapsed)
-	case !rq.streamed:
-		p.log.Event(ctx, obs.Error, "proxy_error", "error", err.Error(), "elapsed", elapsed)
-	default:
-		m.streams.Inc()
+	if rq.streamed {
 		m.duration.ObserveWithExemplar(elapsed.Seconds(), traceID)
-		rq.root.SetAttr("chunks", chunks)
-		switch {
-		case err == nil:
-			p.log.Event(ctx, obs.Info, "stream_done",
-				"source", m.label, "model", ans.Model, "cost_microusd", int64(ans.Cost),
-				"chunks", chunks, "elapsed", elapsed)
-		case outcome == "canceled":
-			p.log.Event(ctx, obs.Info, "stream_cancel", "source", m.label, "chunks", chunks, "elapsed", elapsed)
-		default:
-			p.log.Event(ctx, obs.Error, "stream_error",
-				"source", m.label, "error", err.Error(), "chunks", chunks, "elapsed", elapsed)
+		if rq.chunks > 0 {
+			p.series[rq.source].ttft.ObserveWithExemplar(rq.ttft.Seconds(), traceID)
 		}
 	}
-	rq.root.End()
-	return ans
+	p.slo.Record(rq.class, elapsed, rq.err == nil)
+	p.tenants.Record(rq.tenant, obs.TenantSample{
+		Latency:  elapsed,
+		CacheHit: rq.outcome == "cache",
+		Shed:     rq.outcome == "shed",
+		Error:    rq.err != nil,
+	})
+	mode := rq.mode()
+	root.SetAttr("mode", mode)
+	root.SetAttr("source", m.label)
+	root.SetAttr("chunks", rq.chunks)
+	if rq.tenant != "" {
+		root.SetAttr("tenant", rq.tenant)
+	}
+	if rq.outcome == "cascade" {
+		// The client led the run it was answered from.
+		root.SetAttr("model", rq.ans.Model)
+		root.SetAttr("steps", rq.steps)
+		root.SetAttr("cost_microusd", int64(rq.ans.Cost))
+	}
+	if rq.err != nil {
+		root.SetAttr("error", rq.err.Error())
+	}
+	// Event names are constants at the call (metricname): one call each.
+	switch {
+	case rq.err == nil:
+		p.log.Event(ctx, obs.Info, "proxy_complete", "mode", mode, "source", m.label,
+			"model", rq.ans.Model, "cost_microusd", int64(rq.ans.Cost), "chunks", rq.chunks, "elapsed", elapsed)
+	case rq.outcome == "canceled":
+		p.log.Event(ctx, obs.Info, "proxy_cancel", "mode", mode, "source", m.label,
+			"chunks", rq.chunks, "elapsed", elapsed)
+	default:
+		p.log.Event(ctx, obs.Error, "proxy_error", "mode", mode, "source", m.label,
+			"error", rq.err.Error(), "chunks", rq.chunks, "elapsed", elapsed)
+	}
+	root.End()
 }

@@ -356,3 +356,45 @@ func TestOverloadShedsWith503(t *testing.T) {
 	}
 	close(gate)
 }
+
+// TestQueuedCallerCancelIsCanceled: the outcome says what happened, not
+// where. A caller whose context dies while it waits in the limiter's
+// queue stopped listening, exactly like one whose context dies a step
+// later on the chunk log — so it ends "canceled" with proxy_cancel at
+// Info, not as a serving error; only a full queue is "shed".
+func TestQueuedCallerCancelIsCanceled(t *testing.T) {
+	for _, streamed := range []bool{false, true} {
+		t.Run(readMode(streamed), func(t *testing.T) {
+			gate := make(chan struct{})
+			slow := namedModel{name: "slow", fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+				<-gate
+				return llm.Response{Text: "g", Model: "slow", Confidence: 0.9}, nil
+			}}
+			p := New(Config{Models: []llm.Model{slow}, DisableCache: true, Obs: obs.NewRegistry(), MaxConcurrent: 1, MaxQueue: 1})
+			holder := serveAsync(p, context.Background(), llm.Request{Prompt: "hold the slot", Gold: "g"}, false)
+			waitFor(t, func() bool { return p.limiter.Running() == 1 })
+
+			ctx, cancel := context.WithCancel(context.Background())
+			queued := make(chan error, 1)
+			go func() {
+				_, err := probe(p, ctx, llm.Request{Prompt: "wait in line", Gold: "g"}, streamed)
+				queued <- err
+			}()
+			waitFor(t, func() bool { return p.limiter.Queued() == 1 })
+			cancel()
+			if err := <-queued; err != context.Canceled {
+				t.Fatalf("queued caller returned %v, want context.Canceled", err)
+			}
+			close(gate)
+			<-holder
+
+			events := p.Events().Events(obs.EventFilter{Tenant: probeTenant})
+			if len(events) != 1 || events[0].Name != "proxy_cancel" || events[0].Level != "info" || events[0].Attrs["source"] != "canceled" {
+				t.Errorf("the queued caller's events = %+v, want one proxy_cancel at info with source canceled", events)
+			}
+			if st := p.Stats(); st.Shed != 0 {
+				t.Errorf("stats = %+v: a canceled wait is not a shed request", st)
+			}
+		})
+	}
+}

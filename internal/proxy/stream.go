@@ -113,7 +113,8 @@ func (c *call) finish(ans Answer, err error, steps int) {
 	c.mu.Unlock()
 }
 
-// clientStream is one client's reader over a call's chunk log. All
+// clientStream is one client's reader over a call's chunk log, and the
+// keeper of the client's request record until finish reads it. All
 // clients — the leader and every coalesced follower — read the same log;
 // a follower's chunks are delivered with cost zeroed. The mutex makes
 // Close safe to race with Recv (the HTTP layer closes from a defer while
@@ -123,26 +124,25 @@ type clientStream struct {
 	p      *Proxy
 	prompt string
 	c      *call     // nil for a pre-settled cache-hit stream
-	source string    // how the client is being served: "cache", "cascade" (leader), "coalesced"
 	wait   *obs.Span // a follower's coalesce.wait span; nil for everyone else
 
-	mu        sync.Mutex
-	closeCh   chan struct{}
-	next      int // read position in the log
-	delivered int
-	pending   *Chunk // cache-hit or stale-degrade chunk awaiting delivery
-	// settled: nothing more will be read from the log; outcome, ans and
-	// err hold the result, reported once pending is delivered.
+	mu      sync.Mutex
+	closeCh chan struct{}
+	next    int    // read position in the log
+	pending *Chunk // cache-hit or stale-degrade chunk awaiting delivery
+	// settled: nothing more will be read from the log; the record's
+	// outcome, ans and err hold the result, reported once pending is
+	// delivered.
 	settled bool
-	outcome string
-	ans     Answer
-	err     error
 	done    bool // terminal bookkeeping ran
 	closed  bool
 }
 
+// newClientStream makes rq the record of a client served the given way;
+// until something goes wrong, that is also how the request will end.
 func (p *Proxy) newClientStream(rq request, prompt string, c *call, source string) *clientStream {
-	return &clientStream{request: rq, p: p, prompt: prompt, c: c, source: source, outcome: source, closeCh: make(chan struct{})}
+	rq.source, rq.outcome = source, source
+	return &clientStream{request: rq, p: p, prompt: prompt, c: c, closeCh: make(chan struct{})}
 }
 
 // Recv implements Stream.
@@ -207,19 +207,18 @@ func (s *clientStream) Recv() (Chunk, error) {
 	}
 }
 
-// deliver adjusts one chunk for this client and, for a client that asked
-// for a stream, records time-to-first-token on the first one. Called
-// with s.mu held.
+// deliver adjusts one chunk for this client and records the delivery; the
+// first one to a client that asked for a stream is its
+// time-to-first-token. Called with s.mu held.
 func (s *clientStream) deliver(ch *Chunk) {
 	if s.source == "coalesced" {
 		ch.Cost = 0 // the leader's tenant paid
 	}
-	s.delivered++
-	if s.delivered == 1 && s.streamed {
-		ttft := time.Since(s.start)
-		m := s.p.series[s.source]
-		m.ttft.ObserveWithExemplar(ttft.Seconds(), s.root.TraceID())
-		s.p.log.Event(s.ctx, obs.Debug, "stream_first_chunk", "source", m.label, "ttft", ttft)
+	s.chunks++
+	s.tier = ch.Tier
+	if s.chunks == 1 && s.streamed {
+		s.ttft = time.Since(s.start)
+		s.p.log.Event(s.ctx, obs.Debug, "proxy_first_chunk", "source", s.p.series[s.source].label, "ttft", s.ttft)
 	}
 }
 
@@ -236,16 +235,14 @@ func (s *clientStream) settle(ans Answer, err error) {
 			// One replacement chunk, marked Restart when this client
 			// already saw partial output from the failed run.
 			s.pending = &Chunk{Text: stale.Text, Model: stale.Model, Confidence: stale.Confidence,
-				Restart: s.delivered > 0, Final: true, Index: s.next}
+				Restart: s.chunks > 0, Final: true, Index: s.next}
 			ans, err, s.outcome = stale, nil, "stale"
 		}
 	case s.source == "coalesced":
 		ans.Source = "coalesced"
 		ans.Cost = 0 // the first caller paid
 	default:
-		s.root.SetAttr("model", ans.Model)
-		s.root.SetAttr("steps", s.c.steps)
-		s.root.SetAttr("cost_microusd", int64(ans.Cost))
+		s.steps = s.c.steps
 	}
 	s.ans, s.err = ans, err
 }
@@ -272,7 +269,7 @@ func (s *clientStream) end() {
 		return
 	}
 	s.done = true
-	s.ans = s.p.finish(&s.request, s.outcome, s.ans, s.err, s.delivered)
+	s.p.finish(&s.request)
 }
 
 // Close implements Stream.
