@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMinePattern -fuzztime=20s ./internal/core/transform/
 	$(GO) test -fuzz=FuzzDotInt8Rows -fuzztime=20s ./internal/embed/
 	$(GO) test -fuzz=FuzzFloatKernels -fuzztime=20s ./internal/embed/
+	$(GO) test -fuzz=FuzzQuantizedScan -fuzztime=20s ./internal/vector/
 	$(GO) test -fuzz=FuzzCompletionRequest -fuzztime=20s -fuzzminimizetime=1s ./internal/proxy/
 
 experiments:

@@ -8,14 +8,21 @@
 // eviction". Sub-query entries are first-class, enabling the Cache(A)
 // configuration of Table III.
 //
-// One mutex guards the cache, and what runs under it is kept to one pass
-// over the index. Queries are embedded before the lock is taken (a lookup
-// first checks for an exact entry, which needs no embedding); the nearest
-// entry comes from vector.Flat's blocked int8 scan; and the eviction victim
-// is the root of an index-tracked min-heap ordered by (policy key,
-// lastUsed), which every hit, re-put and removal keeps in order in
-// O(log n) — the same victim a walk over all entries picks, because the
-// logical clock makes lastUsed unique (see evictHeap).
+// One mutex guards the cache's own state, and nothing that runs under it is
+// more than O(log n). A lookup is two halves. The scan half embeds the query
+// and asks vector.Flat for the nearest entry (its blocked int8 scan) holding
+// nothing of the cache's: the index has a read-write lock of its own, so
+// scans from any number of callers overlap. The settle half takes the mutex
+// for the bookkeeping alone — clock, counters, the hit charged to its entry
+// — and looks the scanned id up again, because the entry may have been
+// evicted in between; then the lookup is a miss (ids are never reused). A
+// lookup of an exact entry needs no embedding and no scan and is one pass
+// under the mutex. A put nests the index's lock inside the cache's
+// (Cache.mu → Flat.mu); no other path holds both. The eviction victim is the
+// root of an index-tracked min-heap ordered by (policy key, lastUsed), which
+// every hit, re-put and removal keeps in order in O(log n) — the same victim
+// a walk over all entries picks, because the logical clock makes lastUsed
+// unique (see evictHeap).
 package semcache
 
 import (
@@ -206,47 +213,23 @@ func (c *Cache) Lookup(query string) (Hit, bool) {
 // as the hit-similarity histogram's exemplar so a borderline-similarity
 // bucket resolves to a concrete request in /debug/traces.
 func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
-	// The query is embedded before the lock is taken for good, never under
-	// it — and only when no exact entry makes the embedding unnecessary,
-	// which takes a first look under the lock. Scratch embedding: the
-	// vector is only needed for this one search, so it is drawn from (and
-	// returned to) the embedder's pool instead of allocated per lookup.
-	var qv *embed.Vector
+	// An exact entry needs no embedding and no scan: that lookup is one pass
+	// under the lock. Any other releases the lock for the scan and settles
+	// under it afterwards.
+	var near nearest
 	c.mu.Lock()
 	id, exact := c.byExact[query]
 	if !exact {
 		c.mu.Unlock()
-		qv = c.emb.TextScratch(query)
-		defer c.emb.ReleaseScratch(qv)
+		near = c.scan(query)
 		c.mu.Lock()
 		id, exact = c.byExact[query] // put by another caller meanwhile
 	}
 	defer c.mu.Unlock()
-	c.clock++
-	c.stats.Lookups++
-	c.mLookups.Inc()
-
 	if exact {
-		e := c.entries[id]
-		c.touchLocked(e)
-		c.stats.Hits++
-		c.stats.ExactHits++
-		c.mHitExact.Inc()
-		c.hSimilarity.ObserveWithExemplar(1, trace)
-		return Hit{Entry: *e, Similarity: 1, Exact: true}, true
+		near = nearest{id: id, sim: 1, found: true, exact: true}
 	}
-
-	hits := c.idx.Search(*qv, 1)
-	if len(hits) == 0 || hits[0].Score < c.threshold {
-		c.mMisses.Inc()
-		return Hit{}, false
-	}
-	e := c.entries[hits[0].ID]
-	c.touchLocked(e)
-	c.stats.Hits++
-	c.mHitSemantic.Inc()
-	c.hSimilarity.ObserveWithExemplar(hits[0].Score, trace)
-	return Hit{Entry: *e, Similarity: hits[0].Score}, true
+	return c.settleLocked(near, c.threshold, false, trace)
 }
 
 // LookupStale finds the nearest cached entry at or above floor, ignoring
@@ -256,20 +239,74 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 // (semcache_stale_*) so the headline hit rate stays a measure of normal
 // operation.
 func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
-	qv := c.emb.TextScratch(query)
-	defer c.emb.ReleaseScratch(qv)
+	near := c.scan(query)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.clock++
-	c.mStaleLookups.Inc()
+	h, ok := c.settleLocked(near, floor, true, "")
+	h.Exact = ok && h.Entry.Query == query
+	return h, ok
+}
+
+// nearest is what the scan half of a lookup hands its settle half: the
+// index's closest entry and its similarity, if the index held anything.
+type nearest struct {
+	id    vector.ID
+	sim   float64
+	found bool
+	exact bool // id came from byExact, not from a scan
+}
+
+// scan is the half of a lookup that costs: it embeds query and searches the
+// index for its nearest entry, holding nothing of the cache's — the index
+// has its own read lock, so any number of scans run side by side and beside
+// the other callers' bookkeeping. The caller must not hold c.mu. Scratch
+// embedding: the vector is only needed for this one search, so it is drawn
+// from (and returned to) the embedder's pool instead of allocated per lookup.
+func (c *Cache) scan(query string) nearest {
+	qv := c.emb.TextScratch(query)
+	defer c.emb.ReleaseScratch(qv)
 	hits := c.idx.Search(*qv, 1)
-	if len(hits) == 0 || hits[0].Score < floor {
+	if len(hits) == 0 {
+		return nearest{}
+	}
+	return nearest{id: hits[0].ID, sim: hits[0].Score, found: true}
+}
+
+// settleLocked is the half of a lookup that runs under c.mu, all of it
+// O(log n): it ticks the clock, counts the lookup (under the stale counters
+// when stale) and, when near is at or above atLeast, charges the hit to its
+// entry. The scan ran without the lock, so the entry is looked up again: an
+// id that is gone was evicted in between and the lookup is a miss — ids are
+// never reused, so it cannot name another entry.
+func (c *Cache) settleLocked(near nearest, atLeast float64, stale bool, trace string) (Hit, bool) {
+	c.clock++
+	if stale {
+		c.mStaleLookups.Inc()
+	} else {
+		c.stats.Lookups++
+		c.mLookups.Inc()
+	}
+	e := c.entries[near.id]
+	if !near.found || near.sim < atLeast || e == nil {
+		if !stale {
+			c.mMisses.Inc()
+		}
 		return Hit{}, false
 	}
-	e := c.entries[hits[0].ID]
 	c.touchLocked(e)
-	c.mStaleHits.Inc()
-	return Hit{Entry: *e, Similarity: hits[0].Score, Exact: e.Query == query}, true
+	if stale {
+		c.mStaleHits.Inc()
+	} else {
+		c.stats.Hits++
+		if near.exact {
+			c.stats.ExactHits++
+			c.mHitExact.Inc()
+		} else {
+			c.mHitSemantic.Inc()
+		}
+		c.hSimilarity.ObserveWithExemplar(near.sim, trace)
+	}
+	return Hit{Entry: *e, Similarity: near.sim, Exact: near.exact}, true
 }
 
 // touchLocked records a hit on e at the current tick and restores e's

@@ -3,6 +3,7 @@ package semcache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -251,10 +252,15 @@ func newModelCache(capacity int, policy Policy) *Cache {
 	})
 }
 
+// answerTo is the response modelOp puts for query: any answer a lookup
+// returns can be checked against the query of the entry it came with.
+func answerTo(query string, n int) string { return fmt.Sprintf("%s => %d", query, n) }
+
 // modelOp runs one random cache operation over a pool of queries a few
 // times the capacity, so puts evict, re-puts and exact lookups find
-// entries and paraphrases hit semantically.
-func modelOp(c *Cache, r *rand.Rand, pool int) {
+// entries and paraphrases hit semantically. It returns what a lookup
+// returned.
+func modelOp(c *Cache, r *rand.Rand, pool int) (Hit, bool) {
 	query, paraphrase := modelQuery(r.Intn(pool))
 	switch op := r.Intn(10); {
 	case op < 4:
@@ -262,13 +268,14 @@ func modelOp(c *Cache, r *rand.Rand, pool int) {
 		if r.Intn(2) == 0 {
 			class = Augment
 		}
-		c.Put(query, fmt.Sprintf("answer %d", r.Int()), Original, class)
+		c.Put(query, answerTo(query, r.Int()), Original, class)
+		return Hit{}, false
 	case op < 7:
-		c.Lookup(query)
+		return c.Lookup(query)
 	case op < 9:
-		c.Lookup(paraphrase)
+		return c.Lookup(paraphrase)
 	default:
-		c.LookupStale(paraphrase, 0.3)
+		return c.LookupStale(paraphrase, 0.3)
 	}
 }
 
@@ -316,11 +323,19 @@ func TestEvictionHeapMatchesWalk(t *testing.T) {
 	}
 }
 
-// The same operations from concurrent callers (run under -race): the
-// invariants hold whenever the lock is free, and at the end.
+// The same operations from concurrent callers (run under -race) into a
+// cache that starts full, so scans overlap one another and the evictions
+// the puts cause: the invariants hold whenever the lock is free, and at the
+// end; every lookup was counted once, as a hit or as a miss; and no caller
+// was ever handed another entry's answer.
 func TestEvictionHeapConcurrent(t *testing.T) {
 	for _, policy := range []Policy{LRU, LFU, Weighted} {
-		c := newModelCache(64, policy)
+		const capacity = 64
+		c := newModelCache(capacity, policy)
+		for i := 0; i < capacity; i++ {
+			query, _ := modelQuery(i)
+			c.Put(query, answerTo(query, i), Original, Reuse)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -328,7 +343,11 @@ func TestEvictionHeapConcurrent(t *testing.T) {
 				defer wg.Done()
 				r := rand.New(rand.NewSource(int64(g)))
 				for step := 0; step < 600; step++ {
-					modelOp(c, r, 200)
+					h, ok := modelOp(c, r, 200)
+					if ok && !strings.HasPrefix(h.Entry.Response, h.Entry.Query+" => ") {
+						t.Errorf("%v: the hit on %q carried the answer %q", policy, h.Entry.Query, h.Entry.Response)
+						return
+					}
 				}
 			}(g)
 		}
@@ -337,8 +356,60 @@ func TestEvictionHeapConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		checkEvictionInvariants(t, c)
-		if c.Stats().Evictions == 0 {
+		st := c.Stats()
+		if st.Evictions == 0 {
 			t.Errorf("%v: no evictions: the run never filled the cache", policy)
 		}
+		if c.Len() > capacity {
+			t.Errorf("%v: %d entries in a cache of %d", policy, c.Len(), capacity)
+		}
+		hits, misses := c.mHitExact.Value()+c.mHitSemantic.Value(), c.mMisses.Value()
+		if int64(st.Lookups) != hits+misses || int64(st.Lookups) != c.mLookups.Value() || int64(st.Hits) != hits {
+			t.Errorf("%v: stats %+v, counters: lookups %d, hits %d, misses %d",
+				policy, st, c.mLookups.Value(), hits, misses)
+		}
 	}
+}
+
+// The scan half of a lookup runs without the cache lock: holding the lock
+// across a call to it must not deadlock.
+func TestScanHalfTakesNoCacheLock(t *testing.T) {
+	c := newModelCache(0, LRU)
+	query, paraphrase := modelQuery(1)
+	c.Put(query, "answer", Original, Reuse)
+	c.mu.Lock()
+	near := c.scan(paraphrase)
+	c.mu.Unlock()
+	if !near.found || near.sim < 0.6 || near.exact {
+		t.Errorf("scan of a paraphrase = %+v", near)
+	}
+}
+
+// An entry evicted between a lookup's two halves is a miss: the scan's id
+// names nothing any more, and must neither be charged nor returned.
+func TestHitEvictedBetweenScanAndSettleIsAMiss(t *testing.T) {
+	c := newModelCache(2, LRU)
+	query, paraphrase := modelQuery(1)
+	c.Put(query, "answer", Original, Reuse)
+	near := c.scan(paraphrase)
+	if !near.found || near.sim < c.threshold {
+		t.Fatalf("scan of a paraphrase = %+v: premise broken", near)
+	}
+	for i := 2; i < 5; i++ { // capacity 2: the entry scanned is pushed out
+		other, _ := modelQuery(i)
+		c.Put(other, "answer", Original, Reuse)
+	}
+	if _, ok := c.byExact[query]; ok {
+		t.Fatal("the scanned entry was not evicted: premise broken")
+	}
+	c.mu.Lock()
+	h, ok := c.settleLocked(near, c.threshold, false, "")
+	c.mu.Unlock()
+	if ok {
+		t.Errorf("settled on the evicted entry: %+v", h)
+	}
+	if st := c.Stats(); st.Lookups != 1 || st.Hits != 0 || c.mMisses.Value() != 1 {
+		t.Errorf("stats %+v, misses %d: want one lookup, one miss", st, c.mMisses.Value())
+	}
+	checkEvictionInvariants(t, c)
 }

@@ -234,8 +234,9 @@ func Serving(ctx context.Context) []Spec {
 			}
 		}},
 		{Name: "semcache_lookup_semantic_16k_parallel", Bench: func(b *testing.B) {
-			// The same lookups from GOMAXPROCS goroutines: what the cache's
-			// one mutex costs callers that arrive together.
+			// The same lookups from GOMAXPROCS goroutines. Scans run outside
+			// the cache's mutex, so with a core per caller this reads below
+			// the serial case; equal to it would mean the scans queue again.
 			c := fullCache()
 			var next atomic.Int64
 			b.ResetTimer()

@@ -39,8 +39,9 @@
 // Concurrency design: the proxy's only lock is the in-flight table's, and
 // it is never held across the semantic cache lookup — which computes a
 // query embedding and is the most expensive non-model step — nor across an
-// upstream call; the lifetime counters are atomics. (The cache serializes
-// lookups on its own mutex; that is semcache's lock, not the proxy's.)
+// upstream call; the lifetime counters are atomics. (The cache's lookups do
+// not serialize either: their scans run outside semcache's mutex, which is
+// held only for a hit's bookkeeping.)
 //
 // It is exposed over HTTP by cmd/llmdm-proxy and exercised with httptest in
 // the package tests.

@@ -17,7 +17,10 @@ import (
 // only a shortlist is rescored exactly, so returned scores are always exact.
 // Unfiltered scans over large collections shard across goroutines when
 // GOMAXPROCS allows. Both behaviors are tunable via FlatOptions.
-// Flat is safe for concurrent use.
+// Flat is safe for concurrent use: searches share a read lock and run side
+// by side, Add and Remove take it exclusively — which is the only exclusion
+// the semantic cache's lookups rely on, since they search without holding a
+// lock of their own. A search's one allocation is the slice it returns.
 type Flat struct {
 	mu          sync.RWMutex
 	metric      Metric
@@ -26,6 +29,9 @@ type Flat struct {
 	rows        []flatRow // aligned with store rows
 	byID        map[ID]int
 	parallelMin int
+	// rowID maps a store row index to its item ID. Bound once here: a
+	// method value at the call would be an allocation per search.
+	rowID func(int) ID
 }
 
 // flatRow is what Flat keeps per row beside the column store, which holds
@@ -64,13 +70,15 @@ func NewFlat(dim int, metric Metric, opts ...FlatOption) *Flat {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Flat{
+	f := &Flat{
 		metric:      metric,
 		dim:         dim,
 		store:       newColStore(dim, cfg.mode),
 		byID:        make(map[ID]int),
 		parallelMin: cfg.parallelMin,
 	}
+	f.rowID = func(i int) ID { return f.rows[i].id }
+	return f
 }
 
 // Add implements Index.
@@ -149,7 +157,8 @@ func (f *Flat) Search(q embed.Vector, k int) []Result {
 
 // SearchFiltered is Search restricted to items whose attributes satisfy
 // keep. A nil keep admits everything; filtered scans run serially and
-// score exactly.
+// score exactly. keep must be a pure predicate: a quantized scan asks it
+// only about the rows that could still enter the result.
 func (f *Flat) SearchFiltered(q embed.Vector, k int, keep func(attrs map[string]string) bool) []Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -172,9 +181,6 @@ func (f *Flat) SearchFiltered(q embed.Vector, k int, keep func(attrs map[string]
 	}
 	return f.store.search(f.metric, q, k, f.rowID, keepRow, f.parallelMin)
 }
-
-// rowID maps a store row index to its item ID.
-func (f *Flat) rowID(i int) ID { return f.rows[i].id }
 
 // Len implements Index.
 func (f *Flat) Len() int {

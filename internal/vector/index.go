@@ -140,19 +140,24 @@ func (t *topK) offer(r Result) {
 	}
 }
 
+// byRank orders results best first under worse, for slices.SortFunc.
+func byRank(a, b Result) int {
+	switch {
+	case worse(b, a):
+		return -1
+	case worse(a, b):
+		return 1
+	}
+	return 0
+}
+
 // results returns the collected hits, best first, with deterministic
-// tie-breaking on ID.
+// tie-breaking on ID. It sorts the heap's own array and hands it out, so t
+// is spent afterwards.
 func (t *topK) results() []Result {
-	out := make([]Result, len(t.h))
-	copy(out, t.h)
-	slices.SortFunc(out, func(a, b Result) int {
-		switch {
-		case worse(b, a):
-			return -1
-		case worse(a, b):
-			return 1
-		}
-		return 0
-	})
-	return out
+	if t.h == nil {
+		return []Result{}
+	}
+	slices.SortFunc(t.h, byRank)
+	return t.h
 }

@@ -20,7 +20,9 @@ import (
 
 // Both thresholds below sit where internal/perf's cases record a crossover
 // (BENCH_kernels.json: 128 dims, top-10, 2 vCPUs); the times in the
-// comments are those cases'.
+// comments are those cases' when the thresholds were set. The one-multiply
+// reject (scanRows) has since taken a fifth to a third off every quantized
+// time and moved neither crossover.
 const (
 	// quantAutoMin is the collection size at which a store in auto mode
 	// starts maintaining int8 codes. With the rows kernel the quantized
@@ -74,6 +76,7 @@ type colStore struct {
 	quant    bool // int8 codes are live
 	codes    []int8
 	scales   []float32
+	cosw     []float32 // n, scales[i]*invNorms[i]: the cosine scan's one-multiply reject weight
 }
 
 func newColStore(dim int, mode quantMode) *colStore {
@@ -102,6 +105,7 @@ func (s *colStore) appendRow(v embed.Vector) {
 	if s.quant {
 		s.codes = append(s.codes, make([]int8, s.dim)...)
 		s.scales = append(s.scales, embed.QuantizeInto(s.code(s.n-1), v))
+		s.cosw = append(s.cosw, s.cosWeight(s.n-1))
 	} else if s.mode == quantOn || (s.mode == quantAuto && s.n >= quantAutoMin) {
 		s.enableQuant()
 	}
@@ -112,9 +116,16 @@ func (s *colStore) enableQuant() {
 	s.quant = true
 	s.codes = make([]int8, s.n*s.dim)
 	s.scales = make([]float32, s.n)
+	s.cosw = make([]float32, s.n)
 	for i := 0; i < s.n; i++ {
 		s.scales[i] = embed.QuantizeInto(s.code(i), s.row(i))
+		s.cosw[i] = s.cosWeight(i)
 	}
+}
+
+// cosWeight is row i's entry in the cosw column.
+func (s *colStore) cosWeight(i int) float32 {
+	return float32(float64(s.scales[i]) * float64(s.invNorms[i]))
 }
 
 // swapRemove removes row i by moving the last row into its place,
@@ -128,6 +139,7 @@ func (s *colStore) swapRemove(i int) {
 		if s.quant {
 			copy(s.code(i), s.code(last))
 			s.scales[i] = s.scales[last]
+			s.cosw[i] = s.cosw[last]
 		}
 	}
 	s.vecs = s.vecs[:last*s.dim]
@@ -136,6 +148,7 @@ func (s *colStore) swapRemove(i int) {
 	if s.quant {
 		s.codes = s.codes[:last*s.dim]
 		s.scales = s.scales[:last]
+		s.cosw = s.cosw[:last]
 	}
 	s.n = last
 }
@@ -161,9 +174,15 @@ func prepare(m Metric, q embed.Vector) preparedQuery {
 	return p
 }
 
-// codePool recycles query-code buffers so a quantized search allocates
-// nothing for its query.
-var codePool = sync.Pool{New: func() any { return new([]int8) }}
+// searchScratch is what a quantized search needs besides its result: the
+// query's int8 code and the shortlist heap. Pooled, so a search allocates
+// neither.
+type searchScratch struct {
+	code  []int8
+	short []Result
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // scoreExact scores row i exactly under p's metric (higher is closer),
 // using the cached reciprocal norm so cosine is one dot product and two
@@ -196,6 +215,41 @@ func (s *colStore) scoreApprox(p *preparedQuery, i int, dot int32) float64 {
 	}
 }
 
+// rejectSlack and rejectFloor are how far below the kept minimum rejectCut
+// places its cut: 2^-20 of the value plus 1e-30. The float32 test it guards
+// is wrong by far less — rounding the dot, the weight and their product is
+// 2^-24 relative each, 2^-126 times the dot at most where float32 goes
+// denormal — and so is scoreApprox's float64 arithmetic (2^-53 per step),
+// so a rejected row is one scoreApprox scores strictly below the minimum.
+const (
+	rejectSlack = 1.0 / (1 << 20)
+	rejectFloor = 1e-30
+)
+
+// rejectCut is where scanRows' one-multiply reject cuts when the worst kept
+// approximate score is min: float32(dot)*w[i] below it means row i's
+// scoreApprox is below min, w being cosw under Cosine and scales under Dot
+// and L2. It is scoreApprox's formula solved for dot*w[i] — min over the
+// query's own factors — with the slack above taken off. L2's -norm² term
+// varies by row and only lowers a score, so leaving it out keeps the cut
+// conservative.
+func (p *preparedQuery) rejectCut(min float64) float32 {
+	var div, off float64
+	switch p.metric {
+	case Cosine:
+		div = float64(p.qscale) * p.qinv
+	case Dot:
+		div = float64(p.qscale)
+	default: // L2
+		div, off = 2*float64(p.qscale), p.qsq
+	}
+	if !(div > 0) {
+		return float32(math.Inf(-1)) // a zero query code: nothing to divide by, reject nothing
+	}
+	m := (min + off - rejectSlack*(math.Abs(min)+off)) / div
+	return float32(m - rejectSlack*math.Abs(m) - rejectFloor)
+}
+
 // search scans the store for the top k rows under m. id maps a row index
 // to the caller's item ID (scores and tie-breaks are reported in ID
 // space); keep, when non-nil, admits a row. parallelMin <= 0 disables
@@ -206,6 +260,8 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, id func(int) ID, keep
 		return []Result{}
 	}
 	p := prepare(m, q)
+	// The k-heap's backing array is what the caller gets back (results sorts
+	// it in place), so it is the search's one allocation.
 	t := topK{k: k, h: make([]Result, 0, min(k, s.n))}
 	if !s.quant || k >= s.n || s.n <= 4*shortlistFor(k) {
 		s.scan(&t, &p, id, keep, parallelMin)
@@ -214,19 +270,23 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, id func(int) ID, keep
 	// Quantized prefilter: rank every row by int8 score, keep a generous
 	// shortlist (tie-broken by row index), then rescore the shortlist
 	// exactly so callers only ever observe exact scores.
-	code := codePool.Get().(*[]int8)
-	if cap(*code) < s.dim {
-		*code = make([]int8, s.dim)
+	sc := scratchPool.Get().(*searchScratch)
+	if cap(sc.code) < s.dim {
+		sc.code = make([]int8, s.dim)
 	}
-	p.qcode = (*code)[:s.dim]
+	p.qcode = sc.code[:s.dim]
 	p.qscale = embed.QuantizeInto(p.qcode, q)
-	short := topK{k: shortlistFor(k), h: make([]Result, 0, shortlistFor(k))}
+	short := topK{k: shortlistFor(k), h: sc.short[:0]}
+	if cap(short.h) < short.k {
+		short.h = make([]Result, 0, short.k)
+	}
 	s.scan(&short, &p, rowAsID, keep, parallelMin)
-	codePool.Put(code)
 	for _, r := range short.h {
 		i := int(r.ID)
 		t.offer(Result{ID: id(i), Score: s.scoreExact(&p, i)})
 	}
+	sc.short = short.h
+	scratchPool.Put(sc)
 	return t.results()
 }
 
@@ -250,6 +310,7 @@ func (s *colStore) scan(t *topK, p *preparedQuery, id func(int) ID, keep func(in
 		return
 	}
 	parts := make([]topK, workers-1)
+	shared := *p // the workers' copy: only a sharded search's query moves to the heap
 	var wg sync.WaitGroup
 	for w := range parts {
 		lo, hi := (w+1)*s.n/workers, (w+2)*s.n/workers
@@ -258,7 +319,7 @@ func (s *colStore) scan(t *topK, p *preparedQuery, id func(int) ID, keep func(in
 		wg.Add(1)
 		obs.Go(nil, "vector.scan_shard", func() {
 			defer wg.Done()
-			s.scanRows(part, p, id, nil, lo, hi)
+			s.scanRows(part, &shared, id, nil, lo, hi)
 		})
 	}
 	s.scanRows(t, p, id, nil, 0, s.n/workers)
@@ -278,31 +339,59 @@ func (s *colStore) scan(t *topK, p *preparedQuery, id func(int) ID, keep func(in
 // sit on the scanning goroutine's stack.
 const scanBlock = 256
 
-// scanRows offers rows [lo, hi) into t. A quantized scan gets a block's
-// int8 dot products from one kernel call; either way a row that scores
-// below the worst kept result is dropped before it costs an id lookup and
-// a heap offer (a row that ties falls through to offer's ID tie-break).
+// scanRows offers rows [lo, hi) into t, dropping a row that scores below
+// the worst kept result before it costs an id lookup and a heap offer (a
+// row that ties falls through to offer's ID tie-break).
+//
+// A quantized scan gets a block's int8 dot products from one kernel call
+// and, once t is full, decides most rows from one float32 multiply:
+// float32(dot)*w[i] against a cut that rejectCut places below the kept
+// minimum by more than the multiply can be wrong. Only the rows that pass
+// — a few hundred of 16384 — are scored with scoreApprox and tested as
+// before, so what is offered, and with which score, is exactly what the
+// row-at-a-time scan offers (TestQuantizedScanMatchesRowAtATime keeps that
+// scan as its reference). The cut only needs recomputing when an offer
+// raised the minimum; a stale cut is merely lower.
 func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) {
-	var dots [scanBlock]int32
-	for b := lo; b < hi; b += scanBlock {
-		e := min(b+scanBlock, hi)
-		if p.qcode != nil {
-			embed.DotInt8Rows(dots[:e-b], p.qcode, s.codes[b*s.dim:e*s.dim])
-		}
-		for i := b; i < e; i++ {
+	if p.qcode == nil {
+		for i := lo; i < hi; i++ {
 			if keep != nil && !keep(i) {
 				continue
 			}
-			var score float64
-			if p.qcode != nil {
-				score = s.scoreApprox(p, i, dots[i-b])
-			} else {
-				score = s.scoreExact(p, i)
-			}
+			score := s.scoreExact(p, i)
 			if len(t.h) == t.k && score < t.h[0].Score {
 				continue
 			}
 			t.offer(Result{ID: id(i), Score: score})
+		}
+		return
+	}
+	w := s.scales
+	if p.metric == Cosine {
+		w = s.cosw
+	}
+	cut := float32(math.Inf(-1)) // rejects nothing until t is full
+	var dots [scanBlock]int32
+	for b := lo; b < hi; b += scanBlock {
+		e := min(b+scanBlock, hi)
+		ds, ws := dots[:e-b], w[b:e]
+		embed.DotInt8Rows(ds, p.qcode, s.codes[b*s.dim:e*s.dim])
+		for j, dot := range ds {
+			if float32(dot)*ws[j] < cut {
+				continue
+			}
+			i := b + j
+			if keep != nil && !keep(i) {
+				continue
+			}
+			score := s.scoreApprox(p, i, dot)
+			if len(t.h) == t.k && score < t.h[0].Score {
+				continue
+			}
+			t.offer(Result{ID: id(i), Score: score})
+			if len(t.h) == t.k {
+				cut = p.rejectCut(t.h[0].Score)
+			}
 		}
 	}
 }
