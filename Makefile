@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFloatKernels -fuzztime=20s ./internal/embed/
 	$(GO) test -fuzz=FuzzQuantizedScan -fuzztime=20s ./internal/vector/
 	$(GO) test -fuzz=FuzzCompletionRequest -fuzztime=20s -fuzzminimizetime=1s ./internal/proxy/
+	$(GO) test -fuzz=FuzzSSEEvent -fuzztime=20s ./internal/proxy/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/llm"
@@ -247,5 +248,54 @@ func TestCostAwareCascadeTradesAccuracyForValue(t *testing.T) {
 	}
 	if costDear <= costCheap {
 		t.Errorf("valuing answers more did not raise spend: %v vs %v", costDear, costCheap)
+	}
+}
+
+// confModel answers everything with a fixed confidence under its name.
+type confModel struct {
+	name string
+	conf float64
+}
+
+func (m confModel) Name() string        { return m.name }
+func (m confModel) Capability() float64 { return 0.5 }
+func (m confModel) Price() token.Price  { return token.Price{} }
+func (m confModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	return llm.Response{Text: m.name + " says", Model: m.name, Confidence: m.conf, Cost: 3}, nil
+}
+
+// A confidence that is no number counts as 0 from where the tier's output
+// enters the cascade: it clears no threshold (+Inf would have cleared
+// every one), the last tier is accepted all the same, and chunks, trace
+// and response all carry 0.
+func TestNonFiniteConfidenceCountsAsZero(t *testing.T) {
+	for name, conf := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		t.Run(name, func(t *testing.T) {
+			c := New(Threshold{0.6}, confModel{"first", conf}, confModel{"last", conf})
+			rs, err := c.CompleteStream(context.Background(), llm.Request{Prompt: "x"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			for {
+				ch, err := rs.Recv()
+				if err != nil {
+					break
+				}
+				if ch.Confidence != 0 {
+					t.Errorf("chunk from %s carries confidence %v, want 0", ch.Model, ch.Confidence)
+				}
+			}
+			resp, tr, err := rs.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Model != "last" || resp.Confidence != 0 {
+				t.Errorf("accepted %+v, want the last tier's answer at confidence 0", resp)
+			}
+			if len(tr.Steps) != 2 || tr.Steps[0].Accepted || tr.Steps[0].Confidence != 0 || !tr.Steps[1].Accepted || tr.Steps[1].Confidence != 0 {
+				t.Errorf("steps = %+v, want the first tier rejected and the last accepted, both at confidence 0", tr.Steps)
+			}
+		})
 	}
 }

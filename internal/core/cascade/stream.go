@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -129,6 +130,7 @@ func (r *RunStream) Recv() (StreamChunk, error) {
 		if err != nil {
 			return StreamChunk{}, r.tierError(err)
 		}
+		ch.Confidence = finite(ch.Confidence)
 		// Billing accrues per delivered chunk, so the trace total equals
 		// the sum of chunk costs whatever state the run ends in.
 		r.tierChunks++
@@ -149,6 +151,19 @@ func (r *RunStream) Recv() (StreamChunk, error) {
 		return StreamChunk{}, r.err
 	}
 	return StreamChunk{}, io.EOF
+}
+
+// finite is what a tier's confidence counts as inside the cascade: itself,
+// or 0 when the tier reported NaN or an infinity. It is applied at the two
+// places a tier's output enters — each chunk and the final response — so
+// a value that is no probability never clears a threshold, is never
+// compared by the exit rule, and never reaches a trace, an event or the
+// wire, where JSON has no form for it. The last tier is accepted as ever.
+func finite(confidence float64) float64 {
+	if math.IsNaN(confidence) || math.IsInf(confidence, 0) {
+		return 0
+	}
+	return confidence
 }
 
 // pickNext chooses the tier to open after the current one: the first
@@ -241,6 +256,7 @@ func (r *RunStream) finalizeTier() bool {
 	c := r.c
 	name := c.Models[r.tier].Name()
 	resp, _ := r.cur.Final()
+	resp.Confidence = finite(resp.Confidence)
 	if c.Breakers != nil {
 		c.Breakers.Record(name, true)
 	}

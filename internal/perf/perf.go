@@ -39,6 +39,9 @@ type Result struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Extra carries what the case reported with b.ReportMetric, keyed by
+	// unit ("flushes/op"); absent for a case that reports nothing.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // Report is one area's full artifact.
@@ -71,6 +74,7 @@ func Run(area string, specs []Spec) Report {
 			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
 			BytesPerOp:  br.AllocedBytesPerOp(),
 			AllocsPerOp: br.AllocsPerOp(),
+			Extra:       br.Extra,
 		}
 		if r.NsPerOp > 0 {
 			r.OpsPerSec = 1e9 / r.NsPerOp

@@ -18,6 +18,7 @@ func trivialSpecs() []Spec {
 				s += i
 			}
 			_ = s
+			b.ReportMetric(2, "flushes/op")
 		}},
 	}
 }
@@ -36,6 +37,10 @@ func TestRunProducesStableSchema(t *testing.T) {
 	// Sorted by name regardless of spec order.
 	if rep.Benchmarks[0].Name != "a_first" || rep.Benchmarks[1].Name != "z_second" {
 		t.Errorf("order = %s, %s", rep.Benchmarks[0].Name, rep.Benchmarks[1].Name)
+	}
+	// What a case reports beside the built-in measurements rides along.
+	if got := rep.Benchmarks[0].Extra["flushes/op"]; got != 2 || len(rep.Benchmarks[1].Extra) != 0 {
+		t.Errorf("extra metrics = %v and %v, want flushes/op 2 and none", rep.Benchmarks[0].Extra, rep.Benchmarks[1].Extra)
 	}
 	for _, r := range rep.Benchmarks {
 		if r.Iterations <= 0 || r.NsPerOp <= 0 || r.OpsPerSec <= 0 {

@@ -1,8 +1,11 @@
 package perf
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -319,6 +322,31 @@ func Serving(ctx context.Context) []Spec {
 				b.Fatal("stream path billed nothing")
 			}
 		}},
+		{Name: "proxy_http_stream", Bench: func(b *testing.B) {
+			// One whole SSE reply through Handler() into memory: the request
+			// decoded, a 14-chunk cascade run behind it, every chunk and the
+			// done event encoded, written and flushed — everything the
+			// stream_cascade workload pays per request except the socket.
+			// flushes/op is how many times the handler caught up with the
+			// upstream; it cannot exceed the chunk count plus two.
+			h := newBenchProxy(proxy.Config{Threshold: 0.5, DisableCache: true}).Handler()
+			w := &memResponse{header: make(http.Header)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body := fmt.Sprintf(`{"prompt":"benchmark question %d about streamed serving","gold":"a fourteen word answer so that the tier streams it as fourteen separate chunks %d","difficulty":0.3,"stream":true}`, i, i)
+				req, err := http.NewRequestWithContext(ctx, http.MethodPost, "/v1/complete", strings.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				clear(w.header)
+				h.ServeHTTP(w, req)
+			}
+			b.StopTimer()
+			if w.flushes < b.N || !bytes.HasPrefix(w.last, []byte("event: done\n")) {
+				b.Fatalf("%d replies took %d flushes and the last write was %q", b.N, w.flushes, w.last)
+			}
+			b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/op")
+		}},
 		{Name: "sched_submit", Bench: func(b *testing.B) {
 			reg := obs.NewRegistry()
 			model, sim := perfModel(reg, 100000)
@@ -342,6 +370,22 @@ func Serving(ctx context.Context) []Spec {
 			}
 		}},
 	}
+}
+
+// memResponse is the http.ResponseWriter of the proxy_http_stream case:
+// it counts flushes and keeps only the latest write.
+type memResponse struct {
+	header  http.Header
+	last    []byte
+	flushes int
+}
+
+func (w *memResponse) Header() http.Header { return w.header }
+func (w *memResponse) WriteHeader(int)     {}
+func (w *memResponse) Flush()              { w.flushes++ }
+func (w *memResponse) Write(b []byte) (int, error) {
+	w.last = append(w.last[:0], b...)
+	return len(b), nil
 }
 
 // newBenchProxy builds a proxy with private observability state so

@@ -60,10 +60,24 @@ type ErrorEnvelope struct {
 }
 
 // writeJSON emits v as the JSON body of a response with the given status.
+// A 200 is implied by its first write rather than announced, so a reply
+// that turns out not to encode (a non-finite number in it) has committed
+// nothing and is answered 500 with the envelope instead of an empty 200;
+// the other statuses carry the envelope itself, which always encodes.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
+	err := json.NewEncoder(w).Encode(v)
+	if err == nil || status != http.StatusOK {
+		return
+	}
+	// Encode wrote nothing if it was the encoding that failed; a failed
+	// write (the client left) is not ours to answer.
+	if _, err := json.Marshal(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "reply cannot be encoded: "+err.Error(), false)
+	}
 }
 
 // writeError emits the uniform error envelope.
@@ -76,6 +90,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryable b
 // "error" event, so the two surfaces cannot disagree.
 func errorBodyFor(err error) (int, ErrorBody) {
 	switch {
+	case errors.Is(err, errUnencodable):
+		return http.StatusInternalServerError, ErrorBody{Code: "internal", Message: err.Error(), Retryable: false}
 	case errors.Is(err, resilience.ErrOverloaded):
 		return http.StatusServiceUnavailable, ErrorBody{Code: "overloaded", Message: err.Error(), Retryable: true}
 	case errors.Is(err, context.DeadlineExceeded):

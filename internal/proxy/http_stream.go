@@ -3,7 +3,6 @@ package proxy
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"repro/internal/llm"
@@ -25,6 +24,10 @@ type StreamDone struct {
 	Chunks     int     `json:"chunks"`
 }
 
+// streamBatch is how many ready chunks the SSE handler takes from the
+// call's log in one round of its locks.
+const streamBatch = 32
+
 // serveStream handles POST /v1/complete with "stream": true. Events:
 //
 //	event: chunk   data: Chunk            (repeated, in order)
@@ -34,14 +37,21 @@ type StreamDone struct {
 // Errors before the first chunk (shed, bad upstream) are still reported
 // as ordinary HTTP error envelopes; once the 200 + text/event-stream
 // header is out, failures become "error" events.
+//
+// One rule decides when bytes leave: the handler flushes exactly when its
+// next read of the chunk log would block, and after the terminal event —
+// never with a chunk already waiting, never parked on unflushed bytes. A
+// paced or slow upstream gets one flush per chunk; an upstream that runs
+// ahead of the socket, or a follower replaying a log that already has
+// entries, gets one per ready batch, and the status line and headers ride
+// with the first of them. net/http's own 4 KiB buffer bounds a batch.
 func (p *Proxy) serveStream(w http.ResponseWriter, ctx context.Context, req llm.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		writeError(w, http.StatusInternalServerError, "internal", "streaming unsupported: response writer cannot flush", false)
 		return
 	}
-	s, err := p.CompleteStream(ctx, req)
-	if err != nil {
+	s, err := p.openStream(ctx, req)
+	if s == nil {
 		completionError(w, err)
 		return
 	}
@@ -51,47 +61,74 @@ func (p *Proxy) serveStream(w http.ResponseWriter, ctx context.Context, req llm.
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	writeEvents(w, s)
+}
 
-	writeEvent := func(event string, v interface{}) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if _, err := io.WriteString(w, "event: "+event+"\ndata: "+string(data)+"\n\n"); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
+// writeEvents is serveStream's write path: s's chunks as they become
+// ready, then the terminal event. A failed write or flush means the
+// client went away: it returns, and the caller's Close accounts the
+// cancel without touching the coalesced cohort. Flushing through the
+// ResponseController is what reports that failure at the flush.
+func writeEvents(w http.ResponseWriter, s *clientStream) {
+	rc := http.NewResponseController(w)
+	var (
+		ready [streamBatch]Chunk
+		buf   = make([]byte, 0, 1024)
+		ok    bool
+	)
+events:
 	for {
-		ch, rerr := s.Recv()
-		if rerr != nil {
+		batch, wait, err := s.poll(ready[:0])
+		if err != nil {
 			// io.EOF or the terminal error — Answer reports which.
 			break
 		}
-		if !writeEvent("chunk", ch) {
-			// Client went away mid-write; Close (deferred) accounts
-			// the cancel without touching the coalesced cohort.
+		if wait != nil {
+			if rc.Flush() != nil {
+				return
+			}
+			if s.park(wait) != nil {
+				break
+			}
+			continue
+		}
+		buf = buf[:0]
+		for i := range batch {
+			if buf, ok = appendChunkEvent(buf, &batch[i]); !ok {
+				s.fail(errUnencodable)
+				break events
+			}
+		}
+		if _, err := w.Write(buf); err != nil {
 			return
 		}
 	}
 	ans, err := s.Answer()
+	if err == nil {
+		buf, ok = appendDoneEvent(buf[:0], &StreamDone{
+			Text:       ans.Text,
+			Model:      ans.Model,
+			Source:     ans.Source,
+			Tier:       ans.Tier,
+			Confidence: ans.Confidence,
+			CostMicro:  int64(ans.Cost),
+			ElapsedMS:  elapsedMS(ans),
+			TraceID:    ans.Trace,
+			Chunks:     ans.Chunks,
+		})
+		if !ok {
+			err = errUnencodable
+		}
+	}
 	if err != nil {
 		_, body := errorBodyFor(err)
-		writeEvent("error", body)
-		return
+		data, _ := json.Marshal(body) // two strings and a bool: cannot fail
+		buf = append(buf[:0], "event: error\ndata: "...)
+		buf = append(buf, data...)
+		buf = append(buf, "\n\n"...)
 	}
-	writeEvent("done", StreamDone{
-		Text:       ans.Text,
-		Model:      ans.Model,
-		Source:     ans.Source,
-		Tier:       ans.Tier,
-		Confidence: ans.Confidence,
-		CostMicro:  int64(ans.Cost),
-		ElapsedMS:  elapsedMS(ans),
-		TraceID:    ans.Trace,
-		Chunks:     ans.Chunks,
-	})
+	// The request is already accounted; a client that left before its
+	// terminal event changes nothing.
+	w.Write(buf)
+	rc.Flush()
 }

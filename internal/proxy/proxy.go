@@ -485,13 +485,20 @@ func (p *Proxy) Complete(ctx context.Context, req llm.Request) (Answer, error) {
 // token-stream (with mid-generation early exit when configured), and
 // their SLO/admission records carry the "streaming" class.
 func (p *Proxy) CompleteStream(ctx context.Context, req llm.Request) (Stream, error) {
-	s, _, err := p.open(sched.WithClass(ctx, sched.Streaming), req, true)
+	s, err := p.openStream(ctx, req)
 	if s == nil {
 		// Shed at admission; a nil *clientStream must not become a non-nil
 		// Stream.
 		return nil, err
 	}
 	return s, nil
+}
+
+// openStream is CompleteStream handing out the concrete reader, which the
+// SSE handler polls for what is ready; nil when the request was shed.
+func (p *Proxy) openStream(ctx context.Context, req llm.Request) (*clientStream, error) {
+	s, _, err := p.open(sched.WithClass(ctx, sched.Streaming), req, true)
+	return s, err
 }
 
 // request is the one record of a client request. open resolves the first

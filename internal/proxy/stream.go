@@ -147,63 +147,88 @@ func (p *Proxy) newClientStream(rq request, prompt string, c *call, source strin
 
 // Recv implements Stream.
 func (s *clientStream) Recv() (Chunk, error) {
+	var one [1]Chunk
 	for {
-		s.mu.Lock()
+		got, wait, err := s.poll(one[:0])
+		switch {
+		case err != nil:
+			return Chunk{}, err
+		case wait == nil:
+			return got[0], nil
+		}
+		if err := s.park(wait); err != nil {
+			return Chunk{}, err
+		}
+	}
+}
+
+// poll is the non-blocking half of a read, and the whole of it for both
+// read surfaces: it appends to dst the chunks that are ready, as many as
+// dst has room for, under one round of the two locks. With none ready it
+// returns either the channel that closes when the log moves — the reader
+// would block — or the error that ends the stream: io.EOF after the Final
+// chunk, llm.ErrStreamClosed after Close, or the terminal error.
+func (s *clientStream) poll(dst []Chunk) (ready []Chunk, wait <-chan struct{}, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
 		switch {
 		case s.closed:
-			s.mu.Unlock()
-			return Chunk{}, llm.ErrStreamClosed
+			return dst, nil, llm.ErrStreamClosed
 		case s.pending != nil:
-			ch := *s.pending
+			dst = append(dst, *s.pending)
 			s.pending = nil
-			s.deliver(&ch)
-			s.mu.Unlock()
-			return ch, nil
+			s.deliver(&dst[len(dst)-1])
+			return dst, nil, nil
 		case s.settled:
 			s.end()
-			err := s.err
-			s.mu.Unlock()
-			if err == nil {
-				err = io.EOF
+			if s.err != nil {
+				return dst, nil, s.err
 			}
-			return Chunk{}, err
+			return dst, nil, io.EOF
 		}
 		c := s.c
 		c.mu.Lock()
-		if s.next < len(c.chunks) {
-			ch := c.chunks[s.next]
+		if n := min(len(c.chunks)-s.next, cap(dst)-len(dst)); n > 0 {
+			dst = append(dst, c.chunks[s.next:s.next+n]...)
 			c.mu.Unlock()
-			s.next++
-			s.deliver(&ch)
-			s.mu.Unlock()
-			return ch, nil
+			s.next += n
+			for i := len(dst) - n; i < len(dst); i++ {
+				s.deliver(&dst[i])
+			}
+			return dst, nil, nil
 		}
-		if c.done {
-			ans, err := c.ans, c.err
+		if !c.done {
+			if c.notify == nil {
+				c.notify = make(chan struct{})
+			}
+			wait = c.notify
 			c.mu.Unlock()
-			s.settle(ans, err)
-			s.mu.Unlock()
-			continue
+			return dst, wait, nil
 		}
-		if c.notify == nil {
-			c.notify = make(chan struct{})
-		}
-		wait := c.notify
+		ans, cerr := c.ans, c.err
 		c.mu.Unlock()
+		// Settling leaves a stale-degrade chunk pending, or the end.
+		s.settle(ans, cerr)
+	}
+}
+
+// park blocks a reader poll found at the tail until the log moves or the
+// client stops listening, which ends the stream with the returned error.
+func (s *clientStream) park(wait <-chan struct{}) error {
+	select {
+	case <-wait:
+		return nil
+	case <-s.closeCh:
+		return llm.ErrStreamClosed
+	case <-s.ctx.Done():
+		// The upstream keeps running for any coalesced cohort (and to
+		// populate the cache); only this client gives up.
+		err := s.ctx.Err()
+		s.mu.Lock()
+		s.abandon("canceled", err)
 		s.mu.Unlock()
-		select {
-		case <-wait:
-		case <-s.closeCh:
-			return Chunk{}, llm.ErrStreamClosed
-		case <-s.ctx.Done():
-			// The upstream keeps running for any coalesced cohort (and to
-			// populate the cache); only this client gives up.
-			err := s.ctx.Err()
-			s.mu.Lock()
-			s.abandon(err)
-			s.mu.Unlock()
-			return Chunk{}, err
-		}
+		return err
 	}
 }
 
@@ -247,19 +272,28 @@ func (s *clientStream) settle(ans Answer, err error) {
 	s.ans, s.err = ans, err
 }
 
-// abandon settles the stream for a client that stopped listening — a
-// dead context or Close — and accounts it as canceled. The shared
-// upstream (if any) keeps running for the rest of the cohort. Called
-// with s.mu held.
-func (s *clientStream) abandon(err error) {
+// abandon settles the stream for a client that will read no further and
+// accounts it by outcome: "canceled" when it stopped listening — a dead
+// context or Close — and "error" when the server could not put the answer
+// on the wire. The shared upstream (if any) keeps running for the rest of
+// the cohort. Called with s.mu held.
+func (s *clientStream) abandon(outcome string, err error) {
 	if s.done {
 		return
 	}
-	s.settled, s.pending, s.outcome = true, nil, "canceled"
+	s.settled, s.pending, s.outcome = true, nil, outcome
 	s.ans, s.err = Answer{}, err
-	s.wait.SetAttr("outcome", "canceled")
+	s.wait.SetAttr("outcome", outcome)
 	s.wait.End()
 	s.end()
+}
+
+// fail ends the stream of a client the server cannot finish answering:
+// its request ends as an error, the cohort is untouched.
+func (s *clientStream) fail(err error) {
+	s.mu.Lock()
+	s.abandon("error", err)
+	s.mu.Unlock()
 }
 
 // end runs the request's terminal bookkeeping once. Called with s.mu
@@ -279,7 +313,7 @@ func (s *clientStream) Close() error {
 	if !s.closed {
 		s.closed = true
 		close(s.closeCh)
-		s.abandon(llm.ErrStreamClosed)
+		s.abandon("canceled", llm.ErrStreamClosed)
 	}
 	return nil
 }
