@@ -324,6 +324,29 @@ func (p *Pass) PathHasPrefix(prefix string) bool {
 	return p.Pkg.Path == prefix || strings.HasPrefix(p.Pkg.Path, prefix+"/")
 }
 
+// servingPath lists the packages a request runs through, where a stray
+// goroutine outlives it: the packages gospawn and goleak govern.
+var servingPath = []string{
+	"repro/internal/proxy",
+	"repro/internal/sched",
+	"repro/internal/resilience",
+	"repro/internal/obs",
+	"repro/internal/llm",
+	"repro/internal/core/cascade",
+	"repro/internal/core/semcache",
+}
+
+// OnServingPath reports whether the package is a serving-path package
+// or sits beneath one.
+func (p *Pass) OnServingPath() bool {
+	for _, prefix := range servingPath {
+		if p.PathHasPrefix(prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 // ExprString renders a (simple) expression for use in lock-identity keys
 // and messages: identifiers, selectors, parens, stars and indexes.
 func ExprString(e ast.Expr) string {

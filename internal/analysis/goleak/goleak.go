@@ -49,27 +49,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// servingPath mirrors gospawn's governed packages: the layers where a
-// leaked goroutine outlives a request.
-var servingPath = []string{
-	"repro/internal/proxy",
-	"repro/internal/sched",
-	"repro/internal/resilience",
-	"repro/internal/obs",
-	"repro/internal/llm",
-	"repro/internal/core/cascade",
-	"repro/internal/core/semcache",
-}
-
 func run(pass *analysis.Pass) error {
-	governed := false
-	for _, p := range servingPath {
-		if pass.PathHasPrefix(p) {
-			governed = true
-			break
-		}
-	}
-	if !governed {
+	if !pass.OnServingPath() {
 		return nil
 	}
 	obsGo := pass.Prog.Object("repro/internal/obs", "Go")

@@ -38,26 +38,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// servingPath lists the packages under the rule.
-var servingPath = []string{
-	"repro/internal/proxy",
-	"repro/internal/sched",
-	"repro/internal/resilience",
-	"repro/internal/obs",
-	"repro/internal/llm",
-	"repro/internal/core/cascade",
-	"repro/internal/core/semcache",
-}
-
 func run(pass *analysis.Pass) error {
-	covered := false
-	for _, p := range servingPath {
-		if pass.PathHasPrefix(p) {
-			covered = true
-			break
-		}
-	}
-	if !covered {
+	if !pass.OnServingPath() {
 		return nil
 	}
 	pass.EachFile(func(name string, f *ast.File) {

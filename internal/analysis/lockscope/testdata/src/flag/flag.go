@@ -56,6 +56,15 @@ func httpUnderLock(s *server) {
 	http.Get("http://example.invalid") // want "blocking net/http call http\.Get while s\.mu"
 }
 
+// A mutex in a local never enters the global lock graph, but the
+// critical section it guards is just as real.
+func sendUnderLocalLock(ch chan int) {
+	var mu sync.Mutex
+	mu.Lock()
+	ch <- 1 // want "blocking channel send while mu \(locked at line 63\) held"
+	mu.Unlock()
+}
+
 // The guard branch unlocks and returns; the main path still holds the
 // lock at the select — branch-sensitive tracking must not let the
 // guard's release mask it.

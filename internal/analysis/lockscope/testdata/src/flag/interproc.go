@@ -64,6 +64,21 @@ func callsPromotedUnderLock(d *derived) {
 	d.mu.Unlock()
 }
 
+// An exit arm keeps a goroutine from parking forever, but without a
+// default the select still waits for one arm — under the caller's lock.
+func (st *store) publishOrQuit(v int, done chan struct{}) {
+	select {
+	case st.out <- v:
+	case <-done:
+	}
+}
+
+func callsGuardedSelectUnderLock(st *store, v int, done chan struct{}) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.publishOrQuit(v, done) // want "blocking call into fixture\.store\.publishOrQuit"
+}
+
 // time.Sleep is time.Sleep under any import name.
 func sleepsUnderRenamedImport(st *store) {
 	st.mu.Lock()

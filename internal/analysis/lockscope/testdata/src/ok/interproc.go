@@ -32,3 +32,17 @@ func enqueueUnderLock(r *registry, name string) {
 	defer r.mu.Unlock()
 	r.enqueueBounded(name)
 }
+
+func (r *registry) drain() {
+	r.queue <- ""
+}
+
+// A deferred call runs at function exit, not where it is deferred:
+// lockscope leaves deferred calls alone, as it does the deferred Unlock.
+func drainAfterUnlock(r *registry, wg *sync.WaitGroup) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	defer r.drain()
+	defer wg.Wait()
+	r.seen["drain"]++
+}

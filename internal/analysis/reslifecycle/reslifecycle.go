@@ -8,8 +8,8 @@
 // scheduler (Close joins its flush goroutines), and net/http response
 // bodies. PR 5's analyzers cannot see a leak that only happens on the
 // early-return error path three branches in; this analyzer can, because
-// it tracks obligations branch-sensitively the same way lockscope
-// tracks held locks.
+// it tracks obligations branch-sensitively the same way the summary
+// walker tracks held locks.
 //
 // An obligation is born when a call's first result has a tracked type
 // (the type seeds below, so a wrapper, an interface method or a creator
@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -151,8 +152,8 @@ func (s *sink) leak(o *obligation, at token.Pos) {
 		o.what, o.release, filepath.Base(p.Filename), strconv.Itoa(p.Line))
 }
 
-// tracker is the branch-sensitive obligation scanner. It mirrors
-// lockscope's may-hold discipline: clone per arm, drop diverging arms,
+// tracker is the branch-sensitive obligation scanner. It mirrors the
+// summary walker's may-hold discipline: clone per arm, drop diverging arms,
 // union survivors — so "live" means live on SOME path, which is exactly
 // leak semantics. bound says which obligation each variable holds;
 // settling an obligation through any of its variables settles it.
@@ -177,7 +178,7 @@ func (t *tracker) scope(body *ast.BlockStmt) {
 
 func (t *tracker) fork(drop map[*obligation]bool) *tracker {
 	sub := *t
-	sub.bound, sub.live = clone(t.bound), clone(t.live)
+	sub.bound, sub.live = maps.Clone(t.bound), maps.Clone(t.live)
 	for o := range drop {
 		delete(sub.live, o)
 	}
@@ -365,14 +366,14 @@ func (t *tracker) branchIf(st *ast.IfStmt) {
 	var survivors []*tracker
 	thenT := t.fork(thenDrop)
 	thenT.stmts(st.Body.List)
-	if !terminates(st.Body.List) {
+	if !analysis.Terminates(st.Body.List) {
 		survivors = append(survivors, thenT)
 	}
 	elseT := t.fork(elseDrop)
 	if st.Else != nil {
 		elseT.stmt(st.Else)
 	}
-	if st.Else == nil || !terminatesStmt(st.Else) {
+	if st.Else == nil || !analysis.Terminates([]ast.Stmt{st.Else}) {
 		survivors = append(survivors, elseT)
 	}
 	t.join(survivors)
@@ -420,7 +421,7 @@ func (t *tracker) arms(arms [][]ast.Stmt, includePre bool) {
 	for _, arm := range arms {
 		sub := t.fork(nil)
 		sub.stmts(arm)
-		if !terminates(arm) {
+		if !analysis.Terminates(arm) {
 			survivors = append(survivors, sub)
 		}
 	}
@@ -662,39 +663,4 @@ func (t *tracker) releaseIn(call *ast.CallExpr) bool {
 	}
 	delete(t.live, o)
 	return true
-}
-
-func clone[K comparable, V any](m map[K]V) map[K]V {
-	c := make(map[K]V, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	return terminatesStmt(list[len(list)-1])
-}
-
-func terminatesStmt(st ast.Stmt) bool {
-	switch st := st.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return st.Tok == token.BREAK || st.Tok == token.CONTINUE || st.Tok == token.GOTO
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(st.List)
-	case *ast.LabeledStmt:
-		return terminatesStmt(st.Stmt)
-	}
-	return false
 }

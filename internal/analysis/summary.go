@@ -2,35 +2,41 @@
 // consumed by the interprocedural analyzers (lockorder, reslifecycle,
 // goleak) and by the summary-sharpened per-function ones.
 //
-// A summary records, for one declaration body:
+// The summary walker is the module's one lock walk: it tracks which
+// locks may be held, branch-sensitively (each arm of an if, switch,
+// select or loop starts from a clone of the state before it, an arm
+// that ends in return, panic or a branch discards its releases, the
+// surviving arms' states are unioned, a deferred Unlock holds to
+// function end), and records along the way, for one body:
 //
 //   - Acquires: every mutex acquire with the locks already held at that
 //     point, each lock being the *types.Var of the mutex field or
-//     package-level variable (branch-sensitive may-hold, the same model
-//     as lockscope: cloned arm states, diverging arms discard releases,
-//     deferred unlocks hold to function end);
-//   - Calls: every call site with its may-held lock set and the
+//     package-level variable (a mutex in a local or a parameter is held
+//     all the same, but never enters these sets or the global graph);
+//   - Calls: every call site with its may-held locks and the
 //     declarations it resolves to (several, through an interface) — the
 //     call-graph edges;
-//   - Blocking: direct blocking operations in lockscope's vocabulary
-//     (chan ops, Sleep, Wait, model calls, net/http), minus sites
-//     waived with //llmdm:allow lockscope — a waiver's justification
-//     ("takes no locks, joined immediately") covers callers too;
+//   - Blocking: direct blocking operations (chan ops, Sleep, Wait, model
+//     calls, net/http), each with every lock that may be held there —
+//     lockscope reports the held ones; Waived marks //llmdm:allow
+//     lockscope sites, whose justification covers callers too;
 //   - ChanOps: channel sends/receives that are *not* guarded by a
-//     select with a default or a ctx.Done()/stop-family arm, minus
-//     //llmdm:allow goleak waivers — goroutine-leak raw material;
+//     select with a default or a ctx.Done()/stop-family arm, with
+//     //llmdm:allow goleak waivers marked — goroutine-leak raw material;
 //   - context threading (the first named context.Context parameter and
 //     whether any such parameter is used: ctxflow's facts), deferred
 //     recover(), stop-signal references (gospawn's facts).
 //
 // Function literals are separate execution units and are skipped here;
-// goleak walks goroutine literals directly.
+// lockscope and goleak summarize literal bodies with SummarizeBlock.
 package analysis
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,6 +56,18 @@ type AcquireSite struct {
 	Held []*types.Var
 }
 
+// HeldLock is one lock that may be held at a call or blocking op.
+type HeldLock struct {
+	// Expr is the receiver's source form ("s.mu"), the walker's key: a
+	// Lock of one receiver is released by an Unlock of the same one.
+	Expr string
+	// Lock is the mutex field or package-level variable; nil for a
+	// local, a parameter or a receiver reached through a call or index.
+	Lock *types.Var
+	// Pos is the acquire.
+	Pos token.Pos
+}
+
 // CallSite is one call expression with its lock context.
 type CallSite struct {
 	// Callees are the resolved targets (see Program.Resolve), nil when
@@ -58,14 +76,20 @@ type CallSite struct {
 	// Expr renders the call target for diagnostics.
 	Expr string
 	Pos  token.Pos
-	// Held are the locks that may be held at the call.
-	Held []*types.Var
+	// Held are the lock fields and variables that may be held at the
+	// call, in declaration order; Locks every held lock, in acquire order.
+	Held  []*types.Var
+	Locks []HeldLock
+	// Deferred: a defer statement's call, which runs at function exit.
+	Deferred bool
 }
 
-// BlockOp is one direct blocking operation (lockscope vocabulary).
+// BlockOp is one direct blocking operation.
 type BlockOp struct {
 	Pos  token.Pos
 	What string
+	// Locks may be held at the op, in acquire order.
+	Locks []HeldLock
 	// Waived: the op carries //llmdm:allow lockscope. Consumers honor
 	// the waiver unless running with IgnoreAnnotations — the flag stays
 	// in the summary so load-bearing tests can resurface the site.
@@ -133,17 +157,19 @@ func (pr *Program) Summary(f *FuncInfo) *Summary {
 	}
 	s.Recovers = HasDeferredRecover(f.Pkg.Info, d.Body)
 	s.RefsStop = RefsStopSignal(d.Body)
-	w := &sumWalker{pr: pr, f: f, sum: s, held: map[*types.Var]token.Pos{}}
+	w := &sumWalker{pr: pr, f: f, sum: s, held: map[string]HeldLock{}}
 	w.stmts(d.Body.List)
 	return s
 }
 
 // SummarizeBlock runs the summary walker over one statement block (e.g.
-// a goroutine literal's body) in f's resolution scope. The result is
-// not cached: literal bodies are not declarations.
+// a goroutine literal's body) in f's resolution scope — only f.Pkg is
+// read, so a literal outside any function passes a FuncInfo with only
+// Pkg set. The result is not cached: literal bodies are not
+// declarations.
 func (pr *Program) SummarizeBlock(f *FuncInfo, body *ast.BlockStmt) *Summary {
 	s := &Summary{Func: f}
-	w := &sumWalker{pr: pr, f: f, sum: s, held: map[*types.Var]token.Pos{}}
+	w := &sumWalker{pr: pr, f: f, sum: s, held: map[string]HeldLock{}}
 	w.stmts(body.List)
 	return s
 }
@@ -174,26 +200,39 @@ func (pr *Program) lockOf(info *types.Info, e ast.Expr) *types.Var {
 // locked through), "pkg.var" for a package-level one.
 func (pr *Program) LockName(v *types.Var) string { return pr.lockNames[v] }
 
-// sumWalker is the branch-sensitive body walk behind Summary. It mirrors
-// lockscope's scanner (same arm-cloning and divergence rules) while
-// recording acquires, call sites, blocking ops and chan ops.
+// sumWalker is the branch-sensitive body walk behind Summary: it tracks
+// the may-held locks, keyed by receiver expression, while recording
+// acquires, call sites, blocking ops and chan ops.
 type sumWalker struct {
 	pr   *Program
 	f    *FuncInfo
 	sum  *Summary
-	held map[*types.Var]token.Pos
+	held map[string]HeldLock
 }
 
-func (w *sumWalker) heldKeys() []*types.Var {
+// heldVars are the held lock fields and variables, in declaration order.
+func (w *sumWalker) heldVars() []*types.Var {
+	var vars []*types.Var
+	for _, h := range w.held {
+		if h.Lock != nil && !slices.Contains(vars, h.Lock) {
+			vars = append(vars, h.Lock)
+		}
+	}
+	sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
+	return vars
+}
+
+// locks lists every held lock, in acquire order.
+func (w *sumWalker) locks() []HeldLock {
 	if len(w.held) == 0 {
 		return nil
 	}
-	keys := make([]*types.Var, 0, len(w.held))
-	for k := range w.held {
-		keys = append(keys, k)
+	out := make([]HeldLock, 0, len(w.held))
+	for _, h := range w.held {
+		out = append(out, h)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Pos() < keys[j].Pos() })
-	return keys
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
+	return out
 }
 
 func (w *sumWalker) stmts(list []ast.Stmt) {
@@ -209,83 +248,79 @@ func (w *sumWalker) stmt(st ast.Stmt) {
 		if w.lockStmt(st.X) {
 			return
 		}
-		w.expr(st.X, false)
+		w.expr(st.X)
 	case *ast.DeferStmt:
 		// A deferred Unlock pins the critical section to function end —
 		// leave held untouched. A deferred release/Close is recorded as a
 		// call site (reslifecycle wants it); other deferred work runs
 		// after the body.
-		w.recordCall(st.Call)
+		w.recordCall(st.Call, true)
 	case *ast.GoStmt:
 		// The spawn doesn't block; the body is a separate unit.
 	case *ast.SendStmt:
-		w.chanOp(st.Arrow, true, st.Chan, false)
-		w.expr(st.Chan, true)
-		w.expr(st.Value, false)
+		w.chanOp(st.Arrow, true, st.Chan, false, true)
+		w.expr(st.Chan)
+		w.expr(st.Value)
 	case *ast.AssignStmt:
 		for _, e := range st.Rhs {
-			w.expr(e, false)
+			w.expr(e)
 		}
 		for _, e := range st.Lhs {
-			w.expr(e, true)
+			w.expr(e)
 		}
 	case *ast.DeclStmt:
 		ast.Inspect(st, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok {
-				w.expr(e, false)
+				w.expr(e)
 				return false
 			}
 			return true
 		})
 	case *ast.ReturnStmt:
 		for _, e := range st.Results {
-			w.expr(e, false)
+			w.expr(e)
 		}
 	case *ast.IfStmt:
 		w.stmt(st.Init)
-		w.expr(st.Cond, false)
+		w.expr(st.Cond)
 		arms := [][]ast.Stmt{st.Body.List}
 		if st.Else != nil {
 			arms = append(arms, []ast.Stmt{st.Else})
 		}
+		// Without an else, the condition-false path carries the pre-state.
 		w.mergeArms(arms, st.Else == nil)
 	case *ast.ForStmt:
 		w.stmt(st.Init)
-		if st.Cond != nil {
-			w.expr(st.Cond, false)
-		}
+		w.expr(st.Cond)
 		w.stmt(st.Post)
 		w.mergeArms([][]ast.Stmt{st.Body.List}, true)
 	case *ast.RangeStmt:
-		w.expr(st.X, false)
+		w.expr(st.X)
 		w.mergeArms([][]ast.Stmt{st.Body.List}, true)
 	case *ast.BlockStmt:
 		w.stmts(st.List)
 	case *ast.SwitchStmt:
 		w.stmt(st.Init)
-		if st.Tag != nil {
-			w.expr(st.Tag, false)
-		}
+		w.expr(st.Tag)
 		w.mergeArms(CaseArms(st.Body), !HasDefault(st.Body))
 	case *ast.TypeSwitchStmt:
 		w.stmt(st.Init)
 		w.stmt(st.Assign)
 		w.mergeArms(CaseArms(st.Body), !HasDefault(st.Body))
 	case *ast.SelectStmt:
-		guarded := selectIsGuarded(st)
+		hasDefault, exitArm := selectGuards(st)
 		var arms [][]ast.Stmt
 		for _, c := range st.Body.List {
 			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				w.commOp(cc.Comm, guarded)
-			}
+			w.commOp(cc.Comm, hasDefault || exitArm, !hasDefault)
 			arms = append(arms, cc.Body)
 		}
+		// Exactly one arm runs; there is no fall-through pre-state path.
 		w.mergeArms(arms, false)
 	case *ast.LabeledStmt:
 		w.stmt(st.Stmt)
 	case *ast.IncDecStmt:
-		w.expr(st.X, false)
+		w.expr(st.X)
 	}
 }
 
@@ -300,81 +335,92 @@ func (w *sumWalker) lockStmt(e ast.Expr) bool {
 	if !ok || len(call.Args) != 0 {
 		return false
 	}
+	expr := ExprString(sel.X)
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
 		lock := w.pr.lockOf(w.f.Pkg.Info, sel.X)
 		w.sum.Acquires = append(w.sum.Acquires, AcquireSite{
 			Lock: lock,
-			Expr: ExprString(sel.X),
+			Expr: expr,
 			Pos:  call.Pos(),
 			Read: sel.Sel.Name == "RLock",
-			Held: w.heldKeys(),
+			Held: w.heldVars(),
 		})
-		if lock != nil {
-			w.held[lock] = call.Pos()
-		}
+		w.held[expr] = HeldLock{Expr: expr, Lock: lock, Pos: call.Pos()}
 		return true
 	case "Unlock", "RUnlock":
-		if lock := w.pr.lockOf(w.f.Pkg.Info, sel.X); lock != nil {
-			delete(w.held, lock)
-		}
+		delete(w.held, expr)
 		return true
 	}
 	return false
 }
 
-// commOp records the comm clause of a select: guarded ops never appear
-// in ChanOps, but blocking classification matches lockscope (a select
-// without default still blocks).
-func (w *sumWalker) commOp(st ast.Stmt, guarded bool) {
+// commOp records a select's comm clause (nil for default) and walks its
+// operands, which run when the select is entered. An exit arm or a
+// default guards the op out of ChanOps (it cannot park forever); only a
+// default keeps it out of Blocking — without one, the select waits for
+// some arm, exit arms included.
+func (w *sumWalker) commOp(st ast.Stmt, guarded, blocks bool) {
+	recv := func(e ast.Expr) {
+		if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+			w.chanOp(u.Pos(), false, u.X, guarded, blocks)
+			w.expr(u.X)
+		}
+	}
 	switch st := st.(type) {
 	case *ast.SendStmt:
-		w.chanOp(st.Arrow, true, st.Chan, guarded)
+		w.chanOp(st.Arrow, true, st.Chan, guarded, blocks)
+		w.expr(st.Chan)
+		w.expr(st.Value)
 	case *ast.ExprStmt:
-		if u, ok := st.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			w.chanOp(u.Pos(), false, u.X, guarded)
-		}
+		recv(st.X)
 	case *ast.AssignStmt:
 		for _, e := range st.Rhs {
-			if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				w.chanOp(u.Pos(), false, u.X, guarded)
-			}
+			recv(e)
+		}
+		for _, e := range st.Lhs {
+			w.expr(e)
 		}
 	}
 }
 
-func (w *sumWalker) chanOp(pos token.Pos, send bool, ch ast.Expr, guarded bool) {
-	if guarded {
-		return
+// chanOp records one channel operation: in ChanOps unless guarded, in
+// Blocking if it blocks.
+func (w *sumWalker) chanOp(pos token.Pos, send bool, ch ast.Expr, guarded, blocks bool) {
+	if !guarded {
+		w.sum.ChanOps = append(w.sum.ChanOps, ChanOp{
+			Pos: pos, Send: send, Name: lastName(ch), Chan: chanVar(w.f.Pkg.Info, ch),
+			Waived: w.waived(pos, "goleak"),
+		})
 	}
-	w.sum.ChanOps = append(w.sum.ChanOps, ChanOp{
-		Pos: pos, Send: send, Name: lastName(ch), Chan: chanVar(w.f.Pkg.Info, ch),
-		Waived: w.waived(pos, "goleak"),
-	})
-	what := "channel receive"
-	if send {
-		what = "channel send"
+	if blocks {
+		what := "channel receive"
+		if send {
+			what = "channel send"
+		}
+		w.blocking(pos, what)
 	}
-	w.blocking(pos, what)
 }
 
-// mergeArms mirrors lockscope's may-hold union over branch arms.
+// mergeArms walks each arm of a branching statement from a clone of the
+// current state and replaces it with the union of the states of the arms
+// that fall through (may-hold): an arm that diverges discards its
+// releases, so an `unlock; return` guard cannot mask a blocking op under
+// the lock on the main path. includePre adds the pre-state as a path of
+// its own (if without else, switch without default, a loop body running
+// zero times).
 func (w *sumWalker) mergeArms(arms [][]ast.Stmt, includePre bool) {
-	pre := cloneHeld(w.held)
-	var states []map[*types.Var]token.Pos
+	merged := map[string]HeldLock{}
 	if includePre {
-		states = append(states, pre)
+		merged = maps.Clone(w.held)
 	}
 	for _, arm := range arms {
-		sub := &sumWalker{pr: w.pr, f: w.f, sum: w.sum, held: cloneHeld(pre)}
+		sub := &sumWalker{pr: w.pr, f: w.f, sum: w.sum, held: maps.Clone(w.held)}
 		sub.stmts(arm)
-		if !Terminates(arm) {
-			states = append(states, sub.held)
+		if Terminates(arm) {
+			continue
 		}
-	}
-	merged := map[*types.Var]token.Pos{}
-	for _, st := range states {
-		for k, v := range st {
+		for k, v := range sub.held {
 			if _, ok := merged[k]; !ok {
 				merged[k] = v
 			}
@@ -384,8 +430,8 @@ func (w *sumWalker) mergeArms(arms [][]ast.Stmt, includePre bool) {
 }
 
 // expr records calls, chan receives and blocking ops in an expression
-// subtree. lhs marks assignment targets (whose index exprs still run).
-func (w *sumWalker) expr(e ast.Expr, lhs bool) {
+// subtree.
+func (w *sumWalker) expr(e ast.Expr) {
 	if e == nil {
 		return
 	}
@@ -395,12 +441,12 @@ func (w *sumWalker) expr(e ast.Expr, lhs bool) {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				w.chanOp(n.Pos(), false, n.X, false)
-				w.expr(n.X, false)
+				w.chanOp(n.Pos(), false, n.X, false, true)
+				w.expr(n.X)
 				return false
 			}
 		case *ast.CallExpr:
-			w.recordCall(n)
+			w.recordCall(n, false)
 			if verb := w.pr.BlockingCall(w.f.Pkg.Info, n); verb != "" {
 				w.blocking(n.Pos(), verb)
 			}
@@ -409,7 +455,7 @@ func (w *sumWalker) expr(e ast.Expr, lhs bool) {
 	})
 }
 
-func (w *sumWalker) recordCall(call *ast.CallExpr) {
+func (w *sumWalker) recordCall(call *ast.CallExpr, deferred bool) {
 	// Lock ops, builtins and conversions are not call-graph edges.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) == 0 {
 		switch sel.Sel.Name {
@@ -421,16 +467,18 @@ func (w *sumWalker) recordCall(call *ast.CallExpr) {
 		return
 	}
 	w.sum.Calls = append(w.sum.Calls, CallSite{
-		Callees: w.pr.Resolve(w.f, call),
-		Expr:    ExprString(call.Fun),
-		Pos:     call.Pos(),
-		Held:    w.heldKeys(),
+		Callees:  w.pr.Resolve(w.f, call),
+		Expr:     ExprString(call.Fun),
+		Pos:      call.Pos(),
+		Held:     w.heldVars(),
+		Locks:    w.locks(),
+		Deferred: deferred,
 	})
 }
 
 func (w *sumWalker) blocking(pos token.Pos, what string) {
 	w.sum.Blocking = append(w.sum.Blocking, BlockOp{
-		Pos: pos, What: what, Waived: w.waived(pos, "lockscope"),
+		Pos: pos, What: what, Locks: w.locks(), Waived: w.waived(pos, "lockscope"),
 	})
 }
 
@@ -471,21 +519,17 @@ func (pr *Program) BlockingCall(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// selectIsGuarded reports whether a select statement cannot park
-// forever on its data arms: it has a default clause, or an arm
-// receiving from a context Done()/Err() channel, a stop-family channel,
-// or a timer/ticker .C.
-func selectIsGuarded(st *ast.SelectStmt) bool {
+// selectGuards reports whether a select statement has a default clause
+// and whether it has an exit arm — one receiving from a context
+// Done()/Err() channel, a stop-family channel, or a timer/ticker .C.
+// Either way it cannot park forever on its data arms.
+func selectGuards(st *ast.SelectStmt) (hasDefault, exitArm bool) {
 	for _, c := range st.Body.List {
 		cc := c.(*ast.CommClause)
-		if cc.Comm == nil {
-			return true // default
-		}
-		if recvIsExitArm(cc.Comm) {
-			return true
-		}
+		hasDefault = hasDefault || cc.Comm == nil
+		exitArm = exitArm || recvIsExitArm(cc.Comm)
 	}
-	return false
+	return hasDefault, exitArm
 }
 
 // recvIsExitArm classifies one comm clause as an exit signal: a receive
@@ -536,14 +580,6 @@ func IsStopChanName(name string) bool {
 	return false
 }
 
-func cloneHeld(m map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	c := make(map[*types.Var]token.Pos, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
 // CaseArms lists the clause bodies of a switch or type-switch body.
 func CaseArms(body *ast.BlockStmt) [][]ast.Stmt {
 	var arms [][]ast.Stmt
@@ -565,14 +601,17 @@ func HasDefault(body *ast.BlockStmt) bool {
 }
 
 // Terminates reports whether a statement list visibly diverges: its
-// last statement is a return, panic, or branch (break/continue/goto).
+// last statement is a return, panic, or branch (break/continue/goto;
+// a fallthrough runs on into the next case).
 func Terminates(list []ast.Stmt) bool {
 	if len(list) == 0 {
 		return false
 	}
 	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
+	case *ast.ReturnStmt:
 		return true
+	case *ast.BranchStmt:
+		return last.Tok != token.FALLTHROUGH
 	case *ast.ExprStmt:
 		if call, ok := last.X.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {

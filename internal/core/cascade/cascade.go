@@ -138,14 +138,11 @@ type Cascade struct {
 	Sched Submitter
 	// ExitThreshold arms mid-generation early exit on token-streamed
 	// tiers (sched.Streaming requests): once a non-final tier has emitted
-	// ExitMinChunks chunks, a chunk confidence below this threshold aborts
-	// the tier and escalates immediately, billing only the chunks already
-	// emitted. Zero disables early exit. Choose a value below the accept
+	// exitMinChunks (two) chunks, a chunk confidence below this threshold
+	// aborts the tier and escalates immediately, billing only the chunks
+	// already emitted. Zero disables early exit. Choose a value below the accept
 	// threshold: collapse, not mere mediocrity, should trigger an abort.
 	ExitThreshold float64
-	// ExitMinChunks is the minimum chunks a tier streams before the exit
-	// rule applies. Zero means DefaultExitMinChunks.
-	ExitMinChunks int
 	// Obs receives the cascade's step/escalation/error counters.
 	Obs *obs.Registry
 	// Log receives tier-attempt/skip/escalation lifecycle events.

@@ -27,10 +27,10 @@ import (
 	"repro/internal/token"
 )
 
-// DefaultExitMinChunks is how many chunks a tier must emit before the
+// exitMinChunks is how many chunks a tier must emit before the
 // early-exit rule may abort it — the first chunks of a stream carry
 // mostly prior, not signal.
-const DefaultExitMinChunks = 2
+const exitMinChunks = 2
 
 // ErrStreamActive is returned by RunStream.Result while the stream has
 // not yet finished.
@@ -65,12 +65,8 @@ func (c *Cascade) CompleteStream(ctx context.Context, req llm.Request) (*RunStre
 		return nil, ErrNoModels
 	}
 	c.resolve.Do(c.resolveSeries)
-	minChunks := c.ExitMinChunks
-	if minChunks <= 0 {
-		minChunks = DefaultExitMinChunks
-	}
 	return &RunStream{
-		c: c, ctx: ctx, req: req, minChunks: minChunks,
+		c: c, ctx: ctx, req: req,
 		streaming: sched.ClassFrom(ctx) == sched.Streaming,
 		tier:      -1, next: -1,
 	}, nil
@@ -84,7 +80,6 @@ type RunStream struct {
 	c         *Cascade
 	ctx       context.Context
 	req       llm.Request
-	minChunks int
 	streaming bool // sched.Streaming request: token-stream the tiers that can
 
 	// The open tier: its index, stream and cascade.step span, and what it
@@ -226,7 +221,7 @@ func (r *RunStream) openTier() error {
 // available to escalate to.
 func (r *RunStream) shouldExit() bool {
 	c := r.c
-	return c.ExitThreshold > 0 && r.tierChunks >= r.minChunks &&
+	return c.ExitThreshold > 0 && r.tierChunks >= exitMinChunks &&
 		r.tierConf < c.ExitThreshold && r.pickNext() < len(c.Models)
 }
 

@@ -25,8 +25,9 @@ type BatchModel interface {
 	GenerateBatch(ctx context.Context, reqs []Request) ([]Response, error)
 }
 
-// DefaultBatchOverhead is the default marginal latency of each extra
-// batched item, as a fraction of the longest item's standalone latency.
+// DefaultBatchOverhead is the marginal latency of each extra batched
+// item, as a fraction of the longest item's standalone latency — every
+// simulated model's (see BatchLatency).
 // The value models a GPU server whose batched forward pass is dominated
 // by the longest sequence, with a small per-item increment.
 const DefaultBatchOverhead = 0.08
@@ -80,7 +81,7 @@ func (m *SimModel) GenerateBatch(ctx context.Context, reqs []Request) ([]Respons
 		}
 		cost += resps[i].Cost
 	}
-	lat := BatchLatency(maxLat, len(reqs), m.batchOverhead)
+	lat := BatchLatency(maxLat, len(reqs), DefaultBatchOverhead)
 	for i := range resps {
 		resps[i].Latency = lat
 	}

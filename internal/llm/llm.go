@@ -121,9 +121,6 @@ type SimModel struct {
 	tokensPerSec float64
 	// noiseAmp is the half-width of the capability noise band.
 	noiseAmp float64
-	// batchOverhead is the marginal latency of each extra item in a batch,
-	// as a fraction of the longest item (see BatchLatency).
-	batchOverhead float64
 
 	mu    sync.Mutex
 	meter token.Meter
@@ -140,10 +137,6 @@ type SimConfig struct {
 	Price        token.Price
 	TokensPerSec float64
 	NoiseAmp     float64
-	// BatchOverhead is the marginal cost of each extra item in a batched
-	// call, as a fraction of the longest item's latency. Defaults to
-	// DefaultBatchOverhead; see BatchLatency.
-	BatchOverhead float64
 	// Obs receives the model's call/token/cost/latency/error metrics.
 	Obs *obs.Registry
 }
@@ -156,23 +149,19 @@ func NewSim(cfg SimConfig) *SimModel {
 	if cfg.NoiseAmp == 0 {
 		cfg.NoiseAmp = 0.08
 	}
-	if cfg.BatchOverhead <= 0 {
-		cfg.BatchOverhead = DefaultBatchOverhead
-	}
 	return &SimModel{
-		name:          cfg.Name,
-		capability:    cfg.Capability,
-		price:         cfg.Price,
-		tokensPerSec:  cfg.TokensPerSec,
-		noiseAmp:      cfg.NoiseAmp,
-		batchOverhead: cfg.BatchOverhead,
-		mCalls:        cfg.Obs.Counter("llm_calls_total", "model", cfg.Name),
-		mErrors:       cfg.Obs.Counter("llm_errors_total", "model", cfg.Name),
-		mTokensIn:     cfg.Obs.Counter("llm_tokens_total", "model", cfg.Name, "direction", "input"),
-		mTokensOut:    cfg.Obs.Counter("llm_tokens_total", "model", cfg.Name, "direction", "output"),
-		mCost:         cfg.Obs.Counter("llm_cost_microusd_total", "model", cfg.Name),
-		mLatency:      cfg.Obs.Histogram("llm_latency_seconds", obs.LatencyBuckets, "model", cfg.Name),
-		mCallCost:     cfg.Obs.Histogram("llm_call_cost_microusd", obs.CostBuckets, "model", cfg.Name),
+		name:         cfg.Name,
+		capability:   cfg.Capability,
+		price:        cfg.Price,
+		tokensPerSec: cfg.TokensPerSec,
+		noiseAmp:     cfg.NoiseAmp,
+		mCalls:       cfg.Obs.Counter("llm_calls_total", "model", cfg.Name),
+		mErrors:      cfg.Obs.Counter("llm_errors_total", "model", cfg.Name),
+		mTokensIn:    cfg.Obs.Counter("llm_tokens_total", "model", cfg.Name, "direction", "input"),
+		mTokensOut:   cfg.Obs.Counter("llm_tokens_total", "model", cfg.Name, "direction", "output"),
+		mCost:        cfg.Obs.Counter("llm_cost_microusd_total", "model", cfg.Name),
+		mLatency:     cfg.Obs.Histogram("llm_latency_seconds", obs.LatencyBuckets, "model", cfg.Name),
+		mCallCost:    cfg.Obs.Histogram("llm_call_cost_microusd", obs.CostBuckets, "model", cfg.Name),
 	}
 }
 

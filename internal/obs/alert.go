@@ -264,9 +264,6 @@ type AlertConfig struct {
 	Log *Logger
 	// Now is the clock; nil means time.Now. Injectable for tests.
 	Now func() time.Time
-	// DisableDefaultRules suppresses the built-in rule pack when the
-	// engine is wired by the proxy.
-	DisableDefaultRules bool
 }
 
 // AlertEngine evaluates declarative rules over metric, SLO and tenant

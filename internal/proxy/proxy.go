@@ -186,9 +186,8 @@ type Config struct {
 	TenantCapacity int
 	DisableTenants bool
 	// Alerts parameterizes the alert engine served at GET /v1/alerts. The
-	// engine starts with the default rule pack unless
-	// Alerts.DisableDefaultRules is set. DisableAlerts turns the engine
-	// off entirely.
+	// engine starts with the default rule pack. DisableAlerts turns the
+	// engine off entirely.
 	Alerts        obs.AlertConfig
 	DisableAlerts bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
@@ -323,9 +322,7 @@ func New(cfg Config) *Proxy {
 	if !cfg.DisableAlerts {
 		cfg.Alerts.Source, cfg.Alerts.Obs, cfg.Alerts.Log, cfg.Alerts.SLO, cfg.Alerts.Tenants = reg, reg, log, slo, tenants
 		alerts = obs.NewAlertEngine(cfg.Alerts)
-		if !cfg.Alerts.DisableDefaultRules {
-			alerts.AddDefaultRules()
-		}
+		alerts.AddDefaultRules()
 	}
 	p := &Proxy{
 		casc:     casc,

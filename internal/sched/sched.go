@@ -119,8 +119,23 @@ var (
 // when Config.MaxBatch is zero.
 const DefaultMaxBatch = 16
 
+// Fixed scheduler parameters (see Config).
+const (
+	// queueDepth bounds each (tier, class) queue; submitters block (with
+	// context cancellation) when their queue is full, providing
+	// backpressure.
+	queueDepth = 1024
+	// batchTimeout bounds one batched upstream call. The batch runs
+	// detached from every submitter's context (a canceled submitter must
+	// not fail its cohort), so this deadline is what reaps a hung batch;
+	// a submitter stops waiting when its own context ends, either way.
+	batchTimeout = 30 * time.Second
+)
+
 // Config parameterizes a Scheduler. The zero value selects the defaults
-// documented per field.
+// documented per field. The queue depth and the batch timeout are not
+// fields: no caller ever changed them, so they are the constants
+// queueDepth and batchTimeout.
 type Config struct {
 	// MaxBatch is the batch size that triggers an immediate flush.
 	// Defaults to DefaultMaxBatch.
@@ -133,19 +148,10 @@ type Config struct {
 	// the batched path's p50 close to the unbatched path. Defaults to
 	// 100µs.
 	MinWait time.Duration
-	// QueueDepth bounds each (tier, class) queue; submitters block (with
-	// context cancellation) when their queue is full, providing
-	// backpressure. Defaults to 1024.
-	QueueDepth int
 	// InteractiveWeight and BatchWeight set the weighted-fair dequeue
 	// ratio between the classes when both are backlogged. Defaults 4:1.
 	InteractiveWeight int
 	BatchWeight       int
-	// BatchTimeout bounds one batched upstream call. The batch runs
-	// detached from every submitter's context (a canceled submitter must
-	// not fail its cohort), so this deadline is what reaps a hung batch.
-	// Defaults to 30s.
-	BatchTimeout time.Duration
 	// Obs receives the scheduler's metrics.
 	Obs *obs.Registry
 	// Log receives sched_batch_flush lifecycle events.
@@ -165,17 +171,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MinWait > cfg.MaxWait {
 		cfg.MinWait = cfg.MaxWait
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	if cfg.InteractiveWeight <= 0 {
 		cfg.InteractiveWeight = 4
 	}
 	if cfg.BatchWeight <= 0 {
 		cfg.BatchWeight = 1
-	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = 30 * time.Second
 	}
 	return cfg
 }
@@ -266,7 +266,7 @@ func New(cfg Config, models ...llm.BatchModel) *Scheduler {
 			mFlushDeadline: cfg.Obs.Counter("sched_flushes_total", "model", m.Name(), "cause", "deadline"),
 		}
 		for c := Class(0); c < numQueueClasses; c++ {
-			t.queues[c] = make(chan *item, cfg.QueueDepth)
+			t.queues[c] = make(chan *item, queueDepth)
 			t.gDepth[c] = cfg.Obs.Gauge("sched_queue_depth", "model", m.Name(), "class", c.String())
 		}
 		// Start at the ceiling — a conservative batching posture that the
@@ -547,7 +547,7 @@ func (s *Scheduler) adapt(t *tier, n int, timedOut bool) {
 // flush runs one batch through the tier's model and delivers the
 // per-item results. Items whose submitter already gave up are dropped
 // before the upstream call. The call itself is detached from every
-// submitter's context and bounded by BatchTimeout.
+// submitter's context and bounded by batchTimeout.
 func (s *Scheduler) flush(t *tier, batch []*item) {
 	if len(batch) == 0 {
 		return
@@ -588,8 +588,8 @@ func (s *Scheduler) flush(t *tier, batch []*item) {
 	}
 	// The flush deliberately detaches from every submitter's context: the
 	// batch runs to completion for the whole cohort even when individual
-	// callers cancel, bounded only by the scheduler's own BatchTimeout.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.BatchTimeout) //llmdm:detached batch flush outlives any single submitter
+	// callers cancel, bounded only by the scheduler's own batchTimeout.
+	ctx, cancel := context.WithTimeout(context.Background(), batchTimeout) //llmdm:detached batch flush outlives any single submitter
 	defer cancel()
 	resps, err := t.model.GenerateBatch(ctx, reqs)
 	if err == nil && len(resps) != len(live) {
