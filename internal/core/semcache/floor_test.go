@@ -1,0 +1,129 @@
+package semcache
+
+import (
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/embed"
+	"repro/internal/obs"
+)
+
+// wordPrompt is prompt i of a corpus shaped like the end-to-end benchmark's:
+// twelve pronounceable words drawn independently per prompt, then a
+// reference number, so two prompts share almost no features. It is the
+// shape where a floored scan skips nearly every row.
+func wordPrompt(i int) string {
+	r := rand.New(rand.NewSource(int64(i)))
+	syllables := []string{"ba", "dre", "fi", "glo", "ku", "ma", "ne", "pri", "so", "tu", "vai", "zou", "rin", "lex", "thar"}
+	var b strings.Builder
+	for w := 0; w < 12; w++ {
+		for s := 2 + r.Intn(2); s > 0; s-- {
+			b.WriteString(syllables[r.Intn(len(syllables))])
+		}
+		b.WriteByte(' ')
+	}
+	b.WriteString("ref ")
+	b.WriteString(strconv.Itoa(i))
+	return b.String()
+}
+
+// floorCache returns a cache at the proxy's 0.97 threshold holding n
+// wordPrompt entries — more than the index's quantization threshold, so
+// lookups run the quantized scan and its bound.
+func floorCache(n int) *Cache {
+	c := New(Config{Embedder: embed.New(embed.DefaultDim), Threshold: 0.97, Obs: obs.NewRegistry()})
+	for i := 0; i < n; i++ {
+		q := wordPrompt(i)
+		c.Put(q, answerTo(q, i), Original, Reuse)
+	}
+	return c
+}
+
+// A lookup's scan takes the similarity it must reach as the index's floor.
+// That changes no lookup: on wordPrompt queries — paraphrases that hit,
+// near misses that reach only the stale floor, strangers — every hit names
+// the entry the unfloored scan names with the same similarity bits, and
+// hits and misses count exactly as the unfloored scan predicts, at the hit
+// threshold and at the stale floor.
+func TestFloorChangesNoLookup(t *testing.T) {
+	const n, staleFloor = 3000, 0.55
+	c := floorCache(n)
+	var queries []string
+	for i := 0; i < 200; i++ {
+		words := strings.Fields(wordPrompt(i * 13 % n))
+		other := strings.Fields(wordPrompt(n + i))
+		queries = append(queries,
+			strings.Join(words, " ")+"?",                                  // a paraphrase: a hit
+			strings.Join(append(other[:3:3], words[3:]...), " "),          // three words swapped
+			strings.Join(append(other[:7:7], words[7:]...), " "),          // seven swapped
+			strings.Join(words[:len(words)-2], " "),                       // the reference dropped
+			strings.Join(append(words[:6:6], other[6:]...), " ")+" again", // half of it
+			strings.Join(other, " "),                                      // a stranger
+		)
+	}
+	var hits, misses, staleHits, nearMisses int
+	for _, q := range queries {
+		free := c.scan(q, math.Inf(-1))
+		if !free.found {
+			t.Fatalf("unfloored scan of %q found nothing in a full cache", q)
+		}
+		for _, floor := range []float64{c.threshold, staleFloor} {
+			got := c.scan(q, floor)
+			want := free.sim >= floor
+			if got.found != want || want && (got.id != free.id || math.Float64bits(got.sim) != math.Float64bits(free.sim)) {
+				t.Fatalf("%q at floor %v: floored scan %+v, unfloored %+v", q, floor, got, free)
+			}
+		}
+		entry := c.entries[free.id].Query
+		h, ok := c.Lookup(q)
+		if ok != (free.sim >= c.threshold) || ok && (h.Entry.Query != entry || math.Float64bits(h.Similarity) != math.Float64bits(free.sim)) {
+			t.Fatalf("Lookup(%q) = %+v, %v; the unfloored scan found %q at %v", q, h, ok, entry, free.sim)
+		}
+		if ok {
+			hits++
+		} else {
+			misses++
+		}
+		sh, ok := c.LookupStale(q, staleFloor)
+		if ok != (free.sim >= staleFloor) || ok && (sh.Entry.Query != entry || math.Float64bits(sh.Similarity) != math.Float64bits(free.sim)) {
+			t.Fatalf("LookupStale(%q) = %+v, %v; the unfloored scan found %q at %v", q, sh, ok, entry, free.sim)
+		}
+		if ok {
+			staleHits++
+			if free.sim < c.threshold {
+				nearMisses++
+			}
+		}
+	}
+	t.Logf("%d hits, %d misses, %d stale hits, %d near misses", hits, misses, staleHits, nearMisses)
+	if hits == 0 || misses == 0 || nearMisses == 0 {
+		t.Fatalf("%d hits, %d misses, %d near misses served stale: the queries do not reach both sides of both floors", hits, misses, nearMisses)
+	}
+	if st := c.Stats(); st.Lookups != len(queries) || st.Hits != hits || c.mMisses.Value() != int64(misses) {
+		t.Errorf("stats %+v, misses %d; want %d lookups, %d hits, %d misses", st, c.mMisses.Value(), len(queries), hits, misses)
+	}
+	if got := c.mStaleHits.Value(); got != int64(staleHits) {
+		t.Errorf("stale hits counted %d, want %d", got, staleHits)
+	}
+}
+
+// A semantic lookup in a quantized cache allocates only the index's
+// one-result slice: the floored scan adds nothing to it.
+func TestFlooredLookupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers, so lookups allocate more under -race")
+	}
+	c := floorCache(2500)
+	hit, miss := wordPrompt(42)+"?", wordPrompt(1<<20)
+	for _, q := range []string{hit, miss} {
+		if got := testing.AllocsPerRun(200, func() { c.Lookup(q) }); got > 1 {
+			t.Errorf("Lookup(%q) allocates %v times, want at most 1", q, got)
+		}
+	}
+	if _, ok := c.Lookup(hit); !ok {
+		t.Error("the paraphrase missed: premise broken")
+	}
+}

@@ -1,0 +1,5 @@
+//go:build !race
+
+package semcache
+
+const raceEnabled = false

@@ -10,19 +10,22 @@
 //
 // One mutex guards the cache's own state, and nothing that runs under it is
 // more than O(log n). A lookup is two halves. The scan half embeds the query
-// and asks vector.Flat for the nearest entry (its blocked int8 scan) holding
+// and asks vector.Flat for the nearest entry at or above the similarity the
+// lookup needs — the hit threshold, or a stale lookup's floor — holding
 // nothing of the cache's: the index has a read-write lock of its own, so
-// scans from any number of callers overlap. The settle half takes the mutex
-// for the bookkeeping alone — clock, counters, the hit charged to its entry
-// — and looks the scanned id up again, because the entry may have been
-// evicted in between; then the lookup is a miss (ids are never reused). A
-// lookup of an exact entry needs no embedding and no scan and is one pass
-// under the mutex. A put nests the index's lock inside the cache's
-// (Cache.mu → Flat.mu); no other path holds both. The eviction victim is the
-// root of an index-tracked min-heap ordered by (policy key, lastUsed), which
-// every hit, re-put and removal keeps in order in O(log n) — the same victim
-// a walk over all entries picks, because the logical clock makes lastUsed
-// unique (see evictHeap).
+// scans from any number of callers overlap. With that floor the index's
+// blocked int8 scan proves most rows below it from their first 32 code
+// bytes and reads no further, so a miss finds no nearest entry at all. The
+// settle half takes the mutex for the bookkeeping alone — clock, counters,
+// the hit charged to its entry — and looks the scanned id up again, because
+// the entry may have been evicted in between; then the lookup is a miss
+// (ids are never reused). A lookup of an exact entry needs no embedding and
+// no scan and is one pass under the mutex. A put nests the index's lock
+// inside the cache's (Cache.mu → Flat.mu); no other path holds both. The
+// eviction victim is the root of an index-tracked min-heap ordered by
+// (policy key, lastUsed), which every hit, re-put and removal keeps in
+// order in O(log n) — the same victim a walk over all entries picks,
+// because the logical clock makes lastUsed unique (see evictHeap).
 package semcache
 
 import (
@@ -221,7 +224,7 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 	id, exact := c.byExact[query]
 	if !exact {
 		c.mu.Unlock()
-		near = c.scan(query)
+		near = c.scan(query, c.threshold)
 		c.mu.Lock()
 		id, exact = c.byExact[query] // put by another caller meanwhile
 	}
@@ -239,7 +242,7 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 // (semcache_stale_*) so the headline hit rate stays a measure of normal
 // operation.
 func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
-	near := c.scan(query)
+	near := c.scan(query, floor)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.settleLocked(near, floor, true, "")
@@ -248,7 +251,8 @@ func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
 }
 
 // nearest is what the scan half of a lookup hands its settle half: the
-// index's closest entry and its similarity, if the index held anything.
+// index's closest entry and its similarity, if one scored at least the
+// floor the scan was given.
 type nearest struct {
 	id    vector.ID
 	sim   float64
@@ -257,15 +261,17 @@ type nearest struct {
 }
 
 // scan is the half of a lookup that costs: it embeds query and searches the
-// index for its nearest entry, holding nothing of the cache's — the index
-// has its own read lock, so any number of scans run side by side and beside
-// the other callers' bookkeeping. The caller must not hold c.mu. Scratch
-// embedding: the vector is only needed for this one search, so it is drawn
-// from (and returned to) the embedder's pool instead of allocated per lookup.
-func (c *Cache) scan(query string) nearest {
+// index for its nearest entry at or above floor — the similarity the settle
+// half will require, so the index skips every row that provably cannot
+// reach it — holding nothing of the cache's: the index has its own read
+// lock, so any number of scans run side by side and beside the other
+// callers' bookkeeping. The caller must not hold c.mu. Scratch embedding:
+// the vector is only needed for this one search, so it is drawn from (and
+// returned to) the embedder's pool instead of allocated per lookup.
+func (c *Cache) scan(query string, floor float64) nearest {
 	qv := c.emb.TextScratch(query)
 	defer c.emb.ReleaseScratch(qv)
-	hits := c.idx.Search(*qv, 1)
+	hits := c.idx.SearchAbove(*qv, 1, floor)
 	if len(hits) == 0 {
 		return nearest{}
 	}

@@ -378,7 +378,7 @@ func TestScanHalfTakesNoCacheLock(t *testing.T) {
 	query, paraphrase := modelQuery(1)
 	c.Put(query, "answer", Original, Reuse)
 	c.mu.Lock()
-	near := c.scan(paraphrase)
+	near := c.scan(paraphrase, c.threshold)
 	c.mu.Unlock()
 	if !near.found || near.sim < 0.6 || near.exact {
 		t.Errorf("scan of a paraphrase = %+v", near)
@@ -391,7 +391,7 @@ func TestHitEvictedBetweenScanAndSettleIsAMiss(t *testing.T) {
 	c := newModelCache(2, LRU)
 	query, paraphrase := modelQuery(1)
 	c.Put(query, "answer", Original, Reuse)
-	near := c.scan(paraphrase)
+	near := c.scan(paraphrase, c.threshold)
 	if !near.found || near.sim < c.threshold {
 		t.Fatalf("scan of a paraphrase = %+v: premise broken", near)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,32 @@ func fullCache() *semcache.Cache {
 // perfParaphrase is a query that hits perfText(i) semantically, not
 // exactly.
 func perfParaphrase(i int) string { return "please find " + perfText(i) }
+
+var wordSyllables = []string{"ba", "dre", "fi", "glo", "ku", "ma", "ne", "pri", "so", "tu", "vai", "zou", "rin", "lex", "thar", "ost"}
+
+// wordText is the i-th prompt of a corpus shaped like the end-to-end
+// benchmark's: twelve pronounceable words drawn per prompt, then a
+// reference number. Unlike perfText's near-duplicates, two prompts share
+// almost no features, so a lookup's floor (its hit threshold) proves nearly
+// every row a miss before reading its whole code.
+func wordText(i int) string {
+	h := uint64(i)
+	next := func() uint64 { // splitmix64
+		h += 0x9e3779b97f4a7c15
+		z := (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
+	}
+	b := make([]byte, 0, 128)
+	for w := 0; w < 12; w++ {
+		for s := 2 + next()%2; s > 0; s-- {
+			b = append(b, wordSyllables[next()%uint64(len(wordSyllables))]...)
+		}
+		b = append(b, ' ')
+	}
+	b = append(b, "ref "...)
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
 
 // Kernels is the compute-kernel suite: embedding, tokenizing and vector
 // search, the non-model work on the serving path's critical path.
@@ -232,6 +259,31 @@ func Serving(ctx context.Context) []Spec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if h, ok := c.Lookup(perfParaphrase(i % armedSize)); !ok || h.Exact {
+					b.Fatal("expected a semantic cache hit")
+				}
+			}
+		}},
+		{Name: "semcache_lookup_semantic_16k_sparse", Bench: func(b *testing.B) {
+			// semcache_lookup_semantic_16k's lookups on wordText prompts at
+			// the proxy's 0.97 threshold, where the floored scan skips almost
+			// every row before its whole code is read. perfText's
+			// near-duplicates above are the side where it skips almost none.
+			c := semcache.New(semcache.Config{
+				Embedder:  embed.New(embed.DefaultDim),
+				Capacity:  armedSize,
+				Threshold: 0.97,
+				Policy:    semcache.Weighted,
+				Obs:       obs.NewRegistry(),
+				Log:       obs.NewLogger(obs.NewEventLog(64), obs.Debug, obs.NewRegistry()),
+			})
+			queries := make([]string, armedSize)
+			for i := range queries {
+				c.Put(wordText(i), "cached answer", semcache.Original, semcache.Reuse)
+				queries[i] = wordText(i) + "?"
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if h, ok := c.Lookup(queries[i%armedSize]); !ok || h.Exact {
 					b.Fatal("expected a semantic cache hit")
 				}
 			}

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -73,7 +74,7 @@ func NewFlat(dim int, metric Metric, opts ...FlatOption) *Flat {
 	f := &Flat{
 		metric:      metric,
 		dim:         dim,
-		store:       newColStore(dim, cfg.mode),
+		store:       newColStore(dim, cfg.mode, metric == Cosine),
 		byID:        make(map[ID]int),
 		parallelMin: cfg.parallelMin,
 	}
@@ -150,9 +151,18 @@ func (f *Flat) each(fn func(i int, id ID, attrs map[string]string, vec embed.Vec
 	}
 }
 
-// Search implements Index.
+// Search implements Index: SearchAbove with no floor.
 func (f *Flat) Search(q embed.Vector, k int) []Result {
-	return f.SearchFiltered(q, k, nil)
+	return f.SearchAbove(q, k, math.Inf(-1))
+}
+
+// SearchAbove is Search restricted to results scoring at least floor: the
+// best k of the rows that do, best first. A quantized Cosine scan skips a
+// row before reading its whole code when a bound on its exact score proves
+// it below floor, so a high floor — a cache's hit threshold — makes the
+// scan cheap where few rows come near it. See DESIGN.md "Quantized scans".
+func (f *Flat) SearchAbove(q embed.Vector, k int, floor float64) []Result {
+	return f.search(q, k, floor, nil)
 }
 
 // SearchFiltered is Search restricted to items whose attributes satisfy
@@ -160,6 +170,10 @@ func (f *Flat) Search(q embed.Vector, k int) []Result {
 // score exactly. keep must be a pure predicate: a quantized scan asks it
 // only about the rows that could still enter the result.
 func (f *Flat) SearchFiltered(q embed.Vector, k int, keep func(attrs map[string]string) bool) []Result {
+	return f.search(q, k, math.Inf(-1), keep)
+}
+
+func (f *Flat) search(q embed.Vector, k int, floor float64, keep func(attrs map[string]string) bool) []Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if len(q) != f.dim {
@@ -173,13 +187,13 @@ func (f *Flat) SearchFiltered(q embed.Vector, k int, keep func(attrs map[string]
 			}
 			t.offer(Result{ID: r.id, Score: f.metric.Score(q, f.store.row(i))})
 		}
-		return t.results()
+		return above(t.results(), floor)
 	}
 	var keepRow func(int) bool
 	if keep != nil {
 		keepRow = func(i int) bool { return keep(f.rows[i].attrs) }
 	}
-	return f.store.search(f.metric, q, k, f.rowID, keepRow, f.parallelMin)
+	return f.store.search(f.metric, q, k, floor, f.rowID, keepRow, f.parallelMin)
 }
 
 // Len implements Index.

@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -268,33 +267,56 @@ type hnswCand struct {
 	d    float64
 }
 
-// candHeap is a min-heap by distance.
-type candHeap []hnswCand
-
-func (c candHeap) Len() int            { return len(c) }
-func (c candHeap) Less(i, j int) bool  { return c[i].d < c[j].d }
-func (c candHeap) Swap(i, j int)       { c[i], c[j] = c[j], c[i] }
-func (c *candHeap) Push(x interface{}) { *c = append(*c, x.(hnswCand)) }
-func (c *candHeap) Pop() interface{} {
-	old := *c
-	n := len(old)
-	x := old[n-1]
-	*c = old[:n-1]
-	return x
+// beamHeap is a binary heap of beam candidates: a min-heap by distance
+// (the candidates still to expand, closest on top) or, with far set, a
+// max-heap (the beam's worst on top). push and pop sift exactly as
+// container/heap's Push and Pop do — the same comparisons, the same swaps —
+// so the beam visits the nodes it visited through that package, but they
+// are written out because its interface boxes every hnswCand pushed or
+// popped: one allocation per visited neighbour.
+type beamHeap struct {
+	c   []hnswCand
+	far bool
 }
 
-// farHeap is a max-heap by distance (worst of the current beam on top).
-type farHeap []hnswCand
+func (h *beamHeap) less(i, j int) bool {
+	if h.far {
+		return h.c[i].d > h.c[j].d
+	}
+	return h.c[i].d < h.c[j].d
+}
 
-func (c farHeap) Len() int            { return len(c) }
-func (c farHeap) Less(i, j int) bool  { return c[i].d > c[j].d }
-func (c farHeap) Swap(i, j int)       { c[i], c[j] = c[j], c[i] }
-func (c *farHeap) Push(x interface{}) { *c = append(*c, x.(hnswCand)) }
-func (c *farHeap) Pop() interface{} {
-	old := *c
-	n := len(old)
-	x := old[n-1]
-	*c = old[:n-1]
+func (h *beamHeap) push(x hnswCand) {
+	h.c = append(h.c, x)
+	for j := len(h.c) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.c[i], h.c[j] = h.c[j], h.c[i]
+		j = i
+	}
+}
+
+func (h *beamHeap) pop() hnswCand {
+	n := len(h.c) - 1
+	h.c[0], h.c[n] = h.c[n], h.c[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.c[i], h.c[j] = h.c[j], h.c[i]
+		i = j
+	}
+	x := h.c[n]
+	h.c = h.c[:n]
 	return x
 }
 
@@ -305,8 +327,8 @@ func (c *farHeap) Pop() interface{} {
 type hnswScratch struct {
 	visited []uint32
 	epoch   uint32
-	cands   candHeap
-	best    farHeap
+	cands   beamHeap // to expand, closest on top
+	best    beamHeap // the beam, farthest on top
 }
 
 func (sc *hnswScratch) reset(n int) {
@@ -320,8 +342,8 @@ func (sc *hnswScratch) reset(n int) {
 		}
 		sc.epoch = 1
 	}
-	sc.cands = sc.cands[:0]
-	sc.best = sc.best[:0]
+	sc.cands.c = sc.cands.c[:0]
+	sc.best.c, sc.best.far = sc.best.c[:0], true
 }
 
 func (sc *hnswScratch) seen(n int) bool { return sc.visited[n] == sc.epoch }
@@ -333,11 +355,11 @@ func (h *HNSW) searchLayerLocked(sc *hnswScratch, p *hnswQuery, start, ef, l int
 	sc.reset(len(h.nodes))
 	sc.visit(start)
 	d0 := h.distNode(p, start)
-	sc.cands = append(sc.cands, hnswCand{start, d0})
-	sc.best = append(sc.best, hnswCand{start, d0})
-	for len(sc.cands) > 0 {
-		c := heap.Pop(&sc.cands).(hnswCand)
-		if len(sc.best) >= ef && c.d > sc.best[0].d {
+	sc.cands.push(hnswCand{start, d0})
+	sc.best.push(hnswCand{start, d0})
+	for len(sc.cands.c) > 0 {
+		c := sc.cands.pop()
+		if len(sc.best.c) >= ef && c.d > sc.best.c[0].d {
 			break
 		}
 		for _, nb := range h.nodes[c.node].neighbors[l] {
@@ -346,17 +368,17 @@ func (h *HNSW) searchLayerLocked(sc *hnswScratch, p *hnswQuery, start, ef, l int
 			}
 			sc.visit(nb)
 			d := h.distNode(p, nb)
-			if len(sc.best) < ef || d < sc.best[0].d {
-				heap.Push(&sc.cands, hnswCand{nb, d})
-				heap.Push(&sc.best, hnswCand{nb, d})
-				if len(sc.best) > ef {
-					heap.Pop(&sc.best)
+			if len(sc.best.c) < ef || d < sc.best.c[0].d {
+				sc.cands.push(hnswCand{nb, d})
+				sc.best.push(hnswCand{nb, d})
+				if len(sc.best.c) > ef {
+					sc.best.pop()
 				}
 			}
 		}
 	}
-	out := make([]hnswCand, len(sc.best))
-	copy(out, sc.best)
+	out := make([]hnswCand, len(sc.best.c))
+	copy(out, sc.best.c)
 	// Sort ascending by distance, tie-break on node for determinism.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && (out[j].d < out[j-1].d || (out[j].d == out[j-1].d && out[j].node < out[j-1].node)); j-- {

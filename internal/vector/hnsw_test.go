@@ -110,6 +110,21 @@ func TestHNSWDegreeBound(t *testing.T) {
 	}
 }
 
+// A search allocates what it returns and the beam's sorted copy, nothing
+// per visited node: the beam heaps push and pop candidates unboxed.
+func TestHNSWSearchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers, so searches allocate more under -race")
+	}
+	rng := rand.New(rand.NewSource(43))
+	h := NewHNSW(HNSWConfig{Dim: 32, Metric: Cosine, Seed: 5})
+	h.Add(buildItems(rng, 2000, 32)...)
+	q := randVec(rng, 32)
+	if got := testing.AllocsPerRun(100, func() { h.Search(q, 10) }); got > 3 {
+		t.Errorf("Search allocates %v times, want at most 3", got)
+	}
+}
+
 func BenchmarkHNSWSearch1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(37))
 	h := NewHNSW(HNSWConfig{Dim: 64, Metric: Cosine, M: 12, Seed: 1})

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -135,7 +136,7 @@ func (x *IVF) trainLocked() {
 	x.centroids = kmeans(x.pending, k, x.dim, x.seed)
 	x.cells = make([]ivfCell, len(x.centroids))
 	for i := range x.cells {
-		x.cells[i].store = newColStore(x.dim, x.mode)
+		x.cells[i].store = newColStore(x.dim, x.mode, false)
 	}
 	for _, it := range x.pending {
 		c := x.nearestCentroidLocked(it.Vec)
@@ -198,7 +199,7 @@ func (x *IVF) Search(q embed.Vector, k int) []Result {
 			continue
 		}
 		ids := cell.ids
-		for _, r := range cell.store.search(x.metric, q, k, func(i int) ID { return ids[i] }, nil, 0) {
+		for _, r := range cell.store.search(x.metric, q, k, math.Inf(-1), func(i int) ID { return ids[i] }, nil, 0) {
 			t.offer(r)
 		}
 	}

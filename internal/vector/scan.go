@@ -77,10 +77,17 @@ type colStore struct {
 	codes    []int8
 	scales   []float32
 	cosw     []float32 // n, scales[i]*invNorms[i]: the cosine scan's one-multiply reject weight
+
+	// The cosine bound's columns (see bound), kept beside the codes by a
+	// store built with bounded set, which is a Cosine Flat's.
+	bounded bool
+	heads   []int8    // n*headDim: each row's first headDim code bytes; only when dim > headDim
+	tailw   []float32 // n, scales[i]*‖code(i)[headDim:]‖*invNorms[i]
+	qerrw   []float32 // n, ‖row(i) − scales[i]*code(i)‖*invNorms[i]; +Inf where the norm is not trusted
 }
 
-func newColStore(dim int, mode quantMode) *colStore {
-	return &colStore{dim: dim, mode: mode}
+func newColStore(dim int, mode quantMode, bounded bool) *colStore {
+	return &colStore{dim: dim, mode: mode, bounded: bounded}
 }
 
 func (s *colStore) row(i int) embed.Vector {
@@ -103,9 +110,18 @@ func (s *colStore) appendRow(v embed.Vector) {
 	}
 	s.n++
 	if s.quant {
+		i := s.n - 1
 		s.codes = append(s.codes, make([]int8, s.dim)...)
-		s.scales = append(s.scales, embed.QuantizeInto(s.code(s.n-1), v))
-		s.cosw = append(s.cosw, s.cosWeight(s.n-1))
+		s.scales = append(s.scales, embed.QuantizeInto(s.code(i), v))
+		s.cosw = append(s.cosw, s.cosWeight(i))
+		if s.bounded {
+			if s.heads != nil {
+				s.heads = append(s.heads, s.code(i)[:headDim]...)
+			}
+			tw, ew := s.boundWeights(i)
+			s.tailw = append(s.tailw, tw)
+			s.qerrw = append(s.qerrw, ew)
+		}
 	} else if s.mode == quantOn || (s.mode == quantAuto && s.n >= quantAutoMin) {
 		s.enableQuant()
 	}
@@ -117,15 +133,58 @@ func (s *colStore) enableQuant() {
 	s.codes = make([]int8, s.n*s.dim)
 	s.scales = make([]float32, s.n)
 	s.cosw = make([]float32, s.n)
+	if s.bounded {
+		if s.dim > headDim {
+			s.heads = make([]int8, s.n*headDim)
+		}
+		s.tailw = make([]float32, s.n)
+		s.qerrw = make([]float32, s.n)
+	}
 	for i := 0; i < s.n; i++ {
 		s.scales[i] = embed.QuantizeInto(s.code(i), s.row(i))
 		s.cosw[i] = s.cosWeight(i)
+		if s.bounded {
+			if s.heads != nil {
+				copy(s.head(i), s.code(i))
+			}
+			s.tailw[i], s.qerrw[i] = s.boundWeights(i)
+		}
 	}
 }
 
 // cosWeight is row i's entry in the cosw column.
 func (s *colStore) cosWeight(i int) float32 {
 	return float32(float64(s.scales[i]) * float64(s.invNorms[i]))
+}
+
+func (s *colStore) head(i int) []int8 {
+	return s.heads[i*headDim : (i+1)*headDim : (i+1)*headDim]
+}
+
+// boundWeights is row i's entries in the tailw and qerrw columns, computed
+// in float64 from the stored row, code, scale and reciprocal norm. A zero
+// row (invNorms 0, so scoreExact is 0) has both at 0. A row whose squared
+// norm is outside [normSqMin, normSqMax] has an untrusted float32 norm, and
+// its qerrw is +Inf: its bound is +Inf, so it is never dropped.
+func (s *colStore) boundWeights(i int) (tailw, qerrw float32) {
+	inv := float64(s.invNorms[i])
+	if inv == 0 {
+		return 0, 0
+	}
+	if n := float64(s.norms[i]); !(n*n >= normSqMin && n*n <= normSqMax) {
+		return 0, float32(math.Inf(1))
+	}
+	scale := float64(s.scales[i])
+	var tail int64
+	var qerr float64
+	for j, c := range s.code(i) {
+		if j >= headDim {
+			tail += int64(c) * int64(c)
+		}
+		d := float64(s.row(i)[j]) - scale*float64(c)
+		qerr += d * d
+	}
+	return float32(scale * math.Sqrt(float64(tail)) * inv), float32(math.Sqrt(qerr) * inv)
 }
 
 // swapRemove removes row i by moving the last row into its place,
@@ -140,6 +199,13 @@ func (s *colStore) swapRemove(i int) {
 			copy(s.code(i), s.code(last))
 			s.scales[i] = s.scales[last]
 			s.cosw[i] = s.cosw[last]
+			if s.bounded {
+				if s.heads != nil {
+					copy(s.head(i), s.head(last))
+				}
+				s.tailw[i] = s.tailw[last]
+				s.qerrw[i] = s.qerrw[last]
+			}
 		}
 	}
 	s.vecs = s.vecs[:last*s.dim]
@@ -149,12 +215,19 @@ func (s *colStore) swapRemove(i int) {
 		s.codes = s.codes[:last*s.dim]
 		s.scales = s.scales[:last]
 		s.cosw = s.cosw[:last]
+		if s.bounded {
+			if s.heads != nil {
+				s.heads = s.heads[:last*headDim]
+			}
+			s.tailw = s.tailw[:last]
+			s.qerrw = s.qerrw[:last]
+		}
 	}
 	s.n = last
 }
 
-// preparedQuery hoists the per-query work (norm, squared norm, int8 code)
-// out of the per-row loop.
+// preparedQuery hoists the per-query work (norm, squared norm, int8 code,
+// the bound's query-side factors) out of the per-row loop.
 type preparedQuery struct {
 	metric Metric
 	q      embed.Vector
@@ -163,15 +236,137 @@ type preparedQuery struct {
 	qinv   float64 // 1/qnorm (0 for the zero query)
 	qcode  []int8  // set only for a quantized scan
 	qscale float32
+	floor  float64 // results scoring below it are dropped
+
+	// Set by armBound when the floor can drop rows before they are scored:
+	// bound's factors, and the head test's.
+	prune             bool
+	bA, bE, bOff      float64 // qscale*qinv, ‖qcode‖, ‖q − q̂‖*qinv plus the slack
+	head              bool
+	hTail, hErr, hCut float32 // ‖qcode[headDim:]‖, ‖qcode‖, and the cut headBelow tests against
 }
 
-func prepare(m Metric, q embed.Vector) preparedQuery {
-	p := preparedQuery{metric: m, q: q, qsq: embed.Dot(q, q)}
+func prepare(m Metric, q embed.Vector, floor float64) preparedQuery {
+	p := preparedQuery{metric: m, q: q, qsq: embed.Dot(q, q), floor: floor}
 	p.qnorm = math.Sqrt(p.qsq)
 	if p.qnorm != 0 {
 		p.qinv = 1 / p.qnorm
 	}
 	return p
+}
+
+// quantize sets p's int8 code in code (len(code) == dim) and, when the
+// store bounds, arms the bound.
+func (s *colStore) quantize(p *preparedQuery, code []int8) {
+	p.qcode = code
+	p.qscale = embed.QuantizeInto(code, p.q)
+	s.armBound(p)
+}
+
+// The cosine bound. With q̂ = sq·cq and x̂ = sx·cx the int8 reconstructions
+// of the query and a row, H the first headDim dimensions and T the rest,
+//
+//	q·x = q̂·x̂ + q̂·(x − x̂) + (q − q̂)·x
+//	    ≤ sq·sx·(cq_H·cx_H + cq_T·cx_T) + ‖q̂‖·‖x − x̂‖ + ‖q − q̂‖·‖x‖
+//
+// and cq_T·cx_T ≤ ‖cq_T‖·‖cx_T‖ (Cauchy–Schwarz). Divided by the norms —
+// the stored reciprocals the exact score multiplies by — that is
+//
+//	cos ≤ A·(cosw·dot + ‖cq‖·qerrw) + F                    (bound)
+//	cos ≤ A·(cosw·head + ‖cq_T‖·tailw + ‖cq‖·qerrw) + F    (head test)
+//
+// with A = sq/‖q‖ and F = ‖q − q̂‖/‖q‖ per query (‖q̂‖/‖q‖ = A·‖cq‖) and
+// cosw, tailw, qerrw per row. bound needs the row's whole int8 dot; the
+// head test needs only the dot of its first headDim code bytes, which the
+// heads plane holds contiguously. Only Cosine stores keep the columns: the
+// one caller with a floor, the semantic cache, scores by cosine, on a fixed
+// [−1, 1] scale against which the slack below is small. On a Dot or L2 Flat
+// a floor only cuts the results.
+const (
+	// headDim is how many leading code bytes the head test reads per row:
+	// one 32-byte chunk of the int8 kernel.
+	headDim = 32
+
+	// A norm computed in float32 is trusted to dim·2⁻²⁴ relative while its
+	// square lies in [normSqMin, normSqMax]: no float32 product in it
+	// underflows or overflows by enough to matter. A query outside arms no
+	// bound; a row outside is never dropped.
+	normSqMin = 0x1p-100
+	normSqMax = 0x1p100
+
+	// boundSlack·(dim+8)·K is added to bound, K = (1+F)(1+εmax) with εmax
+	// = √dim/127 twice the largest qerrw QuantizeInto can produce. It covers
+	// the exact score's float32 accumulation (dim·2⁻²⁴ of ‖q‖‖x‖, through
+	// reciprocal norms trusted to the same), the float32 rounding of the
+	// stored columns (2⁻²⁴ each on terms of at most K) and the float64
+	// arithmetic: about 2·(dim+4)·2⁻²⁴·K in all, so twice that. At 128
+	// dimensions it is 4e-5.
+	boundSlack = 4.0 / (1 << 24)
+
+	// headSlack·(‖cq‖·(2+3εmax) + |cut|) is how far below the bound's own
+	// cut (in the head test's units, divided by A) the head test cuts. The
+	// head test sums three float32 products of terms at most ‖cq‖·(2+3εmax)
+	// in all (seven roundings of 2⁻²⁴), and tailw, rounded on its own,
+	// covers cosw·cq_T·cx_T to within three more; 2⁻²⁰ = 16·2⁻²⁴ is more
+	// than both. So a row the head test drops is one bound drops too, and
+	// which rows a search drops never depends on which test saw them.
+	headSlack = 1.0 / (1 << 20)
+)
+
+// armBound prepares the bound for a quantized Cosine scan of a bounded
+// store under a floor: p.prune when bound may drop rows, p.head when the
+// head test runs first. A zero query — or one whose norm is not trusted —
+// arms nothing; its results are still cut at the floor.
+func (s *colStore) armBound(p *preparedQuery) {
+	if !s.bounded || p.metric != Cosine || !(p.floor > math.Inf(-1)) || !(p.qsq >= normSqMin && p.qsq <= normSqMax) {
+		return
+	}
+	var head, tail int64
+	var qerr float64
+	scale := float64(p.qscale)
+	for j, c := range p.qcode {
+		if j < headDim {
+			head += int64(c) * int64(c)
+		} else {
+			tail += int64(c) * int64(c)
+		}
+		d := float64(p.q[j]) - scale*float64(c)
+		qerr += d * d
+	}
+	nq := math.Sqrt(float64(head + tail))
+	f := math.Sqrt(qerr) * p.qinv
+	epsMax := math.Sqrt(float64(s.dim)) / 127
+	k := (1 + f) * (1 + epsMax)
+	p.prune = true
+	p.bA, p.bE = scale*p.qinv, nq
+	p.bOff = f + boundSlack*float64(s.dim+8)*k
+	if s.heads == nil {
+		return
+	}
+	c := (p.floor - p.bOff) / p.bA
+	if c > 0 {
+		c *= 1 - headSlack
+	} else {
+		c *= 1 + headSlack
+	}
+	c -= headSlack * nq * (2 + 3*epsMax)
+	p.head = true
+	p.hTail, p.hErr, p.hCut = float32(math.Sqrt(float64(tail))), float32(nq), float32(c)
+}
+
+// bound is an upper bound on scoreExact(p, i) from row i's whole int8 dot
+// with p.qcode (see the derivation above); armBound must have set
+// p.prune. A row is dropped from a floored search exactly when its bound is
+// below the floor.
+func (s *colStore) bound(p *preparedQuery, i int, dot int32) float64 {
+	return p.bA*(float64(s.cosw[i])*float64(dot)+p.bE*float64(s.qerrw[i])) + p.bOff
+}
+
+// headBelow is the head test for a row with head dot h and weights cosw,
+// tailw, qerrw: true proves the row's bound below the floor. p.head must be
+// set.
+func (p *preparedQuery) headBelow(h int32, cosw, tailw, qerrw float32) bool {
+	return float32(h)*cosw+p.hTail*tailw+p.hErr*qerrw < p.hCut
 }
 
 // searchScratch is what a quantized search needs besides its result: the
@@ -250,32 +445,32 @@ func (p *preparedQuery) rejectCut(min float64) float32 {
 	return float32(m - rejectSlack*math.Abs(m) - rejectFloor)
 }
 
-// search scans the store for the top k rows under m. id maps a row index
-// to the caller's item ID (scores and tie-breaks are reported in ID
-// space); keep, when non-nil, admits a row. parallelMin <= 0 disables
-// sharding. Returned results carry exact scores even when the quantized
-// prefilter ran.
-func (s *colStore) search(m Metric, q embed.Vector, k int, id func(int) ID, keep func(int) bool, parallelMin int) []Result {
+// search scans the store for the top k rows under m that score at least
+// floor (−Inf keeps every row). id maps a row index to the caller's item ID
+// (scores and tie-breaks are reported in ID space); keep, when non-nil,
+// admits a row. parallelMin <= 0 disables sharding. Returned results carry
+// exact scores even when the quantized prefilter ran.
+func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id func(int) ID, keep func(int) bool, parallelMin int) []Result {
 	if k <= 0 || s.n == 0 {
 		return []Result{}
 	}
-	p := prepare(m, q)
+	p := prepare(m, q, floor)
 	// The k-heap's backing array is what the caller gets back (results sorts
 	// it in place), so it is the search's one allocation.
 	t := topK{k: k, h: make([]Result, 0, min(k, s.n))}
 	if !s.quant || k >= s.n || s.n <= 4*shortlistFor(k) {
 		s.scan(&t, &p, id, keep, parallelMin)
-		return t.results()
+		return above(t.results(), floor)
 	}
 	// Quantized prefilter: rank every row by int8 score, keep a generous
 	// shortlist (tie-broken by row index), then rescore the shortlist
-	// exactly so callers only ever observe exact scores.
+	// exactly so callers only ever observe exact scores. Under a floor the
+	// bound drops rows that provably score below it first.
 	sc := scratchPool.Get().(*searchScratch)
 	if cap(sc.code) < s.dim {
 		sc.code = make([]int8, s.dim)
 	}
-	p.qcode = sc.code[:s.dim]
-	p.qscale = embed.QuantizeInto(p.qcode, q)
+	s.quantize(&p, sc.code[:s.dim])
 	short := topK{k: shortlistFor(k), h: sc.short[:0]}
 	if cap(short.h) < short.k {
 		short.h = make([]Result, 0, short.k)
@@ -287,7 +482,16 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, id func(int) ID, keep
 	}
 	sc.short = short.h
 	scratchPool.Put(sc)
-	return t.results()
+	return above(t.results(), floor)
+}
+
+// above cuts rs, best first, before its first result scoring below floor.
+func above(rs []Result, floor float64) []Result {
+	n := len(rs)
+	for n > 0 && rs[n-1].Score < floor {
+		n--
+	}
+	return rs[:n]
 }
 
 // rowAsID is the identity row-index-to-ID mapping used by prefilter scans.
@@ -352,6 +556,10 @@ const scanBlock = 256
 // row-at-a-time scan offers (TestQuantizedScanMatchesRowAtATime keeps that
 // scan as its reference). The cut only needs recomputing when an offer
 // raised the minimum; a stale cut is merely lower.
+//
+// Under an armed bound a row the cut lets through is also dropped when its
+// bound is below the floor, and with p.head the rows start in scanHeads,
+// which drops most of them before their whole code is read.
 func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) {
 	if p.qcode == nil {
 		for i := lo; i < hi; i++ {
@@ -371,8 +579,12 @@ func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep fun
 		w = s.cosw
 	}
 	cut := float32(math.Inf(-1)) // rejects nothing until t is full
+	b := lo
+	if p.head {
+		b, cut = s.scanHeads(t, p, id, keep, lo, hi)
+	}
 	var dots [scanBlock]int32
-	for b := lo; b < hi; b += scanBlock {
+	for ; b < hi; b += scanBlock {
 		e := min(b+scanBlock, hi)
 		ds, ws := dots[:e-b], w[b:e]
 		embed.DotInt8Rows(ds, p.qcode, s.codes[b*s.dim:e*s.dim])
@@ -380,18 +592,72 @@ func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep fun
 			if float32(dot)*ws[j] < cut {
 				continue
 			}
-			i := b + j
-			if keep != nil && !keep(i) {
-				continue
-			}
-			score := s.scoreApprox(p, i, dot)
-			if len(t.h) == t.k && score < t.h[0].Score {
-				continue
-			}
-			t.offer(Result{ID: id(i), Score: score})
-			if len(t.h) == t.k {
-				cut = p.rejectCut(t.h[0].Score)
-			}
+			cut = s.offerApprox(t, p, id, keep, b+j, dot, cut)
 		}
 	}
+}
+
+// offerApprox is the rest of scanRows' work on row i once the one-multiply
+// reject has let it through: the filter, scoreApprox, the test against the
+// kept minimum, the bound and the offer. It returns the reject cut, moved
+// when the offer raised the minimum. A row fails the filter, the minimum or
+// the bound; which it is asked first changes only what is computed.
+func (s *colStore) offerApprox(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, i int, dot int32, cut float32) float32 {
+	if keep != nil && !keep(i) {
+		return cut
+	}
+	score := s.scoreApprox(p, i, dot)
+	if len(t.h) == t.k && score < t.h[0].Score {
+		return cut
+	}
+	if p.prune && s.bound(p, i, dot) < p.floor {
+		return cut
+	}
+	t.offer(Result{ID: id(i), Score: score})
+	if len(t.h) == t.k {
+		return p.rejectCut(t.h[0].Score)
+	}
+	return cut
+}
+
+// scanHeads is scanRows' first stage under an armed head test. One kernel
+// call scores a block's head codes (headDim bytes a row, from the heads
+// plane), and a row the head test proves below the floor costs nothing
+// more; the few that pass get the rest of their dot from their own code
+// and go on as in scanRows. Where the floor is low against the data — a
+// stale lookup's, or a corpus of near-duplicates — most rows pass and the
+// head test only adds work, so the first block in which more than half the
+// rows pass is left to scanRows, from where scanHeads returns with the
+// reject cut so far. Which rows are dropped does not depend on where it
+// stops: the head test drops only rows bound drops too.
+func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) (int, float32) {
+	cut := float32(math.Inf(-1))
+	qhead, qtail := p.qcode[:headDim], p.qcode[headDim:]
+	var heads [scanBlock]int32
+	var passed [scanBlock]uint8 // block offsets of the rows the head test let through
+	for b := lo; b < hi; b += scanBlock {
+		e := min(b+scanBlock, hi)
+		hs := heads[:e-b]
+		aw, tw, ew := s.cosw[b:e:e], s.tailw[b:e:e], s.qerrw[b:e:e]
+		embed.DotInt8Rows(hs, qhead, s.heads[b*headDim:e*headDim])
+		n := 0
+		for j, h := range hs {
+			passed[n] = uint8(j)
+			if !p.headBelow(h, aw[j], tw[j], ew[j]) {
+				n++
+			}
+		}
+		if 2*n > e-b {
+			return b, cut
+		}
+		for _, j := range passed[:n] {
+			i := b + int(j)
+			dot := hs[j] + embed.DotInt8(qtail, s.code(i)[headDim:])
+			if float32(dot)*aw[j] < cut {
+				continue
+			}
+			cut = s.offerApprox(t, p, id, keep, i, dot, cut)
+		}
+	}
+	return hi, cut
 }

@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/embed"
 )
 
-// rowAtATimeSearch is what Flat.SearchFiltered must return, computed the
-// plain way: score every admitted row, sort, cut. No blocks, no heap, no
-// early reject, no shards — it shares only the two scoring formulas
-// (scoreApprox, scoreExact) and the decision of when to prefilter with the
-// scan it checks.
-func rowAtATimeSearch(f *Flat, q embed.Vector, k int, keep func(map[string]string) bool) []Result {
+// rowAtATimeSearch is what Flat's search must return, computed the plain
+// way: score every admitted row, sort, cut. No blocks, no heap, no early
+// reject, no head test, no shards — it shares only the scoring formulas
+// (scoreApprox, scoreExact, bound and the query side armBound sets up) and
+// the decision of when to prefilter with the scan it checks. Under a floor
+// it drops exactly the rows whose bound is below it, and then the results
+// below it.
+func rowAtATimeSearch(f *Flat, q embed.Vector, k int, floor float64, keep func(map[string]string) bool) []Result {
 	s := f.store
 	if k <= 0 || s.n == 0 {
 		return []Result{}
@@ -24,11 +27,10 @@ func rowAtATimeSearch(f *Flat, q embed.Vector, k int, keep func(map[string]strin
 		slices.SortFunc(rs, byRank)
 		return rs[:min(k, len(rs))]
 	}
-	p := prepare(f.metric, q)
+	p := prepare(f.metric, q, floor)
 	quantized := s.quant && k < s.n && s.n > 4*shortlistFor(k)
 	if quantized {
-		p.qcode = make([]int8, s.dim)
-		p.qscale = embed.QuantizeInto(p.qcode, q)
+		s.quantize(&p, make([]int8, s.dim))
 	}
 	rows := []Result{} // in row space: the prefilter breaks its ties by row
 	for i := 0; i < s.n; i++ {
@@ -36,7 +38,11 @@ func rowAtATimeSearch(f *Flat, q embed.Vector, k int, keep func(map[string]strin
 			continue
 		}
 		if quantized {
-			rows = append(rows, Result{ID: ID(i), Score: s.scoreApprox(&p, i, embed.DotInt8(p.qcode, s.code(i)))})
+			dot := embed.DotInt8(p.qcode, s.code(i))
+			if p.prune && s.bound(&p, i, dot) < floor {
+				continue
+			}
+			rows = append(rows, Result{ID: ID(i), Score: s.scoreApprox(&p, i, dot)})
 		} else {
 			rows = append(rows, Result{ID: ID(i), Score: s.scoreExact(&p, i)})
 		}
@@ -50,7 +56,8 @@ func rowAtATimeSearch(f *Flat, q embed.Vector, k int, keep func(map[string]strin
 	for j, r := range rows {
 		rows[j].ID = f.rows[r.ID].id
 	}
-	return best(rows, k)
+	rows = best(rows, k)
+	return slices.DeleteFunc(rows, func(r Result) bool { return r.Score < floor })
 }
 
 // scanCorpus returns n rows of the named shape and a query to search them
@@ -100,6 +107,35 @@ func scanCorpus(shape string, seed int64, n, dim int) ([]embed.Vector, embed.Vec
 				rows[i] = randVec(1)
 			}
 		}
+	case "tailheavy", "headheavy": // all energy past the head, or all in it
+		mask := func(v embed.Vector) embed.Vector {
+			for j := range v {
+				if (j < headDim) == (shape == "tailheavy") {
+					v[j] = 0
+				}
+			}
+			return v
+		}
+		for i := range rows {
+			rows[i] = mask(randVec(1))
+		}
+		q = mask(q)
+	case "scaled": // a third of the rows too small for a float32 norm, a third huge
+		for i := range rows {
+			rows[i] = randVec([]float64{1, 1e-20, 1e18}[i%3])
+		}
+	case "extreme": // every component ±1: every code is ±127
+		sign := func() embed.Vector {
+			v := make(embed.Vector, dim)
+			for j := range v {
+				v[j] = float32(2*r.Intn(2) - 1)
+			}
+			return v
+		}
+		for i := range rows {
+			rows[i] = sign()
+		}
+		q = sign()
 	default:
 		panic("unknown corpus shape " + shape)
 	}
@@ -107,8 +143,11 @@ func scanCorpus(shape string, seed int64, n, dim int) ([]embed.Vector, embed.Vec
 }
 
 var (
-	scanShapes  = []string{"random", "cluster", "negative", "zeroquery", "zerorows"}
+	scanShapes  = []string{"random", "cluster", "negative", "zeroquery", "zerorows", "tailheavy", "headheavy", "scaled", "extreme"}
 	scanMetrics = []Metric{Cosine, Dot, L2}
+	// scanFloors are the floors the scan is checked at: none, then the
+	// cache's stale floor and thresholds, then one only a near-copy passes.
+	scanFloors = []float64{math.Inf(-1), 0, 0.55, 0.85, 0.97, 0.999}
 )
 
 // everyThird admits the rows tagged g=0 by quantFlat.
@@ -142,11 +181,29 @@ func sameBits(tb testing.TB, label string, got, want []Result) {
 	}
 }
 
-// checkScan compares both entry points with the reference for one query.
+// checkScan compares the scan with the reference for one query at every
+// floor: unfiltered through SearchAbove (and Search at −Inf) on one shard
+// and on up to four, and filtered. Under Dot and L2 a floor only cuts the
+// results, so two floors do there.
 func checkScan(tb testing.TB, label string, f *Flat, q embed.Vector, k int) {
 	tb.Helper()
-	sameBits(tb, label+" unfiltered", f.Search(q, k), rowAtATimeSearch(f, q, k, nil))
-	sameBits(tb, label+" filtered", f.SearchFiltered(q, k, everyThird), rowAtATimeSearch(f, q, k, everyThird))
+	defer func(pm int) { f.parallelMin = pm }(f.parallelMin)
+	floors := scanFloors
+	if f.metric != Cosine {
+		floors = floors[:2]
+	}
+	for _, floor := range floors {
+		l := fmt.Sprintf("%s floor=%v", label, floor)
+		want := rowAtATimeSearch(f, q, k, floor, nil)
+		if math.IsInf(floor, -1) {
+			sameBits(tb, l+" Search", f.Search(q, k), want)
+		}
+		for _, pm := range []int{0, 256} {
+			f.parallelMin = pm
+			sameBits(tb, fmt.Sprintf("%s parallelMin=%d", l, pm), f.SearchAbove(q, k, floor), want)
+		}
+		sameBits(tb, l+" filtered", f.search(q, k, floor, everyThird), rowAtATimeSearch(f, q, k, floor, everyThird))
+	}
 }
 
 // removeRun deletes a fifth of f's items from all over the store, so the
@@ -161,10 +218,17 @@ func removeRun(f *Flat, n int) {
 // change nothing: every result, ID and score bit for bit, is the plain
 // row-at-a-time scan's — for every metric and k, on corpora chosen to sit
 // on the reject's edges (near-ties, negative scores, a zero query, zero
-// rows), at sizes around the prefilter's and the block's boundaries, with
-// and without a filter, before and after removals.
+// rows, energy all in the head or all past it, norms too small or too large
+// for float32 to hold their squares, codes at ±127), at sizes
+// around the prefilter's and the block's boundaries, at every floor, with
+// and without a filter, serial and sharded, before and after removals. The
+// head test and the bound change nothing either: the reference drops
+// exactly the rows whose bound is below the floor.
 func TestQuantizedScanMatchesRowAtATime(t *testing.T) {
-	const dim = 48 // one 32-byte kernel chunk and a tail
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const dim = 48 // one 32-byte kernel chunk — the head — and a tail
 	sizes := []int{255, 256, 257, 5000}
 	for _, k := range []int{1, 10, 64} {
 		sizes = append(sizes, 4*shortlistFor(k)+1) // the smallest store k prefilters
@@ -187,23 +251,119 @@ func TestQuantizedScanMatchesRowAtATime(t *testing.T) {
 	}
 }
 
+// checkColumns fails unless every per-row column of s is what appendRow
+// would compute for the row now in its place.
+func checkColumns(tb testing.TB, label string, s *colStore) {
+	tb.Helper()
+	for i := 0; i < s.n; i++ {
+		tw, ew := s.boundWeights(i)
+		if s.cosw[i] != s.cosWeight(i) || !sameFloat32(s.tailw[i], tw) || !sameFloat32(s.qerrw[i], ew) ||
+			(s.heads != nil && !slices.Equal(s.head(i), s.code(i)[:headDim])) {
+			tb.Fatalf("%s: row %d's bound columns do not follow its code", label, i)
+		}
+	}
+}
+
+func sameFloat32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+// checkBound fails unless, for query q at floor, every row's bound is at
+// least its exact score and every row the head test drops has its bound
+// below the floor. It returns how many rows each drops.
+func checkBound(tb testing.TB, label string, s *colStore, q embed.Vector, floor float64) (dropped, headDropped int) {
+	tb.Helper()
+	p := prepare(Cosine, q, floor)
+	s.quantize(&p, make([]int8, s.dim))
+	if !p.prune {
+		return 0, 0 // a zero query arms nothing
+	}
+	for i := 0; i < s.n; i++ {
+		exact, b := s.scoreExact(&p, i), s.bound(&p, i, embed.DotInt8(p.qcode, s.code(i)))
+		if !(b >= exact) {
+			tb.Fatalf("%s row %d: bound %v below the exact score %v", label, i, b, exact)
+		}
+		if b < floor {
+			dropped++
+		}
+		if p.head && p.headBelow(embed.DotInt8(p.qcode[:headDim], s.head(i)), s.cosw[i], s.tailw[i], s.qerrw[i]) {
+			headDropped++
+			if !(b < floor) {
+				tb.Fatalf("%s row %d floor %v: the head test drops a row whose bound %v is not below the floor", label, i, floor, b)
+			}
+		}
+	}
+	return dropped, headDropped
+}
+
+// The bound is an upper bound on the exact score, and the head test drops
+// only rows the bound drops — for every row and query of every corpus shape,
+// including a query equal to a row (score 1) at floors just below 1, at a
+// dimension without a head (16), with one chunk of tail (48) and the
+// embedder's (128), before and after removals.
+func TestCosineBoundCoversExactScore(t *testing.T) {
+	floors := append(slices.Clone(scanFloors[1:]), 1-1e-6, 1-1e-9, math.Nextafter(1, 0), 1)
+	var dropped, headDropped int // the premise: both tests do drop rows here
+	defer func() {
+		if !t.Failed() && (dropped == 0 || headDropped == 0) {
+			t.Errorf("the bound dropped %d rows and the head test %d: the corpora never exercise them", dropped, headDropped)
+		}
+	}()
+	for _, dim := range []int{16, 48, 128} {
+		for _, shape := range scanShapes {
+			rows, q := scanCorpus(shape, int64(dim), 600, dim)
+			f := quantFlat(t, Cosine, rows)
+			s := f.store
+			for _, stage := range []string{"full", "after removes"} {
+				label := fmt.Sprintf("dim=%d %s %s", dim, shape, stage)
+				checkColumns(t, label, s)
+				for qi, qv := range []embed.Vector{q, rows[1], rows[len(rows)-2]} {
+					for _, floor := range floors {
+						d, hd := checkBound(t, fmt.Sprintf("%s query %d", label, qi), s, qv, floor)
+						dropped, headDropped = dropped+d, headDropped+hd
+					}
+				}
+				// A stored row queried at floors up to its own score finds itself.
+				want := f.Search(rows[1], 1)
+				for _, floor := range floors {
+					if len(want) == 1 && want[0].Score >= floor {
+						if got := f.SearchAbove(rows[1], 1, floor); !slices.Equal(got, want) {
+							t.Fatalf("%s: at floor %v a row queried with itself finds %v, unfloored %v", label, floor, got, want)
+						}
+					}
+				}
+				removeRun(f, len(rows))
+			}
+		}
+	}
+}
+
 // FuzzQuantizedScan holds the same equality on corpora the fuzzer shapes:
-// it picks the metric, k, corpus shape, size and seed, and data overwrites
-// the leading components of the store's first rows and of the query with
-// bytes of its own (an int8 times a power of two from 2^-12 to 2^4).
+// it picks the metric, k, corpus shape, size, seed and dimension (16, below
+// the head test, or 48, past it), and data overwrites the leading
+// components of the store's first rows and of the query with bytes of its
+// own (an int8 times a power of two from 2^-12 to 2^4). The floor is
+// checked at every one of scanFloors and at the fuzzer's own, a float64
+// from raw bits (a NaN is left out: it orders nothing), where a Cosine
+// store's bound must also cover every exact score (checkBound).
 func FuzzQuantizedScan(f *testing.F) {
 	for mi := range scanMetrics {
 		for si := range scanShapes {
-			f.Add(uint8(mi), uint8(1), uint8(si), uint16(4*shortlistFor(1)+1), int64(si), []byte{})
-			f.Add(uint8(mi), uint8(10), uint8(si), uint16(257), int64(mi), []byte{0x7f, 0x80, 0, 1, 0xff, 0x40, 0xc0, 9})
+			f.Add(uint8(mi), uint8(1), uint8(si), uint16(4*shortlistFor(1)+1), int64(si), uint8(si), math.Float64bits(0.9), []byte{})
+			f.Add(uint8(mi), uint8(10), uint8(si), uint16(257), int64(mi), uint8(mi+1), math.Float64bits(0.3), []byte{0x7f, 0x80, 0, 1, 0xff, 0x40, 0xc0, 9})
 		}
 	}
-	f.Add(uint8(0), uint8(64), uint8(1), uint16(1500), int64(64), []byte("a tight cluster, many near-ties"))
-	f.Fuzz(func(t *testing.T, mi, k8, si uint8, n16 uint16, seed int64, data []byte) {
-		const dim = 16
+	f.Add(uint8(0), uint8(64), uint8(1), uint16(1500), int64(64), uint8(1), math.Float64bits(0.99), []byte("a tight cluster, many near-ties"))
+	f.Fuzz(func(t *testing.T, mi, k8, si uint8, n16 uint16, seed int64, d8 uint8, floorBits uint64, data []byte) {
+		dim := 16
+		if d8%2 == 1 {
+			dim = 48
+		}
 		m := scanMetrics[int(mi)%len(scanMetrics)]
 		k := int(k8)%70 + 1
 		n := int(n16)%2000 + 1
+		floor := math.Float64frombits(floorBits)
+		if math.IsNaN(floor) {
+			t.Skip("a NaN floor orders nothing")
+		}
 		rows, q := scanCorpus(scanShapes[int(si)%len(scanShapes)], seed, n, dim)
 		for j, b := range data {
 			v := float32(math.Ldexp(float64(int8(b)), int(b%17)-12))
@@ -214,8 +374,13 @@ func FuzzQuantizedScan(f *testing.F) {
 			}
 		}
 		fl := quantFlat(t, m, rows)
-		checkScan(t, "full", fl, q, k)
-		removeRun(fl, n)
-		checkScan(t, "after removes", fl, q, k)
+		for _, stage := range []string{"full", "after removes"} {
+			checkScan(t, stage, fl, q, k)
+			sameBits(t, fmt.Sprintf("%s floor=%v", stage, floor), fl.SearchAbove(q, k, floor), rowAtATimeSearch(fl, q, k, floor, nil))
+			if m == Cosine {
+				checkBound(t, stage, fl.store, q, floor)
+			}
+			removeRun(fl, n)
+		}
 	})
 }

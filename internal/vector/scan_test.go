@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -102,8 +103,8 @@ func TestFlatReAddRemovedID(t *testing.T) {
 // recently-live, never garbage.
 func TestFlatConcurrentSearchDuringRemove(t *testing.T) {
 	const n = 600
-	f := NewFlat(16, Cosine, Quantized()) // exercise the prefilter path too
-	items := randItems(7, n, 16)
+	f := NewFlat(48, Cosine, Quantized()) // exercise the prefilter path and the floor's head test too
+	items := randItems(7, n, 48)
 	if err := f.Add(items...); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestFlatConcurrentSearchDuringRemove(t *testing.T) {
 					return
 				default:
 				}
-				for _, r := range f.Search(q, 10) {
+				for _, r := range append(f.Search(q, 10), f.SearchAbove(q, 10, 0.2)...) {
 					if r.ID < 0 || r.ID >= n {
 						panic(fmt.Sprintf("impossible result ID %d", r.ID))
 					}
@@ -309,7 +310,7 @@ func TestIVFQuantizedRecall(t *testing.T) {
 }
 
 func TestColStoreSwapRemoveQuantized(t *testing.T) {
-	s := newColStore(4, quantOn)
+	s := newColStore(4, quantOn, true)
 	vecs := []embed.Vector{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}}
 	for _, v := range vecs {
 		s.appendRow(v)
@@ -335,7 +336,7 @@ func TestColStoreSwapRemoveQuantized(t *testing.T) {
 // kernel replaced — one DotInt8 and one heap offer per row, no early
 // reject, no shards — kept here as the oracle for the scan that runs.
 func perRowQuantSearch(s *colStore, m Metric, q embed.Vector, k int, id func(int) ID) []Result {
-	p := prepare(m, q)
+	p := prepare(m, q, math.Inf(-1))
 	p.qcode = make([]int8, s.dim)
 	p.qscale = embed.QuantizeInto(p.qcode, q)
 	short := newTopK(shortlistFor(k))
@@ -360,7 +361,7 @@ func TestBlockedQuantScanMatchesPerRow(t *testing.T) {
 	for _, dim := range []int{128, 40} {
 		const n = 1500 // five full scan blocks and a partial one
 		items := randItems(int64(31+dim), n, dim)
-		s := newColStore(dim, quantOn)
+		s := newColStore(dim, quantOn, true)
 		ids := make([]ID, n)
 		for i, it := range items {
 			s.appendRow(it.Vec)
@@ -375,7 +376,7 @@ func TestBlockedQuantScanMatchesPerRow(t *testing.T) {
 						q := items[qi*131%n].Vec
 						want := perRowQuantSearch(s, m, q, k, id)
 						for _, parallelMin := range []int{0, 256} { // 1 shard, 4 shards
-							got := s.search(m, q, k, id, nil, parallelMin)
+							got := s.search(m, q, k, math.Inf(-1), id, nil, parallelMin)
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("dim %d %s: metric %v k=%d query %d parallelMin %d:\n got %v\nwant %v",
 									dim, stage, m, k, qi, parallelMin, got, want)
