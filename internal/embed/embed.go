@@ -15,6 +15,14 @@
 // so no "w:"+token strings, token slices or hash objects are materialized.
 // TextScratch embeds into a per-Embedder pooled buffer for callers (the
 // semantic-cache lookup path) that only need the vector transiently.
+//
+// The package also holds the distance kernels every vector scan runs on
+// (kernels.go): Dot, SqL2 and Cosine over float32; DotInt8 over one pair of
+// int8 codes; DotInt8Rows over a block of rows against one query code (the
+// quantized scan); DotInt8HeadsPass, which scores a block of 32-byte heads
+// and applies vector's head test in the same pass, returning only the rows
+// that pass (the floored cosine scan); and QuantizeInto, which makes the
+// codes. On amd64 with AVX2 they run in assembly, elsewhere in portable Go.
 package embed
 
 import (

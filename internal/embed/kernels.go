@@ -4,8 +4,8 @@
 //
 // Three layers:
 //
-//   - exported helpers (Dot, SqL2, DotInt8, DotInt8Rows, QuantizeInto) with
-//     the package's length-guard semantics;
+//   - exported helpers (Dot, SqL2, DotInt8, DotInt8Rows, DotInt8HeadsPass,
+//     QuantizeInto) with the package's length-guard semantics;
 //   - portable 4-wide unrolled implementations (dotGeneric & co) that break
 //     the floating-point dependency chain so the scalar path pipelines;
 //   - an amd64 AVX2+FMA fast path (kernels_amd64.s), selected at startup by
@@ -158,6 +158,62 @@ func dotInt8RowsGeneric(out []int32, q, rows []int8) {
 	for r := range out {
 		out[r] = dotInt8Generic(q, rows[r*dim:(r+1)*dim])
 	}
+}
+
+// HeadLen is the row length DotInt8HeadsPass reads: one 32-byte chunk of
+// the rows kernel.
+const HeadLen = 32
+
+// HeadCut is the query side of DotInt8HeadsPass's test: a row with head
+// dot h and weights cosw, tailw, qerrw is below the cut when
+// float32(h)*cosw + Tail*tailw + Err*qerrw < Cut. It is vector's cosine
+// head bound, which proves such a row below a search's floor.
+type HeadCut struct {
+	Tail, Err, Cut float32
+}
+
+// Below is the test for one row, and the reference the AVX2 kernel
+// reproduces bit for bit: each product rounded to float32 on its own (the
+// conversions keep a compiler from fusing them into an FMA), summed left
+// to right, compared with <, so a NaN sum is never below and a +Inf
+// weight never is either.
+func (c HeadCut) Below(h int32, cosw, tailw, qerrw float32) bool {
+	return float32(float32(h)*cosw)+float32(c.Tail*tailw)+float32(c.Err*qerrw) < c.Cut
+}
+
+// DotInt8HeadsPass scores a block of heads — HeadLen-byte rows, contiguous
+// — against the query head q, writes the dots to dots, and writes to pass
+// the block offsets, ascending, of the rows c does not prove Below the
+// cut, returning how many there are. One call covers at most 256 rows, so
+// an offset fits a byte; pass must hold len(dots) of them. The AVX2 path
+// scores eight rows at a time and tests them in the same pass, so a row
+// that is below costs no Go at all. rows must not contain -128, as in
+// DotInt8Rows.
+func DotInt8HeadsPass(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, qerrw []float32, c HeadCut) int {
+	n := len(dots)
+	if len(q) != HeadLen || len(heads) != n*HeadLen || len(cosw) != n || len(tailw) != n || len(qerrw) != n || len(pass) < n {
+		panic("embed: kernel length mismatch")
+	}
+	if n > 256 {
+		panic("embed: more heads than a byte can index")
+	}
+	r, np := dotInt8HeadsPassArch(dots, pass, q, heads, cosw, tailw, qerrw, c)
+	return dotInt8HeadsPassGeneric(dots, pass, q, heads, cosw, tailw, qerrw, c, r, np)
+}
+
+// dotInt8HeadsPassGeneric is DotInt8HeadsPass from row r on, np survivors
+// already written: the reference whole (r = np = 0), and the arch path's
+// tail.
+func dotInt8HeadsPassGeneric(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, qerrw []float32, c HeadCut, r, np int) int {
+	for ; r < len(dots); r++ {
+		h := dotInt8Generic(q, heads[r*HeadLen:(r+1)*HeadLen])
+		dots[r] = h
+		pass[np] = uint8(r)
+		if !c.Below(h, cosw[r], tailw[r], qerrw[r]) {
+			np++
+		}
+	}
+	return np
 }
 
 // QuantizeInto symmetrically int8-quantizes v into code (len(v) entries),

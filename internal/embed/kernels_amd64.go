@@ -23,6 +23,9 @@ func dotInt8AVX2(a, b *int8, n int) int32
 //go:noescape
 func dotInt8RowsAVX2(out *int32, q, rows *int8, n, stride, nrows int)
 
+//go:noescape
+func dotInt8HeadsPassAVX2(dots *int32, pass *uint8, q, heads *int8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
+
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -107,4 +110,16 @@ func dotInt8RowsArch(out []int32, q, rows []int8) bool {
 		}
 	}
 	return true
+}
+
+// dotInt8HeadsPassArch runs the heads kernel over the block's whole groups
+// of eight rows and returns how many rows it covered and how many of them
+// passed; the generic code takes the rest.
+func dotInt8HeadsPassArch(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, qerrw []float32, c HeadCut) (int, int) {
+	n := len(dots) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0, 0
+	}
+	np := dotInt8HeadsPassAVX2(&dots[0], &pass[0], &q[0], &heads[0], &cosw[0], &tailw[0], &qerrw[0], n, c.Tail, c.Err, c.Cut)
+	return n, np
 }

@@ -3,6 +3,8 @@
 //   - dotInt8AVX2:        n is a multiple of 16, n >= 16
 //   - dotInt8RowsAVX2:    n is a multiple of 32, 32 <= n <= stride, and no
 //                         row byte is -128
+//   - dotInt8HeadsPassAVX2: nrows is a multiple of 8, 8 <= nrows <= 256, no
+//                         head byte is -128, and pass holds nrows bytes
 // and that AVX2+FMA were detected before any kernel is invoked.
 // Four independent accumulators per kernel keep the FMA pipeline full;
 // the remainder under one unrolled stride runs in a narrow loop.
@@ -281,4 +283,106 @@ rows1_chunk:
 	JMP  rows1
 rows_done:
 	VZEROUPPER
+	RET
+
+// func dotInt8HeadsPassAVX2(dots *int32, pass *uint8, q, heads *int8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
+// DotInt8HeadsPass over eight 32-byte rows per pass. The query head (Y14)
+// and its absolute value (Y13) are loaded once. Each row's chunk goes
+// through VPSIGNB/VPMADDUBSW/VPMADDWD as in dotInt8RowsAVX2, leaving eight
+// int32 partial sums in Y0..Y7; six VPHADDDs fold them into two registers
+// whose 128-bit lanes hold four rows' half-sums each, and two VPERM2I128s
+// and a VPADDD line the eight totals up in row order, stored as the dots.
+// The test is HeadCut.Below's expression in its operation order —
+// float32(h)*cosw, Tail*tailw and Err*qerrw each rounded by its own
+// VMULPS, then two VADDPS left to right, never an FMA — so the lanes round
+// exactly as the Go test does, and VCMPPS LT_OQ (false on NaN) against the
+// cut, then VMOVMSKPS, gives the rows below it. The complement's set bits
+// are the survivors, written out lowest first as block offsets. Survivors
+// are rare under a useful cut, so a pass with none takes one branch.
+TEXT ·dotInt8HeadsPassAVX2(SB), NOSPLIT, $0-88
+	MOVQ dots+0(FP), R8
+	MOVQ pass+8(FP), R9
+	MOVQ q+16(FP), SI
+	MOVQ heads+24(FP), DI
+	MOVQ cosw+32(FP), R10
+	MOVQ tailw+40(FP), R11
+	MOVQ qerrw+48(FP), R12
+	MOVQ nrows+56(FP), CX
+	VBROADCASTSS tail+64(FP), Y12
+	VBROADCASTSS err+68(FP), Y11
+	VBROADCASTSS cut+72(FP), Y10
+	VMOVDQU (SI), Y14
+	VPABSB Y14, Y13
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW $15, Y15, Y15 // sixteen int16 ones
+	XORQ BX, BX          // row offset of the pass
+	XORQ R13, R13        // survivors written
+heads8:
+	VMOVDQU (DI), Y0
+	VMOVDQU 32(DI), Y1
+	VMOVDQU 64(DI), Y2
+	VMOVDQU 96(DI), Y3
+	VMOVDQU 128(DI), Y4
+	VMOVDQU 160(DI), Y5
+	VMOVDQU 192(DI), Y6
+	VMOVDQU 224(DI), Y7
+	VPSIGNB Y14, Y0, Y0
+	VPSIGNB Y14, Y1, Y1
+	VPSIGNB Y14, Y2, Y2
+	VPSIGNB Y14, Y3, Y3
+	VPSIGNB Y14, Y4, Y4
+	VPSIGNB Y14, Y5, Y5
+	VPSIGNB Y14, Y6, Y6
+	VPSIGNB Y14, Y7, Y7
+	VPMADDUBSW Y0, Y13, Y0
+	VPMADDUBSW Y1, Y13, Y1
+	VPMADDUBSW Y2, Y13, Y2
+	VPMADDUBSW Y3, Y13, Y3
+	VPMADDUBSW Y4, Y13, Y4
+	VPMADDUBSW Y5, Y13, Y5
+	VPMADDUBSW Y6, Y13, Y6
+	VPMADDUBSW Y7, Y13, Y7
+	VPMADDWD Y15, Y0, Y0
+	VPMADDWD Y15, Y1, Y1
+	VPMADDWD Y15, Y2, Y2
+	VPMADDWD Y15, Y3, Y3
+	VPMADDWD Y15, Y4, Y4
+	VPMADDWD Y15, Y5, Y5
+	VPMADDWD Y15, Y6, Y6
+	VPMADDWD Y15, Y7, Y7
+	VPHADDD Y1, Y0, Y0 // rows 0,1: pairs of quarter-sums
+	VPHADDD Y3, Y2, Y2
+	VPHADDD Y5, Y4, Y4
+	VPHADDD Y7, Y6, Y6
+	VPHADDD Y2, Y0, Y0 // rows 0-3: low lane bytes 0-15, high lane bytes 16-31
+	VPHADDD Y6, Y4, Y4 // rows 4-7 likewise
+	VPERM2I128 $0x20, Y4, Y0, Y1
+	VPERM2I128 $0x31, Y4, Y0, Y2
+	VPADDD Y2, Y1, Y1 // rows 0-7 in lanes 0-7
+	VMOVDQU Y1, (R8)(BX*4)
+	VCVTDQ2PS Y1, Y1
+	VMULPS (R10)(BX*4), Y1, Y1
+	VMULPS (R11)(BX*4), Y12, Y2
+	VMULPS (R12)(BX*4), Y11, Y3
+	VADDPS Y2, Y1, Y1
+	VADDPS Y3, Y1, Y1
+	VCMPPS $0x11, Y10, Y1, Y1 // LT_OQ: sum < cut
+	VMOVMSKPS Y1, AX
+	XORL $0xff, AX            // the rows not below the cut
+	JZ   heads_next
+heads_emit:
+	BSFL AX, DX
+	ADDL BX, DX
+	MOVB DX, (R9)(R13*1)
+	INCQ R13
+	LEAL -1(AX), DX
+	ANDL DX, AX
+	JNZ  heads_emit
+heads_next:
+	ADDQ $256, DI
+	ADDQ $8, BX
+	CMPQ BX, CX
+	JL   heads8
+	VZEROUPPER
+	MOVQ R13, ret+80(FP)
 	RET

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -433,6 +434,227 @@ func FuzzFloatKernels(f *testing.F) {
 		check("dotNormF32 na", na, dotGeneric(a, a), aa)
 		check("dotNormF32 nb", nb, dotGeneric(b, b), bb)
 	})
+}
+
+// headsBlock is one DotInt8HeadsPass input: n heads and their weights.
+type headsBlock struct {
+	q, heads           []int8
+	cosw, tailw, qerrw []float32
+}
+
+// randHeadsBlock draws n heads with codes in [-127, 127] and weights shaped
+// like the vector store's columns: cosw and tailw a scale over a norm,
+// qerrw a small quantization error.
+func randHeadsBlock(r *rand.Rand, n int) headsBlock {
+	code := func(k int) []int8 {
+		c := make([]int8, k)
+		for i := range c {
+			c[i] = int8(r.Intn(255) - 127)
+		}
+		return c
+	}
+	w := func(scale float64) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(r.Float64() * scale)
+		}
+		return v
+	}
+	return headsBlock{q: code(HeadLen), heads: code(n * HeadLen), cosw: w(1e-4), tailw: w(1e-2), qerrw: w(1e-3)}
+}
+
+// passOf runs DotInt8HeadsPass (the AVX2 kernel where the CPU has it) and
+// the generic reference on b and fails unless both write the same dots and
+// the same survivors and return the same count.
+func passOf(t *testing.T, b headsBlock, c HeadCut) int {
+	t.Helper()
+	n := len(b.cosw)
+	dots, pass := make([]int32, n), make([]uint8, n)
+	np := DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c)
+	wantDots, wantPass := make([]int32, n), make([]uint8, n)
+	want := dotInt8HeadsPassGeneric(wantDots, wantPass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c, 0, 0)
+	if np != want || !slices.Equal(dots, wantDots) || !slices.Equal(pass[:np], wantPass[:want]) {
+		t.Fatalf("%d heads, cut %+v: kernel kept %d %v, reference %d %v (dots equal: %v)",
+			n, c, np, pass[:np], want, wantPass[:want], slices.Equal(dots, wantDots))
+	}
+	return np
+}
+
+// headSum is HeadCut.Below's left-hand side for row r: a cut equal to it
+// leaves the row exactly on the edge, where a differently rounded sum in
+// either direction changes the decision.
+func headSum(b headsBlock, c HeadCut, r int) float32 {
+	h := dotInt8Generic(b.q, b.heads[r*HeadLen:(r+1)*HeadLen])
+	return float32(float32(h)*b.cosw[r]) + float32(c.Tail*b.tailw[r]) + float32(c.Err*b.qerrw[r])
+}
+
+// The kernel drops exactly the rows the Go test drops, on random blocks of
+// every size up to 256 with the cut placed on a row's own sum and one ulp
+// either side of it — the cuts where an FMA, another summation order or
+// <= for < would decide differently.
+func TestDotInt8HeadsPassMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	blocks := 3000
+	if raceEnabled {
+		blocks = 300
+	}
+	var kept, dropped int
+	for i := 0; i < blocks; i++ {
+		n := 1 + r.Intn(256)
+		b := randHeadsBlock(r, n)
+		c := HeadCut{Tail: float32(r.Float64() * 100), Err: float32(r.Float64() * 100)}
+		edge := headSum(b, c, r.Intn(n))
+		for _, cut := range []float32{edge, math.Nextafter32(edge, float32(math.Inf(1))), math.Nextafter32(edge, float32(math.Inf(-1)))} {
+			c.Cut = cut
+			np := passOf(t, b, c)
+			kept, dropped = kept+np, dropped+n-np
+		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("the cuts kept %d rows and dropped %d: the test never decides both ways", kept, dropped)
+	}
+}
+
+// The IEEE edges: zero, denormal, infinite and NaN weights and query
+// factors, and cuts of either sign. A NaN sum is never below the cut, and
+// neither is a +Inf one, so those rows pass.
+func TestDotInt8HeadsPassSpecialValues(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	denorm := float32(math.SmallestNonzeroFloat32) * 3
+	specials := []float32{0, denorm, -denorm, inf, float32(math.Inf(-1)), nan, 1e30, 1}
+	for i := 0; i < 200; i++ {
+		n := []int{1, 7, 8, 9, 64, 255, 256}[i%7]
+		b := randHeadsBlock(r, n)
+		for _, col := range [][]float32{b.cosw, b.tailw, b.qerrw} {
+			for j := range col {
+				if r.Intn(3) == 0 {
+					col[j] = specials[r.Intn(len(specials))]
+				}
+			}
+		}
+		c := HeadCut{Tail: specials[r.Intn(len(specials))], Err: specials[r.Intn(len(specials))], Cut: specials[r.Intn(len(specials))]}
+		if r.Intn(2) == 0 {
+			c.Cut = -c.Cut
+		}
+		passOf(t, b, c)
+	}
+	// A row with a +Inf qerrw or a NaN weight is never dropped.
+	b := randHeadsBlock(r, 16)
+	b.qerrw[3], b.cosw[11] = inf, nan
+	dots, pass := make([]int32, 16), make([]uint8, 16)
+	np := DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, HeadCut{Tail: 1, Err: 1, Cut: 1e30})
+	if !slices.Equal(pass[:np], []uint8{3, 11}) {
+		t.Errorf("under a cut every finite row is below, the kernel kept %v, want [3 11]", pass[:np])
+	}
+}
+
+func TestDotInt8HeadsPassLengthMismatchPanics(t *testing.T) {
+	b := randHeadsBlock(rand.New(rand.NewSource(10)), 257)
+	for name, fn := range map[string]func(){
+		"short q": func() {
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q[:31], b.heads[:64], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+		},
+		"short heads": func() {
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q, b.heads[:63], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+		},
+		"short pass": func() {
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 1), b.q, b.heads[:64], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+		},
+		"short qerrw": func() {
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q, b.heads[:64], b.cosw[:2], b.tailw[:2], b.qerrw[:1], HeadCut{})
+		},
+		"257 rows": func() {
+			DotInt8HeadsPass(make([]int32, 257), make([]uint8, 257), b.q, b.heads, b.cosw, b.tailw, b.qerrw, HeadCut{})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: DotInt8HeadsPass did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+func TestDotInt8HeadsPassAllocs(t *testing.T) {
+	b := randHeadsBlock(rand.New(rand.NewSource(11)), 256)
+	dots, pass := make([]int32, 256), make([]uint8, 256)
+	if a := testing.AllocsPerRun(100, func() {
+		DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, HeadCut{Tail: 1, Err: 1, Cut: 0.5})
+	}); a != 0 {
+		t.Errorf("DotInt8HeadsPass allocates %v times a call, want 0", a)
+	}
+}
+
+// FuzzDotInt8HeadsPass is the differential test of the heads kernel:
+// whatever path DotInt8HeadsPass dispatches to must write the dots, the
+// survivors and the count the generic reference does. nrows+1 heads (1 to
+// 256, so blocks with and without a partial group of eight) are drawn from
+// seed; each weight is picked by a byte of kinds from ordinary, zero,
+// denormal, +Inf, NaN and overflowing values; the query factors and the
+// cut are the fuzzer's own floats. Each input is checked at its own cut
+// and at a cut on one row's exact sum.
+func FuzzDotInt8HeadsPass(f *testing.F) {
+	f.Add(uint8(0), int64(1), []byte{0}, float32(1), float32(1), float32(0.5))
+	f.Add(uint8(7), int64(2), []byte{0, 1, 2}, float32(3), float32(2), float32(-0.5))
+	f.Add(uint8(8), int64(3), []byte{0}, float32(0), float32(2), float32(0.01))  // Tail 0
+	f.Add(uint8(15), int64(4), []byte{0}, float32(3), float32(0), float32(0.01)) // Err 0
+	f.Add(uint8(16), int64(5), []byte{3, 4, 0, 0}, float32(1), float32(1), float32(0))
+	f.Add(uint8(100), int64(6), []byte{5, 0, 0, 6, 0}, float32(50), float32(40), float32(0.2))
+	f.Add(uint8(254), int64(7), []byte{7, 0, 1}, float32(1e30), float32(1e-40), float32(1e10))
+	f.Add(uint8(255), int64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 5}, float32(20), float32(30), float32(-1e-3))
+	f.Add(uint8(255), int64(9), []byte{}, float32(math.NaN()), float32(1), float32(0))
+	f.Add(uint8(31), int64(10), []byte{0}, float32(2), float32(2), float32(math.Inf(1)))
+	f.Fuzz(func(t *testing.T, nrows uint8, seed int64, kinds []byte, tail, errw, cut float32) {
+		n := int(nrows) + 1
+		r := rand.New(rand.NewSource(seed))
+		b := randHeadsBlock(r, n)
+		if len(kinds) > 0 {
+			k := 0
+			for _, col := range [][]float32{b.cosw, b.tailw, b.qerrw} {
+				for j := range col {
+					switch kinds[k%len(kinds)] % 8 {
+					case 3:
+						col[j] = 0
+					case 4:
+						col[j] = float32(math.SmallestNonzeroFloat32) * float32(1+r.Intn(1000))
+					case 5:
+						col[j] = float32(math.Inf(1))
+					case 6:
+						col[j] = float32(math.NaN())
+					case 7:
+						col[j] = 1e35
+					}
+					k++
+				}
+			}
+		}
+		c := HeadCut{Tail: tail, Err: errw, Cut: cut}
+		passOf(t, b, c)
+		c.Cut = headSum(b, c, int(uint64(seed)%uint64(n)))
+		passOf(t, b, c)
+	})
+}
+
+func BenchmarkDotInt8HeadsPass(b *testing.B) {
+	const nrows = 256
+	blk := randHeadsBlock(rand.New(rand.NewSource(12)), nrows)
+	// A cut above every row but one, as under a cache's hit threshold.
+	c := HeadCut{Tail: 40, Err: 90, Cut: 60}
+	blk.qerrw[nrows/2] = float32(math.Inf(1))
+	dots, pass := make([]int32, nrows), make([]uint8, nrows)
+	b.ReportAllocs()
+	var np int
+	for i := 0; i < b.N; i++ {
+		np = DotInt8HeadsPass(dots, pass, blk.q, blk.heads, blk.cosw, blk.tailw, blk.qerrw, c)
+	}
+	if np != 1 {
+		b.Fatalf("%d of %d heads passed, want 1", np, nrows)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
 }
 
 func BenchmarkDotInt8Rows(b *testing.B) {

@@ -154,6 +154,26 @@ func Kernels() []Spec {
 		{Name: "vector_flat_search_quantized_16k_sharded", Bench: flatSearch(armedSize, vector.Quantized(), vector.ParallelMin(armedSize))},
 		{Name: "vector_flat_search_quantized_128k_serial", Bench: flatSearch(shardedSize, vector.Quantized(), vector.ParallelMin(0))},
 		{Name: "vector_flat_search_quantized_128k_sharded", Bench: flatSearch(shardedSize, vector.Quantized(), vector.ParallelMin(shardedSize))},
+		{Name: "vector_flat_search_above_16k_sparse", Bench: func(b *testing.B) {
+			// The semantic cache's scan without the cache: a Cosine Flat of
+			// wordText rows searched at the proxy's 0.97 threshold, where
+			// the head test drops almost every row inside its kernel.
+			e := embed.New(embed.DefaultDim)
+			idx := vector.NewFlat(e.Dim(), vector.Cosine, vector.Quantized(), vector.ParallelMin(0))
+			queries := make([]embed.Vector, armedSize)
+			for i := range queries {
+				if err := idx.Add(vector.Item{ID: vector.ID(i), Vec: e.Text(wordText(i))}); err != nil {
+					b.Fatal(err)
+				}
+				queries[i] = e.Text(wordText(i) + "?")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rs := idx.SearchAbove(queries[i%armedSize], 1, 0.97); len(rs) != 1 || rs[0].ID != vector.ID(i%armedSize) {
+					b.Fatalf("query %d found %v, want its own row", i%armedSize, rs)
+				}
+			}
+		}},
 		{Name: "vector_hnsw_search", Bench: func(b *testing.B) {
 			e := embed.New(embed.DefaultDim)
 			idx := vector.NewHNSW(vector.HNSWConfig{Dim: e.Dim(), Metric: vector.Cosine, Seed: 42})

@@ -240,10 +240,10 @@ type preparedQuery struct {
 
 	// Set by armBound when the floor can drop rows before they are scored:
 	// bound's factors, and the head test's.
-	prune             bool
-	bA, bE, bOff      float64 // qscale*qinv, ‖qcode‖, ‖q − q̂‖*qinv plus the slack
-	head              bool
-	hTail, hErr, hCut float32 // ‖qcode[headDim:]‖, ‖qcode‖, and the cut headBelow tests against
+	prune        bool
+	bA, bE, bOff float64 // qscale*qinv, ‖qcode‖, ‖q − q̂‖*qinv plus the slack
+	head         bool
+	hc           embed.HeadCut // ‖qcode[headDim:]‖, ‖qcode‖ and the cut of the head test
 }
 
 func prepare(m Metric, q embed.Vector, floor float64) preparedQuery {
@@ -284,8 +284,9 @@ func (s *colStore) quantize(p *preparedQuery, code []int8) {
 // a floor only cuts the results.
 const (
 	// headDim is how many leading code bytes the head test reads per row:
-	// one 32-byte chunk of the int8 kernel.
-	headDim = 32
+	// one 32-byte chunk of the int8 kernel, the row embed.DotInt8HeadsPass
+	// takes.
+	headDim = embed.HeadLen
 
 	// A norm computed in float32 is trusted to dim·2⁻²⁴ relative while its
 	// square lies in [normSqMin, normSqMax]: no float32 product in it
@@ -351,7 +352,7 @@ func (s *colStore) armBound(p *preparedQuery) {
 	}
 	c -= headSlack * nq * (2 + 3*epsMax)
 	p.head = true
-	p.hTail, p.hErr, p.hCut = float32(math.Sqrt(float64(tail))), float32(nq), float32(c)
+	p.hc = embed.HeadCut{Tail: float32(math.Sqrt(float64(tail))), Err: float32(nq), Cut: float32(c)}
 }
 
 // bound is an upper bound on scoreExact(p, i) from row i's whole int8 dot
@@ -360,13 +361,6 @@ func (s *colStore) armBound(p *preparedQuery) {
 // below the floor.
 func (s *colStore) bound(p *preparedQuery, i int, dot int32) float64 {
 	return p.bA*(float64(s.cosw[i])*float64(dot)+p.bE*float64(s.qerrw[i])) + p.bOff
-}
-
-// headBelow is the head test for a row with head dot h and weights cosw,
-// tailw, qerrw: true proves the row's bound below the floor. p.head must be
-// set.
-func (p *preparedQuery) headBelow(h int32, cosw, tailw, qerrw float32) bool {
-	return float32(h)*cosw+p.hTail*tailw+p.hErr*qerrw < p.hCut
 }
 
 // searchScratch is what a quantized search needs besides its result: the
@@ -622,14 +616,15 @@ func (s *colStore) offerApprox(t *topK, p *preparedQuery, id func(int) ID, keep 
 
 // scanHeads is scanRows' first stage under an armed head test. One kernel
 // call scores a block's head codes (headDim bytes a row, from the heads
-// plane), and a row the head test proves below the floor costs nothing
-// more; the few that pass get the rest of their dot from their own code
-// and go on as in scanRows. Where the floor is low against the data — a
-// stale lookup's, or a corpus of near-duplicates — most rows pass and the
-// head test only adds work, so the first block in which more than half the
-// rows pass is left to scanRows, from where scanHeads returns with the
-// reject cut so far. Which rows are dropped does not depend on where it
-// stops: the head test drops only rows bound drops too.
+// plane), applies the head test and lists the rows it does not prove below
+// the floor, so a dropped row costs no Go at all; the few that pass get
+// the rest of their dot from their own code and go on as in scanRows.
+// Where the floor is low against the data — a stale lookup's, or a corpus
+// of near-duplicates — most rows pass and the head test only adds work, so
+// the first block in which more than half the rows pass is left to
+// scanRows, from where scanHeads returns with the reject cut so far. Which
+// rows are dropped does not depend on where it stops: the head test drops
+// only rows bound drops too.
 func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) (int, float32) {
 	cut := float32(math.Inf(-1))
 	qhead, qtail := p.qcode[:headDim], p.qcode[headDim:]
@@ -637,16 +632,8 @@ func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep fu
 	var passed [scanBlock]uint8 // block offsets of the rows the head test let through
 	for b := lo; b < hi; b += scanBlock {
 		e := min(b+scanBlock, hi)
-		hs := heads[:e-b]
-		aw, tw, ew := s.cosw[b:e:e], s.tailw[b:e:e], s.qerrw[b:e:e]
-		embed.DotInt8Rows(hs, qhead, s.heads[b*headDim:e*headDim])
-		n := 0
-		for j, h := range hs {
-			passed[n] = uint8(j)
-			if !p.headBelow(h, aw[j], tw[j], ew[j]) {
-				n++
-			}
-		}
+		hs, aw := heads[:e-b], s.cosw[b:e:e]
+		n := embed.DotInt8HeadsPass(hs, passed[:], qhead, s.heads[b*headDim:e*headDim], aw, s.tailw[b:e:e], s.qerrw[b:e:e], p.hc)
 		if 2*n > e-b {
 			return b, cut
 		}

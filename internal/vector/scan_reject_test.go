@@ -284,7 +284,7 @@ func checkBound(tb testing.TB, label string, s *colStore, q embed.Vector, floor 
 		if b < floor {
 			dropped++
 		}
-		if p.head && p.headBelow(embed.DotInt8(p.qcode[:headDim], s.head(i)), s.cosw[i], s.tailw[i], s.qerrw[i]) {
+		if p.head && p.hc.Below(embed.DotInt8(p.qcode[:headDim], s.head(i)), s.cosw[i], s.tailw[i], s.qerrw[i]) {
 			headDropped++
 			if !(b < floor) {
 				tb.Fatalf("%s row %d floor %v: the head test drops a row whose bound %v is not below the floor", label, i, floor, b)
