@@ -84,7 +84,7 @@ func run(args []string, stderr io.Writer) error {
 	noEarlyExit := fs.Bool("no-early-exit", false, "disable mid-generation early exit on streamed requests")
 	capacity := fs.Int("cache-capacity", 10000, "semantic cache capacity (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable the semantic cache")
-	traces := fs.Int("traces", obs.DefaultTraceCapacity, "request traces retained for /debug/traces")
+	traces := fs.Int("traces", obs.DefaultTraceCapacity, "request traces retained for /debug/traces; also how many request traces a second are kept (errors, sheds, stale serves and SLO misses always are)")
 	events := fs.Int("events", obs.DefaultEventCapacity, "lifecycle events retained for /debug/events")
 	logLevel := fs.String("log-level", "debug", "minimum event level recorded: debug, info, warn or error")
 	maxConcurrent := fs.Int("max-concurrent", 0, "max requests served at once (0 = unlimited)")
@@ -111,11 +111,13 @@ func run(args []string, stderr io.Writer) error {
 	if *events <= 0 {
 		return fmt.Errorf("-events must be > 0 (got %d): the event ring cannot be empty", *events)
 	}
-	if *threshold < 0 || *threshold > 1 {
-		return fmt.Errorf("-threshold must be in [0, 1] (got %g)", *threshold)
+	// proxy.Config reads a zero threshold as "the default", so 0 would be
+	// replaced, not used.
+	if *threshold <= 0 || *threshold > 1 {
+		return fmt.Errorf("-threshold must be in (0, 1] (got %g)", *threshold)
 	}
-	if *exitThreshold < 0 || *exitThreshold > 1 {
-		return fmt.Errorf("-exit-threshold must be in [0, 1] (got %g)", *exitThreshold)
+	if *exitThreshold <= 0 || *exitThreshold > 1 {
+		return fmt.Errorf("-exit-threshold must be in (0, 1] (got %g); -no-early-exit turns early exit off", *exitThreshold)
 	}
 	if *capacity < 0 {
 		return fmt.Errorf("-cache-capacity must be >= 0 (got %d)", *capacity)

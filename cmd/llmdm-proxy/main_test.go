@@ -27,6 +27,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative batch max", []string{"-batch-max", "-3"}, "-batch-max"},
 		{"threshold above one", []string{"-threshold", "1.5"}, "-threshold"},
 		{"threshold negative", []string{"-threshold", "-0.1"}, "-threshold"},
+		{"zero threshold", []string{"-threshold", "0"}, "-threshold must be in (0, 1]"},
+		{"zero exit threshold", []string{"-exit-threshold", "0"}, "-no-early-exit"},
 		{"negative cache capacity", []string{"-cache-capacity", "-1"}, "-cache-capacity"},
 		{"negative max concurrent", []string{"-max-concurrent", "-2"}, "-max-concurrent"},
 		{"negative max queue", []string{"-max-queue", "-2"}, "-max-queue"},
@@ -36,6 +38,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad log level", []string{"-log-level", "loud"}, "-log-level"},
 		{"unknown flag", []string{"-no-such-flag"}, "not defined"},
 	}
+	// A combination run wrongly accepts returns nil instead of binding a
+	// port and serving forever.
+	orig := listenAndServe
+	defer func() { listenAndServe = orig }()
+	listenAndServe = func(string, http.Handler) error { return nil }
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.args, io.Discard)

@@ -176,11 +176,12 @@ func (r *RunStream) pickNext() int {
 		if c.Breakers == nil || c.Breakers.Allow(name) {
 			break
 		}
-		_, sp := obs.StartSpan(r.ctx, "cascade.step")
-		sp.SetAttr("model", name)
-		sp.SetAttr("tier", r.next)
-		sp.SetAttr("outcome", "skipped")
-		sp.End()
+		if _, sp := obs.StartSpan(r.ctx, "cascade.step"); sp != nil { // nil under an unkept trace
+			sp.SetAttr("model", name)
+			sp.SetAttr("tier", r.next)
+			sp.SetAttr("outcome", "skipped")
+			sp.End()
+		}
 		c.tiers[r.next].skipped.Inc()
 		c.Log.Event(r.ctx, obs.Warn, "cascade_tier_skip", "model", name, "tier", r.next)
 	}
@@ -195,11 +196,17 @@ func (r *RunStream) openTier() error {
 	c := r.c
 	r.tier, r.tierChunks, r.tierCost, r.tierConf = r.next, 0, 0, 0
 	m := c.Models[r.tier]
+	// Under an unkept trace the span is nil and the debug event dropped:
+	// their attributes, which box, are built only when they record.
 	ctx, sp := obs.StartSpan(r.ctx, "cascade.step")
-	sp.SetAttr("model", m.Name())
-	sp.SetAttr("tier", r.tier)
+	if sp != nil {
+		sp.SetAttr("model", m.Name())
+		sp.SetAttr("tier", r.tier)
+	}
 	r.sp = sp
-	c.Log.Event(r.ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", r.tier)
+	if c.Log.Enabled(r.ctx, obs.Debug) {
+		c.Log.Event(r.ctx, obs.Debug, "cascade_tier_attempt", "model", m.Name(), "tier", r.tier)
+	}
 	var err error
 	if sm, ok := m.(llm.StreamModel); ok && r.streaming {
 		r.cur, err = sm.GenerateStream(ctx, r.req)
@@ -238,9 +245,11 @@ func (r *RunStream) earlyExit() {
 	}
 	c.tiers[r.tier].earlyExit.Inc()
 	c.tiers[r.tier].earlyExits.Inc()
-	c.Log.Event(r.ctx, obs.Info, "stream_early_exit",
-		"model", name, "tier", r.tier, "confidence", r.tierConf,
-		"chunks", r.tierChunks, "billed_microusd", int64(r.tierCost))
+	if c.Log.Enabled(r.ctx, obs.Info) {
+		c.Log.Event(r.ctx, obs.Info, "stream_early_exit",
+			"model", name, "tier", r.tier, "confidence", r.tierConf,
+			"chunks", r.tierChunks, "billed_microusd", int64(r.tierCost))
+	}
 	r.endTier("early_exit", r.tierConf, false)
 }
 
@@ -267,14 +276,18 @@ func (r *RunStream) finalizeTier() bool {
 		outcome, steps = "accept", c.tiers[r.tier].accept
 	}
 	steps.Inc()
-	r.sp.SetAttr("tokens_in", resp.InputTokens)
-	r.sp.SetAttr("tokens_out", resp.OutputTokens)
+	if r.sp != nil {
+		r.sp.SetAttr("tokens_in", resp.InputTokens)
+		r.sp.SetAttr("tokens_out", resp.OutputTokens)
+	}
 	r.endTier(outcome, resp.Confidence, accepted)
 	if accepted {
 		r.finish(resp, nil)
 		return true
 	}
-	c.Log.Event(r.ctx, obs.Info, "cascade_escalate", "from", name, "tier", r.tier, "confidence", resp.Confidence)
+	if c.Log.Enabled(r.ctx, obs.Info) {
+		c.Log.Event(r.ctx, obs.Info, "cascade_escalate", "from", name, "tier", r.tier, "confidence", resp.Confidence)
+	}
 	return false
 }
 
@@ -303,10 +316,15 @@ func (r *RunStream) endTier(outcome string, confidence float64, accepted bool) {
 		r.cur.Close()
 		r.cur = nil
 	}
-	r.sp.SetAttr("outcome", outcome)
+	if r.sp != nil {
+		r.sp.SetAttr("outcome", outcome)
+		if r.tierChunks > 0 {
+			r.sp.SetAttr("confidence", confidence)
+			r.sp.SetAttr("cost_microusd", int64(r.tierCost))
+		}
+		r.sp.End()
+	}
 	if r.tierChunks > 0 {
-		r.sp.SetAttr("confidence", confidence)
-		r.sp.SetAttr("cost_microusd", int64(r.tierCost))
 		r.tr.Steps = append(r.tr.Steps, Step{
 			Model:      r.c.Models[r.tier].Name(),
 			Confidence: confidence,
@@ -314,7 +332,6 @@ func (r *RunStream) endTier(outcome string, confidence float64, accepted bool) {
 			Cost:       r.tierCost,
 		})
 	}
-	r.sp.End()
 }
 
 // finish seals the run and settles the run-level counters.

@@ -64,9 +64,11 @@ func (m *SimModel) GenerateBatch(ctx context.Context, reqs []Request) ([]Respons
 		}
 	}
 	_, sp := obs.StartSpan(ctx, "llm.generate_batch")
-	sp.SetAttr("model", m.name)
-	sp.SetAttr("batch_size", len(reqs))
-	defer sp.End()
+	if sp != nil { // nil under an unkept trace: box nothing
+		sp.SetAttr("model", m.name)
+		sp.SetAttr("batch_size", len(reqs))
+		defer sp.End()
+	}
 
 	resps := make([]Response, len(reqs))
 	var maxLat time.Duration
@@ -85,7 +87,9 @@ func (m *SimModel) GenerateBatch(ctx context.Context, reqs []Request) ([]Respons
 	for i := range resps {
 		resps[i].Latency = lat
 	}
-	sp.SetAttr("cost_microusd", int64(cost))
-	sp.SetAttr("latency_ms", lat.Milliseconds())
+	if sp != nil {
+		sp.SetAttr("cost_microusd", int64(cost))
+		sp.SetAttr("latency_ms", lat.Milliseconds())
+	}
 	return resps, nil
 }

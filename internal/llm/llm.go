@@ -199,14 +199,15 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 		return Response{}, ErrEmptyPrompt
 	}
 	_, sp := obs.StartSpan(ctx, "llm.complete")
-	sp.SetAttr("model", m.name)
-	defer sp.End()
-
-	resp := m.answer(req, obs.TraceIDFromContext(ctx))
-	sp.SetAttr("tokens_in", resp.InputTokens)
-	sp.SetAttr("tokens_out", resp.OutputTokens)
-	sp.SetAttr("cost_microusd", int64(resp.Cost))
-	sp.SetAttr("confidence", resp.Confidence)
+	resp := m.answer(req, obs.SampledTraceID(ctx))
+	if sp != nil { // nil under an unkept trace: box nothing
+		sp.SetAttr("model", m.name)
+		sp.SetAttr("tokens_in", resp.InputTokens)
+		sp.SetAttr("tokens_out", resp.OutputTokens)
+		sp.SetAttr("cost_microusd", int64(resp.Cost))
+		sp.SetAttr("confidence", resp.Confidence)
+		sp.End()
+	}
 	return resp, nil
 }
 

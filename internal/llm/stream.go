@@ -87,21 +87,22 @@ func (m *SimModel) GenerateStream(ctx context.Context, req Request) (Stream, err
 		return nil, ErrEmptyPrompt
 	}
 	_, sp := obs.StartSpan(ctx, "llm.generate_stream")
-	sp.SetAttr("model", m.name)
-	defer sp.End()
-
 	resp := m.adjudicate(req)
 	key := req.NoiseKey
 	if key == "" {
 		key = req.Prompt
 	}
 	chunks := planChunks(m, resp, key)
-	sp.SetAttr("chunks", len(chunks))
+	if sp != nil { // nil under an unkept trace: box nothing
+		sp.SetAttr("model", m.name)
+		sp.SetAttr("chunks", len(chunks))
+		sp.End()
+	}
 
 	// The call itself is counted when the stream opens; tokens and spend
 	// accrue per chunk.
 	m.mCalls.Inc()
-	return &simStream{m: m, ctx: ctx, resp: resp, chunks: chunks, trace: obs.TraceIDFromContext(ctx)}, nil
+	return &simStream{m: m, ctx: ctx, resp: resp, chunks: chunks, trace: obs.SampledTraceID(ctx)}, nil
 }
 
 // planChunks splits an adjudicated response into word-boundary chunks

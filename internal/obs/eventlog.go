@@ -122,12 +122,14 @@ func (l *EventLog) Overwritten() uint64 {
 	return l.overwritten
 }
 
-// add appends one event, evicting the oldest when full.
-func (l *EventLog) add(r eventRecord) {
+// add appends one event, evicting the oldest when full, and reports
+// whether it evicted one.
+func (l *EventLog) add(r eventRecord) (evicted bool) {
 	l.mu.Lock()
 	l.seq++
 	r.seq = l.seq
-	if l.n == len(l.ring) {
+	evicted = l.n == len(l.ring)
+	if evicted {
 		l.overwritten++
 	} else {
 		l.n++
@@ -135,6 +137,7 @@ func (l *EventLog) add(r eventRecord) {
 	l.ring[l.next] = r
 	l.next = (l.next + 1) % len(l.ring)
 	l.mu.Unlock()
+	return evicted
 }
 
 // EventFilter selects events from an EventLog. The zero value matches
@@ -239,19 +242,23 @@ func (l *EventLog) EventsSince(since uint64, f EventFilter) (events []Event, mis
 // counts them per level in a Registry. All methods are nil-safe (a nil
 // logger drops everything) and safe for concurrent use.
 type Logger struct {
-	events  *EventLog
-	min     Level
-	byLevel [numLevels]*Counter
+	events      *EventLog
+	min         Level
+	byLevel     [numLevels]*Counter
+	overwritten *Counter
 }
 
 // NewLogger builds a logger writing events at or above min into events,
-// counting log_events_total{level} into reg. With no ring to write into
-// it returns the nil logger, which drops.
+// counting the events it records in log_events_total{level}, and the
+// older events their writes evicted from the ring in
+// obs_events_overwritten_total, into reg. An event a logger drops — below
+// min, or below Warn under an unkept trace — is counted nowhere. With no
+// ring to write into it returns the nil logger, which drops.
 func NewLogger(events *EventLog, min Level, reg *Registry) *Logger {
 	if events == nil {
 		return nil
 	}
-	lg := &Logger{events: events, min: min}
+	lg := &Logger{events: events, min: min, overwritten: reg.Counter("obs_events_overwritten_total")}
 	for l := Debug; l < numLevels; l++ {
 		lg.byLevel[l] = reg.Counter("log_events_total", "level", l.String())
 	}
@@ -285,19 +292,33 @@ func checkEventName(name string) {
 	validatedEventNames.Store(name, struct{}{})
 }
 
+// Enabled reports whether Event(ctx, level, ...) would record: not on a
+// nil logger, not below the logger's level, and not below Warn under an
+// unkept trace. A call site whose attributes allocate (boxed numbers,
+// non-constant strings) asks first, so an event nobody keeps costs
+// nothing.
+func (lg *Logger) Enabled(ctx context.Context, level Level) bool {
+	return lg != nil && level >= lg.min && (level >= Warn || ctx == nil || !SpanFromContext(ctx).Unkept())
+}
+
 // Event emits one event correlated to the trace carried by ctx (if
 // any). kv lists alternating key/value attribute pairs; values render
 // like Span.SetAttr. The name must be lowercase_snake (panics
 // otherwise, matching Registry semantics). When ctx carries a tenant
 // identity (WithTenant), the event gains a "tenant" attribute so
-// /debug/events?tenant= replays one tenant's story.
+// /debug/events?tenant= replays one tenant's story. Under an unkept
+// trace, events below Warn are dropped; Warn and Error are always kept.
 func (lg *Logger) Event(ctx context.Context, level Level, name string, kv ...interface{}) {
 	if lg == nil || level < lg.min {
 		return
 	}
 	trace := ""
 	if ctx != nil {
-		trace = TraceIDFromContext(ctx)
+		s := SpanFromContext(ctx)
+		if level < Warn && s.Unkept() {
+			return
+		}
+		trace = s.TraceID()
 		if tenant, ok := tenantFrom(ctx); ok {
 			kv = append(kv, "tenant", tenant)
 		}
@@ -325,7 +346,9 @@ func (lg *Logger) emit(level Level, name, trace string, kv []interface{}) {
 			attrs[i] = Label{Key: k, Value: attrString(kv[2*i+1])}
 		}
 	}
-	lg.events.add(eventRecord{time: time.Now(), level: level, name: name, trace: trace, attrs: attrs})
+	if lg.events.add(eventRecord{time: time.Now(), level: level, name: name, trace: trace, attrs: attrs}) {
+		lg.overwritten.Inc()
+	}
 	if level >= 0 && level < numLevels {
 		lg.byLevel[level].Inc()
 	}

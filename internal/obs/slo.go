@@ -136,13 +136,14 @@ func (t *SLOTracker) classLocked(name string) *sloClass {
 }
 
 // Record scores one finished request: its class, wall-clock latency,
-// and whether it produced a usable answer.
-func (t *SLOTracker) Record(class string, latency time.Duration, ok bool) {
+// and whether it produced a usable answer. It reports whether the
+// request was slow: over its class's LatencyTarget (never on a nil
+// tracker).
+func (t *SLOTracker) Record(class string, latency time.Duration, ok bool) (slow bool) {
 	if t == nil {
-		return
+		return false
 	}
 	epoch := t.now().Unix() / sloBucketSeconds
-	slow := false
 
 	t.mu.Lock()
 	c := t.classLocked(class)
@@ -167,6 +168,7 @@ func (t *SLOTracker) Record(class string, latency time.Duration, ok bool) {
 	if slow {
 		c.mSlow.Inc()
 	}
+	return slow
 }
 
 // SLOWindow is one class's scorecard over one lookback window.

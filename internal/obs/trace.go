@@ -12,11 +12,16 @@ import (
 // Span is one timed operation in a request's trace tree. Spans are created
 // by Tracer.Start (roots) and StartSpan (children), annotated with SetAttr,
 // and closed with End. All methods are nil-safe and safe for concurrent
-// use, so instrumentation can be unconditional.
+// use, so instrumentation can be unconditional. A nil span — what
+// StartSpan returns under an unkept root — allocated nothing, so a call
+// site that boxes a value for SetAttr can skip it with a nil check.
 type Span struct {
 	name    string
 	start   time.Time
 	traceID string // set before the span is shared; read without the lock
+	// unkept marks a root that records nothing (StartSampled without
+	// keep); set before the span is shared and never changed.
+	unkept bool
 
 	mu       sync.Mutex
 	duration time.Duration
@@ -52,9 +57,9 @@ func attrString(value interface{}) string {
 
 // SetAttr records a key/value annotation. Values are rendered to strings:
 // ints, floats, bools and durations get compact forms, everything else
-// fmt.Sprint.
+// fmt.Sprint. On an unkept root it does nothing.
 func (s *Span) SetAttr(key string, value interface{}) {
-	if s == nil {
+	if s == nil || s.unkept {
 		return
 	}
 	v := attrString(value)
@@ -64,9 +69,10 @@ func (s *Span) SetAttr(key string, value interface{}) {
 }
 
 // End closes the span. Ending a root span publishes its finished tree to
-// the tracer's ring. End is idempotent.
+// the tracer's ring. End is idempotent, and does nothing on an unkept
+// root.
 func (s *Span) End() {
-	if s == nil {
+	if s == nil || s.unkept {
 		return
 	}
 	s.mu.Lock()
@@ -158,10 +164,15 @@ func SpanFromContext(ctx context.Context) *Span {
 
 // StartSpan begins a child of the current span in ctx. When ctx carries no
 // span the returned span is detached — fully usable but recorded nowhere —
-// so library code can instrument unconditionally at negligible cost.
+// so library code can instrument unconditionally at negligible cost. Under
+// an unkept root it returns ctx and a nil span, and allocates nothing.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	parent := SpanFromContext(ctx)
+	if parent.Unkept() {
+		return ctx, nil
+	}
 	s := &Span{name: name, start: time.Now()}
-	if parent := SpanFromContext(ctx); parent != nil {
+	if parent != nil {
 		s.traceID = parent.traceID
 		parent.addChild(s)
 	}
@@ -260,6 +271,9 @@ func (t *Tracer) ByID(id string) (SpanData, bool) {
 	}
 	return found.data(), true
 }
+
+// Cap returns the ring capacity.
+func (t *Tracer) Cap() int { return len(t.ring) }
 
 // Len reports how many traces the ring currently holds.
 func (t *Tracer) Len() int {

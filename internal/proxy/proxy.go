@@ -32,9 +32,13 @@
 // leader included) read. CompleteStream hands the caller that reader;
 // Complete drains it and returns the settled Answer. See stream.go.
 //
-// Every request is traced (a root span with cache-lookup and per-cascade-
-// step children, kept in a bounded ring) and metered into an obs.Registry;
-// the HTTP layer exposes both at GET /metrics and GET /debug/traces.
+// Every request is metered into an obs.Registry (GET /metrics) and gets a
+// trace ID. Its trace — a root span with cache-lookup and per-cascade-step
+// children, kept in a bounded ring (GET /debug/traces) — and its events
+// below Warn are head-sampled: the proxy keeps at most as many traces a
+// second as the ring holds, and finish publishes the trace of every
+// request it did not keep that failed, was shed, was served stale or
+// missed its class's latency target.
 //
 // Concurrency design: the proxy's only lock is the in-flight table's, and
 // it is never held across the semantic cache lookup — which computes a
@@ -215,6 +219,10 @@ type Proxy struct {
 	staleFloor      float64
 	disableStale    bool
 
+	// keep is the head-sampling budget: the trace ring's capacity in kept
+	// traces a second.
+	keep *obs.Budget
+
 	// mu guards only the in-flight table; stats are atomics and the cache
 	// locks itself.
 	mu       sync.Mutex
@@ -226,6 +234,8 @@ type Proxy struct {
 	series    map[string]sourceSeries
 	mSpend    *obs.Counter
 	gInflight *obs.Gauge
+	// obs_traces_total{decision}: how each request's trace was decided.
+	mKept, mPromoted, mUnkept *obs.Counter
 }
 
 // sources is the closed set of terminal outcomes a request can have; it
@@ -246,6 +256,9 @@ type sourceSeries struct {
 	// The proxy_stream_* histograms, fed only by clients that asked for
 	// a stream. How many streams ended each way is duration's count.
 	duration, ttft *obs.Histogram
+	// promote: an unkept request that ends this way has its trace
+	// published anyway.
+	promote bool
 }
 
 // New builds a Proxy.
@@ -333,6 +346,7 @@ func New(cfg Config) *Proxy {
 		slo:      slo,
 		tenants:  tenants,
 		alerts:   alerts,
+		keep:     obs.NewBudget(cfg.Tracer.Cap()),
 		pprof:    cfg.EnablePprof,
 		breakers: breakers,
 		inflight: make(map[string]*call),
@@ -344,6 +358,9 @@ func New(cfg Config) *Proxy {
 		series:    make(map[string]sourceSeries, len(sources)),
 		mSpend:    reg.Counter("proxy_spend_microusd_total"),
 		gInflight: reg.Gauge("proxy_inflight"),
+		mKept:     reg.Counter("obs_traces_total", "decision", "kept"),
+		mPromoted: reg.Counter("obs_traces_total", "decision", "promoted"),
+		mUnkept:   reg.Counter("obs_traces_total", "decision", "unkept"),
 	}
 	for _, src := range sources {
 		requestsSrc := src
@@ -362,6 +379,7 @@ func New(cfg Config) *Proxy {
 		case "cache", "coalesced", "cascade", "stale":
 			m.latency = reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", src)
 		}
+		m.promote = src == "stale" || src == "error" || src == "shed"
 		p.series[src] = m
 	}
 	if cfg.MaxConcurrent > 0 {
@@ -558,8 +576,8 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 		p.streams.Add(1)
 	}
 	// The root span starts before admission so even shed requests leave a
-	// trace.
-	rq.ctx, rq.root = p.tracer.Start(ctx, "proxy.complete")
+	// trace. Whether it records is decided here, once for every layer.
+	rq.ctx, rq.root = p.tracer.StartSampled(ctx, "proxy.complete", p.keep.Admit(rq.start))
 	ctx = rq.ctx
 
 	// 0. Admission: shed rather than queue without bound.
@@ -577,22 +595,29 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 		}
 		rq.limited = true
 	}
-	p.log.Event(ctx, obs.Debug, "proxy_admit", "class", rq.class, "mode", rq.mode())
+	// Attributes that box are built only for an event or span that records.
+	if p.log.Enabled(ctx, obs.Debug) {
+		p.log.Event(ctx, obs.Debug, "proxy_admit", "class", rq.class, "mode", rq.mode())
+	}
 
 	// 1. Cache. The lookup embeds the query — deliberately outside every
 	// proxy lock.
 	if p.cache != nil {
 		_, csp := obs.StartSpan(ctx, "cache.lookup")
-		hit, ok := p.cache.LookupTraced(req.Prompt, rq.root.TraceID())
-		csp.SetAttr("hit", ok)
-		if ok {
-			csp.SetAttr("similarity", hit.Similarity)
-			csp.SetAttr("exact", hit.Exact)
+		hit, ok := p.cache.LookupTraced(req.Prompt, obs.SampledTraceID(ctx))
+		if csp != nil {
+			csp.SetAttr("hit", ok)
+			if ok {
+				csp.SetAttr("similarity", hit.Similarity)
+				csp.SetAttr("exact", hit.Exact)
+			}
+			csp.End()
 		}
-		csp.End()
 		if ok {
 			p.cacheHits.Add(1)
-			p.log.Event(ctx, obs.Info, "proxy_cache_hit", "similarity", hit.Similarity, "exact", hit.Exact)
+			if p.log.Enabled(ctx, obs.Info) {
+				p.log.Event(ctx, obs.Info, "proxy_cache_hit", "similarity", hit.Similarity, "exact", hit.Exact)
+			}
 			ans := Answer{Text: hit.Entry.Response, Model: "cache", Confidence: 1, Source: "cache"}
 			if !streamed {
 				// The one cached chunk, handed over without building it.
@@ -709,11 +734,13 @@ func (p *Proxy) degrade(ctx context.Context, prompt string) (Answer, bool) {
 	}
 	_, ssp := obs.StartSpan(ctx, "stale.lookup")
 	hit, ok := p.cache.LookupStale(prompt, p.staleFloor)
-	ssp.SetAttr("hit", ok)
-	if ok {
-		ssp.SetAttr("similarity", hit.Similarity)
+	if ssp != nil {
+		ssp.SetAttr("hit", ok)
+		if ok {
+			ssp.SetAttr("similarity", hit.Similarity)
+		}
+		ssp.End()
 	}
-	ssp.End()
 	if !ok {
 		return Answer{}, false
 	}
@@ -732,6 +759,13 @@ func (p *Proxy) degrade(ctx context.Context, prompt string) (Answer, bool) {
 // proxy_error. finish also completes rq.ans with what only it measures:
 // the trace ID — set even on errors so failures stay explainable — the
 // elapsed time and the delivery counts.
+//
+// finish also completes the head-sampling decision. A request open did
+// not keep is promoted when it ended in error, was shed or was served
+// stale, or missed its class's latency target: a fresh root with its
+// trace ID takes the attributes and the terminal event, with no children.
+// Any other unkept request leaves its metrics, SLO and tenant records
+// only, and no exemplar: every exemplar names a trace the ring was given.
 func (p *Proxy) finish(rq *request) {
 	ctx, root, traceID := rq.ctx, rq.root, rq.root.TraceID()
 	if rq.limited {
@@ -741,22 +775,38 @@ func (p *Proxy) finish(rq *request) {
 	rq.ans.Trace, rq.ans.Elapsed, rq.ans.Chunks, rq.ans.Tier = traceID, elapsed, rq.chunks, rq.tier
 	m := p.series[rq.outcome]
 	m.requests.Inc()
-	if m.latency != nil {
-		m.latency.ObserveWithExemplar(elapsed.Seconds(), traceID)
-	}
-	if rq.streamed {
-		m.duration.ObserveWithExemplar(elapsed.Seconds(), traceID)
-		if rq.chunks > 0 {
-			p.series[rq.source].ttft.ObserveWithExemplar(rq.ttft.Seconds(), traceID)
-		}
-	}
-	p.slo.Record(rq.class, elapsed, rq.err == nil)
+	slow := p.slo.Record(rq.class, elapsed, rq.err == nil)
 	p.tenants.Record(rq.tenant, obs.TenantSample{
 		Latency:  elapsed,
 		CacheHit: rq.outcome == "cache",
 		Shed:     rq.outcome == "shed",
 		Error:    rq.err != nil,
 	})
+	decision := p.mKept
+	if root.Unkept() {
+		decision = p.mUnkept
+		if m.promote || slow {
+			root, decision = p.tracer.Promote(root), p.mPromoted
+			ctx = obs.ContextWithSpan(ctx, root)
+		}
+	}
+	decision.Inc()
+	exemplar := traceID
+	if root.Unkept() {
+		exemplar = ""
+	}
+	if m.latency != nil {
+		m.latency.ObserveWithExemplar(elapsed.Seconds(), exemplar)
+	}
+	if rq.streamed {
+		m.duration.ObserveWithExemplar(elapsed.Seconds(), exemplar)
+		if rq.chunks > 0 {
+			p.series[rq.source].ttft.ObserveWithExemplar(rq.ttft.Seconds(), exemplar)
+		}
+	}
+	if root.Unkept() {
+		return
+	}
 	mode := rq.mode()
 	root.SetAttr("mode", mode)
 	root.SetAttr("source", m.label)

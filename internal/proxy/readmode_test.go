@@ -128,31 +128,28 @@ func keys(m map[string]string) []string {
 	return ks
 }
 
-// TestReadModeMatrix pins the one-record design: for every outcome both
-// read modes can reach, the same request through Complete and through
-// CompleteStream on two fresh proxies tells the same story — the same
-// events in the same order (the streamed client's proxy_first_chunk
-// aside), a terminal event named by the outcome alone with the same
-// attribute keys and, but for mode, the same values, and a root span of
-// the same name with the same attribute keys.
-func TestReadModeMatrix(t *testing.T) {
+// readScenario is one outcome both read modes can reach: run plays it on
+// a fresh proxy over reg and returns the proxy with what the probe
+// returned, which must be wantErr.
+type readScenario struct {
+	outcome, terminal string
+	wantErr           error
+	run               func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error)
+}
+
+// readScenarios are the outcomes both read modes can reach, on proxies
+// made by build from the scenario's Config.
+func readScenarios(build func(Config) *Proxy) []readScenario {
 	// A one-word answer is one chunk however the tier is read, so even the
 	// chunk counts agree.
 	easy := llm.Request{Prompt: "how many concerts were held in the stadium this year", Gold: "twelve", Difficulty: 0.05}
-	// run plays the scenario on a fresh proxy over reg and returns it with
-	// what the probe returned, which must be wantErr.
-	type scenario struct {
-		outcome, terminal string
-		wantErr           error
-		run               func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error)
-	}
 	// gated builds a proxy whose one tier blocks until the returned gate opens.
 	gated := func(reg *obs.Registry, cfg Config) (*Proxy, chan struct{}) {
 		gate := make(chan struct{})
 		cfg.Models = []llm.Model{gatedSim{llm.NewSim(llm.SimConfig{Name: "small", Capability: 0.9,
 			Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg}), gate}}
 		cfg.Obs, cfg.DisableCache = reg, true
-		return New(cfg), gate
+		return build(cfg), gate
 	}
 	// lead starts an untagged request/response leader and waits until its
 	// call is in flight.
@@ -179,9 +176,9 @@ func TestReadModeMatrix(t *testing.T) {
 		waitFor(t, func() bool { return p.Stats().Coalesced == 1 })
 		return out
 	}
-	scenarios := []scenario{
+	return []readScenario{
 		{"cache", "proxy_complete", nil, func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error) {
-			p := newTestProxy(Config{Obs: reg})
+			p := build(Config{Obs: reg})
 			if _, err := p.Complete(context.Background(), easy); err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +186,7 @@ func TestReadModeMatrix(t *testing.T) {
 			return p, ans, err
 		}},
 		{"cascade", "proxy_complete", nil, func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error) {
-			p := newTestProxy(Config{Obs: reg})
+			p := build(Config{Obs: reg})
 			ans, err := probe(p, context.Background(), easy, streamed)
 			return p, ans, err
 		}},
@@ -210,7 +207,7 @@ func TestReadModeMatrix(t *testing.T) {
 				}
 				return llm.Response{Text: req.Gold, Model: "toggle", Confidence: 0.99}, nil
 			}}
-			p := New(Config{Models: []llm.Model{toggle}, Obs: reg, CacheThreshold: 0.995, StaleFloor: 0.3, DisableBreaker: true})
+			p := build(Config{Models: []llm.Model{toggle}, Obs: reg, CacheThreshold: 0.995, StaleFloor: 0.3, DisableBreaker: true})
 			if _, err := p.Complete(context.Background(), easy); err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +220,7 @@ func TestReadModeMatrix(t *testing.T) {
 			down := namedModel{name: "down", fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 				return llm.Response{}, llm.ErrTransient
 			}}
-			p := New(Config{Models: []llm.Model{down}, Obs: reg, DisableCache: true, DisableBreaker: true})
+			p := build(Config{Models: []llm.Model{down}, Obs: reg, DisableCache: true, DisableBreaker: true})
 			ans, err := probe(p, context.Background(), easy, streamed)
 			return p, ans, err
 		}},
@@ -247,6 +244,17 @@ func TestReadModeMatrix(t *testing.T) {
 			return p, ans, err
 		}},
 	}
+}
+
+// TestReadModeMatrix pins the one-record design: for every outcome both
+// read modes can reach, the same request through Complete and through
+// CompleteStream on two fresh proxies tells the same story — the same
+// events in the same order (the streamed client's proxy_first_chunk
+// aside), a terminal event named by the outcome alone with the same
+// attribute keys and, but for mode, the same values, and a root span of
+// the same name with the same attribute keys.
+func TestReadModeMatrix(t *testing.T) {
+	scenarios := readScenarios(newTestProxy)
 	for _, sc := range scenarios {
 		t.Run(sc.outcome, func(t *testing.T) {
 			var stories [2]story

@@ -243,7 +243,9 @@ func (s *clientStream) deliver(ch *Chunk) {
 	s.tier = ch.Tier
 	if s.chunks == 1 && s.streamed {
 		s.ttft = time.Since(s.start)
-		s.p.log.Event(s.ctx, obs.Debug, "proxy_first_chunk", "source", s.p.series[s.source].label, "ttft", s.ttft)
+		if s.p.log.Enabled(s.ctx, obs.Debug) {
+			s.p.log.Event(s.ctx, obs.Debug, "proxy_first_chunk", "source", s.p.series[s.source].label, "ttft", s.ttft)
+		}
 	}
 }
 
@@ -283,8 +285,10 @@ func (s *clientStream) abandon(outcome string, err error) {
 	}
 	s.settled, s.pending, s.outcome = true, nil, outcome
 	s.ans, s.err = Answer{}, err
-	s.wait.SetAttr("outcome", outcome)
-	s.wait.End()
+	if s.wait != nil { // nil under an unkept trace: box nothing
+		s.wait.SetAttr("outcome", outcome)
+		s.wait.End()
+	}
 	s.end()
 }
 

@@ -90,7 +90,7 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 		// Queue-wait exemplars let a fat wait bucket resolve to the trace
 		// that sat in line (only queued requests observe; fast-path admits
 		// never waited).
-		l.hWait.ObserveWithExemplar(time.Since(enq).Seconds(), obs.TraceIDFromContext(ctx))
+		l.hWait.ObserveWithExemplar(time.Since(enq).Seconds(), obs.SampledTraceID(ctx))
 	}()
 	select {
 	case l.slots <- struct{}{}:

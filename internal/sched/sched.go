@@ -321,9 +321,11 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req llm.Request) (
 			return llm.Response{}, ErrClosed
 		}
 		_, sp := obs.StartSpan(ctx, "sched.bypass")
-		sp.SetAttr("model", model)
-		sp.SetAttr("class", class.String())
-		defer sp.End()
+		if sp != nil { // nil under an unkept trace: box nothing
+			sp.SetAttr("model", model)
+			sp.SetAttr("class", class.String())
+			defer sp.End()
+		}
 		s.bypassed.Add(1)
 		s.mBypass.Inc()
 		return t.model.Complete(ctx, req)
@@ -331,9 +333,11 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req llm.Request) (
 	it := &item{ctx: ctx, req: req, class: class, enq: time.Now(), out: make(chan result, 1)}
 
 	_, sp := obs.StartSpan(ctx, "sched.submit")
-	sp.SetAttr("model", model)
-	sp.SetAttr("class", class.String())
-	defer sp.End()
+	if sp != nil { // nil under an unkept trace: box nothing
+		sp.SetAttr("model", model)
+		sp.SetAttr("class", class.String())
+		defer sp.End()
+	}
 
 	s.mu.RLock()
 	if s.closed {
@@ -558,7 +562,7 @@ func (s *Scheduler) flush(t *tier, batch []*item) {
 	for _, it := range batch {
 		// The wait exemplar ties a fat queue-wait bucket back to one
 		// concrete request's trace; tenant fan-in is reported per flush.
-		s.hWait[it.class].ObserveWithExemplar(now.Sub(it.enq).Seconds(), obs.TraceIDFromContext(it.ctx))
+		s.hWait[it.class].ObserveWithExemplar(now.Sub(it.enq).Seconds(), obs.SampledTraceID(it.ctx))
 		tenants[obs.TenantFrom(it.ctx)] = struct{}{}
 		if err := it.ctx.Err(); err != nil {
 			s.canceled.Add(1)
