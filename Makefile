@@ -29,12 +29,19 @@ vet:
 # CHANGES.md. Also usable as a vettool:
 # go vet -vettool=bin/llmdm-lint ./...
 #
-# The grep ahead of it keeps the telemetry fallbacks from growing back: what
-# an unset sink means is decided inside internal/obs (a nil *obs.Registry is
+# The greps ahead of it keep two couplings from growing back. What an unset
+# sink means is decided inside internal/obs (a nil *obs.Registry is
 # obs.Default), so no other non-test file under internal/ names the global.
+# And internal/obs reads no other package's metrics by name: a string literal
+# there that starts with another package's metric prefix is a rule that
+# belongs with the component it watches (the proxy's alert rules read their
+# components in internal/proxy/alerts.go).
 lint:
 	@if grep -rnE 'obs\.Default\b' --include='*.go' internal | grep -v '_test\.go:' | grep -v '^internal/obs/'; then \
 		echo "lint: obs.Default named outside internal/obs: pass the registry down, nil already means it"; exit 1; \
+	fi
+	@if grep -rnE '"(breaker|limiter|proxy|cascade|sched|llm|semcache|vector)_' --include='*.go' internal/obs | grep -v '_test\.go:'; then \
+		echo "lint: internal/obs names another package's metric: read the component where it lives instead"; exit 1; \
 	fi
 	@start=$$(date +%s); \
 	set -ex; \

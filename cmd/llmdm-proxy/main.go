@@ -4,7 +4,8 @@
 // front of the simulated model family — fully instrumented with the
 // internal/obs metrics registry, request tracing, a structured
 // lifecycle event log, per-class SLO burn-rate tracking, per-tenant
-// attribution, a declarative alert engine and a Go runtime collector.
+// attribution, alert rules over its own components and a Go runtime
+// collector.
 //
 //	llmdm-proxy -addr :8080 -batch
 //	curl -s localhost:8080/v1/complete -H 'X-LLMDM-Tenant: acme' -d '{"prompt":"...","gold":"...","difficulty":0.3}'

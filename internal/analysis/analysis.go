@@ -3,12 +3,16 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus the repo-specific
 // annotation escape hatches the analyzers honor.
 //
-// The five analyzers built on it (ctxflow, lockscope, billmeter, gospawn,
-// metricname) enforce the serving-path invariants that PRs 1-3 only
-// documented: contexts thread from the caller, no blocking call runs
-// under a lock, every model call's spend is accounted, detached
+// The eight analyzers built on it enforce the serving-path invariants.
+// Five look at one function at a time (ctxflow, lockscope, billmeter,
+// gospawn, metricname): contexts thread from the caller, no blocking call
+// runs under a lock, every model call's spend is accounted, detached
 // goroutines are managed, and metric names are static lowercase_snake
-// constants. cmd/llmdm-lint runs them over the module (`make lint`), and
+// constants. Three are interprocedural, over the shared call graph
+// (lockorder, reslifecycle, goleak): locks are taken in one global order,
+// streams, pooled scratch and response bodies are released on every
+// path, and no serving goroutine can park forever on a channel.
+// cmd/llmdm-lint runs them over the module (`make lint`), and
 // internal/analysis's own tests run them over the serving-path packages
 // so `go test ./...` fails on a regression too.
 //

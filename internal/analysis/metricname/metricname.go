@@ -72,9 +72,9 @@ var nameMethods = []struct {
 	// Logger.Event(ctx, level, name, kv...), Logger.Emit(level, name, kv...).
 	{"Logger", "Event", nameArg{"event", 2}},
 	{"Logger", "Emit", nameArg{"event", 1}},
-	// AlertEngine.AddRule(name, cond, opts...): rule names land in
-	// alert_transition event attributes, the alert_state vocabulary and
-	// /v1/alerts — same charter.
+	// AlertEngine.AddRule(name, severity, hold, desc, eval): rule names
+	// land in alert_transition event attributes, the alert_state
+	// vocabulary and /v1/alerts — same charter.
 	{"AlertEngine", "AddRule", nameArg{"alert-rule", 0}},
 }
 

@@ -36,8 +36,8 @@ func emitEvents(ctx context.Context, log *obs.Logger, model string) {
 const badRuleName = "SLO Burn High"
 
 func registerAlerts(eng *obs.AlertEngine, tenant string) {
-	eng.AddRule("Breaker-Open", obs.Threshold{})                        // want "AddRule alert-rule name \"Breaker-Open\" is not lowercase_snake"
-	eng.AddRule(badRuleName, obs.Threshold{})                           // want "AddRule alert-rule name constant badRuleName = \"SLO Burn High\" is not lowercase_snake"
-	eng.AddRule(fmt.Sprintf("spend_spike_%s", tenant), obs.Threshold{}) // want "AddRule alert-rule name is built dynamically"
-	eng.AddRule("tenant_"+tenant, obs.Threshold{})                      // want "AddRule alert-rule name is built dynamically"
+	eng.AddRule("Breaker-Open", obs.Warn, 0, "", nil)                        // want "AddRule alert-rule name \"Breaker-Open\" is not lowercase_snake"
+	eng.AddRule(badRuleName, obs.Warn, 0, "", nil)                           // want "AddRule alert-rule name constant badRuleName = \"SLO Burn High\" is not lowercase_snake"
+	eng.AddRule(fmt.Sprintf("spend_spike_%s", tenant), obs.Warn, 0, "", nil) // want "AddRule alert-rule name is built dynamically"
+	eng.AddRule("tenant_"+tenant, obs.Warn, 0, "", nil)                      // want "AddRule alert-rule name is built dynamically"
 }

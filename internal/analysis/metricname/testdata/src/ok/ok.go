@@ -44,9 +44,9 @@ func emitEvents(ctx context.Context, log *obs.Logger, model string) {
 const spendSpikeRule = "tenant_spend_spike"
 
 func registerAlerts(eng *obs.AlertEngine, tenant string) {
-	eng.AddRule("slo_latency_burn_high", obs.Threshold{})
-	eng.AddRule(spendSpikeRule, obs.Threshold{})
-	eng.AddRule(obs.DefaultTenant, obs.Threshold{})
-	// Dynamic dimensions belong in the condition, not the rule name.
-	eng.AddRule("tenant_spend_spike", obs.Threshold{Labels: map[string]string{"tenant": tenant}})
+	eng.AddRule("slo_latency_burn_high", obs.Warn, 0, "", nil)
+	eng.AddRule(spendSpikeRule, obs.Warn, 0, "", nil)
+	eng.AddRule(obs.DefaultTenant, obs.Warn, 0, "", nil)
+	// Dynamic dimensions belong in the description or the eval, not the rule name.
+	eng.AddRule("tenant_spend_spike", obs.Warn, 0, tenant, nil)
 }

@@ -257,9 +257,7 @@ type confModel struct {
 	conf float64
 }
 
-func (m confModel) Name() string        { return m.name }
-func (m confModel) Capability() float64 { return 0.5 }
-func (m confModel) Price() token.Price  { return token.Price{} }
+func (m confModel) Name() string { return m.name }
 func (m confModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return llm.Response{Text: m.name + " says", Model: m.name, Confidence: m.conf, Cost: 3}, nil
 }

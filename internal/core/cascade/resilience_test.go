@@ -20,9 +20,7 @@ type errModel struct {
 	err  error
 }
 
-func (m errModel) Name() string        { return m.name }
-func (m errModel) Capability() float64 { return 0.9 }
-func (m errModel) Price() token.Price  { return token.Price{} }
+func (m errModel) Name() string { return m.name }
 func (m errModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return llm.Response{}, m.err
 }

@@ -350,9 +350,7 @@ func TestCascadeStreamNonStreamTier(t *testing.T) {
 // opaqueModel hides the stream capability of its inner model.
 type opaqueModel struct{ inner *llm.SimModel }
 
-func (o opaqueModel) Name() string        { return o.inner.Name() }
-func (o opaqueModel) Capability() float64 { return o.inner.Capability() }
-func (o opaqueModel) Price() token.Price  { return o.inner.Price() }
+func (o opaqueModel) Name() string { return o.inner.Name() }
 func (o opaqueModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return o.inner.Complete(ctx, req)
 }

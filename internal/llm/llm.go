@@ -99,10 +99,6 @@ type Response struct {
 type Model interface {
 	// Name identifies the model (mirrors the paper's model names).
 	Name() string
-	// Capability is the model's skill level in [0,1].
-	Capability() float64
-	// Price is the model's token price schedule.
-	Price() token.Price
 	// Complete runs one call. It never sleeps; latency is simulated in the
 	// response. The context is honored for cancellation.
 	Complete(ctx context.Context, req Request) (Response, error)
@@ -168,10 +164,10 @@ func NewSim(cfg SimConfig) *SimModel {
 // Name implements Model.
 func (m *SimModel) Name() string { return m.name }
 
-// Capability implements Model.
+// Capability is the model's skill level in [0,1].
 func (m *SimModel) Capability() float64 { return m.capability }
 
-// Price implements Model.
+// Price is the model's token price schedule.
 func (m *SimModel) Price() token.Price { return m.price }
 
 // Meter returns a snapshot of the model's usage meter.

@@ -3,8 +3,6 @@ package llm
 import (
 	"context"
 	"time"
-
-	"repro/internal/token"
 )
 
 // Paced wraps a BatchModel in real wall-clock pacing: every call holds the
@@ -36,12 +34,6 @@ func NewPaced(inner BatchModel, scale float64) *Paced {
 
 // Name implements Model.
 func (p *Paced) Name() string { return p.inner.Name() }
-
-// Capability implements Model.
-func (p *Paced) Capability() float64 { return p.inner.Capability() }
-
-// Price implements Model.
-func (p *Paced) Price() token.Price { return p.inner.Price() }
 
 // Unwrap returns the wrapped model (for meter access in tests).
 func (p *Paced) Unwrap() BatchModel { return p.inner }

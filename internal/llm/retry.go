@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/token"
 )
 
 // ErrTransient marks a retryable upstream failure (rate limit, overload,
@@ -39,12 +38,6 @@ func NewFlaky(inner Model, rate float64) *Flaky {
 
 // Name implements Model.
 func (f *Flaky) Name() string { return f.Inner.Name() }
-
-// Capability implements Model.
-func (f *Flaky) Capability() float64 { return f.Inner.Capability() }
-
-// Price implements Model.
-func (f *Flaky) Price() token.Price { return f.Inner.Price() }
 
 // Complete implements Model, failing transiently per the configured rate.
 func (f *Flaky) Complete(ctx context.Context, req Request) (Response, error) {
@@ -100,12 +93,6 @@ func NewRetry(inner Model, attempts int) *Retry {
 
 // Name implements Model.
 func (r *Retry) Name() string { return r.Inner.Name() }
-
-// Capability implements Model.
-func (r *Retry) Capability() float64 { return r.Inner.Capability() }
-
-// Price implements Model.
-func (r *Retry) Price() token.Price { return r.Inner.Price() }
 
 // backoff returns the jittered pause before retry i (0-based): the
 // exponential schedule scaled by a deterministic factor in [0.5, 1.5).

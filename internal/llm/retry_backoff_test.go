@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/token"
 )
 
 // fnModel adapts a function to Model for retry-layer test doubles.
@@ -16,9 +15,7 @@ type fnModel struct {
 	f func(ctx context.Context, req Request) (Response, error)
 }
 
-func (m fnModel) Name() string        { return "fn" }
-func (m fnModel) Capability() float64 { return 0.9 }
-func (m fnModel) Price() token.Price  { return token.Price{} }
+func (m fnModel) Name() string { return "fn" }
 func (m fnModel) Complete(ctx context.Context, req Request) (Response, error) {
 	return m.f(ctx, req)
 }

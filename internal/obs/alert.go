@@ -11,13 +11,13 @@ import (
 type AlertState int8
 
 const (
-	// AlertInactive means the rule's condition does not currently hold.
+	// AlertInactive means the rule does not currently hold.
 	AlertInactive AlertState = iota
-	// AlertPending means the condition holds but has not yet held for
-	// the rule's for-duration.
+	// AlertPending means the rule holds but has not yet held for its
+	// hold duration.
 	AlertPending
-	// AlertFiring means the condition has held for at least the rule's
-	// for-duration.
+	// AlertFiring means the rule has held for at least its hold
+	// duration.
 	AlertFiring
 )
 
@@ -33,194 +33,18 @@ func (s AlertState) String() string {
 	}
 }
 
-// AlertSeries is one metric series as the alert engine sees it: family
-// name, label set and current value (histograms contribute their _count
-// and _sum).
-type AlertSeries struct {
-	Name   string
-	Labels map[string]string
-	Value  float64
-}
-
-// EvalContext is what a Condition evaluates against: one coherent view
-// of the registry, the SLO scorecard and the tenant table, plus the
-// previous evaluation's values for rate-of-change predicates.
-type EvalContext struct {
-	// Now is the evaluation instant (the engine's injected clock).
-	Now time.Time
-	// Elapsed is the time since the previous evaluation; zero on the
-	// first, which disables rate-of-change conditions for that round.
-	Elapsed time.Duration
-	// Series is the registry's current state.
-	Series []AlertSeries
-	// Prev maps series key (name{labels}) → value at the previous
-	// evaluation; nil on the first.
-	Prev map[string]float64
-	// SLO is the fresh per-class scorecard, nil when no tracker is
-	// wired.
-	SLO *SLOSnapshot
-	// Tenants is the fresh tenant attribution table, nil when no
-	// accountant is wired.
-	Tenants *TenantSnapshot
-	// PrevTenantSpend maps tenant → attributed spend at the previous
-	// evaluation; nil on the first.
-	PrevTenantSpend map[string]int64
-}
-
-// matches reports whether the series carries every want label with the
-// wanted value (subset match).
-func (s AlertSeries) matches(want map[string]string) bool {
-	for k, v := range want {
-		if s.Labels[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Condition is one declarative alert predicate. Eval returns the
-// condition's current value (for display) and whether it holds.
-type Condition interface {
-	Eval(ec *EvalContext) (value float64, active bool)
-}
-
-// Threshold holds when any series of Metric matching Labels (subset
-// match; nil matches all) exceeds Above. The reported value is the
-// maximum across matches.
-type Threshold struct {
-	Metric string
-	Labels map[string]string
-	Above  float64
-}
-
-// Eval implements Condition.
-func (c Threshold) Eval(ec *EvalContext) (float64, bool) {
-	max, seen := 0.0, false
-	for _, s := range ec.Series {
-		if s.Name != c.Metric || !s.matches(c.Labels) {
-			continue
-		}
-		if !seen || s.Value > max {
-			max, seen = s.Value, true
-		}
-	}
-	return max, seen && max > c.Above
-}
-
-// RateOfChange holds when any matching series of Metric grew faster
-// than PerSecondAbove since the previous evaluation. Counter-shaped
-// metrics only — a shrinking series reads as rate 0, not negative.
-type RateOfChange struct {
-	Metric         string
-	Labels         map[string]string
-	PerSecondAbove float64
-}
-
-// Eval implements Condition.
-func (c RateOfChange) Eval(ec *EvalContext) (float64, bool) {
-	if ec.Elapsed <= 0 || ec.Prev == nil {
-		return 0, false
-	}
-	secs := ec.Elapsed.Seconds()
-	max := 0.0
-	for _, s := range ec.Series {
-		if s.Name != c.Metric || !s.matches(c.Labels) {
-			continue
-		}
-		delta := s.Value - ec.Prev[seriesKey(s)]
-		if delta < 0 {
-			delta = 0
-		}
-		if rate := delta / secs; rate > max {
-			max = rate
-		}
-	}
-	return max, max > c.PerSecondAbove
-}
-
-// SLOBurn holds when a class's error-budget burn rate exceeds Above on
-// the given window. Class "" matches every class (value = the worst);
-// SLO selects "latency" or "availability"; Window is "5m" or "1h".
-type SLOBurn struct {
-	Class  string
-	SLO    string
-	Window string
-	Above  float64
-}
-
-// Eval implements Condition.
-func (c SLOBurn) Eval(ec *EvalContext) (float64, bool) {
-	if ec.SLO == nil {
-		return 0, false
-	}
-	max := 0.0
-	for class, cs := range ec.SLO.Classes {
-		if c.Class != "" && class != c.Class {
-			continue
-		}
-		w, ok := cs.Windows[c.Window]
-		if !ok {
-			continue
-		}
-		burn := w.LatencyBurnRate
-		if c.SLO == "availability" {
-			burn = w.AvailabilityBurnRate
-		}
-		if burn > max {
-			max = burn
-		}
-	}
-	return max, max > c.Above
-}
-
-// TenantSpendRate holds when any tracked tenant's attributed spend grew
-// faster than MicroUSDPerSecondAbove since the previous evaluation —
-// the per-tenant cost-spike detector.
-type TenantSpendRate struct {
-	MicroUSDPerSecondAbove float64
-}
-
-// Eval implements Condition.
-func (c TenantSpendRate) Eval(ec *EvalContext) (float64, bool) {
-	if ec.Tenants == nil || ec.Elapsed <= 0 || ec.PrevTenantSpend == nil {
-		return 0, false
-	}
-	secs := ec.Elapsed.Seconds()
-	max := 0.0
-	for _, t := range ec.Tenants.Tenants {
-		delta := float64(t.SpendMicroUSD - ec.PrevTenantSpend[t.Tenant])
-		if delta < 0 {
-			delta = 0
-		}
-		if rate := delta / secs; rate > max {
-			max = rate
-		}
-	}
-	return max, max > c.MicroUSDPerSecondAbove
-}
-
-// CondFunc adapts a plain function to Condition for predicates the
-// declarative forms cannot express.
-type CondFunc func(ec *EvalContext) (float64, bool)
-
-// Eval implements Condition.
-func (f CondFunc) Eval(ec *EvalContext) (float64, bool) { return f(ec) }
-
-// seriesKey renders a series' identity (name{labels}) for the prev map.
-func seriesKey(s AlertSeries) string {
-	lbls := make([]Label, 0, len(s.Labels))
-	for k, v := range s.Labels {
-		lbls = append(lbls, Label{Key: k, Value: v})
-	}
-	sort.Slice(lbls, func(i, j int) bool { return lbls[i].Key < lbls[j].Key })
-	return s.Name + promLabels(lbls, "", "")
-}
+// AlertEval is one rule's predicate. It gets the time since the engine's
+// previous evaluation (zero on the first) and returns the rule's current
+// value (for display) and whether it holds. The engine calls every eval
+// under its lock, one evaluation at a time, so an eval may keep state —
+// a rate's previous sample — in its closure.
+type AlertEval func(elapsed time.Duration) (value float64, active bool)
 
 // alertRule is one registered rule plus its lifecycle state.
 type alertRule struct {
 	name     string
-	cond     Condition
-	forDur   time.Duration
+	eval     AlertEval
+	hold     time.Duration
 	severity Level
 	desc     string
 
@@ -229,36 +53,10 @@ type alertRule struct {
 	value float64
 }
 
-// RuleOption configures one AddRule registration.
-type RuleOption func(*alertRule)
-
-// ForDuration requires the condition to hold for d before the rule
-// moves pending → firing (0 fires immediately).
-func ForDuration(d time.Duration) RuleOption {
-	return func(r *alertRule) { r.forDur = d }
-}
-
-// WithSeverity grades the rule (default Warn).
-func WithSeverity(l Level) RuleOption {
-	return func(r *alertRule) { r.severity = l }
-}
-
-// WithDescription attaches an operator-facing explanation.
-func WithDescription(s string) RuleOption {
-	return func(r *alertRule) { r.desc = s }
-}
-
 // AlertConfig parameterizes an AlertEngine.
 type AlertConfig struct {
-	// Source is the registry the conditions evaluate over.
-	Source *Registry
-	// SLO, when non-nil, feeds SLOBurn conditions (its Snapshot is taken
-	// each evaluation, which also refreshes the slo_* gauges).
-	SLO *SLOTracker
-	// Tenants, when non-nil, feeds TenantSpendRate conditions.
-	Tenants *TenantAccountant
 	// Obs receives alert_transitions_total{state} and the alert_firing /
-	// alert_pending gauges. Nil means Source.
+	// alert_pending gauges.
 	Obs *Registry
 	// Log receives alert_transition lifecycle events.
 	Log *Logger
@@ -266,44 +64,35 @@ type AlertConfig struct {
 	Now func() time.Time
 }
 
-// AlertEngine evaluates declarative rules over metric, SLO and tenant
-// state, walking each through pending → firing → resolved with every
-// transition emitted into the event log and counted in
-// alert_transitions_total{state}. Evaluation is on-demand (the
-// /v1/alerts and /healthz handlers drive it) or periodic via Start.
-// AlertEngine is safe for concurrent use.
+// AlertEngine walks rules through pending → firing → resolved, with
+// every transition emitted into the event log and counted in
+// alert_transitions_total{state}. What a rule watches is its AlertEval's
+// business: the engine knows no metric, tracker or table. Evaluation is
+// on-demand (the /v1/alerts and /healthz handlers drive it) or periodic
+// via Start. AlertEngine is safe for concurrent use; evaluations run one
+// at a time.
 type AlertEngine struct {
-	src     *Registry
-	slo     *SLOTracker
-	tenants *TenantAccountant
-	log     *Logger
-	now     func() time.Time
+	reg *Registry
+	log *Logger
+	now func() time.Time
 
-	mu         sync.Mutex
-	rules      []*alertRule
-	prev       map[string]float64
-	prevTenant map[string]int64
-	prevAt     time.Time
+	mu     sync.Mutex
+	rules  []*alertRule
+	prevAt time.Time
 
 	mToPending, mToFiring, mToResolved *Counter
 	gFiring, gPending                  *Gauge
 }
 
-// NewAlertEngine builds an engine from cfg (no rules yet — see AddRule
-// and AddDefaultRules).
+// NewAlertEngine builds an engine from cfg (no rules yet — see AddRule).
 func NewAlertEngine(cfg AlertConfig) *AlertEngine {
-	reg := cfg.Obs
-	if reg == nil {
-		reg = cfg.Source
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
+	reg := cfg.Obs
 	return &AlertEngine{
-		src:         cfg.Source,
-		slo:         cfg.SLO,
-		tenants:     cfg.Tenants,
+		reg:         reg,
 		log:         cfg.Log,
 		now:         now,
 		mToPending:  reg.Counter("alert_transitions_total", "state", "pending"),
@@ -314,52 +103,18 @@ func NewAlertEngine(cfg AlertConfig) *AlertEngine {
 	}
 }
 
-// AddRule registers one rule. The name must be lowercase_snake (panics
-// otherwise, matching Registry semantics — rule names land in event
-// attributes and dashboards and share the metric-name charter); a
-// duplicate name replaces the earlier rule.
-func (e *AlertEngine) AddRule(name string, cond Condition, opts ...RuleOption) {
+// AddRule registers one rule: it goes pending when eval holds and fires
+// once eval has held for hold (0 fires in the same evaluation). The name
+// must be lowercase_snake (panics otherwise, matching Registry semantics —
+// rule names land in event attributes and dashboards and share the
+// metric-name charter).
+func (e *AlertEngine) AddRule(name string, severity Level, hold time.Duration, desc string, eval AlertEval) {
 	if err := CheckMetricName(name); err != nil {
 		panic(err)
 	}
-	r := &alertRule{name: name, cond: cond, severity: Warn}
-	for _, opt := range opts {
-		opt(r)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, old := range e.rules {
-		if old.name == name {
-			e.rules[i] = r
-			return
-		}
-	}
-	e.rules = append(e.rules, r)
-}
-
-// AddDefaultRules registers the built-in rule pack: SLO burn (latency
-// and availability, fast window), breaker-open, shed rate and
-// per-tenant spend spikes.
-func (e *AlertEngine) AddDefaultRules() {
-	e.AddRule("slo_latency_burn_high",
-		SLOBurn{SLO: "latency", Window: "5m", Above: 2},
-		ForDuration(30*time.Second), WithSeverity(Warn),
-		WithDescription("a request class is burning its latency error budget more than 2x faster than the objective allows (5m window)"))
-	e.AddRule("slo_availability_burn_high",
-		SLOBurn{SLO: "availability", Window: "5m", Above: 2},
-		ForDuration(30*time.Second), WithSeverity(Error),
-		WithDescription("a request class is burning its availability error budget more than 2x faster than the objective allows (5m window)"))
-	e.AddRule("breaker_open",
-		Threshold{Metric: "breaker_state", Above: 0.5}, WithSeverity(Error),
-		WithDescription("a model tier's circuit breaker is open or probing; the cascade is skipping it"))
-	e.AddRule("shed_rate_high",
-		RateOfChange{Metric: "limiter_shed_total", PerSecondAbove: 1},
-		ForDuration(30*time.Second), WithSeverity(Warn),
-		WithDescription("the concurrency limiter is shedding more than 1 req/s"))
-	e.AddRule("tenant_spend_spike",
-		TenantSpendRate{MicroUSDPerSecondAbove: 50_000},
-		WithSeverity(Warn),
-		WithDescription("one tenant's attributed spend is growing faster than $0.05/s"))
+	e.rules = append(e.rules, &alertRule{name: name, eval: eval, hold: hold, severity: severity, desc: desc})
 }
 
 // AlertStatus is one rule's JSON-ready state for /v1/alerts.
@@ -367,7 +122,7 @@ type AlertStatus struct {
 	Rule     string `json:"rule"`
 	Severity string `json:"severity"`
 	State    string `json:"state"`
-	// Value is the condition's value at the last evaluation.
+	// Value is the rule's value at the last evaluation.
 	Value float64 `json:"value"`
 	// ForMS is the rule's pending → firing hold requirement.
 	ForMS float64 `json:"for_ms"`
@@ -384,82 +139,37 @@ type AlertsSnapshot struct {
 	Rules       []AlertStatus `json:"rules"`
 }
 
-// buildContext assembles one coherent EvalContext. Taking the SLO
-// snapshot first also refreshes the slo_* gauges, so Threshold rules
-// over slo_burn_rate observe the same instant.
-func (e *AlertEngine) buildContext(now time.Time) *EvalContext {
-	ec := &EvalContext{Now: now}
-	if e.slo != nil {
-		snap := e.slo.Snapshot()
-		ec.SLO = &snap
-	}
-	if e.tenants != nil {
-		snap := e.tenants.Snapshot(0)
-		ec.Tenants = &snap
-	}
-	for _, fe := range e.src.export() {
-		for _, p := range fe.points {
-			lbls := make(map[string]string, len(p.labels))
-			for _, l := range p.labels {
-				lbls[l.Key] = l.Value
-			}
-			if p.hist != nil {
-				ec.Series = append(ec.Series,
-					AlertSeries{Name: fe.name + "_count", Labels: lbls, Value: float64(p.hist.Count)},
-					AlertSeries{Name: fe.name + "_sum", Labels: lbls, Value: p.hist.Sum})
-				continue
-			}
-			ec.Series = append(ec.Series, AlertSeries{Name: fe.name, Labels: lbls, Value: p.value})
-		}
-	}
-	return ec
-}
-
-// Evaluate runs every rule once against fresh state, applies the state
-// machine, and returns the resulting snapshot. Each transition is
-// emitted as an alert_transition event and counted per target state.
+// Evaluate runs every rule once, applies the state machine, and returns
+// the resulting snapshot. Each transition is emitted as an
+// alert_transition event and counted per target state. The clock is read
+// under the lock, so concurrent callers take their instants in lock order
+// and no eval ever sees a negative elapsed.
 func (e *AlertEngine) Evaluate() AlertsSnapshot {
 	if e == nil {
 		return AlertsSnapshot{Rules: []AlertStatus{}}
 	}
-	now := e.now()
-	ec := e.buildContext(now)
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ec.Prev = e.prev
-	ec.PrevTenantSpend = e.prevTenant
+	now := e.now()
+	var elapsed time.Duration
 	if !e.prevAt.IsZero() {
-		ec.Elapsed = now.Sub(e.prevAt)
+		elapsed = now.Sub(e.prevAt)
 	}
-
 	for _, r := range e.rules {
-		v, active := r.cond.Eval(ec)
+		v, active := r.eval(elapsed)
 		r.value = v
 		switch {
 		case active && r.state == AlertInactive:
 			e.transition(r, AlertPending, now)
-			if now.Sub(r.since) >= r.forDur {
+			if now.Sub(r.since) >= r.hold {
 				e.transition(r, AlertFiring, now)
 			}
 		case active && r.state == AlertPending:
-			if now.Sub(r.since) >= r.forDur {
+			if now.Sub(r.since) >= r.hold {
 				e.transition(r, AlertFiring, now)
 			}
 		case !active && r.state != AlertInactive:
 			e.transition(r, AlertInactive, now)
-		}
-	}
-
-	// Persist this round's values for the next round's rate conditions.
-	e.prev = make(map[string]float64, len(ec.Series))
-	for _, s := range ec.Series {
-		e.prev[seriesKey(s)] = s.Value
-	}
-	if ec.Tenants != nil {
-		e.prevTenant = make(map[string]int64, len(ec.Tenants.Tenants))
-		for _, t := range ec.Tenants.Tenants {
-			e.prevTenant[t.Tenant] = t.SpendMicroUSD
 		}
 	}
 	e.prevAt = now
@@ -479,8 +189,6 @@ func (e *AlertEngine) transition(r *alertRule, next AlertState, now time.Time) {
 		e.mToPending.Inc()
 	case AlertFiring:
 		e.mToFiring.Inc()
-		// since keeps the pending entry time so operators see how long the
-		// condition has truly held; the transition instant is the event's.
 	case AlertInactive:
 		toName = "resolved"
 		e.mToResolved.Inc()
@@ -498,16 +206,6 @@ func (e *AlertEngine) transition(r *alertRule, next AlertState, now time.Time) {
 		"value", r.value, "severity", r.severity.String())
 }
 
-// Snapshot returns the current rule states without re-evaluating.
-func (e *AlertEngine) Snapshot() AlertsSnapshot {
-	if e == nil {
-		return AlertsSnapshot{Rules: []AlertStatus{}}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.snapshotLocked(e.prevAt)
-}
-
 // snapshotLocked renders the rules and refreshes the alert_firing /
 // alert_pending gauges. Caller holds e.mu.
 func (e *AlertEngine) snapshotLocked(at time.Time) AlertsSnapshot {
@@ -518,7 +216,7 @@ func (e *AlertEngine) snapshotLocked(at time.Time) AlertsSnapshot {
 			Severity:    r.severity.String(),
 			State:       r.state.String(),
 			Value:       r.value,
-			ForMS:       float64(r.forDur.Microseconds()) / 1000,
+			ForMS:       float64(r.hold.Microseconds()) / 1000,
 			Description: r.desc,
 		}
 		if r.state != AlertInactive {
@@ -547,7 +245,7 @@ func (e *AlertEngine) Start(interval time.Duration) (stop func()) {
 	}
 	done := make(chan struct{})
 	var once sync.Once
-	Go(e.src, "alert_eval", func() {
+	Go(e.reg, "alert_eval", func() {
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {

@@ -1,44 +1,42 @@
 package obs
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// alertHarness wires an engine to a fresh registry, SLO tracker and
-// tenant accountant on a shared settable clock.
-func alertHarness() (*AlertEngine, *Registry, *SLOTracker, *TenantAccountant, *time.Time) {
+// alertHarness wires an engine to a fresh registry and event log on a
+// settable clock.
+func alertHarness() (*AlertEngine, *Registry, *time.Time) {
 	reg := NewRegistry()
 	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return now }
-	slo := NewSLOTracker(SLOConfig{
-		Objectives: map[string]SLOObjective{"interactive": {LatencyTarget: 10 * time.Millisecond, LatencyGoal: 0.95, AvailabilityGoal: 0.99}},
-		Now:        clock,
-		Obs:        reg,
-	})
-	tenants := NewTenantAccountant(TenantConfig{Capacity: 8, Obs: reg})
-	events := NewEventLog(256)
 	e := NewAlertEngine(AlertConfig{
-		Source:  reg,
-		SLO:     slo,
-		Tenants: tenants,
-		Log:     NewLogger(events, Debug, reg),
-		Now:     clock,
+		Obs: reg,
+		Log: NewLogger(NewEventLog(256), Debug, reg),
+		Now: func() time.Time { return now },
 	})
-	return e, reg, slo, tenants, &now
+	return e, reg, &now
+}
+
+// above is a threshold rule over a gauge: its value, and whether it
+// exceeds limit.
+func above(g *Gauge, limit float64) AlertEval {
+	return func(time.Duration) (float64, bool) { return g.Value(), g.Value() > limit }
 }
 
 func TestAlertThresholdLifecycle(t *testing.T) {
-	e, reg, _, _, now := alertHarness()
+	e, reg, now := alertHarness()
 	g := reg.Gauge("breaker_state", "model", "gpt_heavy")
-	e.AddRule("breaker_open", Threshold{Metric: "breaker_state", Above: 0.5}, WithSeverity(Error))
+	e.AddRule("breaker_open", Error, 0, "", above(g, 0.5))
 
 	snap := e.Evaluate()
 	if snap.Rules[0].State != "inactive" || snap.Firing != 0 {
 		t.Fatalf("closed breaker: %+v", snap)
 	}
 
-	// For == 0 fires in a single evaluation: pending and firing edges
+	// A zero hold fires in a single evaluation: pending and firing edges
 	// both happen.
 	g.Set(1)
 	*now = now.Add(time.Second)
@@ -81,14 +79,17 @@ func TestAlertThresholdLifecycle(t *testing.T) {
 }
 
 func TestAlertForDurationHoldsPending(t *testing.T) {
-	e, reg, _, _, now := alertHarness()
+	e, reg, now := alertHarness()
 	g := reg.Gauge("queue_depth")
-	e.AddRule("queue_deep", Threshold{Metric: "queue_depth", Above: 10}, ForDuration(30*time.Second))
+	e.AddRule("queue_deep", Warn, 30*time.Second, "", above(g, 10))
 
 	g.Set(50)
 	snap := e.Evaluate()
 	if snap.Pending != 1 || snap.Firing != 0 {
 		t.Fatalf("first eval: %+v", snap)
+	}
+	if snap.Rules[0].ForMS != 30_000 {
+		t.Fatalf("for_ms = %g, want 30000", snap.Rules[0].ForMS)
 	}
 
 	// Still inside the hold window: pending, not firing.
@@ -98,7 +99,7 @@ func TestAlertForDurationHoldsPending(t *testing.T) {
 		t.Fatalf("10s in: %+v", snap)
 	}
 
-	// Condition clears before the hold elapses: resolved without ever
+	// The rule clears before the hold elapses: resolved without ever
 	// firing.
 	g.Set(0)
 	*now = now.Add(5 * time.Second)
@@ -107,7 +108,7 @@ func TestAlertForDurationHoldsPending(t *testing.T) {
 		t.Fatalf("cleared: %+v", snap)
 	}
 	if got := reg.Counter("alert_transitions_total", "state", "firing").Value(); got != 0 {
-		t.Fatal("fired despite never holding for-duration")
+		t.Fatal("fired despite never holding for the hold duration")
 	}
 
 	// Re-trips and holds long enough: fires.
@@ -121,12 +122,23 @@ func TestAlertForDurationHoldsPending(t *testing.T) {
 	}
 }
 
+// TestAlertRateOfChange: every eval gets the time since the previous
+// evaluation, zero on the first.
 func TestAlertRateOfChange(t *testing.T) {
-	e, reg, _, _, now := alertHarness()
+	e, reg, now := alertHarness()
 	c := reg.Counter("limiter_shed_total")
-	e.AddRule("shed_rate_high", RateOfChange{Metric: "limiter_shed_total", PerSecondAbove: 1})
+	var last int64
+	e.AddRule("shed_rate_high", Warn, 0, "", func(elapsed time.Duration) (float64, bool) {
+		cur := c.Value()
+		delta := cur - last
+		last = cur
+		if elapsed <= 0 {
+			return 0, false
+		}
+		r := float64(delta) / elapsed.Seconds()
+		return r, r > 1
+	})
 
-	// First evaluation has no previous values — inactive by definition.
 	if snap := e.Evaluate(); snap.Pending+snap.Firing != 0 {
 		t.Fatalf("first eval: %+v", snap)
 	}
@@ -135,11 +147,8 @@ func TestAlertRateOfChange(t *testing.T) {
 	c.Add(30)
 	*now = now.Add(10 * time.Second)
 	snap := e.Evaluate()
-	if snap.Firing != 1 {
+	if snap.Firing != 1 || snap.Rules[0].Value != 3 {
 		t.Fatalf("hot shed rate: %+v", snap)
-	}
-	if v := snap.Rules[0].Value; v < 2.9 || v > 3.1 {
-		t.Fatalf("rate = %g, want ~3", v)
 	}
 
 	// Flat counter → rate 0 → resolved.
@@ -149,9 +158,22 @@ func TestAlertRateOfChange(t *testing.T) {
 	}
 }
 
+// TestAlertSLOBurn: a rule over an SLO tracker's 5m latency burn fires
+// once a wave of slow requests burns the budget faster than 2x.
 func TestAlertSLOBurn(t *testing.T) {
-	e, _, slo, _, now := alertHarness()
-	e.AddRule("slo_latency_burn_high", SLOBurn{SLO: "latency", Window: "5m", Above: 2})
+	e, reg, now := alertHarness()
+	slo := NewSLOTracker(SLOConfig{
+		Objectives: map[string]SLOObjective{"interactive": {LatencyTarget: 10 * time.Millisecond, LatencyGoal: 0.95, AvailabilityGoal: 0.99}},
+		Now:        func() time.Time { return *now },
+		Obs:        reg,
+	})
+	e.AddRule("slo_latency_burn_high", Warn, 0, "", func(time.Duration) (float64, bool) {
+		worst := 0.0
+		for _, cs := range slo.Snapshot().Classes {
+			worst = max(worst, cs.Windows["5m"].LatencyBurnRate)
+		}
+		return worst, worst > 2
+	})
 
 	// 100 requests all meeting the 10ms target: no burn.
 	for i := 0; i < 100; i++ {
@@ -173,9 +195,29 @@ func TestAlertSLOBurn(t *testing.T) {
 	}
 }
 
+// TestAlertTenantSpendRate: a rate rule over a tenant accountant's
+// per-tenant spend fires on one tenant's spike and resolves when spend
+// goes flat.
 func TestAlertTenantSpendRate(t *testing.T) {
-	e, _, _, tenants, now := alertHarness()
-	e.AddRule("tenant_spend_spike", TenantSpendRate{MicroUSDPerSecondAbove: 100})
+	e, reg, now := alertHarness()
+	tenants := NewTenantAccountant(TenantConfig{Capacity: 8, Obs: reg})
+	var prev map[string]int64
+	e.AddRule("tenant_spend_spike", Warn, 0, "", func(elapsed time.Duration) (float64, bool) {
+		cur := map[string]int64{}
+		for _, ts := range tenants.Snapshot(0).Tenants {
+			cur[ts.Tenant] = ts.SpendMicroUSD
+		}
+		last := prev
+		prev = cur
+		if elapsed <= 0 || last == nil {
+			return 0, false
+		}
+		fastest := 0.0
+		for k, v := range cur {
+			fastest = max(fastest, float64(v-last[k])/elapsed.Seconds())
+		}
+		return fastest, fastest > 100
+	})
 
 	tenants.AddSpend("acme", 500, 0)
 	e.Evaluate() // baseline
@@ -185,7 +227,7 @@ func TestAlertTenantSpendRate(t *testing.T) {
 	tenants.AddSpend("umbrella", 50, 0)
 	*now = now.Add(10 * time.Second)
 	snap := e.Evaluate()
-	if snap.Firing != 1 {
+	if snap.Firing != 1 || snap.Rules[0].Value != 1000 {
 		t.Fatalf("spike: %+v", snap)
 	}
 
@@ -195,36 +237,56 @@ func TestAlertTenantSpendRate(t *testing.T) {
 	}
 }
 
-func TestAlertDefaultRulesAndReplace(t *testing.T) {
-	e, _, _, _, _ := alertHarness()
-	e.AddDefaultRules()
-	snap := e.Evaluate()
-	want := []string{"breaker_open", "shed_rate_high", "slo_availability_burn_high", "slo_latency_burn_high", "tenant_spend_spike"}
-	if len(snap.Rules) != len(want) {
-		t.Fatalf("rules = %d, want %d", len(snap.Rules), len(want))
-	}
-	for i, r := range snap.Rules {
-		if r.Rule != want[i] {
-			t.Fatalf("rule %d = %s, want %s (sorted)", i, r.Rule, want[i])
+// TestAlertConcurrentEvaluate: evaluations from many callers (the HTTP
+// handlers and the ticker) run one at a time on a clock read under the
+// engine's lock, so a rule that holds whenever time has passed — a rate
+// rule on a busy counter — never sees a non-positive elapsed after its
+// first evaluation and never spuriously resolves.
+func TestAlertConcurrentEvaluate(t *testing.T) {
+	reg := NewRegistry()
+	var tick atomic.Int64
+	e := NewAlertEngine(AlertConfig{
+		Obs: reg,
+		Now: func() time.Time { return time.Unix(0, tick.Add(int64(time.Millisecond))) },
+	})
+	first := true
+	e.AddRule("always_busy", Warn, 0, "", func(elapsed time.Duration) (float64, bool) {
+		if first {
+			first = false
+			return 1, true
 		}
-		if r.Description == "" {
-			t.Fatalf("rule %s has no description", r.Rule)
-		}
-	}
+		return elapsed.Seconds(), elapsed > 0
+	})
 
-	// Re-adding a name replaces in place rather than duplicating.
-	e.AddRule("breaker_open", Threshold{Metric: "breaker_state", Above: 5})
-	if got := len(e.Evaluate().Rules); got != len(want) {
-		t.Fatalf("after replace: %d rules, want %d", got, len(want))
+	const callers, rounds = 8, 500
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				e.Evaluate()
+			}
+		}()
 	}
+	wg.Wait()
+	if got := reg.Counter("alert_transitions_total", "state", "resolved").Value(); got != 0 {
+		t.Fatalf("%d spurious resolved transitions under concurrent Evaluate", got)
+	}
+	if got := reg.Counter("alert_transitions_total", "state", "firing").Value(); got != 1 {
+		t.Fatalf("firing transitions = %d, want 1", got)
+	}
+}
 
-	// Rule names share the metric-name charter.
+// TestAlertRuleNames: rule names share the metric-name charter.
+func TestAlertRuleNames(t *testing.T) {
+	e, _, _ := alertHarness()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad rule name did not panic")
 		}
 	}()
-	e.AddRule("Bad-Name", Threshold{})
+	e.AddRule("Bad-Name", Warn, 0, "", nil)
 }
 
 func TestAlertEngineNilSafe(t *testing.T) {
@@ -232,28 +294,27 @@ func TestAlertEngineNilSafe(t *testing.T) {
 	if snap := e.Evaluate(); len(snap.Rules) != 0 {
 		t.Fatal("nil engine evaluated rules")
 	}
-	if snap := e.Snapshot(); len(snap.Rules) != 0 {
-		t.Fatal("nil engine snapshot non-empty")
-	}
 	stop := e.Start(time.Second)
 	stop()
 }
 
 func TestAlertStartStop(t *testing.T) {
-	e, reg, _, _, _ := alertHarness()
-	g := reg.Gauge("breaker_state")
-	g.Set(1)
-	e.AddRule("breaker_open", Threshold{Metric: "breaker_state", Above: 0.5})
+	e, _, _ := alertHarness()
+	evaluated := make(chan struct{}, 1)
+	e.AddRule("breaker_open", Warn, 0, "", func(time.Duration) (float64, bool) {
+		select {
+		case evaluated <- struct{}{}:
+		default:
+		}
+		return 1, true
+	})
 	stop := e.Start(time.Millisecond)
 	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if e.Snapshot().Firing == 1 {
-			stop()
-			stop() // idempotent
-			return
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-evaluated:
+		stop()
+		stop() // idempotent
+	case <-time.After(2 * time.Second):
+		t.Fatal("background loop never evaluated")
 	}
-	t.Fatal("background loop never evaluated")
 }

@@ -115,3 +115,38 @@ func TestEventsSinceMaxKeepsNewest(t *testing.T) {
 		t.Fatalf("max-capped read = %+v", events)
 	}
 }
+
+// TestEventsSinceCursorPagesForward: a cursor reader with a page size
+// pages forward through what the ring holds, skipping nothing.
+func TestEventsSinceCursorPagesForward(t *testing.T) {
+	l := NewEventLog(32)
+	lg := NewLogger(l, Debug, NewRegistry())
+	for i := 1; i <= 10; i++ {
+		lg.Emit(Info, "tick", "i", i)
+	}
+	var got []uint64
+	cursor := uint64(2)
+	for page := 0; page < 10; page++ {
+		events, missing, next := l.EventsSince(cursor, EventFilter{Max: 3})
+		if missing != 0 {
+			t.Fatalf("page from %d: missing %d, want 0", cursor, missing)
+		}
+		if len(events) == 0 {
+			if next != cursor {
+				t.Fatalf("empty page moved the cursor %d → %d", cursor, next)
+			}
+			break
+		}
+		for _, e := range events {
+			got = append(got, e.Seq)
+		}
+		if next != events[len(events)-1].Seq {
+			t.Fatalf("page from %d: next %d, want the last seq returned %d", cursor, next, events[len(events)-1].Seq)
+		}
+		cursor = next
+	}
+	want := []uint64{3, 4, 5, 6, 7, 8, 9, 10}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("paged seqs = %v, want %v", got, want)
+	}
+}

@@ -152,7 +152,8 @@ type EventFilter struct {
 	Tenant string
 	// Min drops events below this level.
 	Min Level
-	// Max caps the result to the newest Max matching events (0 = all).
+	// Max caps the result to Max matching events (0 = all): the newest,
+	// except on a cursor read (see EventsSince).
 	Max int
 }
 
@@ -192,11 +193,17 @@ func (l *EventLog) Events(f EventFilter) []Event {
 }
 
 // EventsSince returns the retained events with seq > since that match
-// f, oldest first, plus cursor bookkeeping: next is the newest seq the
-// log has ever assigned (pass it back as the next call's since), and
-// missing counts events in (since, next] that wraparound already
-// evicted before this read — the consumer's gap. With since == 0,
-// missing equals the log's total overwritten count.
+// f, oldest first, plus cursor bookkeeping: next is the cursor to pass
+// back as the following call's since, and missing counts events after
+// since that wraparound already evicted before this read — the
+// consumer's gap. With since == 0, missing equals the log's total
+// overwritten count.
+//
+// When f.Max truncates, a since == 0 read keeps the newest Max matches
+// and next is the newest seq the log has assigned, as for an untruncated
+// read. A cursor read (since > 0) pages forward instead: it keeps the
+// oldest Max matches and next is the seq of the last one returned, so
+// paging from a cursor skips nothing the ring still holds.
 func (l *EventLog) EventsSince(since uint64, f EventFilter) (events []Event, missing, next uint64) {
 	l.mu.Lock()
 	recs := make([]eventRecord, 0, l.n)
@@ -222,7 +229,12 @@ func (l *EventLog) EventsSince(since uint64, f EventFilter) (events []Event, mis
 	}
 	l.mu.Unlock()
 	if f.Max > 0 && len(recs) > f.Max {
-		recs = recs[len(recs)-f.Max:]
+		if since > 0 {
+			recs = recs[:f.Max]
+			next = recs[f.Max-1].seq
+		} else {
+			recs = recs[len(recs)-f.Max:]
+		}
 	}
 	events = make([]Event, len(recs))
 	for i, r := range recs {

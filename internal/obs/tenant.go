@@ -144,14 +144,6 @@ func NewTenantAccountant(cfg TenantConfig) *TenantAccountant {
 	}
 }
 
-// Capacity returns the heavy-hitter table bound.
-func (a *TenantAccountant) Capacity() int {
-	if a == nil {
-		return 0
-	}
-	return a.capacity
-}
-
 // entry returns the tenant's counters, admitting (and possibly
 // evicting) on first sight. The existing-tenant path takes only the
 // read lock.

@@ -1,0 +1,137 @@
+package proxy
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/llm"
+	"repro/internal/obs"
+	"repro/internal/resilience"
+	"repro/internal/token"
+)
+
+// TestAlertRulesDeclared pins the proxy's five rules as GET /v1/alerts
+// lists them on a fresh proxy: name, severity, hold and description, all
+// inactive at value 0.
+func TestAlertRulesDeclared(t *testing.T) {
+	want := []obs.AlertStatus{
+		{Rule: "breaker_open", Severity: "error", ForMS: 0,
+			Description: "a model tier's circuit breaker is open or probing; the cascade is skipping it"},
+		{Rule: "shed_rate_high", Severity: "warn", ForMS: 30_000,
+			Description: "the concurrency limiter is shedding more than 1 req/s"},
+		{Rule: "slo_availability_burn_high", Severity: "error", ForMS: 30_000,
+			Description: "a request class is burning its availability error budget more than 2x faster than the objective allows (5m window)"},
+		{Rule: "slo_latency_burn_high", Severity: "warn", ForMS: 30_000,
+			Description: "a request class is burning its latency error budget more than 2x faster than the objective allows (5m window)"},
+		{Rule: "tenant_spend_spike", Severity: "warn", ForMS: 0,
+			Description: "one tenant's attributed spend is growing faster than $0.05/s"},
+	}
+	p := telemetryProxy(Config{})
+	snap := p.Alerts().Evaluate()
+	if len(snap.Rules) != len(want) {
+		t.Fatalf("rules = %+v, want %d", snap.Rules, len(want))
+	}
+	for i, w := range want {
+		w.State = "inactive"
+		if got := snap.Rules[i]; got != w {
+			t.Errorf("rule %d = %+v, want %+v", i, got, w)
+		}
+	}
+}
+
+// alertProxy builds a proxy whose SLO tracker, breakers and alert engine
+// share one fake clock.
+func alertProxy(cfg Config) (*Proxy, *fakeClock) {
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	cfg.SLO.Now = clk.Now
+	cfg.Breaker.Now = clk.Now
+	return telemetryProxy(cfg), clk
+}
+
+// rule evaluates p's alerts and returns the named rule's status.
+func rule(t *testing.T, p *Proxy, name string) obs.AlertStatus {
+	t.Helper()
+	return findRule(t, p.Alerts().Evaluate(), name)
+}
+
+// TestAlertRulesReadTheirComponents drives each rule from the component
+// it reads, on the shared fake clock.
+func TestAlertRulesReadTheirComponents(t *testing.T) {
+	t.Run("breaker_open", func(t *testing.T) {
+		dead := namedModel{name: "dead", fn: func(context.Context, llm.Request) (llm.Response, error) {
+			return llm.Response{}, llm.ErrTransient
+		}}
+		healthy := llm.NewSim(llm.SimConfig{Name: "healthy", Capability: 0.95,
+			Price: token.Price{InputPer1K: 1000, OutputPer1K: 1000}})
+		p, _ := alertProxy(Config{
+			Models: []llm.Model{dead, healthy}, DisableCache: true, DisableStale: true,
+			Breaker: resilience.BreakerConfig{Window: 8, MinSamples: 3, Cooldown: time.Hour},
+		})
+		if st := rule(t, p, "breaker_open"); st.State != "inactive" {
+			t.Fatalf("before traffic: %+v", st)
+		}
+		for i := 0; i < 3; i++ {
+			p.Complete(context.Background(), llm.Request{Prompt: fmt.Sprintf("q%d", i), Gold: "g", Difficulty: 0.3})
+		}
+		if st := rule(t, p, "breaker_open"); st.State != "firing" || st.Value != 1 {
+			t.Fatalf("dead tier: %+v, want firing at 1 (open)", st)
+		}
+	})
+
+	t.Run("shed_rate_high", func(t *testing.T) {
+		p, clk := alertProxy(Config{MaxConcurrent: 1})
+		rule(t, p, "shed_rate_high") // the first evaluation has no rate
+		if err := p.limiter.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if _, err := p.Complete(context.Background(), llm.Request{Prompt: "q", Gold: "g"}); !errors.Is(err, resilience.ErrOverloaded) {
+				t.Fatalf("Complete = %v, want ErrOverloaded", err)
+			}
+		}
+		p.limiter.Release()
+		clk.Advance(10 * time.Second)
+		if st := rule(t, p, "shed_rate_high"); st.State != "pending" || st.Value != 3 {
+			t.Fatalf("30 sheds in 10s: %+v, want pending at 3/s", st)
+		}
+		clk.Advance(10 * time.Second)
+		if st := rule(t, p, "shed_rate_high"); st.State != "inactive" || st.Value != 0 {
+			t.Fatalf("quiet 10s: %+v, want inactive at 0", st)
+		}
+	})
+
+	t.Run("tenant_spend_spike", func(t *testing.T) {
+		p, clk := alertProxy(Config{})
+		p.tenants.AddSpend("acme", 500, 0)
+		rule(t, p, "tenant_spend_spike")
+		p.tenants.AddSpend("acme", 1_000_000, 0)
+		p.tenants.AddSpend("umbrella", 50, 0)
+		clk.Advance(10 * time.Second)
+		if st := rule(t, p, "tenant_spend_spike"); st.State != "firing" || st.Value != 100_000 {
+			t.Fatalf("spike: %+v, want firing at 100000 µ$/s", st)
+		}
+		clk.Advance(10 * time.Second)
+		if st := rule(t, p, "tenant_spend_spike"); st.State != "inactive" {
+			t.Fatalf("quiet: %+v, want inactive", st)
+		}
+	})
+
+	t.Run("slo_availability_burn_high", func(t *testing.T) {
+		p, clk := alertProxy(Config{})
+		for i := 0; i < 10; i++ {
+			p.slo.Record("interactive", time.Millisecond, false)
+		}
+		// Every request failed against a 99% goal: burn 1/0.01 ≈ 100.
+		if st := rule(t, p, "slo_availability_burn_high"); st.State != "pending" || math.Abs(st.Value-100) > 1e-9 {
+			t.Fatalf("all failing: %+v, want pending at 100", st)
+		}
+		clk.Advance(31 * time.Second)
+		if st := rule(t, p, "slo_availability_burn_high"); st.State != "firing" {
+			t.Fatalf("after the 30s hold: %+v, want firing", st)
+		}
+	})
+}

@@ -395,7 +395,10 @@ func (p *Proxy) Handler() http.Handler {
 		}
 		// ?since=<seq> resumes from a cursor: only events with a higher
 		// seq return, "next" is the cursor for the following call, and
-		// "missing" counts events the ring evicted before this read.
+		// "missing" counts events the ring evicted before this read. With
+		// ?n=<k> a cursor read returns the oldest k events after the
+		// cursor and "next" is the last one's seq, so paging skips
+		// nothing; without a cursor, ?n keeps the newest k.
 		var since uint64
 		if s := q.Get("since"); s != "" {
 			v, err := strconv.ParseUint(s, 10, 64)

@@ -162,9 +162,9 @@ type Config struct {
 	Scheduler *sched.Config
 
 	// Obs, Tracer and Log are the proxy's telemetry sinks, and the ones
-	// it hands to every layer it builds: the Obs, Log, Source, SLO and
-	// Tenants fields inside the Breaker, Scheduler, SLO and Alerts
-	// sub-configs below are overwritten with them.
+	// it hands to every layer it builds: the Obs and Log fields inside the
+	// Breaker, Scheduler and SLO sub-configs below are overwritten with
+	// them.
 	//
 	// Obs receives the metrics (and is what GET /metrics serves).
 	Obs *obs.Registry
@@ -180,7 +180,7 @@ type Config struct {
 	Log *obs.Logger
 	// SLO parameterizes per-class latency/availability objectives served
 	// at GET /v1/slo. The zero value selects defaults; DisableSLO turns
-	// tracking off.
+	// tracking off. Its clock is the alert engine's too.
 	SLO        obs.SLOConfig
 	DisableSLO bool
 	// TenantCapacity bounds the per-tenant attribution table served at
@@ -189,10 +189,8 @@ type Config struct {
 	// DisableTenants turns attribution off.
 	TenantCapacity int
 	DisableTenants bool
-	// Alerts parameterizes the alert engine served at GET /v1/alerts. The
-	// engine starts with the default rule pack. DisableAlerts turns the
-	// engine off entirely.
-	Alerts        obs.AlertConfig
+	// DisableAlerts turns off the alert engine served at GET /v1/alerts
+	// (the proxy's five rules, in alerts.go).
 	DisableAlerts bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// proxy's HTTP mux. Off by default: profiling endpoints can stall the
@@ -331,12 +329,6 @@ func New(cfg Config) *Proxy {
 	if !cfg.DisableTenants {
 		tenants = obs.NewTenantAccountant(obs.TenantConfig{Capacity: cfg.TenantCapacity, Obs: reg})
 	}
-	var alerts *obs.AlertEngine
-	if !cfg.DisableAlerts {
-		cfg.Alerts.Source, cfg.Alerts.Obs, cfg.Alerts.Log, cfg.Alerts.SLO, cfg.Alerts.Tenants = reg, reg, log, slo, tenants
-		alerts = obs.NewAlertEngine(cfg.Alerts)
-		alerts.AddDefaultRules()
-	}
 	p := &Proxy{
 		casc:     casc,
 		sched:    scheduler,
@@ -345,7 +337,6 @@ func New(cfg Config) *Proxy {
 		log:      log,
 		slo:      slo,
 		tenants:  tenants,
-		alerts:   alerts,
 		keep:     obs.NewBudget(cfg.Tracer.Cap()),
 		pprof:    cfg.EnablePprof,
 		breakers: breakers,
@@ -404,6 +395,10 @@ func New(cfg Config) *Proxy {
 			Log:       log,
 		})
 	}
+	if !cfg.DisableAlerts {
+		p.alerts = obs.NewAlertEngine(obs.AlertConfig{Obs: reg, Log: log, Now: cfg.SLO.Now})
+		p.addAlertRules()
+	}
 	return p
 }
 
@@ -421,18 +416,11 @@ func (p *Proxy) Stats() Stats {
 	}
 }
 
-// Metrics returns the proxy's metrics registry (what GET /metrics serves):
-// Config.Obs as given, so nil — the process-wide default — when none was.
-func (p *Proxy) Metrics() *obs.Registry { return p.reg }
-
 // Tracer returns the proxy's trace ring (what GET /debug/traces serves).
 func (p *Proxy) Tracer() *obs.Tracer { return p.tracer }
 
 // Events returns the proxy's event ring (what GET /debug/events serves).
 func (p *Proxy) Events() *obs.EventLog { return p.log.Sink() }
-
-// SLO returns the proxy's SLO tracker, or nil when disabled.
-func (p *Proxy) SLO() *obs.SLOTracker { return p.slo }
 
 // Tenants returns the proxy's per-tenant accountant (what GET
 // /v1/tenants serves), or nil when disabled.

@@ -352,9 +352,7 @@ func TestCoalescedWaiterHonorsContext(t *testing.T) {
 // modelFunc adapts a function to llm.Model for test doubles.
 type modelFunc func(ctx context.Context, req llm.Request) (llm.Response, error)
 
-func (f modelFunc) Name() string        { return "func" }
-func (f modelFunc) Capability() float64 { return 1 }
-func (f modelFunc) Price() token.Price  { return token.Price{} }
+func (f modelFunc) Name() string { return "func" }
 func (f modelFunc) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return f(ctx, req)
 }

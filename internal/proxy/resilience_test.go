@@ -25,9 +25,7 @@ type namedModel struct {
 	fn   modelFunc
 }
 
-func (m namedModel) Name() string        { return m.name }
-func (m namedModel) Capability() float64 { return 1 }
-func (m namedModel) Price() token.Price  { return token.Price{} }
+func (m namedModel) Name() string { return m.name }
 func (m namedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return m.fn(ctx, req)
 }

@@ -133,7 +133,6 @@ func TestTenancyExemplarsAndAlertLifecycle(t *testing.T) {
 			},
 			Now: clk.Now,
 		},
-		Alerts: obs.AlertConfig{Now: clk.Now},
 	})
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
@@ -267,8 +266,8 @@ func TestTenancyExemplarsAndAlertLifecycle(t *testing.T) {
 // TestTenantAlertEndpointsConcurrent hammers /v1/tenants and /v1/alerts
 // while mixed-tenant traffic flows — the race gate's proof that the
 // accountant's lock-light aggregation and the alert engine's evaluation
-// (which snapshots SLO, tenants and the whole metrics registry) are safe
-// against concurrent writers.
+// (whose rules snapshot the SLO tracker, the tenant table and the
+// breakers) are safe against concurrent writers.
 func TestTenantAlertEndpointsConcurrent(t *testing.T) {
 	p := telemetryProxy(Config{})
 	defer p.Close()

@@ -28,9 +28,7 @@ type fakeBatch struct {
 	batches [][]llm.Request
 }
 
-func (f *fakeBatch) Name() string        { return f.name }
-func (f *fakeBatch) Capability() float64 { return 0.9 }
-func (f *fakeBatch) Price() token.Price  { return token.Price{} }
+func (f *fakeBatch) Name() string { return f.name }
 
 func (f *fakeBatch) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	resps, err := f.GenerateBatch(ctx, []llm.Request{req})
