@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzQuantizedScan -fuzztime=20s ./internal/vector/
 	$(GO) test -fuzz=FuzzCompletionRequest -fuzztime=20s -fuzzminimizetime=1s ./internal/proxy/
 	$(GO) test -fuzz=FuzzSSEEvent -fuzztime=20s ./internal/proxy/
+	$(GO) test -fuzz=FuzzDecodeCompletionRequest -fuzztime=20s ./internal/proxy/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

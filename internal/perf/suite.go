@@ -419,6 +419,37 @@ func Serving(ctx context.Context) []Spec {
 			}
 			b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/op")
 		}},
+		{Name: "proxy_http_complete_cache_hit", Bench: func(b *testing.B) {
+			// One JSON cache hit through Handler() into memory, the shape of
+			// every hot_exact request: the body read and decoded, the tenant
+			// header, the proxy's hit, the reply encoded and written — what
+			// hot_exact's proxy.http.self_us and proxy.complete_us add up
+			// to, without the socket. The request is built once and its
+			// body rewound, so the allocations counted are the handler's.
+			h := newBenchProxy(proxy.Config{Threshold: 0.5}).Handler()
+			body := []byte(`{"task":"qa","prompt":"` + wordText(1) + `","gold":"zaisteal gloutroun koutaim hounar","difficulty":0.05}`)
+			rb := new(rewindBody)
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, "/v1/complete", rb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			req.Header.Set(proxy.TenantHeader, "tenant-3")
+			w := &memResponse{header: make(http.Header)}
+			serve := func() {
+				rb.Reset(body)
+				clear(w.header)
+				h.ServeHTTP(w, req)
+			}
+			serve() // the miss that fills the cache
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.StopTimer()
+			if !bytes.Contains(w.last, []byte(`"source":"cache"`)) {
+				b.Fatalf("the last reply was %q, want a cache hit", w.last)
+			}
+		}},
 		{Name: "sched_submit", Bench: func(b *testing.B) {
 			reg := obs.NewRegistry()
 			model, sim := perfModel(reg, 100000)
@@ -444,8 +475,13 @@ func Serving(ctx context.Context) []Spec {
 	}
 }
 
-// memResponse is the http.ResponseWriter of the proxy_http_stream case:
-// it counts flushes and keeps only the latest write.
+// rewindBody is a request body that Reset rewinds for the next request.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// memResponse is the http.ResponseWriter of the proxy_http_* cases: it
+// counts flushes and keeps only the latest write.
 type memResponse struct {
 	header  http.Header
 	last    []byte

@@ -1,13 +1,17 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -41,6 +45,197 @@ type CompletionRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
+// decodeCompletionRequest decodes body into the zero req. The bodies
+// clients send — one object of the eight scalar fields under their exact
+// names, strings without a backslash, a JSON number for difficulty — are
+// decoded here in one pass, each string copied out of body. Anything else
+// (an escape, wrong_alts, an unknown or case-folded key, null, invalid
+// UTF-8, bytes after the object, a malformed body) goes to encoding/json
+// over the same bytes, whose verdict, value and message stand.
+// FuzzDecodeCompletionRequest holds the two paths to one result.
+func decodeCompletionRequest(body []byte, req *CompletionRequest) error {
+	if decodeScalars(body, req) {
+		return nil
+	}
+	// Its own variable, so only this path puts a request on the heap.
+	var full CompletionRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&full)
+	*req = full
+	return err
+}
+
+// decodeScalars is the one-pass path; false means body is not of its
+// shape, and req holds whatever it had read by then.
+func decodeScalars(body []byte, req *CompletionRequest) bool {
+	s := scanner{b: body}
+	if !s.next('{') {
+		return false
+	}
+	if s.next('}') {
+		return s.end()
+	}
+	for {
+		s.space()
+		key, ok := s.str()
+		if !ok || !s.next(':') {
+			return false
+		}
+		s.space()
+		var field *string
+		switch string(key) {
+		case "task":
+			field = &req.Task
+		case "prompt":
+			field = &req.Prompt
+		case "gold":
+			field = &req.Gold
+		case "wrong":
+			field = &req.Wrong
+		case "noise_key":
+			field = &req.NoiseKey
+		case "priority":
+			field = &req.Priority
+		case "difficulty":
+			if req.Difficulty, ok = s.number(); !ok {
+				return false
+			}
+		case "stream":
+			if req.Stream, ok = s.boolean(); !ok {
+				return false
+			}
+		default:
+			return false
+		}
+		if field != nil {
+			v, ok := s.str()
+			if !ok {
+				return false
+			}
+			*field = string(v)
+		}
+		if s.next(',') {
+			continue
+		}
+		return s.next('}') && s.end()
+	}
+}
+
+// scanner reads the JSON that decodeScalars takes. A value reader that
+// reports false has not moved.
+type scanner struct {
+	b []byte
+	i int
+}
+
+// space skips JSON whitespace.
+func (s *scanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace and then c.
+func (s *scanner) next(c byte) bool {
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (s *scanner) end() bool {
+	s.space()
+	return s.i == len(s.b)
+}
+
+// str reads a string that encoding/json would return as its own bytes:
+// no backslash, no control byte, valid UTF-8. The result aliases s.b.
+func (s *scanner) str() ([]byte, bool) {
+	if s.i >= len(s.b) || s.b[s.i] != '"' {
+		return nil, false
+	}
+	ascii := true
+	for j := s.i + 1; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i+1 : j]
+			if !ascii && !utf8.Valid(v) {
+				return nil, false
+			}
+			s.i = j + 1
+			return v, true
+		case c < ' ' || c == '\\':
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+// number reads a number under JSON's grammar that parses as a finite
+// float64, which is what encoding/json stores in a float64 field.
+func (s *scanner) number() (float64, bool) {
+	b, i := s.b, s.i
+	digits := func() int {
+		start := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case digits() == 0:
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if digits() == 0 {
+			return 0, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[s.i:i]), 64)
+	if err != nil {
+		return 0, false
+	}
+	s.i = i
+	return f, true
+}
+
+// boolean reads true or false.
+func (s *scanner) boolean() (v, ok bool) {
+	switch rest := s.b[s.i:]; {
+	case bytes.HasPrefix(rest, []byte("true")):
+		s.i += len("true")
+		return true, true
+	case bytes.HasPrefix(rest, []byte("false")):
+		s.i += len("false")
+		return false, true
+	}
+	return false, false
+}
+
 // ErrorBody is the typed error detail inside ErrorEnvelope.
 type ErrorBody struct {
 	// Code is a stable machine-readable error class: "bad_request",
@@ -59,13 +254,17 @@ type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
+// jsonContentType is the Content-Type of every JSON reply, one slice
+// shared by all of them: net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON emits v as the JSON body of a response with the given status.
 // A 200 is implied by its first write rather than announced, so a reply
 // that turns out not to encode (a non-finite number in it) has committed
 // nothing and is answered 500 with the envelope instead of an empty 200;
 // the other statuses carry the envelope itself, which always encodes.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}
@@ -82,7 +281,10 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 // writeError emits the uniform error envelope.
 func writeError(w http.ResponseWriter, status int, code, msg string, retryable bool) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg, Retryable: retryable}})
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	// A failed write is a client that left: nothing is left to answer.
+	w.Write(appendErrorEnvelope(nil, &ErrorBody{Code: code, Message: msg, Retryable: retryable}))
 }
 
 // errorBodyFor maps a serving-path error to its typed error detail and
@@ -161,10 +363,38 @@ func elapsedMS(ans Answer) float64 { return float64(ans.Elapsed.Microseconds()) 
 // and is answered the same way.
 const maxRequestBytes, maxPromptBytes = 1 << 20, 64 << 10
 
+// bodyBufs holds the buffers POST /v1/complete reads its body into and
+// then appends its reply to. One grown past maxPooledBody is dropped,
+// so an occasional large body does not stay resident.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+const maxPooledBody = 64 << 10
+
+// readBody appends all of r to buf.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 // TenantHeader is the HTTP header carrying the caller's tenant
 // identity. Absent or empty, the request is attributed to
 // obs.DefaultTenant.
 const TenantHeader = "X-LLMDM-Tenant"
+
+// tenantKey is TenantHeader in net/http's canonical form, which a lookup
+// takes as it is rather than canonicalizing into a new string.
+var tenantKey = http.CanonicalHeaderKey(TenantHeader)
 
 // Handler returns the proxy's HTTP mux:
 //
@@ -188,66 +418,7 @@ const TenantHeader = "X-LLMDM-Tenant"
 //	GET  /healthz       — liveness + alert summary
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", false)
-			return
-		}
-		var req CompletionRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, "bad_request", "bad JSON: "+err.Error(), false)
-			return
-		}
-		if req.Prompt == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "prompt is required", false)
-			return
-		}
-		if len(req.Prompt) > maxPromptBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, "bad_request", "prompt exceeds "+strconv.Itoa(maxPromptBytes)+" bytes", false)
-			return
-		}
-		ctx := r.Context()
-		tenant := strings.TrimSpace(r.Header.Get(TenantHeader))
-		if len(tenant) > obs.MaxTenantLen {
-			writeError(w, http.StatusBadRequest, "bad_request", "tenant identifier too long", false)
-			return
-		}
-		if tenant == "" {
-			tenant = obs.DefaultTenant
-		}
-		ctx = obs.WithTenant(ctx, tenant)
-		if req.Priority != "" {
-			class, err := sched.ParseClass(req.Priority)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad_request", err.Error(), false)
-				return
-			}
-			ctx = sched.WithClass(ctx, class)
-		}
-		if req.Stream {
-			p.serveStream(w, ctx, toLLMRequest(req))
-			return
-		}
-		ans, err := p.Complete(ctx, toLLMRequest(req))
-		if err != nil {
-			completionError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, CompletionResponse{
-			Text:       ans.Text,
-			Model:      ans.Model,
-			Source:     ans.Source,
-			Confidence: ans.Confidence,
-			CostMicro:  int64(ans.Cost),
-			ElapsedMS:  elapsedMS(ans),
-			TraceID:    ans.Trace,
-		})
-	})
+	mux.HandleFunc("/v1/complete", p.serveComplete)
 	get(mux, "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		st := p.Stats()
 		out := map[string]interface{}{
@@ -448,6 +619,90 @@ func (p *Proxy) Handler() http.Handler {
 		})
 	})
 	return mux
+}
+
+// serveComplete is POST /v1/complete. It reads the whole body through
+// http.MaxBytesReader (any body over the cap is 413, and the connection
+// closes) into a pooled buffer; once the request is decoded out of it,
+// the same buffer holds the JSON reply.
+func (p *Proxy) serveComplete(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", false)
+		return
+	}
+	bp := bodyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBody {
+			bodyBufs.Put(bp)
+		}
+	}()
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), (*bp)[:0])
+	*bp = body
+	var req CompletionRequest
+	if err == nil {
+		err = decodeCompletionRequest(body, &req)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad_request", "bad JSON: "+err.Error(), false)
+		return
+	}
+	if req.Prompt == "" {
+		writeError(w, http.StatusBadRequest, "bad_request", "prompt is required", false)
+		return
+	}
+	if len(req.Prompt) > maxPromptBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "bad_request", "prompt exceeds "+strconv.Itoa(maxPromptBytes)+" bytes", false)
+		return
+	}
+	ctx := r.Context()
+	tenant := strings.TrimSpace(r.Header.Get(tenantKey))
+	if len(tenant) > obs.MaxTenantLen {
+		writeError(w, http.StatusBadRequest, "bad_request", "tenant identifier too long", false)
+		return
+	}
+	if tenant == "" {
+		tenant = obs.DefaultTenant
+	}
+	ctx = obs.WithTenant(ctx, tenant)
+	if req.Priority != "" {
+		class, err := sched.ParseClass(req.Priority)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", err.Error(), false)
+			return
+		}
+		ctx = sched.WithClass(ctx, class)
+	}
+	if req.Stream {
+		p.serveStream(w, ctx, toLLMRequest(req))
+		return
+	}
+	ans, err := p.Complete(ctx, toLLMRequest(req))
+	if err != nil {
+		completionError(w, err)
+		return
+	}
+	reply := CompletionResponse{
+		Text:       ans.Text,
+		Model:      ans.Model,
+		Source:     ans.Source,
+		Confidence: ans.Confidence,
+		CostMicro:  int64(ans.Cost),
+		ElapsedMS:  elapsedMS(ans),
+		TraceID:    ans.Trace,
+	}
+	out, ok := appendCompletion(body[:0], &reply)
+	*bp = out
+	if !ok {
+		writeJSON(w, http.StatusOK, reply) // answers the 500 envelope
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(out) // the request is already accounted, whether or not the client is still there
 }
 
 func toLLMRequest(req CompletionRequest) llm.Request {

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/llm"
@@ -122,10 +121,7 @@ events:
 	}
 	if err != nil {
 		_, body := errorBodyFor(err)
-		data, _ := json.Marshal(body) // two strings and a bool: cannot fail
-		buf = append(buf[:0], "event: error\ndata: "...)
-		buf = append(buf, data...)
-		buf = append(buf, "\n\n"...)
+		buf = appendErrorEvent(buf[:0], &body)
 	}
 	// The request is already accounted; a client that left before its
 	// terminal event changes nothing.

@@ -92,6 +92,85 @@ func TestConcurrentIdenticalExactlyOneUpstream(t *testing.T) {
 	}
 }
 
+// TestCoalesceKeysOnEveryAnswerShapingField: two concurrent requests
+// with one prompt but different gold each lead their own upstream run
+// and each get their own gold; a third, identical to the first, still
+// joins the first's run.
+func TestCoalesceKeysOnEveryAnswerShapingField(t *testing.T) {
+	var upstreamCalls atomic.Int64
+	gate := make(chan struct{})
+	gated := modelFunc(func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		upstreamCalls.Add(1)
+		<-gate
+		return llm.Response{Text: req.Gold, Confidence: 0.99, Model: "gated"}, nil
+	})
+	p := New(Config{Models: []llm.Model{gated}, DisableCache: true,
+		Obs: obs.NewRegistry(), Tracer: obs.NewTracer(4)})
+
+	reqs := []llm.Request{
+		{Prompt: "one prompt, two golds", Gold: "Kyoto"},
+		{Prompt: "one prompt, two golds", Gold: "Osaka"},
+		{Prompt: "one prompt, two golds", Gold: "Kyoto"},
+	}
+	answers := make([]Answer, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers[i], errs[i] = p.Complete(context.Background(), reqs[i])
+		}(i)
+		// Each request is in — leading a run or joined to one — before
+		// the next starts, so the order of arrival is the slice's.
+		waitFor(t, func() bool { return upstreamCalls.Load()+p.Stats().Coalesced == int64(i+1) })
+	}
+	close(gate)
+	wg.Wait()
+
+	want := []struct{ text, source string }{{"Kyoto", "cascade"}, {"Osaka", "cascade"}, {"Kyoto", "coalesced"}}
+	for i, w := range want {
+		if errs[i] != nil {
+			t.Fatalf("request %d failed: %v", i, errs[i])
+		}
+		if answers[i].Text != w.text || answers[i].Source != w.source {
+			t.Errorf("request %d (gold %q) got %q from %q, want %q from %q", i, reqs[i].Gold, answers[i].Text, answers[i].Source, w.text, w.source)
+		}
+	}
+	if got, coalesced := upstreamCalls.Load(), p.Stats().Coalesced; got != 2 || coalesced != 1 {
+		t.Errorf("upstream runs = %d, coalesced = %d; want 2 and 1", got, coalesced)
+	}
+}
+
+// TestCallKeyDistinguishesEachField: a change to any one answer-shaping
+// field makes a different call key, and the wrong-alternatives list
+// cannot collide with another split of the same bytes.
+func TestCallKeyDistinguishesEachField(t *testing.T) {
+	base := llm.Request{Task: "qa", Prompt: "p", Gold: "g", Wrong: "w", WrongAlts: []string{"a", "b"}, Difficulty: 0.5, NoiseKey: "n"}
+	variants := map[string]func(r *llm.Request){
+		"task":       func(r *llm.Request) { r.Task = "sql" },
+		"prompt":     func(r *llm.Request) { r.Prompt = "q" },
+		"gold":       func(r *llm.Request) { r.Gold = "h" },
+		"wrong":      func(r *llm.Request) { r.Wrong = "x" },
+		"wrong_alts": func(r *llm.Request) { r.WrongAlts = []string{"a,b"} },
+		"alts split": func(r *llm.Request) { r.WrongAlts = []string{"ab"} },
+		"no alts":    func(r *llm.Request) { r.WrongAlts = nil },
+		"difficulty": func(r *llm.Request) { r.Difficulty = 0.6 },
+		"noise_key":  func(r *llm.Request) { r.NoiseKey = "m" },
+	}
+	k := keyOf(base)
+	if keyOf(base) != k {
+		t.Fatal("one request made two keys")
+	}
+	for name, change := range variants {
+		r := base
+		change(&r)
+		if keyOf(r) == k {
+			t.Errorf("changing %s left the call key as it was", name)
+		}
+	}
+}
+
 // TestCoalescedWaiterCancelDeterministic joins a waiter onto a gated
 // in-flight call, cancels the waiter's context, and requires it to return
 // ctx.Err() while the leader is still blocked upstream.

@@ -27,7 +27,8 @@
 //
 // All of it is one pipeline with two read modes. Every request runs the
 // same front half — admission, cache lookup, join or lead the in-flight
-// call for its prompt — and every in-flight call is one detached upstream
+// call for its request (every field that shapes the answer, not only the
+// prompt) — and every in-flight call is one detached upstream
 // cascade run pumping chunks into a replay log that its clients (the
 // leader included) read. CompleteStream hands the caller that reader;
 // Complete drains it and returns the settled Answer. See stream.go.
@@ -54,6 +55,8 @@ package proxy
 import (
 	"context"
 	"errors"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,7 +227,7 @@ type Proxy struct {
 	// mu guards only the in-flight table; stats are atomics and the cache
 	// locks itself.
 	mu       sync.Mutex
-	inflight map[string]*call
+	inflight map[callKey]*call
 
 	requests, cacheHits, coalesced, modelCalls, staleServes, shed, spend, streams atomic.Int64
 
@@ -340,7 +343,7 @@ func New(cfg Config) *Proxy {
 		keep:     obs.NewBudget(cfg.Tracer.Cap()),
 		pprof:    cfg.EnablePprof,
 		breakers: breakers,
-		inflight: make(map[string]*call),
+		inflight: make(map[callKey]*call),
 
 		upstreamTimeout: cfg.UpstreamTimeout,
 		staleFloor:      cfg.StaleFloor,
@@ -624,7 +627,7 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 
 	// 2. In-flight dedup: join an identical pending call, or lead a new
 	// one. Either way the client becomes a reader of the call's log.
-	key := req.Prompt
+	key := keyOf(req)
 	p.mu.Lock()
 	c, joined := p.inflight[key]
 	if !joined {
@@ -644,6 +647,34 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 	return p.newClientStream(rq, req.Prompt, c, "cascade"), Answer{}, nil
 }
 
+// callKey is a call's identity in the in-flight table: every field of
+// the request that shapes its answer, so a follower joins only a run
+// that answers exactly what it asked. The cache still keys by prompt.
+type callKey struct {
+	task                                  llm.Task
+	prompt, gold, wrong, wrongAlts, noise string
+	// difficulty is the float's bits: a NaN key would never match, and
+	// its entry could never be deleted.
+	difficulty uint64
+}
+
+// keyOf builds req's call key. The wrong alternatives are joined with
+// each one's length ahead of it, so no two lists share a key.
+func keyOf(req llm.Request) callKey {
+	k := callKey{task: req.Task, prompt: req.Prompt, gold: req.Gold, wrong: req.Wrong,
+		noise: req.NoiseKey, difficulty: math.Float64bits(req.Difficulty)}
+	if len(req.WrongAlts) > 0 {
+		var b []byte
+		for _, alt := range req.WrongAlts {
+			b = strconv.AppendInt(b, int64(len(alt)), 10)
+			b = append(b, ':')
+			b = append(b, alt...)
+		}
+		k.wrongAlts = string(b)
+	}
+	return k
+}
+
 // pump starts a call's upstream: the cascade run, detached from the
 // leader's context — the leader merely reads the log like any coalesced
 // follower, so a canceled leader never fails the cohort — and bounded by
@@ -652,7 +683,7 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 // under the leader's trace and its tiers open the way the leader's class
 // asks. Every delivered chunk is appended to the call's log; spend is
 // accounted exactly once, when the run ends.
-func (p *Proxy) pump(ctx context.Context, req llm.Request, key string, c *call) {
+func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call) {
 	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), p.upstreamTimeout)
 	obs.Go(p.reg, "proxy_upstream", func() {
 		defer cancelUp()

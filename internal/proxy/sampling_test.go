@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -206,5 +208,66 @@ func TestUnkeptRequestAllocs(t *testing.T) {
 				t.Errorf("%s on an unkept trace: %v allocs, want <= %v", tc.name, got, tc.max)
 			}
 		})
+	}
+}
+
+// memWriter is an in-memory http.ResponseWriter that keeps its header
+// map and the reply's bytes across requests, so a measured loop counts
+// only the handler's allocations.
+type memWriter struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *memWriter) Header() http.Header { return w.header }
+func (w *memWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+func (w *memWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+// reset readies w for the next request.
+func (w *memWriter) reset() {
+	clear(w.header)
+	w.status, w.body = 0, w.body[:0]
+}
+
+// rewindBody is a request body that Reset rewinds for the next request.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// A JSON cache hit through the whole handler — body read and decode,
+// tenant header, the proxy, the reply encode — on an unkept trace. It
+// reads nine: four are the proxy's own (TestUnkeptRequestAllocs), the rest
+// are the decoded strings, http.MaxBytesReader and the tenant's context
+// value. Under the race detector sync.Pool drops some of the buffers put
+// back, and it reads 10.
+func TestCompleteHandlerAllocs(t *testing.T) {
+	body := []byte(`{"task":"qa","prompt":"how many concerts were held in the stadium this year","gold":"twelve","difficulty":0.05}`)
+	h := unkeptProxy(Config{Obs: obs.NewRegistry()}).Handler()
+	rb := new(rewindBody)
+	req := httptest.NewRequest(http.MethodPost, "/v1/complete", nil)
+	req.Header.Set(TenantHeader, "tenant-3")
+	req.Body = rb
+	w := &memWriter{header: make(http.Header)}
+	serve := func() {
+		rb.Reset(body)
+		w.reset()
+		h.ServeHTTP(w, req)
+	}
+	serve() // the miss that fills the cache
+	serve()
+	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"source":"cache"`)) {
+		t.Fatalf("second request: status %d, body %s; want a 200 cache hit", w.status, w.body)
+	}
+	if got := testing.AllocsPerRun(100, serve); got > 10 {
+		t.Errorf("a JSON cache hit through the handler: %v allocs, want <= 10", got)
 	}
 }

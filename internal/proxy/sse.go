@@ -7,13 +7,15 @@ import (
 	"unicode/utf8"
 )
 
-// The SSE event encoder: chunk and done events are appended into the
-// response's one buffer as "event: <name>\ndata: <json>\n\n", and <json>
-// is byte for byte what encoding/json produces for Chunk and StreamDone —
-// field order, omitempty, HTML-safe string escaping and the float format —
-// so the wire body of a stream does not depend on which of the two wrote
-// it. TestSSEEventsMatchEncodingJSON and FuzzSSEEvent hold the two
-// together; a field added to either struct has to be added here.
+// The reply encoders: chunk, done and error events are appended into the
+// response's one buffer as "event: <name>\ndata: <json>\n\n", the JSON
+// reply of POST /v1/complete and the error envelope as "<json>\n", and
+// <json> is byte for byte what encoding/json produces for Chunk,
+// StreamDone, ErrorBody, CompletionResponse and ErrorEnvelope — field
+// order, omitempty, HTML-safe string escaping and the float format — so
+// the wire body does not depend on which of the two wrote it.
+// TestSSEEventsMatchEncodingJSON and FuzzSSEEvent hold the two together;
+// a field added to any of those structs has to be added here.
 
 // errUnencodable ends a reply that holds a value JSON cannot carry (a
 // non-finite number); errorBodyFor maps it to the "internal" code.
@@ -73,6 +75,60 @@ func appendDoneEvent(dst []byte, d *StreamDone) (_ []byte, ok bool) {
 	dst = append(dst, `,"chunks":`...)
 	dst = strconv.AppendInt(dst, int64(d.Chunks), 10)
 	return append(dst, "}\n\n"...), true
+}
+
+// appendCompletion appends r as the JSON reply of POST /v1/complete,
+// with json.Encoder's trailing newline; ok is as for appendChunkEvent.
+func appendCompletion(dst []byte, r *CompletionResponse) (_ []byte, ok bool) {
+	dst = append(dst, `{"text":`...)
+	dst = appendJSONString(dst, r.Text)
+	dst = append(dst, `,"model":`...)
+	dst = appendJSONString(dst, r.Model)
+	dst = append(dst, `,"source":`...)
+	dst = appendJSONString(dst, r.Source)
+	dst = append(dst, `,"confidence":`...)
+	if dst, ok = appendJSONFloat(dst, r.Confidence); !ok {
+		return dst, false
+	}
+	dst = append(dst, `,"cost_micro_usd":`...)
+	dst = strconv.AppendInt(dst, r.CostMicro, 10)
+	dst = append(dst, `,"elapsed_ms":`...)
+	if dst, ok = appendJSONFloat(dst, r.ElapsedMS); !ok {
+		return dst, false
+	}
+	if r.TraceID != "" {
+		dst = append(dst, `,"trace_id":`...)
+		dst = appendJSONString(dst, r.TraceID)
+	}
+	return append(dst, "}\n"...), true
+}
+
+// appendErrorBody appends e as JSON: the detail inside the error
+// envelope and the data of the SSE error event. It holds no number, so
+// it always encodes.
+func appendErrorBody(dst []byte, e *ErrorBody) []byte {
+	dst = append(dst, `{"code":`...)
+	dst = appendJSONString(dst, e.Code)
+	dst = append(dst, `,"message":`...)
+	dst = appendJSONString(dst, e.Message)
+	dst = append(dst, `,"retryable":`...)
+	dst = strconv.AppendBool(dst, e.Retryable)
+	return append(dst, '}')
+}
+
+// appendErrorEnvelope appends e as the JSON of every non-200 reply, with
+// json.Encoder's trailing newline.
+func appendErrorEnvelope(dst []byte, e *ErrorBody) []byte {
+	dst = append(dst, `{"error":`...)
+	dst = appendErrorBody(dst, e)
+	return append(dst, "}\n"...)
+}
+
+// appendErrorEvent appends e as the terminal error event.
+func appendErrorEvent(dst []byte, e *ErrorBody) []byte {
+	dst = append(dst, "event: error\ndata: "...)
+	dst = appendErrorBody(dst, e)
+	return append(dst, "\n\n"...)
 }
 
 // appendJSONFloat is encoding/json's float64 format: the shortest decimal

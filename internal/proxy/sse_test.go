@@ -50,6 +50,44 @@ func eventDiff(chunkEvent func([]byte, *Chunk) ([]byte, bool), doneEvent func([]
 	return ""
 }
 
+// replyDiff compares the JSON reply of POST /v1/complete, the error
+// envelope and the SSE error event with what encoding/json writes for
+// them — json.Encoder's bytes, trailing newline included, for the two
+// replies — and describes the first difference, "" when there is none.
+func replyDiff(r CompletionResponse, e ErrorBody) string {
+	encode := func(v interface{}) (string, bool) {
+		var b bytes.Buffer
+		err := json.NewEncoder(&b).Encode(v)
+		return b.String(), err == nil
+	}
+	prefix := []byte("already buffered|")
+	got, ok := appendCompletion(append([]byte(nil), prefix...), &r)
+	want, wantOK := encode(r)
+	switch {
+	case ok != wantOK:
+		return "reply: encodable = " + strconv.FormatBool(ok) + ", encoding/json says " + strconv.FormatBool(wantOK) + " for " + strconv.Quote(want)
+	case ok && string(got) != string(prefix)+want:
+		return "reply: got " + strconv.Quote(string(got)) + "\nwant " + strconv.Quote(string(prefix)+want)
+	}
+	want, _ = encode(ErrorEnvelope{Error: e})
+	if got := appendErrorEnvelope(append([]byte(nil), prefix...), &e); string(got) != string(prefix)+want {
+		return "error envelope: got " + strconv.Quote(string(got)) + "\nwant " + strconv.Quote(string(prefix)+want)
+	}
+	want, _ = wantEvent("error", e)
+	if got := appendErrorEvent(append([]byte(nil), prefix...), &e); string(got) != string(prefix)+want {
+		return "error event: got " + strconv.Quote(string(got)) + "\nwant " + strconv.Quote(string(prefix)+want)
+	}
+	return ""
+}
+
+// replyOf carries a done event's fields into the JSON reply and an
+// error body.
+func replyOf(d StreamDone, retryable bool) (CompletionResponse, ErrorBody) {
+	return CompletionResponse{Text: d.Text, Model: d.Model, Source: d.Source, Confidence: d.Confidence,
+			CostMicro: d.CostMicro, ElapsedMS: d.ElapsedMS, TraceID: d.TraceID},
+		ErrorBody{Code: d.Source, Message: d.Text, Retryable: retryable}
+}
+
 // sseStrings are the strings the table puts in every string field.
 var sseStrings = []string{
 	"",
@@ -98,12 +136,15 @@ func sseCases() (chunks []Chunk, dones []StreamDone) {
 	return chunks, dones
 }
 
-// The hand-written event encoder writes what encoding/json writes, and
-// refuses what it refuses.
+// The hand-written encoders write what encoding/json writes, and refuse
+// what it refuses: the events, the JSON reply and the error envelope.
 func TestSSEEventsMatchEncodingJSON(t *testing.T) {
 	chunks, dones := sseCases()
 	for i := range chunks {
 		if diff := eventDiff(appendChunkEvent, appendDoneEvent, chunks[i], dones[i]); diff != "" {
+			t.Errorf("case %d: %s", i, diff)
+		}
+		if diff := replyDiff(replyOf(dones[i], i&1 != 0)); diff != "" {
 			t.Errorf("case %d: %s", i, diff)
 		}
 	}
@@ -112,6 +153,9 @@ func TestSSEEventsMatchEncodingJSON(t *testing.T) {
 		ch := Chunk{Index: int(n), Tier: int(n), Cost: token.Cost(n)}
 		d := StreamDone{Tier: int(n), CostMicro: n, Chunks: int(n)}
 		if diff := eventDiff(appendChunkEvent, appendDoneEvent, ch, d); diff != "" {
+			t.Errorf("integers at %d: %s", n, diff)
+		}
+		if diff := replyDiff(replyOf(d, false)); diff != "" {
 			t.Errorf("integers at %d: %s", n, diff)
 		}
 	}
@@ -149,17 +193,20 @@ func TestSSEDifferentialCatchesMutants(t *testing.T) {
 	}
 }
 
-// An event costs no allocation once the response's buffer has grown to
-// hold it.
+// An event or a reply costs no allocation once the response's buffer has
+// grown to hold it.
 func TestSSEEncodeDoesNotAllocate(t *testing.T) {
 	ch := Chunk{Text: "pruning <by> \"range\" metadata ", Index: 7, Model: "gpt-3.5-turbo", Tier: 1, Confidence: 0.8123, Cost: 42, Final: true}
 	d := StreamDone{Text: strings.Repeat("word ", 14), Model: "gpt-4", Source: "cascade", Tier: 2, Confidence: 1.5e-7, CostMicro: 725, ElapsedMS: 0.155, TraceID: "00000000000000a1", Chunks: 20}
+	r, e := replyOf(d, true)
 	buf := make([]byte, 0, 1024)
 	if n := testing.AllocsPerRun(100, func() {
 		buf, _ = appendChunkEvent(buf[:0], &ch)
 		buf, _ = appendDoneEvent(buf, &d)
+		buf, _ = appendCompletion(buf, &r)
+		buf = appendErrorEvent(buf, &e)
 	}); n != 0 {
-		t.Fatalf("encoding a chunk and a done event allocated %v times, want 0", n)
+		t.Fatalf("encoding a chunk, a done event, a reply and an error event allocated %v times, want 0", n)
 	}
 }
 
@@ -187,8 +234,10 @@ func BenchmarkSSEEncodeChunk(b *testing.B) {
 
 // FuzzSSEEvent is the same comparison over arbitrary field values: for
 // any Chunk and StreamDone the appended bytes are
-// "event: "+name+"\ndata: "+json.Marshal(v)+"\n\n", or both sides refuse.
-// The seeds (the table's corners) run under plain `go test`.
+// "event: "+name+"\ndata: "+json.Marshal(v)+"\n\n", and for the
+// CompletionResponse and ErrorEnvelope built from the same fields they are
+// json.Encoder's, or both sides refuse. The seeds (the table's corners)
+// run under plain `go test`.
 func FuzzSSEEvent(f *testing.F) {
 	for i, s := range sseStrings {
 		f.Add(s, sseStrings[(i+1)%len(sseStrings)], sseStrings[(i+2)%len(sseStrings)], sseFloats[i%len(sseFloats)], sseFloats[(3*i+1)%len(sseFloats)], int64(i)-2, uint8(i))
@@ -206,6 +255,9 @@ func FuzzSSEEvent(f *testing.F) {
 		d := StreamDone{Text: text, Model: model, Source: extra, Tier: int(n >> 3), Confidence: conf, CostMicro: n,
 			ElapsedMS: elapsed, TraceID: trace, Chunks: int(n >> 11)}
 		if diff := eventDiff(appendChunkEvent, appendDoneEvent, ch, d); diff != "" {
+			t.Fatal(diff)
+		}
+		if diff := replyDiff(replyOf(d, flags&8 != 0)); diff != "" {
 			t.Fatal(diff)
 		}
 	})

@@ -695,6 +695,11 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 			return http.Post(srv.URL+"/v1/complete", "application/json",
 				strings.NewReader(`{"prompt":"`+strings.Repeat("p", maxRequestBytes)+`"}`))
 		}, http.StatusRequestEntityTooLarge, "bad_request"},
+		{"oversize after a whole object", func() (*http.Response, error) {
+			// The cap covers the body, not the JSON value at its head.
+			return http.Post(srv.URL+"/v1/complete", "application/json",
+				strings.NewReader(`{"prompt":"p"}`+strings.Repeat(" ", maxRequestBytes)))
+		}, http.StatusRequestEntityTooLarge, "bad_request"},
 		{"over-long prompt", func() (*http.Response, error) {
 			return http.Post(srv.URL+"/v1/complete", "application/json",
 				strings.NewReader(`{"prompt":"`+strings.Repeat("p", maxPromptBytes+1)+`"}`))
