@@ -17,10 +17,11 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the internal/analysis suite — five
-# per-function analyzers (ctxflow, lockscope, billmeter, gospawn,
-# metricname) plus three interprocedural ones (lockorder, reslifecycle,
-# goleak) over the shared call-graph/summary program — run by the
+# Project-specific static analysis: the internal/analysis suite — nine
+# analyzers: five per-function ones (ctxflow, lockscope, billmeter,
+# gospawn, metricname), three interprocedural ones (lockorder,
+# reslifecycle, goleak) over the shared call-graph/summary program, and
+# reach, which flags functions no entry point reaches — run by the
 # llmdm-lint driver in one process, which also reports a //llmdm:
 # annotation without a reason as a finding (`bin/llmdm-lint -waivers ./...`
 # lists every annotation with its reason). The run type-checks the module

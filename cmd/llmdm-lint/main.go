@@ -1,8 +1,8 @@
 // Command llmdm-lint runs the project's static-analysis suite — the
 // five per-function analyzers (ctxflow, lockscope, billmeter, gospawn,
-// metricname) plus the three interprocedural ones (lockorder,
-// reslifecycle, goleak) built on the call-graph/summary layer in
-// internal/analysis — over the module.
+// metricname), the three interprocedural ones (lockorder, reslifecycle,
+// goleak) built on the call-graph/summary layer in internal/analysis,
+// and reach, which flags what no entry point reaches — over the module.
 //
 // Standalone (what `make lint` runs):
 //

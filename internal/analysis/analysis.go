@@ -3,7 +3,7 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus the repo-specific
 // annotation escape hatches the analyzers honor.
 //
-// The eight analyzers built on it enforce the serving-path invariants.
+// The nine analyzers built on it enforce the serving-path invariants.
 // Five look at one function at a time (ctxflow, lockscope, billmeter,
 // gospawn, metricname): contexts thread from the caller, no blocking call
 // runs under a lock, every model call's spend is accounted, detached
@@ -11,7 +11,8 @@
 // constants. Three are interprocedural, over the shared call graph
 // (lockorder, reslifecycle, goleak): locks are taken in one global order,
 // streams, pooled scratch and response bodies are released on every
-// path, and no serving goroutine can park forever on a channel.
+// path, and no serving goroutine can park forever on a channel. The
+// ninth, reach, walks the whole program from its entry points.
 // cmd/llmdm-lint runs them over the module (`make lint`), and
 // internal/analysis's own tests run them over the serving-path packages
 // so `go test ./...` fails on a regression too.
@@ -27,7 +28,8 @@
 //	//llmdm:allow <analyzer> [reason] any analyzer: accept this site.
 //
 // Both should carry a reason; they are grep-able audit points, not
-// blanket waivers.
+// blanket waivers. A reach waiver also makes its declaration a root (see
+// package reach).
 //
 // The framework is the standard library's own: go/parser for syntax,
 // go/types for meaning. Every loaded package is type-checked (load.go),

@@ -18,6 +18,8 @@
 // the analyzer runs over every package — so a `want` in package a can
 // be triggered by a summary computed from package b, which is how the
 // interprocedural analyzers are tested honestly.
+//
+//llmdm:allow reach the analyzer tests' fixture harness: every analyzer test drives its exported API
 package analysistest
 
 import (

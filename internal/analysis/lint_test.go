@@ -42,7 +42,7 @@ func loadTree(t *testing.T) ([]*analysis.Package, *analysis.Program) {
 }
 
 // TestTreeHoldsItsInvariants is the in-tree enforcement test: the full
-// eight-analyzer suite over the whole module must be clean. It is the
+// nine-analyzer suite over the whole module must be clean. It is the
 // same check `make lint` and CI run via cmd/llmdm-lint, wired into
 // `go test` so a violation fails the ordinary test run too.
 func TestTreeHoldsItsInvariants(t *testing.T) {
@@ -54,6 +54,45 @@ func TestTreeHoldsItsInvariants(t *testing.T) {
 		}
 		for _, d := range diags {
 			t.Errorf("%s", d.String())
+		}
+	}
+}
+
+// TestReachLoadsEveryMain: reach's roots are the mains of the shared tree,
+// so the tree must hold every command — cmd/*, examples/* and the e2e
+// harness in bench/, a module of its own. If the loader stopped at
+// bench/go.mod, reach would flag what only bench/e2e calls (the proxy's
+// Tenants and Tracer), in a module this tree cannot delete them from.
+func TestReachLoadsEveryMain(t *testing.T) {
+	pkgs, _ := loadTree(t)
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mains := map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.Name == "main" {
+			mains[pkg.Path] = true
+		}
+	}
+	want := []string{"bench/e2e"}
+	for _, parent := range []string{"cmd", "examples"} {
+		entries, err := os.ReadDir(filepath.Join(root, parent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				want = append(want, parent+"/"+e.Name())
+			}
+		}
+	}
+	if len(want) < 12 {
+		t.Fatalf("found %d commands, want at least 12: %v", len(want), want)
+	}
+	for _, dir := range want {
+		if !mains["repro/"+dir] {
+			t.Errorf("the shared tree holds no package main for %s", dir)
 		}
 	}
 }
@@ -75,18 +114,31 @@ func TestEveryWaiverIsLoadBearing(t *testing.T) {
 		analyzer string
 	}
 	hits := map[key]bool{}
+	// A reach waiver above a package clause makes the package's exported
+	// API a root, so what it waives are reach findings anywhere in the
+	// package: clauses maps each file's package-clause line to its package.
+	clauses := map[key]*analysis.Package{}
+	pkgHits := map[*analysis.Package]bool{}
 	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			pos := pkg.Fset.Position(f.Package)
+			clauses[key{pos.Filename, pos.Line, "reach"}] = pkg
+		}
 		diags, err := analysis.RunAnalyzersProg(prog, pkg, suite.All(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range diags {
 			hits[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] = true
+			pkgHits[pkg] = pkgHits[pkg] || d.Analyzer == "reach"
 		}
 	}
 
 	// A directive covers its own line and the line below it.
 	resurfaces := func(w analysis.Waiver, analyzer string) bool {
+		if pkg := clauses[key{w.Pos.Filename, w.Pos.Line + 1, analyzer}]; pkg != nil {
+			return pkgHits[pkg]
+		}
 		return hits[key{w.Pos.Filename, w.Pos.Line, analyzer}] ||
 			hits[key{w.Pos.Filename, w.Pos.Line + 1, analyzer}]
 	}
@@ -304,7 +356,7 @@ func abandons(ctx context.Context) error {
 func TestSuiteIsComplete(t *testing.T) {
 	want := []string{
 		"ctxflow", "lockscope", "billmeter", "gospawn", "metricname",
-		"lockorder", "reslifecycle", "goleak",
+		"lockorder", "reslifecycle", "goleak", "reach",
 	}
 	all := suite.All()
 	if len(all) != len(want) {

@@ -269,6 +269,8 @@ func (l *loader) loadDirs(base, prefix string, dirs map[string]bool) ([]*Package
 // LoadDir loads one directory's buildable non-test Go files as a Package
 // with the given import path. It returns (nil, nil) when the directory
 // holds none.
+//
+//llmdm:allow reach the analyzer tests load their fixtures with it
 func LoadDir(dir, importPath string) (*Package, error) {
 	pkg, err := parseDir(dir, importPath)
 	if pkg == nil || err != nil {
@@ -281,6 +283,8 @@ func LoadDir(dir, importPath string) (*Package, error) {
 // package name is taken from the first file; files from a different
 // package (e.g. an external test package) are rejected. Imports of the
 // module enclosing the working directory resolve to its source.
+//
+//llmdm:allow reach the analyzer tests load injected packages with it
 func LoadFiles(filenames []string, importPath string) (*Package, error) {
 	pkg, err := parseFiles(filenames, importPath)
 	if err != nil {
@@ -289,6 +293,7 @@ func LoadFiles(filenames []string, importPath string) (*Package, error) {
 	return checkAlone(pkg)
 }
 
+//llmdm:allow reach the single-package loader behind LoadDir and LoadFiles, which the analyzer tests use
 func checkAlone(pkg *Package) (*Package, error) {
 	l, err := cwdLoader()
 	if err != nil {

@@ -162,6 +162,10 @@ func (pr *Program) addImports(tp *types.Package) {
 	}
 }
 
+// Imports returns every package the program can see, by path: its own
+// packages and their transitive imports.
+func (pr *Program) Imports() map[string]*types.Package { return pr.imports }
+
 // Object looks up the package-level object name in the package at
 // pkgPath, or — given a member — that named type's method or field. It
 // returns nil when no package of the program imports pkgPath, directly

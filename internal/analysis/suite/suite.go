@@ -1,7 +1,7 @@
-// Package suite bundles the project's eight analyzers in the order
+// Package suite bundles the project's nine analyzers in the order
 // cmd/llmdm-lint and the in-tree enforcement tests run them: the five
-// per-function analyzers from PR 5, then the three interprocedural ones
-// built on the Program/summary layer.
+// per-function analyzers, the three interprocedural ones built on the
+// Program/summary layer, then reach.
 package suite
 
 import (
@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/lockscope"
 	"repro/internal/analysis/metricname"
+	"repro/internal/analysis/reach"
 	"repro/internal/analysis/reslifecycle"
 )
 
@@ -27,6 +28,7 @@ func All() []*analysis.Analyzer {
 		lockorder.Analyzer,
 		reslifecycle.Analyzer,
 		goleak.Analyzer,
+		reach.Analyzer,
 	}
 }
 

@@ -121,17 +121,30 @@ func TestEscalationCounterCountsEscalationsNotSteps(t *testing.T) {
 
 func trippedSet(t *testing.T, reg *obs.Registry, names ...string) *resilience.BreakerSet {
 	t.Helper()
-	bs := resilience.NewBreakerSet(resilience.BreakerConfig{
-		Window: 4, MinSamples: 2, FailureThreshold: 0.5, Cooldown: time.Hour, Obs: reg,
-	})
+	bs := frozenBreakers(reg)
 	for _, n := range names {
-		bs.Record(n, false)
-		bs.Record(n, false)
+		fail(bs, n, 8) // a breaker trips once 8 outcomes are at least half failures
 		if bs.States()[n] != resilience.Open {
 			t.Fatalf("breaker %q did not trip", n)
 		}
 	}
 	return bs
+}
+
+// frozenBreakers returns a breaker set whose clock never moves, so a
+// tripped breaker stays open.
+func frozenBreakers(reg *obs.Registry) *resilience.BreakerSet {
+	frozen := time.Unix(1000, 0)
+	return resilience.NewBreakerSet(resilience.BreakerConfig{Now: func() time.Time { return frozen }, Obs: reg})
+}
+
+// fail records n failed calls to name.
+func fail(bs *resilience.BreakerSet, name string, n int) {
+	for i := 0; i < n; i++ {
+		if epoch, ok := bs.Allow(name); ok {
+			bs.Record(name, epoch, false)
+		}
+	}
 }
 
 // TestSkippedEscalationServesBestEffort: when the escalation target's
@@ -192,9 +205,9 @@ func TestAllTiersOpenErrors(t *testing.T) {
 // count as tier failure evidence.
 func TestBreakerIgnoresClientCancellation(t *testing.T) {
 	reg := obs.NewRegistry()
-	bs := resilience.NewBreakerSet(resilience.BreakerConfig{
-		Window: 4, MinSamples: 1, FailureThreshold: 0.01, Cooldown: time.Hour, Obs: reg,
-	})
+	bs := frozenBreakers(reg)
+	// Seven failures: the eighth outcome, if it is a failure, trips.
+	fail(bs, "c", 7)
 	c := &Cascade{Models: []llm.Model{errModel{"c", context.Canceled}},
 		Decide: Threshold{Tau: 0.5}, Breakers: bs, Obs: reg}
 	if _, _, err := c.Complete(context.Background(), llm.Request{Prompt: "q"}); !errors.Is(err, context.Canceled) {
@@ -203,7 +216,7 @@ func TestBreakerIgnoresClientCancellation(t *testing.T) {
 	if st := bs.States()["c"]; st != resilience.Closed {
 		t.Errorf("breaker = %v after a client cancellation, want closed", st)
 	}
-	// A genuinely transient failure does count (MinSamples 1 trips at once).
+	// A genuinely transient failure does count: it is the eighth, and trips.
 	c.Models = []llm.Model{errModel{"c", llm.ErrTransient}}
 	c.Complete(context.Background(), llm.Request{Prompt: "q"})
 	if st := bs.States()["c"]; st != resilience.Open {

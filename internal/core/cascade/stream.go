@@ -82,17 +82,21 @@ type RunStream struct {
 	req       llm.Request
 	streaming bool // sched.Streaming request: token-stream the tiers that can
 
-	// The open tier: its index, stream and cascade.step span, and what it
-	// has emitted so far. cur is nil between tiers.
+	// The open tier: its index, the breaker epoch it was admitted under,
+	// its stream and cascade.step span, and what it has emitted so far.
+	// cur is nil between tiers.
 	tier       int
+	epoch      uint64
 	cur        llm.Stream
 	sp         *obs.Span
 	tierChunks int
 	tierCost   token.Cost
 	tierConf   float64
 	// next is the tier to open after this one, once pickNext chose it
-	// (next > tier); len(Models) means none is left.
-	next int
+	// (next > tier), and nextEpoch its breaker's admission; len(Models)
+	// means none is left.
+	next      int
+	nextEpoch uint64
 
 	tr     Trace
 	done   bool
@@ -172,8 +176,12 @@ func (r *RunStream) pickNext() int {
 		return r.next
 	}
 	for r.next = r.tier + 1; r.next < len(c.Models); r.next++ {
+		if c.Breakers == nil {
+			break
+		}
 		name := c.Models[r.next].Name()
-		if c.Breakers == nil || c.Breakers.Allow(name) {
+		var ok bool
+		if r.nextEpoch, ok = c.Breakers.Allow(name); ok {
 			break
 		}
 		if _, sp := obs.StartSpan(r.ctx, "cascade.step"); sp != nil { // nil under an unkept trace
@@ -194,7 +202,7 @@ func (r *RunStream) pickNext() int {
 // single pre-billed chunk.
 func (r *RunStream) openTier() error {
 	c := r.c
-	r.tier, r.tierChunks, r.tierCost, r.tierConf = r.next, 0, 0, 0
+	r.tier, r.epoch, r.tierChunks, r.tierCost, r.tierConf = r.next, r.nextEpoch, 0, 0, 0
 	m := c.Models[r.tier]
 	// Under an unkept trace the span is nil and the debug event dropped:
 	// their attributes, which box, are built only when they record.
@@ -241,7 +249,7 @@ func (r *RunStream) earlyExit() {
 	name := c.Models[r.tier].Name()
 	if c.Breakers != nil {
 		// An abort for quality is not a tier failure.
-		c.Breakers.Record(name, true)
+		c.Breakers.Record(name, r.epoch, true)
 	}
 	c.tiers[r.tier].earlyExit.Inc()
 	c.tiers[r.tier].earlyExits.Inc()
@@ -262,7 +270,7 @@ func (r *RunStream) finalizeTier() bool {
 	resp, _ := r.cur.Final()
 	resp.Confidence = finite(resp.Confidence)
 	if c.Breakers != nil {
-		c.Breakers.Record(name, true)
+		c.Breakers.Record(name, r.epoch, true)
 	}
 	accepted := r.tier == len(c.Models)-1 || c.Decide.Accept(resp)
 	if !accepted && r.pickNext() == len(c.Models) {
@@ -297,7 +305,7 @@ func (r *RunStream) tierError(err error) error {
 	name := c.Models[r.tier].Name()
 	if c.Breakers != nil && !errors.Is(err, context.Canceled) {
 		// Client cancellations say nothing about the tier's health.
-		c.Breakers.Record(name, false)
+		c.Breakers.Record(name, r.epoch, false)
 	}
 	c.tiers[r.tier].errors.Inc()
 	c.Log.Event(r.ctx, obs.Warn, "cascade_tier_error", "model", name, "tier", r.tier, "error", err.Error())

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/token"
 )
@@ -361,9 +360,9 @@ func TestCascadeStreamAllTiersOpen(t *testing.T) {
 	c := New(Threshold{Tau: 0.5}, cheap)
 	c.Obs = obs.NewRegistry()
 	c.Log = obs.NewLogger(obs.NewEventLog(16), obs.Debug, obs.NewRegistry())
-	c.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{FailureThreshold: 1, MinSamples: 1})
-	c.Breakers.Record("cheap", false)
-	if c.Breakers.Allow("cheap") {
+	c.Breakers = frozenBreakers(nil)
+	fail(c.Breakers, "cheap", 8)
+	if _, ok := c.Breakers.Allow("cheap"); ok {
 		t.Skip("breaker did not open; config drifted")
 	}
 	rs, err := c.CompleteStream(context.Background(), hardReq())

@@ -3,6 +3,8 @@
 // one space, queried semantically with optional attribute filtering) and
 // "LLM as databases" (SQL over virtual tables whose cells are fetched from
 // an LLM).
+//
+//llmdm:allow reach paper §II-D data exploration: DESIGN documents the exported API as paper coverage
 package explore
 
 import (

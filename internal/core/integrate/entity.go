@@ -3,6 +3,8 @@
 // cleaning via LLM prompting, plus the table-understanding toolkit
 // (row/column serialization, SQL-to-natural-language statistics sentences,
 // and large-table splitting).
+//
+//llmdm:allow reach paper §II-C data integration: DESIGN documents the exported API as paper coverage
 package integrate
 
 import (

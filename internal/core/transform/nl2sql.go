@@ -3,6 +3,8 @@
 // documents and spreadsheets into relational tables (Figure 4), column
 // pattern mining and column transformation programs, and data-preparation
 // pipeline recommendation.
+//
+//llmdm:allow reach paper §II-B data transformation: DESIGN documents the exported API as paper coverage
 package transform
 
 import (

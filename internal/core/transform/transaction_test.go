@@ -50,8 +50,10 @@ func TestTransactionSQLExecutes(t *testing.T) {
 	db := sqlkit.NewDB()
 	db.Exec("CREATE TABLE accounts (owner TEXT, balance INT)")
 	db.Exec("INSERT INTO accounts VALUES ('Alice', 5000), ('Bob', 100), ('Express', 0)")
-	if _, err := db.ExecScript(script); err != nil {
-		t.Fatalf("script failed: %v\n%s", err, script)
+	for _, sql := range strings.Split(strings.TrimSuffix(script, ";"), ";") {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("script failed: %v\n%s", err, script)
+		}
 	}
 	r, _ := db.Exec("SELECT balance FROM accounts WHERE owner = 'Bob'")
 	if r.Rows[0][0].Int != 1095 {

@@ -3,6 +3,8 @@
 // provided — self-consistency voting across prompt variants, interpretable
 // evidence attribution (which input facts support the answer), and
 // human-in-the-loop crowd scoring with learned worker reliabilities.
+//
+//llmdm:allow reach paper §III-E output validation: DESIGN documents the exported API as paper coverage
 package validate
 
 import (

@@ -84,14 +84,7 @@ func fnvBytes(h uint64, p []byte) uint64 {
 	return h
 }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// fnvRune folds the UTF-8 encoding of r, matching fnvString(h, string(r)).
+// fnvRune folds the UTF-8 encoding of r, as fnvBytes(h, []byte(string(r))).
 func fnvRune(h uint64, r rune) uint64 {
 	if uint32(r) < utf8.RuneSelf {
 		return fnvByte(h, byte(r))
@@ -105,8 +98,8 @@ func fnvRune(h uint64, r rune) uint64 {
 }
 
 // fnvLower folds the lowercased runes of s, matching
-// fnvString(h, strings.ToLower(s)) for the 1:1 case mappings unicode
-// defines.
+// fnvBytes(h, []byte(strings.ToLower(s))) for the 1:1 case mappings
+// unicode defines.
 func fnvLower(h uint64, s string) uint64 {
 	for _, r := range s {
 		if 'A' <= r && r <= 'Z' {
@@ -147,23 +140,6 @@ func (e *Embedder) Text(s string) Vector {
 	e.textInto(v, s)
 	normalize(v)
 	return v
-}
-
-// TextInto embeds s into dst, reusing dst's backing array when it is
-// dim-sized, and returns the embedding. Callers that hold a reusable
-// buffer embed without allocating.
-func (e *Embedder) TextInto(dst Vector, s string) Vector {
-	if cap(dst) >= e.dim {
-		dst = dst[:e.dim]
-		for i := range dst {
-			dst[i] = 0
-		}
-	} else {
-		dst = make(Vector, e.dim)
-	}
-	e.textInto(dst, s)
-	normalize(dst)
-	return dst
 }
 
 // TextScratch embeds s into a vector drawn from the Embedder's scratch

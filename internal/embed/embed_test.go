@@ -152,29 +152,6 @@ func TestDotL2CommonPrefix(t *testing.T) {
 	}
 }
 
-func TestTextIntoReusesBuffer(t *testing.T) {
-	e := New(DefaultDim)
-	buf := make(Vector, DefaultDim)
-	got := e.TextInto(buf, "semantic cache lookup")
-	if &got[0] != &buf[0] {
-		t.Error("TextInto did not reuse the provided buffer")
-	}
-	if !vecsEqual(got, e.Text("semantic cache lookup")) {
-		t.Error("TextInto output differs from Text")
-	}
-	// Stale contents must be cleared.
-	got = e.TextInto(buf, "completely different text")
-	if !vecsEqual(got, e.Text("completely different text")) {
-		t.Error("TextInto with dirty buffer differs from Text")
-	}
-	// Undersized buffer: allocates instead of truncating.
-	small := make(Vector, 3)
-	got = e.TextInto(small, "hello")
-	if len(got) != DefaultDim {
-		t.Errorf("TextInto(small) returned len %d, want %d", len(got), DefaultDim)
-	}
-}
-
 func TestTextScratchRoundTrip(t *testing.T) {
 	e := New(DefaultDim)
 	want := e.Text("prompt store retrieval")
@@ -208,10 +185,6 @@ func TestTextAllocBudget(t *testing.T) {
 	const text = "What are the names of stadiums that had concerts in 2014 or sports meetings in 2015?"
 	if n := testing.AllocsPerRun(200, func() { e.Text(text) }); n > 8 {
 		t.Errorf("Text allocates %v times per call, budget 8", n)
-	}
-	buf := make(Vector, DefaultDim)
-	if n := testing.AllocsPerRun(200, func() { e.TextInto(buf, text) }); n > 0 {
-		t.Errorf("TextInto allocates %v times per call, budget 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { e.ReleaseScratch(e.TextScratch(text)) }); n > 0 {
 		t.Errorf("TextScratch+Release allocates %v times per call, budget 0", n)

@@ -149,7 +149,7 @@ func TestPacedWallClock(t *testing.T) {
 
 	const scale = 500
 	p := NewPaced(m, scale)
-	if p.Name() != m.Name() || p.Unwrap() != BatchModel(m) {
+	if p.Name() != m.Name() || p.inner != BatchModel(m) {
 		t.Fatal("paced does not delegate identity")
 	}
 

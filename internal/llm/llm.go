@@ -132,7 +132,8 @@ type SimConfig struct {
 	Capability   float64
 	Price        token.Price
 	TokensPerSec float64
-	NoiseAmp     float64
+	//llmdm:allow reach the core packages' tests pin a noiseless model with it
+	NoiseAmp float64
 	// Obs receives the model's call/token/cost/latency/error metrics.
 	Obs *obs.Registry
 }

@@ -35,9 +35,6 @@ func NewPaced(inner BatchModel, scale float64) *Paced {
 // Name implements Model.
 func (p *Paced) Name() string { return p.inner.Name() }
 
-// Unwrap returns the wrapped model (for meter access in tests).
-func (p *Paced) Unwrap() BatchModel { return p.inner }
-
 func (p *Paced) acquire(ctx context.Context) error {
 	select {
 	case p.lane <- struct{}{}:

@@ -77,20 +77,6 @@ type Retry struct {
 	Obs *obs.Registry
 }
 
-// NewRetry wraps a model with the given attempt budget and the default
-// backoff schedule (2ms base doubling to a 250ms cap).
-func NewRetry(inner Model, attempts int) *Retry {
-	if attempts <= 0 {
-		attempts = 3
-	}
-	return &Retry{
-		Inner:     inner,
-		Attempts:  attempts,
-		BaseDelay: 2 * time.Millisecond,
-		MaxDelay:  250 * time.Millisecond,
-	}
-}
-
 // Name implements Model.
 func (r *Retry) Name() string { return r.Inner.Name() }
 

@@ -3,7 +3,9 @@ package llm
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/token"
 )
@@ -55,7 +57,7 @@ func TestFlakyRetrySeesFreshDraws(t *testing.T) {
 
 func TestRetryRecovers(t *testing.T) {
 	f := NewFlaky(flakyBase(), 0.5)
-	r := NewRetry(f, 10)
+	r := &Retry{Inner: f, Attempts: 10, BaseDelay: 2 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	okCount := 0
 	for i := 0; i < 100; i++ {
 		resp, err := r.Complete(context.Background(), Request{
@@ -78,7 +80,7 @@ func TestRetryRecovers(t *testing.T) {
 
 func TestRetryExhaustsAndReportsTransient(t *testing.T) {
 	alwaysFail := NewFlaky(flakyBase(), 1.0)
-	r := NewRetry(alwaysFail, 3)
+	r := &Retry{Inner: alwaysFail, Attempts: 3}
 	_, err := r.Complete(context.Background(), Request{Prompt: "doomed", Gold: "g"})
 	if !errors.Is(err, ErrTransient) {
 		t.Errorf("exhausted err = %v, want wrapped ErrTransient", err)
@@ -86,7 +88,7 @@ func TestRetryExhaustsAndReportsTransient(t *testing.T) {
 }
 
 func TestRetryPropagatesPermanentErrors(t *testing.T) {
-	r := NewRetry(flakyBase(), 5)
+	r := &Retry{Inner: flakyBase(), Attempts: 5}
 	// Empty prompt is a permanent error: no retries, immediate propagation.
 	_, err := r.Complete(context.Background(), Request{})
 	if !errors.Is(err, ErrEmptyPrompt) {
@@ -96,7 +98,7 @@ func TestRetryPropagatesPermanentErrors(t *testing.T) {
 
 func TestRetryHonorsContext(t *testing.T) {
 	alwaysFail := NewFlaky(flakyBase(), 1.0)
-	r := NewRetry(alwaysFail, 1000)
+	r := &Retry{Inner: alwaysFail, Attempts: 1000, BaseDelay: 2 * time.Millisecond}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.Complete(ctx, Request{Prompt: "x", Gold: "g"}); !errors.Is(err, context.Canceled) {
@@ -107,15 +109,16 @@ func TestRetryHonorsContext(t *testing.T) {
 func TestWrappersPreserveIdentity(t *testing.T) {
 	base := flakyBase()
 	f := NewFlaky(base, 0.1)
-	r := NewRetry(f, 2)
+	r := &Retry{Inner: f, Attempts: 2}
 	if r.Name() != base.Name() {
 		t.Error("wrappers changed model identity")
 	}
 }
 
 func TestRetryDefaultAttempts(t *testing.T) {
-	r := NewRetry(flakyBase(), 0)
-	if r.Attempts != 3 {
-		t.Errorf("default attempts = %d", r.Attempts)
+	r := &Retry{Inner: NewFlaky(flakyBase(), 1.0)}
+	_, err := r.Complete(context.Background(), Request{Prompt: "x", Gold: "g"})
+	if err == nil || !strings.Contains(err.Error(), "3 attempts exhausted") {
+		t.Errorf("zero Attempts: err = %v, want 3 attempts exhausted", err)
 	}
 }

@@ -66,7 +66,7 @@ func TestAlertThresholdLifecycle(t *testing.T) {
 	}
 
 	// Every edge landed in the event log: pending, firing, resolved.
-	events := e.log.Sink().Events(EventFilter{Name: "alert_transition"})
+	events, _, _ := e.log.Sink().EventsSince(0, EventFilter{Name: "alert_transition"})
 	if len(events) != 3 {
 		t.Fatalf("alert_transition events = %d, want 3", len(events))
 	}

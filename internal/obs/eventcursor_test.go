@@ -80,7 +80,7 @@ func TestEventTenantAttribute(t *testing.T) {
 	lg.Event(WithTenant(context.Background(), "acme"), Info, "request_done", "source", "cascade")
 	lg.Event(WithTenant(context.Background(), "umbrella"), Info, "request_done")
 
-	all := l.Events(EventFilter{})
+	all, _, _ := l.EventsSince(0, EventFilter{})
 	if len(all) != 3 {
 		t.Fatalf("events = %d, want 3", len(all))
 	}
@@ -95,11 +95,11 @@ func TestEventTenantAttribute(t *testing.T) {
 	}
 
 	// The Tenant filter replays one tenant's story.
-	acme := l.Events(EventFilter{Tenant: "acme"})
+	acme, _, _ := l.EventsSince(0, EventFilter{Tenant: "acme"})
 	if len(acme) != 1 || acme[0].Attrs["source"] != "cascade" {
 		t.Fatalf("tenant filter = %+v", acme)
 	}
-	if got := l.Events(EventFilter{Tenant: "ghost"}); len(got) != 0 {
+	if got, _, _ := l.EventsSince(0, EventFilter{Tenant: "ghost"}); len(got) != 0 {
 		t.Fatalf("ghost tenant matched %d events", len(got))
 	}
 }

@@ -184,14 +184,6 @@ func (f EventFilter) matches(r eventRecord) bool {
 	return true
 }
 
-// Events returns the retained events matching f in chronological order
-// (oldest first). When f.Max truncates, the newest events win — the
-// tail of a request's story is worth more than its head.
-func (l *EventLog) Events(f EventFilter) []Event {
-	events, _, _ := l.EventsSince(0, f)
-	return events
-}
-
 // EventsSince returns the retained events with seq > since that match
 // f, oldest first, plus cursor bookkeeping: next is the cursor to pass
 // back as the following call's since, and missing counts events after

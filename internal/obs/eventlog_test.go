@@ -49,9 +49,9 @@ func TestEventLogWraparound(t *testing.T) {
 	if ring.Overwritten() != 6 {
 		t.Fatalf("Overwritten() = %d, want 6", ring.Overwritten())
 	}
-	evs := ring.Events(EventFilter{})
+	evs, _, _ := ring.EventsSince(0, EventFilter{})
 	if len(evs) != 4 {
-		t.Fatalf("Events returned %d events, want 4", len(evs))
+		t.Fatalf("EventsSince returned %d events, want 4", len(evs))
 	}
 	// Newest 4 survive, in chronological order with increasing seq.
 	for i, e := range evs {
@@ -74,20 +74,20 @@ func TestEventLogFilters(t *testing.T) {
 	lg.Event(ctxB, Info, "step_one")
 	lg.Emit(Error, "step_three")
 
-	if got := len(ring.Events(EventFilter{Trace: "ta"})); got != 2 {
-		t.Errorf("trace filter: got %d events, want 2", got)
+	if got, _, _ := ring.EventsSince(0, EventFilter{Trace: "ta"}); len(got) != 2 {
+		t.Errorf("trace filter: got %d events, want 2", len(got))
 	}
-	if got := len(ring.Events(EventFilter{Name: "step_one"})); got != 2 {
-		t.Errorf("name filter: got %d events, want 2", got)
+	if got, _, _ := ring.EventsSince(0, EventFilter{Name: "step_one"}); len(got) != 2 {
+		t.Errorf("name filter: got %d events, want 2", len(got))
 	}
-	if got := len(ring.Events(EventFilter{Min: Warn})); got != 2 {
-		t.Errorf("level filter: got %d events, want 2", got)
+	if got, _, _ := ring.EventsSince(0, EventFilter{Min: Warn}); len(got) != 2 {
+		t.Errorf("level filter: got %d events, want 2", len(got))
 	}
-	if got := len(ring.Events(EventFilter{Trace: "ta", Min: Warn})); got != 1 {
-		t.Errorf("combined filter: got %d events, want 1", got)
+	if got, _, _ := ring.EventsSince(0, EventFilter{Trace: "ta", Min: Warn}); len(got) != 1 {
+		t.Errorf("combined filter: got %d events, want 1", len(got))
 	}
 	// Max keeps the newest events.
-	evs := ring.Events(EventFilter{Max: 2})
+	evs, _, _ := ring.EventsSince(0, EventFilter{Max: 2})
 	if len(evs) != 2 || evs[1].Name != "step_three" {
 		t.Errorf("Max filter: got %v, want newest 2 ending in step_three", evs)
 	}
@@ -166,7 +166,7 @@ func TestEventLogConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				lg.Emit(Info, "concurrent_event", "i", i)
-				ring.Events(EventFilter{Max: 5})
+				ring.EventsSince(0, EventFilter{Max: 5})
 			}
 		}()
 	}

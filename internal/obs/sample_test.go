@@ -140,7 +140,7 @@ func TestLoggerDropsBelowWarnUnderUnkeptTrace(t *testing.T) {
 		}
 		lg.Event(ctx, l, "probe_event")
 	}
-	events := lg.Sink().Events(EventFilter{})
+	events, _, _ := lg.Sink().EventsSince(0, EventFilter{})
 	if len(events) != 2 || events[0].Level != "warn" || events[1].Level != "error" || events[0].Trace != root.TraceID() {
 		t.Errorf("events under an unkept trace = %+v, want the warn and the error, with its trace ID", events)
 	}

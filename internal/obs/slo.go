@@ -53,8 +53,10 @@ type SLOConfig struct {
 	// Objectives maps request class → objective. Classes recorded but
 	// not listed here get per-class defaults, so the tracker never drops
 	// traffic on the floor.
+	//llmdm:allow reach a test hook until ROADMAP item 2 folds the SLO settings
 	Objectives map[string]SLOObjective
 	// Now is the clock; nil means time.Now. Injectable for tests.
+	//llmdm:allow reach a test hook until ROADMAP item 2 threads one clock through the serving path
 	Now func() time.Time
 	// Obs receives slo_requests_total / slo_errors_total /
 	// slo_slow_total counters and slo_burn_rate / slo_attainment gauges.

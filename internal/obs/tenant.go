@@ -224,21 +224,6 @@ func (a *TenantAccountant) AddSpend(tenant string, microUSD int64, escalations i
 	}
 }
 
-// Spend reports the spend attributed to tenant so far; ok is false for
-// tenants not currently tracked.
-func (a *TenantAccountant) Spend(tenant string) (microUSD int64, ok bool) {
-	if a == nil {
-		return 0, false
-	}
-	a.mu.RLock()
-	e := a.tenants[tenant]
-	a.mu.RUnlock()
-	if e == nil {
-		return 0, false
-	}
-	return e.spendMicro.Load(), true
-}
-
 // TenantStat is one tenant's attribution scorecard, JSON-ready for
 // /v1/tenants.
 type TenantStat struct {

@@ -112,6 +112,8 @@ func (s *Span) TraceID() string {
 
 // TraceIDFromContext returns the trace ID of the span carried by ctx,
 // or "" when ctx carries none.
+//
+//llmdm:allow reach ROADMAP "Decided": its tests are the trace-ID contract
 func TraceIDFromContext(ctx context.Context) string {
 	return SpanFromContext(ctx).TraceID()
 }

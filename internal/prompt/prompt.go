@@ -1,8 +1,8 @@
-// Package prompt implements prompt construction and historical prompt
-// selection — the paper's Section III-A challenge.
+// Package prompt implements historical prompt selection — the paper's
+// Section III-A challenge.
 //
-// Prompts for data-management tasks are built from templates plus few-shot
-// examples. Historical examples are stored in a vector index; selection can
+// Prompts for data-management tasks carry few-shot examples. Historical
+// examples are stored in a vector index; selection can
 // be purely similarity-based (the common practice the paper critiques) or
 // performance-aware (the paper's envisioned improvement: "incorporate the
 // performance of LLMs as a target"). A bounded store evicts examples by
@@ -11,30 +11,12 @@
 package prompt
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/vector"
 )
-
-// Template is a named prompt template with {{var}} placeholders.
-type Template struct {
-	Name string
-	Text string
-}
-
-// Render substitutes {{key}} placeholders from vars. Unknown placeholders
-// are left intact so mistakes are visible in output rather than silent.
-func (t Template) Render(vars map[string]string) string {
-	out := t.Text
-	for k, v := range vars {
-		out = strings.ReplaceAll(out, "{{"+k+"}}", v)
-	}
-	return out
-}
 
 // Example is one historical (input, output) pair with its observed utility.
 type Example struct {
@@ -89,13 +71,6 @@ func NewStore(emb *embed.Embedder, budget int) *Store {
 		budget:   budget,
 		alpha:    0.5,
 	}
-}
-
-// Len reports the number of stored examples.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.examples)
 }
 
 // Add stores an example, evicting the lowest-utility one if over budget.
@@ -186,33 +161,4 @@ func (s *Store) Feedback(id vector.ID, reward float64) {
 		ex.Uses++
 		ex.Reward += reward
 	}
-}
-
-// BuildFewShot assembles the standard few-shot prompt: instruction,
-// numbered examples, then the query.
-func BuildFewShot(instruction string, examples []Selected, query string) string {
-	var b strings.Builder
-	b.WriteString(instruction)
-	b.WriteString("\n")
-	for i, ex := range examples {
-		fmt.Fprintf(&b, "(%d) Input: %s\n    Output: %s\n", i+1, ex.Example.Input, ex.Example.Output)
-	}
-	b.WriteString("Input: " + query + "\nOutput:")
-	return b.String()
-}
-
-// SharedExamples reports how many selected examples two prompts have in
-// common — the overlap query combination exploits (Section III-B1).
-func SharedExamples(a, b []Selected) int {
-	in := make(map[vector.ID]bool, len(a))
-	for _, x := range a {
-		in[x.ID] = true
-	}
-	n := 0
-	for _, y := range b {
-		if in[y.ID] {
-			n++
-		}
-	}
-	return n
 }

@@ -11,19 +11,6 @@ func newStore(budget int) *Store {
 	return NewStore(embed.New(embed.DefaultDim), budget)
 }
 
-func TestTemplateRender(t *testing.T) {
-	tpl := Template{Name: "cta", Text: "Given types: {{types}}. Predict the type of: {{values}}."}
-	got := tpl.Render(map[string]string{"types": "country, person", "values": "USA||UK"})
-	want := "Given types: country, person. Predict the type of: USA||UK."
-	if got != want {
-		t.Errorf("Render = %q, want %q", got, want)
-	}
-	// Unknown placeholders stay visible.
-	if !strings.Contains(tpl.Render(nil), "{{types}}") {
-		t.Error("unknown placeholder silently dropped")
-	}
-}
-
 func TestAddSelectSimilarity(t *testing.T) {
 	s := newStore(0)
 	s.Add(Example{Input: "names of stadiums with concerts in 2014", Output: "SELECT ..."})
@@ -78,8 +65,8 @@ func TestBudgetEvictsLowestReward(t *testing.T) {
 	s.Feedback(b, 0) // worst
 	s.Feedback(c, 1)
 	s.Add(Example{Input: "dddd", Output: "4"})
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
+	if len(s.examples) != 3 {
+		t.Fatalf("len = %d, want 3", len(s.examples))
 	}
 	sel := s.Select("bbbb", 3, BySimilarity)
 	for _, x := range sel {
@@ -93,33 +80,6 @@ func TestMeanRewardPrior(t *testing.T) {
 	e := Example{}
 	if e.MeanReward() != 0.5 {
 		t.Errorf("unused prior = %v, want 0.5", e.MeanReward())
-	}
-}
-
-func TestBuildFewShot(t *testing.T) {
-	sel := []Selected{
-		{Example: Example{Input: "USA||UK||France", Output: "country"}},
-		{Example: Example{Input: "Michael Jackson||Beckham", Output: "person"}},
-	}
-	p := BuildFewShot("Predict the column type.", sel, "Basketball||Badminton")
-	for _, want := range []string{"Predict the column type.", "(1) Input: USA||UK||France", "Output: country", "(2)", "Basketball||Badminton"} {
-		if !strings.Contains(p, want) {
-			t.Errorf("prompt missing %q:\n%s", want, p)
-		}
-	}
-	if !strings.HasSuffix(p, "Output:") {
-		t.Error("prompt should end at completion point")
-	}
-}
-
-func TestSharedExamples(t *testing.T) {
-	a := []Selected{{ID: 1}, {ID: 2}, {ID: 3}}
-	b := []Selected{{ID: 3}, {ID: 4}, {ID: 1}}
-	if got := SharedExamples(a, b); got != 2 {
-		t.Errorf("shared = %d, want 2", got)
-	}
-	if got := SharedExamples(a, nil); got != 0 {
-		t.Errorf("shared with nil = %d", got)
 	}
 }
 

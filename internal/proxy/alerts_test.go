@@ -69,12 +69,12 @@ func TestAlertRulesReadTheirComponents(t *testing.T) {
 			Price: token.Price{InputPer1K: 1000, OutputPer1K: 1000}})
 		p, _ := alertProxy(Config{
 			Models: []llm.Model{dead, healthy}, DisableCache: true, DisableStale: true,
-			Breaker: resilience.BreakerConfig{Window: 8, MinSamples: 3, Cooldown: time.Hour},
 		})
 		if st := rule(t, p, "breaker_open"); st.State != "inactive" {
 			t.Fatalf("before traffic: %+v", st)
 		}
-		for i := 0; i < 3; i++ {
+		// Eight failures trip the breaker; the shared clock holds it open.
+		for i := 0; i < 8; i++ {
 			p.Complete(context.Background(), llm.Request{Prompt: fmt.Sprintf("q%d", i), Gold: "g", Difficulty: 0.3})
 		}
 		if st := rule(t, p, "breaker_open"); st.State != "firing" || st.Value != 1 {

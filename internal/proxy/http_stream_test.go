@@ -262,7 +262,7 @@ func TestSSEDisconnectMidBatchIsOneCancel(t *testing.T) {
 	w.failWrite = true
 	<-serveSSE(p, w, CompletionRequest{Prompt: req.Prompt, Gold: req.Gold, Difficulty: req.Difficulty})
 
-	cancels := p.Events().Events(obs.EventFilter{Name: "proxy_cancel"})
+	cancels, _, _ := p.Events().EventsSince(0, obs.EventFilter{Name: "proxy_cancel"})
 	if len(cancels) != 1 || cancels[0].Attrs["chunks"] != "8" {
 		t.Fatalf("proxy_cancel events = %+v, want one, after the 8 chunks the client took", cancels)
 	}
@@ -274,8 +274,8 @@ func TestSSEDisconnectMidBatchIsOneCancel(t *testing.T) {
 		t.Fatalf("the leader read %q after the follower left", got)
 	}
 	leader.Close()
-	if n := len(p.Events().Events(obs.EventFilter{Name: "proxy_cancel"})); n != 1 {
-		t.Fatalf("%d proxy_cancel events once the leader finished, want still 1", n)
+	if evs, _, _ := p.Events().EventsSince(0, obs.EventFilter{Name: "proxy_cancel"}); len(evs) != 1 {
+		t.Fatalf("%d proxy_cancel events once the leader finished, want still 1", len(evs))
 	}
 	waitFor(t, func() bool { return p.limiter.Running() == 0 && runtime.NumGoroutine() <= base })
 }
@@ -312,8 +312,8 @@ func TestNonFiniteConfidenceReachesTheWireAsZero(t *testing.T) {
 				ch.Confidence != 0 || done.Confidence != 0 || done.Text != "an answer" || done.CostMicro != 7 {
 				t.Fatalf("chunk %+v, done %+v; want confidence 0 and the answer", ch, done)
 			}
-			if n := len(p.Events().Events(obs.EventFilter{Name: "proxy_complete"})); n != 2 {
-				t.Fatalf("%d proxy_complete events for two answered requests", n)
+			if evs, _, _ := p.Events().EventsSince(0, obs.EventFilter{Name: "proxy_complete"}); len(evs) != 2 {
+				t.Fatalf("%d proxy_complete events for two answered requests", len(evs))
 			}
 		})
 	}
@@ -345,10 +345,10 @@ func TestUnencodableReplyIsAnInternalError(t *testing.T) {
 	if flushes, _, unflushed := w.seen(); flushes == 0 || unflushed != 0 {
 		t.Fatalf("the error event was not flushed: %d flushes, %d bytes left", flushes, unflushed)
 	}
-	if n := len(p.Events().Events(obs.EventFilter{Name: "proxy_cancel"})); n != 0 {
-		t.Fatalf("%d proxy_cancel events for a client that never left", n)
+	if evs, _, _ := p.Events().EventsSince(0, obs.EventFilter{Name: "proxy_cancel"}); len(evs) != 0 {
+		t.Fatalf("%d proxy_cancel events for a client that never left", len(evs))
 	}
-	terminal := p.Events().Events(obs.EventFilter{Name: "proxy_error"})
+	terminal, _, _ := p.Events().EventsSince(0, obs.EventFilter{Name: "proxy_error"})
 	if len(terminal) != 1 || terminal[0].Attrs["mode"] != "stream" {
 		t.Fatalf("proxy_error events = %+v, want one for the stream", terminal)
 	}

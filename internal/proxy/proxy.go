@@ -113,6 +113,12 @@ type Stats struct {
 	Streams int64
 }
 
+// upstreamDeadline bounds each cascade run. Because the upstream call is
+// detached from the requesting client's context (so a canceled leader
+// cannot poison its coalesced cohort), this deadline is what ultimately
+// reaps a hung upstream.
+const upstreamDeadline = 30 * time.Second
+
 // Config parameterizes a Proxy.
 type Config struct {
 	// Models is the cascade chain, cheapest first. Defaults to the standard
@@ -134,19 +140,14 @@ type Config struct {
 	// DisableCache turns the cache off (for ablations).
 	DisableCache bool
 
-	// UpstreamTimeout bounds each cascade run. Because the upstream call is
-	// detached from the requesting client's context (so a canceled leader
-	// cannot poison its coalesced cohort), this deadline is what ultimately
-	// reaps a hung upstream. Defaults to 30s.
-	UpstreamTimeout time.Duration
 	// MaxConcurrent caps requests served at once; 0 disables the limiter.
 	MaxConcurrent int
 	// MaxQueue bounds callers waiting for a slot when MaxConcurrent is hit;
 	// beyond it requests are shed with resilience.ErrOverloaded.
 	MaxQueue int
-	// Breaker parameterizes the per-model circuit breakers consulted by the
-	// cascade. The zero value selects defaults; DisableBreaker turns them
-	// off.
+	// Breaker wires the per-model circuit breakers the cascade consults;
+	// the zero value runs them on time.Now. DisableBreaker turns them off.
+	//llmdm:allow reach it carries the breakers' test clock until ROADMAP item 2 threads one clock through the serving path
 	Breaker        resilience.BreakerConfig
 	DisableBreaker bool
 	// StaleFloor is the minimum cache similarity for a degraded stale
@@ -174,16 +175,14 @@ type Config struct {
 	// Tracer retains recent request traces (served by GET /debug/traces).
 	// Nil builds a ring of the proxy's own.
 	Tracer *obs.Tracer
-	// Events retains recent structured lifecycle events (served by GET
-	// /debug/events). Nil builds a ring of the proxy's own — unless Log is
-	// set, in which case the logger's own sink is served.
-	Events *obs.EventLog
-	// Log emits the serving stack's lifecycle events. Nil builds a logger
-	// over Events at Debug level, counting into Obs.
+	// Log emits the serving stack's lifecycle events; its sink is what
+	// GET /debug/events serves. Nil builds a logger at Debug level over a
+	// ring of the proxy's own, counting into Obs.
 	Log *obs.Logger
 	// SLO parameterizes per-class latency/availability objectives served
 	// at GET /v1/slo. The zero value selects defaults; DisableSLO turns
 	// tracking off. Its clock is the alert engine's too.
+	//llmdm:allow reach it carries the SLO tracker's test clock and objectives until ROADMAP item 2 folds them
 	SLO        obs.SLOConfig
 	DisableSLO bool
 	// TenantCapacity bounds the per-tenant attribution table served at
@@ -216,9 +215,8 @@ type Proxy struct {
 	breakers *resilience.BreakerSet
 	sched    *sched.Scheduler
 
-	upstreamTimeout time.Duration
-	staleFloor      float64
-	disableStale    bool
+	staleFloor   float64
+	disableStale bool
 
 	// keep is the head-sampling budget: the trace ring's capacity in kept
 	// traces a second.
@@ -281,15 +279,9 @@ func New(cfg Config) *Proxy {
 		cfg.Tracer = obs.NewTracer(0)
 	}
 	if cfg.Log == nil {
-		if cfg.Events == nil {
-			cfg.Events = obs.NewEventLog(0)
-		}
-		cfg.Log = obs.NewLogger(cfg.Events, obs.Debug, cfg.Obs)
+		cfg.Log = obs.NewLogger(obs.NewEventLog(0), obs.Debug, cfg.Obs)
 	}
 	reg, log := cfg.Obs, cfg.Log
-	if cfg.UpstreamTimeout == 0 {
-		cfg.UpstreamTimeout = 30 * time.Second
-	}
 	if cfg.StaleFloor == 0 {
 		cfg.StaleFloor = 0.55
 	}
@@ -345,9 +337,8 @@ func New(cfg Config) *Proxy {
 		breakers: breakers,
 		inflight: make(map[callKey]*call),
 
-		upstreamTimeout: cfg.UpstreamTimeout,
-		staleFloor:      cfg.StaleFloor,
-		disableStale:    cfg.DisableStale,
+		staleFloor:   cfg.StaleFloor,
+		disableStale: cfg.DisableStale,
 
 		series:    make(map[string]sourceSeries, len(sources)),
 		mSpend:    reg.Counter("proxy_spend_microusd_total"),
@@ -432,10 +423,6 @@ func (p *Proxy) Tenants() *obs.TenantAccountant { return p.tenants }
 // Alerts returns the proxy's alert engine (what GET /v1/alerts
 // serves), or nil when disabled.
 func (p *Proxy) Alerts() *obs.AlertEngine { return p.alerts }
-
-// Scheduler returns the proxy's batching scheduler, or nil when
-// batching is not configured (or no model supports it).
-func (p *Proxy) Scheduler() *sched.Scheduler { return p.sched }
 
 // SchedStats snapshots the batching scheduler's counters; ok is false
 // when no scheduler is configured.
@@ -684,7 +671,7 @@ func keyOf(req llm.Request) callKey {
 // asks. Every delivered chunk is appended to the call's log; spend is
 // accounted exactly once, when the run ends.
 func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call) {
-	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), p.upstreamTimeout)
+	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), upstreamDeadline)
 	obs.Go(p.reg, "proxy_upstream", func() {
 		defer cancelUp()
 		var (

@@ -290,7 +290,7 @@ func TestProxyWithRetryLayerRecovers(t *testing.T) {
 	// Production stack: proxy -> retry -> flaky upstream.
 	flaky := llm.NewFlaky(llm.NewSim(llm.SimConfig{Name: "r", Capability: 0.9,
 		Price: token.Price{InputPer1K: 1000, OutputPer1K: 1000}}), 0.5)
-	p := New(Config{Models: []llm.Model{llm.NewRetry(flaky, 10)}})
+	p := New(Config{Models: []llm.Model{&llm.Retry{Inner: flaky, Attempts: 10}}})
 	ok := 0
 	for i := 0; i < 50; i++ {
 		ans, err := p.Complete(context.Background(), llm.Request{

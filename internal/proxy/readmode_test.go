@@ -62,7 +62,8 @@ func readStory(t *testing.T, p *Proxy, reg *obs.Registry, streamed bool, ans Ans
 	t.Helper()
 	var st story
 	terminals := 0
-	for _, e := range p.Events().Events(obs.EventFilter{Tenant: probeTenant}) {
+	events, _, _ := p.Events().EventsSince(0, obs.EventFilter{Tenant: probeTenant})
+	for _, e := range events {
 		if e.Name == "proxy_first_chunk" {
 			if !streamed {
 				t.Errorf("a request/response client was announced a first chunk")
@@ -342,7 +343,7 @@ func TestHTTPRepliesProjectTheAnswer(t *testing.T) {
 				}
 				trace, elapsedMS, chunks = done.TraceID, done.ElapsedMS, done.Chunks
 			}
-			terminal := p.Events().Events(obs.EventFilter{Trace: trace, Name: "proxy_complete"})
+			terminal, _, _ := p.Events().EventsSince(0, obs.EventFilter{Trace: trace, Name: "proxy_complete"})
 			if len(terminal) != 1 {
 				t.Fatalf("%d proxy_complete events for trace %q, want 1", len(terminal), trace)
 			}

@@ -162,9 +162,8 @@ func TestBreakerSkipsDeadTier(t *testing.T) {
 		Models: []llm.Model{dead, healthy},
 		Obs:    reg, Tracer: obs.NewTracer(4),
 		DisableCache: true, DisableStale: true,
-		Breaker: resilience.BreakerConfig{
-			Window: 8, MinSamples: 3, FailureThreshold: 0.5, Cooldown: time.Hour,
-		},
+		// A clock that never moves holds the tripped breaker open.
+		Breaker: resilience.BreakerConfig{Now: func() time.Time { return time.Unix(1000, 0) }},
 	})
 
 	failures := 0
@@ -176,19 +175,19 @@ func TestBreakerSkipsDeadTier(t *testing.T) {
 			failures++
 		}
 	}
-	// Exactly MinSamples requests fail while the breaker gathers evidence;
-	// everything after rides the healthy tier.
-	if failures != 3 {
-		t.Errorf("failures = %d, want 3 (breaker evidence-gathering)", failures)
+	// Exactly the breaker's 8 minimum samples fail while it gathers
+	// evidence; everything after rides the healthy tier.
+	if failures != 8 {
+		t.Errorf("failures = %d, want 8 (breaker evidence-gathering)", failures)
 	}
-	if got := deadCalls.Load(); got != 3 {
-		t.Errorf("dead tier called %d times, want 3", got)
+	if got := deadCalls.Load(); got != 8 {
+		t.Errorf("dead tier called %d times, want 8", got)
 	}
 	if st := p.BreakerStates(); st["dead"] != resilience.Open {
 		t.Errorf("dead tier breaker = %v, want open", st["dead"])
 	}
-	if got := reg.Snapshot()[`cascade_tier_skipped_total{model="dead"}`]; got != 17 {
-		t.Errorf("skipped = %v, want 17", got)
+	if got := reg.Snapshot()[`cascade_tier_skipped_total{model="dead"}`]; got != 12 {
+		t.Errorf("skipped = %v, want 12", got)
 	}
 }
 
@@ -386,7 +385,7 @@ func TestQueuedCallerCancelIsCanceled(t *testing.T) {
 			close(gate)
 			<-holder
 
-			events := p.Events().Events(obs.EventFilter{Tenant: probeTenant})
+			events, _, _ := p.Events().EventsSince(0, obs.EventFilter{Tenant: probeTenant})
 			if len(events) != 1 || events[0].Name != "proxy_cancel" || events[0].Level != "info" || events[0].Attrs["source"] != "canceled" {
 				t.Errorf("the queued caller's events = %+v, want one proxy_cancel at info with source canceled", events)
 			}

@@ -125,7 +125,7 @@ func TestZeroBudgetKeepsWhatMustBeKept(t *testing.T) {
 						t.Errorf("obs_traces_total{decision=promoted} = %v, want the probe counted", got)
 					}
 				} else {
-					if evs := pz.Events().Events(obs.EventFilter{Tenant: probeTenant}); len(evs) != 0 {
+					if evs, _, _ := pz.Events().EventsSince(0, obs.EventFilter{Tenant: probeTenant}); len(evs) != 0 {
 						t.Errorf("%s: an unkept request left %d events, first %s", readMode(streamed), len(evs), evs[0].Name)
 					}
 					if _, ok := pz.Tracer().ByID(ans.Trace); ok {
@@ -162,7 +162,7 @@ func TestZeroBudgetKeepsWhatMustBeKept(t *testing.T) {
 // obs_events_overwritten_total is what the ring reports.
 func TestSamplingAndOverwritesAreMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newTestProxy(Config{Obs: reg, Tracer: obs.NewTracer(2), Events: obs.NewEventLog(4)})
+	p := newTestProxy(Config{Obs: reg, Tracer: obs.NewTracer(2), Log: obs.NewLogger(obs.NewEventLog(4), obs.Debug, reg)})
 	req := llm.Request{Prompt: "how many concerts were held in the stadium this year", Gold: "twelve", Difficulty: 0.05}
 	for i := 0; i < 5; i++ {
 		if _, err := p.Complete(context.Background(), req); err != nil {

@@ -40,7 +40,7 @@ func schedProxy(t *testing.T) (*Proxy, llm.Family, *obs.Registry) {
 // what the models meter, and shows up in the scheduler stats.
 func TestProxySchedulerBatchesConcurrentTraffic(t *testing.T) {
 	p, fam, _ := schedProxy(t)
-	if p.Scheduler() == nil {
+	if _, ok := p.SchedStats(); !ok {
 		t.Fatal("scheduler not built")
 	}
 
@@ -143,11 +143,8 @@ func TestProxySchedulerHTTP(t *testing.T) {
 // no scheduler and /v1/stats stays scheduler-free.
 func TestProxyWithoutScheduler(t *testing.T) {
 	p := New(Config{DisableCache: true, Obs: obs.NewRegistry(), Tracer: obs.NewTracer(4)})
-	if p.Scheduler() != nil {
-		t.Error("scheduler built without config")
-	}
 	if _, ok := p.SchedStats(); ok {
-		t.Error("SchedStats ok without scheduler")
+		t.Error("scheduler built without config")
 	}
 	p.Close() // must be a safe no-op
 	if _, err := p.Complete(context.Background(), llm.Request{Prompt: "q", Gold: "g"}); err != nil {

@@ -322,29 +322,34 @@ func TestStreamEarlyExitBillsLessE2E(t *testing.T) {
 }
 
 // stallAfter is a stream tier that bills its first k chunks and then
-// hangs until its context dies — an upstream that stops mid-generation.
+// hangs until its own 50 ms deadline fires — an upstream that stops
+// mid-generation and times out.
 type stallAfter struct {
 	*llm.SimModel
 	k int
 }
 
 func (m stallAfter) GenerateStream(ctx context.Context, req llm.Request) (llm.Stream, error) {
+	ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	s, err := m.SimModel.GenerateStream(ctx, req)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
-	return &stalledStream{Stream: s, ctx: ctx, left: m.k}, nil
+	return &stalledStream{Stream: s, ctx: ctx, cancel: cancel, left: m.k}, nil
 }
 
 type stalledStream struct {
 	llm.Stream
-	ctx  context.Context
-	left int
+	ctx    context.Context
+	cancel context.CancelFunc
+	left   int
 }
 
 func (s *stalledStream) Recv() (llm.Chunk, error) {
 	if s.left == 0 {
 		<-s.ctx.Done()
+		s.cancel()
 		return llm.Chunk{}, s.ctx.Err()
 	}
 	s.left--
@@ -352,13 +357,13 @@ func (s *stalledStream) Recv() (llm.Chunk, error) {
 }
 
 // The spend invariant under an upstream timeout mid-stream: the chunks
-// the aborted tier billed before the deadline fired are still on the
+// the aborted tier billed before its deadline fired are still on the
 // proxy's books, so Stats().Spend == Σ model meters == Σ tenants.
 func TestStreamUpstreamTimeoutKeepsSpendExact(t *testing.T) {
 	reg := obs.NewRegistry()
 	sim := llm.NewSim(llm.SimConfig{Name: "cheap", Capability: 0.9, Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
 	p := New(Config{Models: []llm.Model{stallAfter{sim, 2}}, DisableCache: true,
-		UpstreamTimeout: 50 * time.Millisecond, Obs: reg, Tracer: obs.NewTracer(4)})
+		Obs: reg, Tracer: obs.NewTracer(4)})
 
 	s, err := p.CompleteStream(obs.WithTenant(context.Background(), "acme"), llm.Request{
 		Prompt: "a question whose answer stalls", Gold: "a long enough answer to stream as several separate chunks", Difficulty: 0.1,

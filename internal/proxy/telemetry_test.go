@@ -24,8 +24,8 @@ func telemetryProxy(cfg Config) *Proxy {
 	if cfg.Tracer == nil {
 		cfg.Tracer = obs.NewTracer(64)
 	}
-	if cfg.Events == nil {
-		cfg.Events = obs.NewEventLog(256)
+	if cfg.Log == nil {
+		cfg.Log = obs.NewLogger(obs.NewEventLog(256), obs.Debug, cfg.Obs)
 	}
 	return newTestProxy(cfg)
 }
@@ -198,7 +198,8 @@ func TestDebugEventsFiltersAndValidation(t *testing.T) {
 }
 
 func TestDebugEventsRingWraparoundOverHTTP(t *testing.T) {
-	p := telemetryProxy(Config{Events: obs.NewEventLog(8)})
+	reg := obs.NewRegistry()
+	p := telemetryProxy(Config{Obs: reg, Log: obs.NewLogger(obs.NewEventLog(8), obs.Debug, reg)})
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
@@ -228,7 +229,8 @@ func TestDebugEventsRingWraparoundOverHTTP(t *testing.T) {
 // TestDebugEndpointsConcurrent hammers /debug/events and /debug/traces
 // while traffic flows — the race gate for the telemetry read paths.
 func TestDebugEndpointsConcurrent(t *testing.T) {
-	p := telemetryProxy(Config{Events: obs.NewEventLog(32)})
+	reg := obs.NewRegistry()
+	p := telemetryProxy(Config{Obs: reg, Log: obs.NewLogger(obs.NewEventLog(32), obs.Debug, reg)})
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()

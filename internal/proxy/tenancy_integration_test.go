@@ -120,7 +120,7 @@ func TestTenancyExemplarsAndAlertLifecycle(t *testing.T) {
 	p := New(Config{
 		Obs:    reg,
 		Tracer: obs.NewTracer(256),
-		Events: ring,
+		Log:    obs.NewLogger(ring, obs.Debug, reg),
 		Models: []llm.Model{
 			slowModel{small, delay},
 			slowModel{large, delay},

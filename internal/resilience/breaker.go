@@ -43,25 +43,28 @@ func (s State) String() string {
 	}
 }
 
-// BreakerConfig parameterizes a Breaker (and every breaker of a
-// BreakerSet). The zero value selects production-ish defaults.
+// The breaker's settings, the ones every caller runs with.
+const (
+	// breakerWindow is the sliding outcome window's size.
+	breakerWindow = 20
+	// breakerMinSamples is how many outcomes the window holds before the
+	// breaker may trip.
+	breakerMinSamples = 8
+	// breakerThreshold trips the breaker when the window's failure
+	// fraction reaches it.
+	breakerThreshold = 0.5
+	// breakerCooldown is how long an open breaker rejects before it
+	// admits a probe, and how long a probe may stay outstanding before it
+	// is presumed lost.
+	breakerCooldown = 250 * time.Millisecond
+)
+
+// BreakerConfig wires a Breaker (and every breaker of a BreakerSet) to
+// its clock and sinks. The zero value is ready to use.
 type BreakerConfig struct {
-	// Window is the sliding outcome window size. Defaults to 20.
-	Window int
-	// MinSamples is the minimum number of recorded outcomes before the
-	// breaker may trip. Defaults to 8.
-	MinSamples int
-	// FailureThreshold trips the breaker when the window's failure
-	// fraction reaches it. Defaults to 0.5.
-	FailureThreshold float64
-	// Cooldown is how long an open breaker rejects before probing.
-	// Defaults to 250ms.
-	Cooldown time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close a
-	// half-open breaker. Defaults to 1.
-	HalfOpenProbes int
 	// Now is the clock; tests inject a fake one to walk transitions
 	// deterministically. Nil means time.Now.
+	//llmdm:allow reach a test hook until ROADMAP item 2 threads one clock through the serving path
 	Now func() time.Time
 	// Obs receives breaker_state / breaker_transitions_total /
 	// breaker_rejections_total.
@@ -70,44 +73,29 @@ type BreakerConfig struct {
 	Log *obs.Logger
 }
 
-// withDefaults fills zero fields.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 250 * time.Millisecond
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
 // Breaker is a three-state circuit breaker over one named resource, driven
 // by a sliding window of call outcomes. Breaker is safe for concurrent use.
+//
+// Every admission carries the breaker's epoch, which moves on at each
+// transition: an outcome is counted only under the epoch it was admitted
+// in. A call admitted while closed that returns after the trip says
+// nothing about the state the breaker is in now. The probes of one
+// half-open spell share its epoch, so a slow probe still decides when it
+// reports, and whichever probe reports first decides for all of them.
 type Breaker struct {
-	cfg  BreakerConfig
+	now  func() time.Time
+	log  *obs.Logger
 	name string
 
 	mu       sync.Mutex
 	state    State
-	window   []bool // ring of outcomes, true = failure
-	idx      int    // next write position
-	filled   int    // outcomes recorded (≤ len(window))
-	fails    int    // failures currently in the window
+	epoch    uint64
+	window   [breakerWindow]bool // ring of outcomes, true = failure
+	idx      int                 // next write position
+	filled   int                 // outcomes recorded (≤ breakerWindow)
+	fails    int                 // failures currently in the window
 	openedAt time.Time
-	probing  bool // a half-open probe is in flight
-	probeOK  int  // consecutive half-open successes
+	probeAt  time.Time // when the outstanding half-open probe was admitted
 
 	gState                          *obs.Gauge
 	mToOpen, mToHalfOpen, mToClosed *obs.Counter
@@ -116,11 +104,10 @@ type Breaker struct {
 
 // NewBreaker returns a closed breaker for the named resource.
 func NewBreaker(name string, cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
 	b := &Breaker{
-		cfg:    cfg,
-		name:   name,
-		window: make([]bool, cfg.Window),
+		now:  cfg.Now,
+		log:  cfg.Log,
+		name: name,
 
 		gState:      cfg.Obs.Gauge("breaker_state", "name", name),
 		mToOpen:     cfg.Obs.Counter("breaker_transitions_total", "name", name, "to", "open"),
@@ -128,68 +115,74 @@ func NewBreaker(name string, cfg BreakerConfig) *Breaker {
 		mToClosed:   cfg.Obs.Counter("breaker_transitions_total", "name", name, "to", "closed"),
 		mRejects:    cfg.Obs.Counter("breaker_rejections_total", "name", name),
 	}
+	if b.now == nil {
+		b.now = time.Now
+	}
 	b.gState.Set(float64(Closed))
 	return b
 }
-
-// Name returns the resource this breaker guards.
-func (b *Breaker) Name() string { return b.name }
 
 // State returns the current state (advancing open → half-open when the
 // cooldown has elapsed, so observers see the effective state).
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == Open && b.now().Sub(b.openedAt) >= breakerCooldown {
 		return HalfOpen
 	}
 	return b.state
 }
 
-// Allow reports whether a call may proceed. In half-open it admits one
-// probe at a time; callers that were admitted must Record the outcome.
-func (b *Breaker) Allow() bool {
+// Allow reports whether a call may proceed, and the epoch it is admitted
+// under; an admitted caller hands the epoch back to Record with the
+// outcome. Half-open admits one probe at a time, and a new one once the
+// outstanding probe has gone a full cooldown without reporting.
+func (b *Breaker) Allow() (epoch uint64, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case Closed:
-		return true
+		return b.epoch, true
 	case Open:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		now := b.now()
+		if now.Sub(b.openedAt) < breakerCooldown {
 			b.mRejects.Inc()
-			return false
+			return 0, false
 		}
 		b.transitionLocked(HalfOpen)
-		b.probing = true
-		return true
+		b.probeAt = now
+		return b.epoch, true
 	default: // HalfOpen
-		if b.probing {
+		now := b.now()
+		if now.Sub(b.probeAt) < breakerCooldown {
 			b.mRejects.Inc()
-			return false
+			return 0, false
 		}
-		b.probing = true
-		return true
+		// The probe is presumed lost: its caller has not reported. The new
+		// probe shares its epoch, so a slow one that reports still counts.
+		b.probeAt = now
+		return b.epoch, true
 	}
 }
 
-// Record feeds one call outcome back into the breaker.
-func (b *Breaker) Record(ok bool) {
+// Record feeds the outcome of a call admitted under epoch back into the
+// breaker. An outcome from an earlier epoch is ignored.
+func (b *Breaker) Record(epoch uint64, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if epoch != b.epoch {
+		return
+	}
 	switch b.state {
 	case HalfOpen:
-		b.probing = false
-		if !ok {
-			b.openedAt = b.cfg.Now()
-			b.transitionLocked(Open)
+		if ok {
+			b.transitionLocked(Closed)
 			return
 		}
-		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenProbes {
-			b.transitionLocked(Closed)
-		}
+		b.openedAt = b.now()
+		b.transitionLocked(Open)
 	case Closed:
-		if b.filled == len(b.window) {
+		if b.filled == breakerWindow {
 			// Overwrite the oldest outcome.
 			if b.window[b.idx] {
 				b.fails--
@@ -201,15 +194,11 @@ func (b *Breaker) Record(ok bool) {
 		if !ok {
 			b.fails++
 		}
-		b.idx = (b.idx + 1) % len(b.window)
-		if b.filled >= b.cfg.MinSamples &&
-			float64(b.fails)/float64(b.filled) >= b.cfg.FailureThreshold {
-			b.openedAt = b.cfg.Now()
+		b.idx = (b.idx + 1) % breakerWindow
+		if b.filled >= breakerMinSamples && float64(b.fails)/float64(b.filled) >= breakerThreshold {
+			b.openedAt = b.now()
 			b.transitionLocked(Open)
 		}
-	case Open:
-		// Late results from calls admitted before the trip carry no new
-		// information; the probe cycle decides recovery.
 	}
 }
 
@@ -220,30 +209,18 @@ func (b *Breaker) Record(ok bool) {
 func (b *Breaker) transitionLocked(next State) {
 	prev := b.state
 	b.state = next
+	b.epoch++
 	b.gState.Set(float64(next))
-	b.cfg.Log.Emit(obs.Warn, "breaker_transition", "name", b.name, "from", prev.String(), "to", next.String())
+	b.log.Emit(obs.Warn, "breaker_transition", "name", b.name, "from", prev.String(), "to", next.String())
 	switch next {
 	case Open:
-		b.resetWindowLocked()
-		b.probing = false
-		b.probeOK = 0
+		b.window, b.idx, b.filled, b.fails = [breakerWindow]bool{}, 0, 0, 0
 		b.mToOpen.Inc()
 	case HalfOpen:
-		b.probeOK = 0
 		b.mToHalfOpen.Inc()
 	case Closed:
-		b.resetWindowLocked()
-		b.probing = false
-		b.probeOK = 0
 		b.mToClosed.Inc()
 	}
-}
-
-func (b *Breaker) resetWindowLocked() {
-	for i := range b.window {
-		b.window[i] = false
-	}
-	b.idx, b.filled, b.fails = 0, 0, 0
 }
 
 // BreakerSet is a lazily-populated family of breakers sharing one config —
@@ -258,7 +235,7 @@ type BreakerSet struct {
 
 // NewBreakerSet returns an empty set minting breakers with cfg.
 func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	return &BreakerSet{cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
+	return &BreakerSet{cfg: cfg, m: make(map[string]*Breaker)}
 }
 
 // For returns the breaker for name, creating it closed on first use.
@@ -273,11 +250,13 @@ func (s *BreakerSet) For(name string) *Breaker {
 	return b
 }
 
-// Allow reports whether a call to name may proceed.
-func (s *BreakerSet) Allow(name string) bool { return s.For(name).Allow() }
+// Allow reports whether a call to name may proceed, and the epoch it is
+// admitted under.
+func (s *BreakerSet) Allow(name string) (epoch uint64, ok bool) { return s.For(name).Allow() }
 
-// Record feeds one call outcome for name back into its breaker.
-func (s *BreakerSet) Record(name string, ok bool) { s.For(name).Record(ok) }
+// Record feeds the outcome of a call to name admitted under epoch back
+// into its breaker.
+func (s *BreakerSet) Record(name string, epoch uint64, ok bool) { s.For(name).Record(epoch, ok) }
 
 // States snapshots every breaker's effective state.
 func (s *BreakerSet) States() map[string]State {
@@ -289,7 +268,7 @@ func (s *BreakerSet) States() map[string]State {
 	s.mu.Unlock()
 	out := make(map[string]State, len(breakers))
 	for _, b := range breakers {
-		out[b.Name()] = b.State()
+		out[b.name] = b.State()
 	}
 	return out
 }

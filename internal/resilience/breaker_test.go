@@ -14,19 +14,24 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newClock() *fakeClock                   { return &fakeClock{t: time.Unix(1000, 0)} }
 func cfg(c *fakeClock, reg *obs.Registry) BreakerConfig {
-	return BreakerConfig{
-		Window: 10, MinSamples: 4, FailureThreshold: 0.5,
-		Cooldown: time.Second, HalfOpenProbes: 2, Now: c.now, Obs: reg,
+	return BreakerConfig{Now: c.now, Obs: reg}
+}
+
+// call runs one call through b: admitted, it records ok under its epoch.
+func call(b *Breaker, ok bool) (admitted bool) {
+	epoch, admitted := b.Allow()
+	if admitted {
+		b.Record(epoch, ok)
 	}
+	return admitted
 }
 
 func TestBreakerStaysClosedUnderSuccess(t *testing.T) {
 	b := NewBreaker("m", cfg(newClock(), obs.NewRegistry()))
 	for i := 0; i < 50; i++ {
-		if !b.Allow() {
+		if !call(b, true) {
 			t.Fatal("closed breaker rejected")
 		}
-		b.Record(true)
 	}
 	if b.State() != Closed {
 		t.Errorf("state = %v", b.State())
@@ -37,20 +42,18 @@ func TestBreakerTripsOnFailureWindow(t *testing.T) {
 	clock := newClock()
 	reg := obs.NewRegistry()
 	b := NewBreaker("m", cfg(clock, reg))
-	// Below MinSamples nothing trips, even at 100% failure.
-	for i := 0; i < 3; i++ {
-		b.Allow()
-		b.Record(false)
+	// Below breakerMinSamples nothing trips, even at 100% failure.
+	for i := 0; i < breakerMinSamples-1; i++ {
+		call(b, false)
 	}
 	if b.State() != Closed {
-		t.Fatal("tripped below MinSamples")
+		t.Fatal("tripped below breakerMinSamples")
 	}
-	b.Allow()
-	b.Record(false) // 4th failure: window is 4/4 failing ≥ 0.5
+	call(b, false) // 8th failure: window is 8/8 failing ≥ 0.5
 	if b.State() != Open {
 		t.Fatalf("state = %v, want Open", b.State())
 	}
-	if b.Allow() {
+	if _, ok := b.Allow(); ok {
 		t.Error("open breaker admitted a call")
 	}
 	snap := reg.Snapshot()
@@ -68,9 +71,8 @@ func TestBreakerTripsOnFailureWindow(t *testing.T) {
 func tripped(t *testing.T, clock *fakeClock, reg *obs.Registry) *Breaker {
 	t.Helper()
 	b := NewBreaker("m", cfg(clock, reg))
-	for i := 0; i < 4; i++ {
-		b.Allow()
-		b.Record(false)
+	for i := 0; i < breakerMinSamples; i++ {
+		call(b, false)
 	}
 	if b.State() != Open {
 		t.Fatal("breaker did not trip")
@@ -86,26 +88,19 @@ func TestBreakerHalfOpenRecovers(t *testing.T) {
 		t.Fatalf("state after cooldown = %v", b.State())
 	}
 	// One probe at a time: a second concurrent call is rejected.
-	if !b.Allow() {
+	probe, ok := b.Allow()
+	if !ok {
 		t.Fatal("half-open breaker rejected the probe")
 	}
-	if b.Allow() {
+	if _, ok := b.Allow(); ok {
 		t.Error("half-open breaker admitted two concurrent probes")
 	}
-	b.Record(true)
-	if b.State() != HalfOpen {
-		t.Fatalf("closed after 1/%d probe successes", 2)
-	}
-	if !b.Allow() {
-		t.Fatal("second probe rejected")
-	}
-	b.Record(true)
+	b.Record(probe, true)
 	if b.State() != Closed {
-		t.Errorf("state = %v after enough probe successes", b.State())
+		t.Errorf("state = %v after the probe succeeded", b.State())
 	}
 	// The window restarts clean: one failure must not re-trip.
-	b.Allow()
-	b.Record(false)
+	call(b, false)
 	if b.State() != Closed {
 		t.Error("re-tripped from a stale window")
 	}
@@ -115,37 +110,36 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	clock := newClock()
 	b := tripped(t, clock, obs.NewRegistry())
 	clock.advance(2 * time.Second)
-	if !b.Allow() {
+	if !call(b, false) {
 		t.Fatal("probe rejected")
 	}
-	b.Record(false)
 	if b.State() != Open {
 		t.Fatalf("state = %v, want Open after failed probe", b.State())
 	}
-	if b.Allow() {
+	if _, ok := b.Allow(); ok {
 		t.Error("reopened breaker admitted a call before the next cooldown")
 	}
 	// The cooldown restarts from the failed probe.
 	clock.advance(2 * time.Second)
-	if !b.Allow() {
+	if _, ok := b.Allow(); !ok {
 		t.Error("probe rejected after second cooldown")
 	}
 }
 
 func TestBreakerWindowSlides(t *testing.T) {
-	// 10-slot window at 50%: old outcomes age out, and the trip fires
+	// 20-slot window at 50%: old outcomes age out, and the trip fires
 	// exactly when the live window crosses the threshold.
 	b := NewBreaker("m", cfg(newClock(), obs.NewRegistry()))
-	for i := 0; i < 10; i++ {
-		b.Record(true)
+	for i := 0; i < breakerWindow; i++ {
+		call(b, true)
 	}
-	for i := 0; i < 4; i++ {
-		b.Record(false) // window now 6 successes + 4 failures = 0.4
+	for i := 0; i < 9; i++ {
+		call(b, false) // window now 11 successes + 9 failures = 0.45
 	}
 	if b.State() != Closed {
 		t.Fatalf("state = %v below threshold", b.State())
 	}
-	b.Record(false) // 5 failures / 10 = 0.5: trip
+	call(b, false) // 10 failures / 20 = 0.5: trip
 	if b.State() != Open {
 		t.Errorf("state = %v at the threshold edge", b.State())
 	}
@@ -154,18 +148,102 @@ func TestBreakerWindowSlides(t *testing.T) {
 func TestBreakerSetIsPerName(t *testing.T) {
 	clock := newClock()
 	s := NewBreakerSet(cfg(clock, obs.NewRegistry()))
-	for i := 0; i < 4; i++ {
-		s.Record("sick", false)
+	for i := 0; i < breakerMinSamples; i++ {
+		epoch, _ := s.Allow("sick")
+		s.Record("sick", epoch, false)
 	}
-	if s.Allow("sick") {
+	if _, ok := s.Allow("sick"); ok {
 		t.Error("tripped breaker allowed")
 	}
-	if !s.Allow("healthy") {
+	if _, ok := s.Allow("healthy"); !ok {
 		t.Error("independent breaker rejected")
 	}
 	states := s.States()
 	if states["sick"] != Open || states["healthy"] != Closed {
 		t.Errorf("states = %v", states)
+	}
+}
+
+// A call admitted while the breaker was closed can return after the trip
+// and the cooldown, while the probe is out. Its success says nothing about
+// the tier now: it must not close the breaker, and the probe's failure
+// must reopen it.
+func TestBreakerIgnoresLateResultFromBeforeTheTrip(t *testing.T) {
+	clock := newClock()
+	b := NewBreaker("m", cfg(clock, obs.NewRegistry()))
+	late, ok := b.Allow()
+	if !ok {
+		t.Fatal("closed breaker rejected")
+	}
+	for i := 0; i < breakerMinSamples; i++ {
+		call(b, false)
+	}
+	clock.advance(breakerCooldown)
+	probe, ok := b.Allow()
+	if !ok {
+		t.Fatal("probe rejected after the cooldown")
+	}
+	b.Record(late, true)
+	if got := b.State(); got != HalfOpen {
+		t.Fatalf("a success admitted before the trip moved the breaker to %v", got)
+	}
+	b.Record(probe, false)
+	if got := b.State(); got != Open {
+		t.Fatalf("state = %v after the probe failed, want open", got)
+	}
+	if _, ok := b.Allow(); ok {
+		t.Error("the failing tier is taking traffic again")
+	}
+}
+
+// A probe whose caller never reports must not wedge the breaker: once it
+// has been out a full cooldown, the next call is a new probe.
+func TestBreakerPresumesALostProbeLost(t *testing.T) {
+	clock := newClock()
+	b := tripped(t, clock, obs.NewRegistry())
+	clock.advance(breakerCooldown)
+	if _, ok := b.Allow(); !ok {
+		t.Fatal("probe rejected after the cooldown")
+	}
+	clock.advance(breakerCooldown - time.Millisecond)
+	if _, ok := b.Allow(); ok {
+		t.Fatal("a second probe was admitted while the first is still due")
+	}
+	clock.advance(time.Millisecond)
+	probe, ok := b.Allow()
+	if !ok {
+		t.Fatal("the breaker is wedged half-open behind a lost probe")
+	}
+	b.Record(probe, true)
+	if got := b.State(); got != Closed {
+		t.Errorf("state = %v after the new probe succeeded, want closed", got)
+	}
+}
+
+// A probe slower than the cooldown is presumed lost and a second probe is
+// admitted, but the slow one's report still decides: otherwise a tier
+// whose calls outlast the cooldown could never close under steady
+// traffic. The other probe's later report then says nothing.
+func TestBreakerSlowProbeStillDecides(t *testing.T) {
+	clock := newClock()
+	b := tripped(t, clock, obs.NewRegistry())
+	clock.advance(breakerCooldown)
+	slow, ok := b.Allow()
+	if !ok {
+		t.Fatal("probe rejected after the cooldown")
+	}
+	clock.advance(breakerCooldown)
+	second, ok := b.Allow()
+	if !ok {
+		t.Fatal("no second probe after the first was out a full cooldown")
+	}
+	b.Record(slow, true)
+	if got := b.State(); got != Closed {
+		t.Fatalf("state = %v after the slow probe succeeded, want closed", got)
+	}
+	b.Record(second, false)
+	if got := b.State(); got != Closed {
+		t.Errorf("the second probe's late failure moved the breaker to %v", got)
 	}
 }
 

@@ -109,7 +109,11 @@ func (l *Limiter) Release() {
 }
 
 // Running reports how many slots are currently held.
+//
+//llmdm:allow reach the drain invariant of ROADMAP items 1b and 1c reads it
 func (l *Limiter) Running() int { return len(l.slots) }
 
 // Queued reports how many callers are currently waiting.
+//
+//llmdm:allow reach the drain invariant of ROADMAP items 1b and 1c reads it
 func (l *Limiter) Queued() int { return len(l.queue) }

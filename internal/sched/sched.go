@@ -130,12 +130,15 @@ const (
 	// not fail its cohort), so this deadline is what reaps a hung batch;
 	// a submitter stops waiting when its own context ends, either way.
 	batchTimeout = 30 * time.Second
+	// interactiveWeight and batchWeight set the weighted-fair dequeue
+	// ratio between the classes when both are backlogged.
+	interactiveWeight, batchWeight = 4, 1
 )
 
 // Config parameterizes a Scheduler. The zero value selects the defaults
-// documented per field. The queue depth and the batch timeout are not
-// fields: no caller ever changed them, so they are the constants
-// queueDepth and batchTimeout.
+// documented per field. The queue depth, the batch timeout and the class
+// weights are not fields: no caller ever changed them, so they are the
+// constants queueDepth, batchTimeout, interactiveWeight and batchWeight.
 type Config struct {
 	// MaxBatch is the batch size that triggers an immediate flush.
 	// Defaults to DefaultMaxBatch.
@@ -148,10 +151,6 @@ type Config struct {
 	// the batched path's p50 close to the unbatched path. Defaults to
 	// 100µs.
 	MinWait time.Duration
-	// InteractiveWeight and BatchWeight set the weighted-fair dequeue
-	// ratio between the classes when both are backlogged. Defaults 4:1.
-	InteractiveWeight int
-	BatchWeight       int
 	// Obs receives the scheduler's metrics.
 	Obs *obs.Registry
 	// Log receives sched_batch_flush lifecycle events.
@@ -170,12 +169,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MinWait > cfg.MaxWait {
 		cfg.MinWait = cfg.MaxWait
-	}
-	if cfg.InteractiveWeight <= 0 {
-		cfg.InteractiveWeight = 4
-	}
-	if cfg.BatchWeight <= 0 {
-		cfg.BatchWeight = 1
 	}
 	return cfg
 }
@@ -443,7 +436,7 @@ func (s *Scheduler) run(t *tier) {
 // awaitFirst blocks for the next item, draining any backlog fairly first.
 // It returns false when the scheduler is closing.
 func (s *Scheduler) awaitFirst(t *tier) (*item, bool) {
-	if it := t.pickFair(s.cfg); it != nil {
+	if it := t.pickFair(); it != nil {
 		return it, true
 	}
 	select {
@@ -468,7 +461,7 @@ func (s *Scheduler) fill(t *tier, first *item) (batch []*item, timedOut bool) {
 	timer := time.NewTimer(window)
 	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
-		if it := t.pickFair(s.cfg); it != nil {
+		if it := t.pickFair(); it != nil {
 			batch = append(batch, it)
 			continue
 		}
@@ -490,11 +483,11 @@ func (s *Scheduler) fill(t *tier, first *item) (batch []*item, timedOut bool) {
 
 // pickFair takes one backlogged item by credit-based weighted round
 // robin: a class spends one credit per dequeue; when no class can spend
-// (queue empty or credit exhausted), credits refill to the configured
+// (queue empty or credit exhausted), credits refill to the class
 // weights. Under a two-class backlog the long-run dequeue ratio is
-// InteractiveWeight:BatchWeight; when only one class has work it gets
+// interactiveWeight:batchWeight; when only one class has work it gets
 // every slot (work conserving).
-func (t *tier) pickFair(cfg Config) *item {
+func (t *tier) pickFair() *item {
 	for pass := 0; pass < 2; pass++ {
 		if t.credits[Interactive] > 0 {
 			if it := t.tryTake(Interactive); it != nil {
@@ -506,8 +499,8 @@ func (t *tier) pickFair(cfg Config) *item {
 				return it
 			}
 		}
-		t.credits[Interactive] = cfg.InteractiveWeight
-		t.credits[Batch] = cfg.BatchWeight
+		t.credits[Interactive] = interactiveWeight
+		t.credits[Batch] = batchWeight
 	}
 	return nil
 }
@@ -619,14 +612,14 @@ func (s *Scheduler) flush(t *tier, batch []*item) {
 // finalFlush drains and serves everything still queued after Close.
 func (s *Scheduler) finalFlush(t *tier) {
 	for {
-		first := t.pickFair(s.cfg)
+		first := t.pickFair()
 		if first == nil {
 			return
 		}
 		batch := make([]*item, 1, s.cfg.MaxBatch)
 		batch[0] = first
 		for len(batch) < s.cfg.MaxBatch {
-			it := t.pickFair(s.cfg)
+			it := t.pickFair()
 			if it == nil {
 				break
 			}

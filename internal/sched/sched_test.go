@@ -128,18 +128,16 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
-// With both classes backlogged, dequeues must follow the configured
+// With both classes backlogged, dequeues must follow the 4:1
 // weighted-fair ratio — bulk load cannot crowd interactive out, and
 // interactive history cannot starve bulk either.
 func TestWeightedFairRatioUnderBacklog(t *testing.T) {
 	gate := make(chan struct{})
 	f := &fakeBatch{name: "m", gate: gate}
 	s := New(Config{
-		MaxBatch:          5,
-		MaxWait:           time.Millisecond,
-		InteractiveWeight: 4,
-		BatchWeight:       1,
-		Obs:               obs.NewRegistry(),
+		MaxBatch: 5,
+		MaxWait:  time.Millisecond,
+		Obs:      obs.NewRegistry(),
 	}, f)
 	defer s.Close()
 

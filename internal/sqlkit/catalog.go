@@ -115,22 +115,6 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// Clone deep-copies the whole database (used by workloads to hand each
-// experiment an isolated copy).
-func (db *DB) Clone() *DB {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := NewDB()
-	out.genSeq = db.genSeq
-	for k, t := range db.tables {
-		out.tables[k] = t.clone()
-	}
-	for k, def := range db.indexes {
-		out.indexes[k] = &indexDef{name: def.name, table: def.table, column: def.column, gen: -1}
-	}
-	return out
-}
-
 // SchemaText renders the schema as CREATE TABLE statements — the "database
 // information" block fed into LLM prompts (paper Figures 2 and 3).
 func (db *DB) SchemaText() string {
@@ -153,24 +137,6 @@ func (db *DB) Exec(sql string) (*Result, error) {
 		return nil, err
 	}
 	return db.ExecStmt(st)
-}
-
-// ExecScript executes a semicolon-separated script, returning the result of
-// the final statement. A failing statement inside an explicit transaction
-// leaves the rollback decision to the script (as a DBMS would).
-func (db *DB) ExecScript(sql string) (*Result, error) {
-	stmts, err := ParseScript(sql)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, st := range stmts {
-		last, err = db.ExecStmt(st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
 }
 
 // ExecStmt executes a parsed statement.

@@ -10,16 +10,15 @@ import (
 func stadiumDB(t testing.TB) *DB {
 	t.Helper()
 	db := NewDB()
-	script := `
-CREATE TABLE stadium (stadium_id INT, name TEXT, city TEXT, capacity INT);
-CREATE TABLE concert (concert_id INT, stadium_id INT, year INT, attendance INT);
-CREATE TABLE sports_meeting (meeting_id INT, stadium_id INT, year INT);
-INSERT INTO stadium VALUES (1, 'Anfield', 'Liverpool', 54000), (2, 'Camp Nou', 'Barcelona', 99000), (3, 'Old Trafford', 'Manchester', 74000), (4, 'San Siro', 'Milan', 80000), (5, 'Wembley', 'London', 90000);
-INSERT INTO concert VALUES (10, 1, 2014, 40000), (11, 1, 2014, 35000), (12, 2, 2014, 80000), (13, 3, 2015, 60000), (14, 4, 2013, 50000), (15, 5, 2014, 85000);
-INSERT INTO sports_meeting VALUES (20, 1, 2015), (21, 2, 2015), (22, 4, 2015);
-`
-	if _, err := db.ExecScript(script); err != nil {
-		t.Fatalf("stadiumDB setup: %v", err)
+	for _, sql := range []string{
+		"CREATE TABLE stadium (stadium_id INT, name TEXT, city TEXT, capacity INT)",
+		"CREATE TABLE concert (concert_id INT, stadium_id INT, year INT, attendance INT)",
+		"CREATE TABLE sports_meeting (meeting_id INT, stadium_id INT, year INT)",
+		"INSERT INTO stadium VALUES (1, 'Anfield', 'Liverpool', 54000), (2, 'Camp Nou', 'Barcelona', 99000), (3, 'Old Trafford', 'Manchester', 74000), (4, 'San Siro', 'Milan', 80000), (5, 'Wembley', 'London', 90000)",
+		"INSERT INTO concert VALUES (10, 1, 2014, 40000), (11, 1, 2014, 35000), (12, 2, 2014, 80000), (13, 3, 2015, 60000), (14, 4, 2013, 50000), (15, 5, 2014, 85000)",
+		"INSERT INTO sports_meeting VALUES (20, 1, 2015), (21, 2, 2015), (22, 4, 2015)",
+	} {
+		query(t, db, sql)
 	}
 	return db
 }
@@ -259,14 +258,15 @@ func TestTransactionCommitAndRollback(t *testing.T) {
 
 	// The paper's NL2Transaction example: Alice pays Bob $1000, Bob pays the
 	// express company $5.
-	script := `BEGIN;
-UPDATE accounts SET balance = balance - 1000 WHERE owner = 'Alice';
-UPDATE accounts SET balance = balance + 1000 WHERE owner = 'Bob';
-UPDATE accounts SET balance = balance - 5 WHERE owner = 'Bob';
-UPDATE accounts SET balance = balance + 5 WHERE owner = 'Express';
-COMMIT;`
-	if _, err := db.ExecScript(script); err != nil {
-		t.Fatal(err)
+	for _, sql := range []string{
+		"BEGIN",
+		"UPDATE accounts SET balance = balance - 1000 WHERE owner = 'Alice'",
+		"UPDATE accounts SET balance = balance + 1000 WHERE owner = 'Bob'",
+		"UPDATE accounts SET balance = balance - 5 WHERE owner = 'Bob'",
+		"UPDATE accounts SET balance = balance + 5 WHERE owner = 'Express'",
+		"COMMIT",
+	} {
+		query(t, db, sql)
 	}
 	r := query(t, db, "SELECT balance FROM accounts WHERE owner = 'Bob'")
 	if r.Rows[0][0].Int != 1095 {
@@ -393,15 +393,6 @@ func TestFormat(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	db := stadiumDB(t)
-	cp := db.Clone()
-	cp.Exec("DELETE FROM stadium")
-	if query(t, db, "SELECT COUNT(*) FROM stadium").Rows[0][0].Int != 5 {
-		t.Error("clone mutation leaked into original")
-	}
-}
-
 func TestSchemaText(t *testing.T) {
 	db := stadiumDB(t)
 	s := db.SchemaText()
@@ -454,13 +445,14 @@ func TestInsertSelectArchivePattern(t *testing.T) {
 	// The archival pattern: snapshot old rows into a history table, then
 	// delete them — all through the SQL surface, inside a transaction.
 	db := stadiumDB(t)
-	script := `CREATE TABLE concert_archive (concert_id INT, stadium_id INT, year INT, attendance INT);
-BEGIN;
-INSERT INTO concert_archive SELECT * FROM concert WHERE year < 2014;
-DELETE FROM concert WHERE year < 2014;
-COMMIT;`
-	if _, err := db.ExecScript(script); err != nil {
-		t.Fatal(err)
+	for _, sql := range []string{
+		"CREATE TABLE concert_archive (concert_id INT, stadium_id INT, year INT, attendance INT)",
+		"BEGIN",
+		"INSERT INTO concert_archive SELECT * FROM concert WHERE year < 2014",
+		"DELETE FROM concert WHERE year < 2014",
+		"COMMIT",
+	} {
+		query(t, db, sql)
 	}
 	live, _ := db.Exec("SELECT COUNT(*) FROM concert")
 	archived, _ := db.Exec("SELECT COUNT(*) FROM concert_archive")

@@ -1,9 +1,6 @@
 package sqlkit
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // FuzzParse asserts the parser is total: any input either parses or
 // returns an error — never panics — and successful parses re-render to SQL
@@ -57,23 +54,5 @@ func FuzzExec(f *testing.F) {
 		db.Exec("CREATE TABLE t (a INT, b FLOAT, c TEXT)")
 		db.Exec("INSERT INTO t VALUES (1, 1.5, 'x'), (NULL, NULL, NULL)")
 		db.Exec(input) // must not panic; errors are fine
-	})
-}
-
-// FuzzSplitStatements asserts script splitting preserves content outside
-// string literals.
-func FuzzSplitStatements(f *testing.F) {
-	f.Add("a;b;c")
-	f.Add("INSERT INTO t VALUES ('a;b');SELECT 1")
-	f.Add(";;;")
-	f.Fuzz(func(t *testing.T, input string) {
-		parts := splitStatements(input)
-		// Joining with ";" must reproduce inputs that contain no quotes
-		// (quote state machines are exercised by the seed corpus).
-		if !strings.Contains(input, "'") {
-			if got := strings.Join(parts, ";"); got != input {
-				t.Fatalf("lossy split: %q -> %q", input, got)
-			}
-		}
 	})
 }

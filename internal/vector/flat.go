@@ -3,7 +3,6 @@ package vector
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/embed"
@@ -165,14 +164,10 @@ func (f *Flat) SearchAbove(q embed.Vector, k int, floor float64) []Result {
 	return f.search(q, k, floor, nil)
 }
 
-// SearchFiltered is Search restricted to items whose attributes satisfy
+// search is SearchAbove restricted to items whose attributes satisfy
 // keep. A nil keep admits everything; filtered scans run serially and
 // score exactly. keep must be a pure predicate: a quantized scan asks it
 // only about the rows that could still enter the result.
-func (f *Flat) SearchFiltered(q embed.Vector, k int, keep func(attrs map[string]string) bool) []Result {
-	return f.search(q, k, math.Inf(-1), keep)
-}
-
 func (f *Flat) search(q embed.Vector, k int, floor float64, keep func(attrs map[string]string) bool) []Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -201,18 +196,4 @@ func (f *Flat) Len() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.rows)
-}
-
-// Items returns a copy of the stored items in insertion-ish order, their
-// vectors cut from one copy of the store. Intended for tests and for
-// building derived indexes.
-func (f *Flat) Items() []Item {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	vecs := slices.Clone(f.store.vecs)
-	out := make([]Item, len(f.rows))
-	for i, r := range f.rows {
-		out[i] = Item{ID: r.id, Vec: vecs[i*f.dim : (i+1)*f.dim : (i+1)*f.dim], Attrs: r.attrs}
-	}
-	return out
 }

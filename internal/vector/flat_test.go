@@ -184,9 +184,9 @@ func BenchmarkFlatSearch1k(b *testing.B) {
 	}
 }
 
-// Flat keeps each vector only in its column store, so Get and Items hand
-// out copies: writing to one must not reach the index.
-func TestFlatGetAndItemsReturnCopies(t *testing.T) {
+// Flat keeps each vector only in its column store, so Get hands out a
+// copy: writing to it must not reach the index.
+func TestFlatGetReturnsCopies(t *testing.T) {
 	f := NewFlat(4, Cosine)
 	must := func(err error) {
 		t.Helper()
@@ -202,13 +202,11 @@ func TestFlatGetAndItemsReturnCopies(t *testing.T) {
 		t.Fatalf("Get(1) = %+v, %v", it, ok)
 	}
 	it.Vec[0], it.Vec[1] = 0, 1
-	items := f.Items()
-	if len(items) != 2 || items[0].ID != 1 || items[0].Vec[0] != 1 || items[1].Vec[1] != 1 {
-		t.Fatalf("Items() = %+v after writing to Get's vector", items)
+	if again, _ := f.Get(1); again.Vec[0] != 1 || again.Vec[1] != 0 {
+		t.Fatalf("Get(1) = %+v after writing to the first Get's vector", again)
 	}
-	items[1].Vec[1], items[1].Vec[2] = 0, 1
-	items[0].Vec = append(items[0].Vec, 9) // must not run into item 1's vector
+	it.Vec = append(it.Vec, 9) // must not run into item 2's vector
 	if got := f.Search(embed.Vector{0, 1, 0, 0}, 1); len(got) != 1 || got[0].ID != 2 || got[0].Score != 1 {
-		t.Errorf("Search after writing to Items' vectors = %v, want ID 2 at score 1", got)
+		t.Errorf("Search after writing to Get's vector = %v, want ID 2 at score 1", got)
 	}
 }

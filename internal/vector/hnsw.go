@@ -22,7 +22,6 @@ type HNSW struct {
 	metric Metric
 	dim    int
 	m      int // max neighbors per node per upper layer (2m at layer 0)
-	efCons int
 	efSrch int
 	levelP float64
 	rng    *rand.Rand
@@ -43,14 +42,15 @@ type hnswNode struct {
 	neighbors [][]int
 }
 
+// efConstruction is the beam width an insertion searches each layer with.
+const efConstruction = 64
+
 // HNSWConfig parameterizes an HNSW index.
 type HNSWConfig struct {
 	Dim    int
 	Metric Metric
 	// M is the graph degree parameter. Defaults to 8.
 	M int
-	// EfConstruction is the construction beam width. Defaults to 64.
-	EfConstruction int
 	// EfSearch is the query beam width. Defaults to 32.
 	EfSearch int
 	// Seed drives random level assignment; fixed for reproducibility.
@@ -65,9 +65,6 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 	if cfg.M <= 0 {
 		cfg.M = 8
 	}
-	if cfg.EfConstruction <= 0 {
-		cfg.EfConstruction = 64
-	}
 	if cfg.EfSearch <= 0 {
 		cfg.EfSearch = 32
 	}
@@ -75,7 +72,6 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 		metric: cfg.Metric,
 		dim:    cfg.Dim,
 		m:      cfg.M,
-		efCons: cfg.EfConstruction,
 		efSrch: cfg.EfSearch,
 		levelP: 1 / math.E,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
@@ -183,7 +179,7 @@ func (h *HNSW) insertLocked(it Item) {
 	}
 	sc := h.scratch.Get().(*hnswScratch)
 	for l := top; l >= 0; l-- {
-		cands := h.searchLayerLocked(sc, &p, cur, h.efCons, l)
+		cands := h.searchLayerLocked(sc, &p, cur, efConstruction, l)
 		max := h.m
 		if l == 0 {
 			max = 2 * h.m
@@ -422,11 +418,4 @@ func (h *HNSW) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.nodes)
-}
-
-// MaxLevel reports the current top layer (for tests and diagnostics).
-func (h *HNSW) MaxLevel() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.maxL
 }

@@ -12,7 +12,7 @@ func TestHNSWRecallAgainstFlat(t *testing.T) {
 
 	flat := NewFlat(dim, L2)
 	flat.Add(items...)
-	h := NewHNSW(HNSWConfig{Dim: dim, Metric: L2, M: 12, EfConstruction: 120, EfSearch: 80, Seed: 1})
+	h := NewHNSW(HNSWConfig{Dim: dim, Metric: L2, M: 12, EfSearch: 80, Seed: 1})
 	h.Add(items...)
 
 	hits, total := 0, 0

@@ -46,18 +46,6 @@ func AttrEquals(key, value string) Predicate {
 	return func(attrs map[string]string) bool { return attrs[key] == value }
 }
 
-// And combines predicates conjunctively.
-func And(ps ...Predicate) Predicate {
-	return func(attrs map[string]string) bool {
-		for _, p := range ps {
-			if !p(attrs) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // HybridStats reports what a hybrid query did, for benchmarks and for the
 // adaptive-k learner.
 type HybridStats struct {
@@ -89,13 +77,6 @@ type Hybrid struct {
 // NewHybrid wraps a Flat store for hybrid querying.
 func NewHybrid(store *Flat) *Hybrid {
 	return &Hybrid{store: store, inflate: 2, sampleSize: 64, threshold: 0.25}
-}
-
-// InflationFactor reports the current learned k multiplier.
-func (h *Hybrid) InflationFactor() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.inflate
 }
 
 // Search runs a hybrid query. order chooses the execution strategy; pred may
@@ -163,7 +144,7 @@ func (h *Hybrid) vectorFirst(q embed.Vector, k int, pred Predicate) ([]Result, H
 			}
 		}
 		if len(out) >= k || kk >= n {
-			h.adapt(len(hits), len(out), k)
+			h.adapt(len(hits), len(out))
 			return out, HybridStats{Order: VectorFirst, Scanned: kk, InflatedK: kk, Survivors: len(out)}
 		}
 		// Not enough survivors: widen and retry (paper: "k is often set as a
@@ -176,7 +157,7 @@ func (h *Hybrid) vectorFirst(q embed.Vector, k int, pred Predicate) ([]Result, H
 }
 
 // adapt updates the learned inflation factor from the observed survivor rate.
-func (h *Hybrid) adapt(fetched, survived, want int) {
+func (h *Hybrid) adapt(fetched, survived int) {
 	if fetched == 0 {
 		return
 	}
@@ -196,7 +177,6 @@ func (h *Hybrid) adapt(fetched, survived, want int) {
 	h.mu.Lock()
 	h.inflate = 0.7*h.inflate + 0.3*target
 	h.mu.Unlock()
-	_ = want
 }
 
 // estimateSelectivity samples stored items and returns the fraction passing

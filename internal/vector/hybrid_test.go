@@ -62,7 +62,7 @@ func TestHybridResultsSatisfyPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	store := buildAttrStore(rng, 200, 8)
 	h := NewHybrid(store)
-	pred := And(AttrEquals("modality", "table"), AttrEquals("tenant", "t1"))
+	pred := func(attrs map[string]string) bool { return attrs["modality"] == "table" && attrs["tenant"] == "t1" }
 	q := randVec(rng, 8)
 	for _, order := range []FilterOrder{AttributeFirst, VectorFirst, Adaptive} {
 		res, _ := h.Search(q, 5, pred, order)
@@ -94,7 +94,7 @@ func TestAdaptivePicksAttributeFirstWhenSelective(t *testing.T) {
 	store := buildAttrStore(rng, 500, 8)
 	h := NewHybrid(store)
 	// tenant t3 AND image modality: ~2.5% selectivity -> attribute-first.
-	pred := And(AttrEquals("tenant", "t3"), AttrEquals("modality", "text"))
+	pred := func(attrs map[string]string) bool { return attrs["tenant"] == "t3" && attrs["modality"] == "text" }
 	q := randVec(rng, 8)
 	_, st := h.Search(q, 3, pred, Adaptive)
 	if st.Order != AttributeFirst {
@@ -112,14 +112,14 @@ func TestInflationAdapts(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	store := buildAttrStore(rng, 400, 8)
 	h := NewHybrid(store)
-	before := h.InflationFactor()
+	before := h.inflate
 	// Selective predicate in vector-first mode forces widening; the learned
 	// inflation factor should grow.
 	pred := AttrEquals("tenant", "t7")
 	for i := 0; i < 10; i++ {
 		h.Search(randVec(rng, 8), 5, pred, VectorFirst)
 	}
-	after := h.InflationFactor()
+	after := h.inflate
 	if after <= before {
 		t.Errorf("inflation did not grow: before %.2f after %.2f", before, after)
 	}

@@ -213,13 +213,6 @@ func (x *IVF) Len() int {
 	return len(x.byID)
 }
 
-// NCells reports how many cells the trained quantizer has (0 if untrained).
-func (x *IVF) NCells() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.centroids)
-}
-
 // kmeans clusters the item vectors into k centroids with Lloyd's algorithm,
 // k-means++-style seeding and a fixed iteration budget.
 func kmeans(items []Item, k, dim int, seed int64) []embed.Vector {

@@ -111,8 +111,8 @@ func TestKMeansCellCount(t *testing.T) {
 	ivf := NewIVF(IVFConfig{Dim: 4, Metric: L2, NList: 10, Seed: 4})
 	ivf.Add(buildItems(rng, 100, 4)...)
 	ivf.Train()
-	if ivf.NCells() != 10 {
-		t.Errorf("NCells = %d, want 10", ivf.NCells())
+	if n := len(ivf.centroids); n != 10 {
+		t.Errorf("cells = %d, want 10", n)
 	}
 }
 

@@ -42,9 +42,6 @@ func (l *OrderLearner) Observe(selectivity float64, n, k, attrFirstScanned, vect
 	l.labels = append(l.labels, attrFirstScanned <= vectorFirstScanned)
 }
 
-// Observations reports the training-set size.
-func (l *OrderLearner) Observations() int { return len(l.feats) }
-
 // Train fits the logistic regression by gradient descent.
 func (l *OrderLearner) Train(epochs int, lr float64) {
 	n := len(l.feats)

@@ -44,7 +44,7 @@ func TestSearchLearnedEndToEnd(t *testing.T) {
 	h := NewHybrid(store)
 	l := NewOrderLearner()
 
-	selective := And(AttrEquals("tenant", "t1"), AttrEquals("modality", "text"))
+	selective := func(attrs map[string]string) bool { return attrs["tenant"] == "t1" && attrs["modality"] == "text" }
 	permissive := func(attrs map[string]string) bool { return attrs["modality"] != "image" }
 
 	// Probe phase: measure both orders on a mixed workload.
@@ -55,8 +55,8 @@ func TestSearchLearnedEndToEnd(t *testing.T) {
 		}
 		h.SearchLearned(randVec(rng, 16), 10, pred, l, true)
 	}
-	if l.Observations() != 30 {
-		t.Fatalf("observations = %d", l.Observations())
+	if n := len(l.feats); n != 30 {
+		t.Fatalf("observations = %d", n)
 	}
 	l.Train(800, 2.0)
 

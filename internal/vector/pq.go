@@ -92,13 +92,8 @@ func (p *PQ) Add(items ...Item) error {
 	return nil
 }
 
-// Train fits the sub-space codebooks and encodes pending vectors.
-func (p *PQ) Train() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.trainLocked()
-}
-
+// trainLocked fits the sub-space codebooks and encodes the pending
+// vectors, once: the first Search trains the index.
 func (p *PQ) trainLocked() {
 	if p.trained {
 		return
@@ -187,8 +182,3 @@ func (p *PQ) Len() int {
 
 // BytesPerVector reports the compressed storage per vector (codes only).
 func (p *PQ) BytesPerVector() int { return p.m }
-
-// CompressionRatio reports raw float32 storage over code storage.
-func (p *PQ) CompressionRatio() float64 {
-	return float64(p.dim*4) / float64(p.m)
-}

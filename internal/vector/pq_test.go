@@ -14,7 +14,6 @@ func TestPQRecallAgainstFlat(t *testing.T) {
 	flat.Add(items...)
 	pq := NewPQ(PQConfig{Dim: dim, M: 8, K: 64, Seed: 1})
 	pq.Add(items...)
-	pq.Train()
 
 	hits, total := 0, 0
 	for qi := 0; qi < 30; qi++ {
@@ -64,8 +63,8 @@ func TestPQCompression(t *testing.T) {
 	if pq.BytesPerVector() != 8 {
 		t.Errorf("bytes per vector = %d", pq.BytesPerVector())
 	}
-	if pq.CompressionRatio() != 64 {
-		t.Errorf("compression = %v, want 64x", pq.CompressionRatio())
+	if ratio := 128 * 4 / pq.BytesPerVector(); ratio != 64 {
+		t.Errorf("compression = %vx, want 64x", ratio)
 	}
 }
 
@@ -73,7 +72,7 @@ func TestPQLateAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	pq := NewPQ(PQConfig{Dim: 8, M: 4, K: 16, Seed: 3})
 	pq.Add(buildItems(rng, 100, 8)...)
-	pq.Train()
+	pq.Search(make([]float32, 8), 1) // the first search trains
 	late := Item{ID: 999, Vec: randVec(rng, 8)}
 	if err := pq.Add(late); err != nil {
 		t.Fatal(err)
@@ -121,7 +120,6 @@ func BenchmarkPQSearch1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(107))
 	pq := NewPQ(PQConfig{Dim: 64, M: 8, K: 64, Seed: 1})
 	pq.Add(buildItems(rng, 1000, 64)...)
-	pq.Train()
 	q := randVec(rng, 64)
 	b.ReportAllocs()
 	b.ResetTimer()

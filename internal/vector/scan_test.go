@@ -250,7 +250,7 @@ func TestFlatQuantizedParallelPipeline(t *testing.T) {
 	}
 }
 
-// SearchFiltered must honor the predicate on the column-store path too.
+// A filtered search must honor the predicate on the column-store path too.
 func TestFlatFilteredOnColumnStore(t *testing.T) {
 	const n, dim = 1000, 16 // above quantAutoMin
 	f := NewFlat(dim, Cosine)
@@ -265,7 +265,7 @@ func TestFlatFilteredOnColumnStore(t *testing.T) {
 	if err := f.Add(items...); err != nil {
 		t.Fatal(err)
 	}
-	got := f.SearchFiltered(items[0].Vec, 20, func(attrs map[string]string) bool {
+	got := f.search(items[0].Vec, 20, math.Inf(-1), func(attrs map[string]string) bool {
 		return attrs["parity"] == "even"
 	})
 	if len(got) == 0 {

@@ -10,6 +10,8 @@ import (
 // EmployeeDB builds a second NL2SQL domain — employees assigned to
 // projects and attending trainings — used to show the domain-generic
 // translator working beyond the concert schema.
+//
+//llmdm:allow reach a fixture the core packages' tests build on
 func EmployeeDB(seed int64) *sqlkit.DB {
 	rng := rand.New(rand.NewSource(seed))
 	db := sqlkit.NewDB()
@@ -69,6 +71,8 @@ func EmployeeDB(seed int64) *sqlkit.DB {
 // EmployeeQuestions renders n deterministic NL questions over the
 // employee domain, with their gold SQL produced by the same phrase
 // vocabulary the DomainSpec grammar accepts.
+//
+//llmdm:allow reach a fixture the core packages' tests build on
 func EmployeeQuestions(seed int64, n int) []NLQuery {
 	rng := rand.New(rand.NewSource(seed))
 	years := []int{2013, 2014, 2015, 2016, 2017}

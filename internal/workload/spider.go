@@ -21,20 +21,6 @@ const (
 	Superlative
 )
 
-// String implements fmt.Stringer.
-func (c QueryClass) String() string {
-	switch c {
-	case Simple:
-		return "simple"
-	case Compound:
-		return "compound"
-	case Superlative:
-		return "superlative"
-	default:
-		return "unknown"
-	}
-}
-
 // Connective joins two atomic conditions in a compound question.
 type Connective int
 

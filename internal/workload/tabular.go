@@ -181,6 +181,8 @@ type ColumnTypeSample struct {
 
 // GenColumnTypeBench generates labeled columns over the paper's example
 // label set (country, person, date, movie, sports) plus city and number.
+//
+//llmdm:allow reach a fixture the core packages' tests build on
 func GenColumnTypeBench(seed int64, n int) []ColumnTypeSample {
 	rng := rand.New(rand.NewSource(seed))
 	kb := GenKB(seed + 11)

@@ -14,6 +14,8 @@
 // model family with the application toolkits, the end-to-end Pipeline of
 // the paper's Figure 1, and the experiment harness regenerating every table
 // and figure.
+//
+//llmdm:allow reach the public facade: its exported API is the library surface users and the examples import
 package llmdm
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core/cascade"
 	"repro/internal/core/datagen"
@@ -239,33 +240,23 @@ func WithScheduler(cfg SchedulerConfig) ProxyOption {
 	return func(pc *proxy.Config) { pc.Scheduler = &cfg }
 }
 
-// ResilienceConfig parameterizes the proxy's heavy-traffic protections
-// (see WithResilience). The zero value keeps every default: no
-// concurrency limit, breakers and stale serving on, a 30s upstream
-// timeout.
+// ResilienceConfig parameterizes the proxy's load shedding (see
+// WithResilience). The zero value sets no concurrency limit. The proxy's
+// other protections are always on: per-model circuit breakers, stale
+// serving and a 30s upstream timeout.
 type ResilienceConfig struct {
 	// MaxConcurrent caps requests served at once; 0 disables the limiter.
 	MaxConcurrent int
 	// MaxQueue bounds callers waiting for a slot once MaxConcurrent is
 	// reached; beyond it requests are shed.
 	MaxQueue int
-	// UpstreamTimeout bounds each cascade run (0 = 30s).
-	UpstreamTimeout time.Duration
-	// DisableBreaker turns the per-model circuit breakers off.
-	DisableBreaker bool
-	// DisableStale turns degraded stale-cache serving off.
-	DisableStale bool
 }
 
-// WithResilience configures the proxy's load shedding, upstream
-// timeout, circuit breakers and stale-serve degradation.
+// WithResilience configures the proxy's load shedding.
 func WithResilience(rc ResilienceConfig) ProxyOption {
 	return func(cfg *proxy.Config) {
 		cfg.MaxConcurrent = rc.MaxConcurrent
 		cfg.MaxQueue = rc.MaxQueue
-		cfg.UpstreamTimeout = rc.UpstreamTimeout
-		cfg.DisableBreaker = rc.DisableBreaker
-		cfg.DisableStale = rc.DisableStale
 	}
 }
 

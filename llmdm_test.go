@@ -211,7 +211,7 @@ func TestClientProxyWithSchedulerAndMetrics(t *testing.T) {
 		WithResilience(ResilienceConfig{MaxConcurrent: 64, MaxQueue: 64}),
 	)
 	defer p.Close()
-	if p.Scheduler() == nil {
+	if _, ok := p.SchedStats(); !ok {
 		t.Fatal("scheduler not built")
 	}
 
