@@ -20,12 +20,20 @@
 // the hit charged to its entry — and looks the scanned id up again, because
 // the entry may have been evicted in between; then the lookup is a miss
 // (ids are never reused). A lookup of an exact entry needs no embedding and
-// no scan and is one pass under the mutex. A put nests the index's lock
-// inside the cache's (Cache.mu → Flat.mu); no other path holds both. The
-// eviction victim is the root of an index-tracked min-heap ordered by
-// (policy key, lastUsed), which every hit, re-put and removal keeps in
-// order in O(log n) — the same victim a walk over all entries picks,
-// because the logical clock makes lastUsed unique (see evictHeap).
+// no scan and is one pass under the mutex. A put is two halves too. The
+// publish half takes the mutex and makes the entry an exact hit: the two
+// maps and the eviction heap, a victim taken out of all three. The index
+// half runs outside it and puts the entry's row into the index — from the
+// embedding the missed lookup already made, when the caller kept it — and
+// takes the victim's row out, so no path holds both locks. Until the row
+// lands a paraphrase misses, as one whose scan began before the put would.
+// An entry evicted before its row landed is settled by a handshake under
+// the mutex (Entry.indexed, Entry.gone): whichever half comes second
+// removes the row, once. The eviction victim is the root of an
+// index-tracked min-heap ordered by (policy key, lastUsed), which every
+// hit, re-put and removal keeps in order in O(log n) — the same victim a
+// walk over all entries picks, because the logical clock makes lastUsed
+// unique (see evictHeap).
 package semcache
 
 import (
@@ -94,6 +102,11 @@ type Entry struct {
 	// id and pos locate the entry in the index and in the eviction heap.
 	id  vector.ID
 	pos int
+	// indexed and gone are the put's handshake, both read and written
+	// under Cache.mu: indexed once the index half has added the entry's
+	// row, gone once eviction has taken the entry out of the maps and the
+	// heap. Whichever is set second removes the row.
+	indexed, gone bool
 }
 
 // Hit is a successful lookup.
@@ -216,23 +229,50 @@ func (c *Cache) Lookup(query string) (Hit, bool) {
 // as the hit-similarity histogram's exemplar so a borderline-similarity
 // bucket resolves to a concrete request in /debug/traces.
 func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
+	h, ok, qv := c.LookupKeep(query, trace)
+	c.emb.ReleaseScratch(qv)
+	return h, ok
+}
+
+// LookupKeep is LookupTraced for a caller that fills the cache when it
+// misses. A miss whose scan embedded the query hands that embedding back
+// (pooled scratch, nil for any other outcome), so the fill's Index does
+// not embed the query again; the caller passes it to Index or to Release.
+func (c *Cache) LookupKeep(query, trace string) (Hit, bool, *embed.Vector) {
 	// An exact entry needs no embedding and no scan: that lookup is one pass
 	// under the lock. Any other releases the lock for the scan and settles
 	// under it afterwards.
-	var near nearest
+	var (
+		near nearest
+		qv   *embed.Vector
+	)
 	c.mu.Lock()
 	id, exact := c.byExact[query]
 	if !exact {
 		c.mu.Unlock()
-		near = c.scan(query, c.threshold)
+		qv = c.emb.TextScratch(query)
+		near = c.nearestTo(*qv, c.threshold)
 		c.mu.Lock()
 		id, exact = c.byExact[query] // put by another caller meanwhile
 	}
-	defer c.mu.Unlock()
 	if exact {
 		near = nearest{id: id, sim: 1, found: true, exact: true}
 	}
-	return c.settleLocked(near, c.threshold, false, trace)
+	h, ok := c.settleLocked(near, c.threshold, false, trace)
+	c.mu.Unlock()
+	if ok {
+		c.emb.ReleaseScratch(qv)
+		qv = nil
+	}
+	return h, ok, qv
+}
+
+// Release returns an embedding LookupKeep kept to the pool, for a miss
+// that will not fill the cache. Nil is a no-op, on a nil Cache too.
+func (c *Cache) Release(qv *embed.Vector) {
+	if qv != nil {
+		c.emb.ReleaseScratch(qv)
+	}
 }
 
 // LookupStale finds the nearest cached entry at or above floor, ignoring
@@ -271,7 +311,12 @@ type nearest struct {
 func (c *Cache) scan(query string, floor float64) nearest {
 	qv := c.emb.TextScratch(query)
 	defer c.emb.ReleaseScratch(qv)
-	hits := c.idx.SearchAbove(*qv, 1, floor)
+	return c.nearestTo(*qv, floor)
+}
+
+// nearestTo is scan's search, for a query already embedded.
+func (c *Cache) nearestTo(qv embed.Vector, floor float64) nearest {
+	hits := c.idx.SearchAbove(qv, 1, floor)
 	if len(hits) == 0 {
 		return nearest{}
 	}
@@ -323,14 +368,28 @@ func (c *Cache) touchLocked(e *Entry) {
 	c.evict.down(e.pos) // both keys only grow
 }
 
-// Put inserts a (query, response) pair. Re-putting an existing query
-// refreshes its response.
+// Put inserts a (query, response) pair: Publish, then Index with the
+// query embedded here. Re-putting an existing query refreshes its response
+// and embeds nothing.
 func (c *Cache) Put(query, response string, kind Kind, class Class) {
-	// Embedded before the lock, like a lookup's query; a re-put wastes the
-	// microsecond. The index copies the vector into its own store, so
-	// pooled scratch serves here too.
-	qv := c.emb.TextScratch(query)
-	defer c.emb.ReleaseScratch(qv)
+	c.Index(c.Publish(query, response, kind, class), nil)
+}
+
+// Fill is what a put's publish half leaves to its index half: the row to
+// add and the evicted row to remove, if the removal falls to this put. A
+// re-put leaves nothing.
+type Fill struct {
+	e      *Entry
+	victim *Entry
+}
+
+// Publish is a put's first half, all of it under c.mu and O(log n): the
+// entry goes into both maps and the eviction heap, so an exact lookup hits
+// it from here on, and the victim a full cache gives up comes out of all
+// three. It embeds nothing and leaves the index alone — the returned Fill
+// must be handed to Index, or the entry never gets a row and a victim's
+// row stays behind. Re-putting an existing query refreshes its response.
+func (c *Cache) Publish(query, response string, kind Kind, class Class) Fill {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
@@ -339,38 +398,69 @@ func (c *Cache) Put(query, response string, kind Kind, class Class) {
 		e.Response = response
 		e.lastUsed = c.clock
 		c.evict.down(e.pos)
-		return
+		return Fill{}
 	}
 	c.mPuts.Inc()
 	e := &Entry{Query: query, Response: response, Kind: kind, Class: class, lastUsed: c.clock, id: c.nextID}
 	c.nextID++
 	c.entries[e.id] = e
 	c.byExact[query] = e.id
-	if err := c.idx.Add(vector.Item{ID: e.id, Vec: *qv}); err != nil {
-		panic(err) // IDs are unique by construction
-	}
+	f := Fill{e: e}
 	// The newcomer joins the eviction heap only after the eviction it
 	// causes, which is what exempts it: a cold newcomer is not evicted
 	// before it can prove useful.
 	if c.capacity > 0 && len(c.entries) > c.capacity {
-		c.evictLocked()
+		if v := c.evictLocked(); v.indexed {
+			f.victim = v // else its own index half, still to come, removes it
+		}
 	}
 	c.evict.push(e)
+	return f
 }
 
-// evictLocked removes the entry the configured policy values least, the
-// root of the eviction heap, from the heap, the maps and the index — the one
-// way out of the cache.
-func (c *Cache) evictLocked() {
+// Index is a put's second half, run outside c.mu: it adds the published
+// entry's row from qv — the query's embedding that LookupKeep kept, or,
+// when qv is nil, one made here — and removes the victim's row if that
+// fell to this put. It takes qv back: the index copies the row, so the
+// scratch goes back to the pool. If the entry was evicted while its row
+// was being added, the row comes straight out again.
+func (c *Cache) Index(f Fill, qv *embed.Vector) {
+	if f.e != nil {
+		if qv == nil {
+			qv = c.emb.TextScratch(f.e.Query)
+		}
+		if err := c.idx.Add(vector.Item{ID: f.e.id, Vec: *qv}); err != nil {
+			panic(err) // IDs are unique by construction
+		}
+		c.mu.Lock()
+		f.e.indexed = true
+		gone := f.e.gone
+		c.mu.Unlock()
+		if gone {
+			c.idx.Remove(f.e.id)
+		}
+	}
+	c.emb.ReleaseScratch(qv)
+	if f.victim != nil {
+		c.idx.Remove(f.victim.id)
+	}
+}
+
+// evictLocked takes the entry the configured policy values least, the root
+// of the eviction heap, out of the heap and the maps — the one way out of
+// the cache — and marks it gone. Its row is left to the caller's index
+// half, or to its own if that has not run yet.
+func (c *Cache) evictLocked() *Entry {
 	e := c.evict.popRoot()
 	delete(c.byExact, e.Query)
 	delete(c.entries, e.id)
-	c.idx.Remove(e.id)
+	e.gone = true
 	c.stats.Evictions++
 	c.mEvictions.Inc()
 	// Evictions happen under the put-caller's lock but are cheap to log
 	// (ring write, no I/O); they have no single owning request.
 	c.log.Emit(obs.Debug, "semcache_evict", "policy", c.evict.policy.String(), "hits", e.Hits)
+	return e
 }
 
 // evictHeap is an index-tracked min-heap of the cached entries under the

@@ -212,15 +212,37 @@ func oracleVictim(c *Cache) vector.ID {
 // checkEvictionInvariants asserts, under the cache lock, that the heap,
 // the two maps and the index hold the same entries, that every entry
 // knows its heap position, that the heap order holds, and that the root
-// is the oracle's victim.
+// is the oracle's victim. It is for a cache no put is running on: every
+// entry's row has landed, and no evicted entry's row is left.
 func checkEvictionInvariants(t *testing.T, c *Cache) {
+	t.Helper()
+	checkInvariants(t, c, true)
+}
+
+// checkInvariantsInFlight is checkEvictionInvariants while puts may be
+// between their halves, when the index can lag the maps both ways: of
+// the entries, only those whose index half has run must have a row.
+func checkInvariantsInFlight(t *testing.T, c *Cache) {
+	t.Helper()
+	checkInvariants(t, c, false)
+}
+
+func checkInvariants(t *testing.T, c *Cache, settled bool) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.entries)
-	if len(c.evict.es) != n || len(c.byExact) != n || c.idx.Len() != n {
+	if len(c.evict.es) != n || len(c.byExact) != n || (settled && c.idx.Len() != n) {
 		t.Fatalf("sizes diverged: heap %d, entries %d, byExact %d, index %d",
 			len(c.evict.es), n, len(c.byExact), c.idx.Len())
+	}
+	for id, e := range c.entries {
+		if e.gone || (settled && !e.indexed) {
+			t.Fatalf("entry %d (%q): indexed %v, gone %v", id, e.Query, e.indexed, e.gone)
+		}
+		if _, ok := c.idx.Get(id); e.indexed && !ok {
+			t.Fatalf("entry %d (%q) is indexed but has no row", id, e.Query)
+		}
 	}
 	for i, e := range c.evict.es {
 		if e.pos != i || c.entries[e.id] != e || c.byExact[e.Query] != e.id {
@@ -352,7 +374,7 @@ func TestEvictionHeapConcurrent(t *testing.T) {
 			}(g)
 		}
 		for i := 0; i < 20; i++ {
-			checkEvictionInvariants(t, c)
+			checkInvariantsInFlight(t, c)
 		}
 		wg.Wait()
 		checkEvictionInvariants(t, c)

@@ -579,10 +579,13 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 	}
 
 	// 1. Cache. The lookup embeds the query — deliberately outside every
-	// proxy lock.
+	// proxy lock. A miss keeps that embedding for the fill: the leader's
+	// pump indexes the answer's row from it, everyone else releases it.
+	var kept *embed.Vector
 	if p.cache != nil {
 		_, csp := obs.StartSpan(ctx, "cache.lookup")
-		hit, ok := p.cache.LookupTraced(req.Prompt, obs.SampledTraceID(ctx))
+		hit, ok, qv := p.cache.LookupKeep(req.Prompt, obs.SampledTraceID(ctx))
+		kept = qv
 		if csp != nil {
 			csp.SetAttr("hit", ok)
 			if ok {
@@ -619,18 +622,24 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 	c, joined := p.inflight[key]
 	if !joined {
 		c = new(call)
+		if !streamed {
+			// One pre-billed chunk per attempted tier: the log never
+			// regrows. A token-streamed log grows as it goes.
+			c.chunks = make([]Chunk, 0, len(p.casc.Models))
+		}
 		p.inflight[key] = c
 		p.gInflight.Add(1)
 	}
 	p.mu.Unlock()
 	if joined {
+		p.cache.Release(kept)
 		p.coalesced.Add(1)
 		p.log.Event(ctx, obs.Info, "proxy_coalesce_join")
 		s := p.newClientStream(rq, req.Prompt, c, "coalesced")
 		_, s.wait = obs.StartSpan(ctx, "coalesce.wait")
 		return s, Answer{}, nil
 	}
-	p.pump(ctx, req, key, c)
+	p.pump(ctx, req, key, c, kept)
 	return p.newClientStream(rq, req.Prompt, c, "cascade"), Answer{}, nil
 }
 
@@ -669,8 +678,13 @@ func keyOf(req llm.Request) callKey {
 // class) survive WithoutCancel, so the cascade's per-step spans land
 // under the leader's trace and its tiers open the way the leader's class
 // asks. Every delivered chunk is appended to the call's log; spend is
-// accounted exactly once, when the run ends.
-func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call) {
+// accounted exactly once, when the run ends. Then, in this order: the
+// answer is published to the cache (an exact repeat hits from here on),
+// the in-flight entry is deleted, the clients are answered, and only then
+// is the answer's row indexed from kept, the leader's lookup embedding —
+// so no client waits on the index's write lock. kept is released on every
+// path.
+func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call, kept *embed.Vector) {
 	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), upstreamDeadline)
 	obs.Go(p.reg, "proxy_upstream", func() {
 		defer cancelUp()
@@ -716,10 +730,11 @@ func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call)
 		// A failed run's answer is error-shaped, not success-shaped: no
 		// model, no text — just the money already burned.
 		ans := Answer{Source: "error", Cost: trace.TotalCost}
+		var fill semcache.Fill
 		if err == nil {
 			ans = Answer{Text: resp.Text, Model: resp.Model, Confidence: resp.Confidence, Source: "cascade", Cost: trace.TotalCost}
 			if p.cache != nil {
-				p.cache.Put(req.Prompt, resp.Text, semcache.Original, semcache.Reuse)
+				fill = p.cache.Publish(req.Prompt, resp.Text, semcache.Original, semcache.Reuse)
 			}
 		} else {
 			p.log.Event(upCtx, obs.Warn, "proxy_upstream_error", "error", err.Error(), "steps", len(trace.Steps))
@@ -729,6 +744,11 @@ func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call)
 		p.gInflight.Add(-1)
 		p.mu.Unlock()
 		c.finish(ans, err, len(trace.Steps))
+		if p.cache != nil {
+			// A failed run or a re-put left an empty fill: this only
+			// releases kept.
+			p.cache.Index(fill, kept)
+		}
 	})
 }
 

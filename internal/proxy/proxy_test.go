@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
@@ -355,4 +358,47 @@ type modelFunc func(ctx context.Context, req llm.Request) (llm.Response, error)
 func (f modelFunc) Name() string { return "func" }
 func (f modelFunc) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return f(ctx, req)
+}
+
+// A cascade answer is in the cache, and its call out of the in-flight
+// table, before the client has it: the exact repeat that follows is a
+// cache hit at cost 0, never a coalesced follower, and proxy_inflight
+// reads 0 in between — in both read modes.
+func TestAnsweredMissIsCachedAndDrained(t *testing.T) {
+	for _, streamed := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		p := newTestProxy(Config{Obs: reg})
+		for i := 0; i < 50; i++ {
+			req := llm.Request{Prompt: distinctPrompt(i), Gold: "yes", Difficulty: 0.05}
+			ans, err := probe(p, context.Background(), req, streamed)
+			if err != nil || ans.Source != "cascade" {
+				t.Fatalf("%s %d: %+v, %v; want a cascade answer", readMode(streamed), i, ans, err)
+			}
+			if n := reg.Snapshot()["proxy_inflight"]; n != 0 {
+				t.Fatalf("%s %d: proxy_inflight = %v after the answer, want 0", readMode(streamed), i, n)
+			}
+			again, err := probe(p, context.Background(), req, streamed)
+			if err != nil || again.Source != "cache" || again.Cost != 0 {
+				t.Fatalf("%s %d: the exact repeat = %+v, %v; want a cache hit at cost 0", readMode(streamed), i, again, err)
+			}
+		}
+		if st := p.Stats(); st.Coalesced != 0 || st.CacheHits != 50 {
+			t.Errorf("%s: stats %+v; want 50 cache hits and nothing coalesced", readMode(streamed), st)
+		}
+	}
+}
+
+// distinctPrompt returns the i-th of a pool of prompts of seeded random
+// words: no two are near enough for a semantic hit.
+func distinctPrompt(i int) string {
+	r := rand.New(rand.NewSource(int64(i)))
+	words := make([]string, 9)
+	for w := range words {
+		b := make([]byte, 4+r.Intn(5))
+		for j := range b {
+			b[j] = byte('a' + r.Intn(26))
+		}
+		words[w] = string(b)
+	}
+	return strings.Join(words, " ")
 }
