@@ -111,19 +111,32 @@ func TestFloorChangesNoLookup(t *testing.T) {
 }
 
 // A semantic lookup in a quantized cache allocates only the index's
-// one-result slice: the floored scan adds nothing to it.
+// one-result slice: the floored scan adds nothing to it. Each run asks a
+// text not asked before, so every hit scans rather than reading a memo. A
+// memo hit allocates nothing.
 func TestFlooredLookupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers, so lookups allocate more under -race")
 	}
+	const runs = 200
 	c := floorCache(2500)
-	hit, miss := wordPrompt(42)+"?", wordPrompt(1<<20)
-	for _, q := range []string{hit, miss} {
-		if got := testing.AllocsPerRun(200, func() { c.Lookup(q) }); got > 1 {
-			t.Errorf("Lookup(%q) allocates %v times, want at most 1", q, got)
+	hits, misses := make([]string, runs+1), make([]string, runs+1)
+	for i := range hits {
+		hits[i], misses[i] = wordPrompt(i)+"?", wordPrompt(1<<20+i)
+	}
+	for _, qs := range [][]string{hits, misses} {
+		n := 0
+		if got := testing.AllocsPerRun(runs, func() { c.Lookup(qs[n]); n++ }); got > 1 {
+			t.Errorf("Lookup(%q) allocates %v times, want at most 1", qs[0], got)
 		}
 	}
-	if _, ok := c.Lookup(hit); !ok {
-		t.Error("the paraphrase missed: premise broken")
+	if st := c.Stats(); st.Hits != runs+1 || st.MemoHits != 0 {
+		t.Errorf("stats %+v: want every paraphrase a hit, none from a memo", st)
+	}
+	if got := testing.AllocsPerRun(runs, func() { c.Lookup(hits[0]) }); got > 0 {
+		t.Errorf("a memo hit allocates %v times, want 0", got)
+	}
+	if c.Stats().MemoHits != runs+1 {
+		t.Errorf("stats %+v: the repeats were not memo hits", c.Stats())
 	}
 }

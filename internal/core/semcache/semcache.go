@@ -29,11 +29,27 @@
 // lands a paraphrase misses, as one whose scan began before the put would.
 // An entry evicted before its row landed is settled by a handshake under
 // the mutex (Entry.indexed, Entry.gone): whichever half comes second
-// removes the row, once. The eviction victim is the root of an
-// index-tracked min-heap ordered by (policy key, lastUsed), which every
-// hit, re-put and removal keeps in order in O(log n) — the same victim a
-// walk over all entries picks, because the logical clock makes lastUsed
-// unique (see evictHeap).
+// removes the row, once.
+//
+// A semantic hit leaves a memo: the query's exact text maps to the entry
+// and similarity the scan found, so a repeat of that text is answered as an
+// exact entry is, with no embedding and no scan, through the same settle
+// half. Three rules under the mutex keep every memo hit equal to a fresh
+// scan (see memoizeLocked). A memo is made only from a scan no row landed
+// during. A landing row drops the memos of the entries within 2·acos θ of
+// it — the only ones it can beat, by the triangle inequality on the sphere
+// — found by one floored search of its own row after it lands; a search
+// cut short kills every memo. A memo of an evicted entry, or older than
+// the last search cut short, is never served. An entry holds at most one
+// memo, so there are never more memos than entries. The price is on the
+// put side — while memos exist, the index half runs that search, a scan at
+// the floor 2θ² − 1 — and in memory: about 50 bytes a memo, 16 more an
+// entry, and the query text the memo keeps.
+//
+// The eviction victim is the root of an index-tracked min-heap ordered by
+// (policy key, lastUsed), which every hit, re-put and removal keeps in
+// order in O(log n) — the same victim a walk over all entries picks,
+// because the logical clock makes lastUsed unique (see evictHeap).
 package semcache
 
 import (
@@ -107,6 +123,13 @@ type Entry struct {
 	// row, gone once eviction has taken the entry out of the maps and the
 	// heap. Whichever is set second removes the row.
 	indexed, gone bool
+	// The entry's memo, when memoed: the query that resolved to it at
+	// similarity memoSim, while Cache.memoEpoch read memoEpoch. All under
+	// Cache.mu; see Cache.memos.
+	memoed    bool
+	memoEpoch uint32
+	memoKey   string
+	memoSim   float64
 }
 
 // Hit is a successful lookup.
@@ -114,6 +137,10 @@ type Hit struct {
 	Entry      Entry
 	Similarity float64
 	Exact      bool
+	// Memo marks a semantic hit answered from the memo of an earlier
+	// lookup of the same text: the entry and similarity a scan would
+	// have found, without the embedding and the scan.
+	Memo bool
 }
 
 // Stats reports cache effectiveness counters.
@@ -121,6 +148,9 @@ type Stats struct {
 	Lookups   int
 	Hits      int
 	ExactHits int
+	// MemoHits counts the semantic hits answered from a memo; they are
+	// in Hits, not in ExactHits.
+	MemoHits  int
 	Evictions int
 }
 
@@ -134,11 +164,15 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a bounded semantic cache. Cache is safe for concurrent use.
 type Cache struct {
-	mu        sync.Mutex
-	emb       *embed.Embedder
-	idx       *vector.Flat
-	entries   map[vector.ID]*Entry
-	byExact   map[string]vector.ID
+	mu      sync.Mutex
+	emb     *embed.Embedder
+	idx     *vector.Flat
+	entries map[vector.ID]*Entry
+	byExact map[string]vector.ID
+	// memos maps a query that hit semantically to the entry it resolved
+	// to, keyed as byExact is; the entry holds the memo's similarity and
+	// epoch, and at most one memo. See memoizeLocked.
+	memos     map[string]*Entry
 	nextID    vector.ID
 	capacity  int
 	threshold float64
@@ -147,6 +181,15 @@ type Cache struct {
 	// evict orders the entries by eviction preference, next victim at the
 	// root; see evictHeap.
 	evict evictHeap
+	// landing counts the rows published but not yet indexed, rowEpoch the
+	// rows indexed so far, and memoEpoch the neighbour searches that were
+	// cut short, each of which kills every memo; memoFloor is the
+	// similarity within which a landing row can beat a memo. See
+	// memoizeLocked.
+	landing   int
+	rowEpoch  uint64
+	memoEpoch uint32
+	memoFloor float64
 
 	log *obs.Logger
 
@@ -154,6 +197,7 @@ type Cache struct {
 	mLookups, mHitExact, mHitSemantic, mMisses *obs.Counter
 	mEvictions, mPuts                          *obs.Counter
 	mStaleLookups, mStaleHits                  *obs.Counter
+	mMemoHits, mMemoInvalidations              *obs.Counter
 	hSimilarity                                *obs.Histogram
 }
 
@@ -189,9 +233,11 @@ func New(cfg Config) *Cache {
 		idx:       vector.NewFlat(cfg.Embedder.Dim(), vector.Cosine),
 		entries:   make(map[vector.ID]*Entry),
 		byExact:   make(map[string]vector.ID),
+		memos:     make(map[string]*Entry),
 		evict:     evictHeap{policy: cfg.Policy},
 		capacity:  cfg.Capacity,
 		threshold: cfg.Threshold,
+		memoFloor: memoFloor(cfg.Threshold),
 
 		mLookups:      cfg.Obs.Counter("semcache_lookups_total"),
 		mHitExact:     cfg.Obs.Counter("semcache_hits_total", "kind", "exact"),
@@ -201,7 +247,10 @@ func New(cfg Config) *Cache {
 		mPuts:         cfg.Obs.Counter("semcache_puts_total"),
 		mStaleLookups: cfg.Obs.Counter("semcache_stale_lookups_total"),
 		mStaleHits:    cfg.Obs.Counter("semcache_stale_hits_total"),
-		hSimilarity:   cfg.Obs.Histogram("semcache_hit_similarity", obs.SimilarityBuckets),
+
+		mMemoHits:          cfg.Obs.Counter("semcache_memo_hits_total"),
+		mMemoInvalidations: cfg.Obs.Counter("semcache_memo_invalidations_total"),
+		hSimilarity:        cfg.Obs.Histogram("semcache_hit_similarity", obs.SimilarityBuckets),
 	}
 }
 
@@ -239,32 +288,62 @@ func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
 // (pooled scratch, nil for any other outcome), so the fill's Index does
 // not embed the query again; the caller passes it to Index or to Release.
 func (c *Cache) LookupKeep(query, trace string) (Hit, bool, *embed.Vector) {
-	// An exact entry needs no embedding and no scan: that lookup is one pass
-	// under the lock. Any other releases the lock for the scan and settles
-	// under it afterwards.
-	var (
-		near nearest
-		qv   *embed.Vector
-	)
+	// An exact entry, or a live memo of the same text, needs no embedding
+	// and no scan: that lookup is one pass under the lock. Any other
+	// releases the lock for the scan and settles under it afterwards.
 	c.mu.Lock()
-	id, exact := c.byExact[query]
-	if !exact {
+	if near, known := c.recallLocked(query); known {
+		h, ok := c.settleLocked(near, c.threshold, false, trace)
 		c.mu.Unlock()
-		qv = c.emb.TextScratch(query)
-		near = c.nearestTo(*qv, c.threshold)
-		c.mu.Lock()
-		id, exact = c.byExact[query] // put by another caller meanwhile
+		return h, ok, nil
 	}
-	if exact {
-		near = nearest{id: id, sim: 1, found: true, exact: true}
-	}
-	h, ok := c.settleLocked(near, c.threshold, false, trace)
+	epoch := c.rowEpoch
+	c.mu.Unlock()
+	qv := c.emb.TextScratch(query)
+	near := c.nearestTo(*qv, c.threshold)
+	c.mu.Lock()
+	h, ok := c.settleScanLocked(query, near, epoch, trace)
 	c.mu.Unlock()
 	if ok {
 		c.emb.ReleaseScratch(qv)
 		qv = nil
 	}
 	return h, ok, qv
+}
+
+// recallLocked answers query without a scan when it can: from byExact, or
+// from its memo. A memo older than the last cut-short neighbour search is
+// dropped, and no memo is served while a row is landing (see
+// memoizeLocked).
+func (c *Cache) recallLocked(query string) (nearest, bool) {
+	if id, ok := c.byExact[query]; ok {
+		return nearest{id: id, sim: 1, found: true, exact: true}, true
+	}
+	e, ok := c.memos[query]
+	if !ok || c.landing > 0 {
+		return nearest{}, false
+	}
+	if e.memoEpoch != c.memoEpoch {
+		c.invalidateLocked(e)
+		return nearest{}, false
+	}
+	return nearest{id: e.id, sim: e.memoSim, found: true, memo: true}, true
+}
+
+// settleScanLocked is the settle half of a lookup that scanned, from a
+// scan that began when c.rowEpoch read epoch. A query put by another
+// caller meanwhile is an exact hit. A semantic hit is memoized only if no
+// row landed, or was landing, while the scan ran: a row that landed after
+// the scan had passed it could have beaten the entry found.
+func (c *Cache) settleScanLocked(query string, near nearest, epoch uint64, trace string) (Hit, bool) {
+	if id, ok := c.byExact[query]; ok {
+		near = nearest{id: id, sim: 1, found: true, exact: true}
+	}
+	h, ok := c.settleLocked(near, c.threshold, false, trace)
+	if ok && !near.exact && c.rowEpoch == epoch && c.landing == 0 {
+		c.memoizeLocked(query, c.entries[near.id], near.sim)
+	}
+	return h, ok
 }
 
 // Release returns an embedding LookupKeep kept to the pool, for a miss
@@ -298,6 +377,7 @@ type nearest struct {
 	sim   float64
 	found bool
 	exact bool // id came from byExact, not from a scan
+	memo  bool // id and sim came from a memo, not from a scan
 }
 
 // scan is the half of a lookup that costs: it embeds query and searches the
@@ -355,9 +435,13 @@ func (c *Cache) settleLocked(near nearest, atLeast float64, stale bool, trace st
 		} else {
 			c.mHitSemantic.Inc()
 		}
+		if near.memo {
+			c.stats.MemoHits++
+			c.mMemoHits.Inc()
+		}
 		c.hSimilarity.ObserveWithExemplar(near.sim, trace)
 	}
-	return Hit{Entry: *e, Similarity: near.sim, Exact: near.exact}, true
+	return Hit{Entry: *e, Similarity: near.sim, Exact: near.exact, Memo: near.memo}, true
 }
 
 // touchLocked records a hit on e at the current tick and restores e's
@@ -381,14 +465,18 @@ func (c *Cache) Put(query, response string, kind Kind, class Class) {
 type Fill struct {
 	e      *Entry
 	victim *Entry
+	// memos: the memo table was not empty at publish, so the row's
+	// neighbours' memos must be dropped when it lands.
+	memos bool
 }
 
 // Publish is a put's first half, all of it under c.mu and O(log n): the
 // entry goes into both maps and the eviction heap, so an exact lookup hits
 // it from here on, and the victim a full cache gives up comes out of all
 // three. It embeds nothing and leaves the index alone — the returned Fill
-// must be handed to Index, or the entry never gets a row and a victim's
-// row stays behind. Re-putting an existing query refreshes its response.
+// must be handed to Index, or the entry never gets a row, a victim's row
+// stays behind, and no memo is served or made again (the row counts as
+// landing). Re-putting an existing query refreshes its response.
 func (c *Cache) Publish(query, response string, kind Kind, class Class) Fill {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -405,7 +493,11 @@ func (c *Cache) Publish(query, response string, kind Kind, class Class) Fill {
 	c.nextID++
 	c.entries[e.id] = e
 	c.byExact[query] = e.id
-	f := Fill{e: e}
+	if old, ok := c.memos[query]; ok {
+		c.dropMemoLocked(old) // an exact hit from here on
+	}
+	c.landing++
+	f := Fill{e: e, memos: len(c.memos) > 0}
 	// The newcomer joins the eviction heap only after the eviction it
 	// causes, which is what exempts it: a cold newcomer is not evicted
 	// before it can prove useful.
@@ -422,8 +514,10 @@ func (c *Cache) Publish(query, response string, kind Kind, class Class) Fill {
 // entry's row from qv — the query's embedding that LookupKeep kept, or,
 // when qv is nil, one made here — and removes the victim's row if that
 // fell to this put. It takes qv back: the index copies the row, so the
-// scratch goes back to the pool. If the entry was evicted while its row
-// was being added, the row comes straight out again.
+// scratch goes back to the pool. If memos existed at publish, the row's
+// neighbours within memoFloor lose theirs (see memoizeLocked). If the
+// entry was evicted while its row was being added, the row comes straight
+// out again.
 func (c *Cache) Index(f Fill, qv *embed.Vector) {
 	if f.e != nil {
 		if qv == nil {
@@ -432,9 +526,23 @@ func (c *Cache) Index(f Fill, qv *embed.Vector) {
 		if err := c.idx.Add(vector.Item{ID: f.e.id, Vec: *qv}); err != nil {
 			panic(err) // IDs are unique by construction
 		}
+		var near []vector.Result
+		if f.memos {
+			near = c.idx.SearchAbove(*qv, memoNeighbours, c.memoFloor)
+		}
 		c.mu.Lock()
 		f.e.indexed = true
 		gone := f.e.gone
+		c.landing--
+		c.rowEpoch++
+		for _, r := range near {
+			if e := c.entries[r.ID]; e != nil && e.memoed {
+				c.invalidateLocked(e)
+			}
+		}
+		if len(near) == memoNeighbours { // full, the row's own included: there may be more
+			c.memoEpoch++
+		}
 		c.mu.Unlock()
 		if gone {
 			c.idx.Remove(f.e.id)
@@ -446,6 +554,68 @@ func (c *Cache) Index(f Fill, qv *embed.Vector) {
 	}
 }
 
+// memoNeighbours bounds rule 2's search (see memoizeLocked); memoSlack is
+// the margin below 2θ² − 1 that covers the float32 scores.
+const (
+	memoNeighbours = 16
+	memoSlack      = 1e-4
+)
+
+// memoFloor is the similarity at or above which a landing row can beat a
+// memo at threshold θ: cos(2·acos θ) = 2θ² − 1, less memoSlack.
+func memoFloor(threshold float64) float64 {
+	return 2*threshold*threshold - 1 - memoSlack
+}
+
+// memoizeLocked records that query hit e semantically at similarity sim,
+// replacing e's memo and query's: an entry holds at most one memo, which
+// its eviction drops, so there are never more memos than entries. A memo
+// answers a repeat of the text as the scan would, through the same
+// settleLocked, without the embedding and the scan. Three rules, all under
+// c.mu, keep that exact:
+//
+//  1. A memo is made only from a scan no row landed during: c.rowEpoch,
+//     bumped by every Index, is unchanged since the scan began, and no row
+//     is landing (c.landing, counted from Publish to Index). Nor is a memo
+//     served while a row is landing: its row may already be scanned.
+//  2. A landing row drops only its neighbours' memos. A row N beats a memo
+//     s → E only if cos(s, N) ≥ cos(s, E) ≥ θ, so the angles s–N and s–E
+//     are at most acos θ and, by the triangle inequality on the sphere,
+//     N–E at most 2·acos θ: cos(N, E) ≥ cos(2·acos θ) = 2θ² − 1. When
+//     memos existed at publish, Index searches N's row for up to
+//     memoNeighbours entries at or above that, less memoSlack for the
+//     float32 scores, and drops their memos; a search that fills up may
+//     have missed some, so it bumps c.memoEpoch, which kills every older
+//     memo.
+//  3. A memo older than c.memoEpoch is never served: the lookup drops it
+//     and scans. Eviction drops its entry's memo, and Publish the memo of
+//     its own query, which is an exact hit from then on.
+//
+// Nothing walks the table: every step is O(1), or O(memoNeighbours) for
+// rule 2's drops.
+func (c *Cache) memoizeLocked(query string, e *Entry, sim float64) {
+	if old, ok := c.memos[query]; ok {
+		c.dropMemoLocked(old)
+	}
+	if e.memoed {
+		c.dropMemoLocked(e)
+	}
+	c.memos[query] = e
+	e.memoed, e.memoEpoch, e.memoKey, e.memoSim = true, c.memoEpoch, query, sim
+}
+
+// dropMemoLocked deletes e's memo, which must exist.
+func (c *Cache) dropMemoLocked(e *Entry) {
+	delete(c.memos, e.memoKey)
+	e.memoed, e.memoKey = false, ""
+}
+
+// invalidateLocked drops e's memo because a row landed that could beat it.
+func (c *Cache) invalidateLocked(e *Entry) {
+	c.dropMemoLocked(e)
+	c.mMemoInvalidations.Inc()
+}
+
 // evictLocked takes the entry the configured policy values least, the root
 // of the eviction heap, out of the heap and the maps — the one way out of
 // the cache — and marks it gone. Its row is left to the caller's index
@@ -454,6 +624,9 @@ func (c *Cache) evictLocked() *Entry {
 	e := c.evict.popRoot()
 	delete(c.byExact, e.Query)
 	delete(c.entries, e.id)
+	if e.memoed {
+		c.dropMemoLocked(e)
+	}
 	e.gone = true
 	c.stats.Evictions++
 	c.mEvictions.Inc()

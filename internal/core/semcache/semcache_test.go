@@ -252,6 +252,19 @@ func checkInvariants(t *testing.T, c *Cache, settled bool) {
 			t.Fatalf("heap order broken between slot %d and its parent", i)
 		}
 	}
+	if len(c.memos) > n {
+		t.Fatalf("%d memos for %d entries", len(c.memos), n)
+	}
+	for q, e := range c.memos {
+		if c.entries[e.id] != e || !e.memoed || e.memoKey != q {
+			t.Fatalf("the memo of %q names entry %d (%q), which is not live or does not hold it", q, e.id, e.Query)
+		}
+	}
+	for _, e := range c.entries {
+		if e.memoed && c.memos[e.memoKey] != e {
+			t.Fatalf("entry %d (%q) holds the memo of %q, which names another", e.id, e.Query, e.memoKey)
+		}
+	}
 	if n > 0 {
 		if got, want := c.evict.es[0].id, oracleVictim(c); got != want {
 			t.Fatalf("heap root is entry %d, the walk picks %d", got, want)

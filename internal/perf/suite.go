@@ -90,6 +90,52 @@ func fullCache() *semcache.Cache {
 // exactly.
 func perfParaphrase(i int) string { return "please find " + perfText(i) }
 
+// unseenQueries returns n texts that hit entries semantically and never
+// repeat, so no lookup of one is a memo hit: para(i%armedSize) with its
+// first i/armedSize letters upper-cased. The embedder folds case, so every
+// round embeds and scans exactly as the first does.
+func unseenQueries(para func(int) string, n int) []string {
+	qs := make([]string, n)
+	for i := range qs {
+		b := []byte(para(i % armedSize))
+		for j, up := 0, i/armedSize; j < len(b) && up > 0; j++ {
+			if 'a' <= b[j] && b[j] <= 'z' {
+				b[j] -= 'a' - 'A'
+				up--
+			}
+		}
+		qs[i] = string(b)
+	}
+	return qs
+}
+
+// noMemoHits fails a case whose lookups should all have scanned.
+func noMemoHits(b *testing.B, c *semcache.Cache) {
+	if n := c.Stats().MemoHits; n > 0 {
+		b.Fatalf("%d lookups were memo hits: the case no longer times a scan", n)
+	}
+}
+
+// sparseCache returns a Weighted cache at the proxy's 0.97 threshold
+// holding armedSize wordText entries at capacity.
+func sparseCache() *semcache.Cache {
+	c := semcache.New(semcache.Config{
+		Embedder:  embed.New(embed.DefaultDim),
+		Capacity:  armedSize,
+		Threshold: 0.97,
+		Policy:    semcache.Weighted,
+		Obs:       obs.NewRegistry(),
+		Log:       obs.NewLogger(obs.NewEventLog(64), obs.Debug, obs.NewRegistry()),
+	})
+	for i := 0; i < armedSize; i++ {
+		c.Put(wordText(i), "cached answer", semcache.Original, semcache.Reuse)
+	}
+	return c
+}
+
+// wordParaphrase is a query that hits wordText(i) semantically at 0.97.
+func wordParaphrase(i int) string { return wordText(i) + "?" }
+
 var wordSyllables = []string{"ba", "dre", "fi", "glo", "ku", "ma", "ne", "pri", "so", "tu", "vai", "zou", "rin", "lex", "thar", "ost"}
 
 // wordText is the i-th prompt of a corpus shaped like the end-to-end
@@ -275,55 +321,91 @@ func Serving(ctx context.Context) []Spec {
 			}
 		}},
 		{Name: "semcache_lookup_semantic_16k", Bench: func(b *testing.B) {
+			// Every lookup is a text the cache has not seen, so each one
+			// embeds and scans; semcache_lookup_semantic_16k_repeat is the
+			// memo hit.
 			c := fullCache()
+			queries := unseenQueries(perfParaphrase, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if h, ok := c.Lookup(perfParaphrase(i % armedSize)); !ok || h.Exact {
+				if h, ok := c.Lookup(queries[i]); !ok || h.Exact {
 					b.Fatal("expected a semantic cache hit")
 				}
 			}
+			b.StopTimer()
+			noMemoHits(b, c)
 		}},
 		{Name: "semcache_lookup_semantic_16k_sparse", Bench: func(b *testing.B) {
 			// semcache_lookup_semantic_16k's lookups on wordText prompts at
 			// the proxy's 0.97 threshold, where the floored scan skips almost
 			// every row before its whole code is read. perfText's
 			// near-duplicates above are the side where it skips almost none.
-			c := semcache.New(semcache.Config{
-				Embedder:  embed.New(embed.DefaultDim),
-				Capacity:  armedSize,
-				Threshold: 0.97,
-				Policy:    semcache.Weighted,
-				Obs:       obs.NewRegistry(),
-				Log:       obs.NewLogger(obs.NewEventLog(64), obs.Debug, obs.NewRegistry()),
-			})
-			queries := make([]string, armedSize)
-			for i := range queries {
-				c.Put(wordText(i), "cached answer", semcache.Original, semcache.Reuse)
-				queries[i] = wordText(i) + "?"
-			}
+			c := sparseCache()
+			queries := unseenQueries(wordParaphrase, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if h, ok := c.Lookup(queries[i%armedSize]); !ok || h.Exact {
+				if h, ok := c.Lookup(queries[i]); !ok || h.Exact {
 					b.Fatal("expected a semantic cache hit")
 				}
 			}
+			b.StopTimer()
+			noMemoHits(b, c)
 		}},
 		{Name: "semcache_lookup_semantic_16k_parallel", Bench: func(b *testing.B) {
 			// The same lookups from GOMAXPROCS goroutines. Scans run outside
 			// the cache's mutex, so with a core per caller this reads below
 			// the serial case; equal to it would mean the scans queue again.
 			c := fullCache()
+			queries := unseenQueries(perfParaphrase, b.N)
 			var next atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					i := int(next.Add(1))
-					if h, ok := c.Lookup(perfParaphrase(i % armedSize)); !ok || h.Exact {
+					if h, ok := c.Lookup(queries[next.Add(1)-1]); !ok || h.Exact {
 						b.Error("expected a semantic cache hit")
 						return
 					}
 				}
 			})
+			b.StopTimer()
+			noMemoHits(b, c)
+		}},
+		{Name: "semcache_lookup_semantic_16k_repeat", Bench: func(b *testing.B) {
+			// semcache_lookup_semantic_16k_sparse's paraphrases asked again:
+			// each is answered from the memo its first lookup left, with no
+			// embedding and no scan — what an exact hit costs.
+			c := sparseCache()
+			queries := make([]string, armedSize)
+			for i := range queries {
+				queries[i] = wordParaphrase(i)
+				c.Lookup(queries[i])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if h, ok := c.Lookup(queries[i%armedSize]); !ok || !h.Memo {
+					b.Fatal("expected a memo hit")
+				}
+			}
+		}},
+		{Name: "semcache_put_memoized_16k", Bench: func(b *testing.B) {
+			// A put of a new wordText prompt into a full 0.97 cache whose
+			// every entry holds a memo: besides semcache_put_evict_16k's
+			// work, the landing row's neighbour search at 2·0.97² − 1, which
+			// drops the memos it could beat. The first put evicts the
+			// least recently hit entry; after it the newcomers, which have
+			// no hits, evict one another, so the memo table stays full.
+			c := sparseCache()
+			for i := 0; i < armedSize; i++ {
+				c.Lookup(wordParaphrase(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Put(wordText(armedSize+i), "cached answer", semcache.Original, semcache.Reuse)
+			}
+			b.StopTimer()
+			if h, ok := c.Lookup(wordParaphrase(armedSize - 1)); !ok || !h.Memo {
+				b.Fatal("the memo table emptied: the case no longer times a memoized put")
+			}
 		}},
 		{Name: "proxy_complete_cache_hit", Bench: func(b *testing.B) {
 			var spend token.Cost

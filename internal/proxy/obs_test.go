@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core/semcache"
 	"repro/internal/llm"
 	"repro/internal/obs"
 )
@@ -426,4 +428,38 @@ func BenchmarkProxyComplete(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// A repeated paraphrase is a semantic hit from the cache's memo: its
+// cache.lookup span says memo=true where the first, scanned one says
+// false, and semcache_memo_hits_total counts it inside the semantic hits.
+func TestMemoHitOnTheLookupSpan(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := telemetryProxy(Config{Obs: reg})
+	const prompt = "how many concerts were held in the stadium this year"
+	p.cache.Put(prompt, "twelve", semcache.Original, semcache.Reuse)
+	for i := 0; i < 2; i++ {
+		ans, err := p.Complete(context.Background(), llm.Request{Prompt: prompt + "?", Gold: "twelve", Difficulty: 0.05})
+		if err != nil || ans.Source != "cache" {
+			t.Fatalf("paraphrase %d = %+v, %v; want a cache hit", i+1, ans, err)
+		}
+	}
+	var memo []string
+	for _, tr := range p.Tracer().Recent(0) { // newest first
+		for _, c := range tr.Children {
+			if c.Name == "cache.lookup" {
+				if c.Attrs["exact"] != "false" {
+					t.Errorf("cache.lookup attrs = %v", c.Attrs)
+				}
+				memo = append(memo, c.Attrs["memo"])
+			}
+		}
+	}
+	if !reflect.DeepEqual(memo, []string{"true", "false"}) {
+		t.Errorf("memo attrs, newest first: %v; want [true false]", memo)
+	}
+	snap := reg.Snapshot()
+	if snap["semcache_memo_hits_total"] != 1 || snap[`semcache_hits_total{kind="semantic"}`] != 2 {
+		t.Errorf("memo hits %v, semantic hits %v; want 1 and 2", snap["semcache_memo_hits_total"], snap[`semcache_hits_total{kind="semantic"}`])
+	}
 }

@@ -591,6 +591,7 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 			if ok {
 				csp.SetAttr("similarity", hit.Similarity)
 				csp.SetAttr("exact", hit.Exact)
+				csp.SetAttr("memo", hit.Memo)
 			}
 			csp.End()
 		}

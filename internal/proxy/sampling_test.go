@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core/semcache"
 	"repro/internal/llm"
 	"repro/internal/obs"
 )
@@ -192,7 +193,9 @@ func TestSamplingAndOverwritesAreMetrics(t *testing.T) {
 // request's 19, the scan's one-row result, the entry itself, and the
 // eviction's debug event (its attribute list and its record). The index
 // half adds nothing — built as a closure, or on a copy of the lookup's
-// embedding, it would show here. Under the race detector it reads 25.
+// embedding, it would show here. Under the race detector it reads 25. A
+// repeated paraphrase is answered from the cache's memo, with no embedding
+// and no scan, and allocates no more than an exact hit.
 func TestUnkeptRequestAllocs(t *testing.T) {
 	req := llm.Request{Prompt: "how many concerts were held in the stadium this year", Gold: "twelve", Difficulty: 0.05}
 	// cache_miss: every run is a new prompt into a full cache, so it
@@ -206,18 +209,26 @@ func TestUnkeptRequestAllocs(t *testing.T) {
 	for i := range misses {
 		misses[i] = llm.Request{Prompt: distinctPrompt(i), Gold: "twelve", Difficulty: 0.05}
 	}
+	// memo_hit: the prompt is cached, and every run asks its paraphrase.
+	para := req
+	para.Prompt += "?"
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		put  string // cached before the runs
 		reqs []llm.Request
 		max  float64
 	}{
-		{"cache_hit", Config{Obs: obs.NewRegistry()}, []llm.Request{req}, 4},
-		{"cascade", Config{Obs: obs.NewRegistry(), DisableCache: true}, []llm.Request{req}, 20},
-		{"cache_miss", Config{Obs: obs.NewRegistry(), CacheCapacity: capacity}, misses, missMax},
+		{"cache_hit", Config{Obs: obs.NewRegistry()}, "", []llm.Request{req}, 4},
+		{"memo_hit", Config{Obs: obs.NewRegistry()}, req.Prompt, []llm.Request{para}, 4},
+		{"cascade", Config{Obs: obs.NewRegistry(), DisableCache: true}, "", []llm.Request{req}, 20},
+		{"cache_miss", Config{Obs: obs.NewRegistry(), CacheCapacity: capacity}, "", misses, missMax},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := unkeptProxy(tc.cfg)
+			if tc.put != "" {
+				p.cache.Put(tc.put, "twelve", semcache.Original, semcache.Reuse)
+			}
 			n := 0
 			run := func() {
 				_, _ = p.Complete(context.Background(), tc.reqs[n%len(tc.reqs)])
@@ -230,6 +241,11 @@ func TestUnkeptRequestAllocs(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(runs, run); got > tc.max {
 				t.Errorf("%s on an unkept trace: %v allocs, want <= %v", tc.name, got, tc.max)
+			}
+			if tc.put != "" {
+				if got, want := p.cache.Stats().MemoHits, n-1; got != want {
+					t.Errorf("%d memo hits in %d paraphrases: want every repeat a memo hit", got, n)
+				}
 			}
 		})
 	}
