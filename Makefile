@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet lint analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
+.PHONY: all build fmt-check vet lint golden analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
 
 all: build fmt-check vet lint test
 
@@ -25,12 +25,15 @@ vet:
 # llmdm-lint driver in one process, which also reports a //llmdm:
 # annotation without a reason as a finding (`bin/llmdm-lint -waivers ./...`
 # lists every annotation with its reason). The run type-checks the module
-# (go/types, stdlib from source), which is where the time goes, so the
-# target prints its wall time: a number to watch, recorded per PR in
-# CHANGES.md. Also usable as a vettool:
-# go vet -vettool=bin/llmdm-lint ./...
+# with go/types (the stdlib read from the build cache's export data),
+# which is where the time goes, so the target prints its wall time: a
+# number to watch, recorded in CHANGES.md. It is the only mode: the
+# interprocedural analyzers and reach need the whole program in one
+# process, so the binary is not a go vet -vettool.
 #
-# The greps ahead of it keep two couplings from growing back. What an unset
+# The greps ahead of it keep DESIGN.md a description of the system as it
+# is (no "PR n" history, at most 800 lines: history belongs in
+# CHANGES.md), and keep two couplings from growing back. What an unset
 # sink means is decided inside internal/obs (a nil *obs.Registry is
 # obs.Default), so no other non-test file under internal/ names the global.
 # And internal/obs reads no other package's metrics by name: a string literal
@@ -38,6 +41,12 @@ vet:
 # belongs with the component it watches (the proxy's alert rules read their
 # components in internal/proxy/alerts.go).
 lint:
+	@if grep -nE 'PR [0-9]' DESIGN.md; then \
+		echo "lint: DESIGN.md names a PR: history belongs in CHANGES.md, DESIGN.md describes the system as it is"; exit 1; \
+	fi
+	@if [ $$(wc -l < DESIGN.md) -gt 800 ]; then \
+		echo "lint: DESIGN.md has $$(wc -l < DESIGN.md) lines, more than 800: move history to CHANGES.md and numbers to BENCH_*.json"; exit 1; \
+	fi
 	@if grep -rnE 'obs\.Default\b' --include='*.go' internal | grep -v '_test\.go:' | grep -v '^internal/obs/'; then \
 		echo "lint: obs.Default named outside internal/obs: pass the registry down, nil already means it"; exit 1; \
 	fi
@@ -50,6 +59,14 @@ lint:
 	./bin/llmdm-lint ./...; \
 	set +x; \
 	echo "lint: $$(( $$(date +%s) - start )) s wall"
+
+# Regenerate every golden file: the proxy's payload schemas and serving
+# vocabulary (internal/proxy/testdata/golden) and llmdm-proxy's usage text
+# (cmd/llmdm-proxy/testdata/flags.golden). Review the diff before
+# committing it.
+golden:
+	$(GO) test ./internal/proxy/ -run 'TestGoldenSchemas|TestHTTPErrorEnvelope|TestVocabularyGolden' -count=1 -update-golden
+	$(GO) test ./cmd/llmdm-proxy/ -run TestFlagsGolden -count=1 -update-golden
 
 # The analyzers' own tests: fixture suites plus the in-tree enforcement
 # tests that pin the annotated waiver sites.

@@ -31,13 +31,10 @@
 // site with its reason (exit 1 if any lacks one): annotations are
 // grep-able audit points, and a reasonless waiver is an unreviewable one.
 //
-// Vettool compatibility: the binary also speaks enough of the `go vet
-// -vettool` unit-checker protocol (-V=full, a single *.cfg argument) to
-// run under `go vet -vettool=$(which llmdm-lint) ./...`. Standalone mode
-// is canonical (and is the only mode with cross-package summaries); the
-// vettool path type-checks each unit against the export data its .cfg
-// names, analyzes it as a one-package program, and exits 2 on findings
-// per that protocol's convention.
+// There is one mode. The suite's interprocedural analyzers and reach need
+// the whole program in one process, so the binary is not a `go vet
+// -vettool`: a per-package unit checker could report only a subset of
+// what this run reports.
 package main
 
 import (
@@ -58,22 +55,8 @@ func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON findings")
 	waivers := flag.Bool("waivers", false, "audit //llmdm: annotation sites; exit 1 on reasonless waivers")
-	version := flag.String("V", "", "vettool version handshake (-V=full)")
-	flagDefs := flag.Bool("flags", false, "print flag definitions as JSON (go vet handshake)")
 	flag.Parse()
 
-	if *version != "" {
-		// The go vet driver parses `name version x` (and for devel
-		// builds requires a trailing buildID=); it caches on this line,
-		// so any stable version string works.
-		fmt.Printf("llmdm-lint version llmdm-suite-v1\n")
-		return
-	}
-	if *flagDefs {
-		// go vet asks which tool flags it may forward; we expose none.
-		fmt.Println("[]")
-		return
-	}
 	if *list {
 		for _, a := range suite.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -94,9 +77,6 @@ func main() {
 	}
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVettool(args[0], analyzers))
-	}
 	if *waivers {
 		os.Exit(runWaivers(os.Stdout, args))
 	}
@@ -271,72 +251,6 @@ func relPath(root, path string) string {
 func loadError(err error) int {
 	fmt.Fprintf(os.Stderr, "llmdm-lint: %v\n", err)
 	return 2
-}
-
-// vetConfig is the subset of the go vet unit-checker config we consume.
-type vetConfig struct {
-	ImportPath  string
-	GoVersion   string
-	GoFiles     []string
-	ImportMap   map[string]string // import path as written → package path
-	PackageFile map[string]string // package path → export data file
-	VetxOutput  string
-}
-
-func runVettool(cfgPath string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatalf("parsing %s: %v", cfgPath, err)
-	}
-	// The driver requires the facts file regardless of findings; the
-	// suite exports no facts, so it only says who wrote it.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("llmdm-lint: no facts\n"), 0o666); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	// go vet hands the tool every dependency unit, stdlib included; the
-	// suite's rules are for this module only.
-	if cfg.ImportPath != "repro" && !strings.HasPrefix(cfg.ImportPath, "repro/") {
-		return 0
-	}
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	pkg, err := analysis.LoadUnit(files, cfg.ImportPath, cfg.GoVersion, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %s in %s", path, cfgPath)
-		}
-		return os.Open(file)
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	diags, err := analysis.RunAnalyzers(pkg, analyzers, false)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }
 
 func fatalf(format string, args ...interface{}) {

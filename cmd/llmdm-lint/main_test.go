@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -158,41 +157,6 @@ func TestLoadErrorExitCode(t *testing.T) {
 	}
 	if _, _, err := loadProgram([]string{"./..."}); err == nil || !strings.Contains(err.Error(), "bad.go:4:") {
 		t.Errorf("load error = %v, want the type error at bad.go:4", err)
-	}
-}
-
-// TestVettoolSmoke runs the binary the way `go vet -vettool` does: each
-// unit type-checks against the export data its .cfg names, the clean
-// package exits 0, and the facts file the driver demands is written.
-func TestVettoolSmoke(t *testing.T) {
-	root, err := analysis.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tool := filepath.Join(t.TempDir(), "llmdm-lint")
-	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building the tool: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-work", "-vettool="+tool, "./internal/token")
-	vet.Dir = root
-	out, err := vet.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go vet -vettool exited with %v, want 0\n%s", err, out)
-	}
-	_, rest, ok := strings.Cut(string(out), "WORK=")
-	if !ok {
-		t.Fatalf("go vet -work did not print its work dir:\n%s", out)
-	}
-	work := strings.TrimSpace(strings.SplitN(rest, "\n", 2)[0])
-	defer os.RemoveAll(work)
-	vetx, _ := filepath.Glob(filepath.Join(work, "*", "vet.out"))
-	if len(vetx) == 0 {
-		t.Fatalf("no vetx file under %s", work)
-	}
-	for _, f := range vetx {
-		if data, err := os.ReadFile(f); err != nil || len(data) == 0 {
-			t.Errorf("vetx file %s: %d bytes, err %v; want the tool's non-empty facts file", f, len(data), err)
-		}
 	}
 }
 

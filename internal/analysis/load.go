@@ -16,15 +16,17 @@ import (
 )
 
 // The process shares one FileSet and one standard-library importer. The
-// source importer type-checks a stdlib package the first time something
-// imports it and caches the result, so every load after the first — the
-// fixtures of one test binary, the lint driver's second pass — pays only
-// for the module's own packages. One FileSet makes a token.Pos from any
-// package (a types.Object declared elsewhere) resolvable and comparable.
+// gc importer reads a stdlib package's export data from the build cache
+// (compiling it there first if it is missing) the first time something
+// imports it and caches the result, so no load type-checks the standard
+// library from source and every load after the first — the fixtures of
+// one test binary — pays only for the module's own packages. One FileSet
+// makes a token.Pos from any package (a types.Object declared elsewhere)
+// resolvable and comparable.
 var (
 	fset  = token.NewFileSet()
-	stdMu sync.Mutex // the source importer's cache is not concurrency-safe
-	std   = importer.ForCompiler(fset, "source", nil)
+	stdMu sync.Mutex // the gc importer's package map is not concurrency-safe
+	std   = importer.ForCompiler(fset, "gc", nil)
 )
 
 // ModuleRoot walks up from dir to the directory containing go.mod.
@@ -303,20 +305,6 @@ func checkAlone(pkg *Package) (*Package, error) {
 		return nil, err
 	}
 	return pkg, nil
-}
-
-// LoadUnit is LoadFiles for one unit of a build system that has already
-// compiled the dependencies (go vet's .cfg): lookup opens the compiler
-// export data of an import path.
-func LoadUnit(filenames []string, importPath, goVersion string, lookup importer.Lookup) (*Package, error) {
-	pkg, err := parseFiles(filenames, importPath)
-	if err != nil {
-		return nil, err
-	}
-	var l loader
-	l.conf.GoVersion = goVersion
-	l.conf.Importer = importer.ForCompiler(fset, "gc", lookup)
-	return pkg, l.check(pkg)
 }
 
 // parseDir parses the files of dir that build on the host platform,

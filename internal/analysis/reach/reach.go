@@ -12,7 +12,7 @@
 // It reports every function no root reaches, and every exported field of
 // an exported *Config struct in a non-main package that no reached code
 // outside that package writes. A program without a package main (a
-// vettool unit, a subtree such as ./internal/proxy/...) reports nothing;
+// subtree such as ./internal/proxy/...) reports nothing;
 // one that loads some mains but not all flags what only the missing ones
 // use, so the findings hold over ./... alone.
 package reach

@@ -16,14 +16,17 @@ import (
 
 // The golden tests lock the *shape* of the observability payloads —
 // every key path and its JSON type — without pinning values, which are
-// timing- and load-dependent. Adding a field is a deliberate act: run
+// timing- and load-dependent; vocabulary_test.go does the same for the
+// names the stack records. Adding a field is a deliberate act: run
 //
-//	go test ./internal/proxy/ -run TestGoldenSchema -update-golden
+//	make golden
 //
-// and review the diff; removing or renaming one fails the test, which is
-// the point — these four endpoints are scraped by dashboards and the
-// bench harness, so their schemas are API.
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden schema files under testdata/golden")
+// which regenerates every golden file (these schemas, the error envelope,
+// the vocabulary and llmdm-proxy's flags) through -update-golden, and
+// review the diff; removing or renaming one fails the test, which is the
+// point — these endpoints are scraped by dashboards and the bench
+// harness, so their schemas are API.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/golden")
 
 // schemaPaths flattens decoded JSON into sorted "path: type" lines.
 // Arrays union the schema of all elements (heterogeneous entries — e.g.
