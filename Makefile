@@ -68,8 +68,10 @@ golden:
 	$(GO) test ./internal/proxy/ -run 'TestGoldenSchemas|TestHTTPErrorEnvelope|TestVocabularyGolden' -count=1 -update-golden
 	$(GO) test ./cmd/llmdm-proxy/ -run TestFlagsGolden -count=1 -update-golden
 
-# The analyzers' own tests: fixture suites plus the in-tree enforcement
-# tests that pin the annotated waiver sites.
+# The analyzers' own tests: the fixture suites; the in-tree enforcement
+# tests (the tree is clean, and every waiver resurfaces as a finding when
+# ignored); and the seeded-regression table, one real-tree edit per
+# analyzer that the analyzer must catch at the edited site.
 analyzers-test:
 	$(GO) test ./internal/analysis/...
 
@@ -82,9 +84,10 @@ race:
 # The serving-path packages that run concurrent under load; the CI race
 # gate runs this target. internal/vector and internal/embed are here
 # because their kernels shard searches across goroutines and share pooled
-# scratch buffers. internal/analysis is here because the lint driver and
-# its enforcement tests walk one shared Program (summary/waiver caches)
-# from multiple test processes' goroutines.
+# scratch buffers. internal/analysis is here because its seeded-regression
+# rows (TestSeededRegressions) load edited copies of the module in
+# parallel, sharing the loader's one FileSet and its mutex-guarded stdlib
+# importer.
 race-concurrent:
 	$(GO) test -race ./internal/proxy/ ./internal/core/cascade/ ./internal/core/semcache/ ./internal/llm/ ./internal/obs/ ./internal/resilience/ ./internal/sched/ ./internal/exper/ ./internal/vector/ ./internal/embed/ ./internal/analysis/...
 

@@ -18,15 +18,14 @@ import (
 func injectProgram(t *testing.T, src string) (*analysis.Program, string) {
 	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "lib.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := analysis.LoadFiles([]string{path}, "repro/internal/tmplib")
+	pkgs, err := analysis.LoadTree(dir, "repro/internal/tmplib")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analysis.BuildProgram([]*analysis.Package{pkg}), dir
+	return analysis.BuildProgram(pkgs), dir
 }
 
 // TestJSONGolden pins the llmdm-lint/1 schema byte for byte: field
@@ -242,10 +241,22 @@ func locked(mu *sync.Mutex, ch chan int) {
 	}
 }
 
-// TestModuleTreeIsCleanAndAudited runs the real CLI paths over the
-// whole module: the standalone run must be clean (exit 0, no output)
-// and the waiver audit must pass (every annotation carries a reason).
+// TestModuleTreeIsCleanAndAudited runs the real CLI paths over a module
+// of their own (testdata/tree): the standalone run must be clean (exit
+// 0, no output) and the waiver audit must pass and list its one waiver.
+// The real tree's clean run and waiver reasons are checked by
+// internal/analysis's TestTreeHoldsItsInvariants and
+// TestEveryWaiverIsLoadBearing, and by `make lint`.
 func TestModuleTreeIsCleanAndAudited(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join("testdata", "tree")); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
 	var buf bytes.Buffer
 	if code := runStandalone(&buf, []string{"./..."}, suite.All(), false); code != 0 {
 		t.Errorf("llmdm-lint ./... = exit %d, want 0; findings:\n%s", code, buf.String())
@@ -258,7 +269,7 @@ func TestModuleTreeIsCleanAndAudited(t *testing.T) {
 	if code := runWaivers(&buf, []string{"./..."}); code != 0 {
 		t.Errorf("llmdm-lint -waivers ./... = exit %d, want 0; output:\n%s", code, buf.String())
 	}
-	if !strings.Contains(buf.String(), "[allow gospawn]") {
-		t.Errorf("waiver audit should list the obs.Go spawn waiver, got:\n%s", buf.String())
+	if want := "lib/lib.go:7: [detached] the command's process-scoped root\n"; buf.String() != want {
+		t.Errorf("waiver audit = %q, want %q", buf.String(), want)
 	}
 }

@@ -205,16 +205,9 @@ func (pr *Program) Waivers() []Waiver {
 	return out
 }
 
-// RunAnalyzers applies each analyzer to pkg and returns the combined,
-// position-sorted diagnostics. The package is analyzed as a
-// single-package program; use RunAnalyzersProg to share a multi-package
-// program across passes.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, ignoreAnnotations bool) ([]Diagnostic, error) {
-	return RunAnalyzersProg(BuildProgram([]*Package{pkg}), pkg, analyzers, ignoreAnnotations)
-}
-
 // RunAnalyzersProg applies each analyzer to pkg with prog as the
-// interprocedural context.
+// interprocedural context and returns the combined, position-sorted
+// diagnostics.
 func RunAnalyzersProg(prog *Program, pkg *Package, analyzers []*Analyzer, ignoreAnnotations bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	annots := make(map[*ast.File]lineDirectives, len(pkg.Files))

@@ -26,18 +26,26 @@ var reportAll = &analysis.Analyzer{
 	},
 }
 
-func writeFixture(t *testing.T, src string) string {
+// loadSource writes src as the one file of a package and loads it under
+// importPath.
+func loadSource(t *testing.T, importPath, src string) *analysis.Package {
 	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "f.go")
-	if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "f.go"), []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	pkgs, err := analysis.LoadTree(dir, importPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	return pkgs[0]
 }
 
 func TestAllowAnnotationSuppresses(t *testing.T) {
-	path := writeFixture(t, `package p
+	pkg := loadSource(t, "example.test/p", `package p
 
 func flagged() {}
 
@@ -46,11 +54,7 @@ func waivedAbove() {}
 
 func waivedSameLine() {} //llmdm:allow reportall same-line form
 `)
-	pkg, err := analysis.LoadFiles([]string{path}, "example.test/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{reportAll}, false)
+	diags, err := analysis.RunAnalyzersProg(analysis.BuildProgram([]*analysis.Package{pkg}), pkg, []*analysis.Analyzer{reportAll}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func waivedSameLine() {} //llmdm:allow reportall same-line form
 
 	// IgnoreAnnotations surfaces the waived findings — the enforcement
 	// tests use this to prove annotations are load-bearing.
-	all, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{reportAll}, true)
+	all, err := analysis.RunAnalyzersProg(analysis.BuildProgram([]*analysis.Package{pkg}), pkg, []*analysis.Analyzer{reportAll}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +74,12 @@ func waivedSameLine() {} //llmdm:allow reportall same-line form
 }
 
 func TestAllowAnnotationIsPerAnalyzer(t *testing.T) {
-	path := writeFixture(t, `package p
+	pkg := loadSource(t, "example.test/p", `package p
 
 //llmdm:allow otherrule not this one
 func stillFlagged() {}
 `)
-	pkg, err := analysis.LoadFiles([]string{path}, "example.test/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{reportAll}, false)
+	diags, err := analysis.RunAnalyzersProg(analysis.BuildProgram([]*analysis.Package{pkg}), pkg, []*analysis.Analyzer{reportAll}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,10 @@ func stillFlagged() {}
 }
 
 func TestPkgpathDirectiveOverridesImportPath(t *testing.T) {
-	path := writeFixture(t, `//llmdm:pkgpath repro/internal/sched
+	pkg := loadSource(t, "fixture", `//llmdm:pkgpath repro/internal/sched
 
 package p
 `)
-	pkg, err := analysis.LoadFiles([]string{path}, "fixture")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if pkg.Path != "repro/internal/sched" {
 		t.Fatalf("pkg.Path = %q, want the pinned path", pkg.Path)
 	}
@@ -130,11 +126,11 @@ func TestLoadSkipsTestFilesAndTestdata(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pkg, err := analysis.LoadDir(dir, "example.test/p")
+	pkgs, err := analysis.LoadTree(dir, "example.test/p")
 	if err != nil {
 		t.Fatalf("tagged pair: %v", err)
 	}
-	if len(pkg.Filenames) != 1 || filepath.Base(pkg.Filenames[0]) != "impl_plain.go" {
+	if pkg := pkgs[0]; len(pkg.Filenames) != 1 || filepath.Base(pkg.Filenames[0]) != "impl_plain.go" {
 		t.Errorf("tagged pair loaded %v, want only impl_plain.go", pkg.Filenames)
 	}
 }

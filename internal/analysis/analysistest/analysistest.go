@@ -38,23 +38,7 @@ var wantRE = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 // diagnostics against the fixture's want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkgs, err := analysis.LoadTree(dir, "fixture")
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("analysistest: no fixture files in %s", dir)
-	}
-	prog := analysis.BuildProgram(pkgs)
-
-	var diags []analysis.Diagnostic
-	for _, pkg := range pkgs {
-		ds, err := analysis.RunAnalyzersProg(prog, pkg, []*analysis.Analyzer{a}, false)
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		diags = append(diags, ds...)
-	}
+	pkgs, diags := load(t, dir, a, false)
 
 	type want struct {
 		re      *regexp.Regexp
@@ -119,13 +103,34 @@ func RunClean(t *testing.T, dir string, a *analysis.Analyzer) {
 	Run(t, dir, a) // want comments (none expected) + unexpected check
 }
 
-// Findings applies the analyzer to an already-loaded package and returns
-// the diagnostics — used by the in-tree enforcement tests.
-func Findings(t *testing.T, pkg *analysis.Package, a *analysis.Analyzer, ignoreAnnotations bool) []analysis.Diagnostic {
+// Findings loads the fixture directory as Run does and returns the
+// analyzer's diagnostics — with ignoreAnnotations, what the fixture's
+// waivers hold back resurfaces.
+func Findings(t *testing.T, dir string, a *analysis.Analyzer, ignoreAnnotations bool) []analysis.Diagnostic {
 	t.Helper()
-	diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, ignoreAnnotations)
+	_, diags := load(t, dir, a, ignoreAnnotations)
+	return diags
+}
+
+// load type-checks the fixture's packages into one Program and runs the
+// analyzer over each.
+func load(t *testing.T, dir string, a *analysis.Analyzer, ignoreAnnotations bool) ([]*analysis.Package, []analysis.Diagnostic) {
+	t.Helper()
+	pkgs, err := analysis.LoadTree(dir, "fixture")
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	return diags
+	if len(pkgs) == 0 {
+		t.Fatalf("analysistest: no fixture files in %s", dir)
+	}
+	prog := analysis.BuildProgram(pkgs)
+	var diags []analysis.Diagnostic
+	for _, pkg := range pkgs {
+		ds, err := analysis.RunAnalyzersProg(prog, pkg, []*analysis.Analyzer{a}, ignoreAnnotations)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		diags = append(diags, ds...)
+	}
+	return pkgs, diags
 }

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/goleak"
 )
@@ -25,11 +24,7 @@ func TestWaiverIsHonoredAndLoadBearing(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "waiver")
 	analysistest.RunClean(t, dir, goleak.Analyzer)
 
-	pkg, err := analysis.LoadDir(dir, "repro/internal/proxy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := analysistest.Findings(t, pkg, goleak.Analyzer, true)
+	diags := analysistest.Findings(t, dir, goleak.Analyzer, true)
 	if len(diags) != 1 {
 		t.Fatalf("IgnoreAnnotations should resurface the waived send, got %d diagnostics: %v", len(diags), diags)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/suite"
 )
 
@@ -157,198 +156,185 @@ func TestEveryWaiverIsLoadBearing(t *testing.T) {
 	}
 }
 
-// TestSchedAnnotationsAreLoadBearing re-runs the suite over internal/sched
-// with annotations ignored and asserts the deliberate sites resurface:
-// the detached batch-flush root (ctxflow) and the gated enqueue's comm
-// ops (lockscope). If someone deletes the annotations, the clean-tree
-// test above fails; if someone weakens the analyzers until the sites no
-// longer trigger, this test fails.
-func TestSchedAnnotationsAreLoadBearing(t *testing.T) {
+// seededRow is one plausible regression of the real tree: old → new
+// edit pairs applied to file (normally one pair), and where the
+// analyzer's finding lands — the first edit's line, unless at names
+// another: the line holding it, in atFile if set, else in file.
+type seededRow struct {
+	analyzer, file string
+	edits          []string
+	atFile, at     string
+}
+
+// seeded holds one row per analyzer. The tree itself gives the
+// analyzers no live findings, so these rows are what shows each one
+// catches a mistake in the code it guards, not only in its fixtures.
+var seeded = []seededRow{
+	// Submit's wait arm (the enqueue arm above it is waived) on a fresh
+	// root: the caller's cancellation no longer reaches the wait.
+	{analyzer: "ctxflow", file: "internal/sched/sched.go",
+		edits: []string{"\tcase <-ctx.Done():\n", "\tcase <-context.Background().Done():\n"}},
+	// Close waits out the flush goroutines holding the lock every Submit
+	// takes.
+	{analyzer: "lockscope", file: "internal/sched/sched.go",
+		edits: []string{"\ts.mu.Unlock()\n\ts.wg.Wait()\n", "\ts.wg.Wait()\n\ts.mu.Unlock()\n"}, at: "s.wg.Wait()"},
+	// The judge's spend is dropped: the model call is neither billed nor
+	// returned.
+	{analyzer: "billmeter", file: "internal/core/integrate/entity.go",
+		edits: []string{"\t\tr.Cost += resp.Cost\n", ""}, at: "resp, err := "},
+	// The upstream run loses its panic containment.
+	{analyzer: "gospawn", file: "internal/proxy/proxy.go",
+		edits: []string{`obs.Go(p.reg, "proxy_upstream", func() {`, "go func() {", "\t})\n}\n\n// degrade", "\t}()\n}\n\n// degrade"},
+		at:    "go func() {"},
+	// A dynamic metric name in place of a label.
+	{analyzer: "metricname", file: "internal/proxy/proxy.go",
+		edits: []string{`reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", src)`,
+			`reg.Histogram("proxy_latency_seconds_"+src, obs.LatencyBuckets)`}},
+	// Publish asks Len, which takes the Cache.mu Publish holds.
+	{analyzer: "lockorder", file: "internal/core/semcache/semcache.go",
+		edits: []string{"len(c.entries) > c.capacity", "c.Len() > c.capacity"}},
+	// The tier stream is no longer closed on the panic path: the true
+	// finding this suite once caught in the upstream pump.
+	{analyzer: "reslifecycle", file: "internal/proxy/proxy.go",
+		edits: []string{"\t\t\tdefer rs.Close()\n", ""}, at: "p.casc.CompleteStream("},
+	// Submit's wait arm can never fire: the pump's goroutine parks in it,
+	// three calls down.
+	{analyzer: "goleak", file: "internal/sched/sched.go",
+		edits:  []string{"\tcase <-ctx.Done():\n", "\tcase <-make(chan struct{}):\n"},
+		atFile: "internal/proxy/proxy.go", at: "rs.Recv()"},
+	// A follower keeps its lookup vector: Release has no caller left.
+	{analyzer: "reach", file: "internal/proxy/proxy.go",
+		edits:  []string{"\t\tp.cache.Release(kept)\n", ""},
+		atFile: "internal/core/semcache/semcache.go", at: "func (c *Cache) Release("},
+}
+
+// TestSeededRegressions copies the module, applies one row's edits, loads
+// the copy as llmdm-lint does and runs the whole suite: every finding
+// must be the row's analyzer at the row's site, and there must be one.
+// An unedited copy must report nothing. The rows run in parallel, so
+// under -race they also check that loads share the FileSet and the
+// stdlib importer safely.
+func TestSeededRegressions(t *testing.T) {
+	if len(seeded) != len(suite.All()) {
+		t.Fatalf("%d seeded rows for %d analyzers: one row per analyzer", len(seeded), len(suite.All()))
+	}
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.Load(root, []string{"./internal/sched"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
-
-	ctxflowDiags := analysistest.Findings(t, pkg, suite.ByName("ctxflow"), true)
-	found := false
-	for _, d := range ctxflowDiags {
-		if filepath.Base(d.Pos.Filename) == "sched.go" && strings.Contains(d.Message, "context.Background()") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("ctxflow with annotations ignored did not flag sched.go's detached batch-flush root; got %v", ctxflowDiags)
-	}
-
-	lockDiags := analysistest.Findings(t, pkg, suite.ByName("lockscope"), true)
-	if len(lockDiags) < 2 {
-		t.Errorf("lockscope with annotations ignored found %d diagnostics in internal/sched, want >= 2 (the gated enqueue's send and cancel arms)", len(lockDiags))
-	}
-
-	// And with annotations honored, both analyzers accept the package.
-	for _, name := range []string{"ctxflow", "lockscope"} {
-		if diags := analysistest.Findings(t, pkg, suite.ByName(name), false); len(diags) != 0 {
-			t.Errorf("%s over internal/sched with annotations honored: %v, want clean", name, diags)
-		}
-	}
-}
-
-// TestObsSpawnHelperAnnotationIsLoadBearing: the managed spawn helper's
-// own `go` statement is the one waived gospawn site in internal/obs.
-func TestObsSpawnHelperAnnotationIsLoadBearing(t *testing.T) {
-	root, err := analysis.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := analysis.Load(root, []string{"./internal/obs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	diags := analysistest.Findings(t, pkgs[0], suite.ByName("gospawn"), true)
-	found := false
-	for _, d := range diags {
-		if filepath.Base(d.Pos.Filename) == "spawn.go" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("gospawn with annotations ignored did not flag obs.Go's internal spawn; got %v", diags)
-	}
-	if diags := analysistest.Findings(t, pkgs[0], suite.ByName("gospawn"), false); len(diags) != 0 {
-		t.Errorf("gospawn over internal/obs with annotations honored: %v, want clean", diags)
+	rows := append([]seededRow{{analyzer: "unedited"}}, seeded...)
+	for _, row := range rows {
+		t.Run(row.analyzer, func(t *testing.T) {
+			t.Parallel()
+			dir := copyModule(t, root)
+			var wantFile string
+			var line int
+			if row.edits != nil {
+				wantFile, line = seed(t, dir, row)
+			}
+			pkgs, err := analysis.Load(dir, []string{"./..."})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := analysis.BuildProgram(pkgs)
+			found := 0
+			for _, pkg := range pkgs {
+				diags, err := analysis.RunAnalyzersProg(prog, pkg, suite.All(), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range diags {
+					rel, _ := filepath.Rel(dir, d.Pos.Filename)
+					if d.Analyzer == row.analyzer && filepath.ToSlash(rel) == wantFile && d.Pos.Line == line {
+						found++
+						continue
+					}
+					t.Errorf("finding off the seeded site %s:%d: %s", wantFile, line, d)
+				}
+			}
+			if found == 0 && row.edits != nil {
+				t.Errorf("%s did not catch the seeded regression: no finding at %s:%d", row.analyzer, wantFile, line)
+			}
+		})
 	}
 }
 
-// injectPackage writes src into a temp dir and loads it as a package
-// under the given import path — defect-injection scaffolding for the
-// analyzers the (genuinely clean) tree gives no live findings for.
-func injectPackage(t *testing.T, importPath, src string) *analysis.Package {
+// seed applies row's edits to the copy in dir and returns the site its
+// finding must land on.
+func seed(t *testing.T, dir string, row seededRow) (file string, line int) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "injected.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := analysis.LoadFiles([]string{path}, importPath)
+	path := filepath.Join(dir, row.file)
+	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg
-}
-
-// TestLockOrderDetectsInjectedInversion: the tree holds no lock-order
-// cycles, so prove the detection machinery end to end by injecting an
-// AB/BA inversion and asserting lockorder reports the cycle.
-func TestLockOrderDetectsInjectedInversion(t *testing.T) {
-	pkg := injectPackage(t, "repro/internal/injected", `package injected
-
-import "sync"
-
-type a struct{ mu sync.Mutex }
-type b struct{ mu sync.Mutex }
-
-func lockB(y *b) {
-	y.mu.Lock()
-	y.mu.Unlock()
-}
-
-func lockA(x *a) {
-	x.mu.Lock()
-	x.mu.Unlock()
-}
-
-func aThenB(x *a, y *b) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	lockB(y)
-}
-
-func bThenA(x *a, y *b) {
-	y.mu.Lock()
-	defer y.mu.Unlock()
-	lockA(x)
-}
-`)
-	diags := analysistest.Findings(t, pkg, suite.ByName("lockorder"), false)
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "lock-order cycle") {
-			found = true
+	text := string(src)
+	for i := 0; i < len(row.edits); i += 2 {
+		if at := lineOf(t, row.file, text, row.edits[i]); i == 0 {
+			line = at
 		}
+		text = strings.Replace(text, row.edits[i], row.edits[i+1], 1)
 	}
-	if !found {
-		t.Errorf("lockorder did not detect the injected AB/BA inversion; got %v", diags)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestGoleakDetectsInjectedPark: the serving path has no parked-forever
-// goroutines, so inject one (an unguarded send in a proxy-path spawn)
-// and assert goleak reports it.
-func TestGoleakDetectsInjectedPark(t *testing.T) {
-	pkg := injectPackage(t, "repro/internal/proxy", `package proxy
-
-func leak(ch chan int) {
-	go func() {
-		ch <- 1
-	}()
-}
-`)
-	diags := analysistest.Findings(t, pkg, suite.ByName("goleak"), false)
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "park forever") {
-			found = true
-		}
+	if row.atFile == "" && row.at == "" {
+		return row.file, line
 	}
-	if !found {
-		t.Errorf("goleak did not detect the injected unguarded send; got %v", diags)
+	file = row.file
+	if row.atFile != "" {
+		file = row.atFile
 	}
-}
-
-// TestReslifecycleDetectsInjectedLeak pins the shape of the true
-// finding this suite caught in internal/proxy (a tier stream opened in
-// a goroutine and abandoned on the panic path): reinjecting the
-// pre-fix shape must still trip the analyzer.
-func TestReslifecycleDetectsInjectedLeak(t *testing.T) {
-	pkg := injectPackage(t, "repro/internal/injected", `package injected
-
-import (
-	"context"
-
-	"repro/internal/llm"
-)
-
-func open(ctx context.Context) (llm.Stream, error) { return nil, nil }
-
-func abandons(ctx context.Context) error {
-	s, err := open(ctx)
+	src, err = os.ReadFile(filepath.Join(dir, file))
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	_ = s
-	return nil
+	return file, lineOf(t, file, string(src), row.at)
 }
-`)
-	diags := analysistest.Findings(t, pkg, suite.ByName("reslifecycle"), false)
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "not released on every path") {
-			found = true
+
+// lineOf is the line of text holding marker, which must occur once.
+func lineOf(t *testing.T, file, text, marker string) int {
+	t.Helper()
+	if n := strings.Count(text, marker); n != 1 {
+		t.Fatalf("%s holds %q %d times, want once: re-seed the row", file, marker, n)
+	}
+	return strings.Count(text[:strings.Index(text, marker)], "\n") + 1
+}
+
+// copyModule copies what the loader reads of the module — every go.mod
+// and every non-test .go file outside testdata and hidden directories —
+// into a temp dir.
+func copyModule(t *testing.T, root string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if name != "go.mod" && (!strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go")) {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Errorf("reslifecycle did not detect the injected abandoned stream; got %v", diags)
-	}
+	return dst
 }
 
 // TestSuiteIsComplete pins the analyzer roster: a new analyzer must join

@@ -98,17 +98,6 @@ func newLoader(root string) (*loader, error) {
 	return l, nil
 }
 
-// cwdLoader resolves module imports against the module enclosing the
-// working directory — where llmdm-lint and the tests run — for loads
-// that are handed files rather than a module root.
-func cwdLoader() (*loader, error) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		root = ""
-	}
-	return newLoader(root)
-}
-
 // Import implements types.Importer.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if pkg := l.group[path]; pkg != nil {
@@ -211,10 +200,15 @@ func Load(root string, patterns []string) ([]*Package, error) {
 
 // LoadTree loads every package directory under dir as one group whose
 // import paths are rooted at prefix: dir itself is prefix, dir/sub is
-// prefix/sub (a //llmdm:pkgpath pin overrides either). Imports of the
-// enclosing module resolve as for LoadFiles.
+// prefix/sub (a //llmdm:pkgpath pin overrides either). It is how tests
+// load fixtures and injected sources: imports of the module enclosing
+// the working directory resolve to its source.
 func LoadTree(dir, prefix string) ([]*Package, error) {
-	l, err := cwdLoader()
+	root, err := ModuleRoot(".")
+	if err != nil {
+		root = ""
+	}
+	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
 	}
@@ -268,45 +262,6 @@ func (l *loader) loadDirs(base, prefix string, dirs map[string]bool) ([]*Package
 	return l.checkGroup(pkgs)
 }
 
-// LoadDir loads one directory's buildable non-test Go files as a Package
-// with the given import path. It returns (nil, nil) when the directory
-// holds none.
-//
-//llmdm:allow reach the analyzer tests load their fixtures with it
-func LoadDir(dir, importPath string) (*Package, error) {
-	pkg, err := parseDir(dir, importPath)
-	if pkg == nil || err != nil {
-		return nil, err
-	}
-	return checkAlone(pkg)
-}
-
-// LoadFiles parses and type-checks the given files as one Package. The
-// package name is taken from the first file; files from a different
-// package (e.g. an external test package) are rejected. Imports of the
-// module enclosing the working directory resolve to its source.
-//
-//llmdm:allow reach the analyzer tests load injected packages with it
-func LoadFiles(filenames []string, importPath string) (*Package, error) {
-	pkg, err := parseFiles(filenames, importPath)
-	if err != nil {
-		return nil, err
-	}
-	return checkAlone(pkg)
-}
-
-//llmdm:allow reach the single-package loader behind LoadDir and LoadFiles, which the analyzer tests use
-func checkAlone(pkg *Package) (*Package, error) {
-	l, err := cwdLoader()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := l.checkGroup([]*Package{pkg}); err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}
-
 // parseDir parses the files of dir that build on the host platform,
 // test files aside; (nil, nil) when there are none.
 func parseDir(dir, importPath string) (*Package, error) {
@@ -314,7 +269,7 @@ func parseDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []string
+	pkg := &Package{Path: importPath, Fset: fset}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -325,17 +280,7 @@ func parseDir(dir, importPath string) (*Package, error) {
 		} else if !ok {
 			continue
 		}
-		files = append(files, filepath.Join(dir, name))
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	return parseFiles(files, importPath)
-}
-
-func parseFiles(filenames []string, importPath string) (*Package, error) {
-	pkg := &Package{Path: importPath, Fset: fset}
-	for _, fn := range filenames {
+		fn := filepath.Join(dir, name)
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -347,6 +292,9 @@ func parseFiles(filenames []string, importPath string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 		pkg.Filenames = append(pkg.Filenames, fn)
+	}
+	if len(pkg.Files) == 0 {
+		return nil, nil
 	}
 	// A fixture can pin the import path the analyzers should see (the
 	// package-path-dependent rules key off it): //llmdm:pkgpath <path>.

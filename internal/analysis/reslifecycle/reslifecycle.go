@@ -6,10 +6,10 @@
 // billing settlement), pooled scratch vectors (embed TextScratch /
 // ReleaseScratch — a dropped scratch silently shrinks the pool), a
 // scheduler (Close joins its flush goroutines), and net/http response
-// bodies. PR 5's analyzers cannot see a leak that only happens on the
-// early-return error path three branches in; this analyzer can, because
-// it tracks obligations branch-sensitively the same way the summary
-// walker tracks held locks.
+// bodies. A per-statement check cannot see a leak that only happens on
+// the early-return error path three branches in; this analyzer can,
+// because it tracks obligations on the summary walk (analysis.Walk), the
+// same branch-sensitive walk that tracks held locks.
 //
 // An obligation is born when a call's first result has a tracked type
 // (the type seeds below, so a wrapper, an interface method or a creator
@@ -152,11 +152,10 @@ func (s *sink) leak(o *obligation, at token.Pos) {
 		o.what, o.release, filepath.Base(p.Filename), strconv.Itoa(p.Line))
 }
 
-// tracker is the branch-sensitive obligation scanner. It mirrors the
-// summary walker's may-hold discipline: clone per arm, drop diverging arms,
-// union survivors — so "live" means live on SOME path, which is exactly
-// leak semantics. bound says which obligation each variable holds;
-// settling an obligation through any of its variables settles it.
+// tracker is reslifecycle's side of the summary walk (analysis.Walk):
+// live means live on SOME path, which is exactly leak semantics. bound
+// says which obligation each variable holds; settling an obligation
+// through any of its variables settles it.
 type tracker struct {
 	info  *types.Info
 	seeds map[types.Object]seed
@@ -172,23 +171,44 @@ func (t *tracker) scope(body *ast.BlockStmt) {
 		info: t.info, seeds: t.seeds, sink: t.sink,
 		bound: map[*types.Var]*obligation{}, live: map[*obligation]bool{},
 	}
-	sub.stmts(body.List)
+	analysis.Walk(sub, body.List)
 	sub.exit(body.End(), nil)
 }
 
-func (t *tracker) fork(drop map[*obligation]bool) *tracker {
+// Clone copies the state for one arm, without what an if guard rules
+// out there: `err != nil` leaves no value for the err-paired obligations
+// in the then arm (that IS the error path), `err == nil` none in the
+// else, and likewise nil tests on the obligation variable itself.
+func (t *tracker) Clone(cond ast.Expr, taken bool) analysis.Flow {
 	sub := *t
 	sub.bound, sub.live = maps.Clone(t.bound), maps.Clone(t.live)
-	for o := range drop {
-		delete(sub.live, o)
+	bin, ok := cond.(*ast.BinaryExpr)
+	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
+		return &sub
+	}
+	var v *types.Var
+	switch {
+	case t.info.Types[bin.Y].IsNil():
+		v = t.varOf(bin.X)
+	case t.info.Types[bin.X].IsNil():
+		v = t.varOf(bin.Y)
+	}
+	for o := range t.live {
+		// if err != nil / if x == nil: no value in then;
+		// if err == nil / if x != nil: no value in else.
+		if paired, self := o.errVar == v, t.bound[v] == o; v != nil && (paired || self) &&
+			taken == (paired == (bin.Op == token.NEQ)) {
+			delete(sub.live, o)
+		}
 	}
 	return &sub
 }
 
-// join replaces the state with the union of the surviving arms'.
-func (t *tracker) join(arms []*tracker) {
+// Union replaces the state with the union of the surviving arms'.
+func (t *tracker) Union(arms []analysis.Flow) {
 	t.bound, t.live = map[*types.Var]*obligation{}, map[*obligation]bool{}
-	for _, arm := range arms {
+	for _, f := range arms {
+		arm := f.(*tracker)
 		for v, o := range arm.bound {
 			if _, ok := t.bound[v]; !ok {
 				t.bound[v] = o
@@ -254,15 +274,10 @@ func (t *tracker) exit(at token.Pos, ret *ast.ReturnStmt) {
 	}
 }
 
-func (t *tracker) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		t.stmt(st)
-	}
-}
-
-func (t *tracker) stmt(st ast.Stmt) {
+// Leaf applies one statement's creations, releases and hand-offs; a
+// return ends the path, leaking what it does not return.
+func (t *tracker) Leaf(st ast.Stmt) {
 	switch st := st.(type) {
-	case nil:
 	case *ast.AssignStmt:
 		t.assign(st)
 	case *ast.ExprStmt:
@@ -288,40 +303,6 @@ func (t *tracker) stmt(st ast.Stmt) {
 		}
 		t.exit(st.Pos(), st)
 		t.live = map[*obligation]bool{} // path ends here
-	case *ast.IfStmt:
-		t.stmt(st.Init)
-		t.exprNoEscape(st.Cond)
-		t.branchIf(st)
-	case *ast.ForStmt:
-		t.stmt(st.Init)
-		if st.Cond != nil {
-			t.exprNoEscape(st.Cond)
-		}
-		t.stmt(st.Post)
-		t.arms([][]ast.Stmt{st.Body.List}, true)
-	case *ast.RangeStmt:
-		t.exprNoEscape(st.X)
-		t.arms([][]ast.Stmt{st.Body.List}, true)
-	case *ast.BlockStmt:
-		t.stmts(st.List)
-	case *ast.SwitchStmt:
-		t.stmt(st.Init)
-		t.arms(analysis.CaseArms(st.Body), !analysis.HasDefault(st.Body))
-	case *ast.TypeSwitchStmt:
-		t.stmt(st.Init)
-		t.arms(analysis.CaseArms(st.Body), !analysis.HasDefault(st.Body))
-	case *ast.SelectStmt:
-		var arms [][]ast.Stmt
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				t.commStmt(cc.Comm)
-			}
-			arms = append(arms, cc.Body)
-		}
-		t.arms(arms, false)
-	case *ast.LabeledStmt:
-		t.stmt(st.Stmt)
 	case *ast.DeclStmt:
 		ast.Inspect(st, func(n ast.Node) bool {
 			if vs, ok := n.(*ast.ValueSpec); ok {
@@ -333,6 +314,14 @@ func (t *tracker) stmt(st ast.Stmt) {
 		})
 	}
 }
+
+// Expr reads a branch header: conditions and range targets read values,
+// they don't take custody.
+func (t *tracker) Expr(e ast.Expr) { t.exprNoEscape(e) }
+
+// Comm applies a select clause's send, receive-assign or receive like
+// the statement it is.
+func (t *tracker) Comm(_ *ast.SelectStmt, st ast.Stmt) { t.Leaf(st) }
 
 // returnExpr scans one return result: a creator call returned directly
 // is propagation to the caller, not a leak.
@@ -346,86 +335,6 @@ func (t *tracker) returnExpr(e ast.Expr) {
 		}
 	}
 	t.exprNoEscape(e)
-}
-
-// commStmt handles a select comm clause without the branch machinery.
-func (t *tracker) commStmt(st ast.Stmt) {
-	switch st := st.(type) {
-	case *ast.SendStmt:
-		t.settleIdents(st.Value, true)
-	case *ast.AssignStmt:
-		t.assign(st)
-	case *ast.ExprStmt:
-		t.expr(st.X)
-	}
-}
-
-// branchIf runs the two arms with error-guard awareness.
-func (t *tracker) branchIf(st *ast.IfStmt) {
-	thenDrop, elseDrop := t.guardDrops(st.Cond)
-	var survivors []*tracker
-	thenT := t.fork(thenDrop)
-	thenT.stmts(st.Body.List)
-	if !analysis.Terminates(st.Body.List) {
-		survivors = append(survivors, thenT)
-	}
-	elseT := t.fork(elseDrop)
-	if st.Else != nil {
-		elseT.stmt(st.Else)
-	}
-	if st.Else == nil || !analysis.Terminates([]ast.Stmt{st.Else}) {
-		survivors = append(survivors, elseT)
-	}
-	t.join(survivors)
-}
-
-// guardDrops classifies an if condition: `err != nil` invalidates
-// err-paired obligations in the then arm (that IS the error path, the
-// value is nil there), `err == nil` in the fall-through/else, and
-// likewise nil tests on the obligation variable itself.
-func (t *tracker) guardDrops(cond ast.Expr) (thenDrop, elseDrop map[*obligation]bool) {
-	thenDrop, elseDrop = map[*obligation]bool{}, map[*obligation]bool{}
-	bin, ok := cond.(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
-		return
-	}
-	var v *types.Var
-	switch {
-	case t.info.Types[bin.Y].IsNil():
-		v = t.varOf(bin.X)
-	case t.info.Types[bin.X].IsNil():
-		v = t.varOf(bin.Y)
-	}
-	if v == nil {
-		return
-	}
-	for o := range t.live {
-		paired, self := o.errVar == v, t.bound[v] == o
-		switch {
-		case paired && bin.Op == token.NEQ, self && bin.Op == token.EQL:
-			thenDrop[o] = true // if err != nil / if x == nil: no value in then
-		case paired || self:
-			elseDrop[o] = true // if err == nil / if x != nil: no value in else
-		}
-	}
-	return
-}
-
-// arms runs generic branch arms (for/switch/select) and unions
-// surviving states; includePre keeps the not-taken path live.
-func (t *tracker) arms(arms [][]ast.Stmt, includePre bool) {
-	var survivors []*tracker
-	if includePre {
-		survivors = append(survivors, t.fork(nil))
-	}
-	for _, arm := range arms {
-		sub := t.fork(nil)
-		sub.stmts(arm)
-		if !analysis.Terminates(arm) {
-			survivors = append(survivors, sub)
-		}
-	}
-	t.join(survivors)
 }
 
 // assign handles creations, releases via bound methods, aliases and

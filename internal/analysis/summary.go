@@ -2,12 +2,13 @@
 // consumed by the interprocedural analyzers (lockorder, reslifecycle,
 // goleak) and by the summary-sharpened per-function ones.
 //
-// The summary walker is the module's one lock walk: it tracks which
-// locks may be held, branch-sensitively (each arm of an if, switch,
-// select or loop starts from a clone of the state before it, an arm
-// that ends in return, panic or a branch discards its releases, the
-// surviving arms' states are unioned, a deferred Unlock holds to
-// function end), and records along the way, for one body:
+// Walk is the module's one branch-sensitive statement walk (each arm of
+// an if, switch, select or loop starts from a clone of the state before
+// it, an arm that ends in return, panic or a branch is dropped, the
+// surviving arms' states are unioned); an analyzer rides it through the
+// Flow hooks. The summary walker rides it to track which locks may be
+// held (a deferred Unlock holds to function end), and reslifecycle to
+// track release obligations. The summary walker records, for one body:
 //
 //   - Acquires: every mutex acquire with the locks already held at that
 //     point, each lock being the *types.Var of the mutex field or
@@ -157,8 +158,7 @@ func (pr *Program) Summary(f *FuncInfo) *Summary {
 	}
 	s.Recovers = HasDeferredRecover(f.Pkg.Info, d.Body)
 	s.RefsStop = RefsStopSignal(d.Body)
-	w := &sumWalker{pr: pr, f: f, sum: s, held: map[string]HeldLock{}}
-	w.stmts(d.Body.List)
+	Walk(&sumWalker{pr: pr, f: f, sum: s, held: map[string]HeldLock{}}, d.Body.List)
 	return s
 }
 
@@ -169,8 +169,7 @@ func (pr *Program) Summary(f *FuncInfo) *Summary {
 // declarations.
 func (pr *Program) SummarizeBlock(f *FuncInfo, body *ast.BlockStmt) *Summary {
 	s := &Summary{Func: f}
-	w := &sumWalker{pr: pr, f: f, sum: s, held: map[string]HeldLock{}}
-	w.stmts(body.List)
+	Walk(&sumWalker{pr: pr, f: f, sum: s, held: map[string]HeldLock{}}, body.List)
 	return s
 }
 
@@ -235,39 +234,144 @@ func (w *sumWalker) locks() []HeldLock {
 	return out
 }
 
-func (w *sumWalker) stmts(list []ast.Stmt) {
+// Flow is one analyzer's side of Walk: the state it carries along a
+// path, and what each statement does to it.
+type Flow interface {
+	// Leaf applies a statement that does not branch: an expression,
+	// assignment, declaration, send, inc/dec, go, defer or return.
+	Leaf(ast.Stmt)
+	// Expr applies an expression a branching statement evaluates before
+	// its arms: an if or for condition, a range target, a switch tag.
+	Expr(ast.Expr)
+	// Comm applies one of sel's communications, before any arm runs.
+	Comm(sel *ast.SelectStmt, comm ast.Stmt)
+	// Clone copies the state for one arm. An if's arms get its condition,
+	// with taken true for the then arm, so an analyzer can drop what the
+	// guard rules out; every other arm gets a nil cond.
+	Clone(cond ast.Expr, taken bool) Flow
+	// Union replaces the state with the union of the arms' states (no
+	// arms: every one diverged).
+	Union(arms []Flow)
+}
+
+// Walk is the one branch-sensitive statement walk: each arm of an if,
+// switch, select or loop runs on a clone of the state before it, an arm
+// that ends in return, panic or a branch is dropped, and the surviving
+// arms' states are unioned. Skipping every arm (an if without else, a
+// switch without default, a loop running zero times) is an arm of its
+// own. Function literals are left to the Flow.
+func Walk(f Flow, list []ast.Stmt) {
 	for _, st := range list {
-		w.stmt(st)
+		walkStmt(f, st)
 	}
 }
 
-func (w *sumWalker) stmt(st ast.Stmt) {
+func walkStmt(f Flow, st ast.Stmt) {
 	switch st := st.(type) {
 	case nil:
-	case *ast.ExprStmt:
-		if w.lockStmt(st.X) {
-			return
+	case *ast.BlockStmt:
+		Walk(f, st.List)
+	case *ast.LabeledStmt:
+		walkStmt(f, st.Stmt)
+	case *ast.IfStmt:
+		walkStmt(f, st.Init)
+		f.Expr(st.Cond)
+		var els []ast.Stmt
+		if st.Else != nil {
+			els = []ast.Stmt{st.Else}
 		}
-		w.expr(st.X)
+		branch(f, st.Cond, st.Body.List, els)
+	case *ast.ForStmt:
+		walkStmt(f, st.Init)
+		f.Expr(st.Cond)
+		walkStmt(f, st.Post)
+		branch(f, nil, nil, st.Body.List)
+	case *ast.RangeStmt:
+		f.Expr(st.X)
+		branch(f, nil, nil, st.Body.List)
+	case *ast.SwitchStmt:
+		walkStmt(f, st.Init)
+		f.Expr(st.Tag)
+		branch(f, nil, caseArms(st.Body)...)
+	case *ast.TypeSwitchStmt:
+		walkStmt(f, st.Init)
+		walkStmt(f, st.Assign)
+		branch(f, nil, caseArms(st.Body)...)
+	case *ast.SelectStmt:
+		// Exactly one arm runs; there is no path around them.
+		var arms [][]ast.Stmt
+		for _, c := range st.Body.List {
+			cc := c.(*ast.CommClause)
+			if cc.Comm != nil {
+				f.Comm(st, cc.Comm)
+			}
+			arms = append(arms, cc.Body)
+		}
+		branch(f, nil, arms...)
+	default:
+		f.Leaf(st)
+	}
+}
+
+// branch walks each arm on a clone of f and unions the arms that fall
+// through into f. An arm that diverges takes its effects with it, so an
+// `unlock; return` guard cannot mask a blocking op under the lock on the
+// main path.
+func branch(f Flow, cond ast.Expr, arms ...[]ast.Stmt) {
+	var survivors []Flow
+	for i, arm := range arms {
+		sub := f.Clone(cond, i == 0)
+		Walk(sub, arm)
+		if !terminates(arm) {
+			survivors = append(survivors, sub)
+		}
+	}
+	f.Union(survivors)
+}
+
+// caseArms lists a switch or type-switch body's clause bodies, led by
+// an empty arm when no default clause catches the rest.
+func caseArms(body *ast.BlockStmt) [][]ast.Stmt {
+	var arms [][]ast.Stmt
+	hasDefault := false
+	for _, c := range body.List {
+		cc := c.(*ast.CaseClause)
+		hasDefault = hasDefault || cc.List == nil
+		arms = append(arms, cc.Body)
+	}
+	if !hasDefault {
+		arms = append([][]ast.Stmt{nil}, arms...)
+	}
+	return arms
+}
+
+// Leaf records what a non-branching statement does: calls, chan ops,
+// blocking ops, and the acquires and releases of a Lock/Unlock
+// statement. A go statement records nothing: the spawn doesn't block,
+// and its body is a separate unit.
+func (w *sumWalker) Leaf(st ast.Stmt) {
+	switch st := st.(type) {
+	case *ast.ExprStmt:
+		if !w.lockStmt(st.X) {
+			w.expr(st.X)
+		}
 	case *ast.DeferStmt:
 		// A deferred Unlock pins the critical section to function end —
 		// leave held untouched. A deferred release/Close is recorded as a
 		// call site (reslifecycle wants it); other deferred work runs
 		// after the body.
 		w.recordCall(st.Call, true)
-	case *ast.GoStmt:
-		// The spawn doesn't block; the body is a separate unit.
 	case *ast.SendStmt:
 		w.chanOp(st.Arrow, true, st.Chan, false, true)
 		w.expr(st.Chan)
 		w.expr(st.Value)
 	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.expr(e)
-		}
-		for _, e := range st.Lhs {
-			w.expr(e)
-		}
+		w.exprs(st.Rhs)
+		w.exprs(st.Lhs)
+	case *ast.ReturnStmt:
+		w.exprs(st.Results)
+	case *ast.IncDecStmt:
+		w.expr(st.X)
 	case *ast.DeclStmt:
 		ast.Inspect(st, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok {
@@ -276,51 +380,34 @@ func (w *sumWalker) stmt(st ast.Stmt) {
 			}
 			return true
 		})
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.expr(e)
+	}
+}
+
+// Expr records a branch header's calls and receives.
+func (w *sumWalker) Expr(e ast.Expr) { w.expr(e) }
+
+// Comm records a select clause's operation (see commOp). An exit arm
+// or a default guards it out of ChanOps; only a default keeps it out of
+// Blocking.
+func (w *sumWalker) Comm(sel *ast.SelectStmt, comm ast.Stmt) {
+	hasDefault, exitArm := selectGuards(sel)
+	w.commOp(comm, hasDefault || exitArm, !hasDefault)
+}
+
+// Clone copies the may-held set for one arm.
+func (w *sumWalker) Clone(ast.Expr, bool) Flow {
+	return &sumWalker{pr: w.pr, f: w.f, sum: w.sum, held: maps.Clone(w.held)}
+}
+
+// Union makes held the union of the arms' may-held sets.
+func (w *sumWalker) Union(arms []Flow) {
+	w.held = map[string]HeldLock{}
+	for _, arm := range arms {
+		for k, v := range arm.(*sumWalker).held {
+			if _, ok := w.held[k]; !ok {
+				w.held[k] = v
+			}
 		}
-	case *ast.IfStmt:
-		w.stmt(st.Init)
-		w.expr(st.Cond)
-		arms := [][]ast.Stmt{st.Body.List}
-		if st.Else != nil {
-			arms = append(arms, []ast.Stmt{st.Else})
-		}
-		// Without an else, the condition-false path carries the pre-state.
-		w.mergeArms(arms, st.Else == nil)
-	case *ast.ForStmt:
-		w.stmt(st.Init)
-		w.expr(st.Cond)
-		w.stmt(st.Post)
-		w.mergeArms([][]ast.Stmt{st.Body.List}, true)
-	case *ast.RangeStmt:
-		w.expr(st.X)
-		w.mergeArms([][]ast.Stmt{st.Body.List}, true)
-	case *ast.BlockStmt:
-		w.stmts(st.List)
-	case *ast.SwitchStmt:
-		w.stmt(st.Init)
-		w.expr(st.Tag)
-		w.mergeArms(CaseArms(st.Body), !HasDefault(st.Body))
-	case *ast.TypeSwitchStmt:
-		w.stmt(st.Init)
-		w.stmt(st.Assign)
-		w.mergeArms(CaseArms(st.Body), !HasDefault(st.Body))
-	case *ast.SelectStmt:
-		hasDefault, exitArm := selectGuards(st)
-		var arms [][]ast.Stmt
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			w.commOp(cc.Comm, hasDefault || exitArm, !hasDefault)
-			arms = append(arms, cc.Body)
-		}
-		// Exactly one arm runs; there is no fall-through pre-state path.
-		w.mergeArms(arms, false)
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt)
-	case *ast.IncDecStmt:
-		w.expr(st.X)
 	}
 }
 
@@ -402,31 +489,10 @@ func (w *sumWalker) chanOp(pos token.Pos, send bool, ch ast.Expr, guarded, block
 	}
 }
 
-// mergeArms walks each arm of a branching statement from a clone of the
-// current state and replaces it with the union of the states of the arms
-// that fall through (may-hold): an arm that diverges discards its
-// releases, so an `unlock; return` guard cannot mask a blocking op under
-// the lock on the main path. includePre adds the pre-state as a path of
-// its own (if without else, switch without default, a loop body running
-// zero times).
-func (w *sumWalker) mergeArms(arms [][]ast.Stmt, includePre bool) {
-	merged := map[string]HeldLock{}
-	if includePre {
-		merged = maps.Clone(w.held)
+func (w *sumWalker) exprs(list []ast.Expr) {
+	for _, e := range list {
+		w.expr(e)
 	}
-	for _, arm := range arms {
-		sub := &sumWalker{pr: w.pr, f: w.f, sum: w.sum, held: maps.Clone(w.held)}
-		sub.stmts(arm)
-		if Terminates(arm) {
-			continue
-		}
-		for k, v := range sub.held {
-			if _, ok := merged[k]; !ok {
-				merged[k] = v
-			}
-		}
-	}
-	w.held = merged
 }
 
 // expr records calls, chan receives and blocking ops in an expression
@@ -580,30 +646,10 @@ func IsStopChanName(name string) bool {
 	return false
 }
 
-// CaseArms lists the clause bodies of a switch or type-switch body.
-func CaseArms(body *ast.BlockStmt) [][]ast.Stmt {
-	var arms [][]ast.Stmt
-	for _, c := range body.List {
-		arms = append(arms, c.(*ast.CaseClause).Body)
-	}
-	return arms
-}
-
-// HasDefault reports whether a switch or type-switch body has a default
-// clause.
-func HasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if c.(*ast.CaseClause).List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// Terminates reports whether a statement list visibly diverges: its
+// terminates reports whether a statement list visibly diverges: its
 // last statement is a return, panic, or branch (break/continue/goto;
 // a fallthrough runs on into the next case).
-func Terminates(list []ast.Stmt) bool {
+func terminates(list []ast.Stmt) bool {
 	if len(list) == 0 {
 		return false
 	}
@@ -619,9 +665,9 @@ func Terminates(list []ast.Stmt) bool {
 			}
 		}
 	case *ast.LabeledStmt:
-		return Terminates([]ast.Stmt{last.Stmt})
+		return terminates([]ast.Stmt{last.Stmt})
 	case *ast.BlockStmt:
-		return Terminates(last.List)
+		return terminates(last.List)
 	}
 	return false
 }

@@ -63,26 +63,34 @@ func Table1Cascade(ctx context.Context) (Report, error) {
 		rep.Rows = append(rep.Rows, []string{m.Name(), pct(correct, qaCount), cost.String()})
 	}
 
-	// Cascade.
+	correct, cost, err := table1Cascade(ctx, set.Items)
+	if err != nil {
+		return rep, err
+	}
+	rep.Rows = append(rep.Rows, []string{"LLM cascade", pct(correct, qaCount), cost.String()})
+	return rep, nil
+}
+
+// table1Cascade runs Table I's cascade row over items on a fresh default
+// family: how many it answers correctly, and what it spends.
+func table1Cascade(ctx context.Context, items []workload.QAItem) (correct int, cost token.Cost, err error) {
+	fam := llm.DefaultFamily()
 	models := make([]llm.Model, len(fam))
 	for i, m := range fam {
 		models[i] = m
 	}
 	c := cascade.New(cascade.Threshold{Tau: cascadeTau}, models...)
-	correct := 0
-	var cost token.Cost
-	for _, it := range set.Items {
+	for _, it := range items {
 		resp, tr, err := c.Complete(ctx, qaRequest(it))
 		if err != nil {
-			return rep, err
+			return correct, cost, err
 		}
 		if resp.Correct {
 			correct++
 		}
 		cost += tr.TotalCost
 	}
-	rep.Rows = append(rep.Rows, []string{"LLM cascade", pct(correct, qaCount), cost.String()})
-	return rep, nil
+	return correct, cost, nil
 }
 
 // Fig6CascadeSweep reproduces Figure 6's mechanism as a measurement: the

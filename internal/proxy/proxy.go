@@ -119,6 +119,9 @@ type Stats struct {
 // reaps a hung upstream.
 const upstreamDeadline = 30 * time.Second
 
+// errUpstreamPanic ends the call of a cascade run that panicked.
+var errUpstreamPanic = errors.New("proxy: upstream panicked")
+
 // Config parameterizes a Proxy.
 type Config struct {
 	// Models is the cascade chain, cheapest first. Defaults to the standard
@@ -684,16 +687,64 @@ func keyOf(req llm.Request) callKey {
 // the in-flight entry is deleted, the clients are answered, and only then
 // is the answer's row indexed from kept, the leader's lookup embedding —
 // so no client waits on the index's write lock. kept is released on every
-// path.
+// path. The ending is deferred, so a tier that panics still ends its call:
+// its spend is accounted, its clients get errUpstreamPanic and a later
+// identical request leads a fresh run; obs.Go then counts the panic.
 func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call, kept *embed.Vector) {
 	upCtx, cancelUp := context.WithTimeout(context.WithoutCancel(ctx), upstreamDeadline)
 	obs.Go(p.reg, "proxy_upstream", func() {
 		defer cancelUp()
 		var (
+			rs    *cascade.RunStream
 			resp  llm.Response
 			trace cascade.Trace
+			err   error
+			ended bool // the run returned rather than panicked
 		)
-		rs, err := p.casc.CompleteStream(upCtx, req)
+		defer func() {
+			if !ended {
+				// Defers unwind last in, first out: rs is closed already, so
+				// Result holds the trace of what the run billed.
+				err = errUpstreamPanic
+				if rs != nil {
+					_, trace, _ = rs.Result()
+				}
+			}
+			// Accounting happens here — success or not — because a failed,
+			// timed-out or early-exited run already paid for every chunk it
+			// emitted; dropping that spend would understate cost under
+			// failure injection. Per-tenant attribution rides the same
+			// once-per-run spot, so the sum across tenants stays meter-exact
+			// with the spend counter: coalesced followers pay 0 and the
+			// leader's tenant pays the run.
+			p.modelCalls.Add(int64(len(trace.Steps)))
+			p.spend.Add(int64(trace.TotalCost))
+			p.mSpend.Add(int64(trace.TotalCost))
+			p.tenants.AddSpend(obs.TenantFrom(upCtx), int64(trace.TotalCost), trace.Escalations())
+			// A failed run's answer is error-shaped, not success-shaped: no
+			// model, no text — just the money already burned.
+			ans := Answer{Source: "error", Cost: trace.TotalCost}
+			var fill semcache.Fill
+			if err == nil {
+				ans = Answer{Text: resp.Text, Model: resp.Model, Confidence: resp.Confidence, Source: "cascade", Cost: trace.TotalCost}
+				if p.cache != nil {
+					fill = p.cache.Publish(req.Prompt, resp.Text, semcache.Original, semcache.Reuse)
+				}
+			} else {
+				p.log.Event(upCtx, obs.Warn, "proxy_upstream_error", "error", err.Error(), "steps", len(trace.Steps))
+			}
+			p.mu.Lock()
+			delete(p.inflight, key)
+			p.gInflight.Add(-1)
+			p.mu.Unlock()
+			c.finish(ans, err, len(trace.Steps))
+			if p.cache != nil {
+				// A failed run or a re-put left an empty fill: this only
+				// releases kept.
+				p.cache.Index(fill, kept)
+			}
+		}()
+		rs, err = p.casc.CompleteStream(upCtx, req)
 		if err == nil {
 			// Idempotent; the run normally settles via Result below, but a
 			// panic in the chunk loop must not leave the tier stream open.
@@ -717,39 +768,7 @@ func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call,
 			}
 			resp, trace, err = rs.Result()
 		}
-		// Accounting happens here — success or not — because a failed,
-		// timed-out or early-exited run already paid for every chunk it
-		// emitted; dropping that spend would understate cost under failure
-		// injection. Per-tenant attribution rides the same once-per-run
-		// spot, so the sum across tenants stays meter-exact with the spend
-		// counter: coalesced followers pay 0 and the leader's tenant pays
-		// the run.
-		p.modelCalls.Add(int64(len(trace.Steps)))
-		p.spend.Add(int64(trace.TotalCost))
-		p.mSpend.Add(int64(trace.TotalCost))
-		p.tenants.AddSpend(obs.TenantFrom(upCtx), int64(trace.TotalCost), trace.Escalations())
-		// A failed run's answer is error-shaped, not success-shaped: no
-		// model, no text — just the money already burned.
-		ans := Answer{Source: "error", Cost: trace.TotalCost}
-		var fill semcache.Fill
-		if err == nil {
-			ans = Answer{Text: resp.Text, Model: resp.Model, Confidence: resp.Confidence, Source: "cascade", Cost: trace.TotalCost}
-			if p.cache != nil {
-				fill = p.cache.Publish(req.Prompt, resp.Text, semcache.Original, semcache.Reuse)
-			}
-		} else {
-			p.log.Event(upCtx, obs.Warn, "proxy_upstream_error", "error", err.Error(), "steps", len(trace.Steps))
-		}
-		p.mu.Lock()
-		delete(p.inflight, key)
-		p.gInflight.Add(-1)
-		p.mu.Unlock()
-		c.finish(ans, err, len(trace.Steps))
-		if p.cache != nil {
-			// A failed run or a re-put left an empty fill: this only
-			// releases kept.
-			p.cache.Index(fill, kept)
-		}
+		ended = true
 	})
 }
 

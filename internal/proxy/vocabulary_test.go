@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,22 +178,35 @@ func vocabularyDrive(t *testing.T) (*obs.Registry, *obs.Tracer, *obs.EventLog) {
 		t.Fatalf("breakers %v: want the dead tier open and an alert firing", p.BreakerStates())
 	}
 
-	// An upstream that panics: the pump's goroutine recovers and counts
-	// it, and its client waits until its own context ends.
-	p = build(Config{Models: []llm.Model{namedModel{name: "panics", fn: func(context.Context, llm.Request) (llm.Response, error) {
-		panic("vocabulary drive")
+	// A tier that panics, behind one that bills and escalates: the pump's
+	// ending still runs, so the client gets the error at once, the run's
+	// spend is its meter, nothing stays in flight, and obs.Go counts the
+	// panic. A later identical request leads a fresh run, which the tier
+	// now answers.
+	var panicked atomic.Bool
+	cheap := sim("cheap", 0.2)
+	p = build(Config{Models: []llm.Model{cheap, namedModel{name: "panics", fn: func(context.Context, llm.Request) (llm.Response, error) {
+		if !panicked.Swap(true) {
+			panic("vocabulary drive")
+		}
+		return llm.Response{Text: "the bound follows", Model: "panics", Confidence: 1}, nil
 	}}}, DisableCache: true})
-	cctx, cancel := context.WithCancel(ctx)
+	// A dead call would hold its client until this deadline.
+	pctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Complete(cctx, easy)
-		done <- err
-	}()
+	panicky := llm.Request{Prompt: hard.Prompt, Gold: hard.Gold, Wrong: hard.Wrong, Difficulty: hard.Difficulty}
+	if _, err := p.Complete(pctx, panicky); !errors.Is(err, errUpstreamPanic) {
+		t.Fatalf("the panicked call's client returned %v, want errUpstreamPanic", err)
+	}
 	waitFor(t, func() bool { return reg.Snapshot()[`goroutine_panics_total{task="proxy_upstream"}`] == 1 })
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("the panicked call's client returned %v, want context.Canceled", err)
+	if spend, meter := p.Stats().Spend, cheap.Meter().Spend; spend != meter || spend == 0 {
+		t.Fatalf("the panicked run's spend is %v, want the cheap tier's meter %v", spend, meter)
+	}
+	if inflight := reg.Snapshot()["proxy_inflight"]; inflight != 0 {
+		t.Fatalf("proxy_inflight = %v after the panicked call ended, want 0", inflight)
+	}
+	if ans, err := p.Complete(pctx, panicky); err != nil || ans.Source != "cascade" {
+		t.Fatalf("the repeat after a panicked call: %+v, %v; want a fresh cascade run", ans, err)
 	}
 
 	if ring.Overwritten() != 0 || tracer.Len() == tracer.Cap() {
