@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCompletionRequest -fuzztime=20s -fuzzminimizetime=1s ./internal/proxy/
 	$(GO) test -fuzz=FuzzSSEEvent -fuzztime=20s ./internal/proxy/
 	$(GO) test -fuzz=FuzzDecodeCompletionRequest -fuzztime=20s ./internal/proxy/
+	$(GO) test -fuzz=FuzzSimStreamEqualsPlan -fuzztime=20s ./internal/llm/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

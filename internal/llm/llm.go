@@ -248,19 +248,24 @@ func (m *SimModel) adjudicate(req Request) Response {
 
 	text := req.Gold
 	if !correct {
-		cands := make([]string, 0, 1+len(req.WrongAlts))
+		// The candidates are Wrong (when set) followed by WrongAlts; the
+		// pick indexes that list without building it.
+		lead := 0
 		if req.Wrong != "" {
-			cands = append(cands, req.Wrong)
+			lead = 1
 		}
-		cands = append(cands, req.WrongAlts...)
-		if len(cands) == 0 {
+		if cands := lead + len(req.WrongAlts); cands == 0 {
 			text = "I am not certain."
 		} else {
-			pick := int(noiseUnit(m.name, key, "wrongpick") * float64(len(cands)))
-			if pick >= len(cands) {
-				pick = len(cands) - 1
+			pick := int(noiseUnit(m.name, key, "wrongpick") * float64(cands))
+			if pick >= cands {
+				pick = cands - 1
 			}
-			text = cands[pick]
+			if pick < lead {
+				text = req.Wrong
+			} else {
+				text = req.WrongAlts[pick-lead]
+			}
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -76,7 +75,9 @@ const streamPrior = 0.55
 // a given (model, request): same chunks, same confidences, same costs on
 // every run. Each delivered chunk bills its incremental cost into the
 // model's meter and metrics, so an aborted stream has paid for exactly
-// the chunks it emitted.
+// the chunks it emitted. The call is adjudicated here; each chunk is
+// planned by the Recv that delivers it, so an abandoned stream never
+// plans its remainder.
 func (m *SimModel) GenerateStream(ctx context.Context, req Request) (Stream, error) {
 	if err := ctx.Err(); err != nil {
 		m.mErrors.Inc()
@@ -92,126 +93,82 @@ func (m *SimModel) GenerateStream(ctx context.Context, req Request) (Stream, err
 	if key == "" {
 		key = req.Prompt
 	}
-	chunks := planChunks(m, resp, key)
+	n := 1 // empty text is one empty Final chunk billing the minimum token
+	for end := nextPiece(resp.Text, 0); end < len(resp.Text); end = nextPiece(resp.Text, end) {
+		n++
+	}
 	if sp != nil { // nil under an unkept trace: box nothing
 		sp.SetAttr("model", m.name)
-		sp.SetAttr("chunks", len(chunks))
+		sp.SetAttr("chunks", n)
 		sp.End()
 	}
 
 	// The call itself is counted when the stream opens; tokens and spend
 	// accrue per chunk.
 	m.mCalls.Inc()
-	return &simStream{m: m, ctx: ctx, resp: resp, chunks: chunks, trace: obs.SampledTraceID(ctx)}, nil
+	return &simStream{
+		m: m, ctx: ctx, resp: resp, n: n,
+		confNoise: fnvFold(noisePrefix(m.name, key), "stream"),
+		trace:     obs.SampledTraceID(ctx),
+	}, nil
 }
 
-// planChunks splits an adjudicated response into word-boundary chunks
-// with telescoped incremental costs: chunk k's cost is the difference
-// between the call cost at its cumulative output-token count and the
-// previous chunk's, so the sum over all chunks is exactly resp.Cost. The
-// confidence trajectory moves from an uninformed prior toward the final
-// confidence on a square-root schedule (fast early movement — collapse
-// is visible within the first quarter of the generation) with small
-// deterministic per-chunk jitter.
-func planChunks(m *SimModel, resp Response, key string) []Chunk {
-	pieces := splitStream(resp.Text)
-	n := len(pieces)
-	chunks := make([]Chunk, n)
-	prevCum := 0
-	var prevCost token.Cost
-	prefixLen := 0
-	for i, piece := range pieces {
-		prefixLen += len(piece)
-		cum := token.Count(resp.Text[:prefixLen])
-		if i == n-1 {
-			// The final chunk trues the stream up to the billed counts
-			// (Complete clamps empty outputs to one billable token).
-			cum = resp.OutputTokens
+// nextPiece returns the end of the chunk of text that starts at byte off.
+// Chunks cut at word boundaries with whitespace attached to the following
+// word, so the concatenation reproduces text byte for byte: a chunk ends
+// right before the first non-space byte after a run of ASCII spaces. A
+// cut therefore always follows an ASCII space, where the tokenizer holds
+// no partial piece, so a prefix's token count is the sum of its chunks'.
+func nextPiece(text string, off int) int {
+	inSpace := false
+	for i := off; i < len(text); i++ {
+		if c := text[i]; c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			inSpace = true
+		} else if inSpace {
+			return i
 		}
-		if cum < prevCum {
-			cum = prevCum
-		}
-		cost := m.price.ForTokens(resp.InputTokens, cum)
-		conf := streamConfidence(m, key, i, n, resp.Confidence)
-		chunks[i] = Chunk{
-			Text:       piece,
-			Index:      i,
-			Confidence: conf,
-			Cost:       cost - prevCost,
-			Latency:    time.Duration(float64(resp.InputTokens+cum) / m.tokensPerSec * float64(time.Second)),
-			Final:      i == n-1,
-		}
-		prevCum, prevCost = cum, cost
 	}
-	chunks[n-1].Latency = resp.Latency
-	return chunks
-}
-
-// streamConfidence is the deterministic mid-generation confidence after
-// chunk i of n: the prior pulled toward the final confidence by
-// sqrt((i+1)/n), plus a ±0.03 jitter keyed like the model's other noise
-// streams. The last chunk reports the final confidence exactly.
-func streamConfidence(m *SimModel, key string, i, n int, final float64) float64 {
-	if i == n-1 {
-		return final
-	}
-	ratio := float64(i+1) / float64(n)
-	conf := streamPrior + (final-streamPrior)*sqrt(ratio)
-	conf += (noiseUnit(m.name, key, "stream"+strconv.Itoa(i)) - 0.5) * 2 * 0.03
-	return clamp(conf, 0.02, 0.98)
+	return len(text)
 }
 
 // sqrt is a dependency-free Newton square root for the [0,1] ratios the
-// confidence schedule uses (avoids importing math for one call).
+// confidence schedule uses (avoids importing math for one call, and
+// math.Sqrt rounds differently in the last bit). It stops at the
+// iteration's fixed point, which further steps cannot move, so it equals
+// twenty steps exactly; the schedule's ratios get there within eleven.
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	z := x
 	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
+		next := (z + x/z) / 2
+		if next == z {
+			break
+		}
+		z = next
 	}
 	return z
 }
 
-// splitStream cuts text into chunks at word boundaries, whitespace
-// attached to the following word so the concatenation reproduces text
-// byte for byte. Empty text yields one empty chunk (the stream still
-// emits a Final chunk carrying the minimum billable token).
-func splitStream(text string) []string {
-	if text == "" {
-		return []string{""}
-	}
-	var out []string
-	start := 0
-	inSpace := false
-	for i := 0; i < len(text); i++ {
-		switch c := text[i]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			inSpace = true
-		default:
-			if inSpace && i > start {
-				out = append(out, text[start:i])
-				start = i
-			}
-			inSpace = false
-		}
-	}
-	out = append(out, text[start:])
-	return out
-}
-
 // simStream is SimModel's deterministic stream. The mutex serializes
-// Recv against Close; billing happens under the model's own meter lock.
+// Recv against Close and guards the plan's position; billing happens
+// under the model's own meter lock.
 type simStream struct {
-	m      *SimModel
-	ctx    context.Context
-	resp   Response
-	chunks []Chunk
-	trace  string
+	m     *SimModel
+	ctx   context.Context
+	resp  Response
+	n     int // chunks in the stream
+	trace string
+	// confNoise is the noise state of (model, key, "stream"): chunk i's
+	// confidence jitter folds only i's digits onto it.
+	confNoise uint64
 
 	mu     sync.Mutex
-	next   int
+	next   int        // index of the next chunk
+	off    int        // byte offset of the next chunk in resp.Text
+	cum    int        // output tokens through the last delivered chunk
+	cost   token.Cost // call cost through the last delivered chunk
 	closed bool
 	done   bool
 }
@@ -229,43 +186,60 @@ func (s *simStream) Recv() (Chunk, error) {
 		s.mu.Unlock()
 		return Chunk{}, err
 	}
-	if s.next >= len(s.chunks) {
+	if s.next >= s.n {
 		s.mu.Unlock()
 		return Chunk{}, io.EOF
 	}
-	ch := s.chunks[s.next]
-	s.next++
+	ch, out := s.planLocked()
 	if ch.Final {
 		s.done = true
 	}
 	s.mu.Unlock()
 
-	s.bill(ch)
+	s.bill(ch, out)
 	return ch, nil
 }
 
-// bill accrues one chunk into the meter and metrics. Output tokens are
-// derived from the chunk's own text except for the final true-up chunk,
-// which settles the stream at the full billed count.
-func (s *simStream) bill(ch Chunk) {
+// planLocked cuts the next chunk and advances the plan past it, returning
+// the chunk and the output tokens it bills. Costs telescope: the chunk
+// costs the call's price at the running output-token count less the
+// price through the previous chunk, so a full stream sums to resp.Cost
+// exactly. The final chunk trues the stream up to the billed counts
+// (Complete clamps empty outputs to one billable token) and reports the
+// call's own confidence and latency. Before it, confidence moves from an
+// uninformed prior toward the final confidence on a square-root schedule
+// (collapse is visible within the first quarter of the generation), with
+// a ±0.03 jitter keyed like the model's other noise streams.
+func (s *simStream) planLocked() (Chunk, int) {
+	m, resp, i := s.m, &s.resp, s.next
+	end := nextPiece(resp.Text, s.off)
+	ch := Chunk{Text: resp.Text[s.off:end], Index: i, Final: i == s.n-1}
+	var out, cum int
+	if ch.Final {
+		out = max(resp.OutputTokens-s.cum, 0)
+		cum = max(resp.OutputTokens, s.cum)
+		ch.Confidence, ch.Latency = resp.Confidence, resp.Latency
+	} else {
+		out = token.Count(ch.Text)
+		cum = s.cum + out
+		conf := streamPrior + (resp.Confidence-streamPrior)*sqrt(float64(i+1)/float64(s.n))
+		conf += (unitFloat(fnvFoldInt(s.confNoise, i)) - 0.5) * 2 * 0.03
+		ch.Confidence = clamp(conf, 0.02, 0.98)
+		ch.Latency = time.Duration(float64(resp.InputTokens+cum) / m.tokensPerSec * float64(time.Second))
+	}
+	cost := m.price.ForTokens(resp.InputTokens, cum)
+	ch.Cost = cost - s.cost
+	s.next, s.off, s.cum, s.cost = i+1, end, cum, cost
+	return ch, out
+}
+
+// bill accrues one chunk and its output tokens into the meter and
+// metrics.
+func (s *simStream) bill(ch Chunk, out int) {
 	m := s.m
 	in := 0
 	if ch.Index == 0 {
 		in = s.resp.InputTokens
-	}
-	out := token.Count(ch.Text)
-	if ch.Final {
-		// Re-derive from the billed total so the stream's token sum always
-		// matches Complete's, even when the text's last pieces straddle a
-		// chunk boundary or the output clamps to one token.
-		billed := 0
-		for _, prev := range s.chunks[:ch.Index] {
-			billed += token.Count(prev.Text)
-		}
-		out = s.resp.OutputTokens - billed
-		if out < 0 {
-			out = 0
-		}
 	}
 	m.mu.Lock()
 	if ch.Index == 0 {

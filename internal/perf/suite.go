@@ -442,6 +442,36 @@ func Serving(ctx context.Context) []Spec {
 				b.Fatal("cascade path billed nothing")
 			}
 		}},
+		{Name: "llm_generate_stream", Bench: func(b *testing.B) {
+			// One simulated tier opened and drained: a 14-word answer
+			// adjudicated, cut, priced and billed chunk by chunk — what
+			// the serving benchmark's llm.call_us times per streamed call.
+			// The requests are built off the clock.
+			_, sim := perfModel(obs.NewRegistry(), 1)
+			reqs := make([]llm.Request, 1024)
+			for i := range reqs {
+				reqs[i] = llm.Request{
+					Prompt:     fmt.Sprintf("benchmark question %d about streamed serving", i),
+					Gold:       "a fourteen word answer so that the tier streams it as fourteen separate chunks",
+					Difficulty: 0.3,
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := sim.GenerateStream(ctx, reqs[i%len(reqs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := s.Recv(); err != nil {
+						break
+					}
+				}
+				if _, ok := s.Final(); !ok {
+					b.Fatal("the stream did not finish")
+				}
+			}
+		}},
 		{Name: "stream_ttft", Bench: func(b *testing.B) {
 			// Time-to-first-token through the streaming path: the timer
 			// runs only from CompleteStream to the first chunk; draining
