@@ -83,8 +83,8 @@ race:
 
 # The serving-path packages that run concurrent under load; the CI race
 # gate runs this target. internal/vector and internal/embed are here
-# because their kernels shard searches across goroutines and share pooled
-# scratch buffers. internal/analysis is here because its seeded-regression
+# because concurrent searches share pooled scratch buffers and run beside
+# writers under the index's lock. internal/analysis is here because its seeded-regression
 # rows (TestSeededRegressions) load edited copies of the module in
 # parallel, sharing the loader's one FileSet and its mutex-guarded stdlib
 # importer.
@@ -141,6 +141,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSSEEvent -fuzztime=20s ./internal/proxy/
 	$(GO) test -fuzz=FuzzDecodeCompletionRequest -fuzztime=20s ./internal/proxy/
 	$(GO) test -fuzz=FuzzSimStreamEqualsPlan -fuzztime=20s ./internal/llm/
+	$(GO) test -fuzz=FuzzCountMatchesTokenize -fuzztime=20s ./internal/token/
 
 experiments:
 	$(GO) run ./cmd/llmdm-bench

@@ -27,9 +27,10 @@
 // where count is the number of NON-waived findings (the exit-1 set);
 // waived findings are included so CI can annotate accepted sites.
 //
-// -waivers is the listing mode: every //llmdm:allow and //llmdm:detached
-// site with its reason (exit 1 if any lacks one): annotations are
-// grep-able audit points, and a reasonless waiver is an unreviewable one.
+// -waivers is the listing mode: every //llmdm:allow, //llmdm:detached and
+// //llmdm:bench site with its reason (exit 1 if any lacks one):
+// annotations are grep-able audit points, and a reasonless waiver is an
+// unreviewable one.
 //
 // There is one mode. The suite's interprocedural analyzers and reach need
 // the whole program in one process, so the binary is not a `go vet

@@ -27,7 +27,15 @@
 //	                                  the scheduler's batch-flush timeout).
 //	//llmdm:allow <analyzer> [reason] any analyzer: accept this site.
 //
-// Both should carry a reason; they are grep-able audit points, not
+// A third, above a package clause, excuses nothing and so holds whether
+// or not annotations are honored:
+//
+//	//llmdm:bench <reason>            reach: this package is a benchmark
+//	                                  suite; its calls and writes outside
+//	                                  itself count for nothing, so what
+//	                                  only the suite uses is flagged.
+//
+// All three should carry a reason; they are grep-able audit points, not
 // blanket waivers. A reach waiver also makes its declaration a root (see
 // package reach).
 //
@@ -109,7 +117,7 @@ type Pass struct {
 type lineDirectives map[int][]directive
 
 type directive struct {
-	verb   string // "detached" | "allow"
+	verb   string // "detached" | "allow" | "bench"
 	arg    string // analyzer name for "allow"
 	reason string // free-text justification after the verb/analyzer
 }
@@ -158,8 +166,8 @@ func directiveReason(fields []string) string {
 // Waiver is one //llmdm: annotation site, for the -waivers audit.
 type Waiver struct {
 	Pos token.Position
-	// Verb is "allow" or "detached"; Analyzer the waived analyzer for
-	// "allow" ("" for detached).
+	// Verb is "allow", "detached" or "bench"; Analyzer the waived
+	// analyzer for "allow" ("" otherwise).
 	Verb     string
 	Analyzer string
 	Reason   string

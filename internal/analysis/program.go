@@ -272,6 +272,23 @@ func (pr *Program) directivesFor(pkg *Package, f *ast.File) lineDirectives {
 // Summaries use this so a waiver's justification covers interprocedural
 // consumers of the summarized fact, not just the local analyzer.
 func (pr *Program) Waived(pkg *Package, pos token.Pos, analyzer string) bool {
+	return pr.marked(pkg, pos, func(d directive) bool { return d.verb == "allow" && d.arg == analyzer })
+}
+
+// Bench reports whether pkg is a benchmark suite: one of its package
+// clauses carries //llmdm:bench on its line or the line above.
+func (pr *Program) Bench(pkg *Package) bool {
+	for _, f := range pkg.Files {
+		if pr.marked(pkg, f.Package, func(d directive) bool { return d.verb == "bench" }) {
+			return true
+		}
+	}
+	return false
+}
+
+// marked reports whether pos (in one of pkg's files) carries a directive
+// match accepts, on its line or the line above.
+func (pr *Program) marked(pkg *Package, pos token.Pos, match func(directive) bool) bool {
 	var file *ast.File
 	for _, f := range pkg.Files {
 		if f.FileStart <= pos && pos <= f.FileEnd {
@@ -286,7 +303,7 @@ func (pr *Program) Waived(pkg *Package, pos token.Pos, analyzer string) bool {
 	line := pkg.Fset.Position(pos).Line
 	for _, ds := range [][]directive{ld[line], ld[line-1]} {
 		for _, d := range ds {
-			if d.verb == "allow" && d.arg == analyzer {
+			if match(d) {
 				return true
 			}
 		}

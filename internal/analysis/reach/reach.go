@@ -3,11 +3,15 @@
 //
 // The roots are every main and init, every package-level var initializer
 // and every declaration carrying //llmdm:allow reach <reason>; the waiver
-// above a package clause makes the package's exported API a root. The
-// walk follows Info.Uses, so a function passed as a value is reached. A
-// used type or value reaches its named type, whose methods are reached
-// when some interface of the program or its imports has a method of that
-// name: interface dispatch is resolved by name.
+// above a package clause makes the package's exported API a root. A
+// package clause marked //llmdm:bench <reason> is a benchmark suite's:
+// what it uses or writes outside its own package counts for nothing, so an
+// option only the suite sets is flagged; it excuses nothing, so it holds
+// under IgnoreAnnotations too. The walk follows Info.Uses, so a function
+// passed as a value is reached. A used type or value reaches its named
+// type, whose methods are reached when some interface of the program or
+// its imports has a method of that name: interface dispatch is resolved by
+// name.
 //
 // It reports every function no root reaches, and every exported field of
 // an exported *Config struct in a non-main package that no reached code
@@ -81,6 +85,7 @@ type walk struct {
 	hasMain bool
 	seen    map[types.Object]bool // the reached functions and types
 	written map[*types.Var]bool   // fields reached code outside their package writes
+	bench   map[*analysis.Package]bool
 	decls   map[types.Object]decl
 	methods map[*types.TypeName][]*types.Func
 	ifaces  map[string]bool // the method names some interface declares
@@ -94,8 +99,8 @@ type decl struct {
 }
 
 func newWalk(prog *analysis.Program, waivers bool) *walk {
-	w := &walk{seen: map[types.Object]bool{}, written: map[*types.Var]bool{}, decls: map[types.Object]decl{},
-		methods: map[*types.TypeName][]*types.Func{}, ifaces: map[string]bool{}}
+	w := &walk{seen: map[types.Object]bool{}, written: map[*types.Var]bool{}, bench: map[*analysis.Package]bool{},
+		decls: map[types.Object]decl{}, methods: map[*types.TypeName][]*types.Func{}, ifaces: map[string]bool{}}
 	for _, tp := range prog.Imports() {
 		for _, name := range tp.Scope().Names() {
 			w.addInterface(tp.Scope().Lookup(name).Type())
@@ -105,6 +110,7 @@ func newWalk(prog *analysis.Program, waivers bool) *walk {
 	library := map[*analysis.Package]bool{}
 	for _, pkg := range prog.Pkgs {
 		w.hasMain = w.hasMain || pkg.Name == "main"
+		w.bench[pkg] = prog.Bench(pkg)
 		for _, tv := range pkg.Info.Types {
 			w.addInterface(tv.Type) // interface literals and constraints
 		}
@@ -194,25 +200,33 @@ func (w *walk) reach(obj types.Object) {
 
 // inspect reaches what d uses, and records the fields of other packages'
 // structs it writes: in a composite literal, an assignment, or by taking
-// their address.
+// their address. In a benchmark package only what the package declares
+// itself is reached, and no write is recorded.
 func (w *walk) inspect(d decl) {
 	info := d.pkg.Info
-	write := func(e ast.Expr) {
-		if v := analysis.VarOf(info, e); v != nil && v.IsField() && v.Pkg() != d.pkg.Types {
+	bench := w.bench[d.pkg]
+	reach := func(obj types.Object) {
+		if !bench || obj.Pkg() == d.pkg.Types {
+			w.reach(obj)
+		}
+	}
+	record := func(v *types.Var) {
+		if v != nil && v.IsField() && v.Pkg() != d.pkg.Types && !bench {
 			w.written[v] = true
 		}
 	}
+	write := func(e ast.Expr) { record(analysis.VarOf(info, e)) }
 	ast.Inspect(d.node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
 			switch obj := info.Uses[n].(type) {
 			case *types.Func:
-				w.reach(obj)
+				reach(obj)
 			case *types.TypeName, *types.Const, *types.Var:
 				// A value reaches its type's methods even where the code
 				// holding it never names the type.
 				if tn := analysis.NamedObj(obj.Type()); tn != nil {
-					w.reach(tn)
+					reach(tn)
 				}
 			}
 		case *ast.CompositeLit:
@@ -220,8 +234,8 @@ func (w *walk) inspect(d decl) {
 				for i, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						write(kv.Key)
-					} else if f := st.Field(i); f.Pkg() != d.pkg.Types {
-						w.written[f] = true
+					} else {
+						record(st.Field(i))
 					}
 				}
 			}

@@ -54,12 +54,17 @@ func Kept() { helper() }
 
 func helper() {}
 
-// LibConfig is a *Config struct: main sets Set; only lib sets Internal.
+// LibConfig is a *Config struct: main sets Set; only lib sets Internal,
+// and only the benchmark suite sets Tuned.
 type LibConfig struct {
 	Set      int
 	Internal int // want "LibConfig.Internal is written by no reached code outside lib"
+	Tuned    int // want "LibConfig.Tuned is written by no reached code outside lib"
 	hidden   int
 }
+
+// OnlySuite is called by the benchmark suite alone.
+func OnlySuite(cfg LibConfig) { _ = cfg } // want "OnlySuite is reached from no main"
 
 // Start runs with cfg.
 func Start(cfg LibConfig) {

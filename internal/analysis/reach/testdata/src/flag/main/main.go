@@ -6,6 +6,7 @@ import (
 
 	"fixture/api"
 	"fixture/lib"
+	"fixture/suite"
 )
 
 func main() {
@@ -16,6 +17,7 @@ func main() {
 	cfg := lib.LibConfig{Set: 1}
 	lib.Start(cfg)
 	api.API()
+	suite.Run()
 }
 
 func run(f func()) { f() }

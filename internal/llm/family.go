@@ -30,21 +30,21 @@ func DefaultFamilyObs(reg *obs.Registry) Family {
 			Name:         NameSmall,
 			Capability:   0.29,
 			Price:        token.Price{InputPer1K: 400, OutputPer1K: 400}, // $0.0004/1k
-			TokensPerSec: 250,
+			tokensPerSec: 250,
 			Obs:          reg,
 		}),
 		NewSim(SimConfig{
 			Name:         NameMedium,
 			Capability:   0.80,
 			Price:        token.Price{InputPer1K: 1000, OutputPer1K: 2000}, // $0.001/$0.002 per 1k
-			TokensPerSec: 120,
+			tokensPerSec: 120,
 			Obs:          reg,
 		}),
 		NewSim(SimConfig{
 			Name:         NameLarge,
 			Capability:   0.95,
 			Price:        token.Price{InputPer1K: 30000, OutputPer1K: 60000}, // $0.03/$0.06 per 1k
-			TokensPerSec: 40,
+			tokensPerSec: 40,
 			Obs:          reg,
 		}),
 	}

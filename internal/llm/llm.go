@@ -128,10 +128,12 @@ type SimModel struct {
 
 // SimConfig parameterizes a simulated model.
 type SimConfig struct {
-	Name         string
-	Capability   float64
-	Price        token.Price
-	TokensPerSec float64
+	Name       string
+	Capability float64
+	Price      token.Price
+	// tokensPerSec drives the simulated latency. Only DefaultFamily sets
+	// it; every other model runs at the default of 50.
+	tokensPerSec float64
 	//llmdm:allow reach the core packages' tests pin a noiseless model with it
 	NoiseAmp float64
 	// Obs receives the model's call/token/cost/latency/error metrics.
@@ -140,8 +142,8 @@ type SimConfig struct {
 
 // NewSim returns a simulated model.
 func NewSim(cfg SimConfig) *SimModel {
-	if cfg.TokensPerSec <= 0 {
-		cfg.TokensPerSec = 50
+	if cfg.tokensPerSec <= 0 {
+		cfg.tokensPerSec = 50
 	}
 	if cfg.NoiseAmp == 0 {
 		cfg.NoiseAmp = 0.08
@@ -150,7 +152,7 @@ func NewSim(cfg SimConfig) *SimModel {
 		name:         cfg.Name,
 		capability:   cfg.Capability,
 		price:        cfg.Price,
-		tokensPerSec: cfg.TokensPerSec,
+		tokensPerSec: cfg.tokensPerSec,
 		noiseAmp:     cfg.NoiseAmp,
 		mCalls:       cfg.Obs.Counter("llm_calls_total", "model", cfg.Name),
 		mErrors:      cfg.Obs.Counter("llm_errors_total", "model", cfg.Name),

@@ -9,6 +9,8 @@
 // bench-json`) and compared by `llmdm-bench -bench-compare old new`,
 // which exits nonzero on large ns/op regressions — CI runs the
 // comparator in warn-only mode, a release gate would not.
+//
+//llmdm:bench the suite times what callers run; an option only it sets is an option no caller runs
 package perf
 
 import (

@@ -24,7 +24,8 @@ import (
 
 // corpusSize is the vector-index population for the search benchmarks —
 // big enough that flat vs HNSW scaling is visible, small enough that
-// setup stays sub-second.
+// setup stays sub-second. It is vector.quantAutoMin, so a flat index of
+// it scans quantized.
 const corpusSize = 2048
 
 // perfText returns the i-th synthetic document/query text.
@@ -35,12 +36,7 @@ func perfText(i int) string {
 // armedSize is the population at which the serving benchmark's
 // semantic_read and churn_write workloads run the cache: the size the
 // quantized prefilter and the eviction heap have to pay off at.
-// shardedSize is the smallest population at which the sharded scan is
-// armed by default.
-const (
-	armedSize   = 16384
-	shardedSize = 131072
-)
+const armedSize = 16384
 
 // buildCorpus embeds corpusSize documents once for the search benches.
 func buildCorpus(e *embed.Embedder) []vector.Item { return buildCorpusN(e, corpusSize) }
@@ -54,11 +50,11 @@ func buildCorpusN(e *embed.Embedder, n int) []vector.Item {
 }
 
 // flatSearch is the body of the vector_flat_search* cases: top-10 over n
-// documents in a flat index built with opts.
-func flatSearch(n int, opts ...vector.FlatOption) func(b *testing.B) {
+// documents in a flat index.
+func flatSearch(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		e := embed.New(embed.DefaultDim)
-		idx := vector.NewFlat(e.Dim(), vector.Cosine, opts...)
+		idx := vector.NewFlat(e.Dim(), vector.Cosine)
 		if err := idx.Add(buildCorpusN(e, n)...); err != nil {
 			b.Fatal(err)
 		}
@@ -189,23 +185,16 @@ func Kernels() []Spec {
 				e.ReleaseScratch(e.TextScratch(perfText(i % 256)))
 			}
 		}},
-		// The exact/quantized pairs at 2048 and 16384 rows are where
-		// vector.quantAutoMin comes from, the serial/sharded pairs at 16384
-		// and 131072 where vector.flatParallelMin does; every case pins its
-		// mode so a change of those defaults cannot change what it measures.
-		{Name: "vector_flat_search", Bench: flatSearch(corpusSize, vector.Exact())},
-		{Name: "vector_flat_search_quantized", Bench: flatSearch(corpusSize, vector.Quantized())},
-		{Name: "vector_flat_search_16k", Bench: flatSearch(armedSize, vector.Exact(), vector.ParallelMin(0))},
-		{Name: "vector_flat_search_quantized_16k_serial", Bench: flatSearch(armedSize, vector.Quantized(), vector.ParallelMin(0))},
-		{Name: "vector_flat_search_quantized_16k_sharded", Bench: flatSearch(armedSize, vector.Quantized(), vector.ParallelMin(armedSize))},
-		{Name: "vector_flat_search_quantized_128k_serial", Bench: flatSearch(shardedSize, vector.Quantized(), vector.ParallelMin(0))},
-		{Name: "vector_flat_search_quantized_128k_sharded", Bench: flatSearch(shardedSize, vector.Quantized(), vector.ParallelMin(shardedSize))},
+		// Both sizes are at or past vector.quantAutoMin, so both scan
+		// quantized, as every caller's store of that size does.
+		{Name: "vector_flat_search_quantized", Bench: flatSearch(corpusSize)},
+		{Name: "vector_flat_search_quantized_16k_serial", Bench: flatSearch(armedSize)},
 		{Name: "vector_flat_search_above_16k_sparse", Bench: func(b *testing.B) {
 			// The semantic cache's scan without the cache: a Cosine Flat of
 			// wordText rows searched at the proxy's 0.97 threshold, where
 			// the head test drops almost every row inside its kernel.
 			e := embed.New(embed.DefaultDim)
-			idx := vector.NewFlat(e.Dim(), vector.Cosine, vector.Quantized(), vector.ParallelMin(0))
+			idx := vector.NewFlat(e.Dim(), vector.Cosine)
 			queries := make([]embed.Vector, armedSize)
 			for i := range queries {
 				if err := idx.Add(vector.Item{ID: vector.ID(i), Vec: e.Text(wordText(i))}); err != nil {
@@ -232,14 +221,15 @@ func Kernels() []Spec {
 				idx.Search(q, 10)
 			}
 		}},
-		{Name: "vector_ivf_search_quantized", Bench: func(b *testing.B) {
+		{Name: "vector_ivf_search", Bench: func(b *testing.B) {
+			// 16 cells of about 128 rows: every cell scans exactly.
 			e := embed.New(embed.DefaultDim)
-			idx := vector.NewIVF(vector.IVFConfig{Dim: e.Dim(), Metric: vector.Cosine, NList: 16, NProbe: 4, Seed: 42, Quantized: true})
+			idx := vector.NewIVF(vector.IVFConfig{Dim: e.Dim(), Metric: vector.Cosine, NList: 16, NProbe: 4, Seed: 42})
 			if err := idx.Add(buildCorpus(e)...); err != nil {
 				b.Fatal(err)
 			}
-			idx.Train()
 			q := e.Text("query about caching for serving")
+			idx.Search(q, 10) // trains the quantizer
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				idx.Search(q, 10)
@@ -252,11 +242,10 @@ func Kernels() []Spec {
 // paced wrapper compresses simulated seconds to wall-clock microseconds.
 func perfModel(reg *obs.Registry, scale float64) (*llm.Paced, *llm.SimModel) {
 	sim := llm.NewSim(llm.SimConfig{
-		Name:         "bench",
-		Capability:   0.9,
-		Price:        token.Price{InputPer1K: 1000, OutputPer1K: 2000},
-		TokensPerSec: 50,
-		Obs:          reg,
+		Name:       "bench",
+		Capability: 0.9,
+		Price:      token.Price{InputPer1K: 1000, OutputPer1K: 2000},
+		Obs:        reg,
 	})
 	return llm.NewPaced(sim, scale), sim
 }
@@ -568,7 +557,6 @@ func Serving(ctx context.Context) []Spec {
 			s := sched.New(sched.Config{
 				MaxBatch: 16,
 				MaxWait:  500 * time.Microsecond,
-				MinWait:  20 * time.Microsecond,
 				Obs:      reg,
 				Log:      obs.NewLogger(obs.NewEventLog(64), obs.Debug, reg),
 			}, model)

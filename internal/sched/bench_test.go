@@ -17,11 +17,10 @@ import (
 // benchmark measures real elapsed time without taking real minutes.
 func benchModel(scale float64) (*llm.Paced, *llm.SimModel) {
 	sim := llm.NewSim(llm.SimConfig{
-		Name:         "bench",
-		Capability:   0.9,
-		Price:        token.Price{InputPer1K: 1000, OutputPer1K: 2000},
-		TokensPerSec: 50,
-		Obs:          obs.NewRegistry(),
+		Name:       "bench",
+		Capability: 0.9,
+		Price:      token.Price{InputPer1K: 1000, OutputPer1K: 2000},
+		Obs:        obs.NewRegistry(),
 	})
 	return llm.NewPaced(sim, scale), sim
 }

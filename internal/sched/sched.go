@@ -13,7 +13,7 @@
 //   - Adaptive flush window. A batch flushes when it reaches MaxBatch or
 //     when the dispatcher has waited out the current window. The window
 //     retunes itself after every flush: deadline flushes with a near-empty
-//     batch mean light load, so the window shrinks toward MinWait (keeping
+//     batch mean light load, so the window shrinks toward minWait (keeping
 //     p50 latency close to the unbatched path); size-triggered flushes
 //     mean heavy load, so the window grows toward MaxWait (so the next
 //     lull still accumulates a batch).
@@ -133,12 +133,17 @@ const (
 	// interactiveWeight and batchWeight set the weighted-fair dequeue
 	// ratio between the classes when both are backlogged.
 	interactiveWeight, batchWeight = 4, 1
+	// minWait is the floor the flush window shrinks to under light load,
+	// keeping the batched path's p50 close to the unbatched path. A MaxWait
+	// below it is the floor instead.
+	minWait = 100 * time.Microsecond
 )
 
 // Config parameterizes a Scheduler. The zero value selects the defaults
-// documented per field. The queue depth, the batch timeout and the class
-// weights are not fields: no caller ever changed them, so they are the
-// constants queueDepth, batchTimeout, interactiveWeight and batchWeight.
+// documented per field. The queue depth, the batch timeout, the class
+// weights and the window's floor are not fields: no caller ever changed
+// them, so they are the constants queueDepth, batchTimeout,
+// interactiveWeight, batchWeight and minWait.
 type Config struct {
 	// MaxBatch is the batch size that triggers an immediate flush.
 	// Defaults to DefaultMaxBatch.
@@ -147,10 +152,6 @@ type Config struct {
 	// queued request waits for cohort-mates under heavy load. Defaults to
 	// 4ms.
 	MaxWait time.Duration
-	// MinWait is the floor the window shrinks to under light load, keeping
-	// the batched path's p50 close to the unbatched path. Defaults to
-	// 100µs.
-	MinWait time.Duration
 	// Obs receives the scheduler's metrics.
 	Obs *obs.Registry
 	// Log receives sched_batch_flush lifecycle events.
@@ -163,12 +164,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 4 * time.Millisecond
-	}
-	if cfg.MinWait <= 0 {
-		cfg.MinWait = 100 * time.Microsecond
-	}
-	if cfg.MinWait > cfg.MaxWait {
-		cfg.MinWait = cfg.MaxWait
 	}
 	return cfg
 }
@@ -531,8 +526,8 @@ func (s *Scheduler) adapt(t *tier, n int, timedOut bool) {
 		// the next lull still accumulates a batch.
 		w *= 2
 	}
-	if w < s.cfg.MinWait {
-		w = s.cfg.MinWait
+	if w < minWait {
+		w = minWait
 	}
 	if w > s.cfg.MaxWait {
 		w = s.cfg.MaxWait

@@ -260,7 +260,6 @@ func TestAdaptiveWindow(t *testing.T) {
 	cfg := Config{
 		MaxBatch: 16,
 		MaxWait:  20 * time.Millisecond,
-		MinWait:  200 * time.Microsecond,
 		Obs:      obs.NewRegistry(),
 	}
 	s := New(cfg, f)
@@ -276,8 +275,8 @@ func TestAdaptiveWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w := s.Stats().Windows["m"]; w != cfg.MinWait {
-		t.Errorf("window after light load %v, want floor %v", w, cfg.MinWait)
+	if w := s.Stats().Windows["m"]; w != minWait {
+		t.Errorf("window after light load %v, want floor %v", w, minWait)
 	}
 
 	// Heavy load: a flood of concurrent requests produces size-triggered
@@ -291,8 +290,8 @@ func TestAdaptiveWindow(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if w := s.Stats().Windows["m"]; w <= 2*cfg.MinWait {
-		t.Errorf("window after heavy load %v, expected growth above %v", w, 2*cfg.MinWait)
+	if w := s.Stats().Windows["m"]; w <= 2*minWait {
+		t.Errorf("window after heavy load %v, expected growth above %v", w, 2*minWait)
 	}
 }
 
@@ -304,12 +303,11 @@ func TestLightLoadP50WithinTwiceUnbatched(t *testing.T) {
 			Name:       "m",
 			Capability: 0.9,
 			Price:      token.Price{InputPer1K: 1000, OutputPer1K: 2000},
-			// ~10 tokens per call at 5 tok/s simulated ≈ 2s simulated;
-			// scale 1000 → ~2ms of wall clock per call.
-			TokensPerSec: 5,
-			Obs:          obs.NewRegistry(),
+			// ~10 tokens per call at the default 50 tok/s simulated ≈
+			// 200ms simulated; scale 100 → ~2ms of wall clock per call.
+			Obs: obs.NewRegistry(),
 		})
-		return llm.NewPaced(sim, 1000), sim
+		return llm.NewPaced(sim, 100), sim
 	}
 
 	p50 := func(samples []time.Duration) time.Duration {
@@ -334,7 +332,6 @@ func TestLightLoadP50WithinTwiceUnbatched(t *testing.T) {
 	s := New(Config{
 		MaxBatch: 16,
 		MaxWait:  10 * time.Millisecond,
-		MinWait:  100 * time.Microsecond,
 		Obs:      obs.NewRegistry(),
 	}, paced)
 	defer s.Close()

@@ -9,9 +9,10 @@
 //
 // The tokenizer is pooled: Each streams pieces through a callback using a
 // scratch buffer from a package-level pool, so the hot serving path
-// (embedding, token counting) tokenizes without allocating. Tokenize and
-// Count are both built on Each — one scan, structurally incapable of
-// disagreeing about token counts.
+// (embedding) tokenizes without allocating. Each, Tokenize and Count are
+// all one rune-class walk, so they cannot disagree about token counts;
+// Count runs it without a piece sink, so it neither takes a buffer nor
+// lowercases a rune.
 package token
 
 import (
@@ -42,71 +43,78 @@ var pieceBufPool = sync.Pool{
 // materializing a slice. The slice passed to fn holds the piece's UTF-8
 // bytes in a pooled scratch buffer that is reused for the next piece —
 // fn must not retain it (copy via string(piece) to keep it).
-//
-// Each is the allocation-free scan underneath both Tokenize and Count.
 func (Tokenizer) Each(text string, fn func(piece []byte)) {
 	bp := pieceBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	runes := 0
-	for _, r := range text {
-		switch {
-		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
-			b = append(b, byte(r))
-			runes++
-			if runes == MaxPiece {
-				fn(b)
-				b, runes = b[:0], 0
-			}
-		case 'A' <= r && r <= 'Z':
-			b = append(b, byte(r+'a'-'A'))
-			runes++
-			if runes == MaxPiece {
-				fn(b)
-				b, runes = b[:0], 0
-			}
-		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
-			if runes > 0 {
-				fn(b)
-				b, runes = b[:0], 0
-			}
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b = utf8.AppendRune(b, unicode.ToLower(r))
-			runes++
-			if runes == MaxPiece {
-				fn(b)
-				b, runes = b[:0], 0
-			}
-		case unicode.IsSpace(r):
-			if runes > 0 {
-				fn(b)
-				b, runes = b[:0], 0
-			}
-		default:
-			// Punctuation: flush the current word, then emit the mark as
-			// its own single-rune piece, unlowered.
-			if runes > 0 {
-				fn(b)
-				b, runes = b[:0], 0
-			}
-			b = utf8.AppendRune(b, r)
-			fn(b)
-			b = b[:0]
-		}
-	}
-	if runes > 0 {
-		fn(b)
-	}
-	*bp = b[:0]
+	*bp, _ = walk(text, (*bp)[:0], fn)
 	pieceBufPool.Put(bp)
 }
 
 // Count returns the number of tokens in text without materializing them.
-// Count(s) == len(Tokenize(s)) holds by construction: both count the
-// pieces emitted by the same Each scan.
-func (t Tokenizer) Count(text string) int {
-	n := 0
-	t.Each(text, func([]byte) { n++ })
+// Count(s) == len(Tokenize(s)) holds by construction: both are the same
+// walk.
+func (Tokenizer) Count(text string) int {
+	_, n := walk(text, nil, nil)
 	return n
+}
+
+// walk is the scan underneath Each and Count: it splits text into pieces
+// and returns how many there are. With a non-nil fn it also accumulates
+// each piece, lowercased, in b and passes it to fn, returning b emptied;
+// with a nil fn it only classifies runes and counts.
+func walk(text string, b []byte, fn func(piece []byte)) ([]byte, int) {
+	n, runes := 0, 0
+	for _, r := range text {
+		switch {
+		case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
+			if fn != nil {
+				b = append(b, byte(r))
+			}
+			if runes++; runes == MaxPiece {
+				b, n, runes = endWord(b, n, runes, fn)
+			}
+		case 'A' <= r && r <= 'Z':
+			if fn != nil {
+				b = append(b, byte(r+'a'-'A'))
+			}
+			if runes++; runes == MaxPiece {
+				b, n, runes = endWord(b, n, runes, fn)
+			}
+		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
+			b, n, runes = endWord(b, n, runes, fn)
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			if fn != nil {
+				b = utf8.AppendRune(b, unicode.ToLower(r))
+			}
+			if runes++; runes == MaxPiece {
+				b, n, runes = endWord(b, n, runes, fn)
+			}
+		case unicode.IsSpace(r):
+			b, n, runes = endWord(b, n, runes, fn)
+		default:
+			// Punctuation: end the current word; the mark is its own
+			// single-rune piece, unlowered.
+			b, n, runes = endWord(b, n, runes, fn)
+			n++
+			if fn != nil {
+				fn(utf8.AppendRune(b, r))
+			}
+		}
+	}
+	b, n, _ = endWord(b, n, runes, fn)
+	return b, n
+}
+
+// endWord closes walk's current word of runes runes, if there is one: it
+// counts it and, with a sink, passes it to fn and empties b.
+func endWord(b []byte, n, runes int, fn func(piece []byte)) ([]byte, int, int) {
+	if runes > 0 {
+		n++
+		if fn != nil {
+			fn(b)
+			b = b[:0]
+		}
+	}
+	return b, n, 0
 }
 
 // Count is a convenience wrapper around Tokenizer.Count using the default

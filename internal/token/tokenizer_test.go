@@ -145,14 +145,28 @@ func tokenizerInputs() []string {
 
 // TestCountMatchesTokenizeAdversarial pins Count(s) == len(Tokenize(s)) on
 // hand-built unicode / punctuation / long-word inputs in addition to the
-// quick.Check fuzzing above. Both now share one streaming scan (Each), so a
-// divergence means the scan itself is broken, not just one consumer.
+// quick.Check fuzzing above. Both are one walk, Count's without a piece
+// sink, so a divergence means the walk counts differently from what it
+// emits.
 func TestCountMatchesTokenizeAdversarial(t *testing.T) {
 	for _, s := range tokenizerInputs() {
 		if got, want := Count(s), len(Tokenize(s)); got != want {
 			t.Errorf("Count(%.40q) = %d, len(Tokenize) = %d", s, got, want)
 		}
 	}
+}
+
+// FuzzCountMatchesTokenize holds Count(s) == len(Tokenize(s)) on inputs
+// the fuzzer shapes, seeded with the adversarial inputs above.
+func FuzzCountMatchesTokenize(f *testing.F) {
+	for _, s := range tokenizerInputs() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Count(s), len(Tokenize(s)); got != want {
+			t.Errorf("Count(%q) = %d, len(Tokenize) = %d", s, got, want)
+		}
+	})
 }
 
 func TestTokenizePiecesRespectMaxPiece(t *testing.T) {

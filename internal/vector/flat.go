@@ -15,20 +15,17 @@ import (
 // Vectors live in a contiguous column store (scan.go); once the collection
 // reaches quantAutoMin rows an int8-quantized prefilter ranks the scan and
 // only a shortlist is rescored exactly, so returned scores are always exact.
-// Unfiltered scans over large collections shard across goroutines when
-// GOMAXPROCS allows. Both behaviors are tunable via FlatOptions.
 // Flat is safe for concurrent use: searches share a read lock and run side
 // by side, Add and Remove take it exclusively — which is the only exclusion
 // the semantic cache's lookups rely on, since they search without holding a
 // lock of their own. A search's one allocation is the slice it returns.
 type Flat struct {
-	mu          sync.RWMutex
-	metric      Metric
-	dim         int
-	store       *colStore
-	rows        []flatRow // aligned with store rows
-	byID        map[ID]int
-	parallelMin int
+	mu     sync.RWMutex
+	metric Metric
+	dim    int
+	store  *colStore
+	rows   []flatRow // aligned with store rows
+	byID   map[ID]int
 	// rowID maps a store row index to its item ID. Bound once here: a
 	// method value at the call would be an allocation per search.
 	rowID func(int) ID
@@ -41,41 +38,16 @@ type flatRow struct {
 	attrs map[string]string
 }
 
-// FlatOption configures a Flat index at construction.
-type FlatOption func(*flatConfig)
-
-type flatConfig struct {
-	mode        quantMode
-	parallelMin int
-}
-
-// Exact disables the int8-quantized prefilter: every scan scores every row
-// with the full-precision kernels regardless of collection size.
-func Exact() FlatOption { return func(c *flatConfig) { c.mode = quantOff } }
-
-// Quantized maintains int8 codes from the first row instead of waiting for
-// the collection to reach the automatic threshold.
-func Quantized() FlatOption { return func(c *flatConfig) { c.mode = quantOn } }
-
-// ParallelMin sets the collection size at which unfiltered scans shard
-// across goroutines (default flatParallelMin). n <= 0 disables sharding.
-func ParallelMin(n int) FlatOption { return func(c *flatConfig) { c.parallelMin = n } }
-
 // NewFlat returns an empty flat index over dim-dimensional vectors.
-func NewFlat(dim int, metric Metric, opts ...FlatOption) *Flat {
+func NewFlat(dim int, metric Metric) *Flat {
 	if dim <= 0 {
 		panic("vector: non-positive dimension")
 	}
-	cfg := flatConfig{mode: quantAuto, parallelMin: flatParallelMin}
-	for _, o := range opts {
-		o(&cfg)
-	}
 	f := &Flat{
-		metric:      metric,
-		dim:         dim,
-		store:       newColStore(dim, cfg.mode, metric == Cosine),
-		byID:        make(map[ID]int),
-		parallelMin: cfg.parallelMin,
+		metric: metric,
+		dim:    dim,
+		store:  newColStore(dim, metric == Cosine),
+		byID:   make(map[ID]int),
 	}
 	f.rowID = func(i int) ID { return f.rows[i].id }
 	return f
@@ -165,9 +137,9 @@ func (f *Flat) SearchAbove(q embed.Vector, k int, floor float64) []Result {
 }
 
 // search is SearchAbove restricted to items whose attributes satisfy
-// keep. A nil keep admits everything; filtered scans run serially and
-// score exactly. keep must be a pure predicate: a quantized scan asks it
-// only about the rows that could still enter the result.
+// keep. A nil keep admits everything. keep must be a pure predicate: a
+// quantized scan asks it only about the rows that could still enter the
+// result.
 func (f *Flat) search(q embed.Vector, k int, floor float64, keep func(attrs map[string]string) bool) []Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -188,7 +160,7 @@ func (f *Flat) search(q embed.Vector, k int, floor float64, keep func(attrs map[
 	if keep != nil {
 		keepRow = func(i int) bool { return keep(f.rows[i].attrs) }
 	}
-	return f.store.search(f.metric, q, k, floor, f.rowID, keepRow, f.parallelMin)
+	return f.store.search(f.metric, q, k, floor, f.rowID, keepRow)
 }
 
 // Len implements Index.

@@ -91,8 +91,8 @@ var ErrDimMismatch = errors.New("vector: dimension mismatch")
 // worse reports whether a ranks below b: a lower score, or the same score
 // and a higher ID. Over distinct IDs it is a total order, so the k results
 // a topK ends up holding depend only on the set offered, never on the
-// order of the offers — which is what lets a sharded, blocked or
-// pre-rejecting scan return exactly what the row-at-a-time scan returns.
+// order of the offers — which is what lets a blocked or pre-rejecting
+// scan return exactly what the row-at-a-time scan returns.
 func worse(a, b Result) bool {
 	return a.Score < b.Score || (a.Score == b.Score && a.ID > b.ID)
 }

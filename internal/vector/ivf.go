@@ -16,13 +16,13 @@ import (
 // collections — the paper's multi-modal data lake scenario.
 //
 // Each cell is a contiguous column store (scan.go), so probing a cell runs
-// the same SIMD scan kernels as the flat index; with IVFConfig.Quantized the
-// cells also keep int8 codes and large-cell scans use the quantized
-// prefilter with exact rescoring.
+// the same SIMD scan kernels as the flat index, and a cell that reaches
+// quantAutoMin rows keeps int8 codes and scans with the quantized prefilter
+// and exact rescoring.
 //
-// IVF is safe for concurrent use. The quantizer is trained lazily on first
-// search (or explicitly via Train) from the vectors added so far; later
-// additions are assigned to existing cells.
+// IVF is safe for concurrent use. The quantizer is trained on the first
+// search from the vectors added so far; later additions are assigned to
+// existing cells.
 type IVF struct {
 	mu      sync.RWMutex
 	metric  Metric
@@ -30,7 +30,6 @@ type IVF struct {
 	nlist   int
 	nprobe  int
 	seed    int64
-	mode    quantMode
 	trained bool
 
 	centroids []embed.Vector
@@ -55,10 +54,6 @@ type IVFConfig struct {
 	NProbe int
 	// Seed drives k-means initialization; fixed for reproducibility.
 	Seed int64
-	// Quantized maintains int8 codes in every cell from the start, so cell
-	// scans use the quantized prefilter (with exact rescoring) regardless
-	// of cell size.
-	Quantized bool
 }
 
 // NewIVF returns an empty IVF index.
@@ -75,17 +70,12 @@ func NewIVF(cfg IVFConfig) *IVF {
 	if cfg.NProbe > cfg.NList {
 		cfg.NProbe = cfg.NList
 	}
-	mode := quantAuto
-	if cfg.Quantized {
-		mode = quantOn
-	}
 	return &IVF{
 		metric: cfg.Metric,
 		dim:    cfg.Dim,
 		nlist:  cfg.NList,
 		nprobe: cfg.NProbe,
 		seed:   cfg.Seed,
-		mode:   mode,
 		byID:   make(map[ID]struct{}),
 	}
 }
@@ -113,14 +103,8 @@ func (x *IVF) Add(items ...Item) error {
 	return nil
 }
 
-// Train runs k-means over the pending vectors and assigns them to cells.
-// Searching an untrained index trains it implicitly.
-func (x *IVF) Train() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.trainLocked()
-}
-
+// trainLocked runs k-means over the pending vectors and assigns them to
+// cells, once.
 func (x *IVF) trainLocked() {
 	if x.trained {
 		return
@@ -136,7 +120,7 @@ func (x *IVF) trainLocked() {
 	x.centroids = kmeans(x.pending, k, x.dim, x.seed)
 	x.cells = make([]ivfCell, len(x.centroids))
 	for i := range x.cells {
-		x.cells[i].store = newColStore(x.dim, x.mode, false)
+		x.cells[i].store = newColStore(x.dim, false)
 	}
 	for _, it := range x.pending {
 		c := x.nearestCentroidLocked(it.Vec)
@@ -199,7 +183,7 @@ func (x *IVF) Search(q embed.Vector, k int) []Result {
 			continue
 		}
 		ids := cell.ids
-		for _, r := range cell.store.search(x.metric, q, k, math.Inf(-1), func(i int) ID { return ids[i] }, nil, 0) {
+		for _, r := range cell.store.search(x.metric, q, k, math.Inf(-1), func(i int) ID { return ids[i] }, nil) {
 			t.offer(r)
 		}
 	}

@@ -14,7 +14,6 @@ func TestIVFRecallAgainstFlat(t *testing.T) {
 	flat.Add(items...)
 	ivf := NewIVF(IVFConfig{Dim: dim, Metric: L2, NList: 12, NProbe: 6, Seed: 1})
 	ivf.Add(items...)
-	ivf.Train()
 
 	hits, total := 0, 0
 	for qi := 0; qi < 30; qi++ {
@@ -65,7 +64,7 @@ func TestIVFLateAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ivf := NewIVF(IVFConfig{Dim: 4, Metric: L2, NList: 4, NProbe: 4, Seed: 3})
 	ivf.Add(buildItems(rng, 50, 4)...)
-	ivf.Train()
+	ivf.Search(randVec(rng, 4), 1) // trains
 	// Additions after training go to existing cells and remain searchable.
 	late := Item{ID: 999, Vec: randVec(rng, 4)}
 	if err := ivf.Add(late); err != nil {
@@ -110,7 +109,7 @@ func TestKMeansCellCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ivf := NewIVF(IVFConfig{Dim: 4, Metric: L2, NList: 10, Seed: 4})
 	ivf.Add(buildItems(rng, 100, 4)...)
-	ivf.Train()
+	ivf.Search(randVec(rng, 4), 1) // trains
 	if n := len(ivf.centroids); n != 10 {
 		t.Errorf("cells = %d, want 10", n)
 	}
@@ -120,8 +119,8 @@ func BenchmarkIVFSearch1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	ivf := NewIVF(IVFConfig{Dim: 64, Metric: Cosine, NList: 32, NProbe: 4, Seed: 1})
 	ivf.Add(buildItems(rng, 1000, 64)...)
-	ivf.Train()
 	q := randVec(rng, 64)
+	ivf.Search(q, 10) // trains
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

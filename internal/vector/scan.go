@@ -2,11 +2,9 @@ package vector
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/embed"
-	"repro/internal/obs"
 )
 
 // Scan kernel layer: a contiguous column store plus the exact and
@@ -18,50 +16,21 @@ import (
 // optional int8 code array a parallel column rather than a second index.
 // See DESIGN.md "Kernel architecture".
 
-// Both thresholds below sit where internal/perf's cases record a crossover
-// (BENCH_kernels.json: 128 dims, top-10, 2 vCPUs); the times in the
-// comments are those cases' when the thresholds were set. The one-multiply
-// reject (scanRows) has since taken a fifth to a third off every quantized
-// time and moved neither crossover.
-const (
-	// quantAutoMin is the collection size at which a store in auto mode
-	// starts maintaining int8 codes. With the rows kernel the quantized
-	// prefilter is ahead of the exact scan at every recorded size:
-	// vector_flat_search_quantized takes 20 µs against vector_flat_search's
-	// 41 µs at 2048 rows, and the _16k pair 126 µs against 457 µs. 2048 is
-	// the smallest recorded size, and below it a whole exact scan is a few
-	// tens of microseconds, so smaller stores (and every exact-accuracy
-	// test) keep exact ranking and do without the extra quarter of memory.
-	// Quantized() forces codes on regardless of size.
-	quantAutoMin = 2048
-
-	// flatParallelMin is the default collection size at which an
-	// unfiltered flat scan shards across goroutines, each worker getting
-	// at least half that many rows. Two workers are behind the serial scan
-	// at 16384 rows (vector_flat_search_quantized_16k_sharded 186 µs,
-	// _serial 126 µs) and still at 65536; at 131072 they are ahead (the
-	// _128k pair: 760 µs against 1107 µs), so that is where sharding is
-	// armed by default. ParallelMin tunes it per index.
-	flatParallelMin = 131072
-
-	// maxScanWorkers bounds scan fan-out regardless of GOMAXPROCS so one
-	// search cannot monopolize a large machine.
-	maxScanWorkers = 8
-)
+// quantAutoMin is the collection size at which a store starts maintaining
+// int8 codes. It sits where internal/perf's cases recorded the quantized
+// prefilter ahead of the exact scan at every size (BENCH_kernels.json: 128
+// dims, top-10, 2 vCPUs): 20 µs against 41 µs exact at 2048 rows, and
+// 126 µs against 457 µs at 16384. 2048 was the smallest recorded size, and
+// below it a whole exact scan is a few tens of microseconds, so smaller
+// stores keep exact ranking and do without the extra quarter of memory.
+// The one-multiply reject (scanRows) has since taken a fifth to a third
+// off every quantized time and did not move the crossover.
+const quantAutoMin = 2048
 
 // shortlistFor is the quantized-prefilter shortlist size: wide enough that
 // int8 ranking error (see embed.QuantizeInto) essentially never evicts a
 // true top-k hit, small enough that exact rescoring stays negligible.
 func shortlistFor(k int) int { return k*4 + 16 }
-
-// quantMode selects how a colStore decides to maintain int8 codes.
-type quantMode int
-
-const (
-	quantAuto quantMode = iota // quantize once the store reaches quantAutoMin
-	quantOff                   // never quantize
-	quantOn                    // quantize from the first row
-)
 
 // colStore is a row-major contiguous vector store with cached norms and
 // optional int8 codes. It has no lock of its own: the owning index
@@ -72,8 +41,7 @@ type colStore struct {
 	vecs     []float32 // n*dim, row-major
 	norms    []float32 // n, L2 norm of each row
 	invNorms []float32 // n, 1/norm (0 for zero rows): scans multiply, never divide
-	mode     quantMode
-	quant    bool // int8 codes are live
+	quant    bool      // int8 codes are live
 	codes    []int8
 	scales   []float32
 	cosw     []float32 // n, scales[i]*invNorms[i]: the cosine scan's one-multiply reject weight
@@ -86,8 +54,8 @@ type colStore struct {
 	qerrw   []float32 // n, ‖row(i) − scales[i]*code(i)‖*invNorms[i]; +Inf where the norm is not trusted
 }
 
-func newColStore(dim int, mode quantMode, bounded bool) *colStore {
-	return &colStore{dim: dim, mode: mode, bounded: bounded}
+func newColStore(dim int, bounded bool) *colStore {
+	return &colStore{dim: dim, bounded: bounded}
 }
 
 func (s *colStore) row(i int) embed.Vector {
@@ -122,7 +90,7 @@ func (s *colStore) appendRow(v embed.Vector) {
 			s.tailw = append(s.tailw, tw)
 			s.qerrw = append(s.qerrw, ew)
 		}
-	} else if s.mode == quantOn || (s.mode == quantAuto && s.n >= quantAutoMin) {
+	} else if s.n >= quantAutoMin {
 		s.enableQuant()
 	}
 }
@@ -442,9 +410,9 @@ func (p *preparedQuery) rejectCut(min float64) float32 {
 // search scans the store for the top k rows under m that score at least
 // floor (−Inf keeps every row). id maps a row index to the caller's item ID
 // (scores and tie-breaks are reported in ID space); keep, when non-nil,
-// admits a row. parallelMin <= 0 disables sharding. Returned results carry
-// exact scores even when the quantized prefilter ran.
-func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id func(int) ID, keep func(int) bool, parallelMin int) []Result {
+// admits a row. Returned results carry exact scores even when the quantized
+// prefilter ran.
+func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id func(int) ID, keep func(int) bool) []Result {
 	if k <= 0 || s.n == 0 {
 		return []Result{}
 	}
@@ -453,7 +421,7 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id fun
 	// it in place), so it is the search's one allocation.
 	t := topK{k: k, h: make([]Result, 0, min(k, s.n))}
 	if !s.quant || k >= s.n || s.n <= 4*shortlistFor(k) {
-		s.scan(&t, &p, id, keep, parallelMin)
+		s.scanRows(&t, &p, id, keep, 0, s.n)
 		return above(t.results(), floor)
 	}
 	// Quantized prefilter: rank every row by int8 score, keep a generous
@@ -469,7 +437,7 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id fun
 	if cap(short.h) < short.k {
 		short.h = make([]Result, 0, short.k)
 	}
-	s.scan(&short, &p, rowAsID, keep, parallelMin)
+	s.scanRows(&short, &p, rowAsID, keep, 0, s.n)
 	for _, r := range short.h {
 		i := int(r.ID)
 		t.offer(Result{ID: id(i), Score: s.scoreExact(&p, i)})
@@ -490,47 +458,6 @@ func above(rs []Result, floor float64) []Result {
 
 // rowAsID is the identity row-index-to-ID mapping used by prefilter scans.
 func rowAsID(i int) ID { return ID(i) }
-
-// scan scores every row — from the int8 codes when p carries a query code,
-// exactly otherwise — offering hits into the empty t. Unfiltered scans
-// over at least parallelMin rows shard across up to maxScanWorkers
-// goroutines: the caller scans the first shard into t itself, each other
-// worker fills a private topK, and the shards are merged into t. What a
-// topK keeps does not depend on offer order, so the result is exactly the
-// serial scan's.
-func (s *colStore) scan(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, parallelMin int) {
-	workers := 1
-	if keep == nil && parallelMin > 0 && s.n >= parallelMin {
-		workers = min(runtime.GOMAXPROCS(0), 2*s.n/parallelMin, maxScanWorkers)
-	}
-	if workers <= 1 {
-		s.scanRows(t, p, id, keep, 0, s.n)
-		return
-	}
-	parts := make([]topK, workers-1)
-	shared := *p // the workers' copy: only a sharded search's query moves to the heap
-	var wg sync.WaitGroup
-	for w := range parts {
-		lo, hi := (w+1)*s.n/workers, (w+2)*s.n/workers
-		part := &parts[w]
-		part.k, part.h = t.k, make([]Result, 0, min(t.k, hi-lo))
-		wg.Add(1)
-		obs.Go(nil, "vector.scan_shard", func() {
-			defer wg.Done()
-			s.scanRows(part, &shared, id, nil, lo, hi)
-		})
-	}
-	s.scanRows(t, p, id, nil, 0, s.n/workers)
-	// Shard workers read immutable rows and private heaps only; they can
-	// never take index locks, so joining them while the caller holds the
-	// index read lock cannot deadlock.
-	wg.Wait()
-	for i := range parts {
-		for _, r := range parts[i].h {
-			t.offer(r)
-		}
-	}
-}
 
 // scanBlock is how many rows one DotInt8Rows call scores: enough that the
 // call is amortized to nothing, few enough that the dot products (1 KB)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 
 // rowAtATimeSearch is what Flat's search must return, computed the plain
 // way: score every admitted row, sort, cut. No blocks, no heap, no early
-// reject, no head test, no shards — it shares only the scoring formulas
+// reject, no head test — it shares only the scoring formulas
 // (scoreApprox, scoreExact, bound and the query side armBound sets up) and
 // the decision of when to prefilter with the scan it checks. Under a floor
 // it drops exactly the rows whose bound is below it, and then the results
@@ -157,7 +156,8 @@ func everyThird(attrs map[string]string) bool { return attrs["g"] == "0" }
 // their row numbers and with every third tagged for everyThird.
 func quantFlat(tb testing.TB, m Metric, rows []embed.Vector) *Flat {
 	tb.Helper()
-	f := NewFlat(len(rows[0]), m, Quantized(), ParallelMin(0))
+	f := NewFlat(len(rows[0]), m)
+	f.store.enableQuant()
 	for i, v := range rows {
 		if err := f.Add(Item{ID: ID(3*i + 7), Vec: v, Attrs: map[string]string{"g": fmt.Sprint(i % 3)}}); err != nil {
 			tb.Fatal(err)
@@ -182,12 +182,10 @@ func sameBits(tb testing.TB, label string, got, want []Result) {
 }
 
 // checkScan compares the scan with the reference for one query at every
-// floor: unfiltered through SearchAbove (and Search at −Inf) on one shard
-// and on up to four, and filtered. Under Dot and L2 a floor only cuts the
+// floor: unfiltered through SearchAbove (and Search at −Inf), and filtered. Under Dot and L2 a floor only cuts the
 // results, so two floors do there.
 func checkScan(tb testing.TB, label string, f *Flat, q embed.Vector, k int) {
 	tb.Helper()
-	defer func(pm int) { f.parallelMin = pm }(f.parallelMin)
 	floors := scanFloors
 	if f.metric != Cosine {
 		floors = floors[:2]
@@ -198,10 +196,7 @@ func checkScan(tb testing.TB, label string, f *Flat, q embed.Vector, k int) {
 		if math.IsInf(floor, -1) {
 			sameBits(tb, l+" Search", f.Search(q, k), want)
 		}
-		for _, pm := range []int{0, 256} {
-			f.parallelMin = pm
-			sameBits(tb, fmt.Sprintf("%s parallelMin=%d", l, pm), f.SearchAbove(q, k, floor), want)
-		}
+		sameBits(tb, l+" SearchAbove", f.SearchAbove(q, k, floor), want)
 		sameBits(tb, l+" filtered", f.search(q, k, floor, everyThird), rowAtATimeSearch(f, q, k, floor, everyThird))
 	}
 }
@@ -221,13 +216,10 @@ func removeRun(f *Flat, n int) {
 // rows, energy all in the head or all past it, norms too small or too large
 // for float32 to hold their squares, codes at ±127), at sizes
 // around the prefilter's and the block's boundaries, at every floor, with
-// and without a filter, serial and sharded, before and after removals. The
+// and without a filter, before and after removals. The
 // head test and the bound change nothing either: the reference drops
 // exactly the rows whose bound is below the floor.
 func TestQuantizedScanMatchesRowAtATime(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
 	const dim = 48 // one 32-byte kernel chunk — the head — and a tail
 	sizes := []int{255, 256, 257, 5000}
 	for _, k := range []int{1, 10, 64} {

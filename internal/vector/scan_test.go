@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,16 +33,30 @@ func resultIDs(rs []Result) []ID {
 	return ids
 }
 
-func sameResults(t *testing.T, label string, a, b []Result) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d vs %d results", label, len(a), len(b))
+// bruteTopK is the reference searches are checked against: m.Score over
+// every item, the best k first, ties to the lower ID.
+func bruteTopK(items []Item, m Metric, q embed.Vector, k int) []Result {
+	rs := make([]Result, len(items))
+	for i, it := range items {
+		rs[i] = Result{ID: it.ID, Score: m.Score(q, it.Vec)}
 	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Errorf("%s: rank %d ID %d vs %d", label, i, a[i].ID, b[i].ID)
+	slices.SortFunc(rs, byRank)
+	return rs[:min(k, len(rs))]
+}
+
+// matchedIDs counts the results of got whose IDs are in want.
+func matchedIDs(want, got []Result) int {
+	in := map[ID]bool{}
+	for _, r := range want {
+		in[r.ID] = true
+	}
+	matched := 0
+	for _, r := range got {
+		if in[r.ID] {
+			matched++
 		}
 	}
+	return matched
 }
 
 // Remove satellite: removing the last element leaves a working empty index.
@@ -103,7 +117,8 @@ func TestFlatReAddRemovedID(t *testing.T) {
 // recently-live, never garbage.
 func TestFlatConcurrentSearchDuringRemove(t *testing.T) {
 	const n = 600
-	f := NewFlat(48, Cosine, Quantized()) // exercise the prefilter path and the floor's head test too
+	f := NewFlat(48, Cosine)
+	f.store.enableQuant() // exercise the prefilter path and the floor's head test too
 	items := randItems(7, n, 48)
 	if err := f.Add(items...); err != nil {
 		t.Fatal(err)
@@ -146,113 +161,58 @@ func TestFlatConcurrentSearchDuringRemove(t *testing.T) {
 	}
 }
 
-// The quantized prefilter must agree with the exact scan on the final
-// top-k for realistic embeddings (scores are exact by construction; this
-// checks the shortlist does not evict true winners).
+// The quantized prefilter must agree with brute force on the final top-k
+// for realistic embeddings (this checks the shortlist does not evict true
+// winners), and every score it returns must be the exact scan's, bit for
+// bit.
 func TestFlatQuantizedMatchesExact(t *testing.T) {
 	const n, dim, k = 2000, 64, 10
-	exact := NewFlat(dim, Cosine, Exact())
-	quant := NewFlat(dim, Cosine, Quantized())
+	quant := NewFlat(dim, Cosine)
+	quant.store.enableQuant() // 2000 rows is below quantAutoMin
 	items := randItems(11, n, dim)
-	if err := exact.Add(items...); err != nil {
-		t.Fatal(err)
-	}
 	if err := quant.Add(items...); err != nil {
 		t.Fatal(err)
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := items[qi*37%n].Vec
-		er := exact.Search(q, k)
+		er := bruteTopK(items, Cosine, q, k)
 		qr := quant.Search(q, k)
-		matched := 0
-		em := map[ID]bool{}
-		for _, r := range er {
-			em[r.ID] = true
-		}
-		for _, r := range qr {
-			if em[r.ID] {
-				matched++
-			}
-		}
-		if matched < k-1 { // allow one borderline swap at the tail
+		if matched := matchedIDs(er, qr); matched < k-1 { // allow one borderline swap at the tail
 			t.Errorf("query %d: quantized top-%d matched only %d of exact %v vs %v",
 				qi, k, matched, resultIDs(er), resultIDs(qr))
 		}
-		// Scores the two indexes agree on an ID for must be exact-equal.
-		qs := map[ID]float64{}
+		p := prepare(Cosine, q, math.Inf(-1))
 		for _, r := range qr {
-			qs[r.ID] = r.Score
-		}
-		for _, r := range er {
-			if s, ok := qs[r.ID]; ok && s != r.Score {
-				t.Errorf("query %d: ID %d quantized score %v != exact %v", qi, r.ID, s, r.Score)
+			if want := quant.store.scoreExact(&p, quant.byID[r.ID]); r.Score != want {
+				t.Errorf("query %d: ID %d quantized score %v != exact %v", qi, r.ID, r.Score, want)
 			}
 		}
 	}
 }
 
-// Parallel sharding must return exactly the serial results. Forces
-// GOMAXPROCS up so the parallel path runs even on single-core CI.
-func TestFlatParallelMatchesSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const n, dim, k = 3000, 32, 12
-	items := randItems(13, n, dim)
-	for _, metric := range []Metric{Cosine, Dot, L2} {
-		serial := NewFlat(dim, metric, Exact(), ParallelMin(0))
-		parallel := NewFlat(dim, metric, Exact(), ParallelMin(1024))
-		if err := serial.Add(items...); err != nil {
-			t.Fatal(err)
-		}
-		if err := parallel.Add(items...); err != nil {
-			t.Fatal(err)
-		}
-		for qi := 0; qi < 10; qi++ {
-			q := items[qi*101%n].Vec
-			sameResults(t, fmt.Sprintf("metric %v query %d", metric, qi),
-				serial.Search(q, k), parallel.Search(q, k))
-		}
-	}
-}
-
-// Quantized + parallel combined, against the plain exact serial scan.
-func TestFlatQuantizedParallelPipeline(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
+// A store past quantAutoMin, quantized as every caller's store of that size
+// is, against brute force.
+func TestFlatQuantizedPipeline(t *testing.T) {
 	const n, dim, k = 5000, 48, 10
 	items := randItems(17, n, dim)
-	exact := NewFlat(dim, Cosine, Exact(), ParallelMin(0))
-	fast := NewFlat(dim, Cosine, Quantized(), ParallelMin(1024))
-	if err := exact.Add(items...); err != nil {
-		t.Fatal(err)
-	}
+	fast := NewFlat(dim, Cosine)
 	if err := fast.Add(items...); err != nil {
 		t.Fatal(err)
 	}
+	if !fast.store.quant {
+		t.Fatalf("a %d-row store is not quantized", n)
+	}
 	for qi := 0; qi < 10; qi++ {
 		q := items[qi*211%n].Vec
-		er, fr := exact.Search(q, k), fast.Search(q, k)
-		em := map[ID]bool{}
-		for _, r := range er {
-			em[r.ID] = true
-		}
-		matched := 0
-		for _, r := range fr {
-			if em[r.ID] {
-				matched++
-			}
-		}
-		if matched < k-1 {
-			t.Errorf("query %d: combined pipeline matched %d/%d of exact", qi, matched, k)
+		if matched := matchedIDs(bruteTopK(items, Cosine, q, k), fast.Search(q, k)); matched < k-1 {
+			t.Errorf("query %d: quantized pipeline matched %d/%d of exact", qi, matched, k)
 		}
 	}
 }
 
 // A filtered search must honor the predicate on the column-store path too.
 func TestFlatFilteredOnColumnStore(t *testing.T) {
-	const n, dim = 1000, 16 // above quantAutoMin
+	const n, dim = 1000, 16 // below quantAutoMin: the exact scan (checkScan filters the quantized one)
 	f := NewFlat(dim, Cosine)
 	items := randItems(19, n, dim)
 	for i := range items {
@@ -278,39 +238,34 @@ func TestFlatFilteredOnColumnStore(t *testing.T) {
 	}
 }
 
-// IVF with Quantized cells must track the exact-cell configuration closely.
+// IVF cells past quantAutoMin quantize on their own, and must still find
+// the true top-k when every cell is probed.
 func TestIVFQuantizedRecall(t *testing.T) {
-	const n, dim, k = 2000, 32, 10
+	const n, dim, k = 5000, 32, 10
 	items := randItems(29, n, dim)
-	exact := NewIVF(IVFConfig{Dim: dim, Metric: Cosine, NList: 8, NProbe: 8, Seed: 1})
-	quant := NewIVF(IVFConfig{Dim: dim, Metric: Cosine, NList: 8, NProbe: 8, Seed: 1, Quantized: true})
-	if err := exact.Add(items...); err != nil {
-		t.Fatal(err)
-	}
+	quant := NewIVF(IVFConfig{Dim: dim, Metric: Cosine, NList: 2, NProbe: 2, Seed: 1})
 	if err := quant.Add(items...); err != nil {
 		t.Fatal(err)
 	}
 	var matched, total int
 	for qi := 0; qi < 20; qi++ {
 		q := items[qi*59%n].Vec
-		em := map[ID]bool{}
-		for _, r := range exact.Search(q, k) {
-			em[r.ID] = true
-		}
-		for _, r := range quant.Search(q, k) {
-			if em[r.ID] {
-				matched++
-			}
-		}
+		matched += matchedIDs(bruteTopK(items, Cosine, q, k), quant.Search(q, k))
 		total += k
 	}
+	for i, c := range quant.cells {
+		if !c.store.quant {
+			t.Fatalf("cell %d of %d rows is not quantized", i, c.store.n)
+		}
+	}
 	if recall := float64(matched) / float64(total); recall < 0.95 {
-		t.Errorf("quantized IVF recall vs exact IVF = %.3f, want >= 0.95", recall)
+		t.Errorf("quantized IVF recall vs brute force = %.3f, want >= 0.95", recall)
 	}
 }
 
 func TestColStoreSwapRemoveQuantized(t *testing.T) {
-	s := newColStore(4, quantOn, true)
+	s := newColStore(4, true)
+	s.enableQuant()
 	vecs := []embed.Vector{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}}
 	for _, v := range vecs {
 		s.appendRow(v)
@@ -334,7 +289,7 @@ func TestColStoreSwapRemoveQuantized(t *testing.T) {
 
 // perRowQuantSearch is the row-at-a-time quantized search the blocked
 // kernel replaced — one DotInt8 and one heap offer per row, no early
-// reject, no shards — kept here as the oracle for the scan that runs.
+// reject — kept here as the oracle for the scan that runs.
 func perRowQuantSearch(s *colStore, m Metric, q embed.Vector, k int, id func(int) ID) []Result {
 	p := prepare(m, q, math.Inf(-1))
 	p.qcode = make([]int8, s.dim)
@@ -351,17 +306,15 @@ func perRowQuantSearch(s *colStore, m Metric, q embed.Vector, k int, id func(int
 }
 
 // The blocked quantized scan must return the per-row scan's []Result —
-// IDs, scores and order — for every metric and k, serial and sharded,
+// IDs, scores and order — for every metric and k,
 // at a dimension the kernel covers whole and one it leaves a tail of,
 // and still after swapRemove has shrunk and reshuffled the store.
 func TestBlockedQuantScanMatchesPerRow(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
 	for _, dim := range []int{128, 40} {
 		const n = 1500 // five full scan blocks and a partial one
 		items := randItems(int64(31+dim), n, dim)
-		s := newColStore(dim, quantOn, true)
+		s := newColStore(dim, true)
+		s.enableQuant()
 		ids := make([]ID, n)
 		for i, it := range items {
 			s.appendRow(it.Vec)
@@ -375,12 +328,9 @@ func TestBlockedQuantScanMatchesPerRow(t *testing.T) {
 					for qi := 0; qi < 6; qi++ {
 						q := items[qi*131%n].Vec
 						want := perRowQuantSearch(s, m, q, k, id)
-						for _, parallelMin := range []int{0, 256} { // 1 shard, 4 shards
-							got := s.search(m, q, k, math.Inf(-1), id, nil, parallelMin)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("dim %d %s: metric %v k=%d query %d parallelMin %d:\n got %v\nwant %v",
-									dim, stage, m, k, qi, parallelMin, got, want)
-							}
+						if got := s.search(m, q, k, math.Inf(-1), id, nil); !reflect.DeepEqual(got, want) {
+							t.Fatalf("dim %d %s: metric %v k=%d query %d:\n got %v\nwant %v",
+								dim, stage, m, k, qi, got, want)
 						}
 					}
 				}
@@ -396,53 +346,21 @@ func TestBlockedQuantScanMatchesPerRow(t *testing.T) {
 	}
 }
 
-// Equal scores must not make the result depend on scan shape: copies of
-// one vector tie exactly, the exact scan keeps the lowest IDs, and the
-// sharded scan returns what the serial one does in both modes (the
-// quantized shortlist breaks its ties by row, so its answer is its own).
+// Equal scores must not make the result depend on arrival order: copies
+// of one vector tie exactly, and the exact scan keeps the lowest IDs.
 func TestScanTieBreakIsShapeIndependent(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
 	const n, dim, k = 1200, 32, 5
 	base := randItems(37, 1, dim)[0].Vec
-	search := func(opts ...FlatOption) []Result {
-		f := NewFlat(dim, Cosine, opts...)
-		for i := n - 1; i >= 0; i-- { // descending IDs: the best ties arrive last
-			if err := f.Add(Item{ID: ID(i), Vec: base}); err != nil {
-				t.Fatal(err)
-			}
+	f := NewFlat(dim, Cosine)
+	for i := n - 1; i >= 0; i-- { // descending IDs: the best ties arrive last
+		if err := f.Add(Item{ID: ID(i), Vec: base}); err != nil {
+			t.Fatal(err)
 		}
-		return f.Search(base, k)
 	}
-	exact := search(Exact(), ParallelMin(0))
+	exact := f.Search(base, k)
 	for i, r := range exact {
 		if r.ID != ID(i) {
 			t.Fatalf("tied exact scan returned IDs %v, want 0..%d", resultIDs(exact), k-1)
-		}
-	}
-	if got := search(Exact(), ParallelMin(256)); !reflect.DeepEqual(got, exact) {
-		t.Errorf("tied exact scan: sharded %v, serial %v", got, exact)
-	}
-	if got, want := search(Quantized(), ParallelMin(256)), search(Quantized(), ParallelMin(0)); !reflect.DeepEqual(got, want) {
-		t.Errorf("tied quantized scan: sharded %v, serial %v", got, want)
-	}
-}
-
-// A sharded scan of fewer rows than it has workers for must still cover
-// every row exactly once.
-func TestShardedScanOfTinyStore(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	for n := 1; n <= 9; n++ {
-		items := randItems(41, n, 8)
-		f := NewFlat(8, Dot, Exact(), ParallelMin(1))
-		if err := f.Add(items...); err != nil {
-			t.Fatal(err)
-		}
-		if got := f.Search(items[0].Vec, n+1); len(got) != n {
-			t.Errorf("n=%d: sharded search returned %d results: %v", n, len(got), resultIDs(got))
 		}
 	}
 }
