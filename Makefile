@@ -53,6 +53,9 @@ lint:
 	@if grep -rnE '"(breaker|limiter|proxy|cascade|sched|llm|semcache|vector)_' --include='*.go' internal/obs | grep -v '_test\.go:'; then \
 		echo "lint: internal/obs names another package's metric: read the component where it lives instead"; exit 1; \
 	fi
+	@if grep -rnE 'time\.(Now|Since|Until)\(' --include='*.go' internal/proxy | grep -v '_test\.go:'; then \
+		echo "lint: internal/proxy reads the wall clock: read p.now, the proxy's one clock"; exit 1; \
+	fi
 	@start=$$(date +%s); \
 	set -ex; \
 	$(GO) build -o bin/llmdm-lint ./cmd/llmdm-lint; \

@@ -110,16 +110,6 @@ type Trace struct {
 	TotalCost token.Cost
 }
 
-// Submitter routes a model call through a batching scheduler instead of
-// invoking the model directly. *sched.Scheduler implements it.
-type Submitter interface {
-	// Has reports whether the scheduler manages the named model.
-	Has(model string) bool
-	// Submit enqueues the request for the named model and blocks until
-	// its batch is served.
-	Submit(ctx context.Context, model string, req llm.Request) (llm.Response, error)
-}
-
 // Cascade is an ordered model chain with a decision model. It is built as
 // a struct literal; Models and Obs are read on the first run, which
 // resolves the metric handles, so set them before it and use the Cascade
@@ -135,7 +125,7 @@ type Cascade struct {
 	// manages, so concurrent cascades share micro-batches instead of
 	// calling tiers one request at a time. Tiers unknown to the
 	// scheduler still go direct.
-	Sched Submitter
+	Sched *sched.Scheduler
 	// ExitThreshold arms mid-generation early exit on token-streamed
 	// tiers (sched.Streaming requests): once a non-final tier has emitted
 	// exitMinChunks (two) chunks, a chunk confidence below this threshold

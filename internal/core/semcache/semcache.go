@@ -271,22 +271,18 @@ func (c *Cache) Stats() Stats {
 // Lookup finds the best cached entry for query: an exact match if present,
 // otherwise the most similar entry above the threshold.
 func (c *Cache) Lookup(query string) (Hit, bool) {
-	return c.LookupTraced(query, "")
-}
-
-// LookupTraced is Lookup with the calling request's trace ID, retained
-// as the hit-similarity histogram's exemplar so a borderline-similarity
-// bucket resolves to a concrete request in /debug/traces.
-func (c *Cache) LookupTraced(query, trace string) (Hit, bool) {
-	h, ok, qv := c.LookupKeep(query, trace)
+	h, ok, qv := c.LookupKeep(query, "")
 	c.emb.ReleaseScratch(qv)
 	return h, ok
 }
 
-// LookupKeep is LookupTraced for a caller that fills the cache when it
-// misses. A miss whose scan embedded the query hands that embedding back
-// (pooled scratch, nil for any other outcome), so the fill's Index does
-// not embed the query again; the caller passes it to Index or to Release.
+// LookupKeep is Lookup for a caller that fills the cache when it misses,
+// with the calling request's trace ID, retained as the hit-similarity
+// histogram's exemplar so a borderline-similarity bucket resolves to a
+// concrete request in /debug/traces. A miss whose scan embedded the query
+// hands that embedding back (pooled scratch, nil for any other outcome),
+// so the fill's Index does not embed the query again; the caller passes
+// it to Index or to Release.
 func (c *Cache) LookupKeep(query, trace string) (Hit, bool, *embed.Vector) {
 	// An exact entry, or a live memo of the same text, needs no embedding
 	// and no scan: that lookup is one pass under the lock. Any other

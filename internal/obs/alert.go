@@ -60,7 +60,7 @@ type AlertConfig struct {
 	Obs *Registry
 	// Log receives alert_transition lifecycle events.
 	Log *Logger
-	// Now is the clock; nil means time.Now. Injectable for tests.
+	// Now is the clock; nil means time.Now.
 	Now func() time.Time
 }
 

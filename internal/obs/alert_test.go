@@ -163,9 +163,8 @@ func TestAlertRateOfChange(t *testing.T) {
 func TestAlertSLOBurn(t *testing.T) {
 	e, reg, now := alertHarness()
 	slo := NewSLOTracker(SLOConfig{
-		Objectives: map[string]SLOObjective{"interactive": {LatencyTarget: 10 * time.Millisecond, LatencyGoal: 0.95, AvailabilityGoal: 0.99}},
-		Now:        func() time.Time { return *now },
-		Obs:        reg,
+		Now: func() time.Time { return *now },
+		Obs: reg,
 	})
 	e.AddRule("slo_latency_burn_high", Warn, 0, "", func(time.Duration) (float64, bool) {
 		worst := 0.0
@@ -175,7 +174,7 @@ func TestAlertSLOBurn(t *testing.T) {
 		return worst, worst > 2
 	})
 
-	// 100 requests all meeting the 10ms target: no burn.
+	// 100 requests all meeting the interactive 500ms target: no burn.
 	for i := 0; i < 100; i++ {
 		slo.Record("interactive", time.Millisecond, true)
 	}
@@ -186,7 +185,7 @@ func TestAlertSLOBurn(t *testing.T) {
 	// Half the next wave blows the target: slow fraction ~0.33 over a
 	// 0.05 budget = burn ~6.7 > 2.
 	for i := 0; i < 50; i++ {
-		slo.Record("interactive", 50*time.Millisecond, true)
+		slo.Record("interactive", 600*time.Millisecond, true)
 	}
 	*now = now.Add(time.Second)
 	snap := e.Evaluate()

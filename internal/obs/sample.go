@@ -29,9 +29,10 @@ type Budget struct {
 }
 
 // NewBudget returns a budget of perSecond events a second with a burst of
-// perSecond. A budget of zero (or less) admits nothing.
-func NewBudget(perSecond int) *Budget {
-	b := &Budget{origin: time.Now()}
+// perSecond, full at origin: the times Admit is handed are read from the
+// clock origin was. A budget of zero (or less) admits nothing.
+func NewBudget(perSecond int, origin time.Time) *Budget {
+	b := &Budget{origin: origin}
 	if perSecond > 0 {
 		b.interval = max(int64(time.Second)/int64(perSecond), 1)
 		b.limit = b.interval * int64(perSecond)

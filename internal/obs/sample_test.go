@@ -9,8 +9,8 @@ import (
 )
 
 func TestBudgetBurstAndRefill(t *testing.T) {
-	b := NewBudget(1000) // one event a millisecond, bursts of 1000
-	base := time.Now()
+	base := time.Unix(1_700_000_000, 0)
+	b := NewBudget(1000, base) // one event a millisecond, bursts of 1000
 	admitted := func(now time.Time, tries int) int {
 		n := 0
 		for i := 0; i < tries; i++ {
@@ -37,8 +37,8 @@ func TestBudgetBurstAndRefill(t *testing.T) {
 
 func TestZeroBudgetAdmitsNothing(t *testing.T) {
 	for _, rate := range []int{0, -1} {
-		b := NewBudget(rate)
 		now := time.Now()
+		b := NewBudget(rate, now)
 		for i := 0; i < 100; i++ {
 			if b.Admit(now.Add(time.Duration(i) * time.Hour)) {
 				t.Fatalf("NewBudget(%d) admitted an event", rate)
@@ -56,8 +56,8 @@ func TestBudgetConcurrentAdmitsStayInBudget(t *testing.T) {
 		calls   = 5000
 		step    = 10 * time.Microsecond // each call moves the shared clock on
 	)
-	b := NewBudget(rate)
 	base := time.Now()
+	b := NewBudget(rate, base)
 	var clock, admitted atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -16,47 +16,32 @@ const (
 // SLOWindows names the burn-rate windows every snapshot reports.
 var SLOWindows = []string{"5m", "1h"}
 
-// SLOObjective states what "good" means for one request class.
-type SLOObjective struct {
-	// LatencyTarget is the per-request latency bound; a request slower
+// sloObjective states what "good" means for one request class.
+type sloObjective struct {
+	// latencyTarget is the per-request latency bound; a request slower
 	// than this is "slow" even if it succeeded.
-	LatencyTarget time.Duration
-	// LatencyGoal is the fraction of requests that must meet
-	// LatencyTarget (e.g. 0.95).
-	LatencyGoal float64
-	// AvailabilityGoal is the fraction of requests that must succeed
-	// (e.g. 0.99).
-	AvailabilityGoal float64
+	latencyTarget time.Duration
+	// latencyGoal is the fraction of requests that must meet
+	// latencyTarget.
+	latencyGoal float64
+	// availabilityGoal is the fraction of requests that must succeed.
+	availabilityGoal float64
 }
 
-// withDefaults fills zero fields: interactive traffic gets a tight
-// latency bound, everything else a relaxed one.
-func (o SLOObjective) withDefaults(class string) SLOObjective {
-	if o.LatencyTarget <= 0 {
-		if class == "interactive" {
-			o.LatencyTarget = 500 * time.Millisecond
-		} else {
-			o.LatencyTarget = 5 * time.Second
-		}
-	}
-	if o.LatencyGoal <= 0 {
-		o.LatencyGoal = 0.95
-	}
-	if o.AvailabilityGoal <= 0 {
-		o.AvailabilityGoal = 0.99
+// objectiveFor is a class's objective: interactive traffic gets a tight
+// latency bound, everything else a relaxed one. Every class recorded gets
+// one, so the tracker never drops traffic on the floor.
+func objectiveFor(class string) sloObjective {
+	o := sloObjective{latencyTarget: 5 * time.Second, latencyGoal: 0.95, availabilityGoal: 0.99}
+	if class == "interactive" {
+		o.latencyTarget = 500 * time.Millisecond
 	}
 	return o
 }
 
 // SLOConfig parameterizes an SLOTracker.
 type SLOConfig struct {
-	// Objectives maps request class → objective. Classes recorded but
-	// not listed here get per-class defaults, so the tracker never drops
-	// traffic on the floor.
-	//llmdm:allow reach a test hook until ROADMAP item 2 folds the SLO settings
-	Objectives map[string]SLOObjective
-	// Now is the clock; nil means time.Now. Injectable for tests.
-	//llmdm:allow reach a test hook until ROADMAP item 2 threads one clock through the serving path
+	// Now is the clock; nil means time.Now.
 	Now func() time.Time
 	// Obs receives slo_requests_total / slo_errors_total /
 	// slo_slow_total counters and slo_burn_rate / slo_attainment gauges.
@@ -73,7 +58,7 @@ type sloBucket struct {
 
 // sloClass is the tracker's per-class state.
 type sloClass struct {
-	obj     SLOObjective
+	obj     sloObjective
 	buckets [sloLongBuckets]sloBucket
 
 	mTotal  *Counter
@@ -117,9 +102,8 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 func (t *SLOTracker) classLocked(name string) *sloClass {
 	c := t.classes[name]
 	if c == nil {
-		obj := t.cfg.Objectives[name].withDefaults(name)
 		c = &sloClass{
-			obj:     obj,
+			obj:     objectiveFor(name),
 			mTotal:  t.cfg.Obs.Counter("slo_requests_total", "class", name),
 			mErrors: t.cfg.Obs.Counter("slo_errors_total", "class", name),
 			mSlow:   t.cfg.Obs.Counter("slo_slow_total", "class", name),
@@ -137,9 +121,9 @@ func (t *SLOTracker) classLocked(name string) *sloClass {
 	return c
 }
 
-// Record scores one finished request: its class, wall-clock latency,
+// Record scores one finished request: its class, its measured latency,
 // and whether it produced a usable answer. It reports whether the
-// request was slow: over its class's LatencyTarget (never on a nil
+// request was slow: over its class's latency target (never on a nil
 // tracker).
 func (t *SLOTracker) Record(class string, latency time.Duration, ok bool) (slow bool) {
 	if t == nil {
@@ -149,7 +133,7 @@ func (t *SLOTracker) Record(class string, latency time.Duration, ok bool) (slow 
 
 	t.mu.Lock()
 	c := t.classLocked(class)
-	slow = latency > c.obj.LatencyTarget
+	slow = latency > c.obj.latencyTarget
 	b := &c.buckets[epoch%sloLongBuckets]
 	if b.epoch != epoch {
 		*b = sloBucket{epoch: epoch}
@@ -216,9 +200,9 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	t.mu.Lock()
 	for name, c := range t.classes {
 		cs := SLOClassSnapshot{Windows: make(map[string]SLOWindow, len(SLOWindows))}
-		cs.Objective.LatencyTargetMS = float64(c.obj.LatencyTarget.Microseconds()) / 1000
-		cs.Objective.LatencyGoal = c.obj.LatencyGoal
-		cs.Objective.AvailabilityGoal = c.obj.AvailabilityGoal
+		cs.Objective.LatencyTargetMS = float64(c.obj.latencyTarget.Microseconds()) / 1000
+		cs.Objective.LatencyGoal = c.obj.latencyGoal
+		cs.Objective.AvailabilityGoal = c.obj.availabilityGoal
 		for wi, window := range SLOWindows {
 			span := int64(sloLongBuckets)
 			if window == "5m" {
@@ -233,8 +217,8 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 					w.Slow += b.slow
 				}
 			}
-			w.Availability, w.AvailabilityBurnRate = sloScore(w.Requests, w.Errors, c.obj.AvailabilityGoal)
-			w.LatencyAttainment, w.LatencyBurnRate = sloScore(w.Requests, w.Slow, c.obj.LatencyGoal)
+			w.Availability, w.AvailabilityBurnRate = sloScore(w.Requests, w.Errors, c.obj.availabilityGoal)
+			w.LatencyAttainment, w.LatencyBurnRate = sloScore(w.Requests, w.Slow, c.obj.latencyGoal)
 			cs.Windows[window] = w
 			g := c.gauges[wi]
 			g.availabilityBurn.Set(w.AvailabilityBurnRate)

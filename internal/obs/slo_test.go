@@ -7,19 +7,18 @@ import (
 )
 
 // sloHarness returns a tracker on a settable fake clock.
-func sloHarness(objectives map[string]SLOObjective) (*SLOTracker, *Registry, *time.Time) {
+func sloHarness() (*SLOTracker, *Registry, *time.Time) {
 	reg := NewRegistry()
 	now := time.Unix(1_700_000_000, 0)
 	t := NewSLOTracker(SLOConfig{
-		Objectives: objectives,
-		Now:        func() time.Time { return now },
-		Obs:        reg,
+		Now: func() time.Time { return now },
+		Obs: reg,
 	})
 	return t, reg, &now
 }
 
 func TestSLONoTrafficAttains(t *testing.T) {
-	tr, _, _ := sloHarness(nil)
+	tr, _, _ := sloHarness()
 	snap := tr.Snapshot()
 	if len(snap.Classes) != 0 {
 		t.Fatalf("idle tracker reported %d classes, want 0", len(snap.Classes))
@@ -32,14 +31,13 @@ func TestSLONoTrafficAttains(t *testing.T) {
 }
 
 func TestSLOBurnRateMath(t *testing.T) {
-	tr, reg, _ := sloHarness(map[string]SLOObjective{
-		"interactive": {LatencyTarget: 100 * time.Millisecond, LatencyGoal: 0.95, AvailabilityGoal: 0.99},
-	})
-	// 100 requests: 2 errors, 10 slow.
+	tr, reg, _ := sloHarness()
+	// 100 requests against the interactive class's 500ms target, 95%
+	// latency goal and 99% availability goal: 2 errors, 10 slow.
 	for i := 0; i < 100; i++ {
-		lat := 10 * time.Millisecond
+		lat := 400 * time.Millisecond
 		if i < 10 {
-			lat = 200 * time.Millisecond
+			lat = 600 * time.Millisecond
 		}
 		tr.Record("interactive", lat, i >= 2)
 	}
@@ -80,7 +78,7 @@ func TestSLOBurnRateMath(t *testing.T) {
 }
 
 func TestSLOWindowRollOff(t *testing.T) {
-	tr, _, now := sloHarness(nil)
+	tr, _, now := sloHarness()
 	tr.Record("batch", time.Millisecond, false) // one error now
 
 	// 6 minutes later it has left the 5m window but not the 1h window.
@@ -111,7 +109,7 @@ func TestSLOWindowRollOff(t *testing.T) {
 }
 
 func TestSLODefaultsPerClass(t *testing.T) {
-	tr, _, _ := sloHarness(nil)
+	tr, _, _ := sloHarness()
 	tr.Record("interactive", time.Millisecond, true)
 	tr.Record("batch", time.Millisecond, true)
 	snap := tr.Snapshot()
@@ -126,13 +124,11 @@ func TestSLODefaultsPerClass(t *testing.T) {
 	}
 }
 
+// A 100% goal has no error budget: any bad request burns it hard rather
+// than dividing by zero.
 func TestSLOPerfectGoalBurnsHard(t *testing.T) {
-	tr, _, _ := sloHarness(map[string]SLOObjective{
-		"interactive": {AvailabilityGoal: 1.0, LatencyGoal: 0.95, LatencyTarget: time.Second},
-	})
-	tr.Record("interactive", time.Millisecond, false)
-	w := tr.Snapshot().Classes["interactive"].Windows["5m"]
-	if w.AvailabilityBurnRate < 1e6 {
-		t.Errorf("burn with zero budget = %g, want huge", w.AvailabilityBurnRate)
+	attainment, burn := sloScore(1, 1, 1.0)
+	if attainment != 0 || burn < 1e6 || math.IsInf(burn, 0) {
+		t.Errorf("one bad request of one with zero budget: attainment %g, burn %g; want 0 and huge but finite", attainment, burn)
 	}
 }

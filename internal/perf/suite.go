@@ -188,7 +188,7 @@ func Kernels() []Spec {
 		// Both sizes are at or past vector.quantAutoMin, so both scan
 		// quantized, as every caller's store of that size does.
 		{Name: "vector_flat_search_quantized", Bench: flatSearch(corpusSize)},
-		{Name: "vector_flat_search_quantized_16k_serial", Bench: flatSearch(armedSize)},
+		{Name: "vector_flat_search_quantized_16k", Bench: flatSearch(armedSize)},
 		{Name: "vector_flat_search_above_16k_sparse", Bench: func(b *testing.B) {
 			// The semantic cache's scan without the cache: a Cosine Flat of
 			// wordText rows searched at the proxy's 0.97 threshold, where

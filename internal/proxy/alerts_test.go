@@ -43,13 +43,12 @@ func TestAlertRulesDeclared(t *testing.T) {
 	}
 }
 
-// alertProxy builds a proxy whose SLO tracker, breakers and alert engine
-// share one fake clock.
+// alertProxy builds a proxy on a fake clock, which its SLO tracker,
+// breakers and alert engine read.
 func alertProxy(cfg Config) (*Proxy, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	cfg.SLO.Now = clk.Now
-	cfg.Breaker.Now = clk.Now
-	return telemetryProxy(cfg), clk
+	cfg.Obs = obs.NewRegistry()
+	return testProxyOn(cfg, clk.Now), clk
 }
 
 // rule evaluates p's alerts and returns the named rule's status.

@@ -9,9 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // The golden tests lock the *shape* of the observability payloads —
@@ -79,11 +76,7 @@ func schemaPaths(v interface{}) []string {
 }
 
 func TestGoldenSchemas(t *testing.T) {
-	p := telemetryProxy(Config{
-		SLO: obs.SLOConfig{
-			Objectives: map[string]obs.SLOObjective{"interactive": {LatencyTarget: 500 * time.Millisecond}},
-		},
-	})
+	p := telemetryProxy(Config{})
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()

@@ -148,10 +148,8 @@ type Config struct {
 	// MaxQueue bounds callers waiting for a slot when MaxConcurrent is hit;
 	// beyond it requests are shed with resilience.ErrOverloaded.
 	MaxQueue int
-	// Breaker wires the per-model circuit breakers the cascade consults;
-	// the zero value runs them on time.Now. DisableBreaker turns them off.
-	//llmdm:allow reach it carries the breakers' test clock until ROADMAP item 2 threads one clock through the serving path
-	Breaker        resilience.BreakerConfig
+	// DisableBreaker turns off the per-model circuit breakers the cascade
+	// consults.
 	DisableBreaker bool
 	// StaleFloor is the minimum cache similarity for a degraded stale
 	// serve after the cascade fails. Defaults to 0.55; DisableStale turns
@@ -170,8 +168,7 @@ type Config struct {
 
 	// Obs, Tracer and Log are the proxy's telemetry sinks, and the ones
 	// it hands to every layer it builds: the Obs and Log fields inside the
-	// Breaker, Scheduler and SLO sub-configs below are overwritten with
-	// them.
+	// Scheduler sub-config above are overwritten with them.
 	//
 	// Obs receives the metrics (and is what GET /metrics serves).
 	Obs *obs.Registry
@@ -182,11 +179,8 @@ type Config struct {
 	// GET /debug/events serves. Nil builds a logger at Debug level over a
 	// ring of the proxy's own, counting into Obs.
 	Log *obs.Logger
-	// SLO parameterizes per-class latency/availability objectives served
-	// at GET /v1/slo. The zero value selects defaults; DisableSLO turns
-	// tracking off. Its clock is the alert engine's too.
-	//llmdm:allow reach it carries the SLO tracker's test clock and objectives until ROADMAP item 2 folds them
-	SLO        obs.SLOConfig
+	// DisableSLO turns off the per-class latency/availability tracking
+	// served at GET /v1/slo.
 	DisableSLO bool
 	// TenantCapacity bounds the per-tenant attribution table served at
 	// GET /v1/tenants (0 selects obs.DefaultTenantCapacity); beyond it
@@ -224,6 +218,11 @@ type Proxy struct {
 	// keep is the head-sampling budget: the trace ring's capacity in kept
 	// traces a second.
 	keep *obs.Budget
+
+	// now is the proxy's one clock: a request's start, time to first
+	// token and elapsed time, the breakers, the SLO tracker, the alert
+	// engine and keep all read it.
+	now func() time.Time
 
 	// mu guards only the in-flight table; stats are atomics and the cache
 	// locks itself.
@@ -263,8 +262,11 @@ type sourceSeries struct {
 	promote bool
 }
 
-// New builds a Proxy.
-func New(cfg Config) *Proxy {
+// New builds a Proxy on the wall clock.
+func New(cfg Config) *Proxy { return newProxy(cfg, time.Now) }
+
+// newProxy builds a Proxy whose every time decision reads now.
+func newProxy(cfg Config, now func() time.Time) *Proxy {
 	models := cfg.Models
 	if len(models) == 0 {
 		fam := llm.DefaultFamily()
@@ -290,8 +292,7 @@ func New(cfg Config) *Proxy {
 	}
 	var breakers *resilience.BreakerSet
 	if !cfg.DisableBreaker {
-		cfg.Breaker.Obs, cfg.Breaker.Log = reg, log
-		breakers = resilience.NewBreakerSet(cfg.Breaker)
+		breakers = resilience.NewBreakerSet(resilience.BreakerConfig{Now: now, Obs: reg, Log: log})
 	}
 	var scheduler *sched.Scheduler
 	if cfg.Scheduler != nil {
@@ -314,14 +315,10 @@ func New(cfg Config) *Proxy {
 	if cfg.DisableEarlyExit {
 		exit = 0
 	}
-	casc := &cascade.Cascade{Models: models, Decide: cascade.Threshold{Tau: cfg.Threshold}, Breakers: breakers, ExitThreshold: exit, Obs: reg, Log: log}
-	if scheduler != nil {
-		casc.Sched = scheduler
-	}
+	casc := &cascade.Cascade{Models: models, Decide: cascade.Threshold{Tau: cfg.Threshold}, Breakers: breakers, Sched: scheduler, ExitThreshold: exit, Obs: reg, Log: log}
 	var slo *obs.SLOTracker
 	if !cfg.DisableSLO {
-		cfg.SLO.Obs = reg
-		slo = obs.NewSLOTracker(cfg.SLO)
+		slo = obs.NewSLOTracker(obs.SLOConfig{Now: now, Obs: reg})
 	}
 	var tenants *obs.TenantAccountant
 	if !cfg.DisableTenants {
@@ -335,7 +332,8 @@ func New(cfg Config) *Proxy {
 		log:      log,
 		slo:      slo,
 		tenants:  tenants,
-		keep:     obs.NewBudget(cfg.Tracer.Cap()),
+		keep:     obs.NewBudget(cfg.Tracer.Cap(), now()),
+		now:      now,
 		pprof:    cfg.EnablePprof,
 		breakers: breakers,
 		inflight: make(map[callKey]*call),
@@ -393,7 +391,7 @@ func New(cfg Config) *Proxy {
 		})
 	}
 	if !cfg.DisableAlerts {
-		p.alerts = obs.NewAlertEngine(obs.AlertConfig{Obs: reg, Log: log, Now: cfg.SLO.Now})
+		p.alerts = obs.NewAlertEngine(obs.AlertConfig{Obs: reg, Log: log, Now: now})
 		p.addAlertRules()
 	}
 	return p
@@ -550,7 +548,7 @@ func (rq *request) mode() interface{} {
 // else comes back as the client's reader — over the call's chunk log, or
 // pre-settled with the one cached chunk.
 func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clientStream, Answer, error) {
-	rq := request{start: time.Now(), streamed: streamed, class: sched.ClassFrom(ctx).String()}
+	rq := request{start: p.now(), streamed: streamed, class: sched.ClassFrom(ctx).String()}
 	rq.tenant, _ = obs.ExplicitTenant(ctx)
 	p.requests.Add(1)
 	if streamed {
@@ -817,7 +815,7 @@ func (p *Proxy) finish(rq *request) {
 	if rq.limited {
 		p.limiter.Release()
 	}
-	elapsed := time.Since(rq.start)
+	elapsed := p.now().Sub(rq.start)
 	rq.ans.Trace, rq.ans.Elapsed, rq.ans.Chunks, rq.ans.Tier = traceID, elapsed, rq.chunks, rq.tier
 	m := p.series[rq.outcome]
 	m.requests.Inc()

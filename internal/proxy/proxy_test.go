@@ -19,7 +19,12 @@ import (
 	"repro/internal/workload"
 )
 
-func newTestProxy(cfg Config) *Proxy {
+// newTestProxy builds a proxy on the wall clock, over two simulated tiers
+// when cfg names no models.
+func newTestProxy(cfg Config) *Proxy { return testProxyOn(cfg, time.Now) }
+
+// testProxyOn is newTestProxy on the clock now.
+func testProxyOn(cfg Config, now func() time.Time) *Proxy {
 	if len(cfg.Models) == 0 {
 		// The models meter into the same registry as the proxy so tests
 		// with a private registry see the whole stack's metrics.
@@ -28,7 +33,29 @@ func newTestProxy(cfg Config) *Proxy {
 			llm.NewSim(llm.SimConfig{Name: "large", Capability: 0.95, Price: token.Price{InputPer1K: 30000, OutputPer1K: 60000}, Obs: cfg.Obs}),
 		}
 	}
-	return New(cfg)
+	return newProxy(cfg, now)
+}
+
+// frozenClock is a proxy clock that never moves.
+func frozenClock() time.Time { return time.Unix(1000, 0) }
+
+// fakeClock is a hand-advanced proxy clock: every time decision of a
+// proxy built on its Now moves only when the test advances it.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
 }
 
 func TestCompleteBasic(t *testing.T) {

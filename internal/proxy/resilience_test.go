@@ -158,13 +158,12 @@ func TestBreakerSkipsDeadTier(t *testing.T) {
 	}}
 	healthy := llm.NewSim(llm.SimConfig{Name: "healthy", Capability: 0.95,
 		Price: token.Price{InputPer1K: 1000, OutputPer1K: 1000}, Obs: reg})
-	p := New(Config{
+	// A clock that never moves holds the tripped breaker open.
+	p := newProxy(Config{
 		Models: []llm.Model{dead, healthy},
 		Obs:    reg, Tracer: obs.NewTracer(4),
 		DisableCache: true, DisableStale: true,
-		// A clock that never moves holds the tripped breaker open.
-		Breaker: resilience.BreakerConfig{Now: func() time.Time { return time.Unix(1000, 0) }},
-	})
+	}, frozenClock)
 
 	failures := 0
 	for i := 0; i < 20; i++ {

@@ -19,18 +19,26 @@ import (
 
 // unkeptProxy is newTestProxy with a zero head-sampling budget: open keeps
 // no trace, so the ring holds only what finish promotes.
-func unkeptProxy(cfg Config) *Proxy {
-	p := newTestProxy(cfg)
-	p.keep = obs.NewBudget(0)
+func unkeptProxy(cfg Config) *Proxy { return unkeptProxyOn(cfg, time.Now) }
+
+// unkeptProxyOn is unkeptProxy on the clock now.
+func unkeptProxyOn(cfg Config, now func() time.Time) *Proxy {
+	p := testProxyOn(cfg, now)
+	p.keep = obs.NewBudget(0, now())
 	return p
 }
 
-// slowScenario is a cascade request in a class whose latency target no
-// request meets.
-func slowScenario(build func(Config) *Proxy) readScenario {
+// slowScenario is a cascade request whose one tier takes 6s of the
+// proxy's clock: over the 5s latency target of the batch and streaming
+// classes the probe runs in.
+func slowScenario(build func(Config, func() time.Time) *Proxy) readScenario {
 	return readScenario{"slow", "proxy_complete", nil, func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error) {
-		tight := obs.SLOObjective{LatencyTarget: time.Nanosecond}
-		p := build(Config{Obs: reg, SLO: obs.SLOConfig{Objectives: map[string]obs.SLOObjective{"batch": tight, "streaming": tight}}})
+		clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+		slow := namedModel{name: "slow", fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			clk.Advance(6 * time.Second)
+			return llm.Response{Text: req.Gold, Model: "slow", Confidence: 0.99}, nil
+		}}
+		p := build(Config{Models: []llm.Model{slow}, Obs: reg}, clk.Now)
 		ans, err := probe(p, context.Background(), llm.Request{Prompt: "which stadium held the most concerts", Gold: "the old one", Difficulty: 0.05}, streamed)
 		return p, ans, err
 	}}
@@ -100,8 +108,8 @@ func checkExemplarsResolve(t *testing.T, p *Proxy, reg *obs.Registry) {
 // cascade, coalesced and canceled requests leave nothing else, though
 // their replies still carry a trace ID.
 func TestZeroBudgetKeepsWhatMustBeKept(t *testing.T) {
-	full := append(readScenarios(newTestProxy), slowScenario(newTestProxy))
-	zero := append(readScenarios(unkeptProxy), slowScenario(unkeptProxy))
+	full := append(readScenarios(newTestProxy), slowScenario(testProxyOn))
+	zero := append(readScenarios(unkeptProxy), slowScenario(unkeptProxyOn))
 	promoted := map[string]bool{"stale": true, "error": true, "shed": true, "slow": true}
 	for i, sc := range zero {
 		t.Run(sc.outcome, func(t *testing.T) {

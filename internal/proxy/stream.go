@@ -22,7 +22,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -242,7 +241,7 @@ func (s *clientStream) deliver(ch *Chunk) {
 	s.chunks++
 	s.tier = ch.Tier
 	if s.chunks == 1 && s.streamed {
-		s.ttft = time.Since(s.start)
+		s.ttft = s.p.now().Sub(s.start)
 		if s.p.log.Enabled(s.ctx, obs.Debug) {
 			s.p.log.Event(s.ctx, obs.Debug, "proxy_first_chunk", "source", s.p.series[s.source].label, "ttft", s.ttft)
 		}

@@ -17,39 +17,17 @@ import (
 	"repro/internal/token"
 )
 
-// fakeClock is a hand-advanced clock shared by the SLO tracker and the
-// alert engine, so the test can move through burn windows and alert
-// for-durations without sleeping.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// slowModel injects real wall-clock latency in front of a SimModel —
-// SimModel.Complete never sleeps (latency is simulated in the response),
-// but the SLO tracker scores measured latency, so degrading the upstream
-// for the alert-lifecycle phase needs an actual delay.
+// slowModel is a SimModel whose every call takes delay of the proxy's
+// clock: SimModel.Complete never sleeps (latency is simulated in the
+// response), but the SLO tracker scores the latency the proxy measures.
 type slowModel struct {
 	*llm.SimModel
+	clk   *fakeClock
 	delay *atomic.Int64 // nanoseconds added to every call
 }
 
 func (s slowModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	if d := time.Duration(s.delay.Load()); d > 0 {
-		time.Sleep(d)
-	}
+	s.clk.Advance(time.Duration(s.delay.Load()))
 	return s.SimModel.Complete(ctx, req)
 }
 
@@ -117,23 +95,15 @@ func TestTenancyExemplarsAndAlertLifecycle(t *testing.T) {
 	ring := obs.NewEventLog(4096)
 	small := llm.NewSim(llm.SimConfig{Name: "small", Capability: 0.3, Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
 	large := llm.NewSim(llm.SimConfig{Name: "large", Capability: 0.95, Price: token.Price{InputPer1K: 30000, OutputPer1K: 60000}, Obs: reg})
-	p := New(Config{
+	p := newProxy(Config{
 		Obs:    reg,
 		Tracer: obs.NewTracer(256),
 		Log:    obs.NewLogger(ring, obs.Debug, reg),
 		Models: []llm.Model{
-			slowModel{small, delay},
-			slowModel{large, delay},
+			slowModel{small, clk, delay},
+			slowModel{large, clk, delay},
 		},
-		SLO: obs.SLOConfig{
-			// Generous enough that undelayed in-process calls never trip
-			// it, tight enough that the injected 75ms delay always does.
-			Objectives: map[string]obs.SLOObjective{
-				"interactive": {LatencyTarget: 50 * time.Millisecond},
-			},
-			Now: clk.Now,
-		},
-	})
+	}, clk.Now)
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
@@ -206,13 +176,13 @@ func TestTenancyExemplarsAndAlertLifecycle(t *testing.T) {
 		t.Fatalf("p99 exemplar trace %q did not resolve via /debug/traces", traceID)
 	}
 
-	// --- Phase C: alert lifecycle. Degrade the upstream past the latency
-	// target; the 5m burn rate blows the default threshold and
+	// --- Phase C: alert lifecycle. Degrade the upstream past the
+	// interactive class's 500ms latency target; the 5m burn rate blows the default threshold and
 	// slo_latency_burn_high goes pending, fires once the 30s for-duration
 	// elapses on the shared fake clock, and resolves after the slow
 	// events age out of the burn window.
 	const rule = "slo_latency_burn_high"
-	delay.Store(int64(75 * time.Millisecond))
+	delay.Store(int64(600 * time.Millisecond))
 	for i := 0; i < 8; i++ {
 		postAsTenant(t, srv, "acme", map[string]interface{}{
 			"prompt": fmt.Sprintf("slow question %d", i), "gold": "g", "difficulty": 0.1,

@@ -76,15 +76,16 @@ func vocabularyDrive(t *testing.T) (*obs.Registry, *obs.Tracer, *obs.EventLog) {
 			p.Close()
 		}
 	}()
-	build := func(cfg Config) *Proxy {
+	buildOn := func(cfg Config, now func() time.Time) *Proxy {
 		if cfg.Obs == nil {
 			cfg.Obs = reg
 		}
 		cfg.Tracer, cfg.Log = tracer, log
-		p := newTestProxy(cfg)
+		p := testProxyOn(cfg, now)
 		proxies = append(proxies, p)
 		return p
 	}
+	build := func(cfg Config) *Proxy { return buildOn(cfg, time.Now) }
 	sim := func(name string, capability float64) *llm.SimModel {
 		return llm.NewSim(llm.SimConfig{Name: name, Capability: capability,
 			Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
@@ -168,8 +169,9 @@ func vocabularyDrive(t *testing.T) (*obs.Registry, *obs.Tracer, *obs.EventLog) {
 	dead := namedModel{name: "dead", fn: func(context.Context, llm.Request) (llm.Response, error) {
 		return llm.Response{}, llm.ErrTransient
 	}}
-	p = build(Config{Models: []llm.Model{&llm.Retry{Inner: dead, Attempts: 2, Obs: reg}, sim("healthy", 0.95)},
-		DisableCache: true, Breaker: resilience.BreakerConfig{Now: func() time.Time { return time.Unix(1000, 0) }}})
+	// A clock that never moves holds the tripped breaker open.
+	p = buildOn(Config{Models: []llm.Model{&llm.Retry{Inner: dead, Attempts: 2, Obs: reg}, sim("healthy", 0.95)},
+		DisableCache: true}, frozenClock)
 	for i := 0; i < 9; i++ {
 		// The first eight fail while the breaker gathers its evidence.
 		p.Complete(ctx, llm.Request{Prompt: fmt.Sprintf("question %d", i), Gold: "g"})

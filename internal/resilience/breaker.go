@@ -5,8 +5,9 @@
 // transitions, rejections and queue depth are visible at GET /metrics.
 //
 // The pieces are deliberately independent of the LLM layer — they gate any
-// named resource — and deterministic under test: the breaker takes an
-// injectable clock, so open→half-open→closed walks need no real sleeping.
+// named resource. The breaker reads the clock it is given (the proxy's
+// one clock, when the proxy builds it), so an open→half-open→closed walk
+// on a fake clock needs no real sleeping.
 package resilience
 
 import (
@@ -62,9 +63,8 @@ const (
 // BreakerConfig wires a Breaker (and every breaker of a BreakerSet) to
 // its clock and sinks. The zero value is ready to use.
 type BreakerConfig struct {
-	// Now is the clock; tests inject a fake one to walk transitions
-	// deterministically. Nil means time.Now.
-	//llmdm:allow reach a test hook until ROADMAP item 2 threads one clock through the serving path
+	// Now is the clock; nil means time.Now. The proxy passes its own, so
+	// a test that drives the proxy's clock walks the transitions too.
 	Now func() time.Time
 	// Obs receives breaker_state / breaker_transitions_total /
 	// breaker_rejections_total.

@@ -421,7 +421,7 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id fun
 	// it in place), so it is the search's one allocation.
 	t := topK{k: k, h: make([]Result, 0, min(k, s.n))}
 	if !s.quant || k >= s.n || s.n <= 4*shortlistFor(k) {
-		s.scanRows(&t, &p, id, keep, 0, s.n)
+		s.scanRows(&t, &p, id, keep)
 		return above(t.results(), floor)
 	}
 	// Quantized prefilter: rank every row by int8 score, keep a generous
@@ -437,7 +437,7 @@ func (s *colStore) search(m Metric, q embed.Vector, k int, floor float64, id fun
 	if cap(short.h) < short.k {
 		short.h = make([]Result, 0, short.k)
 	}
-	s.scanRows(&short, &p, rowAsID, keep, 0, s.n)
+	s.scanRows(&short, &p, rowAsID, keep)
 	for _, r := range short.h {
 		i := int(r.ID)
 		t.offer(Result{ID: id(i), Score: s.scoreExact(&p, i)})
@@ -464,7 +464,7 @@ func rowAsID(i int) ID { return ID(i) }
 // sit on the scanning goroutine's stack.
 const scanBlock = 256
 
-// scanRows offers rows [lo, hi) into t, dropping a row that scores below
+// scanRows offers every row into t, dropping a row that scores below
 // the worst kept result before it costs an id lookup and a heap offer (a
 // row that ties falls through to offer's ID tie-break).
 //
@@ -481,9 +481,9 @@ const scanBlock = 256
 // Under an armed bound a row the cut lets through is also dropped when its
 // bound is below the floor, and with p.head the rows start in scanHeads,
 // which drops most of them before their whole code is read.
-func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) {
+func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool) {
 	if p.qcode == nil {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < s.n; i++ {
 			if keep != nil && !keep(i) {
 				continue
 			}
@@ -500,13 +500,13 @@ func (s *colStore) scanRows(t *topK, p *preparedQuery, id func(int) ID, keep fun
 		w = s.cosw
 	}
 	cut := float32(math.Inf(-1)) // rejects nothing until t is full
-	b := lo
+	b := 0
 	if p.head {
-		b, cut = s.scanHeads(t, p, id, keep, lo, hi)
+		b, cut = s.scanHeads(t, p, id, keep)
 	}
 	var dots [scanBlock]int32
-	for ; b < hi; b += scanBlock {
-		e := min(b+scanBlock, hi)
+	for ; b < s.n; b += scanBlock {
+		e := min(b+scanBlock, s.n)
 		ds, ws := dots[:e-b], w[b:e]
 		embed.DotInt8Rows(ds, p.qcode, s.codes[b*s.dim:e*s.dim])
 		for j, dot := range ds {
@@ -552,13 +552,13 @@ func (s *colStore) offerApprox(t *topK, p *preparedQuery, id func(int) ID, keep 
 // scanRows, from where scanHeads returns with the reject cut so far. Which
 // rows are dropped does not depend on where it stops: the head test drops
 // only rows bound drops too.
-func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool, lo, hi int) (int, float32) {
+func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep func(int) bool) (int, float32) {
 	cut := float32(math.Inf(-1))
 	qhead, qtail := p.qcode[:headDim], p.qcode[headDim:]
 	var heads [scanBlock]int32
 	var passed [scanBlock]uint8 // block offsets of the rows the head test let through
-	for b := lo; b < hi; b += scanBlock {
-		e := min(b+scanBlock, hi)
+	for b := 0; b < s.n; b += scanBlock {
+		e := min(b+scanBlock, s.n)
 		hs, aw := heads[:e-b], s.cosw[b:e:e]
 		n := embed.DotInt8HeadsPass(hs, passed[:], qhead, s.heads[b*headDim:e*headDim], aw, s.tailw[b:e:e], s.qerrw[b:e:e], p.hc)
 		if 2*n > e-b {
@@ -573,5 +573,5 @@ func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep fu
 			cut = s.offerApprox(t, p, id, keep, i, dot, cut)
 		}
 	}
-	return hi, cut
+	return s.n, cut
 }
