@@ -12,12 +12,25 @@ import (
 	"repro/internal/workload"
 )
 
+// chaosSeed and chaosItems fix the chaos workload; the down row serves
+// chaosItems more items of the same set, unseen by its cache.
+const chaosSeed, chaosItems = 11, 30
+
+// chaosRequest is the request chaos sends for one QA item.
+func chaosRequest(it workload.QAItem) llm.Request {
+	return llm.Request{
+		Prompt: "Context: " + it.ContextFor() + "\nQ: " + it.Question,
+		Gold:   it.Answer, Wrong: it.Distractor, Difficulty: it.Difficulty,
+	}
+}
+
 // chaosCell is one (failure rate, stack) measurement.
 type chaosCell struct {
-	avail  float64
-	stale  int64
-	spend  token.Cost
-	acctOK bool
+	avail, correct float64
+	// stale counts the stale serves, staleCorrect those equal to gold.
+	stale, staleCorrect int64
+	spend               token.Cost
+	acctOK              bool
 }
 
 // ChaosResilience is the fault-injection experiment behind `make chaos`:
@@ -25,22 +38,27 @@ type chaosCell struct {
 // and serves the same QA workload through two proxies — a bare stack
 // (semantic cache + cascade only) and the full resilience stack (retry
 // with jittered exponential backoff, per-tier circuit breakers, stale
-// cache serves) — measuring availability, stale serves and spend. The
-// accounting column cross-checks the proxy's spend counter against the
-// simulated models' own usage meters, error paths included; a MISMATCH
-// would mean a failed cascade run dropped its bill.
+// cache serves) — measuring availability, correct availability (the
+// reply equals gold), stale serves and spend. The down row fills the
+// cache from healthy tiers, then serves unseen items to tiers that fail
+// every attempt, so that whatever the stack answers there comes from the
+// cache. The accounting column cross-checks the proxy's spend counter
+// against the simulated models' own usage meters, error paths included;
+// a MISMATCH would mean a failed cascade run dropped its bill.
 func ChaosResilience(ctx context.Context) (Report, error) {
 	rep := Report{
 		ID:      "chaos",
 		Title:   "fault injection: availability and spend vs upstream failure rate",
-		Headers: []string{"failure rate", "bare avail", "resilient avail", "stale serves", "resilient spend", "accounting"},
+		Headers: []string{"failure rate", "bare avail", "bare correct", "resilient avail", "resilient correct", "stale serves", "stale correct", "resilient spend", "accounting"},
 		Notes: []string{
-			"30 QA items x 4 rounds per cell; failures injected per attempt by llm.Flaky",
+			fmt.Sprintf("%d QA items x 4 rounds per cell; failures injected per attempt by llm.Flaky", chaosItems),
 			"bare = semantic cache + cascade only; resilient adds retry with jittered backoff, per-tier circuit breakers and stale cache serves",
+			"avail = share of requests answered; correct = share answered with gold",
+			fmt.Sprintf("down: %d items served healthy, then %d unseen items to tiers that fail every attempt; avail, correct and stale count the unseen ones", chaosItems, chaosItems),
 			"accounting: proxy spend vs the sum of the models' usage meters, error paths included",
 		},
 	}
-	for _, rate := range []float64{0, 0.1, 0.3, 0.5} {
+	for _, rate := range []float64{0, 0.1, 0.3, 0.5, -1} {
 		bare, err := runChaosCell(ctx, rate, false)
 		if err != nil {
 			return rep, err
@@ -53,11 +71,18 @@ func ChaosResilience(ctx context.Context) (Report, error) {
 		if !bare.acctOK || !res.acctOK {
 			acct = "MISMATCH"
 		}
+		label := fmt.Sprintf("%.0f%%", rate*100)
+		if rate < 0 {
+			label = "down"
+		}
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%.0f%%", rate*100),
+			label,
 			f3(bare.avail),
+			f3(bare.correct),
 			f3(res.avail),
+			f3(res.correct),
 			fmt.Sprintf("%d", res.stale),
+			fmt.Sprintf("%d", res.staleCorrect),
 			res.spend.String(),
 			acct,
 		})
@@ -67,15 +92,19 @@ func ChaosResilience(ctx context.Context) (Report, error) {
 
 // runChaosCell serves the workload through one proxy configuration and
 // reports availability plus the spend cross-check. Injected upstream
-// failures count against availability; a canceled ctx aborts the cell.
+// failures count against availability; a canceled ctx aborts the cell. A
+// negative rate is the down cell: chaosItems healthy requests, then
+// chaosItems unseen ones with every attempt failing, the latter measured.
 func runChaosCell(ctx context.Context, rate float64, resilient bool) (chaosCell, error) {
 	reg := obs.NewRegistry()
 	small := llm.NewSim(llm.SimConfig{Name: "small", Capability: 0.55,
 		Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
 	large := llm.NewSim(llm.SimConfig{Name: "large", Capability: 0.97,
 		Price: token.Price{InputPer1K: 30000, OutputPer1K: 60000}, Obs: reg})
+	var flakies []*llm.Flaky
 	wrap := func(m llm.Model) llm.Model {
-		flaky := llm.NewFlaky(m, rate)
+		flaky := llm.NewFlaky(m, max(rate, 0))
+		flakies = append(flakies, flaky)
 		if !resilient {
 			return flaky
 		}
@@ -90,29 +119,49 @@ func runChaosCell(ctx context.Context, rate float64, resilient bool) (chaosCell,
 		DisableStale:   !resilient,
 		StaleFloor:     0.5,
 	})
-	set := workload.GenQA(11, 30)
-	total, ok := 0, 0
-	for round := 0; round < 4; round++ {
-		for _, it := range set.Items {
+	rounds, items := 4, workload.GenQA(chaosSeed, chaosItems).Items
+	if rate < 0 {
+		rounds, items = 1, workload.GenQA(chaosSeed, 2*chaosItems).Items
+	}
+	var total, ok, correct int
+	var staleCorrect int64
+	for round := 0; round < rounds; round++ {
+		for i, it := range items {
 			if err := ctx.Err(); err != nil {
 				return chaosCell{}, err
 			}
-			_, err := p.Complete(ctx, llm.Request{
-				Prompt: "Context: " + it.ContextFor() + "\nQ: " + it.Question,
-				Gold:   it.Answer, Wrong: it.Distractor, Difficulty: it.Difficulty,
-			})
+			if rate < 0 && i < chaosItems {
+				if _, err := p.Complete(ctx, chaosRequest(it)); err != nil {
+					return chaosCell{}, err
+				}
+				if i == chaosItems-1 {
+					for _, f := range flakies {
+						f.FailureRate = 1
+					}
+				}
+				continue
+			}
+			ans, err := p.Complete(ctx, chaosRequest(it))
 			total++
 			if err == nil {
 				ok++
+				if ans.Text == it.Answer {
+					correct++
+					if ans.Source == "stale" {
+						staleCorrect++
+					}
+				}
 			}
 		}
 	}
 	st := p.Stats()
 	meters := small.Meter().Spend + large.Meter().Spend
 	return chaosCell{
-		avail:  float64(ok) / float64(total),
-		stale:  st.StaleServes,
-		spend:  st.Spend,
-		acctOK: st.Spend == meters,
+		avail:        float64(ok) / float64(total),
+		correct:      float64(correct) / float64(total),
+		stale:        st.StaleServes,
+		staleCorrect: staleCorrect,
+		spend:        st.Spend,
+		acctOK:       st.Spend == meters,
 	}, nil
 }

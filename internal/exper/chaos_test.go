@@ -11,12 +11,12 @@ func TestChaosResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 4 {
+	if len(rep.Rows) != 5 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	for _, row := range rep.Rows {
+	for _, row := range rep.Rows[:4] {
 		bare, _ := strconv.ParseFloat(row[1], 64)
-		res, _ := strconv.ParseFloat(row[2], 64)
+		res, _ := strconv.ParseFloat(row[3], 64)
 		if res < bare {
 			t.Errorf("rate %s: resilient availability %v below bare %v", row[0], res, bare)
 		}
@@ -25,8 +25,8 @@ func TestChaosResilience(t *testing.T) {
 		if res < 0.99 {
 			t.Errorf("rate %s: resilient availability %v < 0.99", row[0], res)
 		}
-		if row[5] != "ok" {
-			t.Errorf("rate %s: spend accounting %q — proxy spend diverged from the model meters", row[0], row[5])
+		if row[8] != "ok" {
+			t.Errorf("rate %s: spend accounting %q — proxy spend diverged from the model meters", row[0], row[8])
 		}
 	}
 	// With no injected failures both stacks serve everything.
