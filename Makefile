@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet lint golden analyzers-test test race race-concurrent cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
+.PHONY: all build fmt-check vet lint golden analyzers-test test race race-concurrent race-semcache cover bench bench-sched bench-json bench-check bench-e2e-test fuzz experiments ablations chaos telemetry clean
 
 all: build fmt-check vet lint test
 
@@ -94,6 +94,21 @@ race:
 race-concurrent:
 	$(GO) test -race ./internal/proxy/ ./internal/core/cascade/ ./internal/core/semcache/ ./internal/llm/ ./internal/obs/ ./internal/resilience/ ./internal/sched/ ./internal/exper/ ./internal/vector/ ./internal/embed/ ./internal/analysis/...
 
+# The semantic cache's two-half put, its handshake and its memo, raced 20
+# runs over; the CI race gate runs this target too. The names are checked
+# first: `go test -list` must find every one of them, so a test renamed or
+# deleted fails the target instead of silently dropping out of the race.
+RACE_SEMCACHE_TESTS = TestFillHandshake TestFillHandshakeConcurrent TestKeptEmbeddingIsTheIndexedRow \
+	TestMemoHitEqualsFreshScan TestNoMemoFromAScanARowLandedDuring TestNoMemoServedWhileARowLands \
+	TestMemosNeverOutnumberEntries TestTruncatedNeighbourSearchKillsEveryMemo
+
+race-semcache:
+	@listed=$$($(GO) test -list '.*' ./internal/core/semcache/) || exit 1; \
+	for t in $(RACE_SEMCACHE_TESTS); do \
+		echo "$$listed" | grep -qx "$$t" || { echo "race-semcache: go test -list finds no $$t in internal/core/semcache"; exit 1; }; \
+	done
+	$(GO) test -race -run "^($$(echo $(RACE_SEMCACHE_TESTS) | tr ' ' '|'))$$" -count=20 ./internal/core/semcache/
+
 cover:
 	$(GO) test -cover ./...
 
@@ -152,7 +167,7 @@ experiments:
 ablations:
 	$(GO) run ./cmd/llmdm-bench -exp ablations
 
-# Fault-injection experiment: availability and spend accounting under
+# Fault-injection experiment: correct availability and spend accounting under
 # injected upstream failures, bare stack vs the resilience layer.
 chaos:
 	$(GO) run ./cmd/llmdm-bench -exp chaos

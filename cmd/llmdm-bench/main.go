@@ -5,7 +5,7 @@
 //
 //	llmdm-bench              # run everything
 //	llmdm-bench -exp table2  # run one experiment
-//	llmdm-bench -exp chaos   # fault injection: availability/spend vs failure rate
+//	llmdm-bench -exp chaos   # fault injection: correct availability/spend vs failure rate
 //	llmdm-bench -list        # list experiment IDs
 //	llmdm-bench -telemetry   # append each experiment's telemetry delta
 //

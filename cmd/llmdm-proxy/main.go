@@ -85,7 +85,7 @@ func run(args []string, stderr io.Writer) error {
 	noEarlyExit := fs.Bool("no-early-exit", false, "disable mid-generation early exit on streamed requests")
 	capacity := fs.Int("cache-capacity", 10000, "semantic cache capacity (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable the semantic cache")
-	traces := fs.Int("traces", obs.DefaultTraceCapacity, "request traces retained for /debug/traces; also how many request traces a second are kept (errors, sheds, stale serves and SLO misses always are)")
+	traces := fs.Int("traces", obs.DefaultTraceCapacity, "request traces retained for /debug/traces; also how many request traces a second are kept (errors, sheds and SLO misses always are)")
 	events := fs.Int("events", obs.DefaultEventCapacity, "lifecycle events retained for /debug/events")
 	logLevel := fs.String("log-level", "debug", "minimum event level recorded: debug, info, warn or error")
 	maxConcurrent := fs.Int("max-concurrent", 0, "max requests served at once (0 = unlimited)")

@@ -187,7 +187,7 @@ var seeded = []seededRow{
 		edits: []string{"\t\tr.Cost += resp.Cost\n", ""}, at: "resp, err := "},
 	// The upstream run loses its panic containment.
 	{analyzer: "gospawn", file: "internal/proxy/proxy.go",
-		edits: []string{`obs.Go(p.reg, "proxy_upstream", func() {`, "go func() {", "\t})\n}\n\n// degrade", "\t}()\n}\n\n// degrade"},
+		edits: []string{`obs.Go(p.reg, "proxy_upstream", func() {`, "go func() {", "\t})\n}\n\n// finish", "\t}()\n}\n\n// finish"},
 		at:    "go func() {"},
 	// A dynamic metric name in place of a label.
 	{analyzer: "metricname", file: "internal/proxy/proxy.go",

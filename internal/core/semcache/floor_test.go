@@ -44,12 +44,12 @@ func floorCache(n int) *Cache {
 
 // A lookup's scan takes the similarity it must reach as the index's floor.
 // That changes no lookup: on wordPrompt queries — paraphrases that hit,
-// near misses that reach only the stale floor, strangers — every hit names
-// the entry the unfloored scan names with the same similarity bits, and
-// hits and misses count exactly as the unfloored scan predicts, at the hit
-// threshold and at the stale floor.
+// near misses that reach only the memo's neighbour floor 2θ² − 1,
+// strangers — every hit names the entry the unfloored scan names with the
+// same similarity bits, at the hit threshold and at the neighbour floor,
+// and hits and misses count exactly as the unfloored scan predicts.
 func TestFloorChangesNoLookup(t *testing.T) {
-	const n, staleFloor = 3000, 0.55
+	const n = 3000
 	c := floorCache(n)
 	var queries []string
 	for i := 0; i < 200; i++ {
@@ -64,13 +64,16 @@ func TestFloorChangesNoLookup(t *testing.T) {
 			strings.Join(other, " "),                                      // a stranger
 		)
 	}
-	var hits, misses, staleHits, nearMisses int
+	var hits, misses, nearMisses int
 	for _, q := range queries {
 		free := c.scan(q, math.Inf(-1))
 		if !free.found {
 			t.Fatalf("unfloored scan of %q found nothing in a full cache", q)
 		}
-		for _, floor := range []float64{c.threshold, staleFloor} {
+		if free.sim >= c.memoFloor && free.sim < c.threshold {
+			nearMisses++
+		}
+		for _, floor := range []float64{c.threshold, c.memoFloor} {
 			got := c.scan(q, floor)
 			want := free.sim >= floor
 			if got.found != want || want && (got.id != free.id || math.Float64bits(got.sim) != math.Float64bits(free.sim)) {
@@ -87,26 +90,13 @@ func TestFloorChangesNoLookup(t *testing.T) {
 		} else {
 			misses++
 		}
-		sh, ok := c.LookupStale(q, staleFloor)
-		if ok != (free.sim >= staleFloor) || ok && (sh.Entry.Query != entry || math.Float64bits(sh.Similarity) != math.Float64bits(free.sim)) {
-			t.Fatalf("LookupStale(%q) = %+v, %v; the unfloored scan found %q at %v", q, sh, ok, entry, free.sim)
-		}
-		if ok {
-			staleHits++
-			if free.sim < c.threshold {
-				nearMisses++
-			}
-		}
 	}
-	t.Logf("%d hits, %d misses, %d stale hits, %d near misses", hits, misses, staleHits, nearMisses)
+	t.Logf("%d hits, %d misses, %d near misses", hits, misses, nearMisses)
 	if hits == 0 || misses == 0 || nearMisses == 0 {
-		t.Fatalf("%d hits, %d misses, %d near misses served stale: the queries do not reach both sides of both floors", hits, misses, nearMisses)
+		t.Fatalf("%d hits, %d misses, %d near misses: the queries do not reach both sides of both floors", hits, misses, nearMisses)
 	}
 	if st := c.Stats(); st.Lookups != len(queries) || st.Hits != hits || c.mMisses.Value() != int64(misses) {
 		t.Errorf("stats %+v, misses %d; want %d lookups, %d hits, %d misses", st, c.mMisses.Value(), len(queries), hits, misses)
-	}
-	if got := c.mStaleHits.Value(); got != int64(staleHits) {
-		t.Errorf("stale hits counted %d, want %d", got, staleHits)
 	}
 }
 

@@ -57,7 +57,7 @@ func randomMemoPrompt(r *rand.Rand) string {
 
 // Every memo hit is what a fresh scan returns: the same entry and the
 // same similarity bits. Seeded sequences of puts, repeated lookups and
-// stale lookups run single-file into a small cache at 0.97 over
+// lookups of texts asked once run single-file into a small cache at 0.97 over
 // memoPrompt's family, so puts evict, memos are made, and puts land near
 // memoized queries and beat their entries — which only rule 2's
 // neighbour search catches.
@@ -91,7 +91,7 @@ func TestMemoHitEqualsFreshScan(t *testing.T) {
 							t.Fatalf("step %d: memo hit %+v", step, h)
 						}
 					default:
-						c.LookupStale(queries[r.Intn(len(queries))], 0.5)
+						c.Lookup(randomMemoPrompt(r))
 					}
 					checkEvictionInvariants(t, c)
 				}

@@ -10,26 +10,25 @@
 //
 // One mutex guards the cache's own state, and nothing that runs under it is
 // more than O(log n). A lookup is two halves. The scan half embeds the query
-// and asks vector.Flat for the nearest entry at or above the similarity the
-// lookup needs — the hit threshold, or a stale lookup's floor — holding
-// nothing of the cache's: the index has a read-write lock of its own, so
-// scans from any number of callers overlap. With that floor the index's
-// blocked int8 scan proves most rows below it from their first 32 code
-// bytes and reads no further, so a miss finds no nearest entry at all. The
-// settle half takes the mutex for the bookkeeping alone — clock, counters,
-// the hit charged to its entry — and looks the scanned id up again, because
-// the entry may have been evicted in between; then the lookup is a miss
-// (ids are never reused). A lookup of an exact entry needs no embedding and
-// no scan and is one pass under the mutex. A put is two halves too. The
-// publish half takes the mutex and makes the entry an exact hit: the two
-// maps and the eviction heap, a victim taken out of all three. The index
-// half runs outside it and puts the entry's row into the index — from the
-// embedding the missed lookup already made, when the caller kept it — and
-// takes the victim's row out, so no path holds both locks. Until the row
+// and asks vector.Flat for the nearest entry at or above the hit threshold,
+// holding nothing of the cache's: the index has a read-write lock of its
+// own, so scans from any number of callers overlap. With that floor the
+// index's blocked int8 scan proves most rows below it from their first 32
+// code bytes and reads no further, so a miss finds no nearest entry at all.
+// The settle half takes the mutex for the bookkeeping alone — clock,
+// counters, the hit charged to its entry — and looks the scanned id up
+// again, because the entry may have been evicted in between; then the lookup
+// is a miss (ids are never reused). A lookup of an exact entry needs no
+// embedding and no scan and is one pass under the mutex. A put is two halves
+// too. The publish half takes the mutex and makes the entry an exact hit:
+// the two maps and the eviction heap, a victim taken out of all three. The
+// index half runs outside it and puts the entry's row into the index — from
+// the embedding the missed lookup already made, when the caller kept it —
+// and takes the victim's row out, so no path holds both locks. Until the row
 // lands a paraphrase misses, as one whose scan began before the put would.
-// An entry evicted before its row landed is settled by a handshake under
-// the mutex (Entry.indexed, Entry.gone): whichever half comes second
-// removes the row, once.
+// An entry evicted before its row landed is settled by a handshake under the
+// mutex (Entry.indexed, Entry.gone): whichever half comes second removes the
+// row, once.
 //
 // A semantic hit leaves a memo: the query's exact text maps to the entry
 // and similarity the scan found, so a repeat of that text is answered as an
@@ -196,7 +195,6 @@ type Cache struct {
 	// Metric handles, resolved once at construction.
 	mLookups, mHitExact, mHitSemantic, mMisses *obs.Counter
 	mEvictions, mPuts                          *obs.Counter
-	mStaleLookups, mStaleHits                  *obs.Counter
 	mMemoHits, mMemoInvalidations              *obs.Counter
 	hSimilarity                                *obs.Histogram
 }
@@ -239,14 +237,12 @@ func New(cfg Config) *Cache {
 		threshold: cfg.Threshold,
 		memoFloor: memoFloor(cfg.Threshold),
 
-		mLookups:      cfg.Obs.Counter("semcache_lookups_total"),
-		mHitExact:     cfg.Obs.Counter("semcache_hits_total", "kind", "exact"),
-		mHitSemantic:  cfg.Obs.Counter("semcache_hits_total", "kind", "semantic"),
-		mMisses:       cfg.Obs.Counter("semcache_misses_total"),
-		mEvictions:    cfg.Obs.Counter("semcache_evictions_total"),
-		mPuts:         cfg.Obs.Counter("semcache_puts_total"),
-		mStaleLookups: cfg.Obs.Counter("semcache_stale_lookups_total"),
-		mStaleHits:    cfg.Obs.Counter("semcache_stale_hits_total"),
+		mLookups:     cfg.Obs.Counter("semcache_lookups_total"),
+		mHitExact:    cfg.Obs.Counter("semcache_hits_total", "kind", "exact"),
+		mHitSemantic: cfg.Obs.Counter("semcache_hits_total", "kind", "semantic"),
+		mMisses:      cfg.Obs.Counter("semcache_misses_total"),
+		mEvictions:   cfg.Obs.Counter("semcache_evictions_total"),
+		mPuts:        cfg.Obs.Counter("semcache_puts_total"),
 
 		mMemoHits:          cfg.Obs.Counter("semcache_memo_hits_total"),
 		mMemoInvalidations: cfg.Obs.Counter("semcache_memo_invalidations_total"),
@@ -289,7 +285,7 @@ func (c *Cache) LookupKeep(query, trace string) (Hit, bool, *embed.Vector) {
 	// releases the lock for the scan and settles under it afterwards.
 	c.mu.Lock()
 	if near, known := c.recallLocked(query); known {
-		h, ok := c.settleLocked(near, c.threshold, false, trace)
+		h, ok := c.settleLocked(near, trace)
 		c.mu.Unlock()
 		return h, ok, nil
 	}
@@ -335,7 +331,7 @@ func (c *Cache) settleScanLocked(query string, near nearest, epoch uint64, trace
 	if id, ok := c.byExact[query]; ok {
 		near = nearest{id: id, sim: 1, found: true, exact: true}
 	}
-	h, ok := c.settleLocked(near, c.threshold, false, trace)
+	h, ok := c.settleLocked(near, trace)
 	if ok && !near.exact && c.rowEpoch == epoch && c.landing == 0 {
 		c.memoizeLocked(query, c.entries[near.id], near.sim)
 	}
@@ -350,21 +346,6 @@ func (c *Cache) Release(qv *embed.Vector) {
 	}
 }
 
-// LookupStale finds the nearest cached entry at or above floor, ignoring
-// the configured hit threshold — the degraded-mode lookup behind the
-// proxy's stale-serve: when the whole cascade is down, an approximate old
-// answer beats an error. Stale lookups keep their own counters
-// (semcache_stale_*) so the headline hit rate stays a measure of normal
-// operation.
-func (c *Cache) LookupStale(query string, floor float64) (Hit, bool) {
-	near := c.scan(query, floor)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.settleLocked(near, floor, true, "")
-	h.Exact = ok && h.Entry.Query == query
-	return h, ok
-}
-
 // nearest is what the scan half of a lookup hands its settle half: the
 // index's closest entry and its similarity, if one scored at least the
 // floor the scan was given.
@@ -376,21 +357,12 @@ type nearest struct {
 	memo  bool // id and sim came from a memo, not from a scan
 }
 
-// scan is the half of a lookup that costs: it embeds query and searches the
-// index for its nearest entry at or above floor — the similarity the settle
-// half will require, so the index skips every row that provably cannot
-// reach it — holding nothing of the cache's: the index has its own read
-// lock, so any number of scans run side by side and beside the other
-// callers' bookkeeping. The caller must not hold c.mu. Scratch embedding:
-// the vector is only needed for this one search, so it is drawn from (and
-// returned to) the embedder's pool instead of allocated per lookup.
-func (c *Cache) scan(query string, floor float64) nearest {
-	qv := c.emb.TextScratch(query)
-	defer c.emb.ReleaseScratch(qv)
-	return c.nearestTo(*qv, floor)
-}
-
-// nearestTo is scan's search, for a query already embedded.
+// nearestTo is the search a lookup's scan half makes, for a query already
+// embedded: the index's nearest entry at or above floor — the similarity
+// the settle half will require, so the index skips every row that provably
+// cannot reach it — holding nothing of the cache's: the index has its own
+// read lock, so any number of scans run side by side and beside the other
+// callers' bookkeeping. The caller must not hold c.mu.
 func (c *Cache) nearestTo(qv embed.Vector, floor float64) nearest {
 	hits := c.idx.SearchAbove(qv, 1, floor)
 	if len(hits) == 0 {
@@ -400,43 +372,33 @@ func (c *Cache) nearestTo(qv embed.Vector, floor float64) nearest {
 }
 
 // settleLocked is the half of a lookup that runs under c.mu, all of it
-// O(log n): it ticks the clock, counts the lookup (under the stale counters
-// when stale) and, when near is at or above atLeast, charges the hit to its
-// entry. The scan ran without the lock, so the entry is looked up again: an
-// id that is gone was evicted in between and the lookup is a miss — ids are
-// never reused, so it cannot name another entry.
-func (c *Cache) settleLocked(near nearest, atLeast float64, stale bool, trace string) (Hit, bool) {
+// O(log n): it ticks the clock, counts the lookup and, when near is at or
+// above the hit threshold, charges the hit to its entry. The scan ran
+// without the lock, so the entry is looked up again: an id that is gone
+// was evicted in between and the lookup is a miss — ids are never reused,
+// so it cannot name another entry.
+func (c *Cache) settleLocked(near nearest, trace string) (Hit, bool) {
 	c.clock++
-	if stale {
-		c.mStaleLookups.Inc()
-	} else {
-		c.stats.Lookups++
-		c.mLookups.Inc()
-	}
+	c.stats.Lookups++
+	c.mLookups.Inc()
 	e := c.entries[near.id]
-	if !near.found || near.sim < atLeast || e == nil {
-		if !stale {
-			c.mMisses.Inc()
-		}
+	if !near.found || near.sim < c.threshold || e == nil {
+		c.mMisses.Inc()
 		return Hit{}, false
 	}
 	c.touchLocked(e)
-	if stale {
-		c.mStaleHits.Inc()
+	c.stats.Hits++
+	if near.exact {
+		c.stats.ExactHits++
+		c.mHitExact.Inc()
 	} else {
-		c.stats.Hits++
-		if near.exact {
-			c.stats.ExactHits++
-			c.mHitExact.Inc()
-		} else {
-			c.mHitSemantic.Inc()
-		}
-		if near.memo {
-			c.stats.MemoHits++
-			c.mMemoHits.Inc()
-		}
-		c.hSimilarity.ObserveWithExemplar(near.sim, trace)
+		c.mHitSemantic.Inc()
 	}
+	if near.memo {
+		c.stats.MemoHits++
+		c.mMemoHits.Inc()
+	}
+	c.hSimilarity.ObserveWithExemplar(near.sim, trace)
 	return Hit{Entry: *e, Similarity: near.sim, Exact: near.exact, Memo: near.memo}, true
 }
 

@@ -307,15 +307,13 @@ func modelOp(c *Cache, r *rand.Rand, pool int) (Hit, bool) {
 		return Hit{}, false
 	case op < 7:
 		return c.Lookup(query)
-	case op < 9:
-		return c.Lookup(paraphrase)
 	default:
-		return c.LookupStale(paraphrase, 0.3)
+		return c.Lookup(paraphrase)
 	}
 }
 
 // TestEvictionHeapMatchesWalk drives seeded random sequences of Put,
-// re-Put, Lookup and LookupStale and asserts after every operation that
+// re-Put and Lookup and asserts after every operation that
 // the heap agrees with the O(n) walk, and at every eviction that the
 // walk's victim — never the newcomer — is what left.
 func TestEvictionHeapMatchesWalk(t *testing.T) {
@@ -406,6 +404,14 @@ func TestEvictionHeapConcurrent(t *testing.T) {
 	}
 }
 
+// scan is a lookup's scan half on its own: it embeds query and searches
+// the index for its nearest entry at or above floor.
+func (c *Cache) scan(query string, floor float64) nearest {
+	qv := c.emb.TextScratch(query)
+	defer c.emb.ReleaseScratch(qv)
+	return c.nearestTo(*qv, floor)
+}
+
 // The scan half of a lookup runs without the cache lock: holding the lock
 // across a call to it must not deadlock.
 func TestScanHalfTakesNoCacheLock(t *testing.T) {
@@ -438,7 +444,7 @@ func TestHitEvictedBetweenScanAndSettleIsAMiss(t *testing.T) {
 		t.Fatal("the scanned entry was not evicted: premise broken")
 	}
 	c.mu.Lock()
-	h, ok := c.settleLocked(near, c.threshold, false, "")
+	h, ok := c.settleLocked(near, "")
 	c.mu.Unlock()
 	if ok {
 		t.Errorf("settled on the evicted entry: %+v", h)

@@ -26,35 +26,35 @@ func chaosRequest(it workload.QAItem) llm.Request {
 
 // chaosCell is one (failure rate, stack) measurement.
 type chaosCell struct {
-	avail, correct float64
-	// stale counts the stale serves, staleCorrect those equal to gold.
-	stale, staleCorrect int64
-	spend               token.Cost
-	acctOK              bool
+	correct float64
+	spend   token.Cost
+	acctOK  bool
 }
 
 // ChaosResilience is the fault-injection experiment behind `make chaos`:
 // it sweeps the per-attempt upstream failure rate (injected by llm.Flaky)
 // and serves the same QA workload through two proxies — a bare stack
 // (semantic cache + cascade only) and the full resilience stack (retry
-// with jittered exponential backoff, per-tier circuit breakers, stale
-// cache serves) — measuring availability, correct availability (the
-// reply equals gold), stale serves and spend. The down row fills the
-// cache from healthy tiers, then serves unseen items to tiers that fail
-// every attempt, so that whatever the stack answers there comes from the
-// cache. The accounting column cross-checks the proxy's spend counter
-// against the simulated models' own usage meters, error paths included;
-// a MISMATCH would mean a failed cascade run dropped its bill.
+// with jittered exponential backoff, per-tier circuit breakers) —
+// measuring correct availability (the share of requests answered with
+// gold) and spend. A reply counts only when it is right: an answer from
+// the cache to another question is as unavailable as an error. The down
+// row fills the cache from healthy tiers, then serves unseen items to
+// tiers that fail every attempt, so that whatever the stack answers there
+// comes from the cache. The accounting column cross-checks the proxy's
+// spend counter against the simulated models' own usage meters, error
+// paths included; a MISMATCH would mean a failed cascade run dropped its
+// bill.
 func ChaosResilience(ctx context.Context) (Report, error) {
 	rep := Report{
 		ID:      "chaos",
-		Title:   "fault injection: availability and spend vs upstream failure rate",
-		Headers: []string{"failure rate", "bare avail", "bare correct", "resilient avail", "resilient correct", "stale serves", "stale correct", "resilient spend", "accounting"},
+		Title:   "fault injection: correct availability and spend vs upstream failure rate",
+		Headers: []string{"failure rate", "bare correct", "resilient correct", "resilient spend", "accounting"},
 		Notes: []string{
 			fmt.Sprintf("%d QA items x 4 rounds per cell; failures injected per attempt by llm.Flaky", chaosItems),
-			"bare = semantic cache + cascade only; resilient adds retry with jittered backoff, per-tier circuit breakers and stale cache serves",
-			"avail = share of requests answered; correct = share answered with gold",
-			fmt.Sprintf("down: %d items served healthy, then %d unseen items to tiers that fail every attempt; avail, correct and stale count the unseen ones", chaosItems, chaosItems),
+			"bare = semantic cache + cascade only; resilient adds retry with jittered backoff and per-tier circuit breakers",
+			"correct = share of requests answered with gold; an error and another question's answer both count against it",
+			fmt.Sprintf("down: %d items served healthy, then %d unseen items to tiers that fail every attempt; correct counts the unseen ones", chaosItems, chaosItems),
 			"accounting: proxy spend vs the sum of the models' usage meters, error paths included",
 		},
 	}
@@ -77,12 +77,8 @@ func ChaosResilience(ctx context.Context) (Report, error) {
 		}
 		rep.Rows = append(rep.Rows, []string{
 			label,
-			f3(bare.avail),
 			f3(bare.correct),
-			f3(res.avail),
 			f3(res.correct),
-			fmt.Sprintf("%d", res.stale),
-			fmt.Sprintf("%d", res.staleCorrect),
 			res.spend.String(),
 			acct,
 		})
@@ -91,8 +87,8 @@ func ChaosResilience(ctx context.Context) (Report, error) {
 }
 
 // runChaosCell serves the workload through one proxy configuration and
-// reports availability plus the spend cross-check. Injected upstream
-// failures count against availability; a canceled ctx aborts the cell. A
+// reports correct availability plus the spend cross-check. Injected
+// upstream failures count against it; a canceled ctx aborts the cell. A
 // negative rate is the down cell: chaosItems healthy requests, then
 // chaosItems unseen ones with every attempt failing, the latter measured.
 func runChaosCell(ctx context.Context, rate float64, resilient bool) (chaosCell, error) {
@@ -116,15 +112,12 @@ func runChaosCell(ctx context.Context, rate float64, resilient bool) (chaosCell,
 		Obs:            reg,
 		Tracer:         obs.NewTracer(8),
 		DisableBreaker: !resilient,
-		DisableStale:   !resilient,
-		StaleFloor:     0.5,
 	})
 	rounds, items := 4, workload.GenQA(chaosSeed, chaosItems).Items
 	if rate < 0 {
 		rounds, items = 1, workload.GenQA(chaosSeed, 2*chaosItems).Items
 	}
-	var total, ok, correct int
-	var staleCorrect int64
+	var total, correct int
 	for round := 0; round < rounds; round++ {
 		for i, it := range items {
 			if err := ctx.Err(); err != nil {
@@ -143,25 +136,16 @@ func runChaosCell(ctx context.Context, rate float64, resilient bool) (chaosCell,
 			}
 			ans, err := p.Complete(ctx, chaosRequest(it))
 			total++
-			if err == nil {
-				ok++
-				if ans.Text == it.Answer {
-					correct++
-					if ans.Source == "stale" {
-						staleCorrect++
-					}
-				}
+			if err == nil && ans.Text == it.Answer {
+				correct++
 			}
 		}
 	}
 	st := p.Stats()
 	meters := small.Meter().Spend + large.Meter().Spend
 	return chaosCell{
-		avail:        float64(ok) / float64(total),
-		correct:      float64(correct) / float64(total),
-		stale:        st.StaleServes,
-		staleCorrect: staleCorrect,
-		spend:        st.Spend,
-		acctOK:       st.Spend == meters,
+		correct: float64(correct) / float64(total),
+		spend:   st.Spend,
+		acctOK:  st.Spend == meters,
 	}, nil
 }

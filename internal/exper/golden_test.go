@@ -60,3 +60,17 @@ func TestGoldenTable3(t *testing.T) {
 		{"Cache(A)", "100.0%", "$0.006", "14", "36%"},
 	})
 }
+
+func TestGoldenChaos(t *testing.T) {
+	rep, err := ChaosResilience(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, rep, [][]string{
+		{"0%", "0.900", "0.900", "$0.308", "ok"},
+		{"10%", "0.808", "0.900", "$0.308", "ok"},
+		{"30%", "0.683", "0.900", "$0.308", "ok"},
+		{"50%", "0.642", "0.900", "$0.308", "ok"},
+		{"down", "0.000", "0.000", "$0.308", "ok"},
+	})
+}

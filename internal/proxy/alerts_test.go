@@ -67,7 +67,7 @@ func TestAlertRulesReadTheirComponents(t *testing.T) {
 		healthy := llm.NewSim(llm.SimConfig{Name: "healthy", Capability: 0.95,
 			Price: token.Price{InputPer1K: 1000, OutputPer1K: 1000}})
 		p, _ := alertProxy(Config{
-			Models: []llm.Model{dead, healthy}, DisableCache: true, DisableStale: true,
+			Models: []llm.Model{dead, healthy}, DisableCache: true,
 		})
 		if st := rule(t, p, "breaker_open"); st.State != "inactive" {
 			t.Fatalf("before traffic: %+v", st)

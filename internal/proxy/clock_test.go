@@ -35,7 +35,7 @@ func TestProxyRunsOnOneClock(t *testing.T) {
 		return llm.Response{Text: req.Gold, Model: "timed", Confidence: 0.99}, nil
 	}}
 	reg := obs.NewRegistry()
-	p := newProxy(Config{Models: []llm.Model{tier}, Obs: reg, DisableCache: true, DisableStale: true}, clk.Now)
+	p := newProxy(Config{Models: []llm.Model{tier}, Obs: reg, DisableCache: true}, clk.Now)
 	defer p.Close()
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/core/cascade"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -239,8 +240,8 @@ func (s *scanner) boolean() (v, ok bool) {
 // ErrorBody is the typed error detail inside ErrorEnvelope.
 type ErrorBody struct {
 	// Code is a stable machine-readable error class: "bad_request",
-	// "method_not_allowed", "overloaded", "upstream_timeout",
-	// "upstream_error", "disabled" or "internal".
+	// "method_not_allowed", "overloaded", "upstream_unavailable",
+	// "upstream_timeout", "upstream_error", "disabled" or "internal".
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// Retryable tells well-behaved clients whether retrying (after any
@@ -296,6 +297,8 @@ func errorBodyFor(err error) (int, ErrorBody) {
 		return http.StatusInternalServerError, ErrorBody{Code: "internal", Message: err.Error(), Retryable: false}
 	case errors.Is(err, resilience.ErrOverloaded):
 		return http.StatusServiceUnavailable, ErrorBody{Code: "overloaded", Message: err.Error(), Retryable: true}
+	case errors.Is(err, cascade.ErrAllTiersOpen):
+		return http.StatusServiceUnavailable, ErrorBody{Code: "upstream_unavailable", Message: err.Error(), Retryable: true}
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, ErrorBody{Code: "upstream_timeout", Message: err.Error(), Retryable: true}
 	default:
@@ -334,7 +337,8 @@ func queryCount(w http.ResponseWriter, r *http.Request) (n int, ok bool) {
 func completionError(w http.ResponseWriter, err error) {
 	status, body := errorBodyFor(err)
 	if status == http.StatusServiceUnavailable {
-		// Shed by the limiter: tell well-behaved clients to retry.
+		// Shed by the limiter, or every tier's breaker open: tell
+		// well-behaved clients to retry.
 		w.Header().Set("Retry-After", "1")
 	}
 	writeError(w, status, body.Code, body.Message, body.Retryable)
@@ -426,7 +430,6 @@ func (p *Proxy) Handler() http.Handler {
 			"cache_hits":      st.CacheHits,
 			"coalesced":       st.Coalesced,
 			"model_calls":     st.ModelCalls,
-			"stale_serves":    st.StaleServes,
 			"shed":            st.Shed,
 			"streams":         st.Streams,
 			"spend_micro_usd": int64(st.Spend),

@@ -20,10 +20,10 @@
 //     one client's cancellation never fails its coalesced cohort, and is
 //     bounded by its own deadline;
 //   - per-model circuit breakers (internal/resilience.Breaker) let the
-//     cascade skip tiers that are actively failing;
-//   - when the whole cascade still fails, the proxy degrades to the best
-//     below-threshold semantic-cache entry, marked Source "stale", instead
-//     of erroring.
+//     cascade skip tiers that are actively failing.
+//
+// When the whole cascade still fails, the request fails: the client gets
+// the error, never another question's answer from the cache.
 //
 // All of it is one pipeline with two read modes. Every request runs the
 // same front half — admission, cache lookup, join or lead the in-flight
@@ -38,8 +38,8 @@
 // children, kept in a bounded ring (GET /debug/traces) — and its events
 // below Warn are head-sampled: the proxy keeps at most as many traces a
 // second as the ring holds, and finish publishes the trace of every
-// request it did not keep that failed, was shed, was served stale or
-// missed its class's latency target.
+// request it did not keep that failed, was shed or missed its class's
+// latency target.
 //
 // Concurrency design: the proxy's only lock is the in-flight table's, and
 // it is never held across the semantic cache lookup — which computes a
@@ -76,11 +76,10 @@ import (
 // (CompletionResponse, StreamDone) are projections of it.
 type Answer struct {
 	Text       string
-	Model      string  // "cache" when served from cache (fresh or stale)
-	Confidence float64 // 1.0 for cache hits; the hit similarity for stale serves
+	Model      string  // "cache" when served from cache
+	Confidence float64 // 1.0 for cache hits
 	// Source explains how the answer was produced: "cache", "coalesced",
-	// "cascade", "stale" (degraded cache serve after upstream failure) or
-	// "error".
+	// "cascade" or "error".
 	Source string
 	Cost   token.Cost
 	// Trace is the request's trace ID — the key into /debug/traces and
@@ -102,9 +101,6 @@ type Stats struct {
 	CacheHits  int64
 	Coalesced  int64
 	ModelCalls int64
-	// StaleServes counts degraded answers served from the cache after the
-	// cascade failed.
-	StaleServes int64
 	// Shed counts requests rejected by the concurrency limiter.
 	Shed  int64
 	Spend token.Cost
@@ -151,11 +147,6 @@ type Config struct {
 	// DisableBreaker turns off the per-model circuit breakers the cascade
 	// consults.
 	DisableBreaker bool
-	// StaleFloor is the minimum cache similarity for a degraded stale
-	// serve after the cascade fails. Defaults to 0.55; DisableStale turns
-	// stale serving off.
-	StaleFloor   float64
-	DisableStale bool
 
 	// Scheduler, when non-nil, places an adaptive micro-batching
 	// scheduler between the cascade and every model that supports
@@ -212,9 +203,6 @@ type Proxy struct {
 	breakers *resilience.BreakerSet
 	sched    *sched.Scheduler
 
-	staleFloor   float64
-	disableStale bool
-
 	// keep is the head-sampling budget: the trace ring's capacity in kept
 	// traces a second.
 	keep *obs.Budget
@@ -229,7 +217,7 @@ type Proxy struct {
 	mu       sync.Mutex
 	inflight map[callKey]*call
 
-	requests, cacheHits, coalesced, modelCalls, staleServes, shed, spend, streams atomic.Int64
+	requests, cacheHits, coalesced, modelCalls, shed, spend, streams atomic.Int64
 
 	// Metric handles, resolved once at construction.
 	series    map[string]sourceSeries
@@ -241,7 +229,7 @@ type Proxy struct {
 
 // sources is the closed set of terminal outcomes a request can have; it
 // labels the per-source series below.
-var sources = []string{"cache", "coalesced", "cascade", "stale", "error", "canceled", "shed"}
+var sources = []string{"cache", "coalesced", "cascade", "error", "canceled", "shed"}
 
 // sourceSeries are the per-outcome metric handles.
 type sourceSeries struct {
@@ -287,9 +275,6 @@ func newProxy(cfg Config, now func() time.Time) *Proxy {
 		cfg.Log = obs.NewLogger(obs.NewEventLog(0), obs.Debug, cfg.Obs)
 	}
 	reg, log := cfg.Obs, cfg.Log
-	if cfg.StaleFloor == 0 {
-		cfg.StaleFloor = 0.55
-	}
 	var breakers *resilience.BreakerSet
 	if !cfg.DisableBreaker {
 		breakers = resilience.NewBreakerSet(resilience.BreakerConfig{Now: now, Obs: reg, Log: log})
@@ -338,9 +323,6 @@ func newProxy(cfg Config, now func() time.Time) *Proxy {
 		breakers: breakers,
 		inflight: make(map[callKey]*call),
 
-		staleFloor:   cfg.StaleFloor,
-		disableStale: cfg.DisableStale,
-
 		series:    make(map[string]sourceSeries, len(sources)),
 		mSpend:    reg.Counter("proxy_spend_microusd_total"),
 		gInflight: reg.Gauge("proxy_inflight"),
@@ -362,10 +344,10 @@ func newProxy(cfg Config, now func() time.Time) *Proxy {
 			ttft:     reg.Histogram("proxy_stream_ttft_seconds", obs.LatencyBuckets, "source", src),
 		}
 		switch src {
-		case "cache", "coalesced", "cascade", "stale":
+		case "cache", "coalesced", "cascade":
 			m.latency = reg.Histogram("proxy_latency_seconds", obs.LatencyBuckets, "source", src)
 		}
-		m.promote = src == "stale" || src == "error" || src == "shed"
+		m.promote = src == "error" || src == "shed"
 		p.series[src] = m
 	}
 	if cfg.MaxConcurrent > 0 {
@@ -400,14 +382,13 @@ func newProxy(cfg Config, now func() time.Time) *Proxy {
 // Stats returns a snapshot of the counters.
 func (p *Proxy) Stats() Stats {
 	return Stats{
-		Requests:    p.requests.Load(),
-		CacheHits:   p.cacheHits.Load(),
-		Coalesced:   p.coalesced.Load(),
-		ModelCalls:  p.modelCalls.Load(),
-		StaleServes: p.staleServes.Load(),
-		Shed:        p.shed.Load(),
-		Spend:       token.Cost(p.spend.Load()),
-		Streams:     p.streams.Load(),
+		Requests:   p.requests.Load(),
+		CacheHits:  p.cacheHits.Load(),
+		Coalesced:  p.coalesced.Load(),
+		ModelCalls: p.modelCalls.Load(),
+		Shed:       p.shed.Load(),
+		Spend:      token.Cost(p.spend.Load()),
+		Streams:    p.streams.Load(),
 	}
 }
 
@@ -453,11 +434,11 @@ func (p *Proxy) BreakerStates() map[string]resilience.State {
 }
 
 // Complete serves one request through limiter → cache → coalescing →
-// cascade, degrading to a stale cache entry when the cascade fails: it
-// opens the request and drains its chunk stream. The returned Answer
-// carries the trace ID even on errors (shed requests leave a trace and an
-// event trail too). The request keeps the priority class its context
-// carries, so its upstream tiers go through the batching scheduler.
+// cascade: it opens the request and drains its chunk stream. The returned
+// Answer carries the trace ID even on errors (shed requests leave a trace
+// and an event trail too). The request keeps the priority class its
+// context carries, so its upstream tiers go through the batching
+// scheduler.
 func (p *Proxy) Complete(ctx context.Context, req llm.Request) (Answer, error) {
 	s, ans, err := p.open(ctx, req, false)
 	if s == nil {
@@ -609,7 +590,7 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 				return nil, rq.ans, nil
 			}
 			// A cache hit streams instantly: one pre-paid chunk, no log.
-			s := p.newClientStream(rq, req.Prompt, nil, "cache")
+			s := p.newClientStream(rq, nil, "cache")
 			s.settled, s.ans = true, ans
 			s.pending = &Chunk{Text: ans.Text, Model: "cache", Confidence: 1, Final: true}
 			return s, Answer{}, nil
@@ -637,12 +618,12 @@ func (p *Proxy) open(ctx context.Context, req llm.Request, streamed bool) (*clie
 		p.cache.Release(kept)
 		p.coalesced.Add(1)
 		p.log.Event(ctx, obs.Info, "proxy_coalesce_join")
-		s := p.newClientStream(rq, req.Prompt, c, "coalesced")
+		s := p.newClientStream(rq, c, "coalesced")
 		_, s.wait = obs.StartSpan(ctx, "coalesce.wait")
 		return s, Answer{}, nil
 	}
 	p.pump(ctx, req, key, c, kept)
-	return p.newClientStream(rq, req.Prompt, c, "cascade"), Answer{}, nil
+	return p.newClientStream(rq, c, "cascade"), Answer{}, nil
 }
 
 // callKey is a call's identity in the in-flight table: every field of
@@ -770,29 +751,6 @@ func (p *Proxy) pump(ctx context.Context, req llm.Request, key callKey, c *call,
 	})
 }
 
-// degrade looks for the best below-threshold cache entry to serve one
-// client of a failed call as a stale answer, when that is allowed.
-func (p *Proxy) degrade(ctx context.Context, prompt string) (Answer, bool) {
-	if p.cache == nil || p.disableStale {
-		return Answer{}, false
-	}
-	_, ssp := obs.StartSpan(ctx, "stale.lookup")
-	hit, ok := p.cache.LookupStale(prompt, p.staleFloor)
-	if ssp != nil {
-		ssp.SetAttr("hit", ok)
-		if ok {
-			ssp.SetAttr("similarity", hit.Similarity)
-		}
-		ssp.End()
-	}
-	if !ok {
-		return Answer{}, false
-	}
-	p.staleServes.Add(1)
-	p.log.Event(ctx, obs.Warn, "proxy_stale_serve", "similarity", hit.Similarity)
-	return Answer{Text: hit.Entry.Response, Model: "cache", Confidence: hit.Similarity, Source: "stale"}, true
-}
-
 // finish is the once-per-request terminal bookkeeping, and the only
 // reader of the record: limiter release, the per-source counter and
 // histograms, the SLO and tenant samples, every root-span attribute and
@@ -805,8 +763,8 @@ func (p *Proxy) degrade(ctx context.Context, prompt string) (Answer, bool) {
 // elapsed time and the delivery counts.
 //
 // finish also completes the head-sampling decision. A request open did
-// not keep is promoted when it ended in error, was shed or was served
-// stale, or missed its class's latency target: a fresh root with its
+// not keep is promoted when it ended in error or was shed, or missed its
+// class's latency target: a fresh root with its
 // trace ID takes the attributes and the terminal event, with no children.
 // Any other unkept request leaves its metrics, SLO and tenant records
 // only, and no exemplar: every exemplar names a trace the ring was given.

@@ -200,23 +200,6 @@ func readScenarios(build func(Config) *Proxy) []readScenario {
 			r := <-follower
 			return p, r.ans, r.err
 		}},
-		{"stale", "proxy_complete", nil, func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error) {
-			var failing bool
-			toggle := namedModel{name: "toggle", fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-				if failing {
-					return llm.Response{}, llm.ErrTransient
-				}
-				return llm.Response{Text: req.Gold, Model: "toggle", Confidence: 0.99}, nil
-			}}
-			p := build(Config{Models: []llm.Model{toggle}, Obs: reg, CacheThreshold: 0.995, StaleFloor: 0.3, DisableBreaker: true})
-			if _, err := p.Complete(context.Background(), easy); err != nil {
-				t.Fatal(err)
-			}
-			failing = true
-			near := llm.Request{Prompt: "how many concerts were held in the stadium last year", Gold: "?"}
-			ans, err := probe(p, context.Background(), near, streamed)
-			return p, ans, err
-		}},
 		{"error", "proxy_error", llm.ErrTransient, func(t *testing.T, reg *obs.Registry, streamed bool) (*Proxy, Answer, error) {
 			down := namedModel{name: "down", fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 				return llm.Response{}, llm.ErrTransient

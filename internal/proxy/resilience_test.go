@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -162,7 +163,7 @@ func TestBreakerSkipsDeadTier(t *testing.T) {
 	p := newProxy(Config{
 		Models: []llm.Model{dead, healthy},
 		Obs:    reg, Tracer: obs.NewTracer(4),
-		DisableCache: true, DisableStale: true,
+		DisableCache: true,
 	}, frozenClock)
 
 	failures := 0
@@ -190,11 +191,13 @@ func TestBreakerSkipsDeadTier(t *testing.T) {
 	}
 }
 
-// TestStaleServeAfterUpstreamFailure: once the cascade is down, a query
-// similar to a previously served one is answered from the cache below the
-// normal hit threshold, marked Source "stale"; a query with no near
-// neighbor still surfaces the error.
-func TestStaleServeAfterUpstreamFailure(t *testing.T) {
+// TestFailedCallAnswersWithError: a request the cascade cannot answer
+// fails, even with a near entry in the cache below its hit threshold —
+// the client gets the error, never another question's answer. Once every
+// breaker is open (on a clock that never moves, so none half-opens) the
+// error is the retryable 503 upstream_unavailable: the JSON envelope
+// with Retry-After, and the same body as the SSE error event.
+func TestFailedCallAnswersWithError(t *testing.T) {
 	reg := obs.NewRegistry()
 	var failing atomic.Bool
 	toggle := namedModel{name: "toggle", fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
@@ -203,39 +206,59 @@ func TestStaleServeAfterUpstreamFailure(t *testing.T) {
 		}
 		return llm.Response{Text: req.Gold, Model: "toggle", Confidence: 0.99}, nil
 	}}
-	p := New(Config{Models: []llm.Model{toggle}, Obs: reg, Tracer: obs.NewTracer(4),
-		CacheThreshold: 0.995, StaleFloor: 0.3, DisableBreaker: true})
-
-	if _, err := p.Complete(context.Background(), llm.Request{
+	p := newProxy(Config{Models: []llm.Model{toggle}, Obs: reg, Tracer: obs.NewTracer(4),
+		CacheThreshold: 0.995}, frozenClock)
+	ctx := context.Background()
+	if _, err := p.Complete(ctx, llm.Request{
 		Prompt: "how many concerts were held in the stadium this year", Gold: "twelve",
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	failing.Store(true)
-	// Similar but not identical: misses the strict fresh threshold, and the
-	// upstream is down — the stale path serves the near answer.
-	ans, err := p.Complete(context.Background(), llm.Request{
-		Prompt: "how many concerts were held in the stadium last year", Gold: "?",
-	})
-	if err != nil {
-		t.Fatalf("degraded request failed: %v", err)
+	near := "how many concerts were held in the stadium last year"
+	ans, err := p.Complete(ctx, llm.Request{Prompt: near, Gold: "?"})
+	if !errors.Is(err, llm.ErrTransient) || ans.Text != "" || ans.Source != "error" {
+		t.Fatalf("a failed call near a cached entry = %+v, %v; want the upstream error", ans, err)
 	}
-	if ans.Source != "stale" || ans.Text != "twelve" || ans.Model != "cache" {
-		t.Errorf("degraded answer = %+v", ans)
-	}
-	if ans.Confidence <= 0 || ans.Confidence >= 1 {
-		t.Errorf("stale confidence should be the hit similarity, got %v", ans.Confidence)
-	}
-	if p.Stats().StaleServes != 1 {
-		t.Errorf("stale serves = %d", p.Stats().StaleServes)
+	for i := 0; p.BreakerStates()["toggle"] != resilience.Open; i++ {
+		if i == 50 {
+			t.Fatal("the breaker of a tier that fails every call never opened")
+		}
+		p.Complete(ctx, llm.Request{Prompt: fmt.Sprintf("trip %d", i), Gold: "?"})
 	}
 
-	// Nothing similar cached: the error must still propagate.
-	if _, err := p.Complete(context.Background(), llm.Request{
-		Prompt: "unrelated zebra migration trivia", Gold: "?",
-	}); !errors.Is(err, llm.ErrTransient) {
-		t.Errorf("unservable degraded request = %v, want the upstream error", err)
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	resp := postJSON(t, srv, "/v1/complete", CompletionRequest{Prompt: near, Gold: "?"})
+	var env ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("JSON: status %d, Retry-After %q; want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if env.Error.Code != "upstream_unavailable" || !env.Error.Retryable {
+		t.Errorf("JSON envelope = %+v, want retryable upstream_unavailable", env.Error)
+	}
+
+	resp = postJSON(t, srv, "/v1/complete", CompletionRequest{Prompt: near, Gold: "?", Stream: true})
+	events := readSSE(t, resp.Body)
+	resp.Body.Close()
+	if len(events) != 1 || events[0].name != "error" {
+		t.Fatalf("SSE events = %+v, want one error event", events)
+	}
+	var body ErrorBody
+	if err := json.Unmarshal([]byte(events[0].data), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body != env.Error {
+		t.Errorf("SSE error event %+v, JSON envelope %+v: the two surfaces disagree", body, env.Error)
+	}
+	if got := reg.Snapshot()[`proxy_requests_total{source="cache"}`]; got != 0 {
+		t.Errorf("%v requests answered from the cache, want none", got)
 	}
 }
 
@@ -254,7 +277,7 @@ func TestFaultInjectionAvailabilityAndAccounting(t *testing.T) {
 			BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Obs: reg}
 	}
 	p := New(Config{Models: []llm.Model{wrap(small), wrap(large)},
-		Obs: reg, Tracer: obs.NewTracer(16), StaleFloor: 0.5})
+		Obs: reg, Tracer: obs.NewTracer(16)})
 
 	set := workload.GenQA(7, 40)
 	total, ok := 0, 0

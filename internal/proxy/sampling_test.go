@@ -103,14 +103,14 @@ func checkExemplarsResolve(t *testing.T, p *Proxy, reg *obs.Registry) {
 
 // Under a zero budget every outcome of the read-mode matrix, plus a slow
 // request, leaves exactly the metrics, SLO and tenant records the
-// fully-sampled proxy leaves. Shed, error, stale and slow requests are
+// fully-sampled proxy leaves. Shed, error and slow requests are
 // promoted: one childless root and one terminal event each. Cache,
 // cascade, coalesced and canceled requests leave nothing else, though
 // their replies still carry a trace ID.
 func TestZeroBudgetKeepsWhatMustBeKept(t *testing.T) {
 	full := append(readScenarios(newTestProxy), slowScenario(testProxyOn))
 	zero := append(readScenarios(unkeptProxy), slowScenario(unkeptProxyOn))
-	promoted := map[string]bool{"stale": true, "error": true, "shed": true, "slow": true}
+	promoted := map[string]bool{"error": true, "shed": true, "slow": true}
 	for i, sc := range zero {
 		t.Run(sc.outcome, func(t *testing.T) {
 			for _, streamed := range []bool{false, true} {

@@ -10,7 +10,7 @@
 //   - followers replay the same log live with costs zeroed, because the
 //     leader's tenant paid for the run — and a follower (or the leader)
 //     disconnecting mid-stream never disturbs the rest of the cohort;
-//   - a failed upstream degrades per client to a stale cache chunk;
+//   - a failed upstream ends every client's stream with its error;
 //   - semantic-cache hits stream instantly as a single pre-paid chunk.
 //
 // Billing stays meter-exact: the sum of a leader's chunk costs equals
@@ -43,8 +43,8 @@ type Chunk struct {
 	// Cost is the incremental cost of this chunk in micro-dollars. Zero
 	// for followers and cache hits — the leader's tenant paid.
 	Cost token.Cost `json:"cost_micro_usd"`
-	// Restart marks the first chunk of a new attempt (tier escalation or
-	// stale degrade): discard previously buffered text.
+	// Restart marks the first chunk of a new attempt (tier escalation):
+	// discard previously buffered text.
 	Restart bool `json:"restart,omitempty"`
 	// Final marks the last chunk of the stream.
 	Final bool `json:"final,omitempty"`
@@ -120,15 +120,14 @@ func (c *call) finish(ans Answer, err error, steps int) {
 // the pump loop reads).
 type clientStream struct {
 	request
-	p      *Proxy
-	prompt string
-	c      *call     // nil for a pre-settled cache-hit stream
-	wait   *obs.Span // a follower's coalesce.wait span; nil for everyone else
+	p    *Proxy
+	c    *call     // nil for a pre-settled cache-hit stream
+	wait *obs.Span // a follower's coalesce.wait span; nil for everyone else
 
 	mu      sync.Mutex
 	closeCh chan struct{}
 	next    int    // read position in the log
-	pending *Chunk // cache-hit or stale-degrade chunk awaiting delivery
+	pending *Chunk // cache-hit chunk awaiting delivery
 	// settled: nothing more will be read from the log; the record's
 	// outcome, ans and err hold the result, reported once pending is
 	// delivered.
@@ -139,9 +138,9 @@ type clientStream struct {
 
 // newClientStream makes rq the record of a client served the given way;
 // until something goes wrong, that is also how the request will end.
-func (p *Proxy) newClientStream(rq request, prompt string, c *call, source string) *clientStream {
+func (p *Proxy) newClientStream(rq request, c *call, source string) *clientStream {
 	rq.source, rq.outcome = source, source
-	return &clientStream{request: rq, p: p, prompt: prompt, c: c, closeCh: make(chan struct{})}
+	return &clientStream{request: rq, p: p, c: c, closeCh: make(chan struct{})}
 }
 
 // Recv implements Stream.
@@ -207,7 +206,6 @@ func (s *clientStream) poll(dst []Chunk) (ready []Chunk, wait <-chan struct{}, e
 		}
 		ans, cerr := c.ans, c.err
 		c.mu.Unlock()
-		// Settling leaves a stale-degrade chunk pending, or the end.
 		s.settle(ans, cerr)
 	}
 }
@@ -249,21 +247,13 @@ func (s *clientStream) deliver(ch *Chunk) {
 }
 
 // settle resolves the stream once the shared log finished: the client's
-// answer on success, a per-client stale degrade (or the error) on
-// failure. Called with s.mu held.
+// answer on success, the error on failure. Called with s.mu held.
 func (s *clientStream) settle(ans Answer, err error) {
 	s.settled = true
 	s.wait.End()
 	switch {
 	case err != nil:
 		s.outcome = "error"
-		if stale, ok := s.p.degrade(s.ctx, s.prompt); ok {
-			// One replacement chunk, marked Restart when this client
-			// already saw partial output from the failed run.
-			s.pending = &Chunk{Text: stale.Text, Model: stale.Model, Confidence: stale.Confidence,
-				Restart: s.chunks > 0, Final: true, Index: s.next}
-			ans, err, s.outcome = stale, nil, "stale"
-		}
 	case s.source == "coalesced":
 		ans.Source = "coalesced"
 		ans.Cost = 0 // the first caller paid

@@ -546,8 +546,8 @@ func (s *colStore) offerApprox(t *topK, p *preparedQuery, id func(int) ID, keep 
 // plane), applies the head test and lists the rows it does not prove below
 // the floor, so a dropped row costs no Go at all; the few that pass get
 // the rest of their dot from their own code and go on as in scanRows.
-// Where the floor is low against the data — a stale lookup's, or a corpus
-// of near-duplicates — most rows pass and the head test only adds work, so
+// Where the floor is low against the data — the memo's neighbour search
+// at 2θ² − 1, or a corpus of near-duplicates — most rows pass and the head test only adds work, so
 // the first block in which more than half the rows pass is left to
 // scanRows, from where scanHeads returns with the reject cut so far. Which
 // rows are dropped does not depend on where it stops: the head test drops

@@ -242,8 +242,10 @@ func WithScheduler(cfg SchedulerConfig) ProxyOption {
 
 // ResilienceConfig parameterizes the proxy's load shedding (see
 // WithResilience). The zero value sets no concurrency limit. The proxy's
-// other protections are always on: per-model circuit breakers, stale
-// serving and a 30s upstream timeout.
+// other protections are always on: per-model circuit breakers and a 30s
+// upstream timeout. A request the cascade cannot answer fails with a
+// retryable error; it is never answered from the cache below the hit
+// threshold.
 type ResilienceConfig struct {
 	// MaxConcurrent caps requests served at once; 0 disables the limiter.
 	MaxConcurrent int
