@@ -19,10 +19,13 @@
 // The package also holds the distance kernels every vector scan runs on
 // (kernels.go): Dot, SqL2 and Cosine over float32; DotInt8 over one pair of
 // int8 codes; DotInt8Rows over a block of rows against one query code (the
-// quantized scan); DotInt8HeadsPass, which scores a block of 32-byte heads
+// quantized scan); DotInt8HeadsPass, which scores rows of a heads plane —
+// each row's first 32 code bytes, stored sixteen rows to a block by
+// SetHead so that one multiply-add scores a 4-byte group of all sixteen —
 // and applies vector's head test in the same pass, returning only the rows
 // that pass (the floored cosine scan); and QuantizeInto, which makes the
-// codes. On amd64 with AVX2 they run in assembly, elsewhere in portable Go.
+// codes. On amd64 with AVX2 they run in assembly, DotInt8HeadsPass with
+// AVX-512 VNNI where the CPU has it, and elsewhere in portable Go.
 package embed
 
 import (

@@ -10,7 +10,8 @@
 //     the floating-point dependency chain so the scalar path pipelines;
 //   - an amd64 AVX2+FMA fast path (kernels_amd64.s), selected at startup by
 //     CPUID feature detection, with the generic code as fallback and tail
-//     handler.
+//     handler; DotInt8HeadsPass also has an AVX-512 VNNI path, taken
+//     before AVX2 where the CPU and the OS support it.
 //
 // Accumulation is float32 lanes combined in float64 — results can differ
 // from a sequential float64 loop in the last few ulps, which every consumer
@@ -160,9 +161,57 @@ func dotInt8RowsGeneric(out []int32, q, rows []int8) {
 	}
 }
 
-// HeadLen is the row length DotInt8HeadsPass reads: one 32-byte chunk of
-// the rows kernel.
-const HeadLen = 32
+// The heads plane. A row's head is its first HeadLen code bytes, and the
+// plane stores heads in blocks of headRows rows, headBlockLen bytes each.
+// In a block, group k of every row's head (its bytes 4k..4k+3) sits
+// together: row r's group k is at k*headRows*4 + r*4. So one 64-byte line
+// holds a group of all sixteen rows, and one multiply-add of the query's
+// group k, broadcast, scores them all with no horizontal reduction. Each
+// byte is stored with its sign bit flipped (code ^ 0x80, which read
+// unsigned is code+128), the unsigned operand of VPDPBUSD; a kernel takes
+// 128·Σq off at the end. A plane of n rows is HeadPlaneLen(n) bytes, and
+// the slots past row n in its last block are never read.
+const (
+	HeadLen      = 32
+	headRows     = 16
+	headBlockLen = headRows * HeadLen // 512
+
+	headGroupLen = headRows * 4 // one 4-byte group of every row in a block
+)
+
+// HeadPlaneLen is the length of a heads plane of n rows: whole blocks.
+func HeadPlaneLen(n int) int {
+	return (n + headRows - 1) / headRows * headBlockLen
+}
+
+// SetHead writes head, a row's first HeadLen code bytes, as row i of the
+// heads plane, which must hold at least i+1 rows. head must not contain
+// -128 (QuantizeInto never emits it): the AVX2 kernel cannot negate it.
+func SetHead(plane []uint8, i int, head []int8) {
+	head = head[:HeadLen]
+	blk := plane[i/headRows*headBlockLen:][:headBlockLen]
+	at := i % headRows * 4
+	for k := 0; k < HeadLen/4; k++ {
+		g := blk[k*headGroupLen+at:][:4]
+		for j := range g {
+			g[j] = uint8(head[4*k+j]) ^ 0x80
+		}
+	}
+}
+
+// headDot is q's dot with row r's head in the plane.
+func headDot(q []int8, plane []uint8, r int) int32 {
+	qa := (*[HeadLen]int8)(q)
+	g := (*[headBlockLen - headGroupLen + 4]uint8)(plane[r/headRows*headBlockLen+r%headRows*4:])
+	var s0, s1, s2, s3 int32
+	for k := 0; k < HeadLen/4; k++ {
+		s0 += int32(qa[4*k]) * (int32(g[k*headGroupLen]) - 128)
+		s1 += int32(qa[4*k+1]) * (int32(g[k*headGroupLen+1]) - 128)
+		s2 += int32(qa[4*k+2]) * (int32(g[k*headGroupLen+2]) - 128)
+		s3 += int32(qa[4*k+3]) * (int32(g[k*headGroupLen+3]) - 128)
+	}
+	return s0 + s1 + s2 + s3
+}
 
 // HeadCut is the query side of DotInt8HeadsPass's test: a row with head
 // dot h and weights cosw, tailw, qerrw is below the cut when
@@ -172,8 +221,8 @@ type HeadCut struct {
 	Tail, Err, Cut float32
 }
 
-// Below is the test for one row, and the reference the AVX2 kernel
-// reproduces bit for bit: each product rounded to float32 on its own (the
+// Below is the test for one row, and the reference the assembly kernels
+// reproduce bit for bit: each product rounded to float32 on its own (the
 // conversions keep a compiler from fusing them into an FMA), summed left
 // to right, compared with <, so a NaN sum is never below and a +Inf
 // weight never is either.
@@ -181,17 +230,18 @@ func (c HeadCut) Below(h int32, cosw, tailw, qerrw float32) bool {
 	return float32(float32(h)*cosw)+float32(c.Tail*tailw)+float32(c.Err*qerrw) < c.Cut
 }
 
-// DotInt8HeadsPass scores a block of heads — HeadLen-byte rows, contiguous
-// — against the query head q, writes the dots to dots, and writes to pass
-// the block offsets, ascending, of the rows c does not prove Below the
-// cut, returning how many there are. One call covers at most 256 rows, so
-// an offset fits a byte; pass must hold len(dots) of them. The AVX2 path
-// scores eight rows at a time and tests them in the same pass, so a row
-// that is below costs no Go at all. rows must not contain -128, as in
-// DotInt8Rows.
-func DotInt8HeadsPass(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, qerrw []float32, c HeadCut) int {
+// DotInt8HeadsPass scores the first len(dots) rows of a heads plane
+// (HeadPlaneLen(len(dots)) bytes, see SetHead) against the query head q,
+// writes the dots to dots, and writes to pass the row offsets, ascending,
+// of the rows c does not prove Below the cut, returning how many there
+// are. One call covers at most 256 rows, so an offset fits a byte; pass
+// must hold len(dots) of them. The assembly paths score a block of sixteen
+// rows at a time and test them in the same pass, so a row that is below
+// costs no Go at all; the rows past the last whole block take the Go
+// reference.
+func DotInt8HeadsPass(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut) int {
 	n := len(dots)
-	if len(q) != HeadLen || len(heads) != n*HeadLen || len(cosw) != n || len(tailw) != n || len(qerrw) != n || len(pass) < n {
+	if len(q) != HeadLen || len(heads) != HeadPlaneLen(n) || len(cosw) != n || len(tailw) != n || len(qerrw) != n || len(pass) < n {
 		panic("embed: kernel length mismatch")
 	}
 	if n > 256 {
@@ -202,11 +252,11 @@ func DotInt8HeadsPass(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, 
 }
 
 // dotInt8HeadsPassGeneric is DotInt8HeadsPass from row r on, np survivors
-// already written: the reference whole (r = np = 0), and the arch path's
-// tail.
-func dotInt8HeadsPassGeneric(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, qerrw []float32, c HeadCut, r, np int) int {
+// already written: the reference whole (r = np = 0), and the assembly
+// paths' tail.
+func dotInt8HeadsPassGeneric(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut, r, np int) int {
 	for ; r < len(dots); r++ {
-		h := dotInt8Generic(q, heads[r*HeadLen:(r+1)*HeadLen])
+		h := headDot(q, heads, r)
 		dots[r] = h
 		pass[np] = uint8(r)
 		if !c.Below(h, cosw[r], tailw[r], qerrw[r]) {

@@ -3,7 +3,8 @@ package embed
 // AVX2+FMA dispatch for the distance kernels. Feature detection runs once
 // at startup via CPUID/XGETBV (kernels_amd64.s); on CPUs without AVX2+FMA
 // — or when the OS does not save YMM state — every kernel falls back to
-// the portable generic code.
+// the portable generic code. DotInt8HeadsPass runs its AVX-512 VNNI kernel
+// ahead of the AVX2 one where the CPU has it and the OS saves ZMM state.
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (ax, bx, cx, dx uint32)
@@ -24,9 +25,15 @@ func dotInt8AVX2(a, b *int8, n int) int32
 func dotInt8RowsAVX2(out *int32, q, rows *int8, n, stride, nrows int)
 
 //go:noescape
-func dotInt8HeadsPassAVX2(dots *int32, pass *uint8, q, heads *int8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
+func dotInt8HeadsPassAVX2(dots *int32, pass *uint8, q *int8, heads *uint8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
 
-var useAVX2 = detectAVX2()
+//go:noescape
+func dotInt8HeadsPassVNNI(dots *int32, pass *uint8, q *int8, heads *uint8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
+
+var (
+	useAVX2 = detectAVX2()
+	useVNNI = detectVNNI()
+)
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuidAsm(0, 0)
@@ -50,6 +57,32 @@ func detectAVX2() bool {
 	_, bx, _, _ := cpuidAsm(7, 0)
 	const avx2 = 1 << 5
 	return bx&avx2 != 0
+}
+
+// detectVNNI reports whether the heads kernel's AVX-512 VNNI path can run:
+// CPUID has AVX512F, AVX512BW and AVX512_VNNI, and XCR0 has bits 1 and 2
+// (SSE and AVX state), 5 (the opmask registers), 6 and 7 (the upper halves
+// of Z0–Z15 and all of Z16–Z31), which the OS must save for the kernel's
+// registers to survive a context switch.
+func detectVNNI() bool {
+	maxID, _, _, _ := cpuidAsm(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	const osxsave = 1 << 27
+	if _, _, cx, _ := cpuidAsm(1, 0); cx&osxsave == 0 {
+		return false // XGETBV would fault
+	}
+	if ax, _ := xgetbvAsm(); ax&0xe6 != 0xe6 {
+		return false
+	}
+	_, bx, cx, _ := cpuidAsm(7, 0)
+	const (
+		avx512f    = 1 << 16 // EBX
+		avx512bw   = 1 << 30 // EBX
+		avx512vnni = 1 << 11 // ECX
+	)
+	return bx&avx512f != 0 && bx&avx512bw != 0 && cx&avx512vnni != 0
 }
 
 // archMinLen is the vector length below which the SIMD call overhead
@@ -112,14 +145,33 @@ func dotInt8RowsArch(out []int32, q, rows []int8) bool {
 	return true
 }
 
-// dotInt8HeadsPassArch runs the heads kernel over the block's whole groups
-// of eight rows and returns how many rows it covered and how many of them
-// passed; the generic code takes the rest.
-func dotInt8HeadsPassArch(dots []int32, pass []uint8, q, heads []int8, cosw, tailw, qerrw []float32, c HeadCut) (int, int) {
-	n := len(dots) &^ 7
-	if !useAVX2 || n == 0 {
+// dotInt8HeadsPassArch runs the best heads kernel the CPU has over the
+// plane's whole blocks and returns how many rows it covered and how many
+// of them passed; the generic code takes the rest.
+func dotInt8HeadsPassArch(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut) (int, int) {
+	switch {
+	case useVNNI:
+		return headsPassVNNI(dots, pass, q, heads, cosw, tailw, qerrw, c)
+	case useAVX2:
+		return headsPassAVX2(dots, pass, q, heads, cosw, tailw, qerrw, c)
+	}
+	return 0, 0
+}
+
+// headsPassVNNI is dotInt8HeadsPassArch on the AVX-512 VNNI kernel.
+func headsPassVNNI(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut) (int, int) {
+	n := len(dots) &^ (headRows - 1)
+	if n == 0 {
 		return 0, 0
 	}
-	np := dotInt8HeadsPassAVX2(&dots[0], &pass[0], &q[0], &heads[0], &cosw[0], &tailw[0], &qerrw[0], n, c.Tail, c.Err, c.Cut)
-	return n, np
+	return n, dotInt8HeadsPassVNNI(&dots[0], &pass[0], &q[0], &heads[0], &cosw[0], &tailw[0], &qerrw[0], n, c.Tail, c.Err, c.Cut)
+}
+
+// headsPassAVX2 is dotInt8HeadsPassArch on the AVX2 kernel.
+func headsPassAVX2(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut) (int, int) {
+	n := len(dots) &^ (headRows - 1)
+	if n == 0 {
+		return 0, 0
+	}
+	return n, dotInt8HeadsPassAVX2(&dots[0], &pass[0], &q[0], &heads[0], &cosw[0], &tailw[0], &qerrw[0], n, c.Tail, c.Err, c.Cut)
 }

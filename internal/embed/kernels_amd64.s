@@ -1,11 +1,16 @@
-// AVX2+FMA distance kernels. Callers (kernels_amd64.go) guarantee:
+// AVX2+FMA distance kernels, and the AVX-512 VNNI heads kernel. Callers
+// (kernels_amd64.go) guarantee:
 //   - dotAVX2 / sqL2AVX2: n is a multiple of 8, n >= 8
 //   - dotInt8AVX2:        n is a multiple of 16, n >= 16
 //   - dotInt8RowsAVX2:    n is a multiple of 32, 32 <= n <= stride, and no
 //                         row byte is -128
-//   - dotInt8HeadsPassAVX2: nrows is a multiple of 8, 8 <= nrows <= 256, no
-//                         head byte is -128, and pass holds nrows bytes
-// and that AVX2+FMA were detected before any kernel is invoked.
+//   - dotInt8HeadsPassAVX2 / dotInt8HeadsPassVNNI: heads is a blocked
+//                         heads plane, nrows is a multiple of 16,
+//                         16 <= nrows <= 256, no head code is -128 (a
+//                         stored byte of 0, which only the AVX2 kernel
+//                         cannot take), and pass holds nrows bytes
+// and that AVX2+FMA (for the VNNI kernel: AVX512F, AVX512BW, AVX512_VNNI
+// and the ZMM state) were detected before any kernel is invoked.
 // Four independent accumulators per kernel keep the FMA pipeline full;
 // the remainder under one unrolled stride runs in a narrow loop.
 
@@ -285,21 +290,51 @@ rows_done:
 	VZEROUPPER
 	RET
 
-// func dotInt8HeadsPassAVX2(dots *int32, pass *uint8, q, heads *int8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
-// DotInt8HeadsPass over eight 32-byte rows per pass. The query head (Y14)
-// and its absolute value (Y13) are loaded once. Each row's chunk goes
-// through VPSIGNB/VPMADDUBSW/VPMADDWD as in dotInt8RowsAVX2, leaving eight
-// int32 partial sums in Y0..Y7; six VPHADDDs fold them into two registers
-// whose 128-bit lanes hold four rows' half-sums each, and two VPERM2I128s
-// and a VPADDD line the eight totals up in row order, stored as the dots.
-// The test is HeadCut.Below's expression in its operation order —
-// float32(h)*cosw, Tail*tailw and Err*qerrw each rounded by its own
-// VMULPS, then two VADDPS left to right, never an FMA — so the lanes round
-// exactly as the Go test does, and VCMPPS LT_OQ (false on NaN) against the
-// cut, then VMOVMSKPS, gives the rows below it. The complement's set bits
-// are the survivors, written out lowest first as block offsets. Survivors
-// are rare under a useful cut, so a pass with none takes one branch.
-TEXT ·dotInt8HeadsPassAVX2(SB), NOSPLIT, $0-88
+// The heads kernels. Both read the blocked heads plane (embed.SetHead):
+// per block of sixteen rows, eight 64-byte lines, line k holding 4-byte
+// group k of every row, each byte the row's code plus 128. Both store a
+// block's sixteen dots and then apply the head test to them in
+// HeadCut.Below's operation order — float32(h)*cosw, Tail*tailw and
+// Err*qerrw each rounded by its own VMULPS, then two VADDPS left to right,
+// never an FMA — so the lanes round exactly as the Go test does, and
+// VCMPPS LT_OQ (false on NaN) against the cut gives the rows below it. The
+// complement's set bits are the survivors, written out lowest first as
+// row offsets. Survivors are rare under a useful cut, so a block with none
+// takes one branch.
+
+// func dotInt8HeadsPassAVX2(dots *int32, pass *uint8, q *int8, heads *uint8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
+// Query group k is broadcast to every dword once per call: its absolute
+// value stays in Yk (Y0..Y7) and its signs in a 256-byte table on the
+// stack. Per block and group, the two 32-byte halves of line k (rows 0-7
+// and 8-15) get their bias back (VPXOR 0x80), take the query's sign
+// (VPSIGNB), are multiplied by |q| into int16 pairs (VPMADDUBSW, at most
+// 2*128*127, so never saturating while no code is -128) and widened into
+// each row's dword (VPMADDWD against ones), which VPADDD adds to the
+// half's accumulator, Y12 or Y13: the dots come out in row order, with no
+// horizontal reduction.
+// AVX2_QUERY(g, absq) broadcasts the query group at byte g to every dword,
+// stores it at 8*g(SP) and leaves its absolute value in absq.
+#define AVX2_QUERY(g, absq) \
+	VPBROADCASTD g(SI), absq; \
+	VMOVDQU absq, (8*g)(SP); \
+	VPABSB absq, absq
+
+// AVX2_GROUP(g, absq) adds the products of the block's line g/4 (at
+// 16*g(DI): rows 0-7, then 8-15) and the query group at byte g to each
+// row's dword in Y12 (rows 0-7) and Y13 (rows 8-15).
+#define AVX2_GROUP(g, absq) \
+	VPXOR (16*g)(DI), Y14, Y8; \
+	VPXOR (16*g+32)(DI), Y14, Y9; \
+	VPSIGNB (8*g)(SP), Y8, Y8; \
+	VPSIGNB (8*g)(SP), Y9, Y9; \
+	VPMADDUBSW Y8, absq, Y8; \
+	VPMADDUBSW Y9, absq, Y9; \
+	VPMADDWD Y15, Y8, Y8; \
+	VPMADDWD Y15, Y9, Y9; \
+	VPADDD Y8, Y12, Y12; \
+	VPADDD Y9, Y13, Y13
+
+TEXT ·dotInt8HeadsPassAVX2(SB), NOSPLIT, $256-88
 	MOVQ dots+0(FP), R8
 	MOVQ pass+8(FP), R9
 	MOVQ q+16(FP), SI
@@ -308,81 +343,161 @@ TEXT ·dotInt8HeadsPassAVX2(SB), NOSPLIT, $0-88
 	MOVQ tailw+40(FP), R11
 	MOVQ qerrw+48(FP), R12
 	MOVQ nrows+56(FP), CX
-	VBROADCASTSS tail+64(FP), Y12
-	VBROADCASTSS err+68(FP), Y11
-	VBROADCASTSS cut+72(FP), Y10
-	VMOVDQU (SI), Y14
-	VPABSB Y14, Y13
+	AVX2_QUERY(0, Y0)
+	AVX2_QUERY(4, Y1)
+	AVX2_QUERY(8, Y2)
+	AVX2_QUERY(12, Y3)
+	AVX2_QUERY(16, Y4)
+	AVX2_QUERY(20, Y5)
+	AVX2_QUERY(24, Y6)
+	AVX2_QUERY(28, Y7)
 	VPCMPEQW Y15, Y15, Y15
 	VPSRLW $15, Y15, Y15 // sixteen int16 ones
-	XORQ BX, BX          // row offset of the pass
-	XORQ R13, R13        // survivors written
-heads8:
-	VMOVDQU (DI), Y0
-	VMOVDQU 32(DI), Y1
-	VMOVDQU 64(DI), Y2
-	VMOVDQU 96(DI), Y3
-	VMOVDQU 128(DI), Y4
-	VMOVDQU 160(DI), Y5
-	VMOVDQU 192(DI), Y6
-	VMOVDQU 224(DI), Y7
-	VPSIGNB Y14, Y0, Y0
-	VPSIGNB Y14, Y1, Y1
-	VPSIGNB Y14, Y2, Y2
-	VPSIGNB Y14, Y3, Y3
-	VPSIGNB Y14, Y4, Y4
-	VPSIGNB Y14, Y5, Y5
-	VPSIGNB Y14, Y6, Y6
-	VPSIGNB Y14, Y7, Y7
-	VPMADDUBSW Y0, Y13, Y0
-	VPMADDUBSW Y1, Y13, Y1
-	VPMADDUBSW Y2, Y13, Y2
-	VPMADDUBSW Y3, Y13, Y3
-	VPMADDUBSW Y4, Y13, Y4
-	VPMADDUBSW Y5, Y13, Y5
-	VPMADDUBSW Y6, Y13, Y6
-	VPMADDUBSW Y7, Y13, Y7
-	VPMADDWD Y15, Y0, Y0
-	VPMADDWD Y15, Y1, Y1
-	VPMADDWD Y15, Y2, Y2
-	VPMADDWD Y15, Y3, Y3
-	VPMADDWD Y15, Y4, Y4
-	VPMADDWD Y15, Y5, Y5
-	VPMADDWD Y15, Y6, Y6
-	VPMADDWD Y15, Y7, Y7
-	VPHADDD Y1, Y0, Y0 // rows 0,1: pairs of quarter-sums
-	VPHADDD Y3, Y2, Y2
-	VPHADDD Y5, Y4, Y4
-	VPHADDD Y7, Y6, Y6
-	VPHADDD Y2, Y0, Y0 // rows 0-3: low lane bytes 0-15, high lane bytes 16-31
-	VPHADDD Y6, Y4, Y4 // rows 4-7 likewise
-	VPERM2I128 $0x20, Y4, Y0, Y1
-	VPERM2I128 $0x31, Y4, Y0, Y2
-	VPADDD Y2, Y1, Y1 // rows 0-7 in lanes 0-7
-	VMOVDQU Y1, (R8)(BX*4)
-	VCVTDQ2PS Y1, Y1
-	VMULPS (R10)(BX*4), Y1, Y1
-	VMULPS (R11)(BX*4), Y12, Y2
-	VMULPS (R12)(BX*4), Y11, Y3
-	VADDPS Y2, Y1, Y1
-	VADDPS Y3, Y1, Y1
-	VCMPPS $0x11, Y10, Y1, Y1 // LT_OQ: sum < cut
-	VMOVMSKPS Y1, AX
-	XORL $0xff, AX            // the rows not below the cut
-	JZ   heads_next
-heads_emit:
+	MOVL $0x80808080, AX
+	VMOVD AX, X14
+	VPBROADCASTD X14, Y14 // the bias, 0x80 in every byte
+	XORQ BX, BX           // row offset of the block
+	XORQ R13, R13         // survivors written
+avx2_block:
+	VPXOR Y12, Y12, Y12
+	VPXOR Y13, Y13, Y13
+	AVX2_GROUP(0, Y0)
+	AVX2_GROUP(4, Y1)
+	AVX2_GROUP(8, Y2)
+	AVX2_GROUP(12, Y3)
+	AVX2_GROUP(16, Y4)
+	AVX2_GROUP(20, Y5)
+	AVX2_GROUP(24, Y6)
+	AVX2_GROUP(28, Y7)
+	VMOVDQU Y12, (R8)(BX*4)
+	VMOVDQU Y13, 32(R8)(BX*4)
+	VBROADCASTSS tail+64(FP), Y10
+	VBROADCASTSS err+68(FP), Y11
+	VCVTDQ2PS Y12, Y12
+	VCVTDQ2PS Y13, Y13
+	VMULPS (R10)(BX*4), Y12, Y12
+	VMULPS 32(R10)(BX*4), Y13, Y13
+	VMULPS (R11)(BX*4), Y10, Y8
+	VMULPS 32(R11)(BX*4), Y10, Y9
+	VADDPS Y8, Y12, Y12
+	VADDPS Y9, Y13, Y13
+	VMULPS (R12)(BX*4), Y11, Y8
+	VMULPS 32(R12)(BX*4), Y11, Y9
+	VADDPS Y8, Y12, Y12
+	VADDPS Y9, Y13, Y13
+	VBROADCASTSS cut+72(FP), Y10
+	VCMPPS $0x11, Y10, Y12, Y12 // LT_OQ: sum < cut
+	VCMPPS $0x11, Y10, Y13, Y13
+	VMOVMSKPS Y12, AX
+	VMOVMSKPS Y13, DX
+	SHLL $8, DX
+	ORL  DX, AX
+	XORL $0xffff, AX            // the rows not below the cut
+	JZ   avx2_next
+avx2_emit:
 	BSFL AX, DX
 	ADDL BX, DX
 	MOVB DX, (R9)(R13*1)
 	INCQ R13
 	LEAL -1(AX), DX
 	ANDL DX, AX
-	JNZ  heads_emit
-heads_next:
-	ADDQ $256, DI
-	ADDQ $8, BX
+	JNZ  avx2_emit
+avx2_next:
+	ADDQ $512, DI
+	ADDQ $16, BX
 	CMPQ BX, CX
-	JL   heads8
+	JL   avx2_block
+	VZEROUPPER
+	MOVQ R13, ret+80(FP)
+	RET
+
+// func dotInt8HeadsPassVNNI(dots *int32, pass *uint8, q *int8, heads *uint8, cosw, tailw, qerrw *float32, nrows int, tail, err, cut float32) int
+// Query group k is broadcast to every dword of Z16+k once per call. Per
+// block, VPDPBUSD multiplies line k's biased bytes (unsigned) by the
+// query group (signed) and adds each row's four products to its dword, so
+// eight VPDPBUSDs into two accumulators score sixteen rows. The sums are
+// exact in int32 (no saturation), and the bias comes off by starting one
+// accumulator at -128·Σq, which the same instruction computes up front
+// from 0x80 bytes.
+TEXT ·dotInt8HeadsPassVNNI(SB), NOSPLIT, $0-88
+	MOVQ dots+0(FP), R8
+	MOVQ pass+8(FP), R9
+	MOVQ q+16(FP), SI
+	MOVQ heads+24(FP), DI
+	MOVQ cosw+32(FP), R10
+	MOVQ tailw+40(FP), R11
+	MOVQ qerrw+48(FP), R12
+	MOVQ nrows+56(FP), CX
+	VBROADCASTSS tail+64(FP), Z12
+	VBROADCASTSS err+68(FP), Z11
+	VBROADCASTSS cut+72(FP), Z10
+	VPBROADCASTD 0(SI), Z16
+	VPBROADCASTD 4(SI), Z17
+	VPBROADCASTD 8(SI), Z18
+	VPBROADCASTD 12(SI), Z19
+	VPBROADCASTD 16(SI), Z20
+	VPBROADCASTD 20(SI), Z21
+	VPBROADCASTD 24(SI), Z22
+	VPBROADCASTD 28(SI), Z23
+	MOVL $0x80808080, AX
+	VPBROADCASTD AX, Z8
+	VPXORD Z9, Z9, Z9
+	VPDPBUSD Z16, Z8, Z9
+	VPDPBUSD Z17, Z8, Z9
+	VPDPBUSD Z18, Z8, Z9
+	VPDPBUSD Z19, Z8, Z9
+	VPDPBUSD Z20, Z8, Z9
+	VPDPBUSD Z21, Z8, Z9
+	VPDPBUSD Z22, Z8, Z9
+	VPDPBUSD Z23, Z8, Z9
+	VPXORD Z14, Z14, Z14
+	VPSUBD Z9, Z14, Z14 // -128·Σq in every dword
+	XORQ BX, BX         // row offset of the block
+	XORQ R13, R13       // survivors written
+vnni_block:
+	VMOVDQA32 Z14, Z0
+	VPXORD Z13, Z13, Z13
+	VMOVDQU32 0(DI), Z1
+	VMOVDQU32 64(DI), Z2
+	VMOVDQU32 128(DI), Z3
+	VMOVDQU32 192(DI), Z4
+	VMOVDQU32 256(DI), Z5
+	VMOVDQU32 320(DI), Z6
+	VMOVDQU32 384(DI), Z7
+	VMOVDQU32 448(DI), Z8
+	VPDPBUSD Z16, Z1, Z0
+	VPDPBUSD Z17, Z2, Z13
+	VPDPBUSD Z18, Z3, Z0
+	VPDPBUSD Z19, Z4, Z13
+	VPDPBUSD Z20, Z5, Z0
+	VPDPBUSD Z21, Z6, Z13
+	VPDPBUSD Z22, Z7, Z0
+	VPDPBUSD Z23, Z8, Z13
+	VPADDD Z13, Z0, Z0
+	VMOVDQU32 Z0, (R8)(BX*4)
+	VCVTDQ2PS Z0, Z0
+	VMULPS (R10)(BX*4), Z0, Z0
+	VMULPS (R11)(BX*4), Z12, Z1
+	VMULPS (R12)(BX*4), Z11, Z2
+	VADDPS Z1, Z0, Z0
+	VADDPS Z2, Z0, Z0
+	VCMPPS $0x11, Z10, Z0, K1 // LT_OQ: sum < cut
+	KMOVW K1, AX
+	XORL $0xffff, AX          // the rows not below the cut
+	JZ   vnni_next
+vnni_emit:
+	BSFL AX, DX
+	ADDL BX, DX
+	MOVB DX, (R9)(R13*1)
+	INCQ R13
+	LEAL -1(AX), DX
+	ANDL DX, AX
+	JNZ  vnni_emit
+vnni_next:
+	ADDQ $512, DI
+	ADDQ $16, BX
+	CMPQ BX, CX
+	JL   vnni_block
 	VZEROUPPER
 	MOVQ R13, ret+80(FP)
 	RET

@@ -436,9 +436,11 @@ func FuzzFloatKernels(f *testing.F) {
 	})
 }
 
-// headsBlock is one DotInt8HeadsPass input: n heads and their weights.
+// headsBlock is one DotInt8HeadsPass input: n heads, row-major in rows
+// and blocked in the plane heads, and their weights.
 type headsBlock struct {
-	q, heads           []int8
+	q, rows            []int8
+	heads              []uint8
 	cosw, tailw, qerrw []float32
 }
 
@@ -460,39 +462,87 @@ func randHeadsBlock(r *rand.Rand, n int) headsBlock {
 		}
 		return v
 	}
-	return headsBlock{q: code(HeadLen), heads: code(n * HeadLen), cosw: w(1e-4), tailw: w(1e-2), qerrw: w(1e-3)}
+	b := headsBlock{q: code(HeadLen), rows: code(n * HeadLen), heads: make([]uint8, HeadPlaneLen(n))}
+	for i := 0; i < n; i++ {
+		SetHead(b.heads, i, b.rows[i*HeadLen:(i+1)*HeadLen])
+	}
+	b.cosw, b.tailw, b.qerrw = w(1e-4), w(1e-2), w(1e-3)
+	return b
 }
 
-// passOf runs DotInt8HeadsPass (the AVX2 kernel where the CPU has it) and
-// the generic reference on b and fails unless both write the same dots and
-// the same survivors and return the same count.
-func passOf(t *testing.T, b headsBlock, c HeadCut) int {
+// headPath is one assembly path of DotInt8HeadsPass: its share of a call,
+// the whole blocks of sixteen rows, after which the generic code takes
+// the rest. ok says whether this CPU runs it.
+type headPath struct {
+	name string
+	ok   bool
+	arch func(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut) (int, int)
+}
+
+// run is DotInt8HeadsPass on path k alone.
+func (k headPath) run(dots []int32, pass []uint8, b headsBlock, c HeadCut) int {
+	r, np := k.arch(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c)
+	return dotInt8HeadsPassGeneric(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c, r, np)
+}
+
+// availableHeadPaths is every assembly path this CPU runs; it logs the
+// ones it skips, once per test.
+func availableHeadPaths(tb testing.TB) []headPath {
+	var ks []headPath
+	for _, k := range headPaths() {
+		if k.ok {
+			ks = append(ks, k)
+		} else {
+			tb.Logf("skipping the %s heads kernel: this CPU does not run it", k.name)
+		}
+	}
+	return ks
+}
+
+// passOf runs the generic reference, DotInt8HeadsPass (the dispatched
+// path) and each path in ks on b, and fails unless all write the same dots
+// and the same survivors and return the same count, and the reference's
+// dots are those of the row-major heads. It returns the count.
+func passOf(t *testing.T, ks []headPath, b headsBlock, c HeadCut) int {
 	t.Helper()
 	n := len(b.cosw)
-	dots, pass := make([]int32, n), make([]uint8, n)
-	np := DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c)
 	wantDots, wantPass := make([]int32, n), make([]uint8, n)
 	want := dotInt8HeadsPassGeneric(wantDots, wantPass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c, 0, 0)
-	if np != want || !slices.Equal(dots, wantDots) || !slices.Equal(pass[:np], wantPass[:want]) {
-		t.Fatalf("%d heads, cut %+v: kernel kept %d %v, reference %d %v (dots equal: %v)",
-			n, c, np, pass[:np], want, wantPass[:want], slices.Equal(dots, wantDots))
+	for r := range wantDots {
+		if h := dotInt8Generic(b.q, b.rows[r*HeadLen:(r+1)*HeadLen]); wantDots[r] != h {
+			t.Fatalf("%d heads: the reference reads row %d's dot from the plane as %d, the row's is %d", n, r, wantDots[r], h)
+		}
 	}
-	return np
+	check := func(name string, dots []int32, pass []uint8, np int) {
+		t.Helper()
+		if np != want || !slices.Equal(dots, wantDots) || !slices.Equal(pass[:np], wantPass[:want]) {
+			t.Fatalf("%s, %d heads, cut %+v: kernel kept %d %v, reference %d %v (dots equal: %v)",
+				name, n, c, np, pass[:np], want, wantPass[:want], slices.Equal(dots, wantDots))
+		}
+	}
+	dots, pass := make([]int32, n), make([]uint8, n)
+	check("DotInt8HeadsPass", dots, pass, DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c))
+	for _, k := range ks {
+		dots, pass := make([]int32, n), make([]uint8, n)
+		check(k.name, dots, pass, k.run(dots, pass, b, c))
+	}
+	return want
 }
 
 // headSum is HeadCut.Below's left-hand side for row r: a cut equal to it
 // leaves the row exactly on the edge, where a differently rounded sum in
 // either direction changes the decision.
 func headSum(b headsBlock, c HeadCut, r int) float32 {
-	h := dotInt8Generic(b.q, b.heads[r*HeadLen:(r+1)*HeadLen])
+	h := dotInt8Generic(b.q, b.rows[r*HeadLen:(r+1)*HeadLen])
 	return float32(float32(h)*b.cosw[r]) + float32(c.Tail*b.tailw[r]) + float32(c.Err*b.qerrw[r])
 }
 
-// The kernel drops exactly the rows the Go test drops, on random blocks of
+// Every path drops exactly the rows the Go test drops, on random blocks of
 // every size up to 256 with the cut placed on a row's own sum and one ulp
 // either side of it — the cuts where an FMA, another summation order or
 // <= for < would decide differently.
 func TestDotInt8HeadsPassMatchesReference(t *testing.T) {
+	ks := availableHeadPaths(t)
 	r := rand.New(rand.NewSource(8))
 	blocks := 3000
 	if raceEnabled {
@@ -506,7 +556,7 @@ func TestDotInt8HeadsPassMatchesReference(t *testing.T) {
 		edge := headSum(b, c, r.Intn(n))
 		for _, cut := range []float32{edge, math.Nextafter32(edge, float32(math.Inf(1))), math.Nextafter32(edge, float32(math.Inf(-1)))} {
 			c.Cut = cut
-			np := passOf(t, b, c)
+			np := passOf(t, ks, b, c)
 			kept, dropped = kept+np, dropped+n-np
 		}
 	}
@@ -519,12 +569,14 @@ func TestDotInt8HeadsPassMatchesReference(t *testing.T) {
 // factors, and cuts of either sign. A NaN sum is never below the cut, and
 // neither is a +Inf one, so those rows pass.
 func TestDotInt8HeadsPassSpecialValues(t *testing.T) {
+	ks := availableHeadPaths(t)
 	r := rand.New(rand.NewSource(9))
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	denorm := float32(math.SmallestNonzeroFloat32) * 3
 	specials := []float32{0, denorm, -denorm, inf, float32(math.Inf(-1)), nan, 1e30, 1}
-	for i := 0; i < 200; i++ {
-		n := []int{1, 7, 8, 9, 64, 255, 256}[i%7]
+	sizes := []int{1, 7, 8, 9, 15, 16, 17, 33, 64, 241, 255, 256}
+	for i := 0; i < 240; i++ {
+		n := sizes[i%len(sizes)]
 		b := randHeadsBlock(r, n)
 		for _, col := range [][]float32{b.cosw, b.tailw, b.qerrw} {
 			for j := range col {
@@ -537,15 +589,20 @@ func TestDotInt8HeadsPassSpecialValues(t *testing.T) {
 		if r.Intn(2) == 0 {
 			c.Cut = -c.Cut
 		}
-		passOf(t, b, c)
+		passOf(t, ks, b, c)
 	}
-	// A row with a +Inf qerrw or a NaN weight is never dropped.
-	b := randHeadsBlock(r, 16)
-	b.qerrw[3], b.cosw[11] = inf, nan
-	dots, pass := make([]int32, 16), make([]uint8, 16)
-	np := DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, HeadCut{Tail: 1, Err: 1, Cut: 1e30})
-	if !slices.Equal(pass[:np], []uint8{3, 11}) {
-		t.Errorf("under a cut every finite row is below, the kernel kept %v, want [3 11]", pass[:np])
+	// A row with a +Inf qerrw or a NaN weight is never dropped, on every
+	// path: rows 3 and 11 in the first block, 17 and 30 in the second.
+	b := randHeadsBlock(r, 32)
+	b.qerrw[3], b.cosw[11], b.tailw[17], b.cosw[30] = inf, nan, nan, nan
+	cut := HeadCut{Tail: 1, Err: 1, Cut: 1e30}
+	if np := passOf(t, ks, b, cut); np != 4 {
+		t.Fatalf("under a cut every finite row is below, %d rows passed, want 4", np)
+	}
+	dots, pass := make([]int32, 32), make([]uint8, 32)
+	np := DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, cut)
+	if !slices.Equal(pass[:np], []uint8{3, 11, 17, 30}) {
+		t.Errorf("under a cut every finite row is below, the kernel kept %v, want [3 11 17 30]", pass[:np])
 	}
 }
 
@@ -553,16 +610,19 @@ func TestDotInt8HeadsPassLengthMismatchPanics(t *testing.T) {
 	b := randHeadsBlock(rand.New(rand.NewSource(10)), 257)
 	for name, fn := range map[string]func(){
 		"short q": func() {
-			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q[:31], b.heads[:64], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q[:31], b.heads[:headBlockLen], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
 		},
 		"short heads": func() {
-			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q, b.heads[:63], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q, b.heads[:headBlockLen-1], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+		},
+		"a block too many": func() {
+			DotInt8HeadsPass(make([]int32, 16), make([]uint8, 16), b.q, b.heads[:2*headBlockLen], b.cosw[:16], b.tailw[:16], b.qerrw[:16], HeadCut{})
 		},
 		"short pass": func() {
-			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 1), b.q, b.heads[:64], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 1), b.q, b.heads[:headBlockLen], b.cosw[:2], b.tailw[:2], b.qerrw[:2], HeadCut{})
 		},
 		"short qerrw": func() {
-			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q, b.heads[:64], b.cosw[:2], b.tailw[:2], b.qerrw[:1], HeadCut{})
+			DotInt8HeadsPass(make([]int32, 2), make([]uint8, 2), b.q, b.heads[:headBlockLen], b.cosw[:2], b.tailw[:2], b.qerrw[:1], HeadCut{})
 		},
 		"257 rows": func() {
 			DotInt8HeadsPass(make([]int32, 257), make([]uint8, 257), b.q, b.heads, b.cosw, b.tailw, b.qerrw, HeadCut{})
@@ -582,21 +642,27 @@ func TestDotInt8HeadsPassLengthMismatchPanics(t *testing.T) {
 func TestDotInt8HeadsPassAllocs(t *testing.T) {
 	b := randHeadsBlock(rand.New(rand.NewSource(11)), 256)
 	dots, pass := make([]int32, 256), make([]uint8, 256)
+	c := HeadCut{Tail: 1, Err: 1, Cut: 0.5}
 	if a := testing.AllocsPerRun(100, func() {
-		DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, HeadCut{Tail: 1, Err: 1, Cut: 0.5})
+		DotInt8HeadsPass(dots, pass, b.q, b.heads, b.cosw, b.tailw, b.qerrw, c)
 	}); a != 0 {
 		t.Errorf("DotInt8HeadsPass allocates %v times a call, want 0", a)
 	}
+	for _, k := range availableHeadPaths(t) {
+		if a := testing.AllocsPerRun(100, func() { k.run(dots, pass, b, c) }); a != 0 {
+			t.Errorf("the %s path allocates %v times a call, want 0", k.name, a)
+		}
+	}
 }
 
-// FuzzDotInt8HeadsPass is the differential test of the heads kernel:
-// whatever path DotInt8HeadsPass dispatches to must write the dots, the
-// survivors and the count the generic reference does. nrows+1 heads (1 to
-// 256, so blocks with and without a partial group of eight) are drawn from
-// seed; each weight is picked by a byte of kinds from ordinary, zero,
-// denormal, +Inf, NaN and overflowing values; the query factors and the
-// cut are the fuzzer's own floats. Each input is checked at its own cut
-// and at a cut on one row's exact sum.
+// FuzzDotInt8HeadsPass is the differential test of the heads kernels:
+// every path this CPU runs, and the one DotInt8HeadsPass dispatches to,
+// must write the dots, the survivors and the count the generic reference
+// does. nrows+1 heads (1 to 256, so calls with and without a partial block
+// of sixteen) are drawn from seed; each weight is picked by a byte of
+// kinds from ordinary, zero, denormal, +Inf, NaN and overflowing values;
+// the query factors and the cut are the fuzzer's own floats. Each input is
+// checked at its own cut and at a cut on one row's exact sum.
 func FuzzDotInt8HeadsPass(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{0}, float32(1), float32(1), float32(0.5))
 	f.Add(uint8(7), int64(2), []byte{0, 1, 2}, float32(3), float32(2), float32(-0.5))
@@ -608,7 +674,15 @@ func FuzzDotInt8HeadsPass(f *testing.F) {
 	f.Add(uint8(255), int64(8), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 5}, float32(20), float32(30), float32(-1e-3))
 	f.Add(uint8(255), int64(9), []byte{}, float32(math.NaN()), float32(1), float32(0))
 	f.Add(uint8(31), int64(10), []byte{0}, float32(2), float32(2), float32(math.Inf(1)))
+	// n mod 16 of 1, 8 and 15 (a one-row, half and almost whole partial
+	// block after whole ones), and n = 256 with every kind of weight.
+	f.Add(uint8(32), int64(11), []byte{0, 5}, float32(4), float32(3), float32(0.05))
+	f.Add(uint8(23), int64(12), []byte{6, 0, 0}, float32(1), float32(8), float32(-0.01))
+	f.Add(uint8(238), int64(13), []byte{4, 0}, float32(30), float32(20), float32(0.1))
+	f.Add(uint8(255), int64(14), []byte{0, 3, 4, 5, 6, 7}, float32(10), float32(10), float32(0.3))
+	f.Add(uint8(255), int64(15), []byte{0}, float32(1), float32(1), float32(math.Inf(-1)))
 	f.Fuzz(func(t *testing.T, nrows uint8, seed int64, kinds []byte, tail, errw, cut float32) {
+		ks := availableHeadPaths(t)
 		n := int(nrows) + 1
 		r := rand.New(rand.NewSource(seed))
 		b := randHeadsBlock(r, n)
@@ -633,12 +707,14 @@ func FuzzDotInt8HeadsPass(f *testing.F) {
 			}
 		}
 		c := HeadCut{Tail: tail, Err: errw, Cut: cut}
-		passOf(t, b, c)
+		passOf(t, ks, b, c)
 		c.Cut = headSum(b, c, int(uint64(seed)%uint64(n)))
-		passOf(t, b, c)
+		passOf(t, ks, b, c)
 	})
 }
 
+// BenchmarkDotInt8HeadsPass times each path this CPU runs, and the
+// dispatched call, on one full call of 256 rows.
 func BenchmarkDotInt8HeadsPass(b *testing.B) {
 	const nrows = 256
 	blk := randHeadsBlock(rand.New(rand.NewSource(12)), nrows)
@@ -646,15 +722,23 @@ func BenchmarkDotInt8HeadsPass(b *testing.B) {
 	c := HeadCut{Tail: 40, Err: 90, Cut: 60}
 	blk.qerrw[nrows/2] = float32(math.Inf(1))
 	dots, pass := make([]int32, nrows), make([]uint8, nrows)
-	b.ReportAllocs()
-	var np int
-	for i := 0; i < b.N; i++ {
-		np = DotInt8HeadsPass(dots, pass, blk.q, blk.heads, blk.cosw, blk.tailw, blk.qerrw, c)
+	generic := func(dots []int32, pass []uint8, q []int8, heads []uint8, cosw, tailw, qerrw []float32, c HeadCut) (int, int) {
+		return 0, 0
 	}
-	if np != 1 {
-		b.Fatalf("%d of %d heads passed, want 1", np, nrows)
+	paths := append([]headPath{{name: "generic", ok: true, arch: generic}}, availableHeadPaths(b)...)
+	for _, k := range paths {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var np int
+			for i := 0; i < b.N; i++ {
+				np = k.run(dots, pass, blk, c)
+			}
+			if np != 1 {
+				b.Fatalf("%d of %d heads passed, want 1", np, nrows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
 }
 
 func BenchmarkDotInt8Rows(b *testing.B) {

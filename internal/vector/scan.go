@@ -49,7 +49,7 @@ type colStore struct {
 	// The cosine bound's columns (see bound), kept beside the codes by a
 	// store built with bounded set, which is a Cosine Flat's.
 	bounded bool
-	heads   []int8    // n*headDim: each row's first headDim code bytes; only when dim > headDim
+	heads   []uint8   // each row's first headDim code bytes, in embed's blocked heads plane; only when dim > headDim
 	tailw   []float32 // n, scales[i]*‖code(i)[headDim:]‖*invNorms[i]
 	qerrw   []float32 // n, ‖row(i) − scales[i]*code(i)‖*invNorms[i]; +Inf where the norm is not trusted
 }
@@ -84,7 +84,8 @@ func (s *colStore) appendRow(v embed.Vector) {
 		s.cosw = append(s.cosw, s.cosWeight(i))
 		if s.bounded {
 			if s.heads != nil {
-				s.heads = append(s.heads, s.code(i)[:headDim]...)
+				s.heads = append(s.heads, make([]uint8, embed.HeadPlaneLen(s.n)-len(s.heads))...) // a block every sixteenth row
+				embed.SetHead(s.heads, i, s.code(i))
 			}
 			tw, ew := s.boundWeights(i)
 			s.tailw = append(s.tailw, tw)
@@ -103,7 +104,7 @@ func (s *colStore) enableQuant() {
 	s.cosw = make([]float32, s.n)
 	if s.bounded {
 		if s.dim > headDim {
-			s.heads = make([]int8, s.n*headDim)
+			s.heads = make([]uint8, embed.HeadPlaneLen(s.n))
 		}
 		s.tailw = make([]float32, s.n)
 		s.qerrw = make([]float32, s.n)
@@ -113,7 +114,7 @@ func (s *colStore) enableQuant() {
 		s.cosw[i] = s.cosWeight(i)
 		if s.bounded {
 			if s.heads != nil {
-				copy(s.head(i), s.code(i))
+				embed.SetHead(s.heads, i, s.code(i))
 			}
 			s.tailw[i], s.qerrw[i] = s.boundWeights(i)
 		}
@@ -123,10 +124,6 @@ func (s *colStore) enableQuant() {
 // cosWeight is row i's entry in the cosw column.
 func (s *colStore) cosWeight(i int) float32 {
 	return float32(float64(s.scales[i]) * float64(s.invNorms[i]))
-}
-
-func (s *colStore) head(i int) []int8 {
-	return s.heads[i*headDim : (i+1)*headDim : (i+1)*headDim]
 }
 
 // boundWeights is row i's entries in the tailw and qerrw columns, computed
@@ -169,7 +166,7 @@ func (s *colStore) swapRemove(i int) {
 			s.cosw[i] = s.cosw[last]
 			if s.bounded {
 				if s.heads != nil {
-					copy(s.head(i), s.head(last))
+					embed.SetHead(s.heads, i, s.code(i)) // the last row's code, just moved
 				}
 				s.tailw[i] = s.tailw[last]
 				s.qerrw[i] = s.qerrw[last]
@@ -185,7 +182,7 @@ func (s *colStore) swapRemove(i int) {
 		s.cosw = s.cosw[:last]
 		if s.bounded {
 			if s.heads != nil {
-				s.heads = s.heads[:last*headDim]
+				s.heads = s.heads[:embed.HeadPlaneLen(last)] // one block shorter when the last one empties
 			}
 			s.tailw = s.tailw[:last]
 			s.qerrw = s.qerrw[:last]
@@ -246,14 +243,14 @@ func (s *colStore) quantize(p *preparedQuery, code []int8) {
 // with A = sq/‖q‖ and F = ‖q − q̂‖/‖q‖ per query (‖q̂‖/‖q‖ = A·‖cq‖) and
 // cosw, tailw, qerrw per row. bound needs the row's whole int8 dot; the
 // head test needs only the dot of its first headDim code bytes, which the
-// heads plane holds contiguously. Only Cosine stores keep the columns: the
-// one caller with a floor, the semantic cache, scores by cosine, on a fixed
-// [−1, 1] scale against which the slack below is small. On a Dot or L2 Flat
-// a floor only cuts the results.
+// heads plane holds, sixteen rows to a block (embed.SetHead). Only Cosine
+// stores keep the columns: the one caller with a floor, the semantic
+// cache, scores by cosine, on a fixed [−1, 1] scale against which the
+// slack below is small. On a Dot or L2 Flat a floor only cuts the results.
 const (
 	// headDim is how many leading code bytes the head test reads per row:
-	// one 32-byte chunk of the int8 kernel, the row embed.DotInt8HeadsPass
-	// takes.
+	// one 32-byte chunk of the int8 kernel, the head embed.DotInt8HeadsPass
+	// scores.
 	headDim = embed.HeadLen
 
 	// A norm computed in float32 is trusted to dim·2⁻²⁴ relative while its
@@ -461,7 +458,9 @@ func rowAsID(i int) ID { return ID(i) }
 
 // scanBlock is how many rows one DotInt8Rows call scores: enough that the
 // call is amortized to nothing, few enough that the dot products (1 KB)
-// sit on the scanning goroutine's stack.
+// sit on the scanning goroutine's stack. It is a multiple of the heads
+// plane's sixteen-row blocks, so each scan block starts one
+// (embed.HeadPlaneLen of its first row is where).
 const scanBlock = 256
 
 // scanRows offers every row into t, dropping a row that scores below
@@ -560,7 +559,8 @@ func (s *colStore) scanHeads(t *topK, p *preparedQuery, id func(int) ID, keep fu
 	for b := 0; b < s.n; b += scanBlock {
 		e := min(b+scanBlock, s.n)
 		hs, aw := heads[:e-b], s.cosw[b:e:e]
-		n := embed.DotInt8HeadsPass(hs, passed[:], qhead, s.heads[b*headDim:e*headDim], aw, s.tailw[b:e:e], s.qerrw[b:e:e], p.hc)
+		plane := s.heads[embed.HeadPlaneLen(b):embed.HeadPlaneLen(e)]
+		n := embed.DotInt8HeadsPass(hs, passed[:], qhead, plane, aw, s.tailw[b:e:e], s.qerrw[b:e:e], p.hc)
 		if 2*n > e-b {
 			return b, cut
 		}

@@ -250,13 +250,25 @@ func checkColumns(tb testing.TB, label string, s *colStore) {
 	for i := 0; i < s.n; i++ {
 		tw, ew := s.boundWeights(i)
 		if s.cosw[i] != s.cosWeight(i) || !sameFloat32(s.tailw[i], tw) || !sameFloat32(s.qerrw[i], ew) ||
-			(s.heads != nil && !slices.Equal(s.head(i), s.code(i)[:headDim])) {
+			(s.heads != nil && !slices.Equal(headOf(s, i), s.code(i)[:headDim])) {
 			tb.Fatalf("%s: row %d's bound columns do not follow its code", label, i)
 		}
 	}
 }
 
 func sameFloat32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+// headOf gathers row i's head from the blocked heads plane: in the block
+// of sixteen rows that holds it, byte 4k+j of the head is at k*64 + 4*(i
+// mod 16) + j, stored as code+128.
+func headOf(s *colStore, i int) []int8 {
+	blk := s.heads[i/16*16*headDim:][:16*headDim]
+	h := make([]int8, headDim)
+	for j := range h {
+		h[j] = int8(int(blk[j/4*64+i%16*4+j%4]) - 128)
+	}
+	return h
+}
 
 // checkBound fails unless, for query q at floor, every row's bound is at
 // least its exact score and every row the head test drops has its bound
@@ -276,7 +288,7 @@ func checkBound(tb testing.TB, label string, s *colStore, q embed.Vector, floor 
 		if b < floor {
 			dropped++
 		}
-		if p.head && p.hc.Below(embed.DotInt8(p.qcode[:headDim], s.head(i)), s.cosw[i], s.tailw[i], s.qerrw[i]) {
+		if p.head && p.hc.Below(embed.DotInt8(p.qcode[:headDim], headOf(s, i)), s.cosw[i], s.tailw[i], s.qerrw[i]) {
 			headDropped++
 			if !(b < floor) {
 				tb.Fatalf("%s row %d floor %v: the head test drops a row whose bound %v is not below the floor", label, i, floor, b)
@@ -375,4 +387,81 @@ func FuzzQuantizedScan(f *testing.F) {
 			removeRun(fl, n)
 		}
 	})
+}
+
+// The heads plane grows a block every sixteen appends and loses its last
+// block when a swap-remove empties it. Rows are appended and removed
+// across the block edges — the first and last row of a block, the store's
+// last row, every row of the last block in turn — on a store quantized
+// while empty and on stores enableQuant fills at 96 rows (whole blocks)
+// and at 100 (a partial one). After every step the plane holds whole
+// blocks for the rows, every column follows its row's code (checkColumns,
+// which gathers the heads from the plane), and SearchAbove is the
+// row-at-a-time scan's at every floor, for a query away from the data and
+// one equal to a stored row.
+func TestHeadsPlaneBlockEdges(t *testing.T) {
+	const dim = 48 // a head and a tail
+	rows, q := scanCorpus("random", 16, 200, dim)
+	var headDropped int // the premise: the head test does drop rows here
+	for _, quantAt := range []int{0, 96, 100} {
+		f := NewFlat(dim, Cosine)
+		s := f.store
+		next := 0
+		add := func() {
+			if err := f.Add(Item{ID: ID(3*next + 7), Vec: rows[next]}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		step := func(label string) {
+			t.Helper()
+			label = fmt.Sprintf("quantized at %d, %s, %d rows", quantAt, label, s.n)
+			if got, want := len(s.heads), embed.HeadPlaneLen(s.n); got != want {
+				t.Fatalf("%s: the heads plane is %d bytes, want %d", label, got, want)
+			}
+			checkColumns(t, label, s)
+			if s.n == 0 {
+				return
+			}
+			self := slices.Clone(s.row(s.n / 2))
+			for _, qv := range []embed.Vector{q, self} {
+				for _, k := range []int{1, 4} {
+					for _, floor := range scanFloors {
+						l := fmt.Sprintf("%s k=%d floor=%v", label, k, floor)
+						sameBits(t, l, f.SearchAbove(qv, k, floor), rowAtATimeSearch(f, qv, k, floor, nil))
+					}
+				}
+			}
+			_, hd := checkBound(t, label, s, self, 0.97)
+			headDropped += hd
+		}
+		for next < quantAt {
+			add()
+		}
+		s.enableQuant()
+		step("enableQuant")
+		for s.n < 128 {
+			add()
+			step("append")
+		}
+		add()
+		step("append, the first row of a new block")
+		f.Remove(f.rows[s.n-1].id)
+		step("remove the store's last row, the only one in its block")
+		for _, r := range []int{16, 31, 0} {
+			f.Remove(f.rows[r].id)
+			step(fmt.Sprintf("remove row %d", r))
+		}
+		for last := s.n - 1; last >= 112; last-- {
+			f.Remove(f.rows[5].id)
+			step("remove row 5, emptying the last block row by row")
+		}
+		for s.n < 130 {
+			add()
+			step("append after removes")
+		}
+	}
+	if headDropped == 0 {
+		t.Errorf("the head test dropped no row: the test never exercises it")
+	}
 }
