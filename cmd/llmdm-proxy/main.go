@@ -94,7 +94,7 @@ func run(args []string, stderr io.Writer) error {
 	batchMax := fs.Int("batch-max", sched.DefaultMaxBatch, "max requests per batch")
 	batchWait := fs.Duration("batch-wait", 0, "max batch window, e.g. 4ms (0 = scheduler default)")
 	noSLO := fs.Bool("no-slo", false, "disable per-class SLO tracking (/v1/slo)")
-	tenantCap := fs.Int("tenants", obs.DefaultTenantCapacity, "tenants tracked individually before heavy-hitter eviction")
+	tenantCap := fs.Int("tenants", obs.DefaultTenantCapacity, "tenants with a row of their own in /v1/tenants; later ones share the (overflow) row")
 	noTenants := fs.Bool("no-tenants", false, "disable per-tenant attribution (/v1/tenants)")
 	noAlerts := fs.Bool("no-alerts", false, "disable the alert engine (/v1/alerts)")
 	alertInterval := fs.Duration("alert-interval", 15*time.Second, "background alert evaluation period (0 = evaluate only on /v1/alerts and /healthz reads)")

@@ -188,14 +188,13 @@ func (c *Cascade) finalModel(tier int, model string) *obs.Counter {
 	return c.Obs.Counter("cascade_final_model_total", "model", model)
 }
 
-// step invokes one tier, through the scheduler when it manages the
-// model and directly otherwise. A scheduler that closed between the Has
-// check and the submit degrades to a direct call rather than failing
-// the request.
+// step invokes one tier through the scheduler, and directly when the
+// scheduler does not manage the model or has closed, so a closed
+// scheduler degrades to direct calls rather than failing the request.
 func (c *Cascade) step(ctx context.Context, m llm.Model, req llm.Request) (llm.Response, error) {
-	if c.Sched != nil && c.Sched.Has(m.Name()) {
+	if c.Sched != nil {
 		resp, err := c.Sched.Submit(ctx, m.Name(), req)
-		if !errors.Is(err, sched.ErrClosed) {
+		if !errors.Is(err, sched.ErrUnknownModel) && !errors.Is(err, sched.ErrClosed) {
 			return resp, err
 		}
 	}

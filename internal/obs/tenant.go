@@ -13,9 +13,14 @@ import (
 // shared bucket.
 const DefaultTenant = "anon"
 
-// DefaultTenantCapacity bounds the accountant's heavy-hitter table when
+// DefaultTenantCapacity is how many tenants get a row of their own when
 // TenantConfig.Capacity is zero.
 const DefaultTenantCapacity = 1024
+
+// OverflowTenant names the one row that every tenant first seen after the
+// accountant's capacity is full shares. A tenant that calls itself this
+// shares the row too.
+const OverflowTenant = "(overflow)"
 
 // MaxTenantLen caps tenant identifiers; the serving front door rejects
 // longer ones so a hostile header cannot bloat the accountant or the
@@ -76,18 +81,18 @@ type TenantSample struct {
 	Error bool
 }
 
-// tenantEntry is one tracked tenant's counters. All fields but the
-// identity are atomics, so the accountant's fast path is a read lock
-// plus a handful of atomic adds.
+// tenantEntry is one row's counters. All fields but the identity are
+// atomics, so every Record and AddSpend is a read lock plus a handful of
+// atomic adds.
 type tenantEntry struct {
 	name string
-	// floor is the space-saving overcount bound inherited from the entry
-	// this one evicted: the tenant's true request count is at most
-	// requests and at least requests − floor.
-	floor int64
 
 	requests, cacheHits, escalations, shed, errors, spendMicro atomic.Int64
 	latency                                                    []atomic.Int64 // per-bucket counts over LatencyBuckets, +Inf last
+}
+
+func newTenantEntry(name string) *tenantEntry {
+	return &tenantEntry{name: name, latency: make([]atomic.Int64, len(LatencyBuckets)+1)}
 }
 
 func (e *tenantEntry) observeLatency(d time.Duration) {
@@ -98,36 +103,36 @@ func (e *tenantEntry) observeLatency(d time.Duration) {
 
 // TenantConfig parameterizes a TenantAccountant.
 type TenantConfig struct {
-	// Capacity bounds the number of tenants tracked individually. Beyond
-	// it the accountant behaves as a space-saving heavy-hitter sketch:
-	// a new tenant evicts the currently smallest one and inherits its
-	// request count as an overcount floor, so the top spenders stay
-	// accurate while memory stays O(Capacity) at millions of tenant IDs.
-	// Defaults to DefaultTenantCapacity.
+	// Capacity is how many tenants get a row of their own: the first
+	// Capacity tenants seen. Every later one is accounted to the shared
+	// OverflowTenant row, so memory stays O(Capacity) at any number of
+	// tenant IDs and every counter still sums over the rows to the
+	// proxy's own total. Defaults to DefaultTenantCapacity.
 	Capacity int
-	// Obs receives the aggregate tenant_requests_total /
-	// tenant_evictions_total counters and the tenant_tracked gauge.
+	// Obs receives the aggregate tenant_requests_total counter and the
+	// tenant_tracked gauge (named rows).
 	// Per-tenant numbers deliberately never become metric labels — the
 	// accountant, not the registry, bounds that cardinality.
 	Obs *Registry
 }
 
 // TenantAccountant aggregates per-tenant usage — requests, cache hits,
-// escalations, sheds, spend and latency — behind a bounded space-saving
-// table. It is the attribution layer consulted by /v1/tenants and the
-// per-tenant alert conditions, and the prerequisite for hashing or
-// quota'ing requests by tenant. TenantAccountant is safe for concurrent
-// use.
+// escalations, sheds, spend and latency — in at most Capacity named rows
+// plus the OverflowTenant row. It is the attribution layer consulted by
+// /v1/tenants and the per-tenant alert conditions, and the prerequisite
+// for hashing or quota'ing requests by tenant. TenantAccountant is safe
+// for concurrent use.
 type TenantAccountant struct {
 	capacity int
 
-	mu      sync.RWMutex
-	tenants map[string]*tenantEntry
-	evicted atomic.Int64
+	mu sync.RWMutex
+	// tenants holds the named rows and, under OverflowTenant, the
+	// overflow row: Capacity+1 entries once full, and never fewer after.
+	tenants  map[string]*tenantEntry
+	overflow *tenantEntry
 
-	mRequests  *Counter
-	mEvictions *Counter
-	gTracked   *Gauge
+	mRequests *Counter
+	gTracked  *Gauge
 }
 
 // NewTenantAccountant builds an accountant from cfg.
@@ -135,48 +140,43 @@ func NewTenantAccountant(cfg TenantConfig) *TenantAccountant {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultTenantCapacity
 	}
+	overflow := newTenantEntry(OverflowTenant)
+	tenants := make(map[string]*tenantEntry, cfg.Capacity+1)
+	tenants[OverflowTenant] = overflow
 	return &TenantAccountant{
-		capacity:   cfg.Capacity,
-		tenants:    make(map[string]*tenantEntry, cfg.Capacity),
-		mRequests:  cfg.Obs.Counter("tenant_requests_total"),
-		mEvictions: cfg.Obs.Counter("tenant_evictions_total"),
-		gTracked:   cfg.Obs.Gauge("tenant_tracked"),
+		capacity:  cfg.Capacity,
+		tenants:   tenants,
+		overflow:  overflow,
+		mRequests: cfg.Obs.Counter("tenant_requests_total"),
+		gTracked:  cfg.Obs.Gauge("tenant_tracked"),
 	}
 }
 
-// entry returns the tenant's counters, admitting (and possibly
-// evicting) on first sight. The existing-tenant path takes only the
-// read lock.
+// entry returns the tenant's row, admitting it on first sight while a
+// named row is free and resolving it to the overflow row once none is.
+// Only an admission takes the write lock.
 func (a *TenantAccountant) entry(tenant string) *tenantEntry {
 	a.mu.RLock()
 	e := a.tenants[tenant]
+	full := len(a.tenants) > a.capacity
 	a.mu.RUnlock()
 	if e != nil {
 		return e
+	}
+	if full {
+		return a.overflow
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if e = a.tenants[tenant]; e != nil {
 		return e
 	}
-	e = &tenantEntry{name: tenant, latency: make([]atomic.Int64, len(LatencyBuckets)+1)}
-	if len(a.tenants) >= a.capacity {
-		// Space-saving replacement: evict the smallest tracked tenant and
-		// let the newcomer inherit its count as an overcount floor.
-		var victim *tenantEntry
-		for _, cand := range a.tenants {
-			if victim == nil || cand.requests.Load() < victim.requests.Load() {
-				victim = cand
-			}
-		}
-		delete(a.tenants, victim.name)
-		e.floor = victim.requests.Load()
-		e.requests.Store(e.floor)
-		a.evicted.Add(1)
-		a.mEvictions.Inc()
+	if len(a.tenants) > a.capacity {
+		return a.overflow
 	}
+	e = newTenantEntry(tenant)
 	a.tenants[tenant] = e
-	a.gTracked.Set(float64(len(a.tenants)))
+	a.gTracked.Set(float64(len(a.tenants) - 1))
 	return e
 }
 
@@ -224,14 +224,12 @@ func (a *TenantAccountant) AddSpend(tenant string, microUSD int64, escalations i
 	}
 }
 
-// TenantStat is one tenant's attribution scorecard, JSON-ready for
-// /v1/tenants.
+// TenantStat is one row's attribution scorecard, JSON-ready for
+// /v1/tenants. The OverflowTenant row sums every tenant without a row of
+// its own.
 type TenantStat struct {
-	Tenant   string `json:"tenant"`
-	Requests int64  `json:"requests"`
-	// RequestsFloor, when nonzero, is the space-saving overcount bound:
-	// the true request count is at least requests − requests_floor.
-	RequestsFloor int64   `json:"requests_floor,omitempty"`
+	Tenant        string  `json:"tenant"`
+	Requests      int64   `json:"requests"`
 	CacheHits     int64   `json:"cache_hits"`
 	Escalations   int64   `json:"escalations"`
 	Shed          int64   `json:"shed"`
@@ -243,16 +241,16 @@ type TenantStat struct {
 
 // TenantSnapshot is the accountant's JSON envelope.
 type TenantSnapshot struct {
-	Capacity int   `json:"capacity"`
-	Tracked  int   `json:"tracked"`
-	Evicted  int64 `json:"evicted"`
+	Capacity int `json:"capacity"`
+	// Tracked is the number of named rows, at most Capacity.
+	Tracked int `json:"tracked"`
 	// Tenants is sorted by spend (then requests, then name) descending —
-	// the heavy hitters first.
+	// the heaviest spenders first. The OverflowTenant row is listed once
+	// it has traffic.
 	Tenants []TenantStat `json:"tenants"`
 }
 
-// Snapshot captures up to topN tenants (0 = all tracked), heaviest
-// spenders first.
+// Snapshot captures up to topN rows (0 = all), heaviest spenders first.
 func (a *TenantAccountant) Snapshot(topN int) TenantSnapshot {
 	if a == nil {
 		return TenantSnapshot{Tenants: []TenantStat{}}
@@ -260,8 +258,11 @@ func (a *TenantAccountant) Snapshot(topN int) TenantSnapshot {
 	a.mu.RLock()
 	entries := make([]*tenantEntry, 0, len(a.tenants))
 	for _, e := range a.tenants {
-		entries = append(entries, e)
+		if e != a.overflow || e.requests.Load() != 0 || e.spendMicro.Load() != 0 || e.escalations.Load() != 0 {
+			entries = append(entries, e)
+		}
 	}
+	tracked := len(a.tenants) - 1
 	a.mu.RUnlock()
 
 	stats := make([]TenantStat, len(entries))
@@ -269,7 +270,6 @@ func (a *TenantAccountant) Snapshot(topN int) TenantSnapshot {
 		st := TenantStat{
 			Tenant:        e.name,
 			Requests:      e.requests.Load(),
-			RequestsFloor: e.floor,
 			CacheHits:     e.cacheHits.Load(),
 			Escalations:   e.escalations.Load(),
 			Shed:          e.shed.Load(),
@@ -302,8 +302,7 @@ func (a *TenantAccountant) Snapshot(topN int) TenantSnapshot {
 	}
 	return TenantSnapshot{
 		Capacity: a.capacity,
-		Tracked:  len(entries),
-		Evicted:  a.evicted.Load(),
+		Tracked:  tracked,
 		Tenants:  stats,
 	}
 }

@@ -45,7 +45,7 @@ func TestTenantAccountantRecordAndSpend(t *testing.T) {
 	a.Record("", TenantSample{Latency: time.Millisecond, Shed: true, Error: true})
 
 	snap := a.Snapshot(0)
-	if snap.Tracked != 3 || snap.Evicted != 0 || snap.Capacity != 8 {
+	if snap.Tracked != 3 || len(snap.Tenants) != 3 || snap.Capacity != 8 {
 		t.Fatalf("snapshot meta = %+v", snap)
 	}
 	// Sorted by spend descending: umbrella, acme, anon.
@@ -86,75 +86,122 @@ func TestTenantAccountantRecordAndSpend(t *testing.T) {
 	}
 }
 
-func TestTenantAccountantSpaceSavingEviction(t *testing.T) {
+func TestTenantAccountantOverflowRow(t *testing.T) {
 	reg := NewRegistry()
-	a := NewTenantAccountant(TenantConfig{Capacity: 2, Obs: reg})
-	for i := 0; i < 10; i++ {
-		a.Record("whale", TenantSample{})
+	a := NewTenantAccountant(TenantConfig{Capacity: 4, Obs: reg})
+	if snap := a.Snapshot(0); snap.Tracked != 0 || len(snap.Tenants) != 0 {
+		t.Fatalf("empty accountant lists %+v, want no rows: the overflow row shows only with traffic", snap)
 	}
-	a.Record("minnow", TenantSample{})
 
-	// A third tenant evicts the smallest (minnow, 1 request) and
-	// inherits its count as an overcount floor.
-	a.Record("newcomer", TenantSample{})
-	snap := a.Snapshot(0)
-	if snap.Tracked != 2 || snap.Evicted != 1 {
-		t.Fatalf("after eviction: %+v", snap)
+	// Ten tenants spend 100 µ$ each: the first four get rows, the other
+	// six share the overflow row, and nothing is dropped.
+	for i := 0; i < 10; i++ {
+		tenant := fmt.Sprintf("t%d", i)
+		a.Record(tenant, TenantSample{Latency: time.Millisecond, CacheHit: i%2 == 0})
+		a.AddSpend(tenant, 100, 1)
 	}
-	var nc *TenantStat
-	whale := false
-	for i := range snap.Tenants {
-		switch snap.Tenants[i].Tenant {
-		case "newcomer":
-			nc = &snap.Tenants[i]
-		case "minnow":
-			t.Fatal("minnow survived eviction")
-		case "whale":
-			whale = true
+	// A tenant that names itself the overflow row shares it.
+	a.Record(OverflowTenant, TenantSample{Error: true})
+
+	snap := a.Snapshot(0)
+	if snap.Capacity != 4 || snap.Tracked != 4 || len(snap.Tenants) != 5 {
+		t.Fatalf("snapshot = %+v, want 4 named rows plus the overflow row", snap)
+	}
+	over := snap.Tenants[0]
+	if over.Tenant != OverflowTenant || over.Requests != 7 || over.SpendMicroUSD != 600 ||
+		over.Escalations != 6 || over.CacheHits != 3 || over.Errors != 1 || over.P50MS <= 0 {
+		t.Fatalf("overflow row = %+v, want 7 requests, 600 µ$, 6 escalations, 3 hits, 1 error", over)
+	}
+	for i, st := range snap.Tenants[1:] {
+		if want := fmt.Sprintf("t%d", i); st.Tenant != want || st.Requests != 1 || st.SpendMicroUSD != 100 {
+			t.Fatalf("row %d = %+v, want %s with 1 request and 100 µ$", i+1, st, want)
 		}
 	}
-	if nc == nil {
-		t.Fatal("newcomer not tracked")
+	var spend, requests int64
+	for _, st := range snap.Tenants {
+		spend += st.SpendMicroUSD
+		requests += st.Requests
 	}
-	if nc.Requests != 2 || nc.RequestsFloor != 1 {
-		t.Fatalf("newcomer = %+v, want requests 2 floor 1", nc)
+	if spend != 1000 || requests != 11 {
+		t.Fatalf("rows sum to %d µ$ over %d requests, want 1000 over 11", spend, requests)
 	}
-	// The whale was never at risk.
-	if !whale {
-		t.Fatal("whale evicted")
+	if got := reg.Counter("tenant_requests_total").Value(); got != 11 {
+		t.Fatalf("tenant_requests_total = %d, want 11", got)
 	}
-	if got := reg.Counter("tenant_evictions_total").Value(); got != 1 {
-		t.Fatalf("tenant_evictions_total = %d, want 1", got)
+	if got := reg.Gauge("tenant_tracked").Value(); got != 4 {
+		t.Fatalf("tenant_tracked = %g, want 4", got)
 	}
-	if got := reg.Gauge("tenant_tracked").Value(); got != 2 {
-		t.Fatalf("tenant_tracked = %g, want 2", got)
+	// A named tenant keeps its row after the table filled.
+	a.AddSpend("t2", 5, 0)
+	if got := a.Snapshot(0).Tenants; got[1].Tenant != "t2" || got[1].SpendMicroUSD != 105 {
+		t.Fatalf("t2 after the table filled = %+v", got[1])
 	}
 }
 
-func TestTenantAccountantConcurrent(t *testing.T) {
+// A tenant first seen past capacity resolves under the read lock and
+// allocates nothing, so a flood of new tenant IDs costs what known ones do.
+func TestTenantPastCapacityAllocatesNothing(t *testing.T) {
 	a := NewTenantAccountant(TenantConfig{Capacity: 4, Obs: NewRegistry()})
+	for i := 0; i < 4; i++ {
+		a.Record(fmt.Sprintf("t%d", i), TenantSample{})
+	}
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("new-%d", i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Record(names[i%len(names)], TenantSample{Latency: time.Millisecond})
+		a.AddSpend(names[i%len(names)], 7, 1)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Record+AddSpend of a tenant past capacity = %g allocs, want 0", allocs)
+	}
+	if snap := a.Snapshot(0); snap.Tracked != 4 || snap.Tenants[0].Tenant != OverflowTenant {
+		t.Fatalf("snapshot = %+v, want the overflow row on top", snap)
+	}
+}
+
+// Goroutines race new tenants across the capacity edge: exactly Capacity
+// get rows, and every counter still sums to what was recorded.
+func TestTenantAccountantConcurrent(t *testing.T) {
+	const goroutines, perG, tenants, capacity = 8, 200, 12, 4
+	reg := NewRegistry()
+	a := NewTenantAccountant(TenantConfig{Capacity: capacity, Obs: reg})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tenant := fmt.Sprintf("t%d", (g+i)%6) // more tenants than capacity
-				a.Record(tenant, TenantSample{Latency: time.Millisecond})
-				a.AddSpend(tenant, 3, 0)
+			for i := 0; i < perG; i++ {
+				tenant := fmt.Sprintf("t%d", (g+i)%tenants) // more tenants than capacity
+				a.Record(tenant, TenantSample{Latency: time.Millisecond, CacheHit: i%3 == 0})
+				a.AddSpend(tenant, 3, 1)
+				if i%50 == 0 {
+					a.Snapshot(2)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	snap := a.Snapshot(0)
-	if snap.Tracked != 4 {
-		t.Fatalf("tracked = %d, want capacity 4", snap.Tracked)
+	if snap.Tracked != capacity || len(snap.Tenants) != capacity+1 {
+		t.Fatalf("tracked = %d over %d rows, want capacity %d plus the overflow row", snap.Tracked, len(snap.Tenants), capacity)
 	}
-	var spend int64
+	var requests, hits, spend, escalations int64
 	for _, st := range snap.Tenants {
+		requests += st.Requests
+		hits += st.CacheHits
 		spend += st.SpendMicroUSD
+		escalations += st.Escalations
 	}
-	if spend <= 0 {
-		t.Fatal("no spend attributed")
+	const n = goroutines * perG
+	if requests != n || spend != 3*n || escalations != n || hits != goroutines*((perG+2)/3) {
+		t.Fatalf("rows sum to %d requests, %d hits, %d µ$, %d escalations; want %d, %d, %d, %d",
+			requests, hits, spend, escalations, n, goroutines*((perG+2)/3), 3*n, n)
+	}
+	if got := reg.Counter("tenant_requests_total").Value(); got != n {
+		t.Fatalf("tenant_requests_total = %d, want %d", got, n)
 	}
 }

@@ -296,6 +296,21 @@ func Serving(ctx context.Context) []Spec {
 				c.Lookup(fmt.Sprintf("completely different probe %d", i))
 			}
 		}},
+		{Name: "semcache_lookup_miss_16k_sparse", Bench: func(b *testing.B) {
+			// The miss churn_write pays on every request: a fresh wordText
+			// prompt against a full quantized cache at the proxy's 0.97
+			// threshold, proved below θ by the head pass and the tail dots.
+			c := sparseCache()
+			queries := unseenQueries(func(i int) string { return wordText(armedSize + i) }, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Lookup(queries[i]); ok {
+					b.Fatal("expected a cache miss")
+				}
+			}
+			b.StopTimer()
+			noMemoHits(b, c)
+		}},
 		{Name: "semcache_put_evict_16k", Bench: func(b *testing.B) {
 			// Every put is of a new query into a full cache: embed, index
 			// add, eviction, index remove.
@@ -549,6 +564,24 @@ func Serving(ctx context.Context) []Spec {
 			b.StopTimer()
 			if !bytes.Contains(w.last, []byte(`"source":"cache"`)) {
 				b.Fatalf("the last reply was %q, want a cache hit", w.last)
+			}
+		}},
+		{Name: "tenant_record_past_capacity", Bench: func(b *testing.B) {
+			// A request's two accountant writes for a tenant first seen
+			// after all DefaultTenantCapacity named rows are taken.
+			a := obs.NewTenantAccountant(obs.TenantConfig{Obs: obs.NewRegistry()})
+			for i := 0; i < obs.DefaultTenantCapacity; i++ {
+				a.Record(fmt.Sprintf("tenant-%d", i), obs.TenantSample{})
+			}
+			newcomers := make([]string, 4*obs.DefaultTenantCapacity)
+			for i := range newcomers {
+				newcomers[i] = fmt.Sprintf("newcomer-%d", i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tenant := newcomers[i%len(newcomers)]
+				a.Record(tenant, obs.TenantSample{Latency: time.Millisecond})
+				a.AddSpend(tenant, 100, 0)
 			}
 		}},
 		{Name: "sched_submit", Bench: func(b *testing.B) {

@@ -30,7 +30,7 @@ func (p *Proxy) addAlertRules() {
 		"the concurrency limiter is shedding more than 1 req/s",
 		rate(func() map[string]int64 { return map[string]int64{"": p.shed.Load()} }, 1))
 	p.alerts.AddRule("tenant_spend_spike", obs.Warn, 0,
-		"one tenant's attributed spend is growing faster than $0.05/s",
+		"one tenant row's attributed spend, the shared overflow row included, is growing faster than $0.05/s",
 		rate(func() map[string]int64 {
 			snap := p.tenants.Snapshot(0)
 			spend := make(map[string]int64, len(snap.Tenants))

@@ -28,7 +28,7 @@ func TestAlertRulesDeclared(t *testing.T) {
 		{Rule: "slo_latency_burn_high", Severity: "warn", ForMS: 30_000,
 			Description: "a request class is burning its latency error budget more than 2x faster than the objective allows (5m window)"},
 		{Rule: "tenant_spend_spike", Severity: "warn", ForMS: 0,
-			Description: "one tenant's attributed spend is growing faster than $0.05/s"},
+			Description: "one tenant row's attributed spend, the shared overflow row included, is growing faster than $0.05/s"},
 	}
 	p := telemetryProxy(Config{})
 	snap := p.Alerts().Evaluate()
@@ -133,4 +133,40 @@ func TestAlertRulesReadTheirComponents(t *testing.T) {
 			t.Fatalf("after the 30s hold: %+v, want firing", st)
 		}
 	})
+}
+
+// A flood of new tenants trips tenant_spend_spike on the overflow row:
+// past TenantCapacity every newcomer shares one row, so spend that no
+// single tenant reaches still reads as one row growing past $0.05/s.
+func TestTenantFloodTripsSpendSpike(t *testing.T) {
+	const perRun = 10_000 // µ$ a cascade run, a fifth of the rule's bar a second
+	flat := namedModel{name: "flat", fn: func(_ context.Context, req llm.Request) (llm.Response, error) {
+		return llm.Response{Text: req.Gold, Confidence: 0.99, Model: "flat", Cost: perRun}, nil
+	}}
+	p, clk := alertProxy(Config{TenantCapacity: 2, Models: []llm.Model{flat}})
+	defer p.Close()
+	rule(t, p, "tenant_spend_spike")
+
+	const tenants = 10
+	for i := 0; i < tenants; i++ {
+		ctx := obs.WithTenant(context.Background(), fmt.Sprintf("newcomer-%d", i))
+		ans, err := p.Complete(ctx, llm.Request{Prompt: fmt.Sprintf("flood question %d", i), Gold: "g"})
+		if err != nil || ans.Source != "cascade" {
+			t.Fatalf("tenant %d: %+v, %v; want a cascade run", i, ans, err)
+		}
+	}
+	clk.Advance(time.Second)
+
+	if st := rule(t, p, "tenant_spend_spike"); st.State != "firing" || st.Value != (tenants-2)*perRun {
+		t.Fatalf("flood: %+v, want firing at %d µ$/s, the overflow row's growth", st, (tenants-2)*perRun)
+	}
+	snap := p.Tenants().Snapshot(0)
+	if top := snap.Tenants[0]; top.Tenant != obs.OverflowTenant || top.SpendMicroUSD != (tenants-2)*perRun {
+		t.Fatalf("top row = %+v, want the overflow row at %d µ$", top, (tenants-2)*perRun)
+	}
+	for _, ts := range snap.Tenants[1:] {
+		if ts.SpendMicroUSD != perRun {
+			t.Fatalf("named row %+v, want %d µ$", ts, perRun)
+		}
+	}
 }

@@ -469,7 +469,6 @@ func (p *Proxy) Handler() http.Handler {
 			out["tenants"] = map[string]interface{}{
 				"capacity": ts.Capacity,
 				"tracked":  ts.Tracked,
-				"evicted":  ts.Evicted,
 				"top":      ts.Tenants,
 			}
 		}

@@ -33,9 +33,12 @@ const streamBatch = 32
 //	event: done    data: StreamDone       (terminal, success)
 //	event: error   data: ErrorBody        (terminal, failure after headers)
 //
-// Errors before the first chunk (shed, bad upstream) are still reported
-// as ordinary HTTP error envelopes; once the 200 + text/event-stream
-// header is out, failures become "error" events.
+// Only a request refused at admission (shed by the limiter) gets an
+// ordinary HTTP error envelope, with its 503 and Retry-After. The 200 +
+// text/event-stream header goes out while the first chunk is awaited, so
+// a cascade that fails before its first chunk, such as every tier's
+// breaker open, answers 200 and then one "error" event: its body says
+// retryable, as the JSON envelope does, but there is no Retry-After.
 //
 // One rule decides when bytes leave: the handler flushes exactly when its
 // next read of the chunk log would block, and after the terminal event —

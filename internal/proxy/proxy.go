@@ -173,9 +173,10 @@ type Config struct {
 	// DisableSLO turns off the per-class latency/availability tracking
 	// served at GET /v1/slo.
 	DisableSLO bool
-	// TenantCapacity bounds the per-tenant attribution table served at
-	// GET /v1/tenants (0 selects obs.DefaultTenantCapacity); beyond it
-	// the accountant degrades to a space-saving heavy-hitter sketch.
+	// TenantCapacity is how many tenants get a row of their own in the
+	// attribution table served at GET /v1/tenants (0 selects
+	// obs.DefaultTenantCapacity); every later tenant shares the
+	// obs.OverflowTenant row.
 	// DisableTenants turns attribution off.
 	TenantCapacity int
 	DisableTenants bool

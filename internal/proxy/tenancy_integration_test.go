@@ -283,3 +283,116 @@ func TestTenantAlertEndpointsConcurrent(t *testing.T) {
 		t.Errorf("attributed %d requests across tenants, want %d", total, writers*rounds)
 	}
 }
+
+// promptGate holds the call for one prompt until its gate opens, after
+// saying on arrived that it got there, so a second request for that
+// prompt joins the first as a coalesced follower.
+type promptGate struct {
+	*llm.SimModel
+	prompt        string
+	arrived, gate chan struct{}
+}
+
+func (g promptGate) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if req.Prompt == g.prompt {
+		g.arrived <- struct{}{}
+		<-g.gate
+	}
+	return g.SimModel.Complete(ctx, req)
+}
+
+// postAs posts req to /v1/complete as tenant and reads the whole reply:
+// the JSON body, or every SSE event up to done.
+func postAs(t *testing.T, srv *httptest.Server, tenant string, req CompletionRequest) {
+	t.Helper()
+	buf, _ := json.Marshal(req)
+	hreq, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/complete", bytes.NewReader(buf))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	hreq.Header.Set(TenantHeader, tenant)
+	resp, err := srv.Client().Do(hreq)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("POST as %s: status %d", tenant, resp.StatusCode)
+		return
+	}
+	if req.Stream {
+		if ev := readSSE(t, resp.Body); len(ev) == 0 || ev[len(ev)-1].name != "done" {
+			t.Errorf("SSE as %s ended %+v, want a done event", tenant, ev)
+		}
+		return
+	}
+	var out CompletionResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTenantRowsSumToTotalsPastCapacity: with three times as many tenants
+// as named rows, over JSON and SSE, cache hits, cascade runs and a
+// coalesced follower, the rows (named plus overflow) sum to the proxy's
+// spend, to the model family's meters and to its request count.
+func TestTenantRowsSumToTotalsPastCapacity(t *testing.T) {
+	const tenants, capacity = 12, 4
+	reg := obs.NewRegistry()
+	small := llm.NewSim(llm.SimConfig{Name: "small", Capability: 0.3, Price: token.Price{InputPer1K: 400, OutputPer1K: 400}, Obs: reg})
+	large := llm.NewSim(llm.SimConfig{Name: "large", Capability: 0.95, Price: token.Price{InputPer1K: 30000, OutputPer1K: 60000}, Obs: reg})
+	held := promptGate{small, "one question two tenants ask at once", make(chan struct{}, 1), make(chan struct{})}
+	p := newTestProxy(Config{Obs: reg, TenantCapacity: capacity, Models: []llm.Model{held, large}})
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+
+	for i := 0; i < tenants; i++ {
+		tenant := fmt.Sprintf("t%02d", i)
+		difficulty := 0.1 + 0.8*float64(i%2) // odd tenants escalate to the large tier
+		for j, stream := range []bool{false, true} {
+			req := CompletionRequest{Prompt: distinctPrompt(2*i + j), Gold: "g", Difficulty: difficulty, Stream: stream}
+			postAs(t, srv, tenant, req) // a cascade run
+			postAs(t, srv, tenant, req) // its exact repeat, a cache hit
+		}
+	}
+	// A leader on a named row and a follower on the overflow row.
+	done := make(chan struct{}, 2)
+	ask := func(tenant string) {
+		postAs(t, srv, tenant, CompletionRequest{Prompt: held.prompt, Gold: "g", Difficulty: 0.9})
+		done <- struct{}{}
+	}
+	go ask("t01")
+	<-held.arrived
+	go ask("t11")
+	waitFor(t, func() bool { return p.Stats().Coalesced == 1 })
+	close(held.gate)
+	<-done
+	<-done
+
+	st := p.Stats()
+	if st.CacheHits != 2*tenants || st.Coalesced != 1 || st.Requests != 4*tenants+2 {
+		t.Fatalf("stats %+v, want %d cache hits, 1 coalesced, %d requests", st, 2*tenants, 4*tenants+2)
+	}
+	snap := p.Tenants().Snapshot(0)
+	var spend, requests int64
+	for _, ts := range snap.Tenants {
+		spend += ts.SpendMicroUSD
+		requests += ts.Requests
+	}
+	meters := int64(small.Meter().Spend + large.Meter().Spend)
+	if spend != int64(st.Spend) || spend != meters {
+		t.Errorf("Σ tenant spend %d µ$, Stats().Spend %d µ$, Σ family meters %d µ$: want all equal", spend, int64(st.Spend), meters)
+	}
+	if requests != st.Requests {
+		t.Errorf("Σ tenant requests %d, Stats().Requests %d: want equal", requests, st.Requests)
+	}
+	if snap.Tracked != capacity || len(snap.Tenants) != capacity+1 {
+		t.Fatalf("snapshot lists %d rows with %d tracked, want %d named rows plus the overflow row", len(snap.Tenants), snap.Tracked, capacity)
+	}
+	if over := findTenant(t, snap, obs.OverflowTenant); over.Requests != 4*(tenants-capacity)+1 || over.CacheHits != 2*(tenants-capacity) {
+		t.Errorf("overflow row %+v, want %d requests with %d cache hits", over, 4*(tenants-capacity)+1, 2*(tenants-capacity))
+	}
+}

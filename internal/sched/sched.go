@@ -111,7 +111,8 @@ func ClassFrom(ctx context.Context) Class {
 var (
 	// ErrClosed is returned for submissions after Close.
 	ErrClosed = errors.New("sched: scheduler closed")
-	// ErrUnknownModel is returned when the named tier is not registered.
+	// ErrUnknownModel is returned, unwrapped, when the named tier is not
+	// registered: the caller calls the model directly.
 	ErrUnknownModel = errors.New("sched: model not registered")
 )
 
@@ -269,20 +270,6 @@ func New(cfg Config, models ...llm.BatchModel) *Scheduler {
 	return s
 }
 
-// Has reports whether the named tier is scheduled (callers fall back to
-// direct model calls otherwise). A closed scheduler reports false for
-// every tier, so serving paths degrade to direct calls after Close.
-func (s *Scheduler) Has(model string) bool {
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return false
-	}
-	_, ok := s.tiers[model]
-	return ok
-}
-
 // Submit queues one request for the named tier and blocks until its batch
 // completes. The priority class is read from ctx (see WithClass). A
 // submitter whose context dies while queued or waiting stops waiting, but
@@ -290,7 +277,7 @@ func (s *Scheduler) Has(model string) bool {
 func (s *Scheduler) Submit(ctx context.Context, model string, req llm.Request) (llm.Response, error) {
 	t, ok := s.tiers[model]
 	if !ok {
-		return llm.Response{}, fmt.Errorf("%w: %q", ErrUnknownModel, model)
+		return llm.Response{}, ErrUnknownModel
 	}
 	if req.Prompt == "" {
 		return llm.Response{}, llm.ErrEmptyPrompt

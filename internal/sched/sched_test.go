@@ -110,21 +110,25 @@ func TestSubmitErrors(t *testing.T) {
 	f := &fakeBatch{name: "m"}
 	s := New(Config{Obs: obs.NewRegistry()}, f)
 
-	if _, err := s.Submit(context.Background(), "nope", req(Interactive, 0)); !errors.Is(err, ErrUnknownModel) {
-		t.Errorf("unknown model: %v", err)
+	if _, err := s.Submit(context.Background(), "nope", req(Interactive, 0)); err != ErrUnknownModel {
+		t.Errorf("unknown model: %v, want the bare ErrUnknownModel", err)
 	}
 	if _, err := s.Submit(context.Background(), "m", llm.Request{}); !errors.Is(err, llm.ErrEmptyPrompt) {
 		t.Errorf("empty prompt: %v", err)
 	}
-	if !s.Has("m") || s.Has("nope") {
-		t.Error("Has is wrong")
+	if _, err := s.Submit(context.Background(), "m", req(Interactive, 0)); err != nil {
+		t.Errorf("scheduled tier: %v", err)
+	}
+	r := req(Interactive, 0)
+	if allocs := testing.AllocsPerRun(10, func() { s.Submit(context.Background(), "nope", r) }); allocs != 0 {
+		t.Errorf("Submit to an unmanaged tier = %g allocs, want 0", allocs)
 	}
 	s.Close()
 	if _, err := s.Submit(context.Background(), "m", req(Interactive, 0)); !errors.Is(err, ErrClosed) {
 		t.Errorf("closed scheduler: %v", err)
 	}
-	if s.Has("m") {
-		t.Error("closed scheduler still advertises tiers")
+	if _, err := s.Submit(context.Background(), "m", req(Streaming, 0)); !errors.Is(err, ErrClosed) {
+		t.Errorf("closed scheduler, streaming class: %v", err)
 	}
 }
 
