@@ -39,7 +39,11 @@ vet:
 # And internal/obs reads no other package's metrics by name: a string literal
 # there that starts with another package's metric prefix is a rule that
 # belongs with the component it watches (the proxy's alert rules read their
-# components in internal/proxy/alerts.go).
+# components in internal/proxy/alerts.go). The last two greps keep the
+# clocks in one place: internal/proxy reads the time only through p.now,
+# and internal/sched starts no timer and sleeps nowhere (its dispatcher
+# flushes what is queued without waiting, so a batching window cannot
+# creep back unnoticed).
 lint:
 	@if grep -nE 'PR [0-9]' DESIGN.md; then \
 		echo "lint: DESIGN.md names a PR: history belongs in CHANGES.md, DESIGN.md describes the system as it is"; exit 1; \
@@ -55,6 +59,9 @@ lint:
 	fi
 	@if grep -rnE 'time\.(Now|Since|Until)\(' --include='*.go' internal/proxy | grep -v '_test\.go:'; then \
 		echo "lint: internal/proxy reads the wall clock: read p.now, the proxy's one clock"; exit 1; \
+	fi
+	@if grep -rnE 'time\.(NewTimer|After|Tick|Sleep)\(' --include='*.go' internal/sched | grep -v '_test\.go:'; then \
+		echo "lint: internal/sched waits on a timer: the dispatcher flushes what is queued and never holds a request"; exit 1; \
 	fi
 	@start=$$(date +%s); \
 	set -ex; \
@@ -116,10 +123,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The scheduler's headline numbers: the concurrency-64 throughput gate
-# (batched >= 2x direct at identical spend), the no-starvation gate, and
-# the batched-vs-direct wall-clock benchmarks.
+# (batched >= 2x direct at identical spend), the no-starvation gate, the
+# idle-tier gate (a lone request dispatches at once; what queues behind a
+# held batch rides the next one), and the batched-vs-direct wall-clock
+# benchmarks.
 bench-sched:
-	$(GO) test -run 'TestSchedThroughputWin|TestInteractiveNotStarvedUnderBatchLoad' -v ./internal/sched/
+	$(GO) test -run 'TestSchedThroughputWin|TestInteractiveNotStarvedUnderBatchLoad|TestIdleTierDispatchesAtOnce' -v ./internal/sched/
 	$(GO) test -run - -bench 'BenchmarkScheduler' -benchtime=1x -benchmem ./internal/sched/
 
 # The recorded perf trajectory: run the internal/perf suite and write

@@ -1,6 +1,6 @@
 // Command llmdm-proxy serves the LLM proxy of the paper's Section III-B
 // over HTTP: a semantic cache, in-flight deduplication, the model
-// cascade, and an optional adaptive micro-batching scheduler stacked in
+// cascade, and an optional micro-batching scheduler stacked in
 // front of the simulated model family — fully instrumented with the
 // internal/obs metrics registry, request tracing, a structured
 // lifecycle event log, per-class SLO burn-rate tracking, per-tenant
@@ -90,9 +90,8 @@ func run(args []string, stderr io.Writer) error {
 	logLevel := fs.String("log-level", "debug", "minimum event level recorded: debug, info, warn or error")
 	maxConcurrent := fs.Int("max-concurrent", 0, "max requests served at once (0 = unlimited)")
 	maxQueue := fs.Int("max-queue", 0, "callers queued for a slot before shedding")
-	batch := fs.Bool("batch", false, "enable the adaptive micro-batching scheduler")
+	batch := fs.Bool("batch", false, "enable the micro-batching scheduler: each tier flushes what is queued, up to -batch-max, without waiting")
 	batchMax := fs.Int("batch-max", sched.DefaultMaxBatch, "max requests per batch")
-	batchWait := fs.Duration("batch-wait", 0, "max batch window, e.g. 4ms (0 = scheduler default)")
 	noSLO := fs.Bool("no-slo", false, "disable per-class SLO tracking (/v1/slo)")
 	tenantCap := fs.Int("tenants", obs.DefaultTenantCapacity, "tenants with a row of their own in /v1/tenants; later ones share the (overflow) row")
 	noTenants := fs.Bool("no-tenants", false, "disable per-tenant attribution (/v1/tenants)")
@@ -132,9 +131,6 @@ func run(args []string, stderr io.Writer) error {
 	if *batchMax < 1 {
 		return fmt.Errorf("-batch-max must be >= 1 (got %d)", *batchMax)
 	}
-	if *batchWait < 0 {
-		return fmt.Errorf("-batch-wait must be >= 0 (got %s)", *batchWait)
-	}
 	if *tenantCap <= 0 {
 		return fmt.Errorf("-tenants must be > 0 (got %d)", *tenantCap)
 	}
@@ -169,7 +165,6 @@ func run(args []string, stderr io.Writer) error {
 	if *batch {
 		cfg.Scheduler = &sched.Config{
 			MaxBatch: *batchMax,
-			MaxWait:  *batchWait,
 		}
 	}
 	if *runtimeInterval > 0 {

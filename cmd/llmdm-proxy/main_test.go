@@ -32,7 +32,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative cache capacity", []string{"-cache-capacity", "-1"}, "-cache-capacity"},
 		{"negative max concurrent", []string{"-max-concurrent", "-2"}, "-max-concurrent"},
 		{"negative max queue", []string{"-max-queue", "-2"}, "-max-queue"},
-		{"negative batch wait", []string{"-batch-wait", "-1ms"}, "-batch-wait"},
 		{"zero tenants", []string{"-tenants", "0"}, "-tenants"},
 		{"negative alert interval", []string{"-alert-interval", "-1s"}, "-alert-interval"},
 		{"bad log level", []string{"-log-level", "loud"}, "-log-level"},

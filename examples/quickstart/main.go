@@ -71,7 +71,7 @@ func main() {
 	}
 
 	// 4. The serving proxy, configured with functional options: semantic
-	// cache + cascade + adaptive micro-batching scheduler. Concurrent
+	// cache + cascade + micro-batching scheduler. Concurrent
 	// requests to the same tier share batches; bulk traffic is marked
 	// with PriorityBatch so it cannot crowd out interactive requests.
 	fmt.Println("\n— serving proxy (cache + cascade + micro-batching) —")

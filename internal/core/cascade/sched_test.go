@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -16,11 +15,13 @@ import (
 func schedOver(f llm.Family) *sched.Scheduler {
 	batchables := make([]llm.BatchModel, len(f))
 	for i, m := range f {
-		batchables[i] = m
+		// Paced, a tier is busy for the length of each call, so
+		// concurrent cascades queue behind the batch in flight and share
+		// the next one: the scheduler never holds a request to batch it.
+		batchables[i] = llm.NewPaced(m, 1000)
 	}
 	return sched.New(sched.Config{
 		MaxBatch: 8,
-		MaxWait:  time.Millisecond,
 		Obs:      obs.NewRegistry(),
 	}, batchables...)
 }

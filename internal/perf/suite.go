@@ -589,7 +589,6 @@ func Serving(ctx context.Context) []Spec {
 			model, sim := perfModel(reg, 100000)
 			s := sched.New(sched.Config{
 				MaxBatch: 16,
-				MaxWait:  500 * time.Microsecond,
 				Obs:      reg,
 				Log:      obs.NewLogger(obs.NewEventLog(64), obs.Debug, reg),
 			}, model)
@@ -662,7 +661,6 @@ func ThroughputWin(ctx context.Context) (float64, error) {
 	paced, sim := perfModel(reg, scale)
 	s := sched.New(sched.Config{
 		MaxBatch: 32,
-		MaxWait:  2 * time.Millisecond,
 		Obs:      reg,
 		Log:      obs.NewLogger(obs.NewEventLog(64), obs.Debug, reg),
 	}, paced)

@@ -480,10 +480,6 @@ func (p *Proxy) Handler() http.Handler {
 			}
 		}
 		if ss, ok := p.SchedStats(); ok {
-			windows := make(map[string]float64, len(ss.Windows))
-			for model, w := range ss.Windows {
-				windows[model] = w.Seconds() * 1000
-			}
 			out["scheduler"] = map[string]interface{}{
 				"submitted":     ss.Submitted,
 				"batches":       ss.Batches,
@@ -491,7 +487,6 @@ func (p *Proxy) Handler() http.Handler {
 				"canceled":      ss.Canceled,
 				"failed":        ss.Failed,
 				"bypassed":      ss.Bypassed,
-				"window_ms":     windows,
 			}
 		}
 		writeJSON(w, http.StatusOK, out)

@@ -148,7 +148,7 @@ type Config struct {
 	// consults.
 	DisableBreaker bool
 
-	// Scheduler, when non-nil, places an adaptive micro-batching
+	// Scheduler, when non-nil, places a micro-batching
 	// scheduler between the cascade and every model that supports
 	// batched generation (llm.BatchModel): concurrent cascades then
 	// share batches per tier instead of calling models one request at a

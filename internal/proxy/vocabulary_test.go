@@ -155,7 +155,7 @@ func vocabularyDrive(t *testing.T) (*obs.Registry, *obs.Tracer, *obs.EventLog) {
 	// Through a scheduler: a batch-class request queues, a streamed one
 	// bypasses the queue.
 	p = build(Config{Models: []llm.Model{batchOnly{sim("batched", 0.95)}}, DisableCache: true,
-		Scheduler: &sched.Config{MaxWait: time.Millisecond}})
+		Scheduler: &sched.Config{}})
 	easy := llm.Request{Prompt: "which stadium held the most concerts", Gold: "the old one", Difficulty: 0.05}
 	if _, err := p.Complete(sched.WithClass(ctx, sched.Batch), easy); err != nil {
 		t.Fatal(err)

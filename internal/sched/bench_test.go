@@ -100,7 +100,6 @@ func TestSchedThroughputWin(t *testing.T) {
 	paced, sim := benchModel(scale)
 	s := New(Config{
 		MaxBatch: 32,
-		MaxWait:  2 * time.Millisecond,
 		Obs:      obs.NewRegistry(),
 	}, paced)
 	defer s.Close()
@@ -139,7 +138,7 @@ func TestSchedThroughputWin(t *testing.T) {
 // concurrency; compare against BenchmarkSchedulerDirect.
 func BenchmarkSchedulerBatched(b *testing.B) {
 	paced, _ := benchModel(2000)
-	s := New(Config{MaxBatch: 32, MaxWait: 2 * time.Millisecond, Obs: obs.NewRegistry()}, paced)
+	s := New(Config{MaxBatch: 32, Obs: obs.NewRegistry()}, paced)
 	defer s.Close()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

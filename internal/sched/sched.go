@@ -1,7 +1,6 @@
-// Package sched implements the adaptive micro-batching request scheduler
-// that sits between the serving path (proxy → cascade) and the model
-// family. It is the batching/admission layer of a heavy-traffic LLM
-// deployment:
+// Package sched implements the micro-batching request scheduler that
+// sits between the serving path (proxy → cascade) and the model family.
+// It is the batching/admission layer of a heavy-traffic LLM deployment:
 //
 //   - Per-tier batch queues. Each model tier has its own dispatcher and
 //     pair of priority queues; requests submitted for a tier are grouped
@@ -10,13 +9,12 @@
 //     multiplies the requests/sec a tier sustains (see bench_test.go and
 //     `make bench-sched`).
 //
-//   - Adaptive flush window. A batch flushes when it reaches MaxBatch or
-//     when the dispatcher has waited out the current window. The window
-//     retunes itself after every flush: deadline flushes with a near-empty
-//     batch mean light load, so the window shrinks toward minWait (keeping
-//     p50 latency close to the unbatched path); size-triggered flushes
-//     mean heavy load, so the window grows toward MaxWait (so the next
-//     lull still accumulates a batch).
+//   - Natural batching. The dispatcher never waits for cohort-mates: it
+//     takes the first queued request, drains whatever else is already
+//     queued up to MaxBatch, and flushes at once. A tier runs one batch at
+//     a time, so requests that arrive while a batch is in flight queue
+//     behind it and ride the next one: batches grow with load, and an idle
+//     tier adds no wait.
 //
 //   - Priority classes with weighted-fair dequeueing. Interactive traffic
 //     (default) and bulk batch/experiment traffic are queued separately
@@ -27,8 +25,8 @@
 //     all: token-stream traffic bypasses batching entirely (see Class).
 //
 // Every signal — submissions, queue depth, queue wait, batch size, flush
-// cause, window width — is metered into an obs.Registry, and the proxy
-// surfaces them at /metrics and /v1/stats.
+// cause — is metered into an obs.Registry, and the proxy surfaces them at
+// /metrics and /v1/stats.
 package sched
 
 import (
@@ -116,8 +114,8 @@ var (
 	ErrUnknownModel = errors.New("sched: model not registered")
 )
 
-// DefaultMaxBatch is the batch size that triggers an immediate flush
-// when Config.MaxBatch is zero.
+// DefaultMaxBatch is the most queued requests one flush takes when
+// Config.MaxBatch is zero.
 const DefaultMaxBatch = 16
 
 // Fixed scheduler parameters (see Config).
@@ -134,25 +132,16 @@ const (
 	// interactiveWeight and batchWeight set the weighted-fair dequeue
 	// ratio between the classes when both are backlogged.
 	interactiveWeight, batchWeight = 4, 1
-	// minWait is the floor the flush window shrinks to under light load,
-	// keeping the batched path's p50 close to the unbatched path. A MaxWait
-	// below it is the floor instead.
-	minWait = 100 * time.Microsecond
 )
 
 // Config parameterizes a Scheduler. The zero value selects the defaults
-// documented per field. The queue depth, the batch timeout, the class
-// weights and the window's floor are not fields: no caller ever changed
-// them, so they are the constants queueDepth, batchTimeout,
-// interactiveWeight, batchWeight and minWait.
+// documented per field. The queue depth, the batch timeout and the class
+// weights are not fields: no caller ever changed them, so they are the
+// constants queueDepth, batchTimeout, interactiveWeight and batchWeight.
 type Config struct {
-	// MaxBatch is the batch size that triggers an immediate flush.
-	// Defaults to DefaultMaxBatch.
+	// MaxBatch caps how many queued requests one flush takes. Defaults to
+	// DefaultMaxBatch.
 	MaxBatch int
-	// MaxWait is the ceiling of the adaptive flush window — the longest a
-	// queued request waits for cohort-mates under heavy load. Defaults to
-	// 4ms.
-	MaxWait time.Duration
 	// Obs receives the scheduler's metrics.
 	Obs *obs.Registry
 	// Log receives sched_batch_flush lifecycle events.
@@ -162,9 +151,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 4 * time.Millisecond
 	}
 	return cfg
 }
@@ -188,16 +174,14 @@ type result struct {
 type tier struct {
 	model  llm.BatchModel
 	queues [numQueueClasses]chan *item
-	window atomic.Int64 // current adaptive flush window, ns
 
 	// credits is the weighted-round-robin state: refilled to the class
 	// weights whenever no class can spend (empty queue or spent credit).
 	credits [numQueueClasses]int
 
-	gWindow                    *obs.Gauge
-	gDepth                     [numQueueClasses]*obs.Gauge
-	hBatch                     *obs.Histogram
-	mFlushSize, mFlushDeadline *obs.Counter
+	gDepth                    [numQueueClasses]*obs.Gauge
+	hBatch                    *obs.Histogram
+	mFlushSize, mFlushDrained *obs.Counter
 }
 
 // BatchSizeBuckets are the histogram buckets for flushed batch sizes.
@@ -208,7 +192,6 @@ var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 type Scheduler struct {
 	cfg   Config
 	tiers map[string]*tier
-	order []string
 
 	// mu gates Submit against Close: no item can be enqueued after the
 	// closed flag is set, so the dispatchers' final drain observes every
@@ -248,22 +231,16 @@ func New(cfg Config, models ...llm.BatchModel) *Scheduler {
 			continue
 		}
 		t := &tier{
-			model:          m,
-			gWindow:        cfg.Obs.Gauge("sched_window_seconds", "model", m.Name()),
-			hBatch:         cfg.Obs.Histogram("sched_batch_size", BatchSizeBuckets, "model", m.Name()),
-			mFlushSize:     cfg.Obs.Counter("sched_flushes_total", "model", m.Name(), "cause", "size"),
-			mFlushDeadline: cfg.Obs.Counter("sched_flushes_total", "model", m.Name(), "cause", "deadline"),
+			model:         m,
+			hBatch:        cfg.Obs.Histogram("sched_batch_size", BatchSizeBuckets, "model", m.Name()),
+			mFlushSize:    cfg.Obs.Counter("sched_flushes_total", "model", m.Name(), "cause", "size"),
+			mFlushDrained: cfg.Obs.Counter("sched_flushes_total", "model", m.Name(), "cause", "drained"),
 		}
 		for c := Class(0); c < numQueueClasses; c++ {
 			t.queues[c] = make(chan *item, queueDepth)
 			t.gDepth[c] = cfg.Obs.Gauge("sched_queue_depth", "model", m.Name(), "class", c.String())
 		}
-		// Start at the ceiling — a conservative batching posture that the
-		// adaptive loop shrinks within a few flushes when load is light.
-		t.window.Store(int64(cfg.MaxWait))
-		t.gWindow.Set(cfg.MaxWait.Seconds())
 		s.tiers[m.Name()] = t
-		s.order = append(s.order, m.Name())
 		s.wg.Add(1)
 		obs.Go(cfg.Obs, "sched_run", func() { s.run(t) })
 	}
@@ -366,25 +343,18 @@ type Stats struct {
 	// Bypassed counts Streaming-class submissions that skipped the batch
 	// queues and went straight to the model.
 	Bypassed int64
-	// Windows maps each tier to its current adaptive flush window.
-	Windows map[string]time.Duration
 }
 
-// Stats snapshots the counters and per-tier windows.
+// Stats snapshots the counters.
 func (s *Scheduler) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Submitted:    s.submitted.Load(),
 		Batches:      s.batches.Load(),
 		BatchedItems: s.batchedItems.Load(),
 		Canceled:     s.canceled.Load(),
 		Failed:       s.failed.Load(),
 		Bypassed:     s.bypassed.Load(),
-		Windows:      make(map[string]time.Duration, len(s.order)),
 	}
-	for _, name := range s.order {
-		st.Windows[name] = time.Duration(s.tiers[name].window.Load())
-	}
-	return st
 }
 
 // Close stops accepting submissions, flushes everything already queued,
@@ -399,8 +369,8 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// run is one tier's dispatcher loop: await the first item, fill a batch
-// under the adaptive window with weighted-fair dequeueing, flush, repeat.
+// run is one tier's dispatcher loop: await the first item, take what is
+// already queued behind it, flush, repeat.
 func (s *Scheduler) run(t *tier) {
 	defer s.wg.Done()
 	for {
@@ -409,9 +379,7 @@ func (s *Scheduler) run(t *tier) {
 			s.finalFlush(t)
 			return
 		}
-		batch, timedOut := s.fill(t, first)
-		s.adapt(t, len(batch), timedOut)
-		s.flush(t, batch)
+		s.flush(t, s.fill(t, first))
 	}
 }
 
@@ -433,34 +401,22 @@ func (s *Scheduler) awaitFirst(t *tier) (*item, bool) {
 	}
 }
 
-// fill grows the batch until MaxBatch or the adaptive window expires.
-// Backlogged queues are drained through the weighted-fair picker; when
-// both are empty it waits for arrivals up to the window deadline.
-func (s *Scheduler) fill(t *tier, first *item) (batch []*item, timedOut bool) {
-	batch = make([]*item, 1, s.cfg.MaxBatch)
+// fill grows the batch from what is already queued, through the
+// weighted-fair picker, up to MaxBatch, and never waits for more. The
+// dispatcher runs one batch at a time, so arrivals during a flush queue
+// behind it and the next fill takes them: batches grow with load while an
+// idle tier dispatches a lone request at once.
+func (s *Scheduler) fill(t *tier, first *item) []*item {
+	batch := make([]*item, 1, s.cfg.MaxBatch)
 	batch[0] = first
-	window := time.Duration(t.window.Load())
-	timer := time.NewTimer(window)
-	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
-		if it := t.pickFair(); it != nil {
-			batch = append(batch, it)
-			continue
+		it := t.pickFair()
+		if it == nil {
+			break
 		}
-		select {
-		case it := <-t.queues[Interactive]:
-			t.gDepth[Interactive].Add(-1)
-			batch = append(batch, it)
-		case it := <-t.queues[Batch]:
-			t.gDepth[Batch].Add(-1)
-			batch = append(batch, it)
-		case <-timer.C:
-			return batch, true
-		case <-s.stop:
-			return batch, false
-		}
+		batch = append(batch, it)
 	}
-	return batch, false
+	return batch
 }
 
 // pickFair takes one backlogged item by credit-based weighted round
@@ -498,39 +454,11 @@ func (t *tier) tryTake(c Class) *item {
 	}
 }
 
-// adapt retunes the tier's flush window from how the last batch closed.
-func (s *Scheduler) adapt(t *tier, n int, timedOut bool) {
-	w := time.Duration(t.window.Load())
-	switch {
-	case timedOut && n <= 1:
-		// Deadline fired for a lone request: light load — halve toward the
-		// floor so p50 latency tracks the unbatched path.
-		w /= 2
-	case timedOut && n < s.cfg.MaxBatch/2:
-		w = w * 3 / 4
-	case !timedOut:
-		// Size-triggered flush: heavy load — widen toward the ceiling so
-		// the next lull still accumulates a batch.
-		w *= 2
-	}
-	if w < minWait {
-		w = minWait
-	}
-	if w > s.cfg.MaxWait {
-		w = s.cfg.MaxWait
-	}
-	t.window.Store(int64(w))
-	t.gWindow.Set(w.Seconds())
-}
-
 // flush runs one batch through the tier's model and delivers the
 // per-item results. Items whose submitter already gave up are dropped
 // before the upstream call. The call itself is detached from every
 // submitter's context and bounded by batchTimeout.
 func (s *Scheduler) flush(t *tier, batch []*item) {
-	if len(batch) == 0 {
-		return
-	}
 	now := time.Now()
 	live := batch[:0]
 	tenants := make(map[string]struct{})
@@ -550,12 +478,12 @@ func (s *Scheduler) flush(t *tier, batch []*item) {
 	if len(live) == 0 {
 		return
 	}
-	cause := "deadline"
+	cause := "drained"
 	if len(live) == s.cfg.MaxBatch {
 		t.mFlushSize.Inc()
 		cause = "size"
 	} else {
-		t.mFlushDeadline.Inc()
+		t.mFlushDrained.Inc()
 	}
 	// A flush serves many traces at once, so the event is uncorrelated;
 	// "tenants" reports how many distinct tenants shared the batch.
@@ -593,20 +521,7 @@ func (s *Scheduler) flush(t *tier, batch []*item) {
 
 // finalFlush drains and serves everything still queued after Close.
 func (s *Scheduler) finalFlush(t *tier) {
-	for {
-		first := t.pickFair()
-		if first == nil {
-			return
-		}
-		batch := make([]*item, 1, s.cfg.MaxBatch)
-		batch[0] = first
-		for len(batch) < s.cfg.MaxBatch {
-			it := t.pickFair()
-			if it == nil {
-				break
-			}
-			batch = append(batch, it)
-		}
-		s.flush(t, batch)
+	for first := t.pickFair(); first != nil; first = t.pickFair() {
+		s.flush(t, s.fill(t, first))
 	}
 }

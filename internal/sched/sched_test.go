@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,12 +18,13 @@ import (
 
 // fakeBatch is a controllable BatchModel: it records every batch it
 // serves (with the class mix resolved by the scheduler), optionally
-// blocks on a gate before serving, and answers each request with its
-// gold text.
+// signals each batch's arrival and blocks on a gate before serving, and
+// answers each request with its gold text.
 type fakeBatch struct {
-	name  string
-	gate  chan struct{} // when non-nil, one receive per batch before serving
-	delay time.Duration // per-batch service time
+	name    string
+	entered chan int      // when non-nil, receives each batch's size as GenerateBatch starts
+	gate    chan struct{} // when non-nil, one receive per batch before serving
+	delay   time.Duration // per-batch service time
 
 	mu      sync.Mutex
 	batches [][]llm.Request
@@ -39,6 +41,13 @@ func (f *fakeBatch) Complete(ctx context.Context, req llm.Request) (llm.Response
 }
 
 func (f *fakeBatch) GenerateBatch(ctx context.Context, reqs []llm.Request) ([]llm.Response, error) {
+	if f.entered != nil {
+		select {
+		case f.entered <- len(reqs):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	if f.gate != nil {
 		select {
 		case <-f.gate:
@@ -67,6 +76,52 @@ func (f *fakeBatch) recorded() [][]llm.Request {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([][]llm.Request(nil), f.batches...)
+}
+
+// awaitBatch returns the size of the next batch to enter GenerateBatch.
+func (f *fakeBatch) awaitBatch(t *testing.T) int {
+	t.Helper()
+	select {
+	case n := <-f.entered:
+		return n
+	case <-time.After(5 * time.Second):
+		t.Fatal("no batch reached the model")
+		return 0
+	}
+}
+
+// release lets the held batch through, then each batch after it until
+// items more requests have entered GenerateBatch, and returns the sizes of
+// those batches.
+func (f *fakeBatch) release(t *testing.T, items int) []int {
+	t.Helper()
+	f.gate <- struct{}{}
+	var sizes []int
+	for items > 0 {
+		n := f.awaitBatch(t)
+		sizes = append(sizes, n)
+		items -= n
+		f.gate <- struct{}{}
+	}
+	return sizes
+}
+
+// waitUntil spins until cond holds: a wait on a state, not on a guess of
+// how long reaching it takes.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// submitted reports whether s has accepted n submissions.
+func submitted(s *Scheduler, n int) func() bool {
+	return func() bool { return s.Stats().Submitted == int64(n) }
 }
 
 func req(class Class, i int) llm.Request {
@@ -136,11 +191,9 @@ func TestSubmitErrors(t *testing.T) {
 // weighted-fair ratio — bulk load cannot crowd interactive out, and
 // interactive history cannot starve bulk either.
 func TestWeightedFairRatioUnderBacklog(t *testing.T) {
-	gate := make(chan struct{})
-	f := &fakeBatch{name: "m", gate: gate}
+	f := &fakeBatch{name: "m", entered: make(chan int), gate: make(chan struct{})}
 	s := New(Config{
 		MaxBatch: 5,
-		MaxWait:  time.Millisecond,
 		Obs:      obs.NewRegistry(),
 	}, f)
 	defer s.Close()
@@ -150,7 +203,7 @@ func TestWeightedFairRatioUnderBacklog(t *testing.T) {
 	bctx := WithClass(context.Background(), Batch)
 	ictx := WithClass(context.Background(), Interactive)
 	go s.Submit(bctx, "m", req(Batch, 999))
-	time.Sleep(20 * time.Millisecond) // dispatcher now blocked on the gate
+	f.awaitBatch(t) // dispatcher now blocked on the gate
 
 	const n = 40
 	var wg sync.WaitGroup
@@ -160,21 +213,11 @@ func TestWeightedFairRatioUnderBacklog(t *testing.T) {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); s.Submit(bctx, "m", req(Batch, i)) }(i)
 	}
-	time.Sleep(50 * time.Millisecond) // let every submitter enqueue
+	waitUntil(t, "every submitter enqueued", submitted(s, 2*n+1))
 
-	// Release batches until all traffic is served.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case gate <- struct{}{}:
-		case <-done:
-			goto check
-		case <-time.After(5 * time.Second):
-			t.Fatal("scheduler wedged")
-		}
-	}
-check:
+	f.release(t, 2*n) // the sacrificial batch, then the backlog
+	wg.Wait()
+
 	// While both classes were backlogged (the early flushes), each full
 	// batch of 5 should carry 4 interactive + 1 batch items.
 	batches := f.recorded()
@@ -210,7 +253,6 @@ func TestInteractiveNotStarvedUnderBatchLoad(t *testing.T) {
 	f := &fakeBatch{name: "m", delay: 2 * time.Millisecond}
 	s := New(Config{
 		MaxBatch: 8,
-		MaxWait:  500 * time.Microsecond,
 		Obs:      obs.NewRegistry(),
 	}, f)
 	defer s.Close()
@@ -232,7 +274,8 @@ func TestInteractiveNotStarvedUnderBatchLoad(t *testing.T) {
 			}
 		}(p)
 	}
-	time.Sleep(20 * time.Millisecond) // build a standing backlog
+	// Build a standing backlog: every producer has been round several times.
+	waitUntil(t, "the producers are looping", func() bool { return s.Stats().Submitted >= 32 })
 
 	ictx := WithClass(context.Background(), Interactive)
 	var worst time.Duration
@@ -257,50 +300,50 @@ func TestInteractiveNotStarvedUnderBatchLoad(t *testing.T) {
 	}
 }
 
-// Under light sequential load the window must shrink to the floor, and
-// under a concurrent flood it must grow again.
-func TestAdaptiveWindow(t *testing.T) {
-	f := &fakeBatch{name: "m"}
-	cfg := Config{
-		MaxBatch: 16,
-		MaxWait:  20 * time.Millisecond,
-		Obs:      obs.NewRegistry(),
-	}
-	s := New(cfg, f)
-	defer s.Close()
+// On an idle tier a lone submit reaches the model at once, as a batch of
+// one: nothing holds it for cohort-mates. Whatever arrives while that batch
+// runs queues behind it and rides the next flushes, MaxBatch at a time.
+func TestIdleTierDispatchesAtOnce(t *testing.T) {
+	const maxBatch = 4
+	for _, k := range []int{1, maxBatch - 1, maxBatch, 2*maxBatch + 1} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			f := &fakeBatch{name: "m", entered: make(chan int), gate: make(chan struct{})}
+			s := New(Config{MaxBatch: maxBatch, Obs: obs.NewRegistry()}, f)
+			defer s.Close()
 
-	if w := s.Stats().Windows["m"]; w != cfg.MaxWait {
-		t.Fatalf("initial window %v, want ceiling %v", w, cfg.MaxWait)
-	}
-	// Light load: one request at a time. Every flush is a deadline flush
-	// of size 1, so the window halves down to the floor.
-	for i := 0; i < 12; i++ {
-		if _, err := s.Submit(context.Background(), "m", req(Interactive, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w := s.Stats().Windows["m"]; w != minWait {
-		t.Errorf("window after light load %v, want floor %v", w, minWait)
-	}
-
-	// Heavy load: a flood of concurrent requests produces size-triggered
-	// flushes, which double the window back up.
-	var wg sync.WaitGroup
-	for i := 0; i < 400; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.Submit(context.Background(), "m", req(Interactive, 1000+i))
-		}(i)
-	}
-	wg.Wait()
-	if w := s.Stats().Windows["m"]; w <= 2*minWait {
-		t.Errorf("window after heavy load %v, expected growth above %v", w, 2*minWait)
+			var wg sync.WaitGroup
+			submit := func(i int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := s.Submit(context.Background(), "m", req(Interactive, i)); err != nil {
+						t.Errorf("submit %d: %v", i, err)
+					}
+				}()
+			}
+			submit(0)
+			if got := f.awaitBatch(t); got != 1 {
+				t.Fatalf("a lone submit reached the model in a batch of %d, want 1", got)
+			}
+			for i := 1; i <= k; i++ {
+				submit(i)
+			}
+			waitUntil(t, "every submit queued behind the held batch", submitted(s, 1+k))
+			sizes := f.release(t, k)
+			wg.Wait()
+			var want []int
+			for left := k; left > 0; left -= maxBatch {
+				want = append(want, min(left, maxBatch))
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(want) {
+				t.Errorf("%d submits queued behind a held batch flushed as %v, want %v", k, sizes, want)
+			}
+		})
 	}
 }
 
-// The adaptive window keeps the batched path's p50 latency within 2× of
-// the direct unbatched path under light load.
+// Natural batching keeps the batched path's p50 latency within 2× of the
+// direct unbatched path under light load.
 func TestLightLoadP50WithinTwiceUnbatched(t *testing.T) {
 	mk := func() (*llm.Paced, *llm.SimModel) {
 		sim := llm.NewSim(llm.SimConfig{
@@ -335,11 +378,10 @@ func TestLightLoadP50WithinTwiceUnbatched(t *testing.T) {
 	paced, _ := mk()
 	s := New(Config{
 		MaxBatch: 16,
-		MaxWait:  10 * time.Millisecond,
 		Obs:      obs.NewRegistry(),
 	}, paced)
 	defer s.Close()
-	// Warm-up: let the adaptive window shrink to the floor.
+	// Warm-up, untimed.
 	for i := 0; i < warm; i++ {
 		if _, err := s.Submit(ctx, "m", req(Interactive, i)); err != nil {
 			t.Fatal(err)
@@ -355,7 +397,7 @@ func TestLightLoadP50WithinTwiceUnbatched(t *testing.T) {
 	}
 
 	dp, sp := p50(directSamples), p50(schedSamples)
-	t.Logf("p50 direct=%v scheduled=%v window=%v", dp, sp, s.Stats().Windows["m"])
+	t.Logf("p50 direct=%v scheduled=%v", dp, sp)
 	if sp > 2*dp {
 		t.Errorf("light-load p50 %v exceeds 2× the unbatched p50 %v", sp, dp)
 	}
@@ -364,14 +406,13 @@ func TestLightLoadP50WithinTwiceUnbatched(t *testing.T) {
 // A submitter whose context dies while queued stops waiting, and its
 // item is dropped from the flush instead of billed into the batch.
 func TestSubmitCancellation(t *testing.T) {
-	gate := make(chan struct{})
-	f := &fakeBatch{name: "m", gate: gate}
-	s := New(Config{MaxBatch: 4, MaxWait: time.Millisecond, Obs: obs.NewRegistry()}, f)
+	f := &fakeBatch{name: "m", entered: make(chan int), gate: make(chan struct{})}
+	s := New(Config{MaxBatch: 4, Obs: obs.NewRegistry()}, f)
 	defer s.Close()
 
 	// Park the dispatcher, then queue an item and cancel it.
 	go s.Submit(context.Background(), "m", req(Interactive, 0))
-	time.Sleep(20 * time.Millisecond)
+	f.awaitBatch(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -379,7 +420,7 @@ func TestSubmitCancellation(t *testing.T) {
 		_, err := s.Submit(ctx, "m", req(Interactive, 1))
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let it enqueue
+	waitUntil(t, "the second item queued", submitted(s, 2))
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled submitter got %v", err)
@@ -387,14 +428,8 @@ func TestSubmitCancellation(t *testing.T) {
 
 	// Release the parked batch; the canceled item's flush never reaches
 	// the model, so no further gate sends are needed.
-	gate <- struct{}{}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Canceled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("canceled item never dropped")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	f.gate <- struct{}{}
+	waitUntil(t, "the canceled item was dropped", func() bool { return s.Stats().Canceled == 1 })
 	for _, b := range f.recorded() {
 		for _, r := range b {
 			if r.Prompt == "interactive req 1" {
@@ -407,7 +442,7 @@ func TestSubmitCancellation(t *testing.T) {
 // Close flushes everything already queued and unblocks every submitter.
 func TestCloseDrains(t *testing.T) {
 	f := &fakeBatch{name: "m", delay: time.Millisecond}
-	s := New(Config{MaxBatch: 4, MaxWait: 50 * time.Millisecond, Obs: obs.NewRegistry()}, f)
+	s := New(Config{MaxBatch: 4, Obs: obs.NewRegistry()}, f)
 
 	const n = 30
 	var served, failed atomic.Int64
@@ -427,14 +462,14 @@ func TestCloseDrains(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitUntil(t, "every submitter enqueued", submitted(s, n))
 	s.Close()
 	wg.Wait()
 	if got := served.Load() + failed.Load(); got != n {
 		t.Errorf("accounted for %d of %d submitters", got, n)
 	}
-	if served.Load() == 0 {
-		t.Error("close served nothing that was already queued")
+	if served.Load() != n {
+		t.Errorf("close served %d of the %d already queued", served.Load(), n)
 	}
 	s.Close() // idempotent
 }

@@ -60,7 +60,7 @@ type (
 	// component built over it (see WithMetricsRegistry). It serves both
 	// Prometheus text and JSON expositions.
 	MetricsRegistry = obs.Registry
-	// SchedulerConfig parameterizes the adaptive micro-batching scheduler
+	// SchedulerConfig parameterizes the micro-batching scheduler
 	// (see WithScheduler). The zero value selects sensible defaults.
 	SchedulerConfig = sched.Config
 	// Priority is a batching-scheduler request class; attach it to a
@@ -230,12 +230,14 @@ func WithoutEarlyExit() ProxyOption {
 	return func(cfg *proxy.Config) { cfg.DisableEarlyExit = true }
 }
 
-// WithScheduler places an adaptive micro-batching scheduler between the
-// cascade and the model family: concurrent requests to the same tier
-// share batches, bulk traffic is weighted-fairly interleaved with
-// interactive traffic (see WithPriority), and the batching window
-// adapts to load. The zero SchedulerConfig selects defaults. Call the
-// proxy's Close method to drain the scheduler on shutdown.
+// WithScheduler places a micro-batching scheduler between the cascade
+// and the model family: concurrent requests to the same tier share
+// batches, and bulk traffic is weighted-fairly interleaved with
+// interactive traffic (see WithPriority). A tier never waits to fill a
+// batch: it flushes whatever is queued at once, so batches grow only
+// while earlier batches keep the tier busy. The zero SchedulerConfig
+// selects defaults. Call the proxy's Close method to drain the scheduler
+// on shutdown.
 func WithScheduler(cfg SchedulerConfig) ProxyOption {
 	return func(pc *proxy.Config) { pc.Scheduler = &cfg }
 }

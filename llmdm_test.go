@@ -207,7 +207,7 @@ func TestClientProxyWithSchedulerAndMetrics(t *testing.T) {
 	c := NewClient(WithMetricsRegistry(reg))
 	p := c.Proxy(
 		WithoutCache(),
-		WithScheduler(SchedulerConfig{MaxBatch: 8, MaxWait: time.Millisecond}),
+		WithScheduler(SchedulerConfig{MaxBatch: 8}),
 		WithResilience(ResilienceConfig{MaxConcurrent: 64, MaxQueue: 64}),
 	)
 	defer p.Close()
