@@ -104,8 +104,17 @@ func TestDisableCache(t *testing.T) {
 	}
 }
 
+// TestConcurrentIdenticalCoalesce runs n identical requests through the
+// default two-tier cascade with its first tier gated shut until every
+// request has either led the call or joined it, so the overlap does not
+// depend on scheduling.
 func TestConcurrentIdenticalCoalesce(t *testing.T) {
-	p := newTestProxy(Config{DisableCache: true}) // isolate coalescing
+	gate := make(chan struct{})
+	p := newTestProxy(Config{DisableCache: true, // isolate coalescing
+		Models: []llm.Model{
+			gatedSim{llm.NewSim(llm.SimConfig{Name: "small", Capability: 0.3, Price: token.Price{InputPer1K: 400, OutputPer1K: 400}}), gate},
+			llm.NewSim(llm.SimConfig{Name: "large", Capability: 0.95, Price: token.Price{InputPer1K: 30000, OutputPer1K: 60000}}),
+		}})
 	req := llm.Request{Prompt: "identical concurrent question", Gold: "g", Difficulty: 0.2}
 	const n = 16
 	var wg sync.WaitGroup
@@ -122,6 +131,8 @@ func TestConcurrentIdenticalCoalesce(t *testing.T) {
 			answers[i] = ans
 		}(i)
 	}
+	waitFor(t, func() bool { return p.Stats().Coalesced == n-1 })
+	close(gate)
 	wg.Wait()
 	for i := 1; i < n; i++ {
 		if answers[i].Text != answers[0].Text {
@@ -129,12 +140,12 @@ func TestConcurrentIdenticalCoalesce(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	// At least some goroutines must have joined an in-flight call, and the
-	// upstream must have been called far fewer than n times.
-	if st.Coalesced == 0 {
-		t.Skip("no overlap achieved on this run (scheduling)")
+	// Every goroutine but the leader joined the in-flight call, and the
+	// upstream ran one cascade, not n.
+	if st.Coalesced != n-1 {
+		t.Errorf("coalesced = %d, want %d", st.Coalesced, n-1)
 	}
-	if st.ModelCalls >= n*2 {
+	if st.ModelCalls > 2 {
 		t.Errorf("model calls %d too high for %d coalescible requests", st.ModelCalls, n)
 	}
 }
