@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/token"
 	"repro/internal/workload"
 )
@@ -92,6 +93,26 @@ func TestFinalModelAlwaysAccepts(t *testing.T) {
 	}
 	if resp.Model != llm.NameLarge {
 		t.Errorf("final answer from %s", resp.Model)
+	}
+}
+
+// TestFullEscalationAllocatesNoSteps pins where a run's steps live: under
+// an unkept trace, as the proxy runs most requests, a run through all
+// three tiers allocates its RunStream and one single-call stream per
+// tier, and its three steps ride the run's own array.
+func TestFullEscalationAllocatesNoSteps(t *testing.T) {
+	c := New(Threshold{1.1}, models(family())...)
+	req := llm.Request{Prompt: "anything", Gold: "g", Wrong: "w", Difficulty: 0.5}
+	ctx, _ := obs.NewTracer(1).StartSampled(context.Background(), "proxy.complete", false)
+	var tr Trace
+	allocs := testing.AllocsPerRun(100, func() {
+		_, tr, _ = c.Complete(ctx, req)
+	})
+	if len(tr.Steps) != 3 || tr.Steps[0].Model != llm.NameSmall || tr.Steps[2].Model != llm.NameLarge || !tr.Steps[2].Accepted {
+		t.Fatalf("steps = %+v, want all three tiers, the last accepted", tr.Steps)
+	}
+	if want := float64(1 + len(c.Models)); allocs != want {
+		t.Errorf("a three-tier run allocates %v times, want %v: the RunStream and one stream per tier", allocs, want)
 	}
 }
 

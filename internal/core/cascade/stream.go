@@ -98,7 +98,11 @@ type RunStream struct {
 	next      int
 	nextEpoch uint64
 
-	tr     Trace
+	tr Trace
+	// steps backs tr.Steps, so a run of up to four tiers records its steps
+	// without allocating; a longer one grows the slice past it. Result
+	// hands out tr, so steps lives as long as any Trace read from it.
+	steps  [4]Step
 	done   bool
 	result llm.Response
 	err    error
@@ -333,6 +337,9 @@ func (r *RunStream) endTier(outcome string, confidence float64, accepted bool) {
 		r.sp.End()
 	}
 	if r.tierChunks > 0 {
+		if r.tr.Steps == nil {
+			r.tr.Steps = r.steps[:0]
+		}
 		r.tr.Steps = append(r.tr.Steps, Step{
 			Model:      r.c.Models[r.tier].Name(),
 			Confidence: confidence,

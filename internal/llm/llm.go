@@ -215,7 +215,7 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 // empty prompt). trace, when non-empty, becomes the latency and cost
 // histograms' exemplar for the buckets this call lands in.
 func (m *SimModel) answer(req Request, trace string) Response {
-	resp := m.adjudicate(req)
+	resp, _ := m.adjudicate(req)
 
 	m.mu.Lock()
 	m.meter.Add(resp.InputTokens, resp.OutputTokens, resp.Cost)
@@ -234,16 +234,19 @@ func (m *SimModel) answer(req Request, trace string) Response {
 // counts, cost and simulated latency — with no side effects on the meter
 // or metrics. It is the shared core of answer (which bills the whole call
 // at once) and GenerateStream (which bills chunk by chunk as the text is
-// emitted).
-func (m *SimModel) adjudicate(req Request) Response {
+// emitted). It also returns the call's noise prefix, which GenerateStream
+// keys its chunk jitter on.
+func (m *SimModel) adjudicate(req Request) (Response, uint64) {
 	// Deterministic per-(model, key) noise streams: one for correctness,
-	// one for confidence. Distinct salts keep them independent.
+	// one for confidence, one for the wrong pick. Distinct salts keep them
+	// independent; their shared prefix is folded once per call.
 	key := req.NoiseKey
 	if key == "" {
 		key = req.Prompt
 	}
-	nCorrect := noiseUnit(m.name, key, "correct")
-	nConf := noiseUnit(m.name, key, "conf")
+	noise := noisePrefix(m.name, key)
+	nCorrect := noiseAt(noise, "correct")
+	nConf := noiseAt(noise, "conf")
 
 	eff := m.capability + (nCorrect-0.5)*2*m.noiseAmp
 	correct := req.Difficulty <= 0 || req.Difficulty < eff
@@ -259,7 +262,7 @@ func (m *SimModel) adjudicate(req Request) Response {
 		if cands := lead + len(req.WrongAlts); cands == 0 {
 			text = "I am not certain."
 		} else {
-			pick := int(noiseUnit(m.name, key, "wrongpick") * float64(cands))
+			pick := int(noiseAt(noise, "wrongpick") * float64(cands))
 			if pick >= cands {
 				pick = cands - 1
 			}
@@ -294,7 +297,7 @@ func (m *SimModel) adjudicate(req Request) Response {
 		OutputTokens: out,
 		Cost:         cost,
 		Latency:      latency,
-	}
+	}, noise
 }
 
 func clamp(v, lo, hi float64) float64 {

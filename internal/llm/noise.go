@@ -14,7 +14,13 @@ const (
 // [0, 1). It is the reproduction's replacement for API nondeterminism:
 // stable across runs, uncorrelated across prompts and models.
 func noiseUnit(model, prompt, salt string) float64 {
-	return unitFloat(fnvFold(noisePrefix(model, prompt), salt))
+	return noiseAt(noisePrefix(model, prompt), salt)
+}
+
+// noiseAt is noiseUnit for a prefix already folded by noisePrefix, so the
+// several noise streams of one call hash the model and prompt once.
+func noiseAt(prefix uint64, salt string) float64 {
+	return unitFloat(fnvFold(prefix, salt))
 }
 
 // noisePrefix is the FNV-1a state of "model\x00prompt\x00", the prefix

@@ -88,11 +88,7 @@ func (m *SimModel) GenerateStream(ctx context.Context, req Request) (Stream, err
 		return nil, ErrEmptyPrompt
 	}
 	_, sp := obs.StartSpan(ctx, "llm.generate_stream")
-	resp := m.adjudicate(req)
-	key := req.NoiseKey
-	if key == "" {
-		key = req.Prompt
-	}
+	resp, noise := m.adjudicate(req)
 	n := 1 // empty text is one empty Final chunk billing the minimum token
 	for end := nextPiece(resp.Text, 0); end < len(resp.Text); end = nextPiece(resp.Text, end) {
 		n++
@@ -108,7 +104,7 @@ func (m *SimModel) GenerateStream(ctx context.Context, req Request) (Stream, err
 	m.mCalls.Inc()
 	return &simStream{
 		m: m, ctx: ctx, resp: resp, n: n,
-		confNoise: fnvFold(noisePrefix(m.name, key), "stream"),
+		confNoise: fnvFold(noise, "stream"),
 		trace:     obs.SampledTraceID(ctx),
 	}, nil
 }

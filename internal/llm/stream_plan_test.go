@@ -167,7 +167,7 @@ func checkStreamEqualsPlan(t *testing.T, m *SimModel, prompt, text string, diffi
 	if text == "" {
 		req.Difficulty = 0 // an empty Wrong is the hedge answer
 	}
-	resp := m.adjudicate(req)
+	resp, _ := m.adjudicate(req)
 	if resp.Text != text {
 		t.Fatalf("adjudicated %q, want %q", resp.Text, text)
 	}
@@ -278,6 +278,29 @@ func TestNoiseUnitEqualsFNV(t *testing.T) {
 	}
 }
 
+// A call folds its noise prefix once and shares it: the prefix adjudicate
+// returns gives every salt the value noiseUnit gives the call's key, which
+// is NoiseKey when set and the prompt otherwise.
+func TestSharedNoisePrefixEqualsNoiseUnit(t *testing.T) {
+	m := newStreamTestModel(t, 0.5)
+	const question = "Q: where was Mei born?"
+	for _, tc := range []struct {
+		name string
+		req  Request
+		key  string
+	}{
+		{"prompt", Request{Prompt: question, Gold: "Kyoto", Difficulty: 0.5}, question},
+		{"noise key", Request{Prompt: "Context: Mei was born in Kyoto.\n" + question, Gold: "Kyoto", Difficulty: 0.5, NoiseKey: question}, question},
+	} {
+		_, prefix := m.adjudicate(tc.req)
+		for _, salt := range []string{"correct", "conf", "wrongpick", "stream"} {
+			if got, want := noiseAt(prefix, salt), noiseUnit(m.name, tc.key, salt); got != want {
+				t.Errorf("%s: salt %q: shared prefix gives %v, noiseUnit(%q, %q) gives %v", tc.name, salt, got, m.name, tc.key, want)
+			}
+		}
+	}
+}
+
 // refWrongPick is the wrong-answer pick that built its candidate list.
 func refWrongPick(m *SimModel, key string, req Request) string {
 	cands := make([]string, 0, 1+len(req.WrongAlts))
@@ -303,7 +326,7 @@ func TestWrongPickEqualsCandidateList(t *testing.T) {
 			seen := map[string]bool{}
 			for i := 0; i < 200; i++ {
 				req := Request{Prompt: fmt.Sprintf("question %d", i), Gold: "gold", Wrong: wrong, WrongAlts: alts[:n], Difficulty: 1}
-				resp := m.adjudicate(req)
+				resp, _ := m.adjudicate(req)
 				if resp.Correct {
 					t.Fatalf("%+v answered correctly", req)
 				}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestGoRunsFunction(t *testing.T) {
@@ -85,4 +86,33 @@ func TestRegistryAcceptsLegalName(t *testing.T) {
 	reg.Counter("legal_snake_case").Inc()
 	reg.Gauge("another_legal_name").Set(1)
 	reg.Histogram("latency_seconds", LatencyBuckets).Observe(0.1)
+}
+
+// TestGoStartsOnAWorkingStack pins that a spawned function runs on a
+// stack that already holds a deep call chain: a local's address is the
+// same after ten calls with 1 KB frames each, so the stack never moved.
+func TestGoStartsOnAWorkingStack(t *testing.T) {
+	moved := make(chan bool, 1)
+	Go(NewRegistry(), "stack", func() {
+		var local int
+		before := uintptr(unsafe.Pointer(&local))
+		descend(10, &local)
+		moved <- uintptr(unsafe.Pointer(&local)) != before
+	})
+	if <-moved {
+		t.Fatal("the stack moved under ten 1 KB frames: Go did not start fn on a grown stack")
+	}
+}
+
+// descend calls itself n deep, each call on a 1 KB frame that a read at
+// a run-time index keeps alive.
+//
+//go:noinline
+func descend(n int, p *int) {
+	var frame [1 << 10]byte
+	frame[n] = byte(n)
+	if n > 0 {
+		descend(n-1, p)
+	}
+	*p += int(frame[*p&(len(frame)-1)])
 }

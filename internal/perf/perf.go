@@ -61,19 +61,31 @@ type Spec struct {
 	Bench func(b *testing.B)
 }
 
+// runsPerCase is how many testing.Benchmark runs Run takes of each case.
+// One ~1 s run on a small shared machine moves with the machine more than
+// with many changes; the median of five does not.
+const runsPerCase = 5
+
 // Run executes specs through testing.Benchmark and assembles a report
-// (benchmarks sorted by name for a stable artifact diff).
+// (benchmarks sorted by name for a stable artifact diff). Each case is
+// run runsPerCase times and recorded from its median run by ns/op: its
+// time, bytes, allocations and extra metrics all come from that one run.
 func Run(area string, specs []Spec) Report {
 	rep := Report{Schema: Schema, Area: area, Go: runtime.Version()}
 	for _, s := range specs {
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			s.Bench(b)
-		})
+		runs := make([]testing.BenchmarkResult, runsPerCase)
+		for i := range runs {
+			runs[i] = testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				s.Bench(b)
+			})
+		}
+		sort.Slice(runs, func(i, j int) bool { return nsPerOp(runs[i]) < nsPerOp(runs[j]) })
+		br := runs[len(runs)/2]
 		r := Result{
 			Name:        s.Name,
 			Iterations:  br.N,
-			NsPerOp:     float64(br.T.Nanoseconds()) / float64(br.N),
+			NsPerOp:     nsPerOp(br),
 			BytesPerOp:  br.AllocedBytesPerOp(),
 			AllocsPerOp: br.AllocsPerOp(),
 			Extra:       br.Extra,
@@ -85,6 +97,12 @@ func Run(area string, specs []Spec) Report {
 	}
 	sort.Slice(rep.Benchmarks, func(i, j int) bool { return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name })
 	return rep
+}
+
+// nsPerOp is br's time per iteration, unrounded (br.NsPerOp truncates to
+// whole nanoseconds).
+func nsPerOp(br testing.BenchmarkResult) float64 {
+	return float64(br.T.Nanoseconds()) / float64(br.N)
 }
 
 // FileName returns the artifact file name for an area
