@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,7 +137,9 @@ func TestGenerateBatchValidation(t *testing.T) {
 }
 
 // The paced wrapper must serialize calls on its lane and actually spend
-// wall clock, with a batched call far cheaper than sequential calls.
+// wall clock, with a batched call far cheaper than sequential calls. Its
+// sleeps never end before the scaled latency, end close after it, and give
+// way to a canceled context without leaving an fd open.
 func TestPacedWallClock(t *testing.T) {
 	ctx := context.Background()
 	m := batchTestModel()
@@ -146,6 +151,10 @@ func TestPacedWallClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	batchSim := sim[0].Latency
+	one, err := m.Complete(ctx, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const scale = 500
 	p := NewPaced(m, scale)
@@ -165,11 +174,89 @@ func TestPacedWallClock(t *testing.T) {
 		t.Errorf("paced batch returned in %v, below scaled simulated %v", elapsed, batchSim/scale)
 	}
 
+	// A call scaled to about 1.3ms wakes within 300µs of its billed latency
+	// (median of 21 calls); a runtime timer overshoots it by ~880µs in an
+	// otherwise idle process.
+	tier := NewPaced(m, float64(one.Latency)/float64(1300*time.Microsecond))
+	want := tier.scaled(one.Latency)
+	over := make([]time.Duration, 21)
+	for i := range over {
+		start := time.Now()
+		if _, err := tier.Complete(ctx, reqs[0]); err != nil {
+			t.Fatal(err)
+		}
+		over[i] = time.Since(start) - want
+		if over[i] < 0 {
+			t.Errorf("paced call returned %v before its scaled latency %v", -over[i], want)
+		}
+	}
+	slices.Sort(over)
+	if med := over[len(over)/2]; med >= 300*time.Microsecond {
+		t.Errorf("paced %v call overshoots by %v (median of %d), want < 300µs", want, med, len(over))
+	}
+
 	// A canceled context interrupts the paced sleep.
+	slow := NewPaced(m, 1) // real time: seconds of simulated latency
+	cancelled := func() {
+		t.Helper()
+		cctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if _, err := slow.Complete(cctx, reqs[0]); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("paced ignored deadline: %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+			t.Errorf("paced call canceled after 1ms returned after %v", elapsed)
+		}
+	}
+	cancelled()
+
+	// Neither a finished nor a canceled sleep leaves its timerfd open.
+	if runtime.GOOS == "linux" {
+		fds := func() int {
+			t.Helper()
+			ents, err := os.ReadDir("/proc/self/fd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(ents)
+		}
+		before := fds()
+		for i := 0; i < 100; i++ {
+			cancelled()
+			if _, err := tier.Complete(ctx, reqs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := fds(); after != before {
+			t.Errorf("%d open fds after 200 paced calls, %d before", after, before)
+		}
+	}
+
+	// No sleep ends early on either path, however short; and the
+	// runtime-timer fallback also ends promptly on a canceled context.
+	for name, sleep := range map[string]func(context.Context, time.Duration) error{
+		"sleepCtx": sleepCtx, "timerSleep": timerSleep,
+	} {
+		for _, d := range []time.Duration{2 * time.Microsecond, 50 * time.Microsecond, want} {
+			for i := 0; i < 5; i++ {
+				start := time.Now()
+				if err := sleep(ctx, d); err != nil {
+					t.Fatal(err)
+				}
+				if elapsed := time.Since(start); elapsed < d {
+					t.Errorf("%s(%v) returned after %v", name, d, elapsed)
+				}
+			}
+		}
+	}
 	cctx, cancel := context.WithTimeout(ctx, time.Millisecond)
 	defer cancel()
-	slow := NewPaced(m, 1) // real time: seconds of simulated latency
-	if _, err := slow.Complete(cctx, reqs[0]); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("paced ignored deadline: %v", err)
+	start = time.Now()
+	if err := timerSleep(cctx, one.Latency); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("timerSleep ignored deadline: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+		t.Errorf("timerSleep canceled after 1ms returned after %v", elapsed)
 	}
 }
