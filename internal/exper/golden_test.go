@@ -74,3 +74,22 @@ func TestGoldenChaos(t *testing.T) {
 		{"down", "0.000", "0.000", "$0.308", "ok"},
 	})
 }
+
+func TestGoldenFig6(t *testing.T) {
+	rep, err := Fig6CascadeSweep(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, rep, [][]string{
+		{"threshold 0.00", "34.0%", "$0.054", "0.00"},
+		{"threshold 0.40", "74.0%", "$0.347", "0.57"},
+		{"threshold 0.55", "96.0%", "$1.094", "0.98"},
+		{"threshold 0.62", "97.0%", "$1.291", "1.11"},
+		{"threshold 0.70", "97.0%", "$1.672", "1.32"},
+		{"threshold 0.85", "97.0%", "$2.346", "1.53"},
+		{"threshold 1.01", "97.0%", "$4.261", "2.00"},
+		{"trained logistic", "97.0%", "$1.207", "1.07"},
+		{"cost-aware ($0.01/answer)", "97.0%", "$2.647", "1.60"},
+		{"cost-aware ($1/answer)", "97.0%", "$4.261", "2.00"},
+	})
+}
