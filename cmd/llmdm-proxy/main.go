@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core/cascade"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/sched"
@@ -80,7 +81,7 @@ func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("llmdm-proxy", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
-	threshold := fs.Float64("threshold", 0.62, "cascade confidence threshold")
+	threshold := fs.Float64("threshold", cascade.DefaultTau, "cascade confidence threshold")
 	exitThreshold := fs.Float64("exit-threshold", 0.35, "streamed early-exit confidence threshold (abort + escalate a tier mid-generation below it)")
 	noEarlyExit := fs.Bool("no-early-exit", false, "disable mid-generation early exit on streamed requests")
 	capacity := fs.Int("cache-capacity", 10000, "semantic cache capacity (0 = unbounded)")

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	llmdm "repro"
-	"repro/internal/core/cascade"
 	"repro/internal/llm"
 	"repro/internal/workload"
 )
@@ -111,5 +110,4 @@ func main() {
 	}
 
 	fmt.Printf("\ntotal spend this session: %s\n", client.Spend())
-	_ = cascade.Threshold{} // keep the import for readers exploring types
 }

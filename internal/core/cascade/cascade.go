@@ -1,12 +1,14 @@
 // Package cascade implements the LLM cascade of the paper's Section III-B1
 // and Figure 6: a query is sent to a sequence of models ordered from small
-// and cheap to large and expensive, and a decision model determines after
-// each attempt whether the answer is acceptable or a larger model is needed.
+// and cheap to large and expensive, and after each attempt a threshold on
+// the answer's confidence decides whether it is acceptable or a larger
+// model is needed.
 package cascade
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 
@@ -17,47 +19,30 @@ import (
 	"repro/internal/token"
 )
 
-// Decision judges whether a model's response is acceptable or the cascade
-// should escalate.
-type Decision interface {
-	// Accept reports whether resp is good enough to return.
-	Accept(resp llm.Response) bool
-}
+// DefaultTau is the confidence a non-final tier's answer needs to be
+// accepted when nothing else is configured: Table I's cascade and the
+// serving proxy's default.
+const DefaultTau = 0.62
 
-// Threshold is the simplest decision model: accept when confidence reaches
-// Tau.
+// Threshold is the cascade's decision model: a non-final tier's answer is
+// accepted when its confidence reaches Tau, and the last tier's always is.
+// The trained and the cost-aware decision models of Figure 6 are each
+// such a threshold (see TrainLogistic and CostAware).
 type Threshold struct{ Tau float64 }
 
-// Accept implements Decision.
-func (t Threshold) Accept(resp llm.Response) bool { return resp.Confidence >= t.Tau }
-
-// Logistic is a trained decision model: logistic regression over the
-// response confidence, fit on labeled (confidence, correct) pairs collected
-// from a calibration run. It realizes the paper's "a decision model can be
-// trained to determine whether a more expensive and larger LLM is needed".
-type Logistic struct {
-	// w and b are the regression parameters over [confidence].
-	W, B float64
-	// MinP is the acceptance probability cutoff.
-	MinP float64
-}
-
-// Accept implements Decision.
-func (l Logistic) Accept(resp llm.Response) bool {
-	p := 1 / (1 + math.Exp(-(l.W*resp.Confidence + l.B)))
-	return p >= l.MinP
-}
-
 // TrainLogistic fits a one-feature logistic regression with gradient
-// descent on (confidence, correct) pairs. It is deliberately tiny — the
-// decision model needs to be far cheaper than the models it gates.
-func TrainLogistic(confs []float64, correct []bool, epochs int, lr float64) Logistic {
+// descent on (confidence, correct) pairs and returns the threshold it
+// implies: the confidence at which the fitted probability of a correct
+// answer reaches minP, τ = (logit(minP) − B)/W. It realizes the paper's "a
+// decision model can be trained to determine whether a more expensive and
+// larger LLM is needed", and is deliberately tiny — the decision model
+// needs to be far cheaper than the models it gates. A fit that does not
+// rise with confidence (W ≤ 0, which includes no pairs at all) implies no
+// lower threshold, and is an error.
+func TrainLogistic(confs []float64, correct []bool, epochs int, lr, minP float64) (Threshold, error) {
 	w, b := 0.0, 0.0
 	n := len(confs)
-	if n == 0 {
-		return Logistic{MinP: 0.5}
-	}
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < epochs && n > 0; e++ {
 		var gw, gb float64
 		for i := 0; i < n; i++ {
 			y := 0.0
@@ -71,27 +56,20 @@ func TrainLogistic(confs []float64, correct []bool, epochs int, lr float64) Logi
 		w -= lr * gw / float64(n)
 		b -= lr * gb / float64(n)
 	}
-	return Logistic{W: w, B: b, MinP: 0.5}
+	if w <= 0 {
+		return Threshold{}, fmt.Errorf("cascade: the logistic fit over %d pairs has weight %g, not above 0, so no confidence threshold follows from it", n, w)
+	}
+	return Threshold{Tau: (math.Log(minP/(1-minP)) - b) / w}, nil
 }
 
-// CostAware is an economic decision model: it accepts the current answer
-// unless the expected value of escalating exceeds the next model's price.
-// Escalation is worth roughly (1 − confidence) · ValueOfCorrect — the
-// probability the current answer is wrong times what a correct answer is
-// worth — against NextCallCost, the price of trying the next tier. This is
-// the decision rule a production cascade with per-query value annotations
-// runs, generalizing a fixed confidence threshold.
-type CostAware struct {
-	// ValueOfCorrect is the worth of a correct answer, in micro-dollars.
-	ValueOfCorrect token.Cost
-	// NextCallCost estimates the next tier's call price, in micro-dollars.
-	NextCallCost token.Cost
-}
-
-// Accept implements Decision.
-func (c CostAware) Accept(resp llm.Response) bool {
-	expectedGain := (1 - resp.Confidence) * float64(c.ValueOfCorrect)
-	return expectedGain <= float64(c.NextCallCost)
+// CostAware is the economic decision model: accept the current answer
+// unless escalating is worth more than it costs. Escalation is worth
+// roughly (1 − confidence) · value — the probability the current answer
+// is wrong times what a correct answer is worth — against nextCallCost,
+// the price of trying the next tier, so the answer is accepted from
+// confidence 1 − nextCallCost/value on. value must be above 0.
+func CostAware(value, nextCallCost token.Cost) Threshold {
+	return Threshold{Tau: 1 - float64(nextCallCost)/float64(value)}
 }
 
 // Step records one attempted model inside a cascade run.
@@ -110,13 +88,13 @@ type Trace struct {
 	TotalCost token.Cost
 }
 
-// Cascade is an ordered model chain with a decision model. It is built as
-// a struct literal; Models and Obs are read on the first run, which
+// Cascade is an ordered model chain with a decision threshold. It is built
+// as a struct literal; Models and Obs are read on the first run, which
 // resolves the metric handles, so set them before it and use the Cascade
 // through a pointer.
 type Cascade struct {
 	Models []llm.Model
-	Decide Decision
+	Decide Threshold
 	// Breakers, when non-nil, holds one circuit breaker per model tier; a
 	// run consults it before each tier and skips tripped ones, so a dying
 	// model stops failing whole cascades after its breaker opens.
@@ -209,8 +187,8 @@ var ErrNoModels = errors.New("cascade: no models configured")
 var ErrAllTiersOpen = errors.New("cascade: every tier's circuit breaker is open")
 
 // New builds a cascade over models (cheapest first) with the given decision
-// model.
-func New(decide Decision, models ...llm.Model) *Cascade {
+// threshold.
+func New(decide Threshold, models ...llm.Model) *Cascade {
 	return &Cascade{Models: models, Decide: decide}
 }
 

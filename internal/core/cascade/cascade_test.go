@@ -13,14 +13,6 @@ import (
 
 func family() llm.Family { return llm.DefaultFamily() }
 
-func models(f llm.Family) []llm.Model {
-	out := make([]llm.Model, len(f))
-	for i, m := range f {
-		out[i] = m
-	}
-	return out
-}
-
 func qaRequest(it workload.QAItem) llm.Request {
 	return llm.Request{
 		Task:       llm.TaskQA,
@@ -40,7 +32,7 @@ func TestEmptyCascade(t *testing.T) {
 
 func TestEasyQueryStopsEarly(t *testing.T) {
 	f := family()
-	c := New(Threshold{0.6}, models(f)...)
+	c := New(Threshold{0.6}, f.Models()...)
 	resp, tr, err := c.Complete(context.Background(), llm.Request{
 		Prompt: "label this obvious case", Gold: "yes", Difficulty: 0.02,
 	})
@@ -57,7 +49,7 @@ func TestEasyQueryStopsEarly(t *testing.T) {
 
 func TestHardQueryEscalates(t *testing.T) {
 	f := family()
-	c := New(Threshold{0.6}, models(f)...)
+	c := New(Threshold{0.6}, f.Models()...)
 	_, tr, err := c.Complete(context.Background(), llm.Request{
 		Prompt: "a very hard multi hop question", Gold: "g", Wrong: "w", Difficulty: 0.9,
 	})
@@ -81,7 +73,7 @@ func TestFinalModelAlwaysAccepts(t *testing.T) {
 	f := family()
 	// Impossible threshold: everything escalates to the top model, which
 	// must still answer.
-	c := New(Threshold{1.1}, models(f)...)
+	c := New(Threshold{1.1}, f.Models()...)
 	resp, tr, err := c.Complete(context.Background(), llm.Request{
 		Prompt: "anything", Gold: "g", Wrong: "w", Difficulty: 0.5,
 	})
@@ -101,7 +93,7 @@ func TestFinalModelAlwaysAccepts(t *testing.T) {
 // three tiers allocates its RunStream and one single-call stream per
 // tier, and its three steps ride the run's own array.
 func TestFullEscalationAllocatesNoSteps(t *testing.T) {
-	c := New(Threshold{1.1}, models(family())...)
+	c := New(Threshold{1.1}, family().Models()...)
 	req := llm.Request{Prompt: "anything", Gold: "g", Wrong: "w", Difficulty: 0.5}
 	ctx, _ := obs.NewTracer(1).StartSampled(context.Background(), "proxy.complete", false)
 	var tr Trace
@@ -121,7 +113,7 @@ func TestFullEscalationAllocatesNoSteps(t *testing.T) {
 func TestCascadeMatchesLargeModelCheaper(t *testing.T) {
 	set := workload.GenQA(1, 200)
 	f := family()
-	c := New(Threshold{0.62}, models(f)...)
+	c := New(Threshold{0.62}, f.Models()...)
 
 	var cascadeCorrect int
 	var cascadeCost token.Cost
@@ -169,19 +161,34 @@ func TestTrainLogisticSeparates(t *testing.T) {
 		confs = append(confs, c)
 		correct = append(correct, c > 0.55)
 	}
-	d := TrainLogistic(confs, correct, 500, 0.5)
-	if d.Accept(llm.Response{Confidence: 0.9}) != true {
-		t.Error("trained model rejects high confidence")
+	d, err := TrainLogistic(confs, correct, 500, 0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.Accept(llm.Response{Confidence: 0.1}) != false {
-		t.Error("trained model accepts low confidence")
+	if d.Tau >= 0.9 || d.Tau <= 0.1 {
+		t.Errorf("trained threshold %v does not separate confidence 0.9 from 0.1", d.Tau)
 	}
 }
 
+// A fit over no pairs has W = 0 and implies no threshold.
 func TestTrainLogisticEmpty(t *testing.T) {
-	d := TrainLogistic(nil, nil, 10, 0.1)
-	// Degenerate model must still be usable.
-	_ = d.Accept(llm.Response{Confidence: 0.5})
+	if d, err := TrainLogistic(nil, nil, 10, 0.1, 0.5); err == nil {
+		t.Errorf("an empty fit returned %+v, want an error", d)
+	}
+}
+
+// A fit that does not rise with confidence (W ≤ 0) implies no lower
+// threshold: no right answer, or right answers only at low confidence.
+func TestTrainLogisticNoThreshold(t *testing.T) {
+	confs := []float64{0.2, 0.4, 0.6, 0.8}
+	for name, correct := range map[string][]bool{
+		"all wrong": {false, false, false, false},
+		"falling":   {true, true, false, false},
+	} {
+		if d, err := TrainLogistic(confs, correct, 200, 0.5, 0.75); err == nil {
+			t.Errorf("%s: fit returned %+v, want an error", name, d)
+		}
+	}
 }
 
 func TestLogisticCascadeEndToEnd(t *testing.T) {
@@ -197,11 +204,13 @@ func TestLogisticCascadeEndToEnd(t *testing.T) {
 		confs = append(confs, r.Confidence)
 		correct = append(correct, r.Correct)
 	}
-	d := TrainLogistic(confs, correct, 800, 0.8)
-	d.MinP = 0.75
+	d, err := TrainLogistic(confs, correct, 800, 0.8, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	eval := workload.GenQA(6, 150)
-	c := New(d, models(f)...)
+	c := New(d, f.Models()...)
 	var ok int
 	for _, it := range eval.Items {
 		resp, _, err := c.Complete(context.Background(), qaRequest(it))
@@ -219,7 +228,7 @@ func TestLogisticCascadeEndToEnd(t *testing.T) {
 
 func BenchmarkCascade(b *testing.B) {
 	set := workload.GenQA(2, 64)
-	c := New(Threshold{0.62}, models(family())...)
+	c := New(Threshold{0.62}, family().Models()...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -232,14 +241,12 @@ func BenchmarkCascade(b *testing.B) {
 
 func TestCostAwareDecision(t *testing.T) {
 	// Cheap escalation + valuable answers: escalate on any real doubt.
-	eager := CostAware{ValueOfCorrect: 1000000, NextCallCost: 100}
-	if eager.Accept(llm.Response{Confidence: 0.9}) {
-		t.Error("high-value task accepted a 10% wrong-risk answer over a cheap escalation")
+	if eager := CostAware(1000000, 100); eager.Tau <= 0.9 {
+		t.Errorf("high-value task accepts a 10%% wrong-risk answer over a cheap escalation (τ = %v)", eager.Tau)
 	}
 	// Expensive escalation + low-value answers: accept even shaky answers.
-	frugal := CostAware{ValueOfCorrect: 100, NextCallCost: 100000}
-	if !frugal.Accept(llm.Response{Confidence: 0.3}) {
-		t.Error("low-value task escalated despite prohibitive cost")
+	if frugal := CostAware(100, 100000); frugal.Tau > 0.3 {
+		t.Errorf("low-value task escalates despite prohibitive cost (τ = %v)", frugal.Tau)
 	}
 }
 
@@ -248,7 +255,7 @@ func TestCostAwareCascadeTradesAccuracyForValue(t *testing.T) {
 	run := func(value token.Cost) (acc float64, cost token.Cost) {
 		f := family()
 		// Approximate next-tier call price from the mid tier at ~700 tokens.
-		c := New(CostAware{ValueOfCorrect: value, NextCallCost: f[1].Price().ForTokens(700, 10)}, models(f)...)
+		c := New(CostAware(value, f[1].Price().ForTokens(700, 10)), f.Models()...)
 		correct := 0
 		for _, it := range set.Items {
 			resp, tr, err := c.Complete(context.Background(), qaRequest(it))
@@ -281,6 +288,23 @@ type confModel struct {
 func (m confModel) Name() string { return m.name }
 func (m confModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return llm.Response{Text: m.name + " says", Model: m.name, Confidence: m.conf, Cost: 3}, nil
+}
+
+// A non-final tier's answer is accepted at exactly τ, and not below it.
+func TestThresholdAcceptsAtTau(t *testing.T) {
+	for _, tc := range []struct {
+		conf, tau float64
+		steps     int
+	}{{0.62, 0.62, 1}, {math.Nextafter(0.62, 0), 0.62, 2}, {0, 0, 1}, {math.NaN(), 0, 1}} {
+		c := New(Threshold{tc.tau}, confModel{"first", tc.conf}, confModel{"last", tc.conf})
+		_, tr, err := c.Complete(context.Background(), llm.Request{Prompt: "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Steps) != tc.steps {
+			t.Errorf("confidence %v at τ = %v took %d steps, want %d", tc.conf, tc.tau, len(tr.Steps), tc.steps)
+		}
+	}
 }
 
 // A confidence that is no number counts as 0 from where the tier's output

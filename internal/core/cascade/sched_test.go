@@ -36,7 +36,7 @@ func TestCascadeThroughSchedulerMatchesDirect(t *testing.T) {
 		{Prompt: "a middling question about joins", Gold: "g", Wrong: "w", Difficulty: 0.5},
 	}
 
-	direct := New(Threshold{0.6}, models(family())...)
+	direct := New(Threshold{0.6}, family().Models()...)
 	var wantResp []llm.Response
 	var wantCost []token.Cost
 	for _, r := range reqs {
@@ -51,7 +51,7 @@ func TestCascadeThroughSchedulerMatchesDirect(t *testing.T) {
 	f := family()
 	s := schedOver(f)
 	defer s.Close()
-	c := New(Threshold{0.6}, models(f)...)
+	c := New(Threshold{0.6}, f.Models()...)
 	c.Sched = s
 	var total token.Cost
 	for i, r := range reqs {
@@ -81,7 +81,7 @@ func TestCascadeThroughSchedulerMatchesDirect(t *testing.T) {
 func TestConcurrentCascadesShareBatchesAndSurviveClose(t *testing.T) {
 	f := family()
 	s := schedOver(f)
-	c := New(Threshold{0.6}, models(f)...)
+	c := New(Threshold{0.6}, f.Models()...)
 	c.Sched = s
 
 	const n = 40

@@ -276,7 +276,7 @@ func (r *RunStream) finalizeTier() bool {
 	if c.Breakers != nil {
 		c.Breakers.Record(name, r.epoch, true)
 	}
-	accepted := r.tier == len(c.Models)-1 || c.Decide.Accept(resp)
+	accepted := r.tier == len(c.Models)-1 || resp.Confidence >= c.Decide.Tau
 	if !accepted && r.pickNext() == len(c.Models) {
 		// The escalation target was skipped (breaker open): serve the
 		// answer we just paid for instead of failing the request.

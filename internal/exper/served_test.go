@@ -41,12 +41,7 @@ func TestTable1ServedEqualsOffline(t *testing.T) {
 		name              string
 		stream, earlyExit bool
 	}{{"json", false, false}, {"sse", true, false}, {"sse with early exit", true, true}} {
-		fam := llm.DefaultFamily()
-		models := make([]llm.Model, len(fam))
-		for i, m := range fam {
-			models[i] = m
-		}
-		p := proxy.New(proxy.Config{Models: models, Threshold: cascadeTau, DisableCache: true,
+		p := proxy.New(proxy.Config{Models: llm.DefaultFamily().Models(), Threshold: cascadeTau, DisableCache: true,
 			DisableEarlyExit: !mode.earlyExit, Obs: obs.NewRegistry()})
 		srv := httptest.NewServer(p.Handler())
 		correct, cost := 0, token.Cost(0)

@@ -14,8 +14,8 @@ import (
 const (
 	qaSeed  = 3
 	qaCount = 40
-	// cascadeTau is the confidence threshold of the cascade decision model.
-	cascadeTau = 0.62
+	// cascadeTau is the confidence threshold of Table I's cascade.
+	cascadeTau = cascade.DefaultTau
 )
 
 // qaRequest builds the RAG-style prompt for one QA item.
@@ -74,12 +74,7 @@ func Table1Cascade(ctx context.Context) (Report, error) {
 // table1Cascade runs Table I's cascade row over items on a fresh default
 // family: how many it answers correctly, and what it spends.
 func table1Cascade(ctx context.Context, items []workload.QAItem) (correct int, cost token.Cost, err error) {
-	fam := llm.DefaultFamily()
-	models := make([]llm.Model, len(fam))
-	for i, m := range fam {
-		models[i] = m
-	}
-	c := cascade.New(cascade.Threshold{Tau: cascadeTau}, models...)
+	c := cascade.New(cascade.Threshold{Tau: cascadeTau}, llm.DefaultFamily().Models()...)
 	for _, it := range items {
 		resp, tr, err := c.Complete(ctx, qaRequest(it))
 		if err != nil {
@@ -108,13 +103,8 @@ func Fig6CascadeSweep(ctx context.Context) (Report, error) {
 		},
 	}
 
-	run := func(name string, d cascade.Decision) error {
-		fam := llm.DefaultFamily()
-		models := make([]llm.Model, len(fam))
-		for i, m := range fam {
-			models[i] = m
-		}
-		c := cascade.New(d, models...)
+	run := func(name string, d cascade.Threshold) error {
+		c := cascade.New(d, llm.DefaultFamily().Models()...)
 		correct, escal := 0, 0
 		var cost token.Cost
 		for _, it := range set.Items {
@@ -154,8 +144,10 @@ func Fig6CascadeSweep(ctx context.Context) (Report, error) {
 		confs = append(confs, resp.Confidence)
 		correct = append(correct, resp.Correct)
 	}
-	d := cascade.TrainLogistic(confs, correct, 800, 0.8)
-	d.MinP = 0.75
+	d, err := cascade.TrainLogistic(confs, correct, 800, 0.8, 0.75)
+	if err != nil {
+		return rep, err
+	}
 	if err := run("trained logistic", d); err != nil {
 		return rep, err
 	}
@@ -163,10 +155,10 @@ func Fig6CascadeSweep(ctx context.Context) (Report, error) {
 	// Economic decision model: escalate when the expected gain of a better
 	// answer beats the next tier's price, at two answer valuations.
 	nextCost := llm.DefaultFamily()[1].Price().ForTokens(700, 10)
-	if err := run("cost-aware ($0.01/answer)", cascade.CostAware{ValueOfCorrect: 10000, NextCallCost: nextCost}); err != nil {
+	if err := run("cost-aware ($0.01/answer)", cascade.CostAware(10000, nextCost)); err != nil {
 		return rep, err
 	}
-	if err := run("cost-aware ($1/answer)", cascade.CostAware{ValueOfCorrect: 1000000, NextCallCost: nextCost}); err != nil {
+	if err := run("cost-aware ($1/answer)", cascade.CostAware(1000000, nextCost)); err != nil {
 		return rep, err
 	}
 	return rep, nil

@@ -50,6 +50,16 @@ func DefaultFamilyObs(reg *obs.Registry) Family {
 	}
 }
 
+// Models returns the family as the Model list a cascade or proxy takes,
+// in the same order.
+func (f Family) Models() []Model {
+	out := make([]Model, len(f))
+	for i, m := range f {
+		out[i] = m
+	}
+	return out
+}
+
 // ByName returns the family member with the given name, or nil.
 func (f Family) ByName(name string) *SimModel {
 	for _, m := range f {

@@ -224,6 +224,22 @@ func (a *TenantAccountant) AddSpend(tenant string, microUSD int64, escalations i
 	}
 }
 
+// ReadSpend sets into[row] to every row's attributed spend in
+// micro-dollars, the OverflowTenant row included. It reads one counter a
+// row under the read lock and allocates nothing once into holds every
+// row, so an alert can read it on each evaluation. A nil accountant reads
+// nothing.
+func (a *TenantAccountant) ReadSpend(into map[string]int64) {
+	if a == nil {
+		return
+	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	for name, e := range a.tenants {
+		into[name] = e.spendMicro.Load()
+	}
+}
+
 // TenantStat is one row's attribution scorecard, JSON-ready for
 // /v1/tenants. The OverflowTenant row sums every tenant without a row of
 // its own.

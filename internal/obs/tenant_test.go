@@ -163,6 +163,45 @@ func TestTenantPastCapacityAllocatesNothing(t *testing.T) {
 	}
 }
 
+// ReadSpend reads every row's spend, the overflow row included, into the
+// caller's map, and allocates nothing once the map holds every row.
+func TestTenantReadSpend(t *testing.T) {
+	var none *TenantAccountant
+	into := map[string]int64{}
+	none.ReadSpend(into)
+	if len(into) != 0 {
+		t.Fatalf("a nil accountant read %v, want nothing", into)
+	}
+
+	a := NewTenantAccountant(TenantConfig{Capacity: 2, Obs: NewRegistry()})
+	for i := 0; i < 5; i++ {
+		a.AddSpend(fmt.Sprintf("t%d", i), int64(100*(i+1)), 0)
+	}
+	a.ReadSpend(into)
+	want := map[string]int64{"t0": 100, "t1": 200, OverflowTenant: 300 + 400 + 500}
+	if len(into) != len(want) {
+		t.Fatalf("read %v, want %v", into, want)
+	}
+	for k, v := range want {
+		if into[k] != v {
+			t.Fatalf("read %v, want %v", into, want)
+		}
+	}
+
+	full := NewTenantAccountant(TenantConfig{Obs: NewRegistry()})
+	for i := 0; i <= DefaultTenantCapacity; i++ {
+		full.AddSpend(fmt.Sprintf("t%d", i), 1, 0)
+	}
+	into = map[string]int64{}
+	full.ReadSpend(into)
+	if len(into) != DefaultTenantCapacity+1 {
+		t.Fatalf("a full table read %d rows, want %d", len(into), DefaultTenantCapacity+1)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { full.ReadSpend(into) }); allocs != 0 {
+		t.Fatalf("ReadSpend of a full table = %g allocs, want 0", allocs)
+	}
+}
+
 // Goroutines race new tenants across the capacity edge: exactly Capacity
 // get rows, and every counter still sums to what was recorded.
 func TestTenantAccountantConcurrent(t *testing.T) {

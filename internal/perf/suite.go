@@ -584,6 +584,20 @@ func Serving(ctx context.Context) []Spec {
 				a.AddSpend(tenant, 100, 0)
 			}
 		}},
+		{Name: "tenant_spend_read_full", Bench: func(b *testing.B) {
+			// tenant_spend_spike's read on a full table: every named row's
+			// spend and the overflow row's, into the rule's own map.
+			a := obs.NewTenantAccountant(obs.TenantConfig{Obs: obs.NewRegistry()})
+			for i := 0; i <= obs.DefaultTenantCapacity; i++ {
+				a.AddSpend(fmt.Sprintf("tenant-%d", i), 100, 0)
+			}
+			spend := map[string]int64{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(spend)
+				a.ReadSpend(spend)
+			}
+		}},
 		{Name: "sched_submit", Bench: func(b *testing.B) {
 			reg := obs.NewRegistry()
 			model, sim := perfModel(reg, 100000)

@@ -28,18 +28,14 @@ func (p *Proxy) addAlertRules() {
 		})
 	p.alerts.AddRule("shed_rate_high", obs.Warn, 30*time.Second,
 		"the concurrency limiter is shedding more than 1 req/s",
-		rate(func() map[string]int64 { return map[string]int64{"": p.shed.Load()} }, 1))
+		rate(p.readShed, 1))
 	p.alerts.AddRule("tenant_spend_spike", obs.Warn, 0,
 		"one tenant row's attributed spend, the shared overflow row included, is growing faster than $0.05/s",
-		rate(func() map[string]int64 {
-			snap := p.tenants.Snapshot(0)
-			spend := make(map[string]int64, len(snap.Tenants))
-			for _, t := range snap.Tenants {
-				spend[t.Tenant] = t.SpendMicroUSD
-			}
-			return spend
-		}, 50_000))
+		rate(p.tenants.ReadSpend, 50_000))
 }
+
+// readShed is shed_rate_high's sample: the limiter's one shed counter.
+func (p *Proxy) readShed(into map[string]int64) { into[""] = p.shed.Load() }
 
 // sloBurn holds when any class's burn on the 5m window, as read by burn,
 // exceeds above; its value is the worst class's burn.
@@ -55,19 +51,24 @@ func (p *Proxy) sloBurn(burn func(obs.SLOWindow) float64, above float64) obs.Ale
 
 // rate holds when any of sample's counters grew faster than perSecAbove
 // since the previous evaluation; its value is the fastest growth a second.
-// A shrinking counter reads as 0. The previous sample lives in the
+// A shrinking counter reads as 0. sample fills the emptied map it is
+// given. rate owns two and swaps them each evaluation, so the previous
+// sample is kept without a map built per sample; they live in the
 // closure, which is safe because the engine runs one evaluation at a time.
-func rate(sample func() map[string]int64, perSecAbove float64) obs.AlertEval {
-	var prev map[string]int64
+func rate(sample func(into map[string]int64), perSecAbove float64) obs.AlertEval {
+	cur, prev := map[string]int64{}, map[string]int64{}
+	sampled := false
 	return func(elapsed time.Duration) (float64, bool) {
-		cur, last := sample(), prev
-		prev = cur
-		if elapsed <= 0 || last == nil {
+		cur, prev = prev, cur
+		clear(cur)
+		sample(cur)
+		if elapsed <= 0 || !sampled {
+			sampled = true
 			return 0, false
 		}
 		fastest := 0.0
 		for k, v := range cur {
-			fastest = max(fastest, float64(v-last[k])/elapsed.Seconds())
+			fastest = max(fastest, float64(v-prev[k])/elapsed.Seconds())
 		}
 		return fastest, fastest > perSecAbove
 	}

@@ -135,6 +135,27 @@ func TestAlertRulesReadTheirComponents(t *testing.T) {
 	})
 }
 
+// The rate rules read their counters with no allocation once warm: a
+// full tenant table is read into the rate's own maps, and the shed rule
+// reuses its one key, so a /healthz poll costs no garbage per row.
+func TestRateRulesAllocateNothing(t *testing.T) {
+	p, _ := alertProxy(Config{})
+	defer p.Close()
+	for i := 0; i <= obs.DefaultTenantCapacity; i++ {
+		p.tenants.AddSpend(fmt.Sprintf("tenant-%d", i), int64(i), 0)
+	}
+	for name, eval := range map[string]obs.AlertEval{
+		"tenant_spend_spike": rate(p.tenants.ReadSpend, 50_000),
+		"shed_rate_high":     rate(p.readShed, 1),
+	} {
+		eval(time.Second)
+		eval(time.Second)
+		if allocs := testing.AllocsPerRun(50, func() { eval(time.Second) }); allocs != 0 {
+			t.Errorf("%s: a warm evaluation allocates %g times, want 0", name, allocs)
+		}
+	}
+}
+
 // A flood of new tenants trips tenant_spend_spike on the overflow row:
 // past TenantCapacity every newcomer shares one row, so spend that no
 // single tenant reaches still reads as one row growing past $0.05/s.

@@ -123,7 +123,8 @@ type Config struct {
 	// Models is the cascade chain, cheapest first. Defaults to the standard
 	// family.
 	Models []llm.Model
-	// Threshold is the cascade decision threshold. Defaults to 0.62.
+	// Threshold is the cascade decision threshold. Defaults to
+	// cascade.DefaultTau (0.62).
 	Threshold float64
 	// ExitThreshold arms mid-generation early exit on streamed requests:
 	// a non-final tier whose chunk confidence drops below it is aborted
@@ -258,14 +259,10 @@ func New(cfg Config) *Proxy { return newProxy(cfg, time.Now) }
 func newProxy(cfg Config, now func() time.Time) *Proxy {
 	models := cfg.Models
 	if len(models) == 0 {
-		fam := llm.DefaultFamily()
-		models = make([]llm.Model, len(fam))
-		for i, m := range fam {
-			models[i] = m
-		}
+		models = llm.DefaultFamily().Models()
 	}
 	if cfg.Threshold == 0 {
-		cfg.Threshold = 0.62
+		cfg.Threshold = cascade.DefaultTau
 	}
 	// The rings not given are the proxy's own: two proxies in one process
 	// do not share /debug/traces or /debug/events.

@@ -148,11 +148,7 @@ func (c *Client) ResetSpend() { c.family.ResetMeters() }
 // Cascade returns an LLM cascade over the whole family with the given
 // confidence threshold (paper Figure 6).
 func (c *Client) Cascade(threshold float64) *cascade.Cascade {
-	models := make([]llm.Model, len(c.family))
-	for i, m := range c.family {
-		models[i] = m
-	}
-	return cascade.New(cascade.Threshold{Tau: threshold}, models...)
+	return cascade.New(cascade.Threshold{Tau: threshold}, c.family.Models()...)
 }
 
 // Translator returns the NL2SQL translator on the named tier.
@@ -208,7 +204,7 @@ func WithoutCache() ProxyOption {
 }
 
 // WithCascadeThreshold sets the cascade's confidence acceptance
-// threshold (default 0.62).
+// threshold (default cascade.DefaultTau, 0.62).
 func WithCascadeThreshold(tau float64) ProxyOption {
 	return func(cfg *proxy.Config) { cfg.Threshold = tau }
 }
@@ -280,11 +276,7 @@ func WithResilience(rc ResilienceConfig) ProxyOption {
 // and Chunk). The proxy meters into the client's metrics registry (see
 // WithMetricsRegistry).
 func (c *Client) Proxy(opts ...ProxyOption) *proxy.Proxy {
-	models := make([]llm.Model, len(c.family))
-	for i, m := range c.family {
-		models[i] = m
-	}
-	cfg := proxy.Config{Models: models, Obs: c.reg}
+	cfg := proxy.Config{Models: c.family.Models(), Obs: c.reg}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
